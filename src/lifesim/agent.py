@@ -43,8 +43,6 @@ class AgentState:
     ub_basis: float = 0.0            # EUR/mo
     ub_days_used: float = 0.0
     ub_max_days: float = 400.0
-    er_began_age: float = 0.0
-    unemp_after_ra: bool = False
     # pre-drawn event clocks, in quarters
     until_disability: int = NO_EVENT
     until_student: int = NO_EVENT
@@ -86,12 +84,6 @@ class HouseholdState:
         u7 = sum(1 for a in self.child_ages if a < 7.0)
         u18 = len(self.child_ages)
         return u3, u7, u18
-
-    def alive_adults(self) -> list[AgentState]:
-        return [a for a in self.adults if a.alive]
-
-    def couple_active(self) -> bool:
-        return self.partnered and len(self.adults) == 2
 
 
 def mother_of(hh: HouseholdState) -> AgentState | None:

@@ -134,7 +134,6 @@ class LifecycleEnv:
                 a.ub_days_used = 0.0
                 a.ub_max_days = float(entitlement_days(a.career_quarters * DT, a.age, rules))
                 a.new_condition_quarters = 0
-                a.er_began_age = a.age
             if a.ub_days_used < a.ub_max_days:
                 a.state = S.ER_UNEMPLOYED
                 return

@@ -12,11 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..agent import HouseholdState
-from ..population import DemographicTables, spawn_pair_household
-from ..wage import WageParams
+from ..population import initial_draw_tables, spawn_pair_household
 from .actions import N_ACTIONS, legal_mask
 from .features import OBS_DIM, encode
 from .mdp import DECISION_END_AGE, DT, LifecycleEnv
+
+
+def observe_households(households: list[HouseholdState], env: LifecycleEnv,
+                       obs: np.ndarray, masks: np.ndarray) -> None:
+    """Encode every adult of ``households`` into ``obs`` and its legal mask
+    into ``masks``: one row per adult, in household then slot order."""
+    row = 0
+    for hh in households:
+        adults = hh.adults
+        for slot, adult in enumerate(adults):
+            partner = adults[1 - slot] if len(adults) == 2 else None
+            encode(adult, partner, hh, env.uparams, out=obs[row])
+            masks[row] = legal_mask(adult, hh, env.rules)
+            row += 1
 
 
 class LifecycleVectorEnv:
@@ -37,6 +50,7 @@ class LifecycleVectorEnv:
         self.year = year
         self.episode_quarters = int(round((end_age - 18.0) / DT))
         self._seed_stream = np.random.SeedSequence((seed, 0xF00D))
+        self._draws = initial_draw_tables(env.tables)
         self._households: list[HouseholdState] = []
         self._steps: np.ndarray | None = None
         self._masks = np.zeros((self.n_actors, N_ACTIONS), dtype=bool)
@@ -44,20 +58,13 @@ class LifecycleVectorEnv:
 
     def _fresh_household(self, index: int) -> HouseholdState:
         child = self._seed_stream.spawn(1)[0]
-        return spawn_pair_household(index, child, self.env.tables, self.env.wparams, self.year)
-
-    def _observe_household(self, i: int) -> None:
-        hh = self._households[i]
-        for slot, adult in enumerate(hh.adults):
-            partner = hh.adults[1 - slot] if len(hh.adults) == 2 else None
-            encode(adult, partner, hh, self.env.uparams, out=self._obs[2 * i + slot])
-            self._masks[2 * i + slot] = legal_mask(adult, hh, self.env.rules)
+        return spawn_pair_household(index, child, self.env.tables, self.env.wparams, self._draws,
+                                    self.year)
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         self._households = [self._fresh_household(i) for i in range(self.n_households)]
         self._steps = np.zeros(self.n_households, dtype=np.int64)
-        for i in range(self.n_households):
-            self._observe_household(i)
+        observe_households(self._households, self.env, self._obs, self._masks)
         return self._obs.copy(), self._masks.copy()
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -77,5 +84,5 @@ class LifecycleVectorEnv:
                     dones[2 * i + slot] = 1.0
                 self._households[i] = self._fresh_household(i)
                 self._steps[i] = 0
-            self._observe_household(i)
+        observe_households(self._households, self.env, self._obs, self._masks)
         return self._obs.copy(), self._masks.copy(), rewards, dones

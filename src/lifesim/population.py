@@ -36,16 +36,6 @@ def _banded(table: list[tuple[float, float]], age: float) -> float:
     return value
 
 
-def _banded_vec(table, age):
-    value = table[0][1]
-    for lo, v in table:
-        if age >= lo:
-            value = v
-        else:
-            break
-    return value
-
-
 @dataclass(frozen=True)
 class DemographicTables:
     group_shares: dict[int, dict[str, tuple[float, ...]]]
@@ -89,7 +79,7 @@ class DemographicTables:
 
     def job_find_prob(self, kind: str, gender: str, group: int, age: float) -> float:
         table = self.job_search[kind][gender]
-        return _banded_vec([(lo, row[group]) for lo, row in table], age)
+        return _banded([(lo, row[group]) for lo, row in table], age)
 
     def weight_at_age(self, age: float) -> float:
         return _banded(self.population_weights, age)
@@ -188,15 +178,25 @@ def draw_geometric(p: float, rng: np.random.Generator, cap: int = 200) -> int:
     return min(max(k, 1), cap)
 
 
-def _init_curves(tables: DemographicTables) -> dict[str, np.ndarray]:
-    """Failure curves from age 18, shared by every agent at initialization."""
+InitialDraws = tuple[dict[str, np.ndarray], dict[str, tuple[list[S], np.ndarray]]]
+
+
+def initial_draw_tables(tables: DemographicTables) -> InitialDraws:
+    """Failure curves from age 18 and initial-state CDFs by gender, shared
+    by every agent drawn at age 18 from ``tables``."""
     horizon = int((MAX_AGE - 18.0) / QUARTER)
-    return {
+    curves = {
         "mort_men": failure_curve(lambda a: tables.mortality_quarterly("men", a), 18.0, horizon),
         "mort_women": failure_curve(lambda a: tables.mortality_quarterly("women", a), 18.0, horizon),
         "fertility": failure_curve(tables.fertility_quarterly, 18.0, horizon),
         "marriage": failure_curve(tables.marriage_quarterly, 18.0, horizon),
     }
+    state_cdf = {}
+    for gender, dist in tables.initial_states.items():
+        states = list(dist)
+        probs = np.array([dist[s] for s in states])
+        state_cdf[gender] = (states, np.cumsum(probs / probs.sum()))
+    return curves, state_cdf
 
 
 def _draw_initial_clocks(
@@ -267,12 +267,7 @@ def init_population(
         wparams = load_wage_params()
     ss = np.random.SeedSequence(seed)
     master = np.random.default_rng(ss.spawn(1)[0])
-    curves = _init_curves(tables)
-    state_cdf = {}
-    for gender, dist in tables.initial_states.items():
-        states = list(dist)
-        probs = np.array([dist[s] for s in states])
-        state_cdf[gender] = (states, np.cumsum(probs / probs.sum()))
+    curves, state_cdf = initial_draw_tables(tables)
 
     n_men = int(np.round(n * tables.gender_shares["men"]))
     n_men = min(max(n_men, 0), n)
@@ -363,18 +358,15 @@ def spawn_pair_household(
     seed_seq: np.random.SeedSequence,
     tables: DemographicTables,
     wparams: WageParams,
+    draws: InitialDraws,
     year: int = 2023,
 ) -> HouseholdState:
-    """One fresh pair household at age 18 (training reservoir use)."""
+    """One fresh pair household at age 18 (training reservoir use);
+    ``draws`` is ``initial_draw_tables(tables)``."""
     child = seed_seq.spawn(2)
     rng_exo = np.random.default_rng(child[0])
     rng_act = np.random.default_rng(child[1])
-    curves = _init_curves(tables)
-    state_cdf = {}
-    for gender, dist in tables.initial_states.items():
-        states = list(dist)
-        probs = np.array([dist[s] for s in states])
-        state_cdf[gender] = (states, np.cumsum(probs / probs.sum()))
+    curves, state_cdf = draws
 
     g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), rng_exo.random(),
                               side="right"))

@@ -20,7 +20,7 @@ import yaml
 
 from .errors import ReformError
 from .rules.ruleset import RuleSet, validate_ruleset
-from .simulate import AggregateReport
+from .simulate import AggregateReport, nan_mean, nan_sd
 
 # Named in the reform program but outside this model's scope; the schema
 # reserves them and refuses to apply them.
@@ -229,9 +229,8 @@ def compare_cell_lists(
         r = np.array([c[k] for c in ref_cells], dtype=float)
         if np.isnan(b).all() or np.isnan(r).all():
             continue
-        mean_b, mean_r = float(np.nanmean(b)), float(np.nanmean(r))
-        sd_b = float(np.nanstd(b, ddof=1))
-        sd_r = float(np.nanstd(r, ddof=1))
+        mean_b, mean_r = nan_mean(b), nan_mean(r)
+        sd_b, sd_r = nan_sd(b), nan_sd(r)
         se = float(np.sqrt(sd_r ** 2 / n_r + sd_b ** 2 / n_b))
         diff = mean_r - mean_b
         threshold = z * se

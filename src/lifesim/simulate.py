@@ -12,18 +12,24 @@ unemployment-duration table.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agent import HouseholdState
-from .env.actions import N_ACTIONS, legal_mask
-from .env.features import OBS_DIM, encode
+# ``encode`` and ``legal_mask`` stay module names here for the traced
+# benchmark run (lifebench/layers.py), which wraps them where callers used to
+# look them up; the simulator itself reaches them through observe_households.
+from .env.actions import N_ACTIONS, legal_mask  # noqa: F401
+from .env.features import OBS_DIM, encode  # noqa: F401
 from .env.mdp import DECISION_END_AGE, DT, LifecycleEnv, MAX_AGE
+from .env.vector import observe_households
 from .errors import ContractViolation
 from .population import CohortPopulation
 from .rules import emtr as emtr_op, ptr as ptr_op
-from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS, AdultSnapshot, HouseholdSnapshot
+from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS, HouseholdSnapshot
 from .solver.network import PolicyValueNet, masked_distribution
 from .states import (
     UNEMPLOYMENT_STATES,
@@ -40,6 +46,12 @@ FLOW_NAMES = ("gross_wage",) + TAX_FIELDS + CONTRIB_FIELDS + BENEFIT_FIELDS + (
 DURATION_AGE_BANDS = ((20, 29), (30, 39), (40, 49), (50, 59), (60, 65))
 DURATION_BIN_EDGES = (130.0, 260.0, 390.0, 520.0)   # ER days at ~21.67/mo
 HOURS_CHOICES = (8, 16, 24, 32, 40, 48)
+# Households per simulation block: one policy forward pass per block and
+# decision quarter.  Fixed, so trajectories do not depend on cohort size or
+# worker count.
+BLOCK_HOUSEHOLDS = 64
+
+_flow_values = operator.attrgetter(*FLOW_NAMES)
 
 
 @dataclass
@@ -59,65 +71,47 @@ class SimulationLog:
     consumption_by_age: np.ndarray
     emtr_samples: np.ndarray
     ptr_samples: np.ndarray
+    # (blocks, N_AGES, len(FLOW_NAMES)) per-block flow sums in block order,
+    # from which merge_logs refolds flows_by_age.
+    flow_blocks: np.ndarray | None = None
 
     def age_of_quarter(self, q: int) -> float:
         return AGE_MIN + q * DT
 
 
-def _policy_actions_for_household(
-    net: PolicyValueNet, env: LifecycleEnv, hh: HouseholdState, mode: str,
-    obs_buf: np.ndarray,
-) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    masks = []
-    n = len(hh.adults)
-    for slot, adult in enumerate(hh.adults):
-        partner = hh.adults[1 - slot] if n == 2 else None
-        encode(adult, partner, hh, env.uparams, out=obs_buf[slot])
-        masks.append(legal_mask(adult, hh, env.rules))
-    logits = net.masked_logits(obs_buf[:n], np.asarray(masks))
-    u = hh.rng_act.random(2)
-    if mode == "greedy":
-        acts = tuple(int(i) for i in logits.argmax(axis=1))
-    else:
-        probs = masked_distribution(logits, np.asarray(masks))
-        cdf = np.cumsum(probs, axis=1)
-        acts = tuple(int((cdf[i] < u[i]).sum()) for i in range(n))
-    return acts, masks
-
-
-def _record_flows(flow_sums: dict[str, np.ndarray], cons_by_age: np.ndarray,
-                  age_cell: int, flows) -> None:
-    for cf in flows:
-        rec = cf.as_record()
-        for name in FLOW_NAMES:
-            flow_sums[name][age_cell] += rec[name]
-        cons_by_age[age_cell] += rec["consumption"]
-
-
 def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> HouseholdSnapshot:
     adults = list(hh_snap.adults)
-    a = adults[adult_idx]
-    adults[adult_idx] = AdultSnapshot(
-        state=S.BASIC_UNEMPLOYED,
-        wage_quarterly=0.0,
-        age=a.age,
-        ub_basis_monthly=a.ub_basis_monthly,
-        ub_days_used=0.0,
-        ub_max_days=a.ub_max_days,
-        fund_member=a.fund_member,
-        pension_paid_monthly=a.pension_paid_monthly,
-        pension_accrued_monthly=a.pension_accrued_monthly,
-        partial_early_monthly=a.partial_early_monthly,
-        wage_basis_monthly=a.wage_basis_monthly,
-    )
-    return HouseholdSnapshot(
-        adults=tuple(adults),
-        children_under3=hh_snap.children_under3,
-        children_under7=hh_snap.children_under7,
-        children_under18=hh_snap.children_under18,
-        partnered=hh_snap.partnered,
-        rent_monthly=hh_snap.rent_monthly,
-    )
+    adults[adult_idx] = dataclasses.replace(
+        adults[adult_idx], state=S.BASIC_UNEMPLOYED, wage_quarterly=0.0, ub_days_used=0.0)
+    return dataclasses.replace(hh_snap, adults=tuple(adults))
+
+
+def _incentive_samples(env: LifecycleEnv, hh: HouseholdState, emtr_samples: list[float],
+                       ptr_samples: list[float]) -> None:
+    """EMTR and PTR of every adult of ``hh`` who works for pay."""
+    for slot, adult in enumerate(hh.adults):
+        if adult.state in (S.FULL_TIME, S.PART_TIME) and adult.paid_wage > 0:
+            u3, u7, u18 = hh.children_bands()
+            snap = HouseholdSnapshot(
+                adults=tuple(env._adult_snapshot(x) for x in hh.adults), children_under3=u3,
+                children_under7=u7, children_under18=u18, partnered=hh.partnered,
+                rent_monthly=env.rules.rent_for_size(len(hh.adults) + u18),
+            )
+            emtr_samples.append(emtr_op(snap, env.rules, adult=slot)["total"])
+            ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, slot), env.rules))
+
+
+def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
+    return [households[i:i + BLOCK_HOUSEHOLDS] for i in range(0, len(households), BLOCK_HOUSEHOLDS)]
+
+
+def _fold_flows(flow_blocks: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-age flow sums: the block partials added in block order."""
+    total = np.zeros((N_AGES, len(FLOW_NAMES)))
+    for partial in flow_blocks:
+        total += partial
+    by_age = {name: total[:, j].copy() for j, name in enumerate(FLOW_NAMES)}
+    return by_age, by_age["consumption"].copy()
 
 
 def run_cohort(
@@ -127,102 +121,102 @@ def run_cohort(
     mode: str = "sample",
     collect_incentives: bool = False,
 ) -> SimulationLog:
-    """Simulate the whole cohort: quarterly decisions 18-75, static to 100."""
+    """Simulate the whole cohort: quarterly decisions 18-75, static to 100.
+
+    Households run in fixed blocks of ``BLOCK_HOUSEHOLDS``, each block from
+    age 18 to 100 with one policy forward pass per decision quarter.  Flow
+    sums and incentive samples are kept per block and joined in block order,
+    so the log does not depend on how blocks are split across workers.
+    """
+    return _run_blocks(net, _blocks(pop.households), env, mode, collect_incentives,
+                       pop.size, pop.seed)
+
+
+def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: LifecycleEnv,
+                mode: str, collect_incentives: bool, cohort_size: int, seed: int) -> SimulationLog:
     decision_q = int(round((DECISION_END_AGE - AGE_MIN) / DT))
     total_q = int(round((MAX_AGE - AGE_MIN) / DT))
-    agents = [(hh, slot) for hh in pop.households for slot in range(len(hh.adults))]
+    agents = [a for block in blocks for hh in block for a in hh.adults]
     n_agents = len(agents)
-    agent_index = {(hh.index, slot): i for i, (hh, slot) in enumerate(agents)}
 
     states = np.zeros((n_agents, total_q), dtype=np.int8)
     hours = np.zeros((n_agents, total_q), dtype=np.int8)
     paid = np.zeros((n_agents, total_q), dtype=np.float32)
     er_days = np.zeros((n_agents, total_q), dtype=np.float32)
-    gender = np.array([0 if hh.adults[slot].gender == "men" else 1 for hh, slot in agents], dtype=np.int8)
-    group = np.array([hh.adults[slot].group for hh, slot in agents], dtype=np.int8)
+    gender = np.array([0 if a.gender == "men" else 1 for a in agents], dtype=np.int8)
+    group = np.array([a.group for a in agents], dtype=np.int8)
 
-    flow_sums = {name: np.zeros(N_AGES) for name in FLOW_NAMES}
-    cons_by_age = np.zeros(N_AGES)
+    flow_blocks = np.zeros((len(blocks), N_AGES, len(FLOW_NAMES)))
     emtr_samples: list[float] = []
     ptr_samples: list[float] = []
 
-    obs_buf = np.zeros((2, OBS_DIM))
-
-    for q in range(total_q):
-        age_cell = min(int(q * DT), N_AGES - 1)
-        decision_phase = q < decision_q
-        for hh in pop.households:
+    row0 = 0
+    for block, flows in zip(blocks, flow_blocks):
+        block_agents = [a for hh in block for a in hh.adults]
+        rows = slice(row0, row0 + len(block_agents))
+        sizes = [len(hh.adults) for hh in block]
+        starts = np.cumsum([0] + sizes[:-1]).tolist()   # each household's first row
+        obs = np.zeros((len(block_agents), OBS_DIM))
+        masks = np.zeros((len(block_agents), N_ACTIONS), dtype=bool)
+        u = np.zeros(len(block_agents))
+        for q in range(total_q):
+            age_cell = min(int(q * DT), N_AGES - 1)
+            decision_phase = q < decision_q
             if decision_phase:
-                acts, masks = _policy_actions_for_household(net, env, hh, mode, obs_buf)
-                out = env.step(hh, acts, masks=masks)
-            else:
-                out = env.static_quarter(hh)
-            _record_flows(flow_sums, cons_by_age, age_cell, out.flows)
-            for slot, adult in enumerate(hh.adults):
-                i = agent_index[(hh.index, slot)]
-                states[i, q] = int(adult.state)
-                hours[i, q] = adult.hours
-                paid[i, q] = adult.paid_wage
-                er_days[i, q] = adult.ub_days_used
+                observe_households(block, env, obs, masks)
+                logits = net.masked_logits(obs, masks)
+                for hh, i, n in zip(block, starts, sizes):
+                    u[i:i + n] = hh.rng_act.random(2)[:n]
+                if mode == "greedy":
+                    acts = logits.argmax(axis=1).tolist()
+                else:
+                    cdf = np.cumsum(masked_distribution(logits, masks), axis=1)
+                    acts = (cdf < u[:, None]).sum(axis=1).tolist()
+            for hh, i, n in zip(block, starts, sizes):
+                if decision_phase:
+                    out = env.step(hh, tuple(acts[i:i + n]), masks=masks[i:i + n])
+                else:
+                    out = env.static_quarter(hh)
+                for cf in out.flows:
+                    flows[age_cell] += _flow_values(cf)
+                if collect_incentives and decision_phase and q % 4 == 0:
+                    _incentive_samples(env, hh, emtr_samples, ptr_samples)
+            states[rows, q] = [a.state for a in block_agents]
+            hours[rows, q] = [a.hours for a in block_agents]
+            paid[rows, q] = [a.paid_wage for a in block_agents]
+            er_days[rows, q] = [a.ub_days_used for a in block_agents]
+            if q == decision_q - 1:
+                for hh in block:
+                    env.freeze_for_static_phase(hh)
+        row0 += len(block_agents)
 
-            if collect_incentives and decision_phase and q % 4 == 0:
-                for slot, adult in enumerate(hh.adults):
-                    if adult.state in (S.FULL_TIME, S.PART_TIME) and adult.paid_wage > 0:
-                        snap_adults = tuple(env._adult_snapshot(x) for x in hh.adults)
-                        u3, u7, u18 = hh.children_bands()
-                        snap = HouseholdSnapshot(
-                            adults=snap_adults, children_under3=u3, children_under7=u7,
-                            children_under18=u18, partnered=hh.partnered,
-                            rent_monthly=env.rules.rent_for_size(len(hh.adults) + u18),
-                        )
-                        emtr_samples.append(emtr_op(snap, env.rules, adult=slot)["total"])
-                        ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, slot), env.rules))
-        if q == decision_q - 1:
-            for hh in pop.households:
-                env.freeze_for_static_phase(hh)
-
+    flows_by_age, cons_by_age = _fold_flows(flow_blocks)
     return SimulationLog(
-        cohort_size=pop.size,
-        seed=pop.seed,
-        n_quarters=total_q,
-        states=states,
-        hours=hours,
-        paid_wage=paid,
-        er_days_used=er_days,
-        gender=gender,
-        group=group,
-        flows_by_age=flow_sums,
-        consumption_by_age=cons_by_age,
-        emtr_samples=np.asarray(emtr_samples),
-        ptr_samples=np.asarray(ptr_samples),
+        cohort_size=cohort_size, seed=seed, n_quarters=total_q, states=states, hours=hours,
+        paid_wage=paid, er_days_used=er_days, gender=gender, group=group,
+        flows_by_age=flows_by_age, consumption_by_age=cons_by_age,
+        emtr_samples=np.asarray(emtr_samples), ptr_samples=np.asarray(ptr_samples),
+        flow_blocks=flow_blocks,
     )
 
 
 def merge_logs(parts: list[SimulationLog]) -> SimulationLog:
-    """Concatenate chunk logs (order-stable reduction)."""
-    first = parts[0]
+    """Join chunk logs in chunk order; flows refold from the block partials."""
+    joined = {name: np.concatenate([getattr(p, name) for p in parts])
+              for name in ("states", "hours", "paid_wage", "er_days_used", "gender", "group",
+                           "emtr_samples", "ptr_samples", "flow_blocks")}
+    flows_by_age, cons_by_age = _fold_flows(joined["flow_blocks"])
     return SimulationLog(
-        cohort_size=sum(p.cohort_size for p in parts),
-        seed=first.seed,
-        n_quarters=first.n_quarters,
-        states=np.concatenate([p.states for p in parts], axis=0),
-        hours=np.concatenate([p.hours for p in parts], axis=0),
-        paid_wage=np.concatenate([p.paid_wage for p in parts], axis=0),
-        er_days_used=np.concatenate([p.er_days_used for p in parts], axis=0),
-        gender=np.concatenate([p.gender for p in parts]),
-        group=np.concatenate([p.group for p in parts]),
-        flows_by_age={k: np.sum([p.flows_by_age[k] for p in parts], axis=0)
-                      for k in first.flows_by_age},
-        consumption_by_age=np.sum([p.consumption_by_age for p in parts], axis=0),
-        emtr_samples=np.concatenate([p.emtr_samples for p in parts]),
-        ptr_samples=np.concatenate([p.ptr_samples for p in parts]),
+        cohort_size=sum(p.cohort_size for p in parts), seed=parts[0].seed,
+        n_quarters=parts[0].n_quarters, flows_by_age=flows_by_age,
+        consumption_by_age=cons_by_age, **joined,
     )
 
 
 def _run_chunk(args) -> SimulationLog:
-    net, households, env, mode, collect, seed, size = args
-    chunk = CohortPopulation(households=households, seed=seed, size=size)
-    return run_cohort(net, chunk, env, mode=mode, collect_incentives=collect)
+    net, blocks, env, mode, collect, seed = args
+    size = sum(len(hh.adults) for block in blocks for hh in block)
+    return _run_blocks(net, blocks, env, mode, collect, size, seed)
 
 
 def run_cohort_parallel(
@@ -233,18 +227,17 @@ def run_cohort_parallel(
     mode: str = "sample",
     collect_incentives: bool = False,
 ) -> SimulationLog:
-    """Chunk the cohort across processes; reduction order is fixed, so the
-    merged log is identical for any worker count."""
-    if workers <= 1 or len(pop.households) < 2 * workers:
+    """Split the cohort's household blocks across processes; chunks end on
+    block boundaries and merge in block order, so the merged log is
+    identical for any worker count."""
+    blocks = _blocks(pop.households)
+    workers = min(workers, len(blocks))
+    if workers <= 1:
         return run_cohort(net, pop, env, mode=mode, collect_incentives=collect_incentives)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = np.array_split(np.arange(len(pop.households)), workers)
-    jobs = []
-    for c in chunks:
-        households = [pop.households[i] for i in c]
-        size = sum(len(h.adults) for h in households)
-        jobs.append((net, households, env, mode, collect_incentives, pop.seed, size))
+    jobs = [(net, [blocks[i] for i in chunk], env, mode, collect_incentives, pop.seed)
+            for chunk in np.array_split(np.arange(len(blocks)), workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_run_chunk, jobs))
     merged = merge_logs(parts)
@@ -300,8 +293,8 @@ class AggregateReport:
         bands = ((18, 62), (63, 74))
         for lo, hi in bands:
             sel = slice(lo - AGE_MIN, hi + 1 - AGE_MIN)
-            out[f"employment_rate_{lo}_{hi}"] = float(np.nanmean(self.employment_rate[sel]))
-            out[f"unemployment_rate_{lo}_{hi}"] = float(np.nanmean(self.unemployment_rate[sel]))
+            out[f"employment_rate_{lo}_{hi}"] = nan_mean(self.employment_rate[sel])
+            out[f"unemployment_rate_{lo}_{hi}"] = nan_mean(self.unemployment_rate[sel])
         out["emtr_median"] = self.emtr_median
         out["ptr_median"] = self.ptr_median
         return out
@@ -498,11 +491,22 @@ class RepeatResult:
     reports: list[AggregateReport] = field(default_factory=list)
 
 
+def nan_mean(values: np.ndarray) -> float:
+    """``np.nanmean``, but NaN without a warning when every value is NaN."""
+    return float(np.nanmean(values)) if not np.isnan(values).all() else float("nan")
+
+
+def nan_sd(values: np.ndarray) -> float:
+    """Sample s.d. (ddof 1) of the non-NaN values; NaN without a warning
+    when fewer than two values are left."""
+    return float(np.nanstd(values, ddof=1)) if np.count_nonzero(~np.isnan(values)) > 1 else float("nan")
+
+
 def summarize_reports(reports: list[AggregateReport]) -> RepeatResult:
     keys = reports[0].cells().keys()
     table = {k: np.array([r.cells()[k] for r in reports]) for k in keys}
-    mean = {k: float(np.nanmean(v)) for k, v in table.items()}
-    sd = {k: float(np.nanstd(v, ddof=1)) if len(reports) > 1 else 0.0 for k, v in table.items()}
+    mean = {k: nan_mean(v) for k, v in table.items()}
+    sd = {k: nan_sd(v) if len(reports) > 1 else 0.0 for k, v in table.items()}
     return RepeatResult(mean_cells=mean, sd_cells=sd, reports=list(reports))
 
 

@@ -1,8 +1,16 @@
+import copy
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import lifesim.pipelines as pipelines
+import lifesim.simulate as simulate
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.population import init_population, load_demographics
+from lifesim.reform import compare_runs
 from lifesim.simulate import (
     AGE_MIN,
     DURATION_BIN_EDGES,
@@ -206,3 +214,62 @@ def test_incentive_samples_collected(small_log):
     med = float(np.median(small_log.emtr_samples))
     assert 0.2 < med < 0.9
     assert 0.3 < float(np.median(small_log.ptr_samples)) <= 1.0
+
+
+def test_parallel_log_identical_for_any_worker_count(env, small_net, monkeypatch):
+    # Small blocks keep the run cheap while the cohort spans several blocks.
+    monkeypatch.setattr(simulate, "BLOCK_HOUSEHOLDS", 4)
+    logs = []
+    for workers in (1, 2, 3):
+        pop = init_population(30, env.tables, seed=12, wparams=env.wparams)
+        assert len(pop.households) >= 3 * simulate.BLOCK_HOUSEHOLDS
+        logs.append(simulate.run_cohort_parallel(small_net, pop, env, workers=workers,
+                                                 collect_incentives=True))
+    ref = logs[0]
+    assert ref.emtr_samples.size > 0
+    for log in logs[1:]:
+        for f in dataclasses.fields(SimulationLog):
+            a, b = getattr(ref, f.name), getattr(log, f.name)
+            if isinstance(a, dict):
+                assert a.keys() == b.keys()
+                assert all(np.array_equal(a[k], b[k]) for k in a), f.name
+            else:
+                assert np.array_equal(a, b), f.name
+
+
+def test_repeat_protocol_population_uses_env_wage_params(env, small_net, monkeypatch):
+    wp = env.wparams
+    doubled = dataclasses.replace(
+        wp, profiles={k: dataclasses.replace(p, base=2.0 * p.base) for k, p in wp.profiles.items()})
+    populations = []
+
+    def first_population(make_refit, make_population, env, n_repeats, **kwargs):
+        populations.append(make_population(0))
+
+    monkeypatch.setattr(pipelines, "repeat_protocol", first_population)
+    protocol = pipelines.ProtocolConfig(refit_steps=0, n_repeats=1, cohort_size=10, seed=4)
+    for wparams in (wp, doubled):
+        arm = LifecycleEnv(env.rules, env.uparams, wparams, env.tables)
+        pipelines.run_repeat_protocol(small_net, arm, protocol)
+    base, scaled = ([a.potential_wage for a in pop.agents()] for pop in populations)
+    # At 18 the age profile equals its base, so the same draws give twice the wage.
+    np.testing.assert_allclose(scaled, 2.0 * np.asarray(base), rtol=1e-12)
+
+
+def test_nan_cells_summarize_and_compare_without_warnings(small_log):
+    rep = aggregate(small_log)
+    no_samples = copy.deepcopy(rep)
+    no_samples.emtr_median = float("nan")
+    no_samples.ptr_median = float("nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = summarize_reports([no_samples, no_samples])
+        comparison = compare_runs([no_samples, no_samples], [rep, no_samples])
+        single = compare_runs([rep, no_samples], [rep, rep])
+    assert math.isnan(res.mean_cells["emtr_median"]) and math.isnan(res.sd_cells["emtr_median"])
+    assert res.mean_cells["public_net"] == rep.public_net and res.sd_cells["public_net"] == 0.0
+    # An all-NaN arm drops the cell; one value per arm gives no spread.
+    assert "emtr_median" not in {row.cell for row in comparison.rows}
+    row = next(r for r in single.rows if r.cell == "emtr_median")
+    assert row.baseline == rep.emtr_median and row.difference == 0.0
+    assert math.isnan(row.pooled_se) and not row.significant
