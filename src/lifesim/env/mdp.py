@@ -10,7 +10,6 @@ run in parallel across households.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import ContractViolation
@@ -139,21 +138,11 @@ class LifecycleEnv:
                 return
         a.state = S.BASIC_UNEMPLOYED
 
-    def _retire(self, a: AgentState) -> None:
-        rules = self.rules
-        lec = rules.pension.life_expectancy_coefficient
+    def _start_pension(self, a: AgentState, state: S) -> None:
+        """Stop work and pay the accrued pension in ``state`` (retired or disabled)."""
+        lec = self.rules.pension.life_expectancy_coefficient
         a.pension_paid = a.partial_early_paid + (1.0 - a.partial_early_share) * a.pension_accrued * lec
-        a.state = S.RETIRED
-        a.hours = 0
-        a.paid_wage = 0.0
-        a.returning = False
-        a.spell_left = 0
-
-    def _disable(self, a: AgentState) -> None:
-        rules = self.rules
-        lec = rules.pension.life_expectancy_coefficient
-        a.pension_paid = a.partial_early_paid + (1.0 - a.partial_early_share) * a.pension_accrued * lec
-        a.state = S.DISABLED
+        a.state = state
         a.hours = 0
         a.paid_wage = 0.0
         a.returning = False
@@ -182,7 +171,7 @@ class LifecycleEnv:
         # retirement cell route through unemployment first.
         if a.age >= rules.pension.min_retirement_age:
             if st in (S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED, S.SICK_LEAVE):
-                self._retire(a)
+                self._start_pension(a, S.RETIRED)
                 events.append("auto_retire")
                 return True
             if st in (S.OUTSIDE_WF, S.STUDENT, S.HOME_CARE):
@@ -191,13 +180,13 @@ class LifecycleEnv:
                 events.append("auto_retire_via_unemployment")
                 return True
             if st is S.DISABLED:
-                self._retire(a)
+                self._start_pension(a, S.RETIRED)
                 return True
 
         if a.until_disability == 0:
             a.until_disability = NO_EVENT
             if st not in RETIRED_STATES and st is not S.DISABLED:
-                self._disable(a)
+                self._start_pension(a, S.DISABLED)
                 events.append("disability")
                 return True
 
@@ -207,7 +196,7 @@ class LifecycleEnv:
             a.sick_quarters += 1
             if a.sick_quarters >= exo["sick_max_quarters"]:
                 if u[_U_MISC] < exo["disability_after_sick"]:
-                    self._disable(a)
+                    self._start_pension(a, S.DISABLED)
                     events.append("disability_after_sick")
                 else:
                     a.returning = True
@@ -344,7 +333,7 @@ class LifecycleEnv:
                 a.hours = 0
                 a.paid_wage = 0.0
             else:
-                self._retire(a)
+                self._start_pension(a, S.RETIRED)
             return
 
         if dec in (Decision.PARTIAL_25, Decision.PARTIAL_50):
@@ -537,7 +526,7 @@ class LifecycleEnv:
         """At the decision horizon, non-workers move to plain retirement."""
         for a in hh.adults:
             if a.alive and a.state not in WORKING_STATES and a.state not in (S.RETIRED, S.DISABLED):
-                self._retire(a)
+                self._start_pension(a, S.RETIRED)
 
     def terminal_value(self, hh: HouseholdState) -> tuple[float, ...]:
         """Expected discounted static-phase utility per adult at age 75.

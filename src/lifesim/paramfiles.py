@@ -25,8 +25,11 @@ def load_yaml(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ParameterError(f"parameter file not found: {path}")
-    with path.open() as f:
-        doc = yaml.safe_load(f)
+    try:
+        with path.open() as f:
+            doc = yaml.safe_load(f)
+    except yaml.YAMLError as exc:
+        raise ParameterError(f"parameter file is not valid YAML: {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParameterError(f"parameter file is not a mapping: {path}")
     return doc

@@ -10,15 +10,16 @@ against the minimal significant difference at the configured confidence.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
 from typing import Any
 
 import numpy as np
-import yaml
 
-from .errors import ReformError
+from .errors import ParameterError, ReformError
+from .paramfiles import load_yaml
 from .rules.ruleset import RuleSet, validate_ruleset
 from .simulate import AggregateReport, nan_mean, nan_sd
 
@@ -35,15 +36,17 @@ RESERVED_UNIMPLEMENTED = frozenset({
     "index_freeze",
 })
 
-IMPLEMENTED_KINDS = frozenset({
-    "ub_grading",
-    "employment_condition_months",
-    "remove_extended_er",
-    "remove_earnings_disregards",
-    "income_tax_shift",
-    "housing_benefit_replacement",
-    "child_benefit_change",
-})
+# Payload keys of each implemented delta kind: (required, optional).
+PAYLOAD_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
+    "ub_grading": (frozenset(), frozenset({"schedule"})),
+    "employment_condition_months": (frozenset({"months"}), frozenset()),
+    "remove_extended_er": (frozenset(), frozenset()),
+    "remove_earnings_disregards": (frozenset(), frozenset()),
+    "income_tax_shift": (frozenset(), frozenset({"bracket_scale", "rate_delta"})),
+    "housing_benefit_replacement": (
+        frozenset(), frozenset({"compensation_share", "income_deductible_rate"})),
+    "child_benefit_change": (frozenset({"delta_monthly"}), frozenset()),
+}
 
 
 @dataclass(frozen=True)
@@ -59,17 +62,19 @@ class ReformSpec:
 
 
 def load_reform(path: str | Path) -> ReformSpec:
-    with open(path) as f:
-        doc = yaml.safe_load(f)
-    if not isinstance(doc, dict) or "deltas" not in doc:
-        raise ReformError(f"reform overlay must be a mapping with 'deltas': {path}")
+    try:
+        doc = load_yaml(path)
+    except ParameterError as exc:
+        raise ReformError(f"reform overlay: {exc}") from exc
+    raw_deltas = doc.get("deltas")
+    if not isinstance(raw_deltas, list):
+        raise ReformError(f"reform overlay must have a 'deltas' list: {path}")
     deltas = []
-    for raw in doc["deltas"]:
-        kind = raw.get("kind")
-        if kind is None:
-            raise ReformError(f"delta without a kind in {path}")
+    for raw in raw_deltas:
+        if not isinstance(raw, dict) or raw.get("kind") is None:
+            raise ReformError(f"every delta must be a mapping with a kind in {path}: {raw!r}")
         payload = {k: v for k, v in raw.items() if k != "kind"}
-        deltas.append(ReformDelta(kind=kind, payload=payload))
+        deltas.append(ReformDelta(kind=raw["kind"], payload=payload))
     return ReformSpec(name=str(doc.get("name", Path(path).stem)), deltas=tuple(deltas))
 
 
@@ -101,7 +106,22 @@ class AuditEntry:
     new: Any
 
 
+def _check_payload(delta: ReformDelta) -> None:
+    if delta.kind in RESERVED_UNIMPLEMENTED:
+        raise ReformError(f"reform delta {delta.kind!r} is reserved but not implemented in this model")
+    if delta.kind not in PAYLOAD_KEYS:
+        raise ReformError(f"unknown reform delta kind {delta.kind!r}")
+    required, optional = PAYLOAD_KEYS[delta.kind]
+    unknown = sorted(delta.payload.keys() - required - optional)
+    if unknown:
+        raise ReformError(f"reform delta {delta.kind!r} has unknown key {unknown[0]!r}")
+    missing = sorted(required - delta.payload.keys())
+    if missing:
+        raise ReformError(f"reform delta {delta.kind!r} is missing key {missing[0]!r}")
+
+
 def _delta_paths(delta: ReformDelta, rules: RuleSet) -> list[tuple[str, Any]]:
+    _check_payload(delta)
     kind, p = delta.kind, delta.payload
     if kind == "ub_grading":
         schedule = p.get("schedule")
@@ -113,8 +133,8 @@ def _delta_paths(delta: ReformDelta, rules: RuleSet) -> list[tuple[str, Any]]:
         return [("unemployment.er.extended_min_age", None)]
     if kind == "remove_earnings_disregards":
         return [
-            ("housing_general.earnings_disregard", 0.0),
-            ("housing_retiree.earnings_disregard", 0.0),
+            ("housing_benefit.general.earnings_disregard", 0.0),
+            ("housing_benefit.retiree.earnings_disregard", 0.0),
         ]
     if kind == "income_tax_shift":
         scale = float(p.get("bracket_scale", 1.0))
@@ -127,18 +147,17 @@ def _delta_paths(delta: ReformDelta, rules: RuleSet) -> list[tuple[str, Any]]:
     if kind == "housing_benefit_replacement":
         out = []
         if "compensation_share" in p:
-            out.append(("housing_general.compensation_share", float(p["compensation_share"])))
+            out.append(("housing_benefit.general.compensation_share", float(p["compensation_share"])))
         if "income_deductible_rate" in p:
-            out.append(("housing_general.income_deductible_rate", float(p["income_deductible_rate"])))
+            out.append(("housing_benefit.general.income_deductible_rate",
+                        float(p["income_deductible_rate"])))
         if not out:
             raise ReformError("housing_benefit_replacement delta carries no fields")
         return out
     if kind == "child_benefit_change":
         new_level = rules.family.child_benefit_monthly + float(p["delta_monthly"])
         return [("family.child_benefit_monthly", round(new_level, 2))]
-    if kind in RESERVED_UNIMPLEMENTED:
-        raise ReformError(f"reform delta {kind!r} is reserved but not implemented in this model")
-    raise ReformError(f"unknown reform delta kind {kind!r}")
+    raise AssertionError(f"PAYLOAD_KEYS names {kind!r} but no paths are defined for it")
 
 
 def apply_reform(base: RuleSet, spec: ReformSpec) -> tuple[RuleSet, list[AuditEntry]]:
@@ -146,7 +165,11 @@ def apply_reform(base: RuleSet, spec: ReformSpec) -> tuple[RuleSet, list[AuditEn
     rules = base
     audit: list[AuditEntry] = []
     for delta in spec.deltas:
-        for path, value in _delta_paths(delta, rules):
+        try:
+            changes = _delta_paths(delta, rules)
+        except (TypeError, ValueError) as exc:
+            raise ReformError(f"reform delta {delta.kind!r} has a malformed value: {exc}") from exc
+        for path, value in changes:
             old = _get_path(rules, path)
             rules = _set_path(rules, path, value)
             audit.append(AuditEntry(path=path, old=old, new=value))
@@ -266,16 +289,25 @@ def paired_one_sided_pvalue(diffs: np.ndarray, alternative: str = "less") -> flo
 
 
 def _t_sf(t: float, df: int) -> float:
-    """Survival function of Student's t via numerical integration."""
-    # integrate the density from t to a large bound
-    from math import gamma, pi, sqrt
+    """Survival function of Student's t with integer ``df``, in closed form.
 
-    norm = gamma((df + 1) / 2) / (sqrt(df * pi) * gamma(df / 2))
-
-    def pdf(x: float) -> float:
-        return norm * (1.0 + x * x / df) ** (-(df + 1) / 2)
-
-    lo, hi = t, max(t + 60.0, 60.0)
-    xs = np.linspace(lo, hi, 20001)
-    ys = np.array([pdf(x) for x in xs])
-    return float(np.trapezoid(ys, xs))
+    ``(1 - A) / 2``, where ``A = P(|T| <= t)`` is the finite series of
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df) in
+    ``theta = atan(t / sqrt(df))``; ``A`` is odd in ``t``, so any sign works.
+    """
+    theta = math.atan(t / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    series = 0.0
+    if df % 2:
+        term = cos  # terms cos^1 .. cos^(df-2)
+        for k in range(1, (df - 1) // 2 + 1):
+            series += term
+            term *= cos * cos * (2 * k) / (2 * k + 1)
+        a = 2.0 / math.pi * (theta + sin * series)
+    else:
+        term = 1.0  # terms cos^0 .. cos^(df-2)
+        for k in range(1, df // 2 + 1):
+            series += term
+            term *= cos * cos * (2 * k - 1) / (2 * k)
+        a = sin * series
+    return 0.5 * (1.0 - a)

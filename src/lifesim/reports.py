@@ -113,22 +113,6 @@ def write_report_csvs(report: AggregateReport, outdir: str | Path) -> list[Path]
     return written
 
 
-def read_report_csv(path: str | Path) -> tuple[list[str], list[list[float | str]]]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = []
-        for raw in reader:
-            row: list[float | str] = []
-            for cell in raw:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(row)
-    return header, rows
-
-
 def write_comparison_csvs(cmp: ComparisonReport, outdir: str | Path) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -14,19 +14,19 @@ otherwise.  Evaluation order inside :func:`net_income`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from operator import add, attrgetter
 
 from ..errors import ContractViolation
 from ..states import (
     EmploymentState as S,
     PENSION_STATES,
     RETIRED_STATES,
-    UNEMPLOYMENT_STATES,
     WORKING_STATES,
 )
 from .ruleset import (
     BENEFIT_DAYS_PER_QUARTER,
-    HousingBenefitSchedule,
     MONTHS_PER_QUARTER,
     RuleSet,
 )
@@ -89,6 +89,11 @@ BENEFIT_FIELDS = (
     "housing_benefit",
     "social_assistance",
 )
+# The CashFlows totals add left to right in field order: ``sum`` compensates
+# rounding on Python 3.12+, which would change net income in the last bit.
+_taxes = attrgetter(*TAX_FIELDS)
+_contribs = attrgetter(*CONTRIB_FIELDS)
+_benefits = attrgetter(*BENEFIT_FIELDS)
 
 
 @dataclass(slots=True)
@@ -125,32 +130,13 @@ class CashFlows:
     adult_wages: tuple[float, ...] = field(default_factory=tuple)
 
     def taxes_total(self) -> float:
-        return self.state_tax + self.municipal_tax + self.yle_tax + self.daycare_fee
+        return reduce(add, _taxes(self))
 
     def contribs_total(self) -> float:
-        return (
-            self.pension_contrib
-            + self.unemployment_contrib
-            + self.health_medical_contrib
-            + self.health_daily_contrib
-        )
+        return reduce(add, _contribs(self))
 
     def benefits_total(self) -> float:
-        return (
-            self.ub_er
-            + self.ub_basic
-            + self.pension_er
-            + self.pension_basic
-            + self.pension_guarantee
-            + self.survivor_pension
-            + self.sickness_benefit
-            + self.parental_benefit
-            + self.home_care_benefit
-            + self.student_benefit
-            + self.child_benefit
-            + self.housing_benefit
-            + self.social_assistance
-        )
+        return reduce(add, _benefits(self))
 
     def as_record(self) -> dict[str, float]:
         """Flat key/value view for CSV emission."""
@@ -179,10 +165,10 @@ def taxes_and_contributions(gross_annual: float, rules: RuleSet) -> dict[str, fl
             break
 
     municipal = tax.municipal_rate * taxable
-    yle = min(tax.yle_cap, tax.yle_rate * max(0.0, gross_annual - tax.yle_floor))
+    yle = min(tax.yle.cap, tax.yle.rate * max(0.0, gross_annual - tax.yle.floor))
 
-    ec = rules.employee_contrib
-    er = rules.employer_contrib
+    ec = rules.contributions.employee
+    er = rules.contributions.employer
     return {
         "state_tax": state,
         "municipal_tax": municipal,
@@ -252,7 +238,7 @@ def pension_benefit(accrued_er_monthly: float, rules: RuleSet) -> dict[str, floa
     """Monthly pension split: earnings-related, basic, guarantee top-up."""
     if accrued_er_monthly < 0:
         raise ContractViolation("accrued pension must be non-negative")
-    bp = rules.pension.basic
+    bp = rules.pension.basic_pension
     if accrued_er_monthly >= bp.cutoff:
         basic = 0.0
     else:
@@ -277,7 +263,7 @@ def housing_benefit(hh: HouseholdSnapshot, income_monthly: float, rules: RuleSet
     if hh.rent_monthly <= 0:
         raise ContractViolation("housing benefit requires positive rent")
     retired = any(a.state in RETIRED_STATES for a in hh.adults if a.state != S.DEAD)
-    sched = rules.housing_retiree if retired else rules.housing_general
+    sched = rules.housing_benefit.retiree if retired else rules.housing_benefit.general
     alive_adults = sum(1 for a in hh.adults if a.state != S.DEAD)
     size = _household_size(hh)
     accepted_rent = min(hh.rent_monthly, sched.max_rent_by_size[min(size, len(sched.max_rent_by_size)) - 1])
@@ -289,7 +275,7 @@ def housing_benefit(hh: HouseholdSnapshot, income_monthly: float, rules: RuleSet
 
 def housing_income(hh: HouseholdSnapshot, gross_wages_monthly: list[float], other_monthly: float, rules: RuleSet) -> float:
     retired = any(a.state in RETIRED_STATES for a in hh.adults if a.state != S.DEAD)
-    sched = rules.housing_retiree if retired else rules.housing_general
+    sched = rules.housing_benefit.retiree if retired else rules.housing_benefit.general
     wages = sum(max(0.0, w - sched.earnings_disregard) for w in gross_wages_monthly if w > 0)
     return wages + other_monthly
 
@@ -491,28 +477,8 @@ def emtr(hh: HouseholdSnapshot, rules: RuleSet, delta_monthly: float = 100.0, ad
 
 def _with_wage_bump(hh: HouseholdSnapshot, adult: int, bump_quarterly: float) -> HouseholdSnapshot:
     adults = list(hh.adults)
-    a = adults[adult]
-    adults[adult] = AdultSnapshot(
-        state=a.state,
-        wage_quarterly=a.wage_quarterly + bump_quarterly,
-        age=a.age,
-        ub_basis_monthly=a.ub_basis_monthly,
-        ub_days_used=a.ub_days_used,
-        ub_max_days=a.ub_max_days,
-        fund_member=a.fund_member,
-        pension_paid_monthly=a.pension_paid_monthly,
-        pension_accrued_monthly=a.pension_accrued_monthly,
-        partial_early_monthly=a.partial_early_monthly,
-        wage_basis_monthly=a.wage_basis_monthly,
-    )
-    return HouseholdSnapshot(
-        adults=tuple(adults),
-        children_under3=hh.children_under3,
-        children_under7=hh.children_under7,
-        children_under18=hh.children_under18,
-        partnered=hh.partnered,
-        rent_monthly=hh.rent_monthly,
-    )
+    adults[adult] = replace(adults[adult], wage_quarterly=adults[adult].wage_quarterly + bump_quarterly)
+    return replace(hh, adults=tuple(adults))
 
 
 def ptr(employed: HouseholdSnapshot, unemployed: HouseholdSnapshot, rules: RuleSet) -> float:

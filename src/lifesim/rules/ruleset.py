@@ -1,24 +1,38 @@
 """Rule-set schema: year-indexed tax, contribution and benefit parameters.
 
+The :class:`RuleSet` dataclass tree is the schema of the ``rules_*.yaml``
+files: each mapping in a file is one dataclass and each key one field of the
+same name, so a reform overlay addresses a parameter by the same dotted path
+(``housing_benefit.general.earnings_disregard``) in the file and in the tree.
+:func:`ruleset_from_mapping` builds the tree from the field types and rejects
+a missing key, an unknown key or a value of the wrong type by its path.
+
 A :class:`RuleSet` is an immutable snapshot of the institutional environment.
 Reform overlays produce patched copies; nothing here mutates in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Any
-
-import yaml
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 from ..errors import ParameterError
+from ..paramfiles import load_yaml
 
 QUARTERS_PER_YEAR = 4
 MONTHS_PER_QUARTER = 3
 # 5 benefit days per week, 13 weeks per quarter.
 BENEFIT_DAYS_PER_QUARTER = 65
-BENEFIT_DAYS_PER_MONTH = 21.67
+
+
+@dataclass(frozen=True, slots=True)
+class YleRules:
+    rate: float
+    floor: float
+    cap: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,9 +40,7 @@ class TaxRules:
     state_brackets: tuple[tuple[float, float], ...]  # (lower bound EUR/yr, marginal rate)
     municipal_rate: float
     standard_deduction: float
-    yle_rate: float
-    yle_floor: float
-    yle_cap: float
+    yle: YleRules
     vat_rate: float
 
 
@@ -57,6 +69,12 @@ class EmployerContrib:
 
 
 @dataclass(frozen=True, slots=True)
+class Contributions:
+    employee: EmployeeContrib
+    employer: EmployerContrib
+
+
+@dataclass(frozen=True, slots=True)
 class ErBenefitRules:
     days_per_month: float
     rate_low: float
@@ -78,7 +96,6 @@ class ErBenefitRules:
 @dataclass(frozen=True, slots=True)
 class UnemploymentRules:
     basic_daily: float
-    days_per_week: int
     er: ErBenefitRules
 
 
@@ -91,7 +108,6 @@ class BasicPensionRules:
 
 @dataclass(frozen=True, slots=True)
 class PartialEarlyRules:
-    shares: tuple[float, ...]
     min_age: float
     reduction_per_year: float
 
@@ -100,7 +116,7 @@ class PartialEarlyRules:
 class PensionRules:
     accrual_rate: float
     life_expectancy_coefficient: float
-    basic: BasicPensionRules
+    basic_pension: BasicPensionRules
     guarantee_level: float
     min_retirement_age: float
     max_insured_age: float
@@ -117,6 +133,12 @@ class HousingBenefitSchedule:
     per_child: float
     earnings_disregard: float
     max_rent_by_size: tuple[float, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class HousingBenefitRules:
+    general: HousingBenefitSchedule
+    retiree: HousingBenefitSchedule
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,12 +174,10 @@ class FamilyRules:
 class RuleSet:
     year: int
     tax: TaxRules
-    employee_contrib: EmployeeContrib
-    employer_contrib: EmployerContrib
+    contributions: Contributions
     unemployment: UnemploymentRules
     pension: PensionRules
-    housing_general: HousingBenefitSchedule
-    housing_retiree: HousingBenefitSchedule
+    housing_benefit: HousingBenefitRules
     social_assistance: SocialAssistanceRules
     family: FamilyRules
     rent_table: tuple[float, ...]
@@ -196,7 +216,7 @@ def validate_ruleset(rs: RuleSet) -> None:
         if any(not 0.0 < m <= 1.0 for m in mults):
             problems.append("grading multipliers must lie in (0, 1]")
 
-    if rs.pension.basic.cutoff <= 0:
+    if rs.pension.basic_pension.cutoff <= 0:
         problems.append("basic pension cutoff must be positive")
     if not 0.0 < rs.pension.life_expectancy_coefficient <= 1.0:
         problems.append("life expectancy coefficient outside (0, 1]")
@@ -207,116 +227,60 @@ def validate_ruleset(rs: RuleSet) -> None:
         raise ParameterError("invalid rule set: " + "; ".join(problems))
 
 
-def _brackets(raw: Any) -> tuple[tuple[float, float], ...]:
-    return tuple((float(lo), float(rate)) for lo, rate in raw)
+# The YAML types a scalar field accepts; a float field also takes an integer.
+_SCALAR_INPUTS: dict[Any, tuple[type, ...]] = {float: (float, int), int: (int,)}
+
+
+@cache
+def _field_types(cls: type) -> dict[str, tuple[Any, tuple[type, ...]]]:
+    """Field name -> (type hint, accepted scalar inputs or ()), resolved once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], _SCALAR_INPUTS.get(hints[f.name], ())) for f in fields(cls)}
+
+
+def _build(tp: Any, raw: Any, path: str) -> Any:
+    """The value of type ``tp`` read from ``raw``, the YAML value at ``path``.
+
+    Supports the types the schema declares: nested dataclasses, ``float``,
+    ``int``, ``X | None``, ``tuple[X, ...]`` and fixed-length tuples.  A float
+    field accepts a YAML integer; nothing else is converted.  Scalars of an
+    accepted type are converted inline, without a call per leaf.
+    """
+    if tp in _SCALAR_INPUTS:
+        if type(raw) in _SCALAR_INPUTS[tp]:
+            return tp(raw)
+        raise ParameterError(f"rule-set entry {path} must be {tp.__name__}, got {raw!r}")
+    if is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ParameterError(f"rule-set entry {path or '<root>'} must be a mapping, got {raw!r}")
+        types = _field_types(tp)
+        prefix = f"{path}." if path else ""
+        if raw.keys() != types.keys():
+            unknown = [k for k in raw if k not in types]
+            if unknown:
+                raise ParameterError(f"unknown rule-set key {prefix}{unknown[0]}")
+            missing = [k for k in types if k not in raw]
+            raise ParameterError(f"missing rule-set key {prefix}{missing[0]}")
+        return tp(**{k: t(raw[k]) if type(raw[k]) in ok else _build(t, raw[k], prefix + k)
+                     for k, (t, ok) in types.items()})
+    args = get_args(tp)
+    if get_origin(tp) is UnionType:  # X | None
+        return None if raw is None else _build(args[0], raw, path)
+    if not isinstance(raw, list):  # tuple[X, ...] or a fixed-length tuple
+        raise ParameterError(f"rule-set entry {path} must be a list, got {raw!r}")
+    if args[-1] is Ellipsis:
+        args = (args[0],) * len(raw)
+    elif len(raw) != len(args):
+        raise ParameterError(f"rule-set entry {path} must have {len(args)} items, got {raw!r}")
+    return tuple([t(x) if type(x) in _SCALAR_INPUTS.get(t, ()) else _build(t, x, f"{path}[{i}]")
+                  for i, (t, x) in enumerate(zip(args, raw))])
 
 
 def ruleset_from_mapping(doc: dict[str, Any]) -> RuleSet:
-    try:
-        tax = doc["tax"]
-        yle = tax["yle"]
-        contrib = doc["contributions"]
-        unemp = doc["unemployment"]
-        er = unemp["er"]
-        pen = doc["pension"]
-        bp = pen["basic_pension"]
-        pe = pen["partial_early"]
-        hb = doc["housing_benefit"]
-        sa = doc["social_assistance"]
-        fam = doc["family"]
-        dc = fam["daycare"]
-
-        grading_raw = er.get("grading") or []
-        extended = er.get("extended_min_age")
-
-        def housing(raw: dict[str, Any]) -> HousingBenefitSchedule:
-            return HousingBenefitSchedule(
-                compensation_share=float(raw["compensation_share"]),
-                income_deductible_rate=float(raw["income_deductible_rate"]),
-                income_base=float(raw["income_base"]),
-                per_adult=float(raw["per_adult"]),
-                per_child=float(raw["per_child"]),
-                earnings_disregard=float(raw["earnings_disregard"]),
-                max_rent_by_size=tuple(float(x) for x in raw["max_rent_by_size"]),
-            )
-
-        rs = RuleSet(
-            year=int(doc["year"]),
-            tax=TaxRules(
-                state_brackets=_brackets(tax["state_brackets"]),
-                municipal_rate=float(tax["municipal_rate"]),
-                standard_deduction=float(tax["standard_deduction"]),
-                yle_rate=float(yle["rate"]),
-                yle_floor=float(yle["floor"]),
-                yle_cap=float(yle["cap"]),
-                vat_rate=float(tax["vat_rate"]),
-            ),
-            employee_contrib=EmployeeContrib(**{k: float(v) for k, v in contrib["employee"].items()}),
-            employer_contrib=EmployerContrib(**{k: float(v) for k, v in contrib["employer"].items()}),
-            unemployment=UnemploymentRules(
-                basic_daily=float(unemp["basic_daily"]),
-                days_per_week=int(unemp["days_per_week"]),
-                er=ErBenefitRules(
-                    days_per_month=float(er["days_per_month"]),
-                    rate_low=float(er["rate_low"]),
-                    rate_high=float(er["rate_high"]),
-                    breakpoint_monthly=float(er["breakpoint_monthly"]),
-                    max_days_default=int(er["max_days_default"]),
-                    short_career_days=int(er["short_career_days"]),
-                    short_career_years=float(er["short_career_years"]),
-                    senior_days=int(er["senior_days"]),
-                    senior_age=float(er["senior_age"]),
-                    senior_career_years=float(er["senior_career_years"]),
-                    condition_months=int(er["condition_months"]),
-                    condition_window_quarters=int(er["condition_window_quarters"]),
-                    grading=tuple((int(d), float(m)) for d, m in grading_raw),
-                    extended_min_age=None if extended is None else float(extended),
-                ),
-            ),
-            pension=PensionRules(
-                accrual_rate=float(pen["accrual_rate"]),
-                life_expectancy_coefficient=float(pen["life_expectancy_coefficient"]),
-                basic=BasicPensionRules(
-                    full=float(bp["full"]), taper=float(bp["taper"]), cutoff=float(bp["cutoff"])
-                ),
-                guarantee_level=float(pen["guarantee_level"]),
-                min_retirement_age=float(pen["min_retirement_age"]),
-                max_insured_age=float(pen["max_insured_age"]),
-                partial_early=PartialEarlyRules(
-                    shares=tuple(float(s) for s in pe["shares"]),
-                    min_age=float(pe["min_age"]),
-                    reduction_per_year=float(pe["reduction_per_year"]),
-                ),
-                survivor_share=float(pen["survivor_share"]),
-            ),
-            housing_general=housing(hb["general"]),
-            housing_retiree=housing(hb["retiree"]),
-            social_assistance=SocialAssistanceRules(**{k: float(v) for k, v in sa.items()}),
-            family=FamilyRules(
-                child_benefit_monthly=float(fam["child_benefit_monthly"]),
-                child_benefit_single_parent_supplement=float(
-                    fam["child_benefit_single_parent_supplement"]
-                ),
-                home_care_allowance_monthly=float(fam["home_care_allowance_monthly"]),
-                parental_replacement=float(fam["parental_replacement"]),
-                sickness_replacement=float(fam["sickness_replacement"]),
-                student_allowance_monthly=float(fam["student_allowance_monthly"]),
-                daycare=DaycareRules(**{k: float(v) for k, v in dc.items()}),
-            ),
-            rent_table=tuple(float(x) for x in doc["rent_table"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed rule-set document: {exc!r}") from exc
+    rs = _build(RuleSet, doc, "")
     validate_ruleset(rs)
     return rs
 
 
 def load_ruleset(path: str | Path) -> RuleSet:
-    path = Path(path)
-    if not path.exists():
-        raise ParameterError(f"rule-set file not found: {path}")
-    with path.open() as f:
-        doc = yaml.safe_load(f)
-    if not isinstance(doc, dict):
-        raise ParameterError(f"rule-set file is not a mapping: {path}")
-    return ruleset_from_mapping(doc)
+    return ruleset_from_mapping(load_yaml(path))

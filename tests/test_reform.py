@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,8 @@ def test_employment_condition_delta(rules2023, orpo):
 def test_extended_er_removed_and_disregards_zeroed(rules2023, orpo):
     reformed, _ = apply_reform(rules2023, orpo)
     assert reformed.unemployment.er.extended_min_age is None
-    assert reformed.housing_general.earnings_disregard == 0.0
-    assert reformed.housing_general.compensation_share == pytest.approx(0.70)
+    assert reformed.housing_benefit.general.earnings_disregard == 0.0
+    assert reformed.housing_benefit.general.compensation_share == pytest.approx(0.70)
     assert reformed.family.child_benefit_monthly == pytest.approx(
         rules2023.family.child_benefit_monthly + 10.0
     )
@@ -72,13 +74,44 @@ def test_apply_then_revert_restores_exactly(rules2023, orpo):
 def test_untouched_fields_identical(rules2023, orpo):
     reformed, _ = apply_reform(rules2023, orpo)
     assert reformed.pension == rules2023.pension
-    assert reformed.employee_contrib is rules2023.employee_contrib
+    assert reformed.contributions.employee is rules2023.contributions.employee
 
 
 def test_unknown_kind_rejected(rules2023):
     spec = ReformSpec(name="bad", deltas=(ReformDelta(kind="flat_tax_utopia"),))
     with pytest.raises(ReformError, match="flat_tax_utopia"):
         apply_reform(rules2023, spec)
+
+
+@pytest.mark.parametrize("path", sorted((params_dir() / "reforms").glob("*.yaml")), ids=lambda p: p.name)
+def test_packaged_overlays_load_and_apply_strictly(path, rules2023):
+    reformed, audit = apply_reform(rules2023, load_reform(path))
+    assert audit and reformed != rules2023
+
+
+@pytest.mark.parametrize("delta, message", [
+    (ReformDelta("income_tax_shift", {"bracket_scal": 1.5}), "'income_tax_shift' has unknown key 'bracket_scal'"),
+    (ReformDelta("remove_extended_er", {"age": 63}), "'remove_extended_er' has unknown key 'age'"),
+    (ReformDelta("employment_condition_months"), "'employment_condition_months' is missing key 'months'"),
+    (ReformDelta("child_benefit_change", {"delta": 5.0}), "'child_benefit_change' has unknown key 'delta'"),
+    (ReformDelta("employment_condition_months", {"months": "twelve"}),
+     "'employment_condition_months' has a malformed value"),
+    (ReformDelta("ub_grading", {"schedule": [40, 0.8]}), "'ub_grading' has a malformed value"),
+])
+def test_malformed_delta_payload_rejected(rules2023, delta, message):
+    with pytest.raises(ReformError, match=message):
+        apply_reform(rules2023, ReformSpec(name="bad", deltas=(delta,)))
+
+
+@pytest.mark.parametrize("text", [None, "deltas: [\n", "- just\n- a list\n", "name: x\n",
+                                  "deltas: [income_tax_shift]\n"],
+                         ids=["missing", "not-yaml", "not-a-mapping", "no-deltas", "delta-not-a-mapping"])
+def test_malformed_overlay_file_raises_reform_error(tmp_path, text):
+    path = tmp_path / "overlay.yaml"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ReformError):
+        load_reform(path)
 
 
 def test_reserved_kind_rejected_by_name(rules2023):
@@ -137,3 +170,15 @@ def test_paired_pvalue_directions():
     assert paired_one_sided_pvalue(down, "less") < 0.01
     assert paired_one_sided_pvalue(down, "greater") > 0.95
     assert paired_one_sided_pvalue(-down, "greater") < 0.01
+
+
+@pytest.mark.parametrize("diffs", [[1.0, 3.0], [-0.4, 0.1], [1.0, 2.0, 3.0], [-1.0, 0.5, -2.5]])
+def test_paired_pvalue_matches_closed_form(diffs):
+    d = np.array(diffs)
+    t = d.mean() / (d.std(ddof=1) / math.sqrt(d.size))
+    if d.size == 2:   # df = 1: Cauchy
+        expected = 0.5 - math.atan(t) / math.pi
+    else:             # df = 2
+        expected = 0.5 * (1.0 - t / math.sqrt(t * t + 2.0))
+    assert paired_one_sided_pvalue(d, "greater") == pytest.approx(expected, rel=1e-12)
+    assert paired_one_sided_pvalue(d, "less") == pytest.approx(1.0 - expected, rel=1e-12)

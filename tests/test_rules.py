@@ -12,12 +12,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifesim.paramfiles import ruleset_path
+from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.rules import (
     AdultSnapshot,
     HouseholdSnapshot,
     emtr,
     entitlement_days,
+    load_ruleset,
     net_income,
     pension_benefit,
     ptr,
@@ -159,24 +160,24 @@ def test_entitlement_days_menu(rules2023):
 
 def test_pension_no_accrual(rules2023):
     parts = pension_benefit(0.0, rules2023)
-    assert parts["basic"] == rules2023.pension.basic.full
+    assert parts["basic"] == rules2023.pension.basic_pension.full
     total = parts["er"] + parts["basic"] + parts["guarantee"]
     assert total == pytest.approx(rules2023.pension.guarantee_level)
 
 
 def test_pension_zero_at_cutoff(rules2023):
-    cutoff = rules2023.pension.basic.cutoff
+    cutoff = rules2023.pension.basic_pension.cutoff
     assert pension_benefit(cutoff, rules2023)["basic"] == 0.0
     assert pension_benefit(cutoff + 500.0, rules2023)["basic"] == 0.0
 
 
 def test_pension_taper_arithmetic(rules2023):
     parts = pension_benefit(800.0, rules2023)
-    assert parts["basic"] == pytest.approx(rules2023.pension.basic.full - 400.0)
+    assert parts["basic"] == pytest.approx(rules2023.pension.basic_pension.full - 400.0)
 
 
 def test_pension_taper_slope_by_finite_differences(rules2023):
-    bp = rules2023.pension.basic
+    bp = rules2023.pension.basic_pension
     eps = 1.0
     for accrued in (200.0, 700.0, 1200.0):
         hi = pension_benefit(accrued + eps, rules2023)["basic"]
@@ -204,7 +205,7 @@ def test_housing_benefit_floor_and_ceiling(rules2023):
     from lifesim.rules import housing_benefit
 
     hh = single(S.BASIC_UNEMPLOYED)
-    sched = rules2023.housing_general
+    sched = rules2023.housing_benefit.general
     maximal = housing_benefit(hh, 0.0, rules2023)
     assert maximal == pytest.approx(sched.compensation_share * sched.max_rent_by_size[0])
     assert housing_benefit(hh, 50000.0, rules2023) == 0.0
@@ -215,7 +216,7 @@ def test_housing_benefit_taper_matches_schedule(rules2023):
     from lifesim.rules import housing_benefit
 
     hh = single(S.BASIC_UNEMPLOYED)
-    sched = rules2023.housing_general
+    sched = rules2023.housing_benefit.general
     # Two incomes inside the taper: difference = share * rate * d(income)
     i1, i2 = 1500.0, 1700.0
     b1 = housing_benefit(hh, i1, rules2023)
@@ -229,7 +230,7 @@ def test_housing_retiree_schedule_used_for_retirees(rules2023):
     from lifesim.rules import housing_benefit
 
     retiree = single(S.RETIRED)
-    expected = rules2023.housing_retiree.compensation_share * rules2023.housing_retiree.max_rent_by_size[0]
+    expected = rules2023.housing_benefit.retiree.compensation_share * rules2023.housing_benefit.retiree.max_rent_by_size[0]
     assert housing_benefit(retiree, 0.0, rules2023) == pytest.approx(expected)
 
 
@@ -380,7 +381,7 @@ def test_emtr_top_wedge_matches_statutory_rates(rules2023):
     expected = (
         rules2023.tax.state_brackets[-1][1]
         + rules2023.tax.municipal_rate
-        + rules2023.employee_contrib.total_rate
+        + rules2023.contributions.employee.total_rate
     )
     assert parts["total"] == pytest.approx(expected, abs=1e-6)
 
@@ -445,6 +446,53 @@ def test_invalid_brackets_rejected():
     doc = yaml.safe_load(open(ruleset_path(2023)))
     doc["tax"]["state_brackets"] = [[0, 0.1], [50000, 0.2], [30000, 0.3]]
     with pytest.raises(ParameterError):
+        ruleset_from_mapping(doc)
+
+
+# ---------------------------------------------------------------------------
+# strict rule-file loading: the RuleSet dataclasses are the file schema
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", sorted(params_dir().glob("rules_*.yaml")), ids=lambda p: p.name)
+def test_packaged_rule_files_load_strictly(path):
+    rs = load_ruleset(path)
+    assert f"rules_{rs.year}.yaml" == path.name
+
+
+def _set(doc, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _misspell_grading(doc):
+    er = doc["unemployment"]["er"]
+    er["gradng"] = er.pop("grading")
+
+
+def _drop_yle_cap(doc):
+    del doc["tax"]["yle"]["cap"]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_misspell_grading, "unemployment.er.gradng"),
+    (lambda d: _set(d, "pension.partial_early.shares", [0.25, 0.5]), "pension.partial_early.shares"),
+    (_drop_yle_cap, "tax.yle.cap"),
+    (lambda d: _set(d, "unemployment.er.grading", None), "unemployment.er.grading"),
+    (lambda d: _set(d, "unemployment.er.condition_months", 6.5), "unemployment.er.condition_months"),
+    (lambda d: _set(d, "tax.municipal_rate", "0.07"), "tax.municipal_rate"),
+    (lambda d: _set(d, "tax.vat_rate", True), "tax.vat_rate"),
+    (lambda d: _set(d, "tax.yle", 0.025), "tax.yle"),
+    (lambda d: _set(d, "tax.state_brackets", [[0, 0.1], [20000]]), r"tax.state_brackets\[1\]"),
+    (lambda d: _set(d, "housing_benefit.general.max_rent_by_size", [537, "778"]),
+     r"housing_benefit.general.max_rent_by_size\[1\]"),
+], ids=["unknown-key", "dropped-key", "missing-key", "null-grading", "float-for-int", "string-for-float",
+        "bool-for-float", "scalar-for-mapping", "short-pair", "string-in-list"])
+def test_malformed_rule_file_rejected_by_path(mutate, path):
+    doc = yaml.safe_load(open(ruleset_path(2023)))
+    mutate(doc)
+    with pytest.raises(ParameterError, match=path):
         ruleset_from_mapping(doc)
 
 
