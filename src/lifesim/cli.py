@@ -123,10 +123,10 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     if cfg.get("base_checkpoint"):
         base_net, _ = load_checkpoint(cfg["base_checkpoint"])
     result = train_policy(env, tc, n_households=households, base_net=base_net)
-    save_checkpoint(out / "checkpoint.pkl", result.net, tc,
+    save_checkpoint(out / "checkpoint.bin", result.net, tc,
                     extra={"steps_done": result.steps_done})
     _write_metrics(out / "metrics.csv", result.metrics)
-    print(f"checkpoint written to {out / 'checkpoint.pkl'} ({result.steps_done} steps)")
+    print(f"checkpoint written to {out / 'checkpoint.bin'} ({result.steps_done} steps)")
     return EXIT_OK
 
 

@@ -75,44 +75,45 @@ class LifecycleEnv:
             wage_basis_monthly=a.prev_paid_wage / 12.0,
         )
 
-    def household_flows(self, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
-        """Cash flows per budget unit and consumption per adult slot."""
-        rules = self.rules
+    def budget_units(self, hh: HouseholdState) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
+        """Each budget unit of ``hh`` as its snapshot and the adult slots it
+        covers, in slot order.  A partnered pair is one unit, a dead partner
+        included (for the survivor's pension); otherwise each living adult is
+        a unit, and the custodian (the mother while she is alive, else the
+        first living adult) has the children.  Rent is sized by the unit's
+        living adults plus its children."""
         adults = hh.adults
-        u3, u7, u18 = hh.children_bands()
-
-        def snapshot(members: tuple[AgentState, ...], with_children: bool) -> HouseholdSnapshot:
-            alive = sum(1 for m in members if m.alive)
-            size = alive + (u18 if with_children else 0)
-            return HouseholdSnapshot(
-                adults=tuple(self._adult_snapshot(m) for m in members),
-                children_under3=u3 if with_children else 0,
-                children_under7=u7 if with_children else 0,
-                children_under18=u18 if with_children else 0,
-                partnered=hh.partnered and alive == 2,
-                rent_monthly=rules.rent_for_size(size),
-            )
-
-        consumptions = [0.0] * len(adults)
-        flows: list[CashFlows] = []
-
+        bands = hh.children_bands()
         if len(adults) == 2 and hh.partnered:
-            cf = net_income(hh=snapshot(adults, True), rules=rules)
-            flows.append(cf)
-            alive_idx = [i for i, a in enumerate(adults) if a.alive]
-            for i in alive_idx:
-                consumptions[i] = cf.consumption / len(alive_idx)
+            groups = [((0, 1), bands)]
         else:
             mother = mother_of(hh)
-            custodian = mother if (mother is not None and mother.alive) else next(
-                (a for a in adults if a.alive), None
-            )
-            for i, a in enumerate(adults):
-                if not a.alive:
-                    continue
-                cf = net_income(hh=snapshot((a,), a is custodian), rules=rules)
-                flows.append(cf)
-                consumptions[i] = cf.consumption
+            custodian = mother if mother is not None and mother.alive else next(
+                (a for a in adults if a.alive), None)
+            groups = [((i,), bands if a is custodian else (0, 0, 0))
+                      for i, a in enumerate(adults) if a.alive]
+        units = []
+        for slots, (u3, u7, u18) in groups:
+            alive = sum(1 for i in slots if adults[i].alive)
+            units.append((HouseholdSnapshot(
+                adults=tuple(self._adult_snapshot(adults[i]) for i in slots),
+                children_under3=u3, children_under7=u7, children_under18=u18,
+                partnered=hh.partnered and alive == 2,
+                rent_monthly=self.rules.rent_for_size(alive + u18),
+            ), slots))
+        return units
+
+    def household_flows(self, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
+        """Cash flows per budget unit and consumption per adult slot: a unit's
+        consumption is shared equally by its living adults."""
+        consumptions = [0.0] * len(hh.adults)
+        flows: list[CashFlows] = []
+        for snap, slots in self.budget_units(hh):
+            cf = net_income(hh=snap, rules=self.rules)
+            flows.append(cf)
+            alive = [i for i in slots if hh.adults[i].alive]
+            for i in alive:
+                consumptions[i] = cf.consumption / len(alive)
         return flows, consumptions
 
     # -- unemployment entry and benefit bookkeeping ---------------------
@@ -510,8 +511,6 @@ class LifecycleEnv:
 
     def static_quarter(self, hh: HouseholdState) -> StepOutcome:
         """One post-decision quarter: states frozen except mortality."""
-        hh.rng_exo.standard_normal(2)
-        hh.rng_exo.random(12)
         mortality_events(hh)
         fertility_events(hh, self.tables)   # ages children out; no new births past 75
         for a in hh.adults:

@@ -1,10 +1,13 @@
-"""Vectorized training view of the household environment.
+"""Batched household stepping, and the vectorized training view.
 
-A fixed pool of pair households advances in lockstep; each adult is one
-actor slot.  Episodes run the decision phase (ages 18 to 75); at the horizon
-the expected static-phase value is folded into the final reward and the slot
-restarts with a freshly drawn household.  Dead agents keep their slot with a
-stay-only mask and zero rewards until the household's episode ends.
+``observe_households`` and ``step_households`` are the one encode + mask and
+the one step loop shared by training and cohort simulation, with one row per
+adult in household then slot order.  In training, a fixed pool of pair
+households advances in lockstep, each adult one actor slot.  Episodes run the
+decision phase (ages 18 to 75); at the horizon the expected static-phase value
+is folded into the final reward and the slot restarts with a freshly drawn
+household.  Dead agents keep their slot with a stay-only mask and zero rewards
+until the household's episode ends.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from ..agent import HouseholdState
 from ..population import initial_draw_tables, spawn_pair_household
 from .actions import N_ACTIONS, legal_mask
 from .features import OBS_DIM, encode
-from .mdp import DECISION_END_AGE, DT, LifecycleEnv
+from .mdp import DECISION_END_AGE, DT, LifecycleEnv, StepOutcome
 
 
 def observe_households(households: list[HouseholdState], env: LifecycleEnv,
@@ -30,6 +33,20 @@ def observe_households(households: list[HouseholdState], env: LifecycleEnv,
             encode(adult, partner, hh, env.uparams, out=obs[row])
             masks[row] = legal_mask(adult, hh, env.rules)
             row += 1
+
+
+def step_households(households: list[HouseholdState], env: LifecycleEnv,
+                    actions, masks: np.ndarray) -> list[StepOutcome]:
+    """Advance every household one quarter on ``actions`` and ``masks``, in
+    the ``observe_households`` row layout."""
+    actions = np.asarray(actions).tolist()
+    outcomes = []
+    row = 0
+    for hh in households:
+        n = len(hh.adults)
+        outcomes.append(env.step(hh, tuple(actions[row:row + n]), masks=masks[row:row + n]))
+        row += n
+    return outcomes
 
 
 class LifecycleVectorEnv:
@@ -68,21 +85,14 @@ class LifecycleVectorEnv:
         return self._obs.copy(), self._masks.copy()
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        rewards = np.zeros(self.n_actors)
+        outcomes = step_households(self._households, self.env, actions, self._masks)
+        rewards = np.array([out.rewards for out in outcomes]).reshape(self.n_actors)
         dones = np.zeros(self.n_actors)
-        for i, hh in enumerate(self._households):
-            pair = tuple(int(a) for a in actions[2 * i: 2 * i + 2][: len(hh.adults)])
-            masks = [self._masks[2 * i + s] for s in range(len(hh.adults))]
-            out = self.env.step(hh, pair, masks=masks)
-            for slot, r in enumerate(out.rewards):
-                rewards[2 * i + slot] = r
-            self._steps[i] += 1
-            if self._steps[i] >= self.episode_quarters:
-                bonus = self.env.terminal_value(hh)
-                for slot, b in enumerate(bonus):
-                    rewards[2 * i + slot] += b
-                    dones[2 * i + slot] = 1.0
-                self._households[i] = self._fresh_household(i)
-                self._steps[i] = 0
+        self._steps += 1
+        for i in np.flatnonzero(self._steps >= self.episode_quarters).tolist():
+            rewards[2 * i: 2 * i + 2] += self.env.terminal_value(self._households[i])
+            dones[2 * i: 2 * i + 2] = 1.0
+            self._households[i] = self._fresh_household(i)
+            self._steps[i] = 0
         observe_households(self._households, self.env, self._obs, self._masks)
         return self._obs.copy(), self._masks.copy(), rewards, dones

@@ -9,6 +9,9 @@ import yaml
 
 from .errors import ParameterError
 
+# libyaml's parser when PyYAML was built with it; the same documents, faster.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def params_dir() -> Path:
     return Path(resources.files("lifesim") / "params")  # type: ignore[arg-type]
@@ -27,7 +30,7 @@ def load_yaml(path: str | Path) -> dict:
         raise ParameterError(f"parameter file not found: {path}")
     try:
         with path.open() as f:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=_SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ParameterError(f"parameter file is not valid YAML: {path}: {exc}") from exc
     if not isinstance(doc, dict):

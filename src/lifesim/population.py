@@ -317,7 +317,7 @@ def init_population(
             used_women.add(w)
             woman = _initial_agent("women", int(women_groups[w]), tables, wparams, rng_exo, curves, state_cdf)
             hh = HouseholdState(index=idx, adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
-        _draw_household_clocks(hh, tables, curves)
+        _draw_household_clocks(hh, curves)
         households.append(hh)
         idx += 1
 
@@ -327,30 +327,20 @@ def init_population(
         rng_exo, rng_act = make_rngs(idx)
         woman = _initial_agent("women", int(g_w), tables, wparams, rng_exo, curves, state_cdf)
         hh = HouseholdState(index=idx, adults=(woman,), rng_exo=rng_exo, rng_act=rng_act)
-        _draw_household_clocks(hh, tables, curves)
+        _draw_household_clocks(hh, curves)
         households.append(hh)
         idx += 1
 
     return CohortPopulation(households=households, seed=seed, size=n)
 
 
-def _draw_household_clocks(
-    hh: HouseholdState, tables: DemographicTables, curves: dict[str, np.ndarray] | None = None
-) -> None:
-    rng = hh.rng_exo
-    mother = mother_of(hh)
-    horizon = int((MAX_AGE - 18.0) / QUARTER)
-    if mother is not None:
-        if curves is not None and mother.age == 18.0:
-            hh.until_birth = draw_from_curve(curves["fertility"], rng)
-        else:
-            hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, rng, horizon)
+def _draw_household_clocks(hh: HouseholdState, curves: dict[str, np.ndarray]) -> None:
+    """First birth and marriage clocks of a household formed at age 18;
+    ``curves`` holds the failure curves from 18 (``initial_draw_tables``)."""
+    if mother_of(hh) is not None:
+        hh.until_birth = draw_from_curve(curves["fertility"], hh.rng_exo)
     if len(hh.adults) == 2:
-        youngest = min(a.age for a in hh.adults)
-        if curves is not None and youngest == 18.0:
-            hh.until_marriage = draw_from_curve(curves["marriage"], rng)
-        else:
-            hh.until_marriage = draw_event_time(tables.marriage_quarterly, youngest, rng, horizon)
+        hh.until_marriage = draw_from_curve(curves["marriage"], hh.rng_exo)
 
 
 def spawn_pair_household(
@@ -376,7 +366,7 @@ def spawn_pair_household(
     man = _initial_agent("men", min(g_m, 2), tables, wparams, rng_exo, curves, state_cdf)
     woman = _initial_agent("women", min(g_w, 2), tables, wparams, rng_exo, curves, state_cdf)
     hh = HouseholdState(index=index, adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
-    _draw_household_clocks(hh, tables, curves)
+    _draw_household_clocks(hh, curves)
     return hh
 
 

@@ -120,15 +120,24 @@ def _check_payload(delta: ReformDelta) -> None:
         raise ReformError(f"reform delta {delta.kind!r} is missing key {missing[0]!r}")
 
 
+def _integer(delta: ReformDelta, key: str, value: Any) -> int:
+    """``value`` if it is a YAML integer (not a float or a bool), as the
+    rule-file loader reads an ``int`` field."""
+    if type(value) is not int:
+        raise ReformError(f"reform delta {delta.kind!r} has a malformed value for key {key!r}: "
+                          f"expected an integer, got {value!r}")
+    return value
+
+
 def _delta_paths(delta: ReformDelta, rules: RuleSet) -> list[tuple[str, Any]]:
     _check_payload(delta)
     kind, p = delta.kind, delta.payload
     if kind == "ub_grading":
         schedule = p.get("schedule")
-        grading = tuple((int(d), float(m)) for d, m in schedule) if schedule else tuple()
+        grading = tuple((_integer(delta, "schedule", d), float(m)) for d, m in schedule or ())
         return [("unemployment.er.grading", grading)]
     if kind == "employment_condition_months":
-        return [("unemployment.er.condition_months", int(p["months"]))]
+        return [("unemployment.er.condition_months", _integer(delta, "months", p["months"]))]
     if kind == "remove_extended_er":
         return [("unemployment.er.extended_min_age", None)]
     if kind == "remove_earnings_disregards":

@@ -25,7 +25,7 @@ from .agent import HouseholdState
 from .env.actions import N_ACTIONS, legal_mask  # noqa: F401
 from .env.features import OBS_DIM, encode  # noqa: F401
 from .env.mdp import DECISION_END_AGE, DT, LifecycleEnv, MAX_AGE
-from .env.vector import observe_households
+from .env.vector import observe_households, step_households
 from .errors import ContractViolation
 from .population import CohortPopulation
 from .rules import emtr as emtr_op, ptr as ptr_op
@@ -75,9 +75,6 @@ class SimulationLog:
     # from which merge_logs refolds flows_by_age.
     flow_blocks: np.ndarray | None = None
 
-    def age_of_quarter(self, q: int) -> float:
-        return AGE_MIN + q * DT
-
 
 def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> HouseholdSnapshot:
     adults = list(hh_snap.adults)
@@ -88,17 +85,14 @@ def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> Ho
 
 def _incentive_samples(env: LifecycleEnv, hh: HouseholdState, emtr_samples: list[float],
                        ptr_samples: list[float]) -> None:
-    """EMTR and PTR of every adult of ``hh`` who works for pay."""
-    for slot, adult in enumerate(hh.adults):
-        if adult.state in (S.FULL_TIME, S.PART_TIME) and adult.paid_wage > 0:
-            u3, u7, u18 = hh.children_bands()
-            snap = HouseholdSnapshot(
-                adults=tuple(env._adult_snapshot(x) for x in hh.adults), children_under3=u3,
-                children_under7=u7, children_under18=u18, partnered=hh.partnered,
-                rent_monthly=env.rules.rent_for_size(len(hh.adults) + u18),
-            )
-            emtr_samples.append(emtr_op(snap, env.rules, adult=slot)["total"])
-            ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, slot), env.rules))
+    """EMTR and PTR of every adult of ``hh`` who works for pay, each taken on
+    the budget unit that holds the adult."""
+    for snap, slots in env.budget_units(hh):
+        for pos, slot in enumerate(slots):
+            adult = hh.adults[slot]
+            if adult.state in (S.FULL_TIME, S.PART_TIME) and adult.paid_wage > 0:
+                emtr_samples.append(emtr_op(snap, env.rules, adult=pos)["total"])
+                ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
 
 
 def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
@@ -154,29 +148,24 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
     for block, flows in zip(blocks, flow_blocks):
         block_agents = [a for hh in block for a in hh.adults]
         rows = slice(row0, row0 + len(block_agents))
-        sizes = [len(hh.adults) for hh in block]
-        starts = np.cumsum([0] + sizes[:-1]).tolist()   # each household's first row
         obs = np.zeros((len(block_agents), OBS_DIM))
         masks = np.zeros((len(block_agents), N_ACTIONS), dtype=bool)
-        u = np.zeros(len(block_agents))
         for q in range(total_q):
             age_cell = min(int(q * DT), N_AGES - 1)
             decision_phase = q < decision_q
             if decision_phase:
                 observe_households(block, env, obs, masks)
                 logits = net.masked_logits(obs, masks)
-                for hh, i, n in zip(block, starts, sizes):
-                    u[i:i + n] = hh.rng_act.random(2)[:n]
                 if mode == "greedy":
-                    acts = logits.argmax(axis=1).tolist()
+                    acts = logits.argmax(axis=1)
                 else:
+                    u = np.concatenate([hh.rng_act.random(2)[:len(hh.adults)] for hh in block])
                     cdf = np.cumsum(masked_distribution(logits, masks), axis=1)
-                    acts = (cdf < u[:, None]).sum(axis=1).tolist()
-            for hh, i, n in zip(block, starts, sizes):
-                if decision_phase:
-                    out = env.step(hh, tuple(acts[i:i + n]), masks=masks[i:i + n])
-                else:
-                    out = env.static_quarter(hh)
+                    acts = (cdf < u[:, None]).sum(axis=1)
+                outcomes = step_households(block, env, acts, masks)
+            else:
+                outcomes = [env.static_quarter(hh) for hh in block]
+            for hh, out in zip(block, outcomes):
                 for cf in out.flows:
                     flows[age_cell] += _flow_values(cf)
                 if collect_incentives and decision_phase and q % 4 == 0:

@@ -1,55 +1,80 @@
-"""Versioned checkpoint files for trained networks.
+"""Versioned, data-only checkpoint files for trained networks.
 
-Plain pickle of numpy arrays with a schema version and a config hash; pickle
-(unlike zip containers) carries no timestamps, so identical runs write
-byte-identical files.
+A file is one JSON header line (format, network shape, training config and
+its hash, caller extras) followed by the flat little-endian float64 weights
+of ``PolicyValueNet.flat_parameters()``.  Loading parses JSON and raw floats
+only, so a crafted file cannot run code; it checks the format, the config
+hash and the length of the weight block.  The header is written with sorted
+keys and carries no timestamps, so identical runs write byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import ConfigError
 from .actor_critic import TrainConfig
 from .network import PolicyValueNet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_WEIGHTS = np.dtype("<f8")
+
+
+def _hash(config: dict) -> str:
+    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def config_hash(config: TrainConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return _hash(asdict(config))
 
 
 def save_checkpoint(path: str | Path, net: PolicyValueNet, config: TrainConfig,
                     extra: dict | None = None) -> None:
-    payload = {
+    header = {
         "format": FORMAT_VERSION,
         "obs_dim": net.obs_dim,
         "n_actions": net.n_actions,
-        "hidden": net.hidden,
-        "weights": net.parameters(),
+        "hidden": list(net.hidden),
         "config": asdict(config),
         "config_hash": config_hash(config),
         "extra": extra or {},
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
-        pickle.dump(payload, f, protocol=4)
+        f.write(json.dumps(header, sort_keys=True, default=str).encode() + b"\n")
+        f.write(net.flat_parameters().astype(_WEIGHTS).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyValueNet, dict]:
+    """The network and the header of a checkpoint; raises ``ConfigError``
+    on a missing file, a wrong format, a config hash that does not match the
+    stored config, or a weight block of the wrong length."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    with open(path, "rb") as f:
-        payload = pickle.load(f)
-    if payload.get("format") != FORMAT_VERSION:
+    head, _, weights = path.read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head)
+    except (UnicodeDecodeError, ValueError):
+        header = None
+    if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
         raise ConfigError(f"incompatible checkpoint format in {path}")
-    net = PolicyValueNet(payload["obs_dim"], payload["n_actions"], tuple(payload["hidden"]), seed=0)
-    net.set_parameters(payload["weights"])
-    return net, payload
+    try:
+        if header["config_hash"] != _hash(header["config"]):
+            raise ConfigError(f"checkpoint config hash does not match its config in {path}")
+        net = PolicyValueNet(int(header["obs_dim"]), int(header["n_actions"]),
+                             tuple(int(h) for h in header["hidden"]), seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint header in {path}: {exc!r}") from exc
+    n_weights = sum(p.size for p in net.parameters())
+    if len(weights) != n_weights * _WEIGHTS.itemsize:
+        raise ConfigError(f"checkpoint {path} holds {len(weights)} weight bytes, "
+                          f"expected {n_weights * _WEIGHTS.itemsize}")
+    net.set_flat_parameters(np.frombuffer(weights, dtype=_WEIGHTS).astype(np.float64))
+    return net, header

@@ -30,6 +30,7 @@ from lifesim.env.actions import (
     Decision,
 )
 from lifesim.errors import ContractViolation
+from lifesim.rules import net_income
 from lifesim.population import init_population, load_demographics
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
@@ -390,6 +391,45 @@ def test_couple_splits_consumption_equally(env):
     out = quiet.step(hh, (A_STAY, A_STAY))
     assert out.consumptions[0] == pytest.approx(out.consumptions[1])
     assert out.consumptions[0] == pytest.approx(out.flows[0].consumption / 2)
+
+
+def _unit_household(case):
+    m = make_agent(S.FULL_TIME, gender="men", age=40.0, paid_wage=42000.0)
+    f = make_agent(S.FULL_TIME, gender="women", age=38.0, paid_wage=30000.0)
+    if case == "married":
+        return make_household(m, f, partnered=True, children=(2.0,))
+    if case == "unmarried_with_child":
+        return make_household(m, f, children=(2.0,))
+    if case == "unmarried_mother_dead":
+        return make_household(m, make_agent(S.DEAD, gender="women", hours=0), children=(2.0,))
+    m = make_agent(S.RETIRED, gender="men", age=80.0, hours=0, pension_paid=1500.0)
+    widow = make_agent(S.DEAD, gender="women", age=78.0, hours=0, pension_accrued=1200.0)
+    return make_household(m, widow, partnered=True)
+
+
+# (slots, children under 18, partnered, rent household size) per unit
+@pytest.mark.parametrize("case, expected", [
+    ("married", [((0, 1), 1, True, 3)]),
+    ("unmarried_with_child", [((0,), 0, False, 1), ((1,), 1, False, 2)]),
+    ("unmarried_mother_dead", [((0,), 1, False, 2)]),
+    ("widowed", [((0, 1), 0, False, 1)]),
+])
+def test_budget_units_are_the_priced_units(env, case, expected):
+    hh = _unit_household(case)
+    units = env.budget_units(hh)
+    assert [(slots, s.children_under18, s.partnered, s.rent_monthly) for s, slots in units] == [
+        (slots, kids, partnered, env.rules.rent_for_size(size))
+        for slots, kids, partnered, size in expected]
+    for snap, slots in units:
+        assert [a.state for a in snap.adults] == [hh.adults[i].state for i in slots]
+    flows, consumptions = env.household_flows(hh)
+    assert flows == [net_income(snap, env.rules) for snap, _ in units]
+    for cf, (_, slots) in zip(flows, units):
+        living = [i for i in slots if hh.adults[i].alive]
+        for i in slots:
+            assert consumptions[i] == (cf.consumption / len(living) if i in living else 0.0)
+    if case == "widowed":
+        assert flows[0].survivor_pension > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,12 @@ def test_packaged_overlays_load_and_apply_strictly(path, rules2023):
     (ReformDelta("employment_condition_months", {"months": "twelve"}),
      "'employment_condition_months' has a malformed value"),
     (ReformDelta("ub_grading", {"schedule": [40, 0.8]}), "'ub_grading' has a malformed value"),
+    (ReformDelta("employment_condition_months", {"months": 12.7}),
+     "'employment_condition_months' has a malformed value for key 'months'"),
+    (ReformDelta("employment_condition_months", {"months": True}),
+     "'employment_condition_months' has a malformed value for key 'months'"),
+    (ReformDelta("ub_grading", {"schedule": [[40.9, 0.8]]}),
+     "'ub_grading' has a malformed value for key 'schedule'"),
 ])
 def test_malformed_delta_payload_rejected(rules2023, delta, message):
     with pytest.raises(ReformError, match=message):

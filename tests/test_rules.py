@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifesim.paramfiles import params_dir, ruleset_path
+from lifesim.paramfiles import load_yaml, params_dir, ruleset_path
 from lifesim.rules import (
     AdultSnapshot,
     HouseholdSnapshot,
@@ -457,6 +457,12 @@ def test_invalid_brackets_rejected():
 def test_packaged_rule_files_load_strictly(path):
     rs = load_ruleset(path)
     assert f"rules_{rs.year}.yaml" == path.name
+
+
+@pytest.mark.parametrize("path", sorted(params_dir().rglob("*.yaml")), ids=lambda p: p.name)
+def test_load_yaml_matches_pure_python_safe_load(path):
+    # repr tells 1 from 1.0 and True, so equal reprs mean equal, same-typed documents.
+    assert repr(load_yaml(path)) == repr(yaml.safe_load(path.read_text()))
 
 
 def _set(doc, dotted, value):

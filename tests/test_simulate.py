@@ -8,9 +8,11 @@ import pytest
 
 import lifesim.pipelines as pipelines
 import lifesim.simulate as simulate
+from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.population import init_population, load_demographics
 from lifesim.reform import compare_runs
+from lifesim.rules import emtr, ptr
 from lifesim.simulate import (
     AGE_MIN,
     DURATION_BIN_EDGES,
@@ -214,6 +216,40 @@ def test_incentive_samples_collected(small_log):
     med = float(np.median(small_log.emtr_samples))
     assert 0.2 < med < 0.9
     assert 0.3 < float(np.median(small_log.ptr_samples)) <= 1.0
+
+
+def _working_adult(gender, age, wage):
+    a = AgentState(gender=gender, group=1, age=age, state=S.FULL_TIME, hours=40, paid_wage=wage,
+                   prev_paid_wage=wage)
+    a.life_left = 400
+    return a
+
+
+@pytest.mark.parametrize("case", ["unmarried_pair_with_child", "widowed_pair"])
+def test_incentive_samples_taken_on_budget_units(env, case):
+    man = _working_adult("men", 40.0, 42000.0)
+    if case == "unmarried_pair_with_child":
+        woman = _working_adult("women", 36.0, 30000.0)
+        hh = HouseholdState(index=0, adults=(man, woman), child_ages=[2.0])
+    else:
+        woman = AgentState(gender="women", group=1, age=41.0, state=S.DEAD, pension_accrued=900.0)
+        hh = HouseholdState(index=0, adults=(man, woman), partnered=True)
+    emtrs, ptrs = [], []
+    simulate._incentive_samples(env, hh, emtrs, ptrs)
+
+    expected_emtr, expected_ptr = [], []
+    for snap, slots in env.budget_units(hh):
+        for pos, slot in enumerate(slots):
+            if hh.adults[slot].alive:
+                jobless = list(snap.adults)
+                jobless[pos] = dataclasses.replace(jobless[pos], state=S.BASIC_UNEMPLOYED,
+                                                   wage_quarterly=0.0, ub_days_used=0.0)
+                expected_emtr.append(emtr(snap, env.rules, adult=pos)["total"])
+                expected_ptr.append(ptr(snap, dataclasses.replace(snap, adults=tuple(jobless)),
+                                        env.rules))
+    assert len(expected_emtr) == (2 if case == "unmarried_pair_with_child" else 1)
+    assert emtrs == expected_emtr
+    assert ptrs == expected_ptr
 
 
 def test_parallel_log_identical_for_any_worker_count(env, small_net, monkeypatch):

@@ -1,7 +1,11 @@
+import json
+import pathlib
+import pickle
+
 import numpy as np
 import pytest
 
-from lifesim.errors import ContractViolation, TrainingDiverged
+from lifesim.errors import ConfigError, ContractViolation, TrainingDiverged
 from lifesim.solver import (
     DiscreteMDP,
     PolicyValueNet,
@@ -322,3 +326,41 @@ def test_checkpoint_bytes_deterministic(tmp_path, trained_reduced):
     save_checkpoint(p1, trained_reduced.net, tc)
     save_checkpoint(p2, trained_reduced.net, tc)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_pickle_rejected_without_running(tmp_path):
+    marker = tmp_path / "marker"
+
+    class Payload:
+        def __reduce__(self):
+            return pathlib.Path.touch, (marker,)
+
+    path = tmp_path / "crafted.pkl"
+    path.write_bytes(pickle.dumps(Payload()))
+    with pytest.raises(ConfigError, match="format"):
+        load_checkpoint(path)
+    assert not marker.exists()
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, PolicyValueNet(4, 3, (8,), seed=1), TrainConfig(total_steps=100))
+    head, _, weights = path.read_bytes().partition(b"\n")
+    return path, json.loads(head), weights
+
+
+@pytest.mark.parametrize("field, key, value", [(None, "config_hash", "0" * 16),
+                                              ("config", "learning_rate", 1.0)])
+def test_checkpoint_tampered_hash_rejected(tmp_path, field, key, value):
+    path, header, weights = _saved_checkpoint(tmp_path)
+    (header[field] if field else header)[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + weights)
+    with pytest.raises(ConfigError, match="hash"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_truncated_weights_rejected(tmp_path):
+    path, _, _ = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="weight bytes"):
+        load_checkpoint(path)
