@@ -69,7 +69,6 @@ class AgentState:
 
 @dataclass(slots=True)
 class HouseholdState:
-    index: int
     adults: tuple[AgentState, ...]
     partnered: bool = False
     child_ages: list[float] = field(default_factory=list)

@@ -219,23 +219,21 @@ def _apply_calibration_params(env: LifecycleEnv, params: dict[str, float]) -> Li
     tables = env.tables
     for name, value in params.items():
         if name == "kappa_scale":
-            prefs = {
-                g: dataclasses.replace(
-                    p, kappa_work={h: k * value for h, k in p.kappa_work.items()}
-                )
-                for g, p in uparams.prefs.items()
+            kappa = {
+                g: dataclasses.replace(row, work_hours={h: k * value for h, k in row.work_hours.items()})
+                for g, row in uparams.kappa.items()
             }
-            uparams = dataclasses.replace(uparams, prefs=prefs)
+            uparams = dataclasses.replace(uparams, kappa=kappa)
         elif name == "friction_scale":
-            js = {
+            js = tables.job_search
+            scaled = {
                 kind: {
-                    gender: [(lo, tuple(min(0.95, p * value) for p in row))
-                             for lo, row in table]
-                    for gender, table in tables.job_search[kind].items()
+                    gender: tuple((lo, tuple(min(0.95, p * value) for p in row)) for lo, row in table)
+                    for gender, table in getattr(js, kind).items()
                 }
-                for kind in tables.job_search
+                for kind in ("full_time", "part_time")
             }
-            tables = dataclasses.replace(tables, job_search=js)
+            tables = dataclasses.replace(tables, job_search=dataclasses.replace(js, **scaled))
         else:
             raise ConfigError(f"unknown calibration parameter {name!r}")
     return LifecycleEnv(rules=env.rules, uparams=uparams, wparams=env.wparams, tables=tables)

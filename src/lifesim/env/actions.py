@@ -14,7 +14,7 @@ from enum import IntEnum
 import numpy as np
 
 from ..rules.ruleset import RuleSet
-from ..states import FULL_TIME_HOURS, PART_TIME_HOURS, EmploymentState as S
+from ..states import EmploymentState as S
 from ..agent import AgentState, HouseholdState
 
 

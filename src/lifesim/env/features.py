@@ -65,29 +65,29 @@ def encode(agent: AgentState, partner: AgentState | None, hh: HouseholdState,
 
     out[int(agent.state)] = 1.0
     i = N_STATES
-    age_span = fs["age_max"] - fs["age_min"]
-    out[i + 0] = (agent.age - fs["age_min"]) / age_span
+    age_span = fs.age_max - fs.age_min
+    out[i + 0] = (agent.age - fs.age_min) / age_span
     out[i + 1] = agent.hours / 48.0
-    out[i + 2] = agent.potential_wage / fs["wage_scale"]
-    out[i + 3] = agent.paid_wage / fs["wage_scale"]
-    out[i + 4] = agent.prev_paid_wage / fs["wage_scale"]
+    out[i + 2] = agent.potential_wage / fs.wage_scale
+    out[i + 3] = agent.paid_wage / fs.wage_scale
+    out[i + 4] = agent.prev_paid_wage / fs.wage_scale
     out[i + 5] = agent.wage_reduction
-    out[i + 6] = agent.pension_accrued / fs["pension_scale"]
-    out[i + 7] = (agent.pension_paid + agent.partial_early_paid) / fs["pension_scale"]
-    out[i + 8] = agent.ub_basis / fs["basis_scale"]
-    out[i + 9] = agent.ub_days_used / fs["er_days_scale"]
-    out[i + 10] = max(0.0, agent.ub_max_days - agent.ub_days_used) / fs["er_days_scale"]
-    out[i + 11] = min(1.0, agent.time_in_state / fs["time_in_state_years"])
-    out[i + 12] = (agent.career_quarters * 0.25) / fs["career_years"]
+    out[i + 6] = agent.pension_accrued / fs.pension_scale
+    out[i + 7] = (agent.pension_paid + agent.partial_early_paid) / fs.pension_scale
+    out[i + 8] = agent.ub_basis / fs.basis_scale
+    out[i + 9] = agent.ub_days_used / fs.er_days_scale
+    out[i + 10] = max(0.0, agent.ub_max_days - agent.ub_days_used) / fs.er_days_scale
+    out[i + 11] = min(1.0, agent.time_in_state / fs.time_in_state_years)
+    out[i + 12] = (agent.career_quarters * 0.25) / fs.career_years
     out[i + 13] = agent.condition_quarters() / 9.0
     out[i + 14] = 1.0 if agent.pink_slip else 0.0
     out[i + 15] = 1.0 if agent.fund_member else 0.0
     out[i + 16] = 1.0 if agent.returning else 0.0
     out[i + 17] = 2.0 * agent.partial_early_share
-    out[i + 18] = _clock(agent.until_disability, fs["clock_scale_years"])
-    out[i + 19] = _clock(agent.until_student, fs["clock_scale_years"])
-    out[i + 20] = _clock(agent.until_outsider, fs["clock_scale_years"])
-    out[i + 21] = _clock(agent.life_left, fs["life_scale_years"])
+    out[i + 18] = _clock(agent.until_disability, fs.clock_scale_years)
+    out[i + 19] = _clock(agent.until_student, fs.clock_scale_years)
+    out[i + 20] = _clock(agent.until_outsider, fs.clock_scale_years)
+    out[i + 21] = _clock(agent.life_left, fs.life_scale_years)
     i += 22
 
     out[i + agent.group] = 1.0
@@ -102,16 +102,16 @@ def encode(agent: AgentState, partner: AgentState | None, hh: HouseholdState,
         out[i + _partner_group(partner.state)] = 1.0
     i += len(_PARTNER_GROUPS)
     if partner is not None:
-        out[i + 0] = partner.paid_wage / fs["wage_scale"]
-        out[i + 1] = (partner.pension_paid + partner.pension_accrued) / fs["pension_scale"]
-        out[i + 2] = (partner.age - fs["age_min"]) / age_span
+        out[i + 0] = partner.paid_wage / fs.wage_scale
+        out[i + 1] = (partner.pension_paid + partner.pension_accrued) / fs.pension_scale
+        out[i + 2] = (partner.age - fs.age_min) / age_span
     i += 3
 
     u3, u7, u18 = hh.children_bands()
     out[i + 0] = min(u3, 3) / 3.0
     out[i + 1] = min(u7, 3) / 3.0
     out[i + 2] = min(u18, 3) / 3.0
-    out[i + 3] = _clock(hh.until_birth, fs["clock_scale_years"])
-    out[i + 4] = _clock(hh.until_marriage, fs["clock_scale_years"])
-    out[i + 5] = _clock(hh.until_divorce, fs["clock_scale_years"])
+    out[i + 3] = _clock(hh.until_birth, fs.clock_scale_years)
+    out[i + 4] = _clock(hh.until_marriage, fs.clock_scale_years)
+    out[i + 5] = _clock(hh.until_divorce, fs.clock_scale_years)
     return out

@@ -195,13 +195,13 @@ class LifecycleEnv:
             if a.returning:
                 return False   # the decision node after the spell
             a.sick_quarters += 1
-            if a.sick_quarters >= exo["sick_max_quarters"]:
-                if u[_U_MISC] < exo["disability_after_sick"]:
+            if a.sick_quarters >= exo.sick_max_quarters:
+                if u[_U_MISC] < exo.disability_after_sick:
                     self._start_pension(a, S.DISABLED)
                     events.append("disability_after_sick")
                 else:
                     a.returning = True
-            elif u[_U_MISC] >= exo["sick_continue_quarterly"]:
+            elif u[_U_MISC] >= exo.sick_continue_quarterly:
                 a.returning = True
             return True
 
@@ -236,7 +236,7 @@ class LifecycleEnv:
             a.returning = True
             return False
 
-        if st in WORKING_STATES and u[_U_LAYOFF] < exo["layoff_quarterly"]:
+        if st in WORKING_STATES and u[_U_LAYOFF] < exo.layoff_quarterly:
             if st in (S.RETIRED_PT, S.RETIRED_FT):
                 a.state = S.RETIRED
                 a.hours = 0
@@ -247,7 +247,7 @@ class LifecycleEnv:
             return True
 
         if st in WORKING_STATES | UNEMPLOYMENT_STATES and st not in RETIRED_STATES:
-            if u[_U_SICK] < exo["sick_onset_quarterly"]:
+            if u[_U_SICK] < exo.sick_onset_quarterly:
                 a.state = S.SICK_LEAVE
                 a.sick_quarters = 0
                 a.hours = 0
@@ -259,25 +259,25 @@ class LifecycleEnv:
             a.until_student = NO_EVENT
             if st in (S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED):
                 a.state = S.STUDENT
-                a.spell_left = draw_geometric(exo["student_spell_end_quarterly"], hh.rng_exo)
+                a.spell_left = draw_geometric(exo.student_spell_end_quarterly, hh.rng_exo)
                 a.hours = 0
                 a.paid_wage = 0.0
                 events.append("student_entry")
-                a.until_student = draw_geometric(exo["student_entry_quarterly"], hh.rng_exo, cap=10_000)
+                a.until_student = draw_geometric(exo.student_entry_quarterly, hh.rng_exo, cap=10_000)
                 return True
-            a.until_student = draw_geometric(exo["student_entry_quarterly"], hh.rng_exo, cap=10_000)
+            a.until_student = draw_geometric(exo.student_entry_quarterly, hh.rng_exo, cap=10_000)
 
         if a.until_outsider == 0:
             a.until_outsider = NO_EVENT
             if st in (S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED):
                 a.state = S.OUTSIDE_WF
-                a.spell_left = draw_geometric(exo["outsider_spell_end_quarterly"], hh.rng_exo)
+                a.spell_left = draw_geometric(exo.outsider_spell_end_quarterly, hh.rng_exo)
                 a.hours = 0
                 a.paid_wage = 0.0
                 events.append("outside_entry")
-                a.until_outsider = draw_geometric(exo["outsider_entry_quarterly"], hh.rng_exo, cap=10_000)
+                a.until_outsider = draw_geometric(exo.outsider_entry_quarterly, hh.rng_exo, cap=10_000)
                 return True
-            a.until_outsider = draw_geometric(exo["outsider_entry_quarterly"], hh.rng_exo, cap=10_000)
+            a.until_outsider = draw_geometric(exo.outsider_entry_quarterly, hh.rng_exo, cap=10_000)
 
         return False
 
@@ -288,7 +288,7 @@ class LifecycleEnv:
             S.DISABLED, S.MOTHERS_LEAVE,
         ):
             mother.state = S.MOTHERS_LEAVE
-            mother.spell_left = int(exo["mother_leave_quarters"])
+            mother.spell_left = exo.mother_leave_quarters
             mother.hours = 0
             mother.paid_wage = 0.0
             mother.returning = False
@@ -300,20 +300,16 @@ class LifecycleEnv:
             and hh.partnered
             and father.state not in RETIRED_STATES
             and father.state not in (S.DISABLED, S.FATHERS_LEAVE, S.MOTHERS_LEAVE)
-            and u_house < exo["father_leave_at_birth"]
+            and u_house < exo.father_leave_at_birth
         ):
             father.state = S.FATHERS_LEAVE
-            father.spell_left = int(exo["father_leave_quarters"])
+            father.spell_left = exo.father_leave_quarters
             father.hours = 0
             father.paid_wage = 0.0
             father.returning = False
             events.append("fathers_leave")
 
     # -- decision phase ---------------------------------------------------
-
-    def _job_found(self, a: AgentState, kind: str, u: float) -> bool:
-        p = self.tables.job_find_prob(kind, a.gender, a.group, a.age)
-        return u < p
 
     def _apply_decision(self, a: AgentState, hh: HouseholdState, action: Action, u: list[float],
                         events: list[str]) -> None:
@@ -371,17 +367,17 @@ class LifecycleEnv:
                 success, hours = True, action.hours
             else:
                 if st in WORKING_STATES:
-                    p = self.tables.switch_ft_pt
+                    p = self.tables.job_search.switch_ft_pt
                     success = u[_U_FRICTION] < p
                     hours = action.hours
                 else:
                     kind = "full_time" if want_ft else "part_time"
-                    success = self._job_found(a, kind, u[_U_FRICTION])
+                    success = u[_U_FRICTION] < self.tables.job_find_prob(kind, a.gender, a.group, a.age)
                     hours = action.hours
                     if not success and want_ft:
                         # A failed full-time search may still land part time.
                         p_pt = self.tables.job_find_prob("part_time", a.gender, a.group, a.age)
-                        if u[_U_SPARE] < self.tables.pt_on_failed_ft * p_pt:
+                        if u[_U_SPARE] < self.tables.job_search.pt_on_failed_ft * p_pt:
                             success, want_ft, hours = True, False, 24
             if not success:
                 if returning:

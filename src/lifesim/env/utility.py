@@ -4,6 +4,8 @@
 ``kappa`` prices lost free time by employment state (and weekly hours for
 work states); ``mu`` adds extra taste for leisure around the minimum
 retirement age.  Couples evaluate utility on half the household consumption.
+
+:class:`UtilityParams` is the schema of ``utility.yaml`` (see :mod:`lifesim.paramfiles`).
 """
 
 from __future__ import annotations
@@ -13,21 +15,36 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ContractViolation, ParameterError
-from ..paramfiles import load_yaml, params_dir
-from ..states import EmploymentState as S, UNEMPLOYMENT_STATES, WORKING_STATES
+from ..paramfiles import build, load_yaml, params_dir
+from ..states import EmploymentState as S, Gender, UNEMPLOYMENT_STATES, WORKING_STATES
 
 
 @dataclass(frozen=True, slots=True)
-class GenderPrefs:
-    kappa_work: dict[int, float]          # weekly hours -> kappa
-    kappa_unemployed: tuple[float, float, float]   # young / middle / elderly
-    kappa_sick: float
-    kappa_student: float
-    kappa_retired: float
-    kappa_home_care: float
-    kappa_child_under3: float
-    kappa_outside: float
-    kappa_parental: float
+class Deflator:
+    base: float
+    series: dict[int, float]              # per-year overrides of the base
+
+    def at(self, year: int | None = None) -> float:
+        return self.series.get(year, self.base)
+
+
+@dataclass(frozen=True, slots=True)
+class KappaRow:
+    work_hours: dict[int, float]          # weekly hours -> kappa
+    unemployed_young: float
+    unemployed_middle: float
+    unemployed_elderly: float
+    sick_leave: float
+    student: float
+    retired: float
+    home_care: float
+    child_under3_bonus: float
+    outside_wf: float
+    parental_leave: float
+
+
+@dataclass(frozen=True, slots=True)
+class MuRow:
     q1: float                             # mu slope before retirement age, per h/40
     q2: float                             # mu slope after retirement age, per h/40
     s_age_offset: float                   # S_age = r_age + offset
@@ -35,66 +52,40 @@ class GenderPrefs:
 
 
 @dataclass(frozen=True, slots=True)
+class FeatureScales:
+    age_min: float
+    age_max: float
+    wage_scale: float
+    pension_scale: float
+    basis_scale: float
+    er_days_scale: float
+    clock_scale_years: float
+    life_scale_years: float
+    time_in_state_years: float
+    career_years: float
+
+
+@dataclass(frozen=True, slots=True)
 class UtilityParams:
     discount_annual: float
-    dt: float
-    deflator_base: float
-    deflator_series: dict[int, float]
-    prefs: dict[str, GenderPrefs]
+    timestep_years: float
+    deflator: Deflator
+    kappa: dict[Gender, KappaRow]         # free-time penalties
     unemployed_age_cuts: tuple[float, float]
-    feature_scales: dict[str, float]
+    mu: dict[Gender, MuRow]               # retirement-proximity slopes
+    feature_scales: FeatureScales
 
     @property
     def step_discount(self) -> float:
-        return self.discount_annual ** self.dt
-
-    def deflator(self, year: int | None = None) -> float:
-        if year is not None and year in self.deflator_series:
-            return self.deflator_series[year]
-        return self.deflator_base
+        return self.discount_annual ** self.timestep_years
 
 
 def load_utility_params(path: str | Path | None = None) -> UtilityParams:
-    doc = load_yaml(path or params_dir() / "utility.yaml")
-    try:
-        prefs = {}
-        for gender, k in doc["kappa"].items():
-            mu = doc["mu"][gender]
-            prefs[gender] = GenderPrefs(
-                kappa_work={int(h): float(v) for h, v in k["work_hours"].items()},
-                kappa_unemployed=(
-                    float(k["unemployed_young"]),
-                    float(k["unemployed_middle"]),
-                    float(k["unemployed_elderly"]),
-                ),
-                kappa_sick=float(k["sick_leave"]),
-                kappa_student=float(k["student"]),
-                kappa_retired=float(k["retired"]),
-                kappa_home_care=float(k["home_care"]),
-                kappa_child_under3=float(k["child_under3_bonus"]),
-                kappa_outside=float(k["outside_wf"]),
-                kappa_parental=float(k["parental_leave"]),
-                q1=float(mu["q1"]),
-                q2=float(mu["q2"]),
-                s_age_offset=float(mu["s_age_offset"]),
-                s_ret_offset=float(mu["s_ret_offset"]),
-            )
-        params = UtilityParams(
-            discount_annual=float(doc["discount_annual"]),
-            dt=float(doc["timestep_years"]),
-            deflator_base=float(doc["deflator"]["base"]),
-            deflator_series={int(y): float(v) for y, v in doc["deflator"].get("series", {}).items()},
-            prefs=prefs,
-            unemployed_age_cuts=tuple(float(c) for c in doc["unemployed_age_cuts"]),
-            feature_scales={k: float(v) for k, v in doc["feature_scales"].items()},
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"malformed utility parameter file: {exc!r}") from exc
+    params = build(UtilityParams, load_yaml(path or params_dir() / "utility.yaml"))
     if not 0.0 < params.discount_annual < 1.0:
         raise ParameterError("annual discount factor must lie in (0, 1)")
-    for gender, p in params.prefs.items():
-        hours = sorted(p.kappa_work)
-        values = [p.kappa_work[h] for h in hours]
+    for gender, row in params.kappa.items():
+        values = [row.work_hours[h] for h in sorted(row.work_hours)]
         if any(b > a for a, b in zip(values, values[1:])):
             raise ParameterError(f"work kappas must be non-increasing in hours ({gender})")
     return params
@@ -109,36 +100,36 @@ def kappa(
     has_child_under3: bool,
     params: UtilityParams,
 ) -> float:
-    p = params.prefs[gender]
+    row = params.kappa[gender]
     if state in WORKING_STATES:
-        k = p.kappa_work[hours]
+        k = row.work_hours[hours]
     elif state in UNEMPLOYMENT_STATES:
         if pink_slip:
             k = 0.0
         else:
             young_cut, elderly_cut = params.unemployed_age_cuts
             if age < young_cut:
-                k = p.kappa_unemployed[0]
+                k = row.unemployed_young
             elif age < elderly_cut:
-                k = p.kappa_unemployed[1]
+                k = row.unemployed_middle
             else:
-                k = p.kappa_unemployed[2]
+                k = row.unemployed_elderly
     elif state is S.SICK_LEAVE:
-        k = p.kappa_sick
+        k = row.sick_leave
     elif state is S.STUDENT:
-        k = p.kappa_student
+        k = row.student
     elif state in (S.RETIRED, S.DISABLED):
-        k = p.kappa_retired
+        k = row.retired
     elif state is S.HOME_CARE:
-        k = p.kappa_home_care
+        k = row.home_care
     elif state in (S.MOTHERS_LEAVE, S.FATHERS_LEAVE):
-        k = p.kappa_parental
+        k = row.parental_leave
     elif state is S.OUTSIDE_WF:
-        k = p.kappa_outside
+        k = row.outside_wf
     else:
         k = 0.0
     if has_child_under3:
-        k += p.kappa_child_under3
+        k += row.child_under3_bonus
     return k
 
 
@@ -154,7 +145,7 @@ def mu_term(
         raise ContractViolation(f"age {age} outside model range")
     if hours <= 0:
         return 0.0
-    p = params.prefs[gender]
+    p = params.mu[gender]
     s_age = retirement_age + p.s_age_offset
     s_ret = retirement_age + p.s_ret_offset
     h = hours / 40.0
@@ -185,4 +176,4 @@ def utility(
     c_annual = 4.0 * consumption_quarterly
     k = kappa(state, gender, hours, age, pink_slip, has_child_under3, params)
     m = mu_term(age, gender, hours, retirement_age, params)
-    return math.log(c_annual / params.deflator(year)) + k - m
+    return math.log(c_annual / params.deflator.at(year)) + k - m

@@ -73,13 +73,12 @@ class LifecycleVectorEnv:
         self._masks = np.zeros((self.n_actors, N_ACTIONS), dtype=bool)
         self._obs = np.zeros((self.n_actors, OBS_DIM))
 
-    def _fresh_household(self, index: int) -> HouseholdState:
+    def _fresh_household(self) -> HouseholdState:
         child = self._seed_stream.spawn(1)[0]
-        return spawn_pair_household(index, child, self.env.tables, self.env.wparams, self._draws,
-                                    self.year)
+        return spawn_pair_household(child, self.env.tables, self.env.wparams, self._draws, self.year)
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        self._households = [self._fresh_household(i) for i in range(self.n_households)]
+        self._households = [self._fresh_household() for _ in range(self.n_households)]
         self._steps = np.zeros(self.n_households, dtype=np.int64)
         observe_households(self._households, self.env, self._obs, self._masks)
         return self._obs.copy(), self._masks.copy()
@@ -92,7 +91,7 @@ class LifecycleVectorEnv:
         for i in np.flatnonzero(self._steps >= self.episode_quarters).tolist():
             rewards[2 * i: 2 * i + 2] += self.env.terminal_value(self._households[i])
             dones[2 * i: 2 * i + 2] = 1.0
-            self._households[i] = self._fresh_household(i)
+            self._households[i] = self._fresh_household()
             self._steps[i] = 0
         observe_households(self._households, self.env, self._obs, self._masks)
         return self._obs.copy(), self._masks.copy(), rewards, dones

@@ -4,6 +4,9 @@ Households are fixed opposite-sex pairs (or single-slot leftovers); marriage
 and divorce toggle partnership inside the pair.  Every random life event is
 drawn in advance and surfaced as a time-to-event clock, so agents can see the
 next transition coming; firing an event redraws the next clock.
+
+:class:`DemographicTables` is the schema of ``demographics.yaml`` (see
+:mod:`lifesim.paramfiles`).
 """
 
 from __future__ import annotations
@@ -16,16 +19,19 @@ import numpy as np
 
 from .agent import NO_EVENT, AgentState, HouseholdState, mother_of
 from .errors import ContractViolation, ParameterError
-from .paramfiles import load_yaml, params_dir
-from .states import EmploymentState as S
+from .paramfiles import build, load_yaml, params_dir
+from .states import EmploymentState as S, Gender
 from .wage import WageParams
 
-GENDERS = ("men", "women")
 MAX_AGE = 100.0
 QUARTER = 0.25
 
 
-def _banded(table: list[tuple[float, float]], age: float) -> float:
+# [age lower bound, value] rows of a step function of age.
+AgeTable = tuple[tuple[float, float], ...]
+
+
+def _banded(table: AgeTable, age: float) -> float:
     """Step-function lookup on [age lower bound, value] rows."""
     value = table[0][1]
     for lo, v in table:
@@ -36,22 +42,57 @@ def _banded(table: list[tuple[float, float]], age: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class DemographicTables:
-    group_shares: dict[int, dict[str, tuple[float, ...]]]
-    gender_shares: dict[str, float]
-    mortality: dict[str, tuple[float, float]]          # gender -> (a, b) Gompertz
-    fertility_annual: list[tuple[float, float]]
-    marriage_annual: list[tuple[float, float]]
-    divorce_annual: list[tuple[float, float]]
-    assortative: np.ndarray
-    initial_states: dict[str, dict[S, float]]
-    exogenous: dict[str, float]
-    job_search: dict[str, dict[str, list[tuple[float, tuple[float, ...]]]]]
+@dataclass(frozen=True, slots=True)
+class Gompertz:
+    """Annual mortality q(age) = a * exp(b * age)."""
+
+    a: float
+    b: float
+
+
+@dataclass(frozen=True, slots=True)
+class ExogenousHazards:
+    layoff_quarterly: float
+    sick_onset_quarterly: float
+    sick_continue_quarterly: float
+    sick_max_quarters: int
+    disability_after_sick: float
+    disability_clock_quarterly: float
+    outsider_entry_quarterly: float
+    outsider_spell_end_quarterly: float
+    student_entry_quarterly: float
+    student_spell_end_quarterly: float
+    father_leave_at_birth: float
+    mother_leave_quarters: int
+    father_leave_quarters: int
+
+
+# [age lower bound, [low, mid, high]] rows: job-finding probability by group.
+JobTable = tuple[tuple[float, tuple[float, float, float]], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class JobSearch:
+    full_time: dict[Gender, JobTable]
+    part_time: dict[Gender, JobTable]
     pt_on_failed_ft: float
     switch_ft_pt: float
-    population_weights: list[tuple[float, float]]
-    fund_membership_share: float = 0.85
+
+
+@dataclass(frozen=True, slots=True)
+class DemographicTables:
+    group_shares: dict[int, dict[Gender, tuple[float, float, float]]]   # by year
+    gender_shares: dict[Gender, float]
+    mortality: dict[Gender, Gompertz]
+    fertility_annual: AgeTable
+    marriage_annual: AgeTable
+    divorce_annual: AgeTable
+    assortative_weights: tuple[tuple[float, float, float], ...]      # [man's group][woman's group]
+    initial_states: dict[Gender, dict[S, float]]
+    exogenous: ExogenousHazards
+    job_search: JobSearch
+    population_weights: AgeTable
+    fund_membership_share: float
 
     def shares_for_year(self, year: int, gender: str) -> tuple[float, ...]:
         years = sorted(self.group_shares)
@@ -64,8 +105,8 @@ class DemographicTables:
         return tuple(v / total for v in raw)
 
     def mortality_quarterly(self, gender: str, age: float) -> float:
-        a, b = self.mortality[gender]
-        annual = min(1.0, a * math.exp(b * age))
+        g = self.mortality[gender]
+        annual = min(1.0, g.a * math.exp(g.b * age))
         return 1.0 - (1.0 - annual) ** QUARTER
 
     def fertility_quarterly(self, age: float) -> float:
@@ -78,7 +119,8 @@ class DemographicTables:
         return _banded(self.divorce_annual, age) * QUARTER
 
     def job_find_prob(self, kind: str, gender: str, group: int, age: float) -> float:
-        table = self.job_search[kind][gender]
+        """``kind`` is ``"full_time"`` or ``"part_time"``."""
+        table = getattr(self.job_search, kind)[gender]
         return _banded([(lo, row[group]) for lo, row in table], age)
 
     def weight_at_age(self, age: float) -> float:
@@ -86,45 +128,7 @@ class DemographicTables:
 
 
 def load_demographics(path: str | Path | None = None) -> DemographicTables:
-    doc = load_yaml(path or params_dir() / "demographics.yaml")
-    try:
-        def rows(raw) -> list[tuple[float, float]]:
-            return [(float(lo), float(v)) for lo, v in raw]
-
-        initial = {
-            gender: {S[name]: float(p) for name, p in dist.items()}
-            for gender, dist in doc["initial_states"].items()
-        }
-        js = {
-            kind: {
-                gender: [(float(lo), tuple(float(x) for x in row)) for lo, row in table]
-                for gender, table in doc["job_search"][kind].items()
-            }
-            for kind in ("full_time", "part_time")
-        }
-        tables = DemographicTables(
-            group_shares={
-                int(y): {g: tuple(float(x) for x in v[g]) for g in GENDERS}
-                for y, v in doc["group_shares"].items()
-            },
-            gender_shares={g: float(v) for g, v in doc["gender_shares"].items()},
-            mortality={
-                g: (float(v["a"]), float(v["b"])) for g, v in doc["mortality_gompertz"].items()
-            },
-            fertility_annual=rows(doc["fertility_annual"]),
-            marriage_annual=rows(doc["marriage_annual"]),
-            divorce_annual=rows(doc["divorce_annual"]),
-            assortative=np.asarray(doc["assortative_weights"], dtype=float),
-            initial_states=initial,
-            exogenous={k: float(v) for k, v in doc["exogenous"].items()},
-            job_search=js,
-            pt_on_failed_ft=float(doc["job_search"]["pt_on_failed_ft"]),
-            switch_ft_pt=float(doc["job_search"]["switch_ft_pt"]),
-            population_weights=rows(doc["population_weights"]),
-            fund_membership_share=float(doc.get("fund_membership_share", 0.85)),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"malformed demographics file: {exc!r}") from exc
+    tables = build(DemographicTables, load_yaml(path or params_dir() / "demographics.yaml"))
     for gender, dist in tables.initial_states.items():
         if abs(sum(dist.values()) - 1.0) > 1e-6:
             raise ParameterError(f"initial state distribution for {gender} must sum to 1")
@@ -206,12 +210,12 @@ def _draw_initial_clocks(
     agent.life_left = draw_from_curve(curves["mort_" + agent.gender], rng)
     if agent.life_left == NO_EVENT:
         agent.life_left = horizon  # censored at the model's maximum age
-    dis = tables.exogenous["disability_clock_quarterly"]
+    dis = tables.exogenous.disability_clock_quarterly
     agent.until_disability = draw_geometric(dis, rng, cap=10_000)
     agent.until_student = NO_EVENT
     if agent.state is not S.STUDENT:
-        agent.until_student = draw_geometric(tables.exogenous["student_entry_quarterly"], rng, cap=10_000)
-    agent.until_outsider = draw_geometric(tables.exogenous["outsider_entry_quarterly"], rng, cap=10_000)
+        agent.until_student = draw_geometric(tables.exogenous.student_entry_quarterly, rng, cap=10_000)
+    agent.until_outsider = draw_geometric(tables.exogenous.outsider_entry_quarterly, rng, cap=10_000)
 
 
 def _pick(options, cdf: np.ndarray, rng: np.random.Generator):
@@ -230,9 +234,9 @@ def _initial_agent(
     states, cdf = state_cdf[gender]
     state = _pick(states, cdf, rng)
 
-    profile = wparams.profile(gender, group)
     disp = wparams.initial_dispersion
-    potential = profile.at(18.0) * math.exp(rng.standard_normal() * disp - 0.5 * disp * disp)
+    shock = rng.standard_normal() * disp - 0.5 * disp * disp
+    potential = wparams.mean_wage(gender, group, 18.0) * math.exp(shock)
 
     agent = AgentState(gender=gender, group=group, age=18.0, state=state, potential_wage=potential)
     agent.fund_member = bool(rng.random() < tables.fund_membership_share)
@@ -243,7 +247,7 @@ def _initial_agent(
     if agent.hours:
         agent.paid_wage = (agent.hours / 40.0) * potential
     if state is S.STUDENT:
-        agent.spell_left = draw_geometric(tables.exogenous["student_spell_end_quarterly"], rng)
+        agent.spell_left = draw_geometric(tables.exogenous.student_spell_end_quarterly, rng)
     if state is S.SICK_LEAVE:
         agent.spell_left = 1
         agent.wage_reduction = 0.0
@@ -290,7 +294,7 @@ def init_population(
 
     pair_of_man: list[int | None] = []
     for g_m in men_groups:
-        weights = tables.assortative[g_m] * [len(buckets[0]), len(buckets[1]), len(buckets[2])]
+        weights = np.asarray(tables.assortative_weights[g_m]) * [len(buckets[g]) for g in range(3)]
         total = weights.sum()
         if total <= 0:
             pair_of_man.append(None)
@@ -301,35 +305,32 @@ def init_population(
     households: list[HouseholdState] = []
     hh_seeds = ss.spawn(n)  # generous: one per agent is enough for pairs
     used_women: set[int] = set()
-    idx = 0
 
     def make_rngs(i: int) -> tuple[np.random.Generator, np.random.Generator]:
         child = hh_seeds[i].spawn(2)
         return np.random.default_rng(child[0]), np.random.default_rng(child[1])
 
     for m, g_m in enumerate(men_groups):
-        rng_exo, rng_act = make_rngs(idx)
+        rng_exo, rng_act = make_rngs(len(households))
         man = _initial_agent("men", int(g_m), tables, wparams, rng_exo, curves, state_cdf)
         w = pair_of_man[m]
         if w is None:
-            hh = HouseholdState(index=idx, adults=(man,), rng_exo=rng_exo, rng_act=rng_act)
+            hh = HouseholdState(adults=(man,), rng_exo=rng_exo, rng_act=rng_act)
         else:
             used_women.add(w)
             woman = _initial_agent("women", int(women_groups[w]), tables, wparams, rng_exo, curves, state_cdf)
-            hh = HouseholdState(index=idx, adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
+            hh = HouseholdState(adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
         _draw_household_clocks(hh, curves)
         households.append(hh)
-        idx += 1
 
     for w, g_w in enumerate(women_groups):
         if w in used_women:
             continue
-        rng_exo, rng_act = make_rngs(idx)
+        rng_exo, rng_act = make_rngs(len(households))
         woman = _initial_agent("women", int(g_w), tables, wparams, rng_exo, curves, state_cdf)
-        hh = HouseholdState(index=idx, adults=(woman,), rng_exo=rng_exo, rng_act=rng_act)
+        hh = HouseholdState(adults=(woman,), rng_exo=rng_exo, rng_act=rng_act)
         _draw_household_clocks(hh, curves)
         households.append(hh)
-        idx += 1
 
     return CohortPopulation(households=households, seed=seed, size=n)
 
@@ -344,7 +345,6 @@ def _draw_household_clocks(hh: HouseholdState, curves: dict[str, np.ndarray]) ->
 
 
 def spawn_pair_household(
-    index: int,
     seed_seq: np.random.SeedSequence,
     tables: DemographicTables,
     wparams: WageParams,
@@ -361,11 +361,11 @@ def spawn_pair_household(
     g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), rng_exo.random(),
                               side="right"))
     w_shares = np.array(tables.shares_for_year(year, "women"))
-    weights = tables.assortative[min(g_m, 2)] * w_shares
+    weights = np.asarray(tables.assortative_weights[min(g_m, 2)]) * w_shares
     g_w = int(np.searchsorted(np.cumsum(weights / weights.sum()), rng_exo.random(), side="right"))
     man = _initial_agent("men", min(g_m, 2), tables, wparams, rng_exo, curves, state_cdf)
     woman = _initial_agent("women", min(g_w, 2), tables, wparams, rng_exo, curves, state_cdf)
-    hh = HouseholdState(index=index, adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
+    hh = HouseholdState(adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
     _draw_household_clocks(hh, curves)
     return hh
 

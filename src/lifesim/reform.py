@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParameterError, ReformError
-from .paramfiles import load_yaml
+from .paramfiles import build, load_yaml
 from .rules.ruleset import RuleSet, validate_ruleset
 from .simulate import AggregateReport, nan_mean, nan_sd
 
@@ -36,16 +36,17 @@ RESERVED_UNIMPLEMENTED = frozenset({
     "index_freeze",
 })
 
-# Payload keys of each implemented delta kind: (required, optional).
-PAYLOAD_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "ub_grading": (frozenset(), frozenset({"schedule"})),
-    "employment_condition_months": (frozenset({"months"}), frozenset()),
-    "remove_extended_er": (frozenset(), frozenset()),
-    "remove_earnings_disregards": (frozenset(), frozenset()),
-    "income_tax_shift": (frozenset(), frozenset({"bracket_scale", "rate_delta"})),
+# Payload keys of each implemented delta kind, each with the type its value
+# is read as: (required, optional).
+PAYLOAD_KEYS: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {
+    "ub_grading": ({}, {"schedule": tuple[tuple[int, float], ...]}),
+    "employment_condition_months": ({"months": int}, {}),
+    "remove_extended_er": ({}, {}),
+    "remove_earnings_disregards": ({}, {}),
+    "income_tax_shift": ({}, {"bracket_scale": float, "rate_delta": float}),
     "housing_benefit_replacement": (
-        frozenset(), frozenset({"compensation_share", "income_deductible_rate"})),
-    "child_benefit_change": (frozenset({"delta_monthly"}), frozenset()),
+        {}, {"compensation_share": float, "income_deductible_rate": float}),
+    "child_benefit_change": ({"delta_monthly": float}, {}),
 }
 
 
@@ -106,38 +107,36 @@ class AuditEntry:
     new: Any
 
 
-def _check_payload(delta: ReformDelta) -> None:
+def _payload(delta: ReformDelta) -> dict[str, Any]:
+    """The payload of ``delta``, each value read as the type its kind declares."""
     if delta.kind in RESERVED_UNIMPLEMENTED:
         raise ReformError(f"reform delta {delta.kind!r} is reserved but not implemented in this model")
     if delta.kind not in PAYLOAD_KEYS:
         raise ReformError(f"unknown reform delta kind {delta.kind!r}")
     required, optional = PAYLOAD_KEYS[delta.kind]
-    unknown = sorted(delta.payload.keys() - required - optional)
+    types = required | optional
+    unknown = sorted(delta.payload.keys() - types.keys())
     if unknown:
         raise ReformError(f"reform delta {delta.kind!r} has unknown key {unknown[0]!r}")
-    missing = sorted(required - delta.payload.keys())
+    missing = sorted(required.keys() - delta.payload.keys())
     if missing:
         raise ReformError(f"reform delta {delta.kind!r} is missing key {missing[0]!r}")
-
-
-def _integer(delta: ReformDelta, key: str, value: Any) -> int:
-    """``value`` if it is a YAML integer (not a float or a bool), as the
-    rule-file loader reads an ``int`` field."""
-    if type(value) is not int:
-        raise ReformError(f"reform delta {delta.kind!r} has a malformed value for key {key!r}: "
-                          f"expected an integer, got {value!r}")
-    return value
+    values = {}
+    for key, raw in delta.payload.items():
+        try:
+            values[key] = build(types[key], raw, key)
+        except ParameterError as exc:
+            raise ReformError(f"reform delta {delta.kind!r} has a malformed value for key {key!r}: "
+                              f"{exc}") from exc
+    return values
 
 
 def _delta_paths(delta: ReformDelta, rules: RuleSet) -> list[tuple[str, Any]]:
-    _check_payload(delta)
-    kind, p = delta.kind, delta.payload
+    kind, p = delta.kind, _payload(delta)
     if kind == "ub_grading":
-        schedule = p.get("schedule")
-        grading = tuple((_integer(delta, "schedule", d), float(m)) for d, m in schedule or ())
-        return [("unemployment.er.grading", grading)]
+        return [("unemployment.er.grading", p.get("schedule", ()))]
     if kind == "employment_condition_months":
-        return [("unemployment.er.condition_months", _integer(delta, "months", p["months"]))]
+        return [("unemployment.er.condition_months", p["months"])]
     if kind == "remove_extended_er":
         return [("unemployment.er.extended_min_age", None)]
     if kind == "remove_earnings_disregards":
@@ -146,8 +145,8 @@ def _delta_paths(delta: ReformDelta, rules: RuleSet) -> list[tuple[str, Any]]:
             ("housing_benefit.retiree.earnings_disregard", 0.0),
         ]
     if kind == "income_tax_shift":
-        scale = float(p.get("bracket_scale", 1.0))
-        rate_delta = float(p.get("rate_delta", 0.0))
+        scale = p.get("bracket_scale", 1.0)
+        rate_delta = p.get("rate_delta", 0.0)
         brackets = tuple(
             (round(lo * scale, 2), max(0.0, rate + rate_delta))
             for lo, rate in rules.tax.state_brackets
@@ -156,15 +155,14 @@ def _delta_paths(delta: ReformDelta, rules: RuleSet) -> list[tuple[str, Any]]:
     if kind == "housing_benefit_replacement":
         out = []
         if "compensation_share" in p:
-            out.append(("housing_benefit.general.compensation_share", float(p["compensation_share"])))
+            out.append(("housing_benefit.general.compensation_share", p["compensation_share"]))
         if "income_deductible_rate" in p:
-            out.append(("housing_benefit.general.income_deductible_rate",
-                        float(p["income_deductible_rate"])))
+            out.append(("housing_benefit.general.income_deductible_rate", p["income_deductible_rate"]))
         if not out:
             raise ReformError("housing_benefit_replacement delta carries no fields")
         return out
     if kind == "child_benefit_change":
-        new_level = rules.family.child_benefit_monthly + float(p["delta_monthly"])
+        new_level = rules.family.child_benefit_monthly + p["delta_monthly"]
         return [("family.child_benefit_monthly", round(new_level, 2))]
     raise AssertionError(f"PAYLOAD_KEYS names {kind!r} but no paths are defined for it")
 
@@ -174,11 +172,7 @@ def apply_reform(base: RuleSet, spec: ReformSpec) -> tuple[RuleSet, list[AuditEn
     rules = base
     audit: list[AuditEntry] = []
     for delta in spec.deltas:
-        try:
-            changes = _delta_paths(delta, rules)
-        except (TypeError, ValueError) as exc:
-            raise ReformError(f"reform delta {delta.kind!r} has a malformed value: {exc}") from exc
-        for path, value in changes:
+        for path, value in _delta_paths(delta, rules):
             old = _get_path(rules, path)
             rules = _set_path(rules, path, value)
             audit.append(AuditEntry(path=path, old=old, new=value))

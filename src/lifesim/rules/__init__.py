@@ -19,7 +19,6 @@ from .engine import (
 from .ruleset import (
     BENEFIT_DAYS_PER_QUARTER,
     MONTHS_PER_QUARTER,
-    QUARTERS_PER_YEAR,
     RuleSet,
     load_ruleset,
     ruleset_from_mapping,
@@ -33,7 +32,6 @@ __all__ = [
     "RuleSet",
     "BENEFIT_DAYS_PER_QUARTER",
     "MONTHS_PER_QUARTER",
-    "QUARTERS_PER_YEAR",
     "emtr",
     "entitlement_days",
     "er_daily_level",

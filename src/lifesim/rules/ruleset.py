@@ -4,8 +4,9 @@ The :class:`RuleSet` dataclass tree is the schema of the ``rules_*.yaml``
 files: each mapping in a file is one dataclass and each key one field of the
 same name, so a reform overlay addresses a parameter by the same dotted path
 (``housing_benefit.general.earnings_disregard``) in the file and in the tree.
-:func:`ruleset_from_mapping` builds the tree from the field types and rejects
-a missing key, an unknown key or a value of the wrong type by its path.
+:func:`ruleset_from_mapping` builds the tree with :func:`lifesim.paramfiles.build`,
+which rejects a missing key, an unknown key or a value of the wrong type by
+its path.
 
 A :class:`RuleSet` is an immutable snapshot of the institutional environment.
 Reform overlays produce patched copies; nothing here mutates in place.
@@ -14,15 +15,12 @@ Reform overlays produce patched copies; nothing here mutates in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cache
 from pathlib import Path
-from types import UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any
 
 from ..errors import ParameterError
-from ..paramfiles import load_yaml
+from ..paramfiles import build, load_yaml
 
-QUARTERS_PER_YEAR = 4
 MONTHS_PER_QUARTER = 3
 # 5 benefit days per week, 13 weeks per quarter.
 BENEFIT_DAYS_PER_QUARTER = 65
@@ -227,57 +225,8 @@ def validate_ruleset(rs: RuleSet) -> None:
         raise ParameterError("invalid rule set: " + "; ".join(problems))
 
 
-# The YAML types a scalar field accepts; a float field also takes an integer.
-_SCALAR_INPUTS: dict[Any, tuple[type, ...]] = {float: (float, int), int: (int,)}
-
-
-@cache
-def _field_types(cls: type) -> dict[str, tuple[Any, tuple[type, ...]]]:
-    """Field name -> (type hint, accepted scalar inputs or ()), resolved once per class."""
-    hints = get_type_hints(cls)
-    return {f.name: (hints[f.name], _SCALAR_INPUTS.get(hints[f.name], ())) for f in fields(cls)}
-
-
-def _build(tp: Any, raw: Any, path: str) -> Any:
-    """The value of type ``tp`` read from ``raw``, the YAML value at ``path``.
-
-    Supports the types the schema declares: nested dataclasses, ``float``,
-    ``int``, ``X | None``, ``tuple[X, ...]`` and fixed-length tuples.  A float
-    field accepts a YAML integer; nothing else is converted.  Scalars of an
-    accepted type are converted inline, without a call per leaf.
-    """
-    if tp in _SCALAR_INPUTS:
-        if type(raw) in _SCALAR_INPUTS[tp]:
-            return tp(raw)
-        raise ParameterError(f"rule-set entry {path} must be {tp.__name__}, got {raw!r}")
-    if is_dataclass(tp):
-        if not isinstance(raw, dict):
-            raise ParameterError(f"rule-set entry {path or '<root>'} must be a mapping, got {raw!r}")
-        types = _field_types(tp)
-        prefix = f"{path}." if path else ""
-        if raw.keys() != types.keys():
-            unknown = [k for k in raw if k not in types]
-            if unknown:
-                raise ParameterError(f"unknown rule-set key {prefix}{unknown[0]}")
-            missing = [k for k in types if k not in raw]
-            raise ParameterError(f"missing rule-set key {prefix}{missing[0]}")
-        return tp(**{k: t(raw[k]) if type(raw[k]) in ok else _build(t, raw[k], prefix + k)
-                     for k, (t, ok) in types.items()})
-    args = get_args(tp)
-    if get_origin(tp) is UnionType:  # X | None
-        return None if raw is None else _build(args[0], raw, path)
-    if not isinstance(raw, list):  # tuple[X, ...] or a fixed-length tuple
-        raise ParameterError(f"rule-set entry {path} must be a list, got {raw!r}")
-    if args[-1] is Ellipsis:
-        args = (args[0],) * len(raw)
-    elif len(raw) != len(args):
-        raise ParameterError(f"rule-set entry {path} must have {len(args)} items, got {raw!r}")
-    return tuple([t(x) if type(x) in _SCALAR_INPUTS.get(t, ()) else _build(t, x, f"{path}[{i}]")
-                  for i, (t, x) in enumerate(zip(args, raw))])
-
-
 def ruleset_from_mapping(doc: dict[str, Any]) -> RuleSet:
-    rs = _build(RuleSet, doc, "")
+    rs = build(RuleSet, doc)
     validate_ruleset(rs)
     return rs
 

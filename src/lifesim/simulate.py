@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .rules import emtr as emtr_op, ptr as ptr_op
 from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS, HouseholdSnapshot
 from .solver.network import PolicyValueNet, masked_distribution
 from .states import (
+    ALLOWED_HOURS,
     UNEMPLOYMENT_STATES,
     WORKING_STATES,
     EmploymentState as S,
@@ -45,7 +47,7 @@ FLOW_NAMES = ("gross_wage",) + TAX_FIELDS + CONTRIB_FIELDS + BENEFIT_FIELDS + (
 )
 DURATION_AGE_BANDS = ((20, 29), (30, 39), (40, 49), (50, 59), (60, 65))
 DURATION_BIN_EDGES = (130.0, 260.0, 390.0, 520.0)   # ER days at ~21.67/mo
-HOURS_CHOICES = (8, 16, 24, 32, 40, 48)
+FTE_CLASSES = ("total", "part_time", "full_time", "age_18_62", "age_63_plus", "retired")
 # Households per simulation block: one policy forward pass per block and
 # decision quarter.  Fixed, so trajectories do not depend on cohort size or
 # worker count.
@@ -256,7 +258,9 @@ class AggregateReport:
     workforce_share_broad: np.ndarray     # (N_AGES,) incl. retired
     alive_share: np.ndarray               # (N_AGES,)
     hours_histogram: dict[int, float]
+    hours_by_age: dict[int, np.ndarray]   # hours choice -> (N_AGES,) agent-years
     fte: dict[str, float]
+    fte_by_age: dict[str, np.ndarray]     # FTE class -> (N_AGES,)
     flows: dict[str, float]               # EUR per cohort-lifetime (or scaled)
     flows_by_age: dict[str, np.ndarray]
     public_net: float
@@ -333,6 +337,20 @@ def _duration_tables(log: SimulationLog) -> tuple[np.ndarray, np.ndarray]:
     return shares, counts
 
 
+def _public_net(flows: dict[str, float]) -> float:
+    """Taxes, contributions and VAT collected, less benefits paid."""
+    taxes = sum(flows[name] for name in TAX_FIELDS)
+    contribs = sum(flows[name] for name in CONTRIB_FIELDS)
+    benefits = sum(flows[name] for name in BENEFIT_FIELDS)
+    return taxes + contribs + flows["employer_contrib"] + flows["vat"] - benefits
+
+
+def _age_totals(by_age: dict) -> dict:
+    """Each per-age array summed in age order from 0.0, one addition at a time
+    (``np.sum`` adds pairwise and would change the last bits)."""
+    return {k: reduce(operator.add, v, 0.0) for k, v in by_age.items()}
+
+
 def aggregate(log: SimulationLog) -> AggregateReport:
     n_agents, total_q = log.states.shape
     ages = np.arange(AGE_MIN, AGE_MAX)
@@ -345,9 +363,8 @@ def aggregate(log: SimulationLog) -> AggregateReport:
     workforce_broad = np.zeros(N_AGES)
     alive_share = np.zeros(N_AGES)
 
-    hours_hist = {h: 0.0 for h in HOURS_CHOICES}
-    fte_by_class = {"total": 0.0, "part_time": 0.0, "full_time": 0.0,
-                    "age_18_62": 0.0, "age_63_plus": 0.0, "retired": 0.0}
+    hours_by_age = {h: np.zeros(N_AGES) for h in ALLOWED_HOURS}
+    fte_by_age = {k: np.zeros(N_AGES) for k in FTE_CLASSES}
 
     for a_idx in range(N_AGES):
         q0, q1 = a_idx * 4, min((a_idx + 1) * 4, total_q)
@@ -388,25 +405,18 @@ def aggregate(log: SimulationLog) -> AggregateReport:
             parttime_share[a_idx, g] = pt_g / emp_g if emp_g > 0 else np.nan
             disability_rate[a_idx, g] = disabled[rows].sum() / alive_g
         workforce_narrow[a_idx] = (working.sum() + unemployed.sum()) / n_alive
-        workforce_broad[a_idx] = (working.sum() + unemployed.sum() + retired.sum()) / n_alive
+        workforce_broad[a_idx] = (working | unemployed | retired).sum() / n_alive
 
         fte_cells = (h[working] / 40.0).sum() / 4.0
-        fte_by_class["total"] += fte_cells
-        fte_by_class["part_time"] += (h[working & (h <= 24)] / 40.0).sum() / 4.0
-        fte_by_class["full_time"] += (h[working & (h >= 32)] / 40.0).sum() / 4.0
-        if AGE_MIN + a_idx <= 62:
-            fte_by_class["age_18_62"] += fte_cells
-        else:
-            fte_by_class["age_63_plus"] += fte_cells
-        fte_by_class["retired"] += (h[retired & working] / 40.0).sum() / 4.0
-        for hh_choice in HOURS_CHOICES:
-            hours_hist[hh_choice] += ((h == hh_choice) & working).sum() / 4.0
+        fte_by_age["total"][a_idx] = fte_cells
+        fte_by_age["part_time"][a_idx] = (h[working & (h <= 24)] / 40.0).sum() / 4.0
+        fte_by_age["full_time"][a_idx] = (h[working & (h >= 32)] / 40.0).sum() / 4.0
+        fte_by_age["age_18_62" if AGE_MIN + a_idx <= 62 else "age_63_plus"][a_idx] = fte_cells
+        fte_by_age["retired"][a_idx] = (h[retired & working] / 40.0).sum() / 4.0
+        for hh_choice in ALLOWED_HOURS:
+            hours_by_age[hh_choice][a_idx] = ((h == hh_choice) & working).sum() / 4.0
 
     flows = {name: float(v.sum()) for name, v in log.flows_by_age.items()}
-    taxes = sum(flows[name] for name in TAX_FIELDS)
-    contribs = sum(flows[name] for name in CONTRIB_FIELDS)
-    benefits = sum(flows[name] for name in BENEFIT_FIELDS)
-    public_net = taxes + contribs + flows["employer_contrib"] + flows["vat"] - benefits
 
     duration_shares, duration_counts = _duration_tables(log)
 
@@ -424,11 +434,13 @@ def aggregate(log: SimulationLog) -> AggregateReport:
         workforce_share_narrow=workforce_narrow,
         workforce_share_broad=workforce_broad,
         alive_share=alive_share,
-        hours_histogram=hours_hist,
-        fte=fte_by_class,
+        hours_histogram=_age_totals(hours_by_age),
+        hours_by_age=hours_by_age,
+        fte=_age_totals(fte_by_age),
+        fte_by_age=fte_by_age,
         flows=flows,
         flows_by_age={k: v.copy() for k, v in log.flows_by_age.items()},
-        public_net=public_net,
+        public_net=_public_net(flows),
         duration_bins=duration_shares,
         duration_counts=duration_counts,
         emtr_histogram=emtr_hist.astype(float),
@@ -452,19 +464,14 @@ def scale_to_population(report: AggregateReport, weights_by_age) -> AggregateRep
     for name, by_age in report.flows_by_age.items():
         scaled.flows_by_age[name] = by_age * weights / n
         scaled.flows[name] = float(scaled.flows_by_age[name].sum())
-    taxes = sum(scaled.flows[name] for name in TAX_FIELDS)
-    contribs = sum(scaled.flows[name] for name in CONTRIB_FIELDS)
-    benefits = sum(scaled.flows[name] for name in BENEFIT_FIELDS)
-    scaled.public_net = taxes + contribs + scaled.flows["employer_contrib"] + scaled.flows["vat"] - benefits
+    scaled.public_net = _public_net(scaled.flows)
 
-    # FTE classes rescale by the age-0..61/62+ composition of the weights;
-    # recompute from per-age FTE is not stored, so scale uniformly by the
-    # alive-weighted average weight.
-    avg_weight = float((weights * report.alive_share).sum() / max(report.alive_share.sum(), 1e-12))
-    for k in scaled.fte:
-        scaled.fte[k] = report.fte[k] * avg_weight / n
-    for k in scaled.hours_histogram:
-        scaled.hours_histogram[k] = report.hours_histogram[k] * avg_weight / n
+    for name, by_age in report.fte_by_age.items():
+        scaled.fte_by_age[name] = by_age * weights / n
+    for h, by_age in report.hours_by_age.items():
+        scaled.hours_by_age[h] = by_age * weights / n
+    scaled.fte = _age_totals(scaled.fte_by_age)
+    scaled.hours_histogram = _age_totals(scaled.hours_by_age)
     scaled.scaled = True
     return scaled
 

@@ -250,25 +250,16 @@ class ReducedVectorEnv:
         self.n_actors = n_envs
         self.n_actions = mdp.n_actions
         self.step_discount = config.step_discount
-        self.k = config.wage_points
-        self.obs_dim = 2 + N_EMP + self.k
+        self.obs_dim = 2 + N_EMP + config.wage_points
         self._rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE17)))
         self._cum_trans = np.cumsum(mdp.transitions, axis=2)
         self._cum_init = np.cumsum(mdp.initial_dist)
+        self._grid_obs = grid_observations(mdp, config)
         self._t = np.zeros(n_envs, dtype=np.int64)
         self._s = np.zeros(n_envs, dtype=np.int64)
 
     def _observe(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n_actors
-        obs = np.zeros((n, self.obs_dim))
-        obs[:, 0] = self._t / self.mdp.n_periods
-        emp = self._s // self.k
-        widx = self._s % self.k
-        obs[np.arange(n), 2 + emp] = 1.0
-        obs[np.arange(n), 2 + N_EMP + widx] = 1.0
-        obs[:, 1] = widx / (self.k - 1)
-        masks = self.mdp.legal[self._t, self._s]
-        return obs, masks
+        return self._grid_obs[self._t, self._s], self.mdp.legal[self._t, self._s]
 
     def _draw_initial(self, count: int) -> np.ndarray:
         u = self._rng.random(count)

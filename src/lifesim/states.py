@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import Literal
+
+# The two agent genders; a parameter table keyed by gender must name both.
+Gender = Literal["men", "women"]
 
 
 class EmploymentState(IntEnum):
@@ -33,9 +37,6 @@ UNEMPLOYMENT_STATES = frozenset({S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTEN
 RETIRED_STATES = frozenset({S.RETIRED, S.RETIRED_PT, S.RETIRED_FT})
 PENSION_STATES = frozenset({S.RETIRED, S.RETIRED_PT, S.RETIRED_FT, S.DISABLED})
 LEAVE_STATES = frozenset({S.MOTHERS_LEAVE, S.FATHERS_LEAVE})
-# States counted as part of the labor force.
-WORKFORCE_STATES = WORKING_STATES | UNEMPLOYMENT_STATES
 
-FULL_TIME_HOURS = (32, 40, 48)
-PART_TIME_HOURS = (8, 16, 24)
-ALLOWED_HOURS = PART_TIME_HOURS + FULL_TIME_HOURS
+# Weekly hours: part time 8/16/24, full time 32/40/48.
+ALLOWED_HOURS = (8, 16, 24, 32, 40, 48)

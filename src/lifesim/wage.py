@@ -4,6 +4,8 @@ The log of the wage relative to the group age profile follows an annual AR(1)
 with autocorrelation ``c`` and shock s.d. ``sigma``; a ``-sigma^2/2`` drift
 keeps the conditional mean of the lognormal on the profile.  Quarterly steps
 use ``c**dt`` and ``sigma*sqrt(dt)``.
+
+:class:`WageParams` is the schema of ``wages.yaml`` (see :mod:`lifesim.paramfiles`).
 """
 
 from __future__ import annotations
@@ -11,26 +13,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal, get_args
 
 from .errors import ContractViolation, ParameterError
-from .paramfiles import load_yaml, params_dir
-from .states import ALLOWED_HOURS, EmploymentState
+from .paramfiles import build, load_yaml, params_dir
+from .states import ALLOWED_HOURS, EmploymentState, Gender
 
 
 @dataclass(frozen=True, slots=True)
 class AgeProfile:
-    """Quadratic mean-wage curve: base at 18, peak_ratio * base at peak_age."""
+    """Quadratic mean-wage curve A(age): base at 18, peak_ratio * base at
+    peak_age (evaluated by :meth:`WageParams.mean_wage`)."""
 
     base: float
     peak_ratio: float
     peak_age: float
-    floor_ratio: float = 0.85
 
-    def at(self, age: float) -> float:
-        span = self.peak_age - 18.0
-        rel = 1.0 - ((age - self.peak_age) / span) ** 2
-        value = self.base * (1.0 + (self.peak_ratio - 1.0) * rel)
-        return max(value, self.base * self.floor_ratio)
+
+# Socioeconomic groups 0, 1, 2.
+Level = Literal["low", "mid", "high"]
+_LEVELS = get_args(Level)
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,44 +40,23 @@ class WageParams:
     shock_sd: float
     autocorr: float
     initial_dispersion: float
-    profiles: dict[tuple[str, str], AgeProfile]   # (gender, level) -> profile
+    profiles: dict[Gender, dict[Level, AgeProfile]]
+    floor_ratio: float                    # A(age) floors at floor_ratio * base
     reduction_annual: dict[EmploymentState, float]
     recovery_annual: dict[EmploymentState, float]
 
-    def profile(self, gender: str, group: int) -> AgeProfile:
-        level = ("low", "mid", "high")[group % 3]
-        return self.profiles[(gender, level)]
+    def mean_wage(self, gender: str, group: int, age: float) -> float:
+        """The age profile A(age) of the gender and socioeconomic group."""
+        p = self.profiles[gender][_LEVELS[group % 3]]
+        rel = 1.0 - ((age - p.peak_age) / (p.peak_age - 18.0)) ** 2
+        return max(p.base * (1.0 + (p.peak_ratio - 1.0) * rel), p.base * self.floor_ratio)
 
 
 def load_wage_params(path: str | Path | None = None) -> WageParams:
-    doc = load_yaml(path or params_dir() / "wages.yaml")
-    try:
-        floor = float(doc.get("floor_ratio", 0.85))
-        profiles = {
-            (gender, level): AgeProfile(
-                base=float(p["base"]),
-                peak_ratio=float(p["peak_ratio"]),
-                peak_age=float(p["peak_age"]),
-                floor_ratio=floor,
-            )
-            for gender, levels in doc["profiles"].items()
-            for level, p in levels.items()
-        }
-        reduction = {EmploymentState[k]: float(v) for k, v in doc["reduction_annual"].items()}
-        recovery = {EmploymentState[k]: float(v) for k, v in doc["recovery_annual"].items()}
-        params = WageParams(
-            shock_sd=float(doc["shock_sd"]),
-            autocorr=float(doc["autocorr"]),
-            initial_dispersion=float(doc["initial_dispersion"]),
-            profiles=profiles,
-            reduction_annual=reduction,
-            recovery_annual=recovery,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"malformed wage parameter file: {exc!r}") from exc
+    params = build(WageParams, load_yaml(path or params_dir() / "wages.yaml"))
     if not 0.0 < params.autocorr < 1.0:
         raise ParameterError("wage autocorrelation must lie in (0, 1)")
-    missing = set(EmploymentState) - set(reduction) | set(EmploymentState) - set(recovery)
+    missing = set(EmploymentState) - (params.reduction_annual.keys() & params.recovery_annual.keys())
     if missing:
         raise ParameterError(f"wage reduction table missing states: {sorted(s.name for s in missing)}")
     return params
@@ -96,9 +77,8 @@ def potential_wage_step(
     ``shock`` is a standard-normal draw supplied by the caller so parallel
     agents can use independent, seedable streams.
     """
-    profile = params.profile(gender, group)
-    a_prev = profile.at(prev_age)
-    a_now = profile.at(age)
+    a_prev = params.mean_wage(gender, group, prev_age)
+    a_now = params.mean_wage(gender, group, age)
     c = params.autocorr ** dt
     sd = params.shock_sd * math.sqrt(dt)
     x = c * math.log(prev_wage / a_prev) + sd * shock - 0.5 * sd * sd

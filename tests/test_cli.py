@@ -5,7 +5,7 @@ import yaml
 from lifesim.cli import EXIT_CONFIG, EXIT_OK, main
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.paramfiles import ruleset_path
+from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.solver import TrainConfig
 from lifesim.solver.checkpoint import save_checkpoint
 from lifesim.solver.network import PolicyValueNet
@@ -31,6 +31,17 @@ def test_emtr_scan_rejects_misspelled_rule_file(tmp_path, capsys):
     cfg = {"out": str(tmp_path / "out"), "ruleset": str(rules)}
     assert main(["emtr-scan", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
     assert "unemployment.er.gradng" in capsys.readouterr().err
+
+
+def test_train_rejects_misspelled_demographics_file(tmp_path, capsys):
+    doc = yaml.safe_load((params_dir() / "demographics.yaml").read_text())
+    doc["exogenous"]["layoff_quartely"] = doc["exogenous"].pop("layoff_quarterly")
+    demographics = tmp_path / "demographics.yaml"
+    demographics.write_text(yaml.safe_dump(doc))
+    cfg = {"out": str(tmp_path / "out"), "demographics": str(demographics),
+           "train": {"total_steps": 8, "households": 2, "hidden": [8]}}
+    assert main(["train", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "exogenous.layoff_quartely" in capsys.readouterr().err
 
 
 def test_compare_with_missing_overlay_exits_with_config_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ from lifesim.env.actions import (
 )
 from lifesim.errors import ContractViolation
 from lifesim.rules import net_income
-from lifesim.population import init_population, load_demographics
+from lifesim.population import ExogenousHazards, Gompertz, init_population, load_demographics
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
 
@@ -58,8 +58,7 @@ def make_agent(state=S.FULL_TIME, gender="men", age=40.0, hours=40, **kw):
 
 
 def make_household(*agents, partnered=False, children=()):
-    hh = HouseholdState(index=0, adults=tuple(agents), partnered=partnered,
-                        child_ages=list(children))
+    hh = HouseholdState(adults=tuple(agents), partnered=partnered, child_ages=list(children))
     hh.rng_exo = np.random.default_rng(1)
     hh.rng_act = np.random.default_rng(2)
     return hh
@@ -74,13 +73,13 @@ def test_dead_agent_zero_utility(uparams):
 
 
 def test_unit_consumption_retired_zero(uparams):
-    c_q = uparams.deflator() / 4.0
+    c_q = uparams.deflator.at() / 4.0
     u = utility(c_q, S.RETIRED, "men", 0, 50.0, False, False, 64.0, uparams)
     assert u == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_time_kappa_value(uparams):
-    c_q = uparams.deflator() / 4.0
+    c_q = uparams.deflator.at() / 4.0
     u = utility(c_q, S.FULL_TIME, "men", 40, 40.0, False, False, 64.0, uparams)
     assert u == pytest.approx(-0.705)
 
@@ -122,7 +121,7 @@ def test_mu_at_retirement_age(uparams):
 
 
 def test_mu_saturates(uparams):
-    p = uparams.prefs["men"]
+    p = uparams.mu["men"]
     r_age = 64.0
     cap = p.q1 * (r_age - (r_age + p.s_age_offset)) + p.q2 * ((r_age + p.s_ret_offset) - r_age)
     assert mu_term(r_age + p.s_ret_offset + 10.0, "men", 40, r_age, uparams) == pytest.approx(cap)
@@ -201,18 +200,15 @@ def test_legal_actions_returns_action_objects(rules2023):
 # ---------------------------------------------------------------------------
 
 def zeroed_env(env, **overrides):
-    exo = dict(env.tables.exogenous)
-    for k in exo:
-        if k.endswith("quarterly") or k in ("disability_after_sick", "father_leave_at_birth"):
-            exo[k] = 0.0
-    exo["sick_max_quarters"] = 4
-    exo["mother_leave_quarters"] = 3
-    exo["father_leave_quarters"] = 1
-    exo.update(overrides)
+    zeros = {f.name: 0.0 for f in dataclasses.fields(ExogenousHazards)
+             if f.name.endswith("quarterly") or f.name in ("disability_after_sick", "father_leave_at_birth")}
+    exo = dataclasses.replace(env.tables.exogenous, **zeros, sick_max_quarters=4,
+                              mother_leave_quarters=3, father_leave_quarters=1)
+    exo = dataclasses.replace(exo, **overrides)
     tables = dataclasses.replace(
         env.tables,
         exogenous=exo,
-        mortality={g: (0.0, 0.0) for g in env.tables.mortality},
+        mortality={g: Gompertz(0.0, 0.0) for g in env.tables.mortality},
         fertility_annual=[(18.0, 0.0)],
         marriage_annual=[(18.0, 0.0)],
         divorce_annual=[(18.0, 0.0)],

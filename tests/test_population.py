@@ -7,6 +7,7 @@ from lifesim.agent import NO_EVENT
 from lifesim.errors import ContractViolation
 from lifesim.population import (
     DemographicTables,
+    Gompertz,
     fertility_step,
     init_population,
     load_demographics,
@@ -24,7 +25,7 @@ def tables():
 def zero_hazard_tables(tables) -> DemographicTables:
     return dataclasses.replace(
         tables,
-        mortality={g: (0.0, 0.0) for g in tables.mortality},
+        mortality={g: Gompertz(0.0, 0.0) for g in tables.mortality},
         fertility_annual=[(18.0, 0.0)],
         marriage_annual=[(18.0, 0.0)],
         divorce_annual=[(18.0, 0.0)],
@@ -144,7 +145,7 @@ def test_mortality_zero_and_certain(tables):
         mortality_step(pop, zt)
     assert all(a.alive for a in pop.agents())
 
-    lethal = dataclasses.replace(tables, mortality={g: (1.0, 0.0) for g in tables.mortality})
+    lethal = dataclasses.replace(tables, mortality={g: Gompertz(1.0, 0.0) for g in tables.mortality})
     pop2 = init_population(300, lethal, seed=11)
     mortality_step(pop2, lethal)
     assert all(not a.alive for a in pop2.agents())

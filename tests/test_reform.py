@@ -103,6 +103,12 @@ def test_packaged_overlays_load_and_apply_strictly(path, rules2023):
      "'employment_condition_months' has a malformed value for key 'months'"),
     (ReformDelta("ub_grading", {"schedule": [[40.9, 0.8]]}),
      "'ub_grading' has a malformed value for key 'schedule'"),
+    (ReformDelta("income_tax_shift", {"bracket_scale": True}),
+     "'income_tax_shift' has a malformed value for key 'bracket_scale'"),
+    (ReformDelta("income_tax_shift", {"bracket_scale": "1.5"}),
+     "'income_tax_shift' has a malformed value for key 'bracket_scale'"),
+    (ReformDelta("child_benefit_change", {"delta_monthly": "10"}),
+     "'child_benefit_change' has a malformed value for key 'delta_monthly'"),
 ])
 def test_malformed_delta_payload_rejected(rules2023, delta, message):
     with pytest.raises(ReformError, match=message):

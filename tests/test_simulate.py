@@ -182,10 +182,12 @@ def test_scale_three_cohort_toy():
     flows["gross_wage"][1] = 200.0   # age 19
     flows["gross_wage"][2] = 300.0   # age 20
     n, q = 10, 328
+    states = np.full((n, q), int(S.OUTSIDE_WF), np.int8)
+    hours = np.zeros((n, q), np.int8)
+    states[0, 4:8] = int(S.FULL_TIME)   # one full-time agent-year at age 19
+    hours[0, 4:8] = 40
     log = SimulationLog(
-        cohort_size=n, seed=0, n_quarters=q,
-        states=np.full((n, q), int(S.OUTSIDE_WF), np.int8),
-        hours=np.zeros((n, q), np.int8),
+        cohort_size=n, seed=0, n_quarters=q, states=states, hours=hours,
         paid_wage=np.zeros((n, q), np.float32),
         er_days_used=np.zeros((n, q), np.float32),
         gender=np.zeros(n, np.int8), group=np.zeros(n, np.int8),
@@ -197,6 +199,20 @@ def test_scale_three_cohort_toy():
     scaled = scale_to_population(rep, lambda a: weights.get(int(a), 0.0))
     expected = (100 * 50 + 200 * 20 + 300 * 10) / n
     assert scaled.flows["gross_wage"] == pytest.approx(expected)
+    assert scaled.fte["total"] == 20 / 10
+
+
+def test_broad_workforce_share_counts_working_retirees_once():
+    n, q = 4, 328
+    log = SimulationLog(
+        cohort_size=n, seed=0, n_quarters=q,
+        states=np.full((n, q), int(S.RETIRED_FT), np.int8), hours=np.full((n, q), 40, np.int8),
+        paid_wage=np.zeros((n, q), np.float32), er_days_used=np.zeros((n, q), np.float32),
+        gender=np.zeros(n, np.int8), group=np.zeros(n, np.int8),
+        flows_by_age={k: np.zeros(82) for k in simulate.FLOW_NAMES}, consumption_by_age=np.zeros(82),
+        emtr_samples=np.array([]), ptr_samples=np.array([]),
+    )
+    np.testing.assert_array_equal(aggregate(log).workforce_share_broad, 1.0)
 
 
 def test_summarize_identical_reports_zero_sd(small_log):
@@ -230,10 +246,10 @@ def test_incentive_samples_taken_on_budget_units(env, case):
     man = _working_adult("men", 40.0, 42000.0)
     if case == "unmarried_pair_with_child":
         woman = _working_adult("women", 36.0, 30000.0)
-        hh = HouseholdState(index=0, adults=(man, woman), child_ages=[2.0])
+        hh = HouseholdState(adults=(man, woman), child_ages=[2.0])
     else:
         woman = AgentState(gender="women", group=1, age=41.0, state=S.DEAD, pension_accrued=900.0)
-        hh = HouseholdState(index=0, adults=(man, woman), partnered=True)
+        hh = HouseholdState(adults=(man, woman), partnered=True)
     emtrs, ptrs = [], []
     simulate._incentive_samples(env, hh, emtrs, ptrs)
 
@@ -276,7 +292,8 @@ def test_parallel_log_identical_for_any_worker_count(env, small_net, monkeypatch
 def test_repeat_protocol_population_uses_env_wage_params(env, small_net, monkeypatch):
     wp = env.wparams
     doubled = dataclasses.replace(
-        wp, profiles={k: dataclasses.replace(p, base=2.0 * p.base) for k, p in wp.profiles.items()})
+        wp, profiles={g: {lvl: dataclasses.replace(p, base=2.0 * p.base) for lvl, p in levels.items()}
+                      for g, levels in wp.profiles.items()})
     populations = []
 
     def first_population(make_refit, make_population, env, n_repeats, **kwargs):

@@ -14,8 +14,8 @@ def wp():
 
 
 def test_on_profile_zero_shock(wp):
-    a40 = wp.profile("men", 1).at(40.0)
-    a41 = wp.profile("men", 1).at(41.0)
+    a40 = wp.mean_wage("men", 1, 40.0)
+    a41 = wp.mean_wage("men", 1, 41.0)
     w = potential_wage_step(a40, 40.0, 41.0, "men", 1, wp, shock=0.0, dt=1.0)
     assert w == pytest.approx(a41 * math.exp(-0.5 * wp.shock_sd**2))
 
@@ -24,25 +24,23 @@ def test_zero_sigma_geometric_decay(wp):
     import dataclasses
 
     det = dataclasses.replace(wp, shock_sd=0.0)
-    profile = det.profile("women", 2)
-    w = profile.at(30.0) * math.exp(0.4)  # start 40 log points above profile
+    w = det.mean_wage("women", 2, 30.0) * math.exp(0.4)  # start 40 log points above profile
     x = 0.4
     for k in range(8):
         w = potential_wage_step(w, 30.0 + k, 31.0 + k, "women", 2, det, shock=0.0, dt=1.0)
         x *= det.autocorr
-        assert math.log(w / profile.at(31.0 + k)) == pytest.approx(x, rel=1e-9)
+        assert math.log(w / det.mean_wage("women", 2, 31.0 + k)) == pytest.approx(x, rel=1e-9)
 
 
 def test_autocorrelation_and_mean_annual_path(wp):
     rng = np.random.default_rng(7)
     n = 100_000
-    profile = wp.profile("men", 1)
     age = 40.0  # flat profile point, age held fixed to isolate the process
-    w = profile.at(age)
+    w = wp.mean_wage("men", 1, age)
     xs = np.empty(n)
     for i in range(n):
         w = potential_wage_step(w, age, age, "men", 1, wp, shock=rng.standard_normal(), dt=1.0)
-        xs[i] = math.log(w / profile.at(age))
+        xs[i] = math.log(w / wp.mean_wage("men", 1, age))
     x = xs - xs.mean()
     lag1 = float(np.dot(x[1:], x[:-1]) / np.dot(x, x))
     assert lag1 == pytest.approx(wp.autocorr, abs=0.02)
@@ -52,13 +50,12 @@ def test_autocorrelation_and_mean_annual_path(wp):
 def test_quarterly_scaling_preserves_annual_autocorr(wp):
     rng = np.random.default_rng(11)
     n = 80_000
-    profile = wp.profile("women", 0)
     age = 45.0
-    w = profile.at(age)
+    w = wp.mean_wage("women", 0, age)
     xs = np.empty(n)
     for i in range(n):
         w = potential_wage_step(w, age, age, "women", 0, wp, shock=rng.standard_normal(), dt=0.25)
-        xs[i] = math.log(w / profile.at(age))
+        xs[i] = math.log(w / wp.mean_wage("women", 0, age))
     x = xs - xs.mean()
     lag4 = float(np.dot(x[4:], x[:-4]) / np.dot(x, x))
     assert lag4 == pytest.approx(wp.autocorr, abs=0.03)
@@ -109,10 +106,8 @@ def test_career_gap_ordering(wp):
     # can never exceed the uninterrupted one.
     rng = np.random.default_rng(3)
     shocks = rng.standard_normal(40)
-    profile = wp.profile("men", 2)
-
     def run(gap_quarters):
-        w = profile.at(18.0)
+        w = wp.mean_wage("men", 2, 18.0)
         red = 0.0
         age = 18.0
         for q, s in enumerate(shocks):
