@@ -77,12 +77,22 @@ class HouseholdState:
     until_divorce: int = NO_EVENT
     rng_exo: np.random.Generator | None = None
     rng_act: np.random.Generator | None = None
+    # Children under 3, under 7 and under 18, derived from ``child_ages``:
+    # set here and by ``population.fertility_events``, its only writer.
+    bands: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.bands = child_bands(self.child_ages)
 
     def children_bands(self) -> tuple[int, int, int]:
-        u3 = sum(1 for a in self.child_ages if a < 3.0)
-        u7 = sum(1 for a in self.child_ages if a < 7.0)
-        u18 = len(self.child_ages)
-        return u3, u7, u18
+        return self.bands
+
+
+def child_bands(child_ages: list[float]) -> tuple[int, int, int]:
+    """(under 3, under 7, under 18) counts of ``child_ages``."""
+    u3 = sum(1 for a in child_ages if a < 3.0)
+    u7 = sum(1 for a in child_ages if a < 7.0)
+    return u3, u7, len(child_ages)
 
 
 def mother_of(hh: HouseholdState) -> AgentState | None:

@@ -76,9 +76,6 @@ class CalibrationResult:
     loss: float
     trace: list[TraceEntry] = field(default_factory=list)
 
-    def accepted_losses(self) -> list[float]:
-        return [t.loss for t in self.trace if t.accepted]
-
 
 def calibrate(
     evaluate: Callable[[dict[str, float]], AggregateReport],

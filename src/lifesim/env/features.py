@@ -18,6 +18,7 @@ from ..states import (
     EmploymentState as S,
 )
 from ..agent import NO_EVENT, AgentState, HouseholdState
+from ..rules.ruleset import RuleSet
 from .utility import UtilityParams
 
 # Partner summary categories.
@@ -56,7 +57,9 @@ def _clock(value: int, scale_years: float) -> float:
 
 
 def encode(agent: AgentState, partner: AgentState | None, hh: HouseholdState,
-           params: UtilityParams, out: np.ndarray | None = None) -> np.ndarray:
+           params: UtilityParams, rules: RuleSet, out: np.ndarray | None = None) -> np.ndarray:
+    """One agent's observation row; ``rules`` supply the length of the
+    employment-condition window that the worked-quarters feature is scaled by."""
     fs = params.feature_scales
     if out is None:
         out = np.zeros(OBS_DIM, dtype=np.float64)
@@ -79,7 +82,7 @@ def encode(agent: AgentState, partner: AgentState | None, hh: HouseholdState,
     out[i + 10] = max(0.0, agent.ub_max_days - agent.ub_days_used) / fs.er_days_scale
     out[i + 11] = min(1.0, agent.time_in_state / fs.time_in_state_years)
     out[i + 12] = (agent.career_quarters * 0.25) / fs.career_years
-    out[i + 13] = agent.condition_quarters() / 9.0
+    out[i + 13] = agent.condition_quarters() / rules.unemployment.er.condition_window_quarters
     out[i + 14] = 1.0 if agent.pink_slip else 0.0
     out[i + 15] = 1.0 if agent.fund_member else 0.0
     out[i + 16] = 1.0 if agent.returning else 0.0

@@ -57,6 +57,7 @@ class LifecycleEnv:
         self.uparams = uparams
         self.wparams = wparams
         self.tables = tables
+        self._survival_cache: dict[tuple[str, float], tuple[float, ...]] = {}
 
     # -- snapshots and cash flows --------------------------------------
 
@@ -505,14 +506,25 @@ class LifecycleEnv:
             events=tuple(events),
         )
 
-    def static_quarter(self, hh: HouseholdState) -> StepOutcome:
-        """One post-decision quarter: states frozen except mortality."""
+    def static_quarter(self, hh: HouseholdState, last: StepOutcome | None = None) -> StepOutcome:
+        """One post-decision quarter: states frozen except mortality.
+
+        ``last`` is this household's outcome from the previous static
+        quarter, or None.  It is returned as it is when no adult's state and
+        no child band changed during the quarter: the flows then cannot
+        change, since the rules do not read an adult's age and nothing else
+        the snapshots carry moves in the static phase.
+        """
+        states = [a.state for a in hh.adults]
+        bands = hh.children_bands()
         mortality_events(hh)
         fertility_events(hh, self.tables)   # ages children out; no new births past 75
         for a in hh.adults:
             if a.alive:
                 a.age = round(a.age + DT, 6)
                 a.time_in_state += DT
+        if last is not None and hh.children_bands() == bands and states == [a.state for a in hh.adults]:
+            return last
         flows, consumptions = self.household_flows(hh)
         return StepOutcome(rewards=(0.0,) * len(hh.adults), consumptions=tuple(consumptions),
                            flows=flows, events=())
@@ -532,7 +544,6 @@ class LifecycleEnv:
         """
         self.freeze_for_static_phase(hh)
         _, consumptions = self.household_flows(hh)
-        gamma_q = self.uparams.step_discount
         u3 = hh.children_bands()[0]
         out = []
         for i, a in enumerate(hh.adults):
@@ -544,12 +555,28 @@ class LifecycleEnv:
                 u3 > 0, self.rules.pension.min_retirement_age, self.uparams, year=self.rules.year,
             ) * DT
             total = 0.0
-            survival = 1.0
-            disc = 1.0
-            horizon = int((MAX_AGE - a.age) / DT)
-            for k in range(1, horizon + 1):
-                survival *= 1.0 - self.tables.mortality_quarterly(a.gender, a.age + k * DT)
-                disc *= gamma_q
-                total += disc * survival * u_now
+            for w in self._survival_weights(a.gender, a.age):
+                total += w * u_now
             out.append(total)
         return tuple(out)
+
+    def _survival_weights(self, gender: str, age: float) -> tuple[float, ...]:
+        """``disc_k * survival_k`` for each static quarter k after ``age``:
+        the step discount to the k-th power times the chance of living
+        through quarter k, built once per (gender, age).  Adding
+        ``w_k * u_now`` left to right gives the bits of accumulating
+        ``disc_k * survival_k * u_now`` quarter by quarter, since that product
+        groups as ``(disc_k * survival_k) * u_now``."""
+        key = (gender, age)
+        weights = self._survival_cache.get(key)
+        if weights is None:
+            gamma_q = self.uparams.step_discount
+            survival = 1.0
+            disc = 1.0
+            weights = []
+            for k in range(1, int((MAX_AGE - age) / DT) + 1):
+                survival *= 1.0 - self.tables.mortality_quarterly(gender, age + k * DT)
+                disc *= gamma_q
+                weights.append(disc * survival)
+            weights = self._survival_cache[key] = tuple(weights)
+        return weights

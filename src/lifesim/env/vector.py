@@ -30,7 +30,7 @@ def observe_households(households: list[HouseholdState], env: LifecycleEnv,
         adults = hh.adults
         for slot, adult in enumerate(adults):
             partner = adults[1 - slot] if len(adults) == 2 else None
-            encode(adult, partner, hh, env.uparams, out=obs[row])
+            encode(adult, partner, hh, env.uparams, env.rules, out=obs[row])
             masks[row] = legal_mask(adult, hh, env.rules)
             row += 1
 

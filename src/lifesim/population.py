@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import NO_EVENT, AgentState, HouseholdState, mother_of
+from .agent import NO_EVENT, AgentState, HouseholdState, child_bands, mother_of
 from .errors import ContractViolation, ParameterError
 from .paramfiles import build, load_yaml, params_dir
 from .states import EmploymentState as S, Gender
@@ -397,20 +397,23 @@ def partnership_events(hh: HouseholdState, tables: DemographicTables) -> None:
 
 
 def fertility_events(hh: HouseholdState, tables: DemographicTables) -> bool:
-    """Age children, fire scheduled births; returns True when a birth happened."""
-    hh.child_ages = [age + QUARTER for age in hh.child_ages if age + QUARTER < 18.0]
+    """Age children, fire scheduled births; returns True when a birth happened.
+    The only writer of ``hh.child_ages``, so it also refreshes ``hh.bands``."""
+    ages = [age + QUARTER for age in hh.child_ages if age + QUARTER < 18.0]
     mother = mother_of(hh)
-    if mother is None:
-        return False
-    if hh.until_birth > 0:
-        hh.until_birth -= 1
-    birth = hh.until_birth == 0 and mother.alive
-    if hh.until_birth == 0:
-        hh.until_birth = NO_EVENT
-    if birth:
-        hh.child_ages.append(0.0)
-        horizon = int((MAX_AGE - mother.age) / QUARTER)
-        hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, hh.rng_exo, horizon)
+    birth = False
+    if mother is not None:
+        if hh.until_birth > 0:
+            hh.until_birth -= 1
+        birth = hh.until_birth == 0 and mother.alive
+        if hh.until_birth == 0:
+            hh.until_birth = NO_EVENT
+        if birth:
+            ages.append(0.0)
+            horizon = int((MAX_AGE - mother.age) / QUARTER)
+            hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, hh.rng_exo, horizon)
+    hh.child_ages = ages
+    hh.bands = child_bands(ages)
     return birth
 
 
@@ -426,25 +429,3 @@ def mortality_events(hh: HouseholdState) -> None:
             agent.paid_wage = 0.0
             agent.returning = False
             agent.spell_left = 0
-
-
-# ---------------------------------------------------------------------------
-# Population-level steps (spec operations).
-# ---------------------------------------------------------------------------
-
-def partnership_step(pop: CohortPopulation, tables: DemographicTables) -> CohortPopulation:
-    for hh in pop.households:
-        partnership_events(hh, tables)
-    return pop
-
-
-def fertility_step(pop: CohortPopulation, tables: DemographicTables) -> CohortPopulation:
-    for hh in pop.households:
-        fertility_events(hh, tables)
-    return pop
-
-
-def mortality_step(pop: CohortPopulation, tables: DemographicTables) -> CohortPopulation:
-    for hh in pop.households:
-        mortality_events(hh)
-    return pop

@@ -14,13 +14,15 @@ otherwise.  Evaluation order inside :func:`net_income`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, attrgetter
 
 from ..errors import ContractViolation
 from ..states import (
     EmploymentState as S,
+    LEAVE_STATES,
     PENSION_STATES,
     RETIRED_STATES,
     WORKING_STATES,
@@ -31,10 +33,20 @@ from .ruleset import (
     RuleSet,
 )
 
+# The states that net_income's per-adult branches test, bound once: looking a
+# member up on the enum class costs several times the test that uses it.
+_DEAD, _ER_EXTENDED, _BASIC_UNEMPLOYED, _SICK_LEAVE, _HOME_CARE, _STUDENT = (
+    S.DEAD, S.ER_EXTENDED, S.BASIC_UNEMPLOYED, S.SICK_LEAVE, S.HOME_CARE, S.STUDENT)
+_ER_STATES = frozenset({S.ER_UNEMPLOYED, S.ER_EXTENDED})
+
 
 @dataclass(slots=True)
 class AdultSnapshot:
-    """One adult's benefit-relevant state for a single quarter."""
+    """One adult's benefit-relevant state for a single quarter.
+
+    ``age`` is carried for callers; the rules do not read it, so two
+    snapshots that differ only in age price alike.
+    """
 
     state: S
     wage_quarterly: float = 0.0     # paid gross wage this quarter
@@ -94,6 +106,8 @@ BENEFIT_FIELDS = (
 _taxes = attrgetter(*TAX_FIELDS)
 _contribs = attrgetter(*CONTRIB_FIELDS)
 _benefits = attrgetter(*BENEFIT_FIELDS)
+_CHARGE_FIELDS = TAX_FIELDS + CONTRIB_FIELDS
+_charges = attrgetter(*_CHARGE_FIELDS)
 
 
 @dataclass(slots=True)
@@ -138,47 +152,40 @@ class CashFlows:
     def benefits_total(self) -> float:
         return reduce(add, _benefits(self))
 
-    def as_record(self) -> dict[str, float]:
-        """Flat key/value view for CSV emission."""
-        out: dict[str, float] = {}
-        for f in fields(self):
-            if f.name == "adult_wages":
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
+
+# Taxes and contributions on one wage, in the order :func:`_wage_taxes`
+# returns them.
+_WAGE_TAX_NAMES = TAX_FIELDS[:3] + CONTRIB_FIELDS + ("employer_contrib",)
 
 
-def taxes_and_contributions(gross_annual: float, rules: RuleSet) -> dict[str, float]:
-    """Taxes and contributions on annual wage income, EUR/yr."""
-    if gross_annual < 0:
-        raise ContractViolation("gross income must be non-negative")
+def _wage_taxes(gross_annual: float, rules: RuleSet) -> tuple[float, ...]:
+    """Taxes and contributions on annual wage income, EUR/yr, in
+    ``_WAGE_TAX_NAMES`` order."""
     tax = rules.tax
     taxable = max(0.0, gross_annual - tax.standard_deduction)
 
     state = 0.0
     brackets = tax.state_brackets
     for i, (lo, rate) in enumerate(brackets):
-        hi = brackets[i + 1][0] if i + 1 < len(brackets) else float("inf")
-        if taxable > lo:
-            state += rate * (min(taxable, hi) - lo)
-        else:
+        if not taxable > lo:
             break
+        hi = brackets[i + 1][0] if i + 1 < len(brackets) else math.inf
+        state += rate * (min(taxable, hi) - lo)
 
     municipal = tax.municipal_rate * taxable
     yle = min(tax.yle.cap, tax.yle.rate * max(0.0, gross_annual - tax.yle.floor))
 
     ec = rules.contributions.employee
-    er = rules.contributions.employer
-    return {
-        "state_tax": state,
-        "municipal_tax": municipal,
-        "yle_tax": yle,
-        "pension_contrib": ec.pension * gross_annual,
-        "unemployment_contrib": ec.unemployment * gross_annual,
-        "health_medical_contrib": ec.health_medical * gross_annual,
-        "health_daily_contrib": ec.health_daily * gross_annual,
-        "employer_contrib": er.total_rate * gross_annual,
-    }
+    return (state, municipal, yle, ec.pension * gross_annual, ec.unemployment * gross_annual,
+            ec.health_medical * gross_annual, ec.health_daily * gross_annual,
+            rules.contributions.employer.total_rate * gross_annual)
+
+
+def taxes_and_contributions(gross_annual: float, rules: RuleSet) -> dict[str, float]:
+    """Taxes and contributions on annual wage income, EUR/yr."""
+    if gross_annual < 0:
+        raise ContractViolation("gross income must be non-negative")
+    return dict(zip(_WAGE_TAX_NAMES, _wage_taxes(gross_annual, rules)))
 
 
 def er_daily_level(basis_monthly: float, rules: RuleSet) -> float:
@@ -248,33 +255,33 @@ def pension_benefit(accrued_er_monthly: float, rules: RuleSet) -> dict[str, floa
     return {"er": accrued_er_monthly, "basic": basic, "guarantee": guarantee}
 
 
-def _household_size(hh: HouseholdSnapshot) -> int:
-    alive = sum(1 for a in hh.adults if a.state != S.DEAD)
-    return max(1, alive + hh.children_under18)
+def _household_size(n_alive: int, children_under18: int) -> int:
+    return max(1, n_alive + children_under18)
 
 
-def housing_benefit(hh: HouseholdSnapshot, income_monthly: float, rules: RuleSet) -> float:
+def housing_benefit(hh: HouseholdSnapshot, income_monthly: float, rules: RuleSet,
+                    n_alive: int, retired: bool) -> float:
     """General or retiree housing benefit, EUR/mo.
 
     ``income_monthly`` is the household's benefit-relevant gross income with
     per-earner disregards already applied by the caller via
-    :func:`housing_income`.
+    :func:`housing_income`.  ``n_alive`` counts the unit's living adults;
+    ``retired`` says whether any of them is retired, which selects the
+    retiree schedule.
     """
     if hh.rent_monthly <= 0:
         raise ContractViolation("housing benefit requires positive rent")
-    retired = any(a.state in RETIRED_STATES for a in hh.adults if a.state != S.DEAD)
     sched = rules.housing_benefit.retiree if retired else rules.housing_benefit.general
-    alive_adults = sum(1 for a in hh.adults if a.state != S.DEAD)
-    size = _household_size(hh)
+    size = _household_size(n_alive, hh.children_under18)
     accepted_rent = min(hh.rent_monthly, sched.max_rent_by_size[min(size, len(sched.max_rent_by_size)) - 1])
-    threshold = sched.income_base + sched.per_adult * alive_adults + sched.per_child * hh.children_under18
+    threshold = sched.income_base + sched.per_adult * n_alive + sched.per_child * hh.children_under18
     deductible = max(0.0, sched.income_deductible_rate * (income_monthly - threshold))
     benefit = sched.compensation_share * (accepted_rent - deductible)
     return min(max(0.0, benefit), hh.rent_monthly)
 
 
-def housing_income(hh: HouseholdSnapshot, gross_wages_monthly: list[float], other_monthly: float, rules: RuleSet) -> float:
-    retired = any(a.state in RETIRED_STATES for a in hh.adults if a.state != S.DEAD)
+def housing_income(gross_wages_monthly: list[float], other_monthly: float, rules: RuleSet,
+                   retired: bool) -> float:
     sched = rules.housing_benefit.retiree if retired else rules.housing_benefit.general
     wages = sum(max(0.0, w - sched.earnings_disregard) for w in gross_wages_monthly if w > 0)
     return wages + other_monthly
@@ -285,18 +292,18 @@ def social_assistance(
     net_wages_monthly: list[float],
     other_net_monthly: float,
     rules: RuleSet,
+    n_alive: int,
 ) -> float:
     """Residual guarantee benefit, EUR/mo.
 
     Countable income = net wages beyond the per-earner disregard plus all
     other net income (benefits included).  The benefit tops the household up
-    to norm + rent.
+    to norm + rent; ``n_alive`` living adults set the adult norm.
     """
     if other_net_monthly < 0:
         raise ContractViolation("other net income must be non-negative")
     sa = rules.social_assistance
-    alive = [a for a in hh.adults if a.state != S.DEAD]
-    n_adults = max(1, len(alive))
+    n_adults = max(1, n_alive)
     if n_adults == 1:
         norm = sa.norm_single
         if hh.children_under18 > 0:
@@ -312,13 +319,13 @@ def social_assistance(
     return max(0.0, norm + hh.rent_monthly - countable)
 
 
-def _daycare_fee_monthly(hh: HouseholdSnapshot, gross_monthly: float, rules: RuleSet) -> float:
+def _daycare_fee_monthly(hh: HouseholdSnapshot, gross_monthly: float, rules: RuleSet,
+                         all_working: bool) -> float:
+    """Daycare fee, EUR/mo.  Children are in daycare only when every adult
+    in the household works: ``all_working`` says that the unit has a living
+    adult and that each living adult works."""
     dc = rules.family.daycare
-    alive = [a for a in hh.adults if a.state != S.DEAD]
-    if not alive or hh.children_under7 == 0:
-        return 0.0
-    # Children are in daycare only when every adult in the household works.
-    if not all(a.state in WORKING_STATES for a in alive):
+    if not all_working or hh.children_under7 == 0:
         return 0.0
     base = min(dc.fee_cap_monthly, max(0.0, dc.rate * (gross_monthly - dc.income_threshold_monthly)))
     if base <= 0:
@@ -334,47 +341,70 @@ def net_income(hh: HouseholdSnapshot, rules: RuleSet) -> CashFlows:
 
     The budget identity ``net = gross + benefits - taxes - contributions``
     holds exactly; the social-assistance residual keeps net income at or
-    above the household norm.
+    above the household norm.  One pass over the adults prices each of them
+    and collects what the household-level benefits need: the living-adult
+    count, whether any living adult is retired, and whether every living
+    adult works.  ``AdultSnapshot.age`` is not read.
     """
     hh.validate()
     cf = CashFlows(rent=hh.rent_monthly * MONTHS_PER_QUARTER)
-    cf.adult_wages = tuple(a.wage_quarterly if a.state != S.DEAD else 0.0 for a in hh.adults)
 
     fam = rules.family
+    adult_wages: list[float] = []
     net_wages_monthly: list[float] = []
     gross_wages_monthly: list[float] = []
     other_benefits_monthly = 0.0
+    dead_accruals: list[float] = []
+    n_alive = 0
+    retired = False      # some living adult is retired
+    all_working = True   # every living adult works
 
-    alive = [a for a in hh.adults if a.state != S.DEAD]
-    dead = [a for a in hh.adults if a.state == S.DEAD]
+    for a in hh.adults:
+        st = a.state
+        if st == _DEAD:
+            adult_wages.append(0.0)
+            dead_accruals.append(a.pension_accrued_monthly)
+            continue
+        n_alive += 1
+        if st in RETIRED_STATES:
+            retired = True
+        if st not in WORKING_STATES:
+            all_working = False
 
-    for a in alive:
         wage_q = a.wage_quarterly
+        adult_wages.append(wage_q)
         cf.gross_wage += wage_q
-        tc = taxes_and_contributions(wage_q * 4.0, rules)
-        state_q = tc["state_tax"] / 4.0
-        muni_q = tc["municipal_tax"] / 4.0
-        yle_q = tc["yle_tax"] / 4.0
-        pens_q = tc["pension_contrib"] / 4.0
-        unemp_q = tc["unemployment_contrib"] / 4.0
-        hmed_q = tc["health_medical_contrib"] / 4.0
-        hday_q = tc["health_daily_contrib"] / 4.0
-        cf.state_tax += state_q
-        cf.municipal_tax += muni_q
-        cf.yle_tax += yle_q
-        cf.pension_contrib += pens_q
-        cf.unemployment_contrib += unemp_q
-        cf.health_medical_contrib += hmed_q
-        cf.health_daily_contrib += hday_q
-        cf.employer_contrib += tc["employer_contrib"] / 4.0
-        net_wage_q = wage_q - (state_q + muni_q + yle_q + pens_q + unemp_q + hmed_q + hday_q)
-        net_wages_monthly.append(net_wage_q / MONTHS_PER_QUARTER)
-        gross_wages_monthly.append(wage_q / MONTHS_PER_QUARTER)
+        if wage_q:
+            state_a, muni_a, yle_a, pens_a, unemp_a, hmed_a, hday_a, employer_a = _wage_taxes(wage_q * 4.0, rules)
+            state_q = state_a / 4.0
+            muni_q = muni_a / 4.0
+            yle_q = yle_a / 4.0
+            pens_q = pens_a / 4.0
+            unemp_q = unemp_a / 4.0
+            hmed_q = hmed_a / 4.0
+            hday_q = hday_a / 4.0
+            cf.state_tax += state_q
+            cf.municipal_tax += muni_q
+            cf.yle_tax += yle_q
+            cf.pension_contrib += pens_q
+            cf.unemployment_contrib += unemp_q
+            cf.health_medical_contrib += hmed_q
+            cf.health_daily_contrib += hday_q
+            cf.employer_contrib += employer_a / 4.0
+            net_wage_q = wage_q - (state_q + muni_q + yle_q + pens_q + unemp_q + hmed_q + hday_q)
+            net_wages_monthly.append(net_wage_q / MONTHS_PER_QUARTER)
+            gross_wages_monthly.append(wage_q / MONTHS_PER_QUARTER)
+        else:
+            # Every tax and contribution on a zero wage is +0.0 (the rule-set
+            # validation keeps the deduction, the YLE floor and cap and the
+            # bracket bounds non-negative), and adding it would leave every
+            # accumulator as it is.
+            net_wages_monthly.append(0.0)
+            gross_wages_monthly.append(0.0)
 
         # Primary benefits by employment state.
-        st = a.state
-        if st in (S.ER_UNEMPLOYED, S.ER_EXTENDED):
-            if st is S.ER_EXTENDED:
+        if st in _ER_STATES:
+            if st is _ER_EXTENDED:
                 # Extended benefit keeps the ER level past normal exhaustion.
                 daily = er_daily_level(a.ub_basis_monthly, rules) * grading_multiplier(a.ub_days_used, rules)
                 daily = max(daily, rules.unemployment.basic_daily)
@@ -388,7 +418,7 @@ def net_income(hh: HouseholdSnapshot, rules: RuleSet) -> CashFlows:
             else:
                 cf.ub_basic += amount
             other_benefits_monthly += amount / MONTHS_PER_QUARTER
-        elif st is S.BASIC_UNEMPLOYED:
+        elif st is _BASIC_UNEMPLOYED:
             amount = rules.unemployment.basic_daily * BENEFIT_DAYS_PER_QUARTER
             cf.ub_basic += amount
             other_benefits_monthly += amount / MONTHS_PER_QUARTER
@@ -398,19 +428,19 @@ def net_income(hh: HouseholdSnapshot, rules: RuleSet) -> CashFlows:
             cf.pension_basic += parts["basic"] * MONTHS_PER_QUARTER
             cf.pension_guarantee += parts["guarantee"] * MONTHS_PER_QUARTER
             other_benefits_monthly += parts["er"] + parts["basic"] + parts["guarantee"]
-        elif st is S.SICK_LEAVE:
+        elif st is _SICK_LEAVE:
             amount = fam.sickness_replacement * a.wage_basis_monthly * MONTHS_PER_QUARTER
             cf.sickness_benefit += amount
             other_benefits_monthly += amount / MONTHS_PER_QUARTER
-        elif st in (S.MOTHERS_LEAVE, S.FATHERS_LEAVE):
+        elif st in LEAVE_STATES:
             amount = fam.parental_replacement * a.wage_basis_monthly * MONTHS_PER_QUARTER
             cf.parental_benefit += amount
             other_benefits_monthly += amount / MONTHS_PER_QUARTER
-        elif st is S.HOME_CARE:
+        elif st is _HOME_CARE:
             amount = fam.home_care_allowance_monthly * MONTHS_PER_QUARTER
             cf.home_care_benefit += amount
             other_benefits_monthly += amount / MONTHS_PER_QUARTER
-        elif st is S.STUDENT:
+        elif st is _STUDENT:
             amount = fam.student_allowance_monthly * MONTHS_PER_QUARTER
             cf.student_benefit += amount
             other_benefits_monthly += amount / MONTHS_PER_QUARTER
@@ -420,29 +450,31 @@ def net_income(hh: HouseholdSnapshot, rules: RuleSet) -> CashFlows:
             cf.pension_er += a.partial_early_monthly * MONTHS_PER_QUARTER
             other_benefits_monthly += a.partial_early_monthly
 
+    cf.adult_wages = tuple(adult_wages)
+
     # Survivor's pension from a deceased partner's accrual.
-    if dead and alive:
-        monthly = rules.pension.survivor_share * max(a.pension_accrued_monthly for a in dead)
+    if dead_accruals and n_alive:
+        monthly = rules.pension.survivor_share * max(dead_accruals)
         cf.survivor_pension = monthly * MONTHS_PER_QUARTER
         other_benefits_monthly += monthly
 
-    if alive and hh.children_under18 > 0:
+    if n_alive and hh.children_under18 > 0:
         monthly = fam.child_benefit_monthly * hh.children_under18
-        if len(alive) == 1:
+        if n_alive == 1:
             monthly += fam.child_benefit_single_parent_supplement
         cf.child_benefit = monthly * MONTHS_PER_QUARTER
         other_benefits_monthly += monthly
 
-    gross_monthly_total = sum(gross_wages_monthly)
-    if alive:
-        cf.daycare_fee = _daycare_fee_monthly(hh, gross_monthly_total, rules) * MONTHS_PER_QUARTER
+    if n_alive:
+        gross_monthly_total = sum(gross_wages_monthly)
+        cf.daycare_fee = _daycare_fee_monthly(hh, gross_monthly_total, rules, all_working) * MONTHS_PER_QUARTER
 
-        hb_income = housing_income(hh, gross_wages_monthly, other_benefits_monthly, rules)
-        hb_monthly = housing_benefit(hh, hb_income, rules)
+        hb_income = housing_income(gross_wages_monthly, other_benefits_monthly, rules, retired)
+        hb_monthly = housing_benefit(hh, hb_income, rules, n_alive, retired)
         cf.housing_benefit = hb_monthly * MONTHS_PER_QUARTER
 
         other_net_monthly = other_benefits_monthly + hb_monthly - cf.daycare_fee / MONTHS_PER_QUARTER
-        sa_monthly = social_assistance(hh, net_wages_monthly, max(0.0, other_net_monthly), rules)
+        sa_monthly = social_assistance(hh, net_wages_monthly, max(0.0, other_net_monthly), rules, n_alive)
         cf.social_assistance = sa_monthly * MONTHS_PER_QUARTER
 
     cf.net_income = cf.gross_wage + cf.benefits_total() - cf.taxes_total() - cf.contribs_total()
@@ -465,13 +497,10 @@ def emtr(hh: HouseholdSnapshot, rules: RuleSet, delta_monthly: float = 100.0, ad
     after = net_income(bumped, rules)
 
     dq = delta_monthly * MONTHS_PER_QUARTER
-    parts: dict[str, float] = {}
-    for name in TAX_FIELDS + CONTRIB_FIELDS:
-        parts[name] = (getattr(after, name) - getattr(base, name)) / dq
-    for name in BENEFIT_FIELDS:
-        parts[name] = -(getattr(after, name) - getattr(base, name)) / dq
-    total = 1.0 - (after.net_income - base.net_income) / dq
-    parts["total"] = total
+    parts = {name: (x - x0) / dq for name, x, x0 in zip(_CHARGE_FIELDS, _charges(after), _charges(base))}
+    for name, x, x0 in zip(BENEFIT_FIELDS, _benefits(after), _benefits(base)):
+        parts[name] = -(x - x0) / dq
+    parts["total"] = 1.0 - (after.net_income - base.net_income) / dq
     return parts
 
 
@@ -484,7 +513,7 @@ def _with_wage_bump(hh: HouseholdSnapshot, adult: int, bump_quarterly: float) ->
 def ptr(employed: HouseholdSnapshot, unemployed: HouseholdSnapshot, rules: RuleSet) -> float:
     """Participation tax rate between an employed and a counterfactual
     unemployed snapshot of the same household."""
-    gross = sum(a.wage_quarterly for a in employed.adults if a.state != S.DEAD)
+    gross = sum(a.wage_quarterly for a in employed.adults if a.state != _DEAD)
     if gross <= 0:
         raise ContractViolation("participation tax rate requires positive gross wage")
     net_e = net_income(employed, rules).net_income

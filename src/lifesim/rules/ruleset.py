@@ -202,6 +202,11 @@ def validate_ruleset(rs: RuleSet) -> None:
     bounds = [lo for lo, _ in rs.tax.state_brackets]
     if sorted(set(bounds)) != bounds:
         problems.append("state bracket bounds must be strictly increasing")
+    # Together with the unit-interval rates, this makes every tax on a zero
+    # wage exactly zero, which lets the engine skip taxing a zero wage.
+    tax = rs.tax
+    if min([tax.standard_deduction, tax.yle.floor, tax.yle.cap, *bounds[:1]]) < 0:
+        problems.append("standard deduction, YLE floor and cap, and state bracket bounds must be non-negative")
 
     grading = rs.unemployment.er.grading
     if grading:

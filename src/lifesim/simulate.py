@@ -152,6 +152,9 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
         rows = slice(row0, row0 + len(block_agents))
         obs = np.zeros((len(block_agents), OBS_DIM))
         masks = np.zeros((len(block_agents), N_ACTIONS), dtype=bool)
+        # Each household's last static outcome; None before the first static
+        # quarter, whose states freeze_for_static_phase has just changed.
+        static_outcomes = [None] * len(block)
         for q in range(total_q):
             age_cell = min(int(q * DT), N_AGES - 1)
             decision_phase = q < decision_q
@@ -166,7 +169,8 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                     acts = (cdf < u[:, None]).sum(axis=1)
                 outcomes = step_households(block, env, acts, masks)
             else:
-                outcomes = [env.static_quarter(hh) for hh in block]
+                outcomes = static_outcomes = [env.static_quarter(hh, last)
+                                              for hh, last in zip(block, static_outcomes)]
             for hh, out in zip(block, outcomes):
                 for cf in out.flows:
                     flows[age_cell] += _flow_values(cf)

@@ -222,24 +222,6 @@ def grid_observations(mdp: DiscreteMDP, config: ReducedConfig) -> np.ndarray:
     return obs
 
 
-def network_policy_probs(net, mdp: DiscreteMDP, config: ReducedConfig,
-                         mode: str = "greedy") -> np.ndarray:
-    """Exact (T, S, A) action distribution the network induces on the grid."""
-    from .network import masked_distribution
-
-    obs = grid_observations(mdp, config)
-    t_count, s_count, a_count = mdp.n_periods, mdp.n_states, mdp.n_actions
-    flat = obs.reshape(t_count * s_count, -1)
-    masks = mdp.legal.reshape(t_count * s_count, a_count)
-    logits = net.masked_logits(flat, masks)
-    if mode == "greedy":
-        probs = np.zeros_like(logits)
-        probs[np.arange(len(logits)), logits.argmax(axis=1)] = 1.0
-    else:
-        probs = masked_distribution(logits, masks)
-    return probs.reshape(t_count, s_count, a_count)
-
-
 class ReducedVectorEnv:
     """Vectorized sampling environment over the reduced MDP tensors."""
 

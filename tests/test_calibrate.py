@@ -94,7 +94,7 @@ def test_accepted_losses_non_increasing():
         return FakeReport(x=params["a"] + 0.3 * params["b"])
 
     res = calibrate(evaluate, {"a": 3.0, "b": -2.0}, targets, budget=40)
-    accepted = res.accepted_losses()
+    accepted = [t.loss for t in res.trace if t.accepted]
     assert all(b <= a + 1e-15 for a, b in zip(accepted, accepted[1:]))
 
 

@@ -1,10 +1,12 @@
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lifesim.agent import NO_EVENT, AgentState, HouseholdState
+from lifesim.agent import NO_EVENT, AgentState, HouseholdState, child_bands
+from lifesim.env.mdp import DT, MAX_AGE
 from lifesim.env import (
     ACTIONS,
     LifecycleEnv,
@@ -465,6 +467,71 @@ def test_static_phase_accounting_identity(env):
     assert total == pytest.approx(per_quarter * 100)
 
 
+def test_static_quarter_prices_each_segment_once(env):
+    """Chained static quarters reuse the last outcome until an adult dies or a
+    child changes band, and every outcome equals a fresh pricing."""
+    man = make_agent(S.RETIRED, age=75.0, hours=0, pension_paid=1500.0, pension_accrued=1800.0)
+    woman = make_agent(S.RETIRED_PT, gender="women", age=75.0, hours=16, paid_wage=9000.0,
+                       pension_paid=1100.0, pension_accrued=1300.0)
+    man.life_left, woman.life_left = 30, 70
+    # The child turns 7 in the 2nd static quarter and 18 in the 46th.
+    hh = make_household(man, woman, partnered=True, children=(6.6,))
+    pricings = []
+    priced = env.household_flows
+    env_counting = copy.copy(env)
+    env_counting.household_flows = lambda h: pricings.append(1) or priced(h)
+
+    segments = 0
+    key = None
+    last = None
+    for _ in range(100):
+        out = env_counting.static_quarter(hh, last)
+        new_key = (tuple(a.state for a in hh.adults), child_bands(hh.child_ages))
+        segments += new_key != key
+        key = new_key
+        fresh_flows, fresh_consumptions = env.household_flows(copy.deepcopy(hh))
+        assert out.flows == fresh_flows
+        assert out.consumptions == tuple(fresh_consumptions)
+        last = out
+    assert segments == 5   # first quarter, child turns 7, man dies, child turns 18, woman dies
+    assert len(pricings) == segments
+
+
+def test_terminal_value_matches_explicit_survival_loop(env):
+    """The cached survival weights sum to the bits of the explicit loop."""
+    from lifesim.env import utility as utility_fn
+
+    for gender, state, age in (("men", S.RETIRED, 75.0), ("women", S.RETIRED_FT, 75.0),
+                               ("women", S.DISABLED, 80.5)):
+        a = make_agent(state, gender=gender, age=age, hours=40 if state is S.RETIRED_FT else 0,
+                       pension_paid=1300.0, paid_wage=20000.0)
+        hh = make_household(a)
+        env.freeze_for_static_phase(hh)
+        consumption = env.household_flows(hh)[1][0]
+        u_now = utility_fn(consumption, a.state, a.gender, a.hours, a.age, a.pink_slip, False,
+                           env.rules.pension.min_retirement_age, env.uparams, year=env.rules.year) * DT
+        total, survival, disc = 0.0, 1.0, 1.0
+        for k in range(1, int((MAX_AGE - a.age) / DT) + 1):
+            survival *= 1.0 - env.tables.mortality_quarterly(a.gender, a.age + k * DT)
+            disc *= env.uparams.step_discount
+            total += disc * survival * u_now
+        for _ in range(2):   # the second call reads the cached weights
+            assert env.terminal_value(hh) == (total,)
+
+
+def test_condition_feature_scaled_by_rule_window(env, uparams):
+    a = make_agent(S.FULL_TIME)
+    a.work_window = [(True, 9000.0)] * 9
+    hh = make_household(a)
+    er = env.rules.unemployment.er
+    longer = dataclasses.replace(env.rules, unemployment=dataclasses.replace(
+        env.rules.unemployment, er=dataclasses.replace(er, condition_window_quarters=12)))
+    i = 16 + 13
+    assert er.condition_window_quarters == 9
+    assert encode(a, None, hh, uparams, env.rules)[i] == 1.0
+    assert encode(a, None, hh, uparams, longer)[i] == 0.75
+
+
 def test_freeze_moves_nonworkers_to_retirement(env):
     a = make_agent(S.BASIC_UNEMPLOYED, age=75.0, hours=0)
     a.pension_accrued = 900.0
@@ -506,6 +573,6 @@ def test_feature_encoding_shape_and_range(env, uparams):
     for hh in pop.households:
         for i, a in enumerate(hh.adults):
             partner = hh.adults[1 - i] if len(hh.adults) == 2 else None
-            v = encode(a, partner, hh, uparams)
+            v = encode(a, partner, hh, uparams, env.rules)
             assert v.shape == (OBS_DIM,)
             assert np.isfinite(v).all()

@@ -3,18 +3,37 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lifesim.agent import NO_EVENT
+from lifesim.agent import NO_EVENT, child_bands
 from lifesim.errors import ContractViolation
 from lifesim.population import (
     DemographicTables,
     Gompertz,
-    fertility_step,
+    fertility_events,
     init_population,
     load_demographics,
-    mortality_step,
-    partnership_step,
+    mortality_events,
+    partnership_events,
 )
 from lifesim.states import EmploymentState as S
+
+
+# One demographic event phase over a whole population.
+def partnership_step(pop, tables):
+    for hh in pop.households:
+        partnership_events(hh, tables)
+    return pop
+
+
+def fertility_step(pop, tables):
+    for hh in pop.households:
+        fertility_events(hh, tables)
+    return pop
+
+
+def mortality_step(pop, tables):
+    for hh in pop.households:
+        mortality_events(hh)
+    return pop
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +201,23 @@ def test_partner_symmetry_and_conservation(tables):
         assert 0 <= u3 <= u7 <= u18
         if hh.partnered:
             assert len(hh.adults) == 2
+
+
+def test_stored_child_bands_follow_fertility_events(tables):
+    """``children_bands()`` is stored, not recomputed: after every step of a
+    random birth sequence it equals the bands recomputed from ``child_ages``."""
+    rng = np.random.default_rng(7)
+    births = dataclasses.replace(zero_hazard_tables(tables), fertility_annual=[(18.0, 0.4)])
+    no_births = zero_hazard_tables(tables)
+    pop = init_population(40, births, seed=8)
+    with_mother = [hh for hh in pop.households if any(a.gender == "women" for a in hh.adults)]
+    assert with_mother
+    born = 0
+    for _ in range(120):
+        for hh in pop.households:
+            if rng.random() < 0.15:
+                hh.until_birth = int(rng.integers(1, 4))
+            born += fertility_events(hh, births if rng.random() < 0.5 else no_births)
+            assert hh.children_bands() == child_bands(hh.child_ages)
+    assert born > 0
+    assert {hh.children_bands() for hh in pop.households} != {(0, 0, 0)}

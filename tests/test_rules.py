@@ -206,9 +206,9 @@ def test_housing_benefit_floor_and_ceiling(rules2023):
 
     hh = single(S.BASIC_UNEMPLOYED)
     sched = rules2023.housing_benefit.general
-    maximal = housing_benefit(hh, 0.0, rules2023)
+    maximal = housing_benefit(hh, 0.0, rules2023, 1, False)
     assert maximal == pytest.approx(sched.compensation_share * sched.max_rent_by_size[0])
-    assert housing_benefit(hh, 50000.0, rules2023) == 0.0
+    assert housing_benefit(hh, 50000.0, rules2023, 1, False) == 0.0
     assert 0.0 <= maximal <= hh.rent_monthly
 
 
@@ -219,8 +219,8 @@ def test_housing_benefit_taper_matches_schedule(rules2023):
     sched = rules2023.housing_benefit.general
     # Two incomes inside the taper: difference = share * rate * d(income)
     i1, i2 = 1500.0, 1700.0
-    b1 = housing_benefit(hh, i1, rules2023)
-    b2 = housing_benefit(hh, i2, rules2023)
+    b1 = housing_benefit(hh, i1, rules2023, 1, False)
+    b2 = housing_benefit(hh, i2, rules2023, 1, False)
     assert b1 > b2 > 0
     expected = sched.compensation_share * sched.income_deductible_rate * (i2 - i1)
     assert b1 - b2 == pytest.approx(expected, rel=1e-12)
@@ -231,16 +231,16 @@ def test_housing_retiree_schedule_used_for_retirees(rules2023):
 
     retiree = single(S.RETIRED)
     expected = rules2023.housing_benefit.retiree.compensation_share * rules2023.housing_benefit.retiree.max_rent_by_size[0]
-    assert housing_benefit(retiree, 0.0, rules2023) == pytest.approx(expected)
+    assert housing_benefit(retiree, 0.0, rules2023, 1, True) == pytest.approx(expected)
 
 
 def test_social_assistance_disregard(rules2023):
     from lifesim.rules import social_assistance
 
     hh = single(S.OUTSIDE_WF)
-    base = social_assistance(hh, [0.0], 0.0, rules2023)
-    at_disregard = social_assistance(hh, [150.0], 0.0, rules2023)
-    above = social_assistance(hh, [250.0], 0.0, rules2023)
+    base = social_assistance(hh, [0.0], 0.0, rules2023, 1)
+    at_disregard = social_assistance(hh, [150.0], 0.0, rules2023, 1)
+    above = social_assistance(hh, [250.0], 0.0, rules2023, 1)
     assert at_disregard == pytest.approx(base)          # disregard absorbs the wage
     assert above == pytest.approx(at_disregard - 100.0)  # euro-for-euro beyond it
 
@@ -250,7 +250,7 @@ def test_social_assistance_ceiling(rules2023):
 
     hh = single(S.OUTSIDE_WF)
     sa = rules2023.social_assistance
-    assert social_assistance(hh, [0.0], sa.norm_single + hh.rent_monthly, rules2023) == 0.0
+    assert social_assistance(hh, [0.0], sa.norm_single + hh.rent_monthly, rules2023, 1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +435,25 @@ def test_all_years_pass_identity_and_emtr(all_year_rules):
         assert sum(parts.values()) == pytest.approx(total, abs=1e-9)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("tax", "standard_deduction"), -1.0),
+    (("tax", "yle", "floor"), -1.0),
+    (("tax", "yle", "cap"), -1.0),
+    (("tax", "state_brackets"), [[-100.0, 0.1264], [19900.0, 0.19]]),
+])
+def test_negative_tax_thresholds_rejected(rules2023, path, value):
+    """A zero wage owes exactly zero tax under every accepted rule set."""
+    doc = yaml.safe_load(open(ruleset_path(2023)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ParameterError, match="non-negative"):
+        ruleset_from_mapping(doc)
+    tc = taxes_and_contributions(0.0, rules2023)
+    assert all(str(v) == "0.0" for v in tc.values())
+
+
 def test_invalid_grading_rejected():
     doc = yaml.safe_load(open(ruleset_path(2023)))
     doc["unemployment"]["er"]["grading"] = [[40, 0.80], [170, 0.90]]  # increasing
@@ -502,9 +521,14 @@ def test_malformed_rule_file_rejected_by_path(mutate, path):
         ruleset_from_mapping(doc)
 
 
+def cashflow_record(cf):
+    """Flat key/value view of a CashFlows, as a CSV row would hold it."""
+    return {f.name: getattr(cf, f.name) for f in dataclasses.fields(cf) if f.name != "adult_wages"}
+
+
 def test_cashflow_record_roundtrip(rules2023):
     cf = net_income(single(S.FULL_TIME, wage_q=9000.0), rules2023)
-    rec = cf.as_record()
+    rec = cashflow_record(cf)
     assert rec["net_income"] == cf.net_income
     assert "adult_wages" not in rec
     assert all(isinstance(v, float) for v in rec.values())

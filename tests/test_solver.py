@@ -26,7 +26,22 @@ from lifesim.solver import (
     value_estimate,
 )
 from lifesim.solver.network import log_softmax
-from lifesim.solver.reduced import network_policy_probs
+from lifesim.solver.reduced import grid_observations
+
+
+def network_policy_probs(net, mdp, config, mode="greedy"):
+    """Exact (T, S, A) action distribution the network induces on the grid."""
+    obs = grid_observations(mdp, config)
+    t_count, s_count, a_count = mdp.n_periods, mdp.n_states, mdp.n_actions
+    flat = obs.reshape(t_count * s_count, -1)
+    masks = mdp.legal.reshape(t_count * s_count, a_count)
+    logits = net.masked_logits(flat, masks)
+    if mode == "greedy":
+        probs = np.zeros_like(logits)
+        probs[np.arange(len(logits)), logits.argmax(axis=1)] = 1.0
+    else:
+        probs = masked_distribution(logits, masks)
+    return probs.reshape(t_count, s_count, a_count)
 
 
 class DominatedActionEnv:
