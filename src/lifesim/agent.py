@@ -15,6 +15,10 @@ import numpy as np
 from .states import EmploymentState as S
 
 NO_EVENT = -1   # clock value when no event is scheduled
+DT = 0.25       # one model step: a quarter, in years
+MAX_AGE = 100.0  # every agent is dead by this age
+
+_DEAD = S.DEAD  # bound once: an enum class lookup costs about ten times more
 
 
 @dataclass(slots=True)
@@ -55,7 +59,13 @@ class AgentState:
 
     @property
     def alive(self) -> bool:
-        return self.state is not S.DEAD
+        return self.state is not _DEAD
+
+    def stop_work(self, state: S) -> None:
+        """Move to the non-working ``state``: no hours, no paid wage."""
+        self.state = state
+        self.hours = 0
+        self.paid_wage = 0.0
 
     def condition_quarters(self) -> int:
         return sum(1 for worked, _ in self.work_window if worked)
@@ -83,9 +93,6 @@ class HouseholdState:
 
     def __post_init__(self) -> None:
         self.bands = child_bands(self.child_ages)
-
-    def children_bands(self) -> tuple[int, int, int]:
-        return self.bands
 
 
 def child_bands(child_ages: list[float]) -> tuple[int, int, int]:

@@ -17,14 +17,13 @@ import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .calibrate import calibrate, load_targets, loss as calibration_loss
+from .calibrate import calibrate, load_targets
 from .env import LifecycleEnv
 from .errors import ConfigError, LifesimError, ParameterError, ReformError, TrainingDiverged
-from .paramfiles import params_dir, ruleset_path
-from .pipelines import EnvPaths, ProtocolConfig, build_env, reform_pipeline, train_policy, with_rules
+from .paramfiles import load_yaml
+from .pipelines import EnvPaths, ProtocolConfig, build_env, reform_pipeline, train_policy
 from .population import init_population
 from .reform import load_reform
 from .reports import write_comparison_csvs, write_report_csvs
@@ -39,16 +38,9 @@ EXIT_DIVERGED = 3
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    with open(p) as f:
-        doc = yaml.safe_load(f) or {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file must be a mapping: {p}")
-    return doc
+    """The config mapping; a missing, malformed or non-mapping file is a
+    ``ParameterError`` naming the path."""
+    return {} if path is None else load_yaml(path)
 
 
 def _env_paths(cfg: dict) -> EnvPaths:
@@ -164,11 +156,11 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
     net, _ = load_checkpoint(ckpt)
     env = build_env(_env_paths(cfg))
     spec = load_reform(overlay)
-    refit_defaults = {"total_steps": int(comp.get("refit_steps", 100_000)),
-                      "hidden": tuple(int(h) for h in comp.get("hidden", (128, 128, 64)))}
-    tc, households = _train_config({"train": cfg.get("train", {})}, seed, refit_defaults)
+    # The refit starts from a clone of ``net``, so its shape is the checkpoint's.
+    refit_steps = int(comp.get("refit_steps", 100_000))
+    tc, households = _train_config({"train": cfg.get("train", {})}, seed, {"total_steps": refit_steps})
     protocol = ProtocolConfig(
-        refit_steps=int(comp.get("refit_steps", 100_000)),
+        refit_steps=refit_steps,
         n_repeats=int(comp.get("repeats", 5)),
         cohort_size=int(comp.get("cohort", 2000)),
         n_households=households,

@@ -4,7 +4,7 @@ from .actions import ACTIONS, N_ACTIONS, Action, Decision, legal_actions, legal_
 from ..agent import NO_EVENT, AgentState, HouseholdState
 from .features import OBS_DIM, encode
 from .mdp import DECISION_END_AGE, DT, LifecycleEnv, StepOutcome
-from .transitions import LEGAL, is_legal, legality_matrix
+from .transitions import is_legal
 from .utility import UtilityParams, kappa, load_utility_params, mu_term, utility
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "DT",
     "Decision",
     "HouseholdState",
-    "LEGAL",
     "LifecycleEnv",
     "N_ACTIONS",
     "NO_EVENT",
@@ -27,7 +26,6 @@ __all__ = [
     "kappa",
     "legal_actions",
     "legal_mask",
-    "legality_matrix",
     "load_utility_params",
     "mu_term",
     "utility",

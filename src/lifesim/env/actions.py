@@ -76,7 +76,7 @@ def legal_mask(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> np.ndar
 
     st = agent.state
     age = agent.age
-    u3, _, _ = hh.children_bands()
+    u3 = hh.bands[0]
     can_retire = age >= rules.pension.min_retirement_age
     pe = rules.pension.partial_early
     can_partial = (

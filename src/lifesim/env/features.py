@@ -110,7 +110,7 @@ def encode(agent: AgentState, partner: AgentState | None, hh: HouseholdState,
         out[i + 2] = (partner.age - fs.age_min) / age_span
     i += 3
 
-    u3, u7, u18 = hh.children_bands()
+    u3, u7, u18 = hh.bands
     out[i + 0] = min(u3, 3) / 3.0
     out[i + 1] = min(u7, 3) / 3.0
     out[i + 2] = min(u18, 3) / 3.0

@@ -22,17 +22,19 @@ from ..states import (
     WORKING_STATES,
     EmploymentState as S,
 )
-from ..wage import WageParams, potential_wage_step, update_wage_reduction
+from ..wage import WageParams, paid_wage, potential_wage_step, update_wage_reduction
 from .actions import ACTIONS, Action, Decision, legal_mask
-from ..agent import NO_EVENT, AgentState, HouseholdState, mother_of
+from ..agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState, mother_of
 from .utility import UtilityParams, utility
 
-DT = 0.25
 DECISION_END_AGE = 75.0
-MAX_AGE = 100.0
 
 # Per-adult uniform slots inside the fixed quarterly draw vector.
 _U_LAYOFF, _U_SICK, _U_MISC, _U_FRICTION, _U_SPARE = range(5)
+
+# The states a drawn student or outside-the-work-force spell starts from.
+_SPELL_ENTRY_STATES = frozenset({
+    S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED})
 
 
 @dataclass(slots=True)
@@ -84,7 +86,7 @@ class LifecycleEnv:
         first living adult) has the children.  Rent is sized by the unit's
         living adults plus its children."""
         adults = hh.adults
-        bands = hh.children_bands()
+        bands = hh.bands
         if len(adults) == 2 and hh.partnered:
             groups = [((0, 1), bands)]
         else:
@@ -122,8 +124,7 @@ class LifecycleEnv:
     def _enter_unemployment(self, a: AgentState, eligible: bool, pink_slip: bool) -> None:
         rules = self.rules
         a.pink_slip = pink_slip
-        a.hours = 0
-        a.paid_wage = 0.0
+        state = S.BASIC_UNEMPLOYED
         cond_q = a.condition_quarters()
         threshold_q = max(1, rules.unemployment.er.condition_months // 3)
         if eligible and a.fund_member and cond_q >= threshold_q:
@@ -136,17 +137,14 @@ class LifecycleEnv:
                 a.ub_max_days = float(entitlement_days(a.career_quarters * DT, a.age, rules))
                 a.new_condition_quarters = 0
             if a.ub_days_used < a.ub_max_days:
-                a.state = S.ER_UNEMPLOYED
-                return
-        a.state = S.BASIC_UNEMPLOYED
+                state = S.ER_UNEMPLOYED
+        a.stop_work(state)
 
     def _start_pension(self, a: AgentState, state: S) -> None:
         """Stop work and pay the accrued pension in ``state`` (retired or disabled)."""
         lec = self.rules.pension.life_expectancy_coefficient
         a.pension_paid = a.partial_early_paid + (1.0 - a.partial_early_share) * a.pension_accrued * lec
-        a.state = state
-        a.hours = 0
-        a.paid_wage = 0.0
+        a.stop_work(state)
         a.returning = False
         a.spell_left = 0
 
@@ -232,16 +230,14 @@ class LifecycleEnv:
                 return True
             return False   # part-time work stays available while outside
 
-        if st is S.HOME_CARE and hh.children_bands()[0] == 0:
+        if st is S.HOME_CARE and hh.bands[0] == 0:
             # The youngest child turned three: the allowance ends.
             a.returning = True
             return False
 
         if st in WORKING_STATES and u[_U_LAYOFF] < exo.layoff_quarterly:
             if st in (S.RETIRED_PT, S.RETIRED_FT):
-                a.state = S.RETIRED
-                a.hours = 0
-                a.paid_wage = 0.0
+                a.stop_work(S.RETIRED)
             else:
                 self._enter_unemployment(a, eligible=True, pink_slip=True)
             events.append("layoff")
@@ -249,38 +245,47 @@ class LifecycleEnv:
 
         if st in WORKING_STATES | UNEMPLOYMENT_STATES and st not in RETIRED_STATES:
             if u[_U_SICK] < exo.sick_onset_quarterly:
-                a.state = S.SICK_LEAVE
+                a.stop_work(S.SICK_LEAVE)
                 a.sick_quarters = 0
-                a.hours = 0
-                a.paid_wage = 0.0
                 events.append("sick_onset")
                 return True
 
+        # A fired clock starts its spell (the length drawn first), then
+        # redraws itself whether or not the spell could start.
         if a.until_student == 0:
-            a.until_student = NO_EVENT
-            if st in (S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED):
-                a.state = S.STUDENT
-                a.spell_left = draw_geometric(exo.student_spell_end_quarterly, hh.rng_exo)
-                a.hours = 0
-                a.paid_wage = 0.0
-                events.append("student_entry")
-                a.until_student = draw_geometric(exo.student_entry_quarterly, hh.rng_exo, cap=10_000)
-                return True
+            started = self._start_spell(a, hh, S.STUDENT, exo.student_spell_end_quarterly,
+                                        "student_entry", events)
             a.until_student = draw_geometric(exo.student_entry_quarterly, hh.rng_exo, cap=10_000)
+            if started:
+                return True
 
         if a.until_outsider == 0:
-            a.until_outsider = NO_EVENT
-            if st in (S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED):
-                a.state = S.OUTSIDE_WF
-                a.spell_left = draw_geometric(exo.outsider_spell_end_quarterly, hh.rng_exo)
-                a.hours = 0
-                a.paid_wage = 0.0
-                events.append("outside_entry")
-                a.until_outsider = draw_geometric(exo.outsider_entry_quarterly, hh.rng_exo, cap=10_000)
-                return True
+            started = self._start_spell(a, hh, S.OUTSIDE_WF, exo.outsider_spell_end_quarterly,
+                                        "outside_entry", events)
             a.until_outsider = draw_geometric(exo.outsider_entry_quarterly, hh.rng_exo, cap=10_000)
+            if started:
+                return True
 
         return False
+
+    @staticmethod
+    def _start_spell(a: AgentState, hh: HouseholdState, state: S, end_rate: float, event: str,
+                     events: list[str]) -> bool:
+        """Start a ``state`` spell of geometric length with quarterly end
+        rate ``end_rate``; False when ``a`` is in no state it starts from."""
+        if a.state not in _SPELL_ENTRY_STATES:
+            return False
+        a.stop_work(state)
+        a.spell_left = draw_geometric(end_rate, hh.rng_exo)
+        events.append(event)
+        return True
+
+    @staticmethod
+    def _start_leave(a: AgentState, state: S, quarters: int) -> None:
+        """Start a parental leave ``state`` of ``quarters`` forced quarters."""
+        a.stop_work(state)
+        a.spell_left = quarters
+        a.returning = False
 
     def _birth_consequences(self, hh: HouseholdState, u_house: float, events: list[str]) -> None:
         exo = self.tables.exogenous
@@ -288,11 +293,7 @@ class LifecycleEnv:
         if mother is not None and mother.alive and mother.state not in RETIRED_STATES and mother.state not in (
             S.DISABLED, S.MOTHERS_LEAVE,
         ):
-            mother.state = S.MOTHERS_LEAVE
-            mother.spell_left = exo.mother_leave_quarters
-            mother.hours = 0
-            mother.paid_wage = 0.0
-            mother.returning = False
+            self._start_leave(mother, S.MOTHERS_LEAVE, exo.mother_leave_quarters)
             events.append("mothers_leave")
         father = next((a for a in hh.adults if a.gender == "men"), None)
         if (
@@ -303,11 +304,7 @@ class LifecycleEnv:
             and father.state not in (S.DISABLED, S.FATHERS_LEAVE, S.MOTHERS_LEAVE)
             and u_house < exo.father_leave_at_birth
         ):
-            father.state = S.FATHERS_LEAVE
-            father.spell_left = exo.father_leave_quarters
-            father.hours = 0
-            father.paid_wage = 0.0
-            father.returning = False
+            self._start_leave(father, S.FATHERS_LEAVE, exo.father_leave_quarters)
             events.append("fathers_leave")
 
     # -- decision phase ---------------------------------------------------
@@ -327,9 +324,7 @@ class LifecycleEnv:
 
         if dec is Decision.RETIRE:
             if st in (S.RETIRED_PT, S.RETIRED_FT):
-                a.state = S.RETIRED
-                a.hours = 0
-                a.paid_wage = 0.0
+                a.stop_work(S.RETIRED)
             else:
                 self._start_pension(a, S.RETIRED)
             return
@@ -352,9 +347,7 @@ class LifecycleEnv:
             return
 
         if dec is Decision.HOME_CARE:
-            a.state = S.HOME_CARE
-            a.hours = 0
-            a.paid_wage = 0.0
+            a.stop_work(S.HOME_CARE)
             return
 
         if dec in (Decision.WORK_FT, Decision.WORK_PT):
@@ -410,7 +403,7 @@ class LifecycleEnv:
         )
         a.wage_reduction = update_wage_reduction(a.wage_reduction, a.state, self.wparams, dt=DT)
         if a.state in WORKING_STATES and a.hours > 0:
-            a.paid_wage = (a.hours / 40.0) * a.potential_wage * (1.0 - a.wage_reduction)
+            a.paid_wage = paid_wage(a.potential_wage, a.hours, a.wage_reduction)
             a.prev_paid_wage = a.paid_wage
             if a.age < rules.pension.max_insured_age:
                 a.pension_accrued += rules.pension.accrual_rate * a.paid_wage / 48.0
@@ -471,8 +464,7 @@ class LifecycleEnv:
 
         for i, a in enumerate(hh.adults):
             ui = [float(x) for x in u[5 * i: 5 * i + 5]]
-            preempted = self._exogenous(a, hh, ui, events)
-            if a.alive and not preempted and a.state not in (S.DEAD,):
+            if not self._exogenous(a, hh, ui, events):   # True for the dead
                 self._apply_decision(a, hh, ACTIONS[action_indices[i]], ui, events)
 
         for i, a in enumerate(hh.adults):
@@ -480,27 +472,10 @@ class LifecycleEnv:
 
         flows, consumptions = self.household_flows(hh)
 
-        rewards = []
-        u3 = hh.children_bands()[0]
-        for i, a in enumerate(hh.adults):
-            if not a.alive:
-                rewards.append(0.0)
-                continue
-            r = utility(
-                consumptions[i],
-                a.state,
-                a.gender,
-                a.hours,
-                a.age,
-                a.pink_slip,
-                u3 > 0,
-                self.rules.pension.min_retirement_age,
-                self.uparams,
-                year=self.rules.year,
-            )
-            rewards.append(r * DT)
+        u3 = hh.bands[0]
+        rewards = tuple(self._reward(a, c, u3) if a.alive else 0.0 for a, c in zip(hh.adults, consumptions))
         return StepOutcome(
-            rewards=tuple(rewards),
+            rewards=rewards,
             consumptions=tuple(consumptions),
             flows=flows,
             events=tuple(events),
@@ -516,14 +491,14 @@ class LifecycleEnv:
         the snapshots carry moves in the static phase.
         """
         states = [a.state for a in hh.adults]
-        bands = hh.children_bands()
+        bands = hh.bands
         mortality_events(hh)
         fertility_events(hh, self.tables)   # ages children out; no new births past 75
         for a in hh.adults:
             if a.alive:
                 a.age = round(a.age + DT, 6)
                 a.time_in_state += DT
-        if last is not None and hh.children_bands() == bands and states == [a.state for a in hh.adults]:
+        if last is not None and hh.bands == bands and states == [a.state for a in hh.adults]:
             return last
         flows, consumptions = self.household_flows(hh)
         return StepOutcome(rewards=(0.0,) * len(hh.adults), consumptions=tuple(consumptions),
@@ -544,21 +519,24 @@ class LifecycleEnv:
         """
         self.freeze_for_static_phase(hh)
         _, consumptions = self.household_flows(hh)
-        u3 = hh.children_bands()[0]
+        u3 = hh.bands[0]
         out = []
-        for i, a in enumerate(hh.adults):
+        for a, consumption in zip(hh.adults, consumptions):
             if not a.alive:
                 out.append(0.0)
                 continue
-            u_now = utility(
-                consumptions[i], a.state, a.gender, a.hours, a.age, a.pink_slip,
-                u3 > 0, self.rules.pension.min_retirement_age, self.uparams, year=self.rules.year,
-            ) * DT
+            u_now = self._reward(a, consumption, u3)
             total = 0.0
             for w in self._survival_weights(a.gender, a.age):
                 total += w * u_now
             out.append(total)
         return tuple(out)
+
+    def _reward(self, a: AgentState, consumption: float, u3: int) -> float:
+        """One quarter's utility of the living adult ``a``; ``u3`` counts the
+        household's children under 3."""
+        return utility(consumption, a.state, a.gender, a.hours, a.age, a.pink_slip, u3 > 0,
+                       self.rules.pension.min_retirement_age, self.uparams, year=self.rules.year) * DT
 
     def _survival_weights(self, gender: str, age: float) -> tuple[float, ...]:
         """``disc_k * survival_k`` for each static quarter k after ``age``:

@@ -8,7 +8,7 @@ row; death is reachable from every state and absorbing.
 
 from __future__ import annotations
 
-from ..states import N_STATES, EmploymentState as S
+from ..states import EmploymentState as S
 
 # Column order of the core table.
 _COLS = (
@@ -59,11 +59,3 @@ LEGAL[(S.DEAD, S.DEAD)] = "E"
 
 def is_legal(frm: S, to: S) -> bool:
     return (frm, to) in LEGAL
-
-
-def legality_matrix() -> list[list[str]]:
-    """Dense kind matrix (``''`` for illegal), indexed [from][to]."""
-    out = [["" for _ in range(N_STATES)] for _ in range(N_STATES)]
-    for (frm, to), kind in LEGAL.items():
-        out[frm][to] = kind
-    return out

@@ -56,7 +56,6 @@ class LifecycleVectorEnv:
         n_households: int = 32,
         seed: int = 0,
         year: int = 2023,
-        end_age: float = DECISION_END_AGE,
     ) -> None:
         self.env = env
         self.n_households = n_households
@@ -65,7 +64,7 @@ class LifecycleVectorEnv:
         self.n_actions = N_ACTIONS
         self.step_discount = env.uparams.step_discount
         self.year = year
-        self.episode_quarters = int(round((end_age - 18.0) / DT))
+        self.episode_quarters = int(round((DECISION_END_AGE - 18.0) / DT))
         self._seed_stream = np.random.SeedSequence((seed, 0xF00D))
         self._draws = initial_draw_tables(env.tables)
         self._households: list[HouseholdState] = []

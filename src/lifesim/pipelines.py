@@ -4,7 +4,6 @@ acceptance suite."""
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,12 +12,11 @@ import numpy as np
 
 from .env import LifecycleEnv, load_utility_params
 from .env.vector import LifecycleVectorEnv
-from .errors import ConfigError
 from .paramfiles import params_dir, ruleset_path
-from .population import DemographicTables, init_population, load_demographics
+from .population import init_population, load_demographics
 from .reform import ComparisonReport, ReformSpec, apply_reform, compare_runs
 from .rules import RuleSet, load_ruleset
-from .simulate import RepeatResult, aggregate, repeat_protocol, run_cohort
+from .simulate import RepeatResult, repeat_protocol
 from .solver import TrainConfig, TrainResult, train_actor_critic
 from .solver.network import PolicyValueNet
 from .wage import load_wage_params
@@ -121,9 +119,6 @@ def reform_pipeline(base_net: PolicyValueNet, spec: ReformSpec, env: LifecycleEn
     repeat protocol on both arms with paired population seeds, compare."""
     reformed_rules, _ = apply_reform(env.rules, spec)
     env_reform = with_rules(env, reformed_rules)
-    if env_reform.uparams is not env.uparams:
-        raise ConfigError("utility parameters must be shared across arms")
-
     baseline = run_repeat_protocol(base_net, env, protocol, arm_salt=1)
     reform = run_repeat_protocol(base_net, env_reform, protocol, arm_salt=2)
     comparison = compare_runs(baseline.reports, reform.reports, confidence=confidence)

@@ -17,14 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import NO_EVENT, AgentState, HouseholdState, child_bands, mother_of
+from .agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState, child_bands, mother_of
 from .errors import ContractViolation, ParameterError
 from .paramfiles import build, load_yaml, params_dir
 from .states import EmploymentState as S, Gender
-from .wage import WageParams
-
-MAX_AGE = 100.0
-QUARTER = 0.25
+from .wage import WageParams, paid_wage
 
 
 # [age lower bound, value] rows of a step function of age.
@@ -107,16 +104,16 @@ class DemographicTables:
     def mortality_quarterly(self, gender: str, age: float) -> float:
         g = self.mortality[gender]
         annual = min(1.0, g.a * math.exp(g.b * age))
-        return 1.0 - (1.0 - annual) ** QUARTER
+        return 1.0 - (1.0 - annual) ** DT
 
     def fertility_quarterly(self, age: float) -> float:
-        return _banded(self.fertility_annual, age) * QUARTER
+        return _banded(self.fertility_annual, age) * DT
 
     def marriage_quarterly(self, age: float) -> float:
-        return _banded(self.marriage_annual, age) * QUARTER
+        return _banded(self.marriage_annual, age) * DT
 
     def divorce_quarterly(self, age: float) -> float:
-        return _banded(self.divorce_annual, age) * QUARTER
+        return _banded(self.divorce_annual, age) * DT
 
     def job_find_prob(self, kind: str, gender: str, group: int, age: float) -> float:
         """``kind`` is ``"full_time"`` or ``"part_time"``."""
@@ -153,7 +150,7 @@ class CohortPopulation:
 
 def failure_curve(hazard_at, age: float, horizon_q: int) -> np.ndarray:
     """Cumulative failure probability by quarter 1..horizon."""
-    h = np.array([hazard_at(age + k * QUARTER) for k in range(1, horizon_q + 1)])
+    h = np.array([hazard_at(age + k * DT) for k in range(1, horizon_q + 1)])
     return 1.0 - np.cumprod(1.0 - h)
 
 
@@ -168,7 +165,7 @@ def draw_event_time(hazard_at, age: float, rng: np.random.Generator, horizon_q: 
     u = rng.random()
     survival = 1.0
     for k in range(1, horizon_q + 1):
-        survival *= 1.0 - hazard_at(age + k * QUARTER)
+        survival *= 1.0 - hazard_at(age + k * DT)
         if 1.0 - survival >= u:
             return k
     return NO_EVENT
@@ -188,7 +185,7 @@ InitialDraws = tuple[dict[str, np.ndarray], dict[str, tuple[list[S], np.ndarray]
 def initial_draw_tables(tables: DemographicTables) -> InitialDraws:
     """Failure curves from age 18 and initial-state CDFs by gender, shared
     by every agent drawn at age 18 from ``tables``."""
-    horizon = int((MAX_AGE - 18.0) / QUARTER)
+    horizon = int((MAX_AGE - 18.0) / DT)
     curves = {
         "mort_men": failure_curve(lambda a: tables.mortality_quarterly("men", a), 18.0, horizon),
         "mort_women": failure_curve(lambda a: tables.mortality_quarterly("women", a), 18.0, horizon),
@@ -206,7 +203,7 @@ def initial_draw_tables(tables: DemographicTables) -> InitialDraws:
 def _draw_initial_clocks(
     agent: AgentState, tables: DemographicTables, rng: np.random.Generator, curves: dict[str, np.ndarray]
 ) -> None:
-    horizon = int((MAX_AGE - agent.age) / QUARTER)
+    horizon = int((MAX_AGE - agent.age) / DT)
     agent.life_left = draw_from_curve(curves["mort_" + agent.gender], rng)
     if agent.life_left == NO_EVENT:
         agent.life_left = horizon  # censored at the model's maximum age
@@ -245,7 +242,7 @@ def _initial_agent(
     elif state is S.PART_TIME:
         agent.hours = 16
     if agent.hours:
-        agent.paid_wage = (agent.hours / 40.0) * potential
+        agent.paid_wage = paid_wage(potential, agent.hours, 0.0)
     if state is S.STUDENT:
         agent.spell_left = draw_geometric(tables.exogenous.student_spell_end_quarterly, rng)
     if state is S.SICK_LEAVE:
@@ -387,19 +384,19 @@ def partnership_events(hh: HouseholdState, tables: DemographicTables) -> None:
         if a.alive and b.alive:
             hh.partnered = True
             hh.until_divorce = draw_event_time(tables.divorce_quarterly, youngest, hh.rng_exo,
-                                               int((MAX_AGE - youngest) / QUARTER))
+                                               int((MAX_AGE - youngest) / DT))
         hh.until_marriage = NO_EVENT
     elif hh.partnered and hh.until_divorce == 0 and a.alive and b.alive:
         hh.partnered = False
         hh.until_divorce = NO_EVENT
         hh.until_marriage = draw_event_time(tables.marriage_quarterly, youngest, hh.rng_exo,
-                                            int((MAX_AGE - youngest) / QUARTER))
+                                            int((MAX_AGE - youngest) / DT))
 
 
 def fertility_events(hh: HouseholdState, tables: DemographicTables) -> bool:
     """Age children, fire scheduled births; returns True when a birth happened.
     The only writer of ``hh.child_ages``, so it also refreshes ``hh.bands``."""
-    ages = [age + QUARTER for age in hh.child_ages if age + QUARTER < 18.0]
+    ages = [age + DT for age in hh.child_ages if age + DT < 18.0]
     mother = mother_of(hh)
     birth = False
     if mother is not None:
@@ -410,7 +407,7 @@ def fertility_events(hh: HouseholdState, tables: DemographicTables) -> bool:
             hh.until_birth = NO_EVENT
         if birth:
             ages.append(0.0)
-            horizon = int((MAX_AGE - mother.age) / QUARTER)
+            horizon = int((MAX_AGE - mother.age) / DT)
             hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, hh.rng_exo, horizon)
     hh.child_ages = ages
     hh.bands = child_bands(ages)
@@ -424,8 +421,6 @@ def mortality_events(hh: HouseholdState) -> None:
         if agent.life_left > 0:
             agent.life_left -= 1
         if agent.life_left == 0:
-            agent.state = S.DEAD
-            agent.hours = 0
-            agent.paid_wage = 0.0
+            agent.stop_work(S.DEAD)
             agent.returning = False
             agent.spell_left = 0

@@ -31,7 +31,7 @@ from .errors import ContractViolation
 from .population import CohortPopulation
 from .rules import emtr as emtr_op, ptr as ptr_op
 from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS, HouseholdSnapshot
-from .solver.network import PolicyValueNet, masked_distribution
+from .solver.network import PolicyValueNet, sample_masked
 from .states import (
     ALLOWED_HOURS,
     UNEMPLOYMENT_STATES,
@@ -165,8 +165,7 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                     acts = logits.argmax(axis=1)
                 else:
                     u = np.concatenate([hh.rng_act.random(2)[:len(hh.adults)] for hh in block])
-                    cdf = np.cumsum(masked_distribution(logits, masks), axis=1)
-                    acts = (cdf < u[:, None]).sum(axis=1)
+                    acts = sample_masked(logits, masks, u)
                 outcomes = step_households(block, env, acts, masks)
             else:
                 outcomes = static_outcomes = [env.static_quarter(hh, last)

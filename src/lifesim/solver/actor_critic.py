@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ContractViolation, TrainingDiverged
 from .kfac import KfacPreconditioner
-from .network import Adam, ForwardCache, PolicyValueNet, clip_grads, log_softmax, masked_distribution
+from .network import Adam, ForwardCache, PolicyValueNet, clip_grads, log_softmax, sample_masked
 
 
 class VectorEnv(Protocol):
@@ -37,7 +37,6 @@ class TrainConfig:
     hidden: tuple[int, ...] = (256, 256, 128)
     rollout: int = 16
     learning_rate: float = 7e-4
-    lr_decay: bool = False
     entropy_coef: float = 0.01      # exploration bonus (not network regularization)
     value_coef: float = 0.5
     reward_scale: float = 0.25
@@ -65,12 +64,6 @@ class TrainResult:
     steps_done: int = 0
 
 
-def _sample_masked(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(probs.shape[0])
-    cdf = np.cumsum(probs, axis=1)
-    return (cdf < u[:, None]).sum(axis=1).astype(np.int64)
-
-
 def policy_act(net: PolicyValueNet, obs: np.ndarray, mask: np.ndarray, mode: str = "greedy",
                rng: np.random.Generator | None = None) -> np.ndarray | int:
     """Action(s) for one observation or a batch; always legal under the mask.
@@ -88,8 +81,7 @@ def policy_act(net: PolicyValueNet, obs: np.ndarray, mask: np.ndarray, mode: str
     elif mode == "sample":
         if rng is None:
             raise ContractViolation("sample mode needs a random generator")
-        probs = masked_distribution(logits, mask2)
-        acts = _sample_masked(probs, rng)
+        acts = sample_masked(logits, mask2, rng.random(len(logits)))
     else:
         raise ContractViolation(f"unknown action mode {mode!r}")
     return int(acts[0]) if single else acts
@@ -180,9 +172,7 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
     for update in range(n_updates):
         bo, bm, ba, br, bd = [], [], [], [], []
         for _ in range(config.rollout):
-            logits = net.masked_logits(obs, masks)
-            probs = masked_distribution(logits, masks)
-            actions = _sample_masked(probs, rng)
+            actions = sample_masked(net.masked_logits(obs, masks), masks, rng.random(n))
             nobs, nmasks, rewards, dones = env.step(actions)
             steps_done += n
 
@@ -219,10 +209,7 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
             kfac.update_factors(stats["inputs"], stats["grad_outputs"])
             grads = kfac.precondition(grads)
         clip_grads(grads, config.max_grad_norm)
-        lr = config.learning_rate
-        if config.lr_decay:
-            lr *= 1.0 - update / max(1, n_updates)
-        optimizer.step(net.parameters(), grads, lr=lr)
+        optimizer.step(net.parameters(), grads)
 
         if update % config.checkpoint_every == 0 or update == n_updates - 1:
             recent = finished_returns[-200:]

@@ -148,6 +148,13 @@ def masked_distribution(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def sample_masked(logits: np.ndarray, masks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One action per row, drawn by inverting the cumulative masked
+    distribution of ``logits`` at that row's uniform in ``u``."""
+    cdf = np.cumsum(masked_distribution(logits, masks), axis=1)
+    return (cdf < u[:, None]).sum(axis=1)
+
+
 class Adam:
     def __init__(self, params: list[np.ndarray], lr: float = 7e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -157,9 +164,8 @@ class Adam:
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float | None = None) -> None:
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        lr = self.lr if lr is None else lr
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
@@ -167,7 +173,7 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
 def clip_grads(grads: list[np.ndarray], max_norm: float) -> float:

@@ -51,3 +51,10 @@ def test_compare_with_missing_overlay_exits_with_config_error(tmp_path, capsys):
            "compare": {"checkpoint": str(ckpt), "reform": str(tmp_path / "no_such_overlay.yaml")}}
     assert main(["compare", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
     assert "no_such_overlay.yaml" in capsys.readouterr().err
+
+
+def test_malformed_config_exits_with_config_error(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("train: {total_steps: 8\n")
+    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert str(config) in capsys.readouterr().err

@@ -34,7 +34,7 @@ from lifesim.env.actions import (
 from lifesim.errors import ContractViolation
 from lifesim.rules import net_income
 from lifesim.population import ExogenousHazards, Gompertz, init_population, load_demographics
-from lifesim.states import EmploymentState as S
+from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
 
 
@@ -299,7 +299,7 @@ def test_birth_forces_parental_leaves(env):
     birth_env.step(hh, (A_STAY, A_STAY))
     assert mom.state is S.MOTHERS_LEAVE
     assert dad.state is S.FATHERS_LEAVE
-    assert hh.children_bands() == (1, 1, 1)
+    assert hh.bands == (1, 1, 1)
     # The maternity spell runs three quarters, then a return decision opens.
     leave_quarters = 1
     while not mom.returning:
@@ -555,7 +555,16 @@ def test_terminal_value_positive_and_dead_zero(env):
 # transition legality audit (unit-scale; the full audit runs in acceptance)
 # ---------------------------------------------------------------------------
 
+def _assert_unpaid_outside_work(hh):
+    for x in hh.adults:
+        if x.state not in WORKING_STATES:
+            assert (x.hours, x.paid_wage) == (0, 0.0), (x.state.name, x.hours, x.paid_wage)
+
+
 def test_random_policy_legality_audit(env):
+    """Random legal play moves along legal transitions only, and an adult
+    outside work has no hours and no paid wage after every step, the freeze
+    at the decision horizon and every static quarter."""
     rng = np.random.default_rng(0)
     pop = init_population(60, env.tables, seed=21)
     for _ in range(229):
@@ -566,6 +575,13 @@ def test_random_policy_legality_audit(env):
             env.step(hh, acts, masks=masks)
             for x, p in zip(hh.adults, prev):
                 assert is_legal(p, x.state), (p.name, x.state.name)
+            _assert_unpaid_outside_work(hh)
+    for hh in pop.households:
+        env.freeze_for_static_phase(hh)
+        _assert_unpaid_outside_work(hh)
+        for _ in range(100):
+            env.static_quarter(hh)
+            _assert_unpaid_outside_work(hh)
 
 
 def test_feature_encoding_shape_and_range(env, uparams):

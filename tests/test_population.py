@@ -197,14 +197,14 @@ def test_partner_symmetry_and_conservation(tables):
     # Pair records keep symmetry by construction; agents are conserved.
     assert sum(len(hh.adults) for hh in pop.households) == n_agents
     for hh in pop.households:
-        u3, u7, u18 = hh.children_bands()
+        u3, u7, u18 = hh.bands
         assert 0 <= u3 <= u7 <= u18
         if hh.partnered:
             assert len(hh.adults) == 2
 
 
 def test_stored_child_bands_follow_fertility_events(tables):
-    """``children_bands()`` is stored, not recomputed: after every step of a
+    """``hh.bands`` is stored, not recomputed: after every step of a
     random birth sequence it equals the bands recomputed from ``child_ages``."""
     rng = np.random.default_rng(7)
     births = dataclasses.replace(zero_hazard_tables(tables), fertility_annual=[(18.0, 0.4)])
@@ -218,6 +218,6 @@ def test_stored_child_bands_follow_fertility_events(tables):
             if rng.random() < 0.15:
                 hh.until_birth = int(rng.integers(1, 4))
             born += fertility_events(hh, births if rng.random() < 0.5 else no_births)
-            assert hh.children_bands() == child_bands(hh.child_ages)
+            assert hh.bands == child_bands(hh.child_ages)
     assert born > 0
-    assert {hh.children_bands() for hh in pop.households} != {(0, 0, 0)}
+    assert {hh.bands for hh in pop.households} != {(0, 0, 0)}
