@@ -114,6 +114,10 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     base_net = None
     if cfg.get("base_checkpoint"):
         base_net, _ = load_checkpoint(cfg["base_checkpoint"])
+        if "hidden" in cfg.get("train", {}) and tc.hidden != base_net.hidden:
+            raise ConfigError(f"train.hidden {list(tc.hidden)} differs from the base checkpoint's "
+                              f"hidden {list(base_net.hidden)}; a refit keeps the base net's shape")
+        tc = dataclasses.replace(tc, hidden=base_net.hidden)
     result = train_policy(env, tc, n_households=households, base_net=base_net)
     save_checkpoint(out / "checkpoint.bin", result.net, tc,
                     extra={"steps_done": result.steps_done})

@@ -4,6 +4,12 @@ Flat catalogue: stay, six work-hours choices (part-time 8/16/24, full-time
 32/40/48), quit to unemployment, retire, the two partial early pension draws,
 and child home care.  Which entries are legal follows the decision cells of
 the transition table plus the age gates (retirement, partial early pension).
+
+The rules are per-state tables: the choices of each state, and the states in
+which retirement, the partial early pension and home care open up once their
+gate (age, pension accrued, a child under 3) holds, with their own row for a
+returning agent.  ``mask_columns`` applies them to a whole block of
+``features.adult_columns`` at once; ``legal_mask`` is the block of one adult.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 from ..rules.ruleset import RuleSet
 from ..states import EmploymentState as S
 from ..agent import AgentState, HouseholdState
+from .features import adult_columns
 
 
 class Decision(IntEnum):
@@ -60,84 +67,77 @@ A_PARTIAL25 = 9
 A_PARTIAL50 = 10
 A_HOME_CARE = 11
 
-# Rows where the agent makes a fresh decision every quarter.
+# The choices of each state that decides every quarter, before the gates
+# below; every other state (mid-spell leaves, sick leave, disability, death)
+# may only stay.
 _DECIDE_EVERY_QUARTER = {
-    S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.ER_EXTENDED, S.BASIC_UNEMPLOYED,
-    S.HOME_CARE, S.RETIRED, S.RETIRED_PT, S.RETIRED_FT, S.OUTSIDE_WF, S.STUDENT,
+    S.FULL_TIME: (*A_FT, *A_PT, A_QUIT),
+    S.PART_TIME: (*A_FT, *A_PT),
+    S.ER_UNEMPLOYED: (*A_FT, *A_PT, A_QUIT),   # quit: voluntary move to the basic allowance
+    S.ER_EXTENDED: (*A_FT, *A_PT, A_QUIT),
+    S.BASIC_UNEMPLOYED: (*A_FT, *A_PT),
+    S.HOME_CARE: (*A_FT, *A_PT, A_QUIT),
+    S.RETIRED: (*A_FT, *A_PT),
+    S.RETIRED_PT: (*A_FT, *A_PT, A_RETIRE),   # retire: stop working, plain retirement
+    S.RETIRED_FT: (*A_FT, *A_PT, A_RETIRE),
+    S.STUDENT: A_PT,
+    S.OUTSIDE_WF: A_PT,
 }
+# Home care while a child is under 3.
+_HOME_CARE_ROWS = {S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.ER_EXTENDED}
+# Retirement is a decision cell in the work/unemployment rows only.
+_RETIRE_ROWS = {S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.ER_EXTENDED, S.BASIC_UNEMPLOYED}
+_PARTIAL_ROWS = {S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.ER_EXTENDED, S.BASIC_UNEMPLOYED,
+                 S.HOME_CARE}
+# A returning agent (D*/D^ node: the spell ended) chooses where to land, in
+# any living state but disability; stay means returning to the work force
+# without a job.  Retirement when old enough, home care while a child is
+# under 3 unless the spell was sick leave.
+_RETURN_ROWS = set(S) - {S.DEAD, S.DISABLED}
+_RETURN_HOME_CARE_ROWS = _RETURN_ROWS - {S.SICK_LEAVE}
+
+
+def _flags(size: int, indices) -> np.ndarray:
+    flags = np.zeros(size, dtype=bool)
+    flags[list(indices)] = True
+    return flags
+
+
+# Per-state tables, indexed by state code.
+_CHOICES = np.array([_flags(N_ACTIONS, (A_STAY, *_DECIDE_EVERY_QUARTER.get(s, ()))) for s in S])
+_HOME_CARE_GATE = _flags(len(S), _HOME_CARE_ROWS)
+_RETIRE_GATE = _flags(len(S), _RETIRE_ROWS)
+_PARTIAL_GATE = _flags(len(S), _PARTIAL_ROWS)
+_RETURN_GATE = _flags(len(S), _RETURN_ROWS)
+_RETURN_HOME_CARE_GATE = _flags(len(S), _RETURN_HOME_CARE_ROWS)
+_RETURN_CHOICES = _flags(N_ACTIONS, (A_STAY, *A_FT, *A_PT))
+
+
+def mask_columns(c: dict[str, np.ndarray], rules: RuleSet, out: np.ndarray) -> None:
+    """Write the legal mask over ``ACTIONS`` of every adult in ``c``
+    (``features.adult_columns``) into ``out``; stay is always legal."""
+    st = c["state"].astype(np.intp)
+    age = c["age"]
+    pension = rules.pension
+    can_retire = age >= pension.min_retirement_age
+    can_partial = ((c["partial_early_share"] == 0.0) & (pension.partial_early.min_age <= age)
+                   & (age < pension.min_retirement_age) & (c["pension_accrued"] > 0.0))
+    returning = (c["returning"] != 0.0) & _RETURN_GATE[st]
+    under3 = c["under3"] > 0
+    out[:] = np.where(returning[:, None], _RETURN_CHOICES, _CHOICES[st])
+    out[:, A_RETIRE] |= can_retire & (returning | _RETIRE_GATE[st])
+    out[:, A_HOME_CARE] |= under3 & np.where(returning, _RETURN_HOME_CARE_GATE[st], _HOME_CARE_GATE[st])
+    partial = can_partial & ~returning & _PARTIAL_GATE[st]
+    out[:, A_PARTIAL25] = partial
+    out[:, A_PARTIAL50] = partial
 
 
 def legal_mask(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> np.ndarray:
-    """Boolean mask over ``ACTIONS``; stay is always legal."""
-    mask = np.zeros(N_ACTIONS, dtype=bool)
-    mask[A_STAY] = True
-    if not agent.alive or agent.state is S.DISABLED:
-        return mask
-
-    st = agent.state
-    age = agent.age
-    u3 = hh.bands[0]
-    can_retire = age >= rules.pension.min_retirement_age
-    pe = rules.pension.partial_early
-    can_partial = (
-        agent.partial_early_share == 0.0
-        and pe.min_age <= age < rules.pension.min_retirement_age
-        and agent.pension_accrued > 0.0
-        and st not in (S.RETIRED, S.RETIRED_PT, S.RETIRED_FT)
-    )
-
-    if agent.returning:
-        # D*/D^ node: the spell ended, choose where to land; stay means
-        # returning to the work force without a job.
-        mask[list(A_FT)] = True
-        mask[list(A_PT)] = True
-        if can_retire:
-            mask[A_RETIRE] = True
-        if u3 > 0 and st is not S.SICK_LEAVE:
-            mask[A_HOME_CARE] = True
-        return mask
-
-    if st not in _DECIDE_EVERY_QUARTER:
-        return mask   # mid-spell leaves, sick leave, dead: no choices
-
-    if st in (S.RETIRED, S.RETIRED_PT, S.RETIRED_FT):
-        mask[list(A_FT)] = True
-        mask[list(A_PT)] = True
-        if st is not S.RETIRED:
-            mask[A_RETIRE] = True   # stop working, plain retirement
-        return mask
-
-    if st is S.STUDENT or st is S.OUTSIDE_WF:
-        mask[list(A_PT)] = True
-        return mask
-
-    if st in (S.FULL_TIME, S.PART_TIME):
-        mask[list(A_FT)] = True
-        mask[list(A_PT)] = True
-        if st is S.FULL_TIME:
-            mask[A_QUIT] = True
-        if u3 > 0:
-            mask[A_HOME_CARE] = True
-    elif st in (S.ER_UNEMPLOYED, S.ER_EXTENDED):
-        mask[list(A_FT)] = True
-        mask[list(A_PT)] = True
-        mask[A_QUIT] = True         # voluntary move to the basic allowance
-        if u3 > 0:
-            mask[A_HOME_CARE] = True
-    elif st is S.BASIC_UNEMPLOYED:
-        mask[list(A_FT)] = True
-        mask[list(A_PT)] = True
-    elif st is S.HOME_CARE:
-        mask[list(A_FT)] = True
-        mask[list(A_PT)] = True
-        mask[A_QUIT] = True
-    # Retirement is a decision cell in the work/unemployment rows only.
-    if can_retire and st is not S.HOME_CARE:
-        mask[A_RETIRE] = True
-    if can_partial:
-        mask[A_PARTIAL25] = True
-        mask[A_PARTIAL50] = True
-    return mask
+    """Boolean mask over ``ACTIONS``: ``mask_columns`` on a block of one."""
+    c, _ = adult_columns([((agent,), hh)])
+    mask = np.empty((1, N_ACTIONS), dtype=bool)
+    mask_columns(c, rules, mask)
+    return mask[0]
 
 
 def legal_actions(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> list[Action]:

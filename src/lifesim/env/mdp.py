@@ -17,6 +17,8 @@ from ..population import DemographicTables, draw_geometric, fertility_events, mo
 from ..rules import AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days, net_income
 from ..rules.ruleset import BENEFIT_DAYS_PER_QUARTER, RuleSet
 from ..states import (
+    LEAVE_STATES,
+    PENSION_STATES,
     RETIRED_STATES,
     UNEMPLOYMENT_STATES,
     WORKING_STATES,
@@ -35,6 +37,26 @@ _U_LAYOFF, _U_SICK, _U_MISC, _U_FRICTION, _U_SPARE = range(5)
 # The states a drawn student or outside-the-work-force spell starts from.
 _SPELL_ENTRY_STATES = frozenset({
     S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED})
+
+# Enum members and state sets of the per-adult phases, bound once: an enum
+# class attribute costs several times a module global, and testing a tuple
+# literal of members more than twenty times a frozenset.
+_FULL_TIME, _PART_TIME, _RETIRED, _RETIRED_PT, _RETIRED_FT = (
+    S.FULL_TIME, S.PART_TIME, S.RETIRED, S.RETIRED_PT, S.RETIRED_FT)
+_ER_UNEMPLOYED, _ER_EXTENDED, _BASIC_UNEMPLOYED = S.ER_UNEMPLOYED, S.ER_EXTENDED, S.BASIC_UNEMPLOYED
+_DISABLED, _SICK_LEAVE, _HOME_CARE, _STUDENT, _OUTSIDE_WF = (
+    S.DISABLED, S.SICK_LEAVE, S.HOME_CARE, S.STUDENT, S.OUTSIDE_WF)
+_STAY, _RETIRE, _QUIT, _HOME_CARE_DECISION, _WORK_FT = (
+    Decision.STAY, Decision.RETIRE, Decision.QUIT, Decision.HOME_CARE, Decision.WORK_FT)
+_PARTIAL_25 = Decision.PARTIAL_25
+_PARTIAL_DECISIONS = frozenset({Decision.PARTIAL_25, Decision.PARTIAL_50})
+_WORK_DECISIONS = frozenset({Decision.WORK_FT, Decision.WORK_PT})
+# Past the retirement age: retired at once, or through unemployment first.
+_AUTO_RETIRE_STATES = frozenset({S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED, S.SICK_LEAVE})
+_RETIRE_VIA_UNEMPLOYMENT = frozenset({S.OUTSIDE_WF, S.STUDENT, S.HOME_CARE})
+_SICK_ONSET_STATES = (WORKING_STATES | UNEMPLOYMENT_STATES) - RETIRED_STATES
+_WORKING_RETIRED = frozenset({S.RETIRED_PT, S.RETIRED_FT})
+_FULL_TIME_STATES = frozenset({S.FULL_TIME, S.RETIRED_FT})
 
 
 @dataclass(slots=True)
@@ -124,7 +146,7 @@ class LifecycleEnv:
     def _enter_unemployment(self, a: AgentState, eligible: bool, pink_slip: bool) -> None:
         rules = self.rules
         a.pink_slip = pink_slip
-        state = S.BASIC_UNEMPLOYED
+        state = _BASIC_UNEMPLOYED
         cond_q = a.condition_quarters()
         threshold_q = max(1, rules.unemployment.er.condition_months // 3)
         if eligible and a.fund_member and cond_q >= threshold_q:
@@ -137,7 +159,7 @@ class LifecycleEnv:
                 a.ub_max_days = float(entitlement_days(a.career_quarters * DT, a.age, rules))
                 a.new_condition_quarters = 0
             if a.ub_days_used < a.ub_max_days:
-                state = S.ER_UNEMPLOYED
+                state = _ER_UNEMPLOYED
         a.stop_work(state)
 
     def _start_pension(self, a: AgentState, state: S) -> None:
@@ -170,33 +192,33 @@ class LifecycleEnv:
         # Benefits end at the statutory retirement age.  Rows without a
         # retirement cell route through unemployment first.
         if a.age >= rules.pension.min_retirement_age:
-            if st in (S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED, S.SICK_LEAVE):
-                self._start_pension(a, S.RETIRED)
+            if st in _AUTO_RETIRE_STATES:
+                self._start_pension(a, _RETIRED)
                 events.append("auto_retire")
                 return True
-            if st in (S.OUTSIDE_WF, S.STUDENT, S.HOME_CARE):
+            if st in _RETIRE_VIA_UNEMPLOYMENT:
                 self._enter_unemployment(a, eligible=False, pink_slip=False)
                 a.returning = False
                 events.append("auto_retire_via_unemployment")
                 return True
-            if st is S.DISABLED:
-                self._start_pension(a, S.RETIRED)
+            if st is _DISABLED:
+                self._start_pension(a, _RETIRED)
                 return True
 
         if a.until_disability == 0:
             a.until_disability = NO_EVENT
-            if st not in RETIRED_STATES and st is not S.DISABLED:
-                self._start_pension(a, S.DISABLED)
+            if st not in PENSION_STATES:
+                self._start_pension(a, _DISABLED)
                 events.append("disability")
                 return True
 
-        if st is S.SICK_LEAVE:
+        if st is _SICK_LEAVE:
             if a.returning:
                 return False   # the decision node after the spell
             a.sick_quarters += 1
             if a.sick_quarters >= exo.sick_max_quarters:
                 if u[_U_MISC] < exo.disability_after_sick:
-                    self._start_pension(a, S.DISABLED)
+                    self._start_pension(a, _DISABLED)
                     events.append("disability_after_sick")
                 else:
                     a.returning = True
@@ -204,7 +226,7 @@ class LifecycleEnv:
                 a.returning = True
             return True
 
-        if st in (S.MOTHERS_LEAVE, S.FATHERS_LEAVE):
+        if st in LEAVE_STATES:
             if a.returning:
                 return False
             a.spell_left -= 1
@@ -212,7 +234,7 @@ class LifecycleEnv:
                 a.returning = True
             return True
 
-        if st is S.STUDENT:
+        if st is _STUDENT:
             a.spell_left -= 1
             if a.spell_left <= 0:
                 # Graduates land on the basic allowance (the student row has
@@ -222,7 +244,7 @@ class LifecycleEnv:
                 return True
             return False   # part-time work stays available mid-studies
 
-        if st is S.OUTSIDE_WF:
+        if st is _OUTSIDE_WF:
             a.spell_left -= 1
             if a.spell_left <= 0:
                 self._enter_unemployment(a, eligible=True, pink_slip=False)
@@ -230,22 +252,22 @@ class LifecycleEnv:
                 return True
             return False   # part-time work stays available while outside
 
-        if st is S.HOME_CARE and hh.bands[0] == 0:
+        if st is _HOME_CARE and hh.bands[0] == 0:
             # The youngest child turned three: the allowance ends.
             a.returning = True
             return False
 
         if st in WORKING_STATES and u[_U_LAYOFF] < exo.layoff_quarterly:
-            if st in (S.RETIRED_PT, S.RETIRED_FT):
-                a.stop_work(S.RETIRED)
+            if st in _WORKING_RETIRED:
+                a.stop_work(_RETIRED)
             else:
                 self._enter_unemployment(a, eligible=True, pink_slip=True)
             events.append("layoff")
             return True
 
-        if st in WORKING_STATES | UNEMPLOYMENT_STATES and st not in RETIRED_STATES:
+        if st in _SICK_ONSET_STATES:
             if u[_U_SICK] < exo.sick_onset_quarterly:
-                a.stop_work(S.SICK_LEAVE)
+                a.stop_work(_SICK_LEAVE)
                 a.sick_quarters = 0
                 events.append("sick_onset")
                 return True
@@ -253,14 +275,14 @@ class LifecycleEnv:
         # A fired clock starts its spell (the length drawn first), then
         # redraws itself whether or not the spell could start.
         if a.until_student == 0:
-            started = self._start_spell(a, hh, S.STUDENT, exo.student_spell_end_quarterly,
+            started = self._start_spell(a, hh, _STUDENT, exo.student_spell_end_quarterly,
                                         "student_entry", events)
             a.until_student = draw_geometric(exo.student_entry_quarterly, hh.rng_exo, cap=10_000)
             if started:
                 return True
 
         if a.until_outsider == 0:
-            started = self._start_spell(a, hh, S.OUTSIDE_WF, exo.outsider_spell_end_quarterly,
+            started = self._start_spell(a, hh, _OUTSIDE_WF, exo.outsider_spell_end_quarterly,
                                         "outside_entry", events)
             a.until_outsider = draw_geometric(exo.outsider_entry_quarterly, hh.rng_exo, cap=10_000)
             if started:
@@ -317,20 +339,20 @@ class LifecycleEnv:
         returning = a.returning
         a.returning = False
 
-        if dec is Decision.STAY:
+        if dec is _STAY:
             if returning:
                 self._enter_unemployment(a, eligible=True, pink_slip=False)
             return
 
-        if dec is Decision.RETIRE:
-            if st in (S.RETIRED_PT, S.RETIRED_FT):
-                a.stop_work(S.RETIRED)
+        if dec is _RETIRE:
+            if st in _WORKING_RETIRED:
+                a.stop_work(_RETIRED)
             else:
-                self._start_pension(a, S.RETIRED)
+                self._start_pension(a, _RETIRED)
             return
 
-        if dec in (Decision.PARTIAL_25, Decision.PARTIAL_50):
-            share = 0.25 if dec is Decision.PARTIAL_25 else 0.50
+        if dec in _PARTIAL_DECISIONS:
+            share = 0.25 if dec is _PARTIAL_25 else 0.50
             pe = rules.pension.partial_early
             years_early = max(0.0, rules.pension.min_retirement_age - a.age)
             factor = max(0.0, 1.0 - pe.reduction_per_year * years_early)
@@ -341,21 +363,21 @@ class LifecycleEnv:
                 self._enter_unemployment(a, eligible=True, pink_slip=False)
             return
 
-        if dec is Decision.QUIT:
+        if dec is _QUIT:
             self._enter_unemployment(a, eligible=False, pink_slip=False)
             events.append("quit")
             return
 
-        if dec is Decision.HOME_CARE:
-            a.stop_work(S.HOME_CARE)
+        if dec is _HOME_CARE_DECISION:
+            a.stop_work(_HOME_CARE)
             return
 
-        if dec in (Decision.WORK_FT, Decision.WORK_PT):
-            want_ft = dec is Decision.WORK_FT
+        if dec in _WORK_DECISIONS:
+            want_ft = dec is _WORK_FT
             retired = st in RETIRED_STATES
             frictionless = returning or (
                 st in WORKING_STATES
-                and want_ft == (st in (S.FULL_TIME, S.RETIRED_FT))
+                and want_ft == (st in _FULL_TIME_STATES)
             )
             if frictionless:
                 success, hours = True, action.hours
@@ -379,9 +401,9 @@ class LifecycleEnv:
                 events.append("search_failed")
                 return
             if retired:
-                a.state = S.RETIRED_FT if want_ft else S.RETIRED_PT
+                a.state = _RETIRED_FT if want_ft else _RETIRED_PT
             else:
-                a.state = S.FULL_TIME if want_ft else S.PART_TIME
+                a.state = _FULL_TIME if want_ft else _PART_TIME
             a.hours = hours
             a.pink_slip = False
             events.append("job_started")
@@ -418,14 +440,14 @@ class LifecycleEnv:
             a.career_quarters += 1
             a.new_condition_quarters += 1
 
-        if a.state is S.ER_UNEMPLOYED:
+        if a.state is _ER_UNEMPLOYED:
             a.ub_days_used += BENEFIT_DAYS_PER_QUARTER
             if a.ub_days_used >= a.ub_max_days:
                 er = rules.unemployment.er
                 if er.extended_min_age is not None and a.age >= er.extended_min_age:
-                    a.state = S.ER_EXTENDED
+                    a.state = _ER_EXTENDED
                 else:
-                    a.state = S.BASIC_UNEMPLOYED
+                    a.state = _BASIC_UNEMPLOYED
 
         if a.state is state_before:
             a.time_in_state += DT
@@ -451,24 +473,24 @@ class LifecycleEnv:
                     f"illegal action {ACTIONS[idx]} for state {a.state.name} (age {a.age})"
                 )
 
-        shocks = hh.rng_exo.standard_normal(2)
-        u = hh.rng_exo.random(12)
+        shocks = hh.rng_exo.standard_normal(2).tolist()
+        u = hh.rng_exo.random(12).tolist()
 
         states_before = [a.state for a in hh.adults]
 
         mortality_events(hh)
         partnership_events(hh, self.tables)
         if fertility_events(hh, self.tables):
-            self._birth_consequences(hh, float(u[10]), events)
+            self._birth_consequences(hh, u[10], events)
             events.append("birth")
 
         for i, a in enumerate(hh.adults):
-            ui = [float(x) for x in u[5 * i: 5 * i + 5]]
+            ui = u[5 * i: 5 * i + 5]
             if not self._exogenous(a, hh, ui, events):   # True for the dead
                 self._apply_decision(a, hh, ACTIONS[action_indices[i]], ui, events)
 
         for i, a in enumerate(hh.adults):
-            self._update_wages_and_trackers(a, hh, float(shocks[i]), states_before[i])
+            self._update_wages_and_trackers(a, hh, shocks[i], states_before[i])
 
         flows, consumptions = self.household_flows(hh)
 

@@ -2,12 +2,17 @@
 
 ``observe_households`` and ``step_households`` are the one encode + mask and
 the one step loop shared by training and cohort simulation, with one row per
-adult in household then slot order.  In training, a fixed pool of pair
-households advances in lockstep, each adult one actor slot.  Episodes run the
-decision phase (ages 18 to 75); at the horizon the expected static-phase value
-is folded into the final reward and the slot restarts with a freshly drawn
-household.  Dead agents keep their slot with a stay-only mask and zero rewards
-until the household's episode ends.
+adult in household then slot order.  Observation reads each adult's fields
+once into a block of float64 columns (``features.adult_columns``), then
+encodes the whole block with column arithmetic (``features.encode_columns``)
+and masks it from per-state tables (``actions.mask_columns``).
+
+In training, a fixed pool of pair households advances in lockstep, each adult
+one actor slot.  Episodes run the decision phase (ages 18 to 75); at the
+horizon the expected static-phase value is folded into the final reward and
+the slot restarts with a freshly drawn household.  Dead agents keep their
+slot with a stay-only mask and zero rewards until the household's episode
+ends.
 """
 
 from __future__ import annotations
@@ -16,8 +21,11 @@ import numpy as np
 
 from ..agent import HouseholdState
 from ..population import initial_draw_tables, spawn_pair_household
-from .actions import N_ACTIONS, legal_mask
-from .features import OBS_DIM, encode
+# ``encode`` and ``legal_mask`` (one adult each) stay module names here for
+# the traced benchmark run (lifebench/layers.py), which wraps them where
+# callers used to look them up.
+from .actions import N_ACTIONS, legal_mask, mask_columns  # noqa: F401
+from .features import OBS_DIM, adult_columns, encode, encode_columns  # noqa: F401
 from .mdp import DECISION_END_AGE, DT, LifecycleEnv, StepOutcome
 
 
@@ -25,14 +33,9 @@ def observe_households(households: list[HouseholdState], env: LifecycleEnv,
                        obs: np.ndarray, masks: np.ndarray) -> None:
     """Encode every adult of ``households`` into ``obs`` and its legal mask
     into ``masks``: one row per adult, in household then slot order."""
-    row = 0
-    for hh in households:
-        adults = hh.adults
-        for slot, adult in enumerate(adults):
-            partner = adults[1 - slot] if len(adults) == 2 else None
-            encode(adult, partner, hh, env.uparams, env.rules, out=obs[row])
-            masks[row] = legal_mask(adult, hh, env.rules)
-            row += 1
+    columns, partner = adult_columns((hh.adults, hh) for hh in households)
+    encode_columns(columns, partner, env.uparams, env.rules, obs)
+    mask_columns(columns, env.rules, masks)
 
 
 def step_households(households: list[HouseholdState], env: LifecycleEnv,

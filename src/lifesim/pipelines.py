@@ -57,6 +57,9 @@ def with_rules(env: LifecycleEnv, rules: RuleSet) -> LifecycleEnv:
 
 def train_policy(env: LifecycleEnv, config: TrainConfig, n_households: int = 32,
                  base_net: PolicyValueNet | None = None, year: int | None = None) -> TrainResult:
+    """A2C on ``n_households`` pair households drawn for ``year`` (default:
+    the rule set's year).  With ``base_net`` training continues from a clone
+    of it, and the base net fixes the shape: ``config.hidden`` is not read."""
     venv = LifecycleVectorEnv(env, n_households=n_households, seed=config.seed,
                               year=year if year is not None else env.rules.year)
     net = base_net.clone() if base_net is not None else None

@@ -15,7 +15,7 @@ otherwise.  Evaluation order inside :func:`net_income`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add, attrgetter
 
@@ -504,10 +504,25 @@ def emtr(hh: HouseholdSnapshot, rules: RuleSet, delta_monthly: float = 100.0, ad
     return parts
 
 
+_ADULT_FIELDS = tuple(f.name for f in fields(AdultSnapshot))
+_HOUSEHOLD_FIELDS = tuple(f.name for f in fields(HouseholdSnapshot))
+_adult_values = attrgetter(*_ADULT_FIELDS)
+_household_values = attrgetter(*_HOUSEHOLD_FIELDS)
+_WAGE = _ADULT_FIELDS.index("wage_quarterly")
+_ADULTS = _HOUSEHOLD_FIELDS.index("adults")
+
+
 def _with_wage_bump(hh: HouseholdSnapshot, adult: int, bump_quarterly: float) -> HouseholdSnapshot:
+    """``hh`` with ``bump_quarterly`` added to adult ``adult``'s quarterly
+    wage, every other field as it is: both snapshots are rebuilt
+    positionally from their fields in declaration order."""
     adults = list(hh.adults)
-    adults[adult] = replace(adults[adult], wage_quarterly=adults[adult].wage_quarterly + bump_quarterly)
-    return replace(hh, adults=tuple(adults))
+    values = list(_adult_values(adults[adult]))
+    values[_WAGE] += bump_quarterly
+    adults[adult] = AdultSnapshot(*values)
+    values = list(_household_values(hh))
+    values[_ADULTS] = tuple(adults)
+    return HouseholdSnapshot(*values)
 
 
 def ptr(employed: HouseholdSnapshot, unemployed: HouseholdSnapshot, rules: RuleSet) -> float:

@@ -20,9 +20,10 @@ from functools import reduce
 import numpy as np
 
 from .agent import HouseholdState
-# ``encode`` and ``legal_mask`` stay module names here for the traced
-# benchmark run (lifebench/layers.py), which wraps them where callers used to
-# look them up; the simulator itself reaches them through observe_households.
+# ``encode`` and ``legal_mask`` (one adult each) stay module names here for
+# the traced benchmark run (lifebench/layers.py), which wraps them where
+# callers used to look them up.  The simulator calls neither: it encodes and
+# masks whole blocks through observe_households.
 from .env.actions import N_ACTIONS, legal_mask  # noqa: F401
 from .env.features import OBS_DIM, encode  # noqa: F401
 from .env.mdp import DECISION_END_AGE, DT, LifecycleEnv, MAX_AGE

@@ -4,6 +4,14 @@ Shared leaky-ReLU trunk with a masked-logits policy head and a scalar value
 head.  Biases are folded into the weight matrices via an augmented input
 column, which keeps the backward pass and the Kronecker factors simple.
 Everything is float64 numpy for determinism and finite-difference checks.
+
+A forward pass writes every trunk layer into preallocated augmented buffers
+whose ones column is set once.  A pass with a ``ForwardCache`` writes into
+that cache, which the caller owns and hands to ``backward``; a pass without
+one writes into the net's own workspace, reallocated when the row count
+changes, so two nets never share buffers, but one net must not run forward
+passes from two threads at once.  The returned logits and values are always
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -16,16 +24,11 @@ LEAKY_SLOPE = 0.01
 MASK_FILL = -1e9
 
 
-def _aug(x: np.ndarray) -> np.ndarray:
-    ones = np.ones((x.shape[0], 1), dtype=x.dtype)
-    return np.concatenate([x, ones], axis=1)
-
-
 @dataclass
 class ForwardCache:
     inputs: list[np.ndarray] = field(default_factory=list)   # augmented layer inputs
     preacts: list[np.ndarray] = field(default_factory=list)  # trunk pre-activations
-    trunk_out: np.ndarray | None = None
+    trunk_out: np.ndarray | None = None                      # augmented trunk output
 
 
 class PolicyValueNet:
@@ -48,6 +51,7 @@ class PolicyValueNet:
         self.w_policy[-1, :] = 0.0
         self.w_value = rng.standard_normal((last + 1, 1)) * 0.01
         self.w_value[-1, :] = 0.0
+        self._workspace = ForwardCache()
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -78,22 +82,31 @@ class PolicyValueNet:
 
     # -- forward / backward -------------------------------------------------
 
+    def _buffers(self, cache: ForwardCache, rows: int) -> None:
+        """Size ``cache`` for ``rows`` rows: the augmented buffers get their
+        ones column here, and passes only overwrite the columns before it."""
+        if cache.trunk_out is not None and cache.trunk_out.shape[0] == rows:
+            return
+        cache.inputs = [np.ones((rows, w.shape[0])) for w in self.trunk]
+        cache.preacts = [np.empty((rows, w.shape[1])) for w in self.trunk]
+        cache.trunk_out = np.ones((rows, self.w_policy.shape[0]))
+
     def forward(self, obs: np.ndarray, cache: ForwardCache | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-        h = np.asarray(obs, dtype=np.float64)
-        if h.ndim == 1:
-            h = h[None, :]
-        for w in self.trunk:
-            x = _aug(h)
-            if cache is not None:
-                cache.inputs.append(x)
-            z = x @ w
-            if cache is not None:
-                cache.preacts.append(z)
-            h = np.where(z > 0.0, z, LEAKY_SLOPE * z)
-        x = _aug(h)
-        if cache is not None:
-            cache.trunk_out = x
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.ndim == 1:
+            obs = obs[None, :]
+        if cache is None:
+            cache = self._workspace
+        self._buffers(cache, obs.shape[0])
+        x = cache.inputs[0]
+        x[:, :-1] = obs
+        for w, z, x_next in zip(self.trunk, cache.preacts, [*cache.inputs[1:], cache.trunk_out]):
+            np.matmul(x, w, out=z)
+            h = x_next[:, :-1]
+            np.multiply(z, LEAKY_SLOPE, out=h)
+            np.maximum(z, h, out=h)   # leaky ReLU, the bits of where(z > 0, z, slope * z)
+            x = x_next
         logits = x @ self.w_policy
         values = (x @ self.w_value)[:, 0]
         return logits, values
@@ -114,8 +127,10 @@ class PolicyValueNet:
         grads_trunk: list[np.ndarray] = [None] * len(self.trunk)  # type: ignore[list-item]
         d_zs: list[np.ndarray] = [None] * len(self.trunk)  # type: ignore[list-item]
         for i in range(len(self.trunk) - 1, -1, -1):
-            z = cache.preacts[i]
-            d_z = d_h * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+            # The leaky ReLU's slope: 1.0 where z > 0, else LEAKY_SLOPE (z NaN included).
+            slope = np.sign(cache.preacts[i])
+            np.fmax(slope, LEAKY_SLOPE, out=slope)
+            d_z = np.multiply(d_h, slope, out=d_h)
             grads_trunk[i] = cache.inputs[i].T @ d_z
             d_zs[i] = d_z
             if i > 0:

@@ -7,7 +7,7 @@ from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.solver import TrainConfig
-from lifesim.solver.checkpoint import save_checkpoint
+from lifesim.solver.checkpoint import load_checkpoint, save_checkpoint
 from lifesim.solver.network import PolicyValueNet
 
 
@@ -58,3 +58,19 @@ def test_malformed_config_exits_with_config_error(tmp_path, capsys):
     config.write_text("train: {total_steps: 8\n")
     assert main(["train", "--config", str(config)]) == EXIT_CONFIG
     assert str(config) in capsys.readouterr().err
+
+
+def test_train_from_base_checkpoint_keeps_its_shape(tmp_path, capsys):
+    base = tmp_path / "base.bin"
+    save_checkpoint(base, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1))
+    train = {"total_steps": 8, "households": 2}
+    cfg = {"out": str(tmp_path / "out"), "base_checkpoint": str(base), "train": {**train, "hidden": [16]}}
+    assert main(["train", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[16]" in err and "[8]" in err
+
+    cfg["train"] = train
+    assert main(["train", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
+    net, header = load_checkpoint(tmp_path / "out" / "checkpoint.bin")
+    assert net.hidden == (8,)
+    assert header["hidden"] == header["config"]["hidden"] == [8]

@@ -25,7 +25,7 @@ from lifesim.solver import (
     train_actor_critic,
     value_estimate,
 )
-from lifesim.solver.network import log_softmax
+from lifesim.solver.network import ForwardCache, log_softmax
 from lifesim.solver.reduced import grid_observations
 
 
@@ -232,6 +232,52 @@ def test_gradient_matches_central_differences():
     rel = np.abs(flat_grad - fd) / np.maximum(np.abs(fd) + np.abs(flat_grad), 1e-8)
     assert flat0.size <= 20
     assert rel.max() < 1e-4
+
+
+def _reference_forward(net, obs):
+    """The forward pass written out with fresh arrays at every step."""
+    h = obs
+    for w in net.trunk:
+        z = np.concatenate([h, np.ones((len(h), 1))], axis=1) @ w
+        h = np.where(z > 0.0, z, 0.01 * z)
+    x = np.concatenate([h, np.ones((len(h), 1))], axis=1)
+    return x @ net.w_policy, (x @ net.w_value)[:, 0]
+
+
+def test_uncached_forward_results_survive_the_next_pass():
+    """Passes without a cache share the net's workspace; the arrays one
+    returns are its own, and equal the fresh-array forward bit for bit."""
+    rng = np.random.default_rng(4)
+    net = PolicyValueNet(obs_dim=5, n_actions=4, hidden=(8, 6), seed=2)
+    first, second = rng.standard_normal((7, 5)), rng.standard_normal((7, 5))
+    logits, values = net.forward(first)
+    kept = logits.copy(), values.copy()
+    net.forward(second)
+    net.masked_logits(second, np.ones((7, 4), dtype=bool))
+    net.value(second[:3])
+    for got, want in zip((logits, values), kept):
+        assert np.array_equal(got, want)
+    for got, want in zip(net.forward(first), _reference_forward(net, first)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_uncached_pass_between_forward_and_backward_keeps_gradients():
+    rng = np.random.default_rng(5)
+    net = PolicyValueNet(obs_dim=5, n_actions=4, hidden=(8, 6), seed=3)
+    obs, other = rng.standard_normal((9, 5)), rng.standard_normal((9, 5))
+    d_logits, d_values = rng.standard_normal((9, 4)), rng.standard_normal(9)
+
+    cache = ForwardCache()
+    net.forward(obs, cache)
+    want = net.backward(cache, d_logits, d_values)
+
+    cache = ForwardCache()
+    net.forward(obs, cache)
+    net.value(other)
+    net.masked_logits(other, np.ones((9, 4), dtype=bool))
+    got = net.backward(cache, d_logits, d_values)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
