@@ -9,6 +9,7 @@ years; wages are annual rates; pensions EUR/month.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,6 +20,7 @@ DT = 0.25       # one model step: a quarter, in years
 MAX_AGE = 100.0  # every agent is dead by this age
 
 _DEAD = S.DEAD  # bound once: an enum class lookup costs about ten times more
+_worked = itemgetter(0)  # a work-window entry's worked flag
 
 
 @dataclass(slots=True)
@@ -68,7 +70,7 @@ class AgentState:
         self.paid_wage = 0.0
 
     def condition_quarters(self) -> int:
-        return sum(1 for worked, _ in self.work_window if worked)
+        return sum(map(_worked, self.work_window))
 
     def condition_wage_monthly(self) -> float:
         wages = [w for worked, w in self.work_window if worked]

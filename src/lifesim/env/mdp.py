@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 from ..errors import ContractViolation
 from ..population import DemographicTables, draw_geometric, fertility_events, mortality_events, partnership_events
-from ..rules import AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days, net_income
+from ..rules import AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days, price_unit
+# ``net_income`` (the snapshot API) stays a module name here for the traced
+# benchmark run (lifebench/layers.py), which wraps it where callers used to
+# look it up.
+from ..rules import net_income  # noqa: F401
 from ..rules.ruleset import BENEFIT_DAYS_PER_QUARTER, RuleSet
 from ..states import (
     LEAVE_STATES,
@@ -59,6 +63,18 @@ _WORKING_RETIRED = frozenset({S.RETIRED_PT, S.RETIRED_FT})
 _FULL_TIME_STATES = frozenset({S.FULL_TIME, S.RETIRED_FT})
 
 
+_NO_CHILDREN = (0, 0, 0)
+
+
+def agent_row(a: AgentState) -> tuple:
+    """The pricing row of ``a``: its :class:`AdultSnapshot` fields, in
+    declaration order.  A paid wage counts only in a working state."""
+    st = a.state
+    return (st, a.paid_wage / 4.0 if st in WORKING_STATES else 0.0, a.age, a.ub_basis, a.ub_days_used,
+            a.ub_max_days, a.fund_member, a.pension_paid, a.pension_accrued, a.partial_early_paid,
+            a.prev_paid_wage / 12.0)
+
+
 @dataclass(slots=True)
 class StepOutcome:
     rewards: tuple[float, ...]
@@ -83,60 +99,53 @@ class LifecycleEnv:
         self.tables = tables
         self._survival_cache: dict[tuple[str, float], tuple[float, ...]] = {}
 
-    # -- snapshots and cash flows --------------------------------------
+    # -- budget units and cash flows --------------------------------------
 
-    def _adult_snapshot(self, a: AgentState) -> AdultSnapshot:
-        return AdultSnapshot(
-            state=a.state,
-            wage_quarterly=a.paid_wage / 4.0 if a.state in WORKING_STATES else 0.0,
-            age=a.age,
-            ub_basis_monthly=a.ub_basis,
-            ub_days_used=a.ub_days_used,
-            ub_max_days=a.ub_max_days,
-            fund_member=a.fund_member,
-            pension_paid_monthly=a.pension_paid,
-            pension_accrued_monthly=a.pension_accrued,
-            partial_early_monthly=a.partial_early_paid,
-            wage_basis_monthly=a.prev_paid_wage / 12.0,
-        )
+    def unit_groups(self, hh: HouseholdState
+                    ) -> list[tuple[tuple[int, ...], list[int], tuple[int, int, int], float]]:
+        """The budget units of ``hh`` as (adult slots, living slots among
+        them, child bands, monthly rent), in slot order.  A partnered pair is
+        one unit, a dead partner included (for the survivor's pension);
+        otherwise each living adult is a unit, and the custodian (the mother
+        while she is alive, else the first living adult) has the children.
+        Rent is sized by the unit's living adults plus its children."""
+        adults = hh.adults
+        rent_for_size = self.rules.rent_for_size
+        if len(adults) == 2 and hh.partnered:
+            alive = [i for i in (0, 1) if adults[i].alive]
+            return [((0, 1), alive, hh.bands, rent_for_size(len(alive) + hh.bands[2]))]
+        mother = mother_of(hh)
+        custodian = mother if mother is not None and mother.alive else next(
+            (a for a in adults if a.alive), None)
+        units = []
+        for i, a in enumerate(adults):
+            if a.alive:
+                bands = hh.bands if a is custodian else _NO_CHILDREN
+                units.append(((i,), [i], bands, rent_for_size(1 + bands[2])))
+        return units
 
     def budget_units(self, hh: HouseholdState) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
-        """Each budget unit of ``hh`` as its snapshot and the adult slots it
-        covers, in slot order.  A partnered pair is one unit, a dead partner
-        included (for the survivor's pension); otherwise each living adult is
-        a unit, and the custodian (the mother while she is alive, else the
-        first living adult) has the children.  Rent is sized by the unit's
-        living adults plus its children."""
+        """Each budget unit of ``hh`` (see :meth:`unit_groups`) as its
+        snapshot and the adult slots it covers, in slot order: the units
+        :meth:`household_flows` prices."""
         adults = hh.adults
-        bands = hh.bands
-        if len(adults) == 2 and hh.partnered:
-            groups = [((0, 1), bands)]
-        else:
-            mother = mother_of(hh)
-            custodian = mother if mother is not None and mother.alive else next(
-                (a for a in adults if a.alive), None)
-            groups = [((i,), bands if a is custodian else (0, 0, 0))
-                      for i, a in enumerate(adults) if a.alive]
-        units = []
-        for slots, (u3, u7, u18) in groups:
-            alive = sum(1 for i in slots if adults[i].alive)
-            units.append((HouseholdSnapshot(
-                adults=tuple(self._adult_snapshot(adults[i]) for i in slots),
-                children_under3=u3, children_under7=u7, children_under18=u18,
-                partnered=hh.partnered and alive == 2,
-                rent_monthly=self.rules.rent_for_size(alive + u18),
-            ), slots))
-        return units
+        return [(HouseholdSnapshot(
+            adults=tuple(AdultSnapshot(*agent_row(adults[i])) for i in slots),
+            children_under3=u3, children_under7=u7, children_under18=u18,
+            partnered=hh.partnered and len(alive) == 2, rent_monthly=rent,
+        ), slots) for slots, alive, (u3, u7, u18), rent in self.unit_groups(hh)]
 
     def household_flows(self, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
         """Cash flows per budget unit and consumption per adult slot: a unit's
-        consumption is shared equally by its living adults."""
-        consumptions = [0.0] * len(hh.adults)
+        consumption is shared equally by its living adults.  Each unit is
+        priced from rows read straight from the agents' state."""
+        rules = self.rules
+        adults = hh.adults
+        consumptions = [0.0] * len(adults)
         flows: list[CashFlows] = []
-        for snap, slots in self.budget_units(hh):
-            cf = net_income(hh=snap, rules=self.rules)
+        for slots, alive, (u3, u7, u18), rent in self.unit_groups(hh):
+            cf = price_unit([agent_row(adults[i]) for i in slots], u3, u7, u18, rent, rules)
             flows.append(cf)
-            alive = [i for i in slots if hh.adults[i].alive]
             for i in alive:
                 consumptions[i] = cf.consumption / len(alive)
         return flows, consumptions

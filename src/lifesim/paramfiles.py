@@ -55,9 +55,10 @@ _SCALAR_INPUTS: dict[Any, tuple[type, ...]] = {float: (float, int), int: (int,)}
 
 @cache
 def _field_types(cls: type) -> dict[str, tuple[Any, tuple[type, ...]]]:
-    """Field name -> (type hint, accepted scalar inputs or ()), resolved once per class."""
+    """Field name -> (type hint, accepted scalar inputs or ()), resolved once
+    per class; a field the class derives itself (``init=False``) is no key."""
     hints = get_type_hints(cls)
-    return {f.name: (hints[f.name], _SCALAR_INPUTS.get(hints[f.name], ())) for f in fields(cls)}
+    return {f.name: (hints[f.name], _SCALAR_INPUTS.get(hints[f.name], ())) for f in fields(cls) if f.init}
 
 
 def _key_error(raw: dict, names, prefix: str) -> ParameterError:

@@ -9,12 +9,16 @@ which rejects a missing key, an unknown key or a value of the wrong type by
 its path.
 
 A :class:`RuleSet` is an immutable snapshot of the institutional environment.
-Reform overlays produce patched copies; nothing here mutates in place.
+Reform overlays produce patched copies; nothing here mutates in place.  Each
+rule set carries the values the rules engine derives from it
+(:class:`PricingConstants`), computed from its own fields when it is created,
+so a copy made by a reform or by ``dataclasses.replace`` derives its own and a
+pickled rule set takes them along.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -179,10 +183,49 @@ class RuleSet:
     social_assistance: SocialAssistanceRules
     family: FamilyRules
     rent_table: tuple[float, ...]
+    # Derived from the fields above; not a key of the rule files.
+    pricing: PricingConstants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pricing", PricingConstants(self))
 
     def rent_for_size(self, size: int) -> float:
         idx = min(max(size, 1), len(self.rent_table)) - 1
         return self.rent_table[idx]
+
+
+class PricingConstants:
+    """The values the rules engine derives from a :class:`RuleSet`, once,
+    with the same float operations it applied on every call before: the
+    state-tax bracket sums, the employer contribution rate, and the fixed
+    benefit amounts per quarter and per month.
+
+    ``bracket_below[j]`` is the state tax on an income that fills brackets
+    ``0 .. j-1``, added bracket by bracket from 0.0, so the tax on a taxable
+    income in bracket ``j`` is ``bracket_below[j]`` plus that bracket's
+    term: the sum the bracket loop builds, term for term.
+    """
+
+    __slots__ = ("bracket_lows", "bracket_rates", "bracket_below", "employer_rate", "er_max_days",
+                 "basic_quarterly", "basic_monthly", "home_care_quarterly", "home_care_monthly",
+                 "student_quarterly", "student_monthly")
+
+    def __init__(self, rs: RuleSet) -> None:
+        brackets = rs.tax.state_brackets
+        self.bracket_lows = tuple(lo for lo, _ in brackets)
+        self.bracket_rates = tuple(rate for _, rate in brackets)
+        below = [0.0]
+        for (lo, rate), (hi, _) in zip(brackets, brackets[1:]):
+            below.append(below[-1] + rate * (hi - lo))
+        self.bracket_below = tuple(below)
+        self.employer_rate = rs.contributions.employer.total_rate
+        self.er_max_days = float(rs.unemployment.er.max_days_default)
+        self.basic_quarterly = rs.unemployment.basic_daily * BENEFIT_DAYS_PER_QUARTER
+        self.basic_monthly = self.basic_quarterly / MONTHS_PER_QUARTER
+        self.home_care_quarterly = rs.family.home_care_allowance_monthly * MONTHS_PER_QUARTER
+        self.home_care_monthly = self.home_care_quarterly / MONTHS_PER_QUARTER
+        self.student_quarterly = rs.family.student_allowance_monthly * MONTHS_PER_QUARTER
+        self.student_monthly = self.student_quarterly / MONTHS_PER_QUARTER
 
 
 def _rates_in_unit_interval(obj: Any, path: str, problems: list[str]) -> None:

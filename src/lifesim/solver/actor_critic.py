@@ -101,14 +101,17 @@ def a2c_loss_grads(
     returns: np.ndarray,
     config: TrainConfig,
     stats: dict | None = None,
+    cache: ForwardCache | None = None,
 ) -> tuple[list[np.ndarray], dict[str, float]]:
     """Gradient of the A2C objective on one flat batch.
 
     Loss = -E[log pi(a|s) * adv] - entropy_coef * E[H(pi)]
            + value_coef * E[(V - R)^2], advantages treated as constants.
+    The forward pass writes into ``cache``, a fresh one when None.
     """
     n = obs.shape[0]
-    cache = ForwardCache()
+    if cache is None:
+        cache = ForwardCache()
     logits, values = net.forward(obs, cache)
     masked = np.where(masks, logits, -1e9)
     logp = log_softmax(masked)
@@ -168,6 +171,9 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
     bad_checkpoints = 0
     steps_done = 0
     n_updates = max(1, config.total_steps // (config.rollout * n))
+    # One forward cache for every update: each writes the same number of rows,
+    # so its buffers are allocated once per run.
+    update_cache = ForwardCache()
 
     for update in range(n_updates):
         bo, bm, ba, br, bd = [], [], [], [], []
@@ -204,7 +210,7 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
 
         stats: dict | None = {} if kfac is not None else None
         grads, step_metrics = a2c_loss_grads(net, flat_obs, flat_masks, flat_actions,
-                                             flat_returns, config, stats=stats)
+                                             flat_returns, config, stats=stats, cache=update_cache)
         if kfac is not None:
             kfac.update_factors(stats["inputs"], stats["grad_outputs"])
             grads = kfac.precondition(grads)

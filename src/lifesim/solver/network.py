@@ -11,7 +11,10 @@ that cache, which the caller owns and hands to ``backward``; a pass without
 one writes into the net's own workspace, reallocated when the row count
 changes, so two nets never share buffers, but one net must not run forward
 passes from two threads at once.  The returned logits and values are always
-fresh arrays.
+fresh arrays.  ``backward`` keeps its temporaries in the cache it is handed,
+sized on its first pass over that cache, so a caller that reuses one cache
+for every update allocates them once; the gradients it returns are fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ class ForwardCache:
     inputs: list[np.ndarray] = field(default_factory=list)   # augmented layer inputs
     preacts: list[np.ndarray] = field(default_factory=list)  # trunk pre-activations
     trunk_out: np.ndarray | None = None                      # augmented trunk output
+    # backward's temporaries: the gradient at each trunk layer's output, and
+    # room for one layer's leaky-ReLU slope
+    grad_outputs: list[np.ndarray] = field(default_factory=list)
+    slope: np.ndarray | None = None
 
 
 class PolicyValueNet:
@@ -117,27 +124,35 @@ class PolicyValueNet:
 
         When ``stats`` is given it is filled with the per-layer augmented
         inputs and output gradients (trunk layers then heads), which is what
-        the Kronecker-factored preconditioner consumes.
+        the Kronecker-factored preconditioner consumes.  Its trunk arrays are
+        ``cache``'s buffers, valid until the next pass over ``cache``.
         """
         x_out = cache.trunk_out
+        rows = x_out.shape[0]
+        widths = [w.shape[1] for w in self.trunk]
+        if cache.slope is None or cache.grad_outputs[0].shape[0] != rows:
+            cache.grad_outputs = [np.empty((rows, width)) for width in widths]
+            cache.slope = np.empty(rows * max(widths))
         g_policy = x_out.T @ d_logits
         g_value = x_out.T @ d_values[:, None]
-        d_h = d_logits @ self.w_policy[:-1].T + d_values[:, None] @ self.w_value[:-1].T
+        d_h = cache.grad_outputs[-1]
+        np.matmul(d_logits, self.w_policy[:-1].T, out=d_h)
+        d_h += np.matmul(d_values[:, None], self.w_value[:-1].T,
+                         out=cache.slope[:d_h.size].reshape(d_h.shape))
 
         grads_trunk: list[np.ndarray] = [None] * len(self.trunk)  # type: ignore[list-item]
-        d_zs: list[np.ndarray] = [None] * len(self.trunk)  # type: ignore[list-item]
         for i in range(len(self.trunk) - 1, -1, -1):
+            d_z = cache.grad_outputs[i]   # the gradient at this layer's output, made d/dz in place
             # The leaky ReLU's slope: 1.0 where z > 0, else LEAKY_SLOPE (z NaN included).
-            slope = np.sign(cache.preacts[i])
+            slope = np.sign(cache.preacts[i], out=cache.slope[:d_z.size].reshape(d_z.shape))
             np.fmax(slope, LEAKY_SLOPE, out=slope)
-            d_z = np.multiply(d_h, slope, out=d_h)
+            d_z *= slope
             grads_trunk[i] = cache.inputs[i].T @ d_z
-            d_zs[i] = d_z
             if i > 0:
-                d_h = d_z @ self.trunk[i][:-1].T
+                np.matmul(d_z, self.trunk[i][:-1].T, out=cache.grad_outputs[i - 1])
         if stats is not None:
             stats["inputs"] = [*cache.inputs, x_out, x_out]
-            stats["grad_outputs"] = [*d_zs, d_logits, d_values[:, None]]
+            stats["grad_outputs"] = [*cache.grad_outputs, d_logits, d_values[:, None]]
         return [*grads_trunk, g_policy, g_value]
 
     # -- inference helpers --------------------------------------------------

@@ -16,7 +16,7 @@ import rules_oracle
 from lifesim.paramfiles import params_dir
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import AdultSnapshot, HouseholdSnapshot, emtr, net_income
-from lifesim.rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS, _with_wage_bump
+from lifesim.rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS
 from lifesim.rules.ruleset import MONTHS_PER_QUARTER
 from lifesim.states import PENSION_STATES, RETIRED_STATES, WORKING_STATES, EmploymentState as S
 
@@ -68,6 +68,13 @@ def random_snapshot(rng) -> HouseholdSnapshot:
         partnered=n_adults == 2 and bool(rng.random() < 0.7),
         rent_monthly=float(rng.uniform(300.0, 1_600.0)),
     )
+
+
+def _with_wage_bump(hh: HouseholdSnapshot, adult: int, bump_quarterly: float) -> HouseholdSnapshot:
+    """``hh`` with ``bump_quarterly`` added to adult ``adult``'s quarterly wage."""
+    adults = list(hh.adults)
+    adults[adult] = dataclasses.replace(adults[adult], wage_quarterly=adults[adult].wage_quarterly + bump_quarterly)
+    return dataclasses.replace(hh, adults=tuple(adults))
 
 
 def snapshot_cases(seed: int) -> list[HouseholdSnapshot]:

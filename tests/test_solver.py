@@ -280,6 +280,71 @@ def test_uncached_pass_between_forward_and_backward_keeps_gradients():
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
+def _reference_backward(net, obs, d_logits, d_values):
+    """The backward pass written out with fresh arrays at every step."""
+    inputs, preacts = [], []
+    h = obs
+    for w in net.trunk:
+        x = np.concatenate([h, np.ones((len(h), 1))], axis=1)
+        z = x @ w
+        inputs.append(x)
+        preacts.append(z)
+        h = np.where(z > 0.0, z, 0.01 * z)
+    x = np.concatenate([h, np.ones((len(h), 1))], axis=1)
+    g_policy, g_value = x.T @ d_logits, x.T @ d_values[:, None]
+    d_h = d_logits @ net.w_policy[:-1].T + d_values[:, None] @ net.w_value[:-1].T
+    grads = [None] * len(net.trunk)
+    for i in range(len(net.trunk) - 1, -1, -1):
+        d_z = d_h * np.where(preacts[i] > 0.0, 1.0, 0.01)
+        grads[i] = inputs[i].T @ d_z
+        if i > 0:
+            d_h = d_z @ net.trunk[i][:-1].T
+    return [*grads, g_policy, g_value]
+
+
+def test_backward_gradients_are_fresh_and_equal_a_fresh_array_pass():
+    """``backward`` keeps its temporaries in the cache it is handed, reused
+    across passes and resized with the row count; the gradients of
+    consecutive calls share no memory, later calls leave earlier ones as
+    they were, and each equals the fresh-array pass bit for bit."""
+    rng = np.random.default_rng(6)
+    net = PolicyValueNet(obs_dim=5, n_actions=4, hidden=(8, 6), seed=4)
+    cache = ForwardCache()
+    kept = []
+    for rows in (9, 9, 4, 9):
+        obs = rng.standard_normal((rows, 5))
+        d_logits, d_values = rng.standard_normal((rows, 4)), rng.standard_normal(rows)
+        net.forward(obs, cache)
+        grads = net.backward(cache, d_logits, d_values)
+        for g, w in zip(grads, _reference_backward(net, obs, d_logits, d_values)):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        kept.append((grads, [g.copy() for g in grads]))
+    for grads, copies in kept:
+        for g, c in zip(grads, copies):
+            assert np.array_equal(g.view(np.uint64), c.view(np.uint64))
+    arrays = [g for grads, _ in kept for g in grads]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_a2c_update_on_a_reused_cache_equals_a_fresh_cache():
+    rng = np.random.default_rng(7)
+    net = PolicyValueNet(obs_dim=5, n_actions=4, hidden=(8, 6), seed=5)
+    tc = TrainConfig(total_steps=10, hidden=(8, 6))
+    cache = ForwardCache()
+    for _ in range(3):
+        obs = rng.standard_normal((12, 5))
+        masks = rng.random((12, 4)) < 0.8
+        masks[:, 0] = True
+        acts = np.array([int(rng.choice(np.flatnonzero(m))) for m in masks])
+        rets = rng.standard_normal(12)
+        got, got_metrics = a2c_loss_grads(net, obs, masks, acts, rets, tc, cache=cache)
+        want, want_metrics = a2c_loss_grads(net, obs, masks, acts, rets, tc)
+        assert got_metrics == want_metrics
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # training behavior
 # ---------------------------------------------------------------------------
