@@ -2,8 +2,8 @@
 
 Quarterly decision model of work, retirement and benefit take-up for a
 heterogeneous cohort under a parameterized tax/benefit rule set, solved with
-an actor-critic learner (checked against a dynamic-programming oracle on a
-reduced instance), with population aggregation and reform comparison on top.
+an actor-critic learner, with population aggregation and reform comparison
+on top.
 """
 
 __version__ = "0.1.0"

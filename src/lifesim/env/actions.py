@@ -8,8 +8,8 @@ the transition table plus the age gates (retirement, partial early pension).
 The rules are per-state tables: the choices of each state, and the states in
 which retirement, the partial early pension and home care open up once their
 gate (age, pension accrued, a child under 3) holds, with their own row for a
-returning agent.  ``mask_columns`` applies them to a whole block of
-``features.adult_columns`` at once; ``legal_mask`` is the block of one adult.
+returning agent.  ``mask_columns`` applies them to a whole household block
+(``features.block_columns``) at once; ``legal_mask`` is the block of one adult.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from ..rules.ruleset import RuleSet
 from ..states import EmploymentState as S
-from ..agent import AgentState, HouseholdState
-from .features import adult_columns
+from ..agent import AgentState, HouseholdBlock, HouseholdState
+from .features import block_columns
 
 
 class Decision(IntEnum):
@@ -115,7 +115,7 @@ _RETURN_CHOICES = _flags(N_ACTIONS, (A_STAY, *A_FT, *A_PT))
 
 def mask_columns(c: dict[str, np.ndarray], rules: RuleSet, out: np.ndarray) -> None:
     """Write the legal mask over ``ACTIONS`` of every adult in ``c``
-    (``features.adult_columns``) into ``out``; stay is always legal."""
+    (``features.block_columns``) into ``out``; stay is always legal."""
     st = c["state"].astype(np.intp)
     age = c["age"]
     pension = rules.pension
@@ -134,9 +134,8 @@ def mask_columns(c: dict[str, np.ndarray], rules: RuleSet, out: np.ndarray) -> N
 
 def legal_mask(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> np.ndarray:
     """Boolean mask over ``ACTIONS``: ``mask_columns`` on a block of one."""
-    c, _ = adult_columns([((agent,), hh)])
     mask = np.empty((1, N_ACTIONS), dtype=bool)
-    mask_columns(c, rules, mask)
+    mask_columns(block_columns(HouseholdBlock.pack([((agent,), hh)])), rules, mask)
     return mask[0]
 
 

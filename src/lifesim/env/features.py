@@ -4,19 +4,15 @@ One row per agent perspective: one-hot employment state, normalized own
 block, a compressed partner block, and the common household block.  All
 normalizations are fixed affine maps taken from the utility parameter file.
 
-The encoder works on a block of adults at once.  ``adult_columns`` reads
-every field the observation and the legal mask use, once per adult, into
-float64 columns keyed by the names in ``COLUMNS``; ``encode_columns`` then
-fills the whole block with column arithmetic that repeats the per-field
-formulas operation for operation, so a row's bits do not depend on the block
-it is encoded in.  ``encode`` is the block of one household.
+The encoder works on a whole :class:`~lifesim.agent.HouseholdBlock` at
+once.  ``block_columns`` names every field the observation and the legal
+mask use, one value per adult row; ``encode_columns`` then fills
+the whole block with column arithmetic that repeats the per-field formulas
+operation for operation, so a row's bits do not depend on the block it is
+encoded in.  ``encode`` is the block of one household.
 """
 
 from __future__ import annotations
-
-import struct
-from operator import attrgetter
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +24,7 @@ from ..states import (
     WORKING_STATES,
     EmploymentState as S,
 )
-from ..agent import NO_EVENT, AgentState, HouseholdState
+from ..agent import NO_EVENT, AgentState, HouseholdBlock, HouseholdState
 from ..rules.ruleset import RuleSet
 from .utility import UtilityParams
 
@@ -55,6 +51,7 @@ def _partner_group(state: S) -> int:
 
 
 _PARTNER_GROUP_OF = np.array([_partner_group(s) for s in S], dtype=np.intp)
+_DEAD = int(S.DEAD)
 
 _OWN = 16 + 22      # one-hot + own continuous/flags
 _IDENT = 3 + 1      # group one-hot + gender
@@ -71,108 +68,91 @@ _AGENT_FIELDS = (
     "pink_slip", "fund_member", "returning", "group",
     "until_disability", "until_student", "until_outsider", "life_left",
 )
-_HOUSEHOLD_FIELDS = ("partnered", "until_birth", "until_marriage", "until_divorce")
-COLUMNS = (*_AGENT_FIELDS, "condition_quarters", "women",
-           *_HOUSEHOLD_FIELDS, "under3", "under7", "under18")
-_agent_fields = attrgetter(*_AGENT_FIELDS)
-_household_fields = attrgetter(*_HOUSEHOLD_FIELDS)
+_HOUSEHOLD_FIELDS = ("partnered", "until_birth", "until_marriage", "until_divorce", "under3", "under7", "under18")
 
 
-def adult_columns(groups: Iterable[tuple[Sequence[AgentState], HouseholdState]]
-                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Every adult of ``groups`` (each a sequence of adults and their
-    household) as one row, in group then sequence order: the ``COLUMNS``
-    as float64 columns by name, and each row's partner row, -1 for none.
-    The two adults of a group of two are each other's partners."""
-    values = []
-    partner = []
-    for adults, hh in groups:
-        shared = (*_household_fields(hh), *hh.bands)
-        for a in adults:
-            values += _agent_fields(a)
-            values += (a.condition_quarters(), a.gender == "women")
-            values += shared
-        n = len(partner)
-        partner += (n + 1, n) if len(adults) == 2 else (-1,)
-    # struct turns Python numbers into doubles about twice as fast as np.array.
-    matrix = np.frombuffer(struct.pack(f"{len(values)}d", *values)).reshape(len(partner), len(COLUMNS))
-    return dict(zip(COLUMNS, matrix.T)), np.array(partner)
+def block_columns(b: HouseholdBlock) -> dict[str, np.ndarray]:
+    """Every field the observation and the mask read, one value per adult
+    row of ``b``, by name: the adult's own fields, its worked quarters and
+    gender, and its household's fields."""
+    c = {name: getattr(b, name) for name in _AGENT_FIELDS}
+    c["condition_quarters"] = b.worked.sum(1)
+    c["women"] = b.women
+    for name in _HOUSEHOLD_FIELDS:
+        c[name] = getattr(b, name)[b.hh]
+    return c
 
 
-def _clock(value: np.ndarray, scale_years: float) -> np.ndarray:
-    return np.where(value == NO_EVENT, 1.0, np.minimum(1.0, (value * 0.25) / scale_years))
+def _clocks(values: list[np.ndarray], scales_years: tuple[float, ...]) -> np.ndarray:
+    """The clock feature of each of ``values`` (quarters, ``NO_EVENT`` for
+    none) as columns: years over the scale, capped at 1; 1 with no event."""
+    v = np.array(values)
+    return np.where(v == NO_EVENT, 1.0, np.minimum(1.0, (v * 0.25) / np.array(scales_years)[:, None])).T
 
 
 def encode_columns(c: dict[str, np.ndarray], partner: np.ndarray, params: UtilityParams,
                    rules: RuleSet, out: np.ndarray) -> None:
-    """Write the observation row of every adult in ``c`` (``adult_columns``)
-    into ``out``; ``rules`` supply the length of the employment-condition
-    window that the worked-quarters feature is scaled by."""
+    """Write the observation row of every adult in ``c`` (``block_columns``)
+    into ``out``, each row's partner row given by ``partner`` (-1 for none);
+    ``rules`` supply the length of the employment-condition window that the
+    worked-quarters feature is scaled by.  Features with the same scale are
+    divided as one stacked array, value by value as they would be one by one."""
     fs = params.feature_scales
+    clock = fs.clock_scale_years
     rows = np.arange(len(partner))
     out[:] = 0.0
 
-    out[rows, c["state"].astype(np.intp)] = 1.0
+    out[rows, c["state"]] = 1.0
     i = N_STATES
     age_span = fs.age_max - fs.age_min
     out[:, i + 0] = (c["age"] - fs.age_min) / age_span
     out[:, i + 1] = c["hours"] / 48.0
-    out[:, i + 2] = c["potential_wage"] / fs.wage_scale
-    out[:, i + 3] = c["paid_wage"] / fs.wage_scale
-    out[:, i + 4] = c["prev_paid_wage"] / fs.wage_scale
+    out[:, i + 2:i + 5] = (np.array([c["potential_wage"], c["paid_wage"], c["prev_paid_wage"]]) / fs.wage_scale).T
     out[:, i + 5] = c["wage_reduction"]
-    out[:, i + 6] = c["pension_accrued"] / fs.pension_scale
-    out[:, i + 7] = (c["pension_paid"] + c["partial_early_paid"]) / fs.pension_scale
+    out[:, i + 6:i + 8] = (np.array([c["pension_accrued"], c["pension_paid"] + c["partial_early_paid"]])
+                           / fs.pension_scale).T
     out[:, i + 8] = c["ub_basis"] / fs.basis_scale
-    out[:, i + 9] = c["ub_days_used"] / fs.er_days_scale
-    out[:, i + 10] = np.maximum(0.0, c["ub_max_days"] - c["ub_days_used"]) / fs.er_days_scale
+    out[:, i + 9:i + 11] = (np.array([c["ub_days_used"], np.maximum(0.0, c["ub_max_days"] - c["ub_days_used"])])
+                            / fs.er_days_scale).T
     out[:, i + 11] = np.minimum(1.0, c["time_in_state"] / fs.time_in_state_years)
     out[:, i + 12] = (c["career_quarters"] * 0.25) / fs.career_years
     out[:, i + 13] = c["condition_quarters"] / rules.unemployment.er.condition_window_quarters
-    out[:, i + 14] = c["pink_slip"]
-    out[:, i + 15] = c["fund_member"]
-    out[:, i + 16] = c["returning"]
+    out[:, i + 14:i + 17] = np.array([c["pink_slip"], c["fund_member"], c["returning"]]).T
     out[:, i + 17] = 2.0 * c["partial_early_share"]
-    out[:, i + 18] = _clock(c["until_disability"], fs.clock_scale_years)
-    out[:, i + 19] = _clock(c["until_student"], fs.clock_scale_years)
-    out[:, i + 20] = _clock(c["until_outsider"], fs.clock_scale_years)
-    out[:, i + 21] = _clock(c["life_left"], fs.life_scale_years)
+    out[:, i + 18:i + 22] = _clocks([c["until_disability"], c["until_student"], c["until_outsider"], c["life_left"]],
+                                    (clock, clock, clock, fs.life_scale_years))
     i += 22
 
-    out[rows, i + c["group"].astype(np.intp)] = 1.0
+    out[rows, i + c["group"]] = 1.0
     out[:, i + 3] = c["women"]
     i += 4
 
     # Rows without a partner index the last row; ``has`` masks them out.
     has = partner >= 0
-    partner_state = c["state"][partner].astype(np.intp)
+    partner_state = c["state"][partner]
     out[:, i + 0] = c["partnered"]
     out[:, i + 1] = has
-    out[:, i + 2] = has & (partner_state != S.DEAD)
+    out[:, i + 2] = has & (partner_state != _DEAD)
     i += 3
     out[rows[has], i + _PARTNER_GROUP_OF[partner_state[has]]] = 1.0
     i += len(_PARTNER_GROUPS)
-    out[:, i + 0] = np.where(has, c["paid_wage"][partner] / fs.wage_scale, 0.0)
-    out[:, i + 1] = np.where(
-        has, (c["pension_paid"][partner] + c["pension_accrued"][partner]) / fs.pension_scale, 0.0)
-    out[:, i + 2] = np.where(has, (c["age"][partner] - fs.age_min) / age_span, 0.0)
+    partner_values = np.array([c["paid_wage"][partner] / fs.wage_scale,
+                               (c["pension_paid"][partner] + c["pension_accrued"][partner]) / fs.pension_scale,
+                               (c["age"][partner] - fs.age_min) / age_span]).T
+    out[:, i:i + 3] = np.where(has[:, None], partner_values, 0.0)
     i += 3
 
-    out[:, i + 0] = np.minimum(c["under3"], 3) / 3.0
-    out[:, i + 1] = np.minimum(c["under7"], 3) / 3.0
-    out[:, i + 2] = np.minimum(c["under18"], 3) / 3.0
-    out[:, i + 3] = _clock(c["until_birth"], fs.clock_scale_years)
-    out[:, i + 4] = _clock(c["until_marriage"], fs.clock_scale_years)
-    out[:, i + 5] = _clock(c["until_divorce"], fs.clock_scale_years)
+    out[:, i:i + 3] = np.minimum(np.array([c["under3"], c["under7"], c["under18"]]), 3).T / 3.0
+    out[:, i + 3:i + 6] = _clocks([c["until_birth"], c["until_marriage"], c["until_divorce"]], (clock, clock, clock))
 
 
 def encode(agent: AgentState, partner: AgentState | None, hh: HouseholdState,
            params: UtilityParams, rules: RuleSet, out: np.ndarray | None = None) -> np.ndarray:
     """One agent's observation row: ``encode_columns`` on the block of
     ``agent`` and ``partner``."""
-    c, partners = adult_columns([((agent,) if partner is None else (agent, partner), hh)])
-    rows = np.empty((len(partners), OBS_DIM))
-    encode_columns(c, partners, params, rules, rows)
+    b = HouseholdBlock.pack([((agent,) if partner is None else (agent, partner), hh)])
+    rows = np.empty((b.n, OBS_DIM))
+    encode_columns(block_columns(b), b.partner, params, rules, rows)
     if out is None:
         return rows[0]
     out[:] = rows[0]

@@ -14,9 +14,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import ContractViolation, ParameterError
 from ..paramfiles import build, load_yaml, params_dir
-from ..states import EmploymentState as S, Gender, UNEMPLOYMENT_STATES, WORKING_STATES
+from ..states import ALLOWED_HOURS, N_STATES, EmploymentState as S, Gender, UNEMPLOYMENT_STATES, WORKING_STATES
+
+_WORKING = np.array([s in WORKING_STATES for s in S])
+_UNEMPLOYED = np.array([s in UNEMPLOYMENT_STATES for s in S])
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,89 +96,89 @@ def load_utility_params(path: str | Path | None = None) -> UtilityParams:
     return params
 
 
-def kappa(
-    state: S,
-    gender: str,
-    hours: int,
-    age: float,
-    pink_slip: bool,
-    has_child_under3: bool,
-    params: UtilityParams,
-) -> float:
-    row = params.kappa[gender]
-    if state in WORKING_STATES:
-        k = row.work_hours[hours]
-    elif state in UNEMPLOYMENT_STATES:
-        if pink_slip:
-            k = 0.0
-        else:
-            young_cut, elderly_cut = params.unemployed_age_cuts
-            if age < young_cut:
-                k = row.unemployed_young
-            elif age < elderly_cut:
-                k = row.unemployed_middle
-            else:
-                k = row.unemployed_elderly
-    elif state is S.SICK_LEAVE:
-        k = row.sick_leave
-    elif state is S.STUDENT:
-        k = row.student
-    elif state in (S.RETIRED, S.DISABLED):
-        k = row.retired
-    elif state is S.HOME_CARE:
-        k = row.home_care
-    elif state in (S.MOTHERS_LEAVE, S.FATHERS_LEAVE):
-        k = row.parental_leave
-    elif state is S.OUTSIDE_WF:
-        k = row.outside_wf
-    else:
-        k = 0.0
-    if has_child_under3:
-        k += row.child_under3_bonus
-    return k
+class UtilityColumns:
+    """Per-period utility of whole columns of agents under one parameter
+    set, statutory retirement age and deflator year.  The per-gender
+    ``kappa`` and ``mu`` rows are arrays indexed by gender (0 men, 1
+    women), built once; each formula repeats the scalar one operation for
+    operation, and the log stays ``math.log`` on each value."""
+
+    def __init__(self, params: UtilityParams, retirement_age: float, year: int | None = None) -> None:
+        self.deflator = params.deflator.at(year)
+        self.retirement_age = retirement_age
+        self.age_cuts = params.unemployed_age_cuts
+        rows = [params.kappa[g] for g in ("men", "women")]
+        self.work = np.full((2, max(ALLOWED_HOURS) + 1), np.nan)
+        self.other = np.zeros((2, N_STATES))
+        for g, row in enumerate(rows):
+            for hours, value in row.work_hours.items():
+                self.work[g, hours] = value
+            for states, value in (((S.SICK_LEAVE,), row.sick_leave), ((S.STUDENT,), row.student),
+                                  ((S.RETIRED, S.DISABLED), row.retired), ((S.HOME_CARE,), row.home_care),
+                                  ((S.MOTHERS_LEAVE, S.FATHERS_LEAVE), row.parental_leave),
+                                  ((S.OUTSIDE_WF,), row.outside_wf)):
+                self.other[g, list(states)] = value
+        self.unemployed = np.array([(r.unemployed_young, r.unemployed_middle, r.unemployed_elderly) for r in rows])
+        self.child_bonus = np.array([r.child_under3_bonus for r in rows])
+        mu = [params.mu[g] for g in ("men", "women")]
+        self.q1, self.q2 = np.array([p.q1 for p in mu]), np.array([p.q2 for p in mu])
+        self.s_age = np.array([retirement_age + p.s_age_offset for p in mu])
+        self.s_ret = np.array([retirement_age + p.s_ret_offset for p in mu])
+
+    def kappa(self, state, women, hours, age, pink_slip, child_under3) -> np.ndarray:
+        """Free-time penalty by state: by weekly hours at work, by age band
+        when unemployed without a pink slip, plus the bonus for a child under 3."""
+        g = women.astype(np.intp)
+        young_cut, elderly_cut = self.age_cuts
+        band = np.where(age < young_cut, 0, np.where(age < elderly_cut, 1, 2))
+        unemployed = np.where(pink_slip, 0.0, self.unemployed[g, band])
+        k = np.where(_WORKING[state], self.work[g, hours],
+                     np.where(_UNEMPLOYED[state], unemployed, self.other[g, state]))
+        return np.where(child_under3, k + self.child_bonus[g], k)
+
+    def mu(self, women, hours, age) -> np.ndarray:
+        """Retirement-proximity leisure preference; zero when not working."""
+        if ((age < 18.0) | (age > 100.0)).any():
+            raise ContractViolation(f"age {float(age[(age < 18.0) | (age > 100.0)][0])} outside model range")
+        g = women.astype(np.intp)
+        r = self.retirement_age
+        h = hours / 40.0
+        m = (self.q1[g] * h * np.maximum(0.0, np.minimum(age, r) - self.s_age[g])
+             + self.q2[g] * h * np.maximum(0.0, np.minimum(age, self.s_ret[g]) - r))
+        return np.where(hours > 0, m, 0.0)
+
+    def utility(self, consumption, state, women, hours, age, pink_slip, child_under3) -> np.ndarray:
+        """One-quarter utility of living agents (not yet scaled by dt)."""
+        if (consumption <= 0.0).any():
+            raise ContractViolation(
+                "living agents must have positive consumption; the social assistance floor should prevent this"
+            )
+        c_annual = 4.0 * consumption
+        logs = np.fromiter(map(math.log, (c_annual / self.deflator).tolist()), float, len(c_annual))
+        return logs + self.kappa(state, women, hours, age, pink_slip, child_under3) - self.mu(women, hours, age)
 
 
-def mu_term(
-    age: float,
-    gender: str,
-    hours: int,
-    retirement_age: float,
-    params: UtilityParams,
-) -> float:
-    """Retirement-proximity leisure preference; zero when not working."""
-    if not 18.0 <= age <= 100.0:
-        raise ContractViolation(f"age {age} outside model range")
-    if hours <= 0:
-        return 0.0
-    p = params.mu[gender]
-    s_age = retirement_age + p.s_age_offset
-    s_ret = retirement_age + p.s_ret_offset
-    h = hours / 40.0
-    return p.q1 * h * max(0.0, min(age, retirement_age) - s_age) + p.q2 * h * max(
-        0.0, min(age, s_ret) - retirement_age
-    )
+def _column(*values) -> tuple[np.ndarray, ...]:
+    return tuple(np.array([v]) for v in values)
 
 
-def utility(
-    consumption_quarterly: float,
-    state: S,
-    gender: str,
-    hours: int,
-    age: float,
-    pink_slip: bool,
-    has_child_under3: bool,
-    retirement_age: float,
-    params: UtilityParams,
-    year: int | None = None,
-) -> float:
-    """One-quarter utility for one agent (not yet scaled by dt)."""
+def kappa(state: S, gender: str, hours: int, age: float, pink_slip: bool, has_child_under3: bool,
+          params: UtilityParams) -> float:
+    """:meth:`UtilityColumns.kappa` of one agent."""
+    return float(UtilityColumns(params, 0.0).kappa(*_column(state, gender == "women", hours, age, pink_slip,
+                                                            has_child_under3))[0])
+
+
+def mu_term(age: float, gender: str, hours: int, retirement_age: float, params: UtilityParams) -> float:
+    """:meth:`UtilityColumns.mu` of one agent."""
+    return float(UtilityColumns(params, retirement_age).mu(*_column(gender == "women", hours, age))[0])
+
+
+def utility(consumption_quarterly: float, state: S, gender: str, hours: int, age: float, pink_slip: bool,
+            has_child_under3: bool, retirement_age: float, params: UtilityParams, year: int | None = None) -> float:
+    """One-quarter utility for one agent (not yet scaled by dt): 0 when dead,
+    else :meth:`UtilityColumns.utility`."""
     if state is S.DEAD:
         return 0.0
-    if consumption_quarterly <= 0.0:
-        raise ContractViolation(
-            "living agents must have positive consumption; the social assistance floor should prevent this"
-        )
-    c_annual = 4.0 * consumption_quarterly
-    k = kappa(state, gender, hours, age, pink_slip, has_child_under3, params)
-    m = mu_term(age, gender, hours, retirement_age, params)
-    return math.log(c_annual / params.deflator.at(year)) + k - m
+    return float(UtilityColumns(params, retirement_age, year).utility(
+        *_column(consumption_quarterly, state, gender == "women", hours, age, pink_slip, has_child_under3))[0])

@@ -89,7 +89,8 @@ class ProtocolConfig:
 def run_repeat_protocol(base_net: PolicyValueNet, env: LifecycleEnv,
                         protocol: ProtocolConfig, arm_salt: int = 0) -> RepeatResult:
     """The refit-then-simulate loop; repeat ``i`` of every arm shares the
-    population seed so rule changes are isolated from sampling noise."""
+    population seed so rule changes are isolated from sampling noise.  The
+    cohort is drawn with the group shares of the rule set's year."""
 
     def make_refit(i: int) -> PolicyValueNet:
         if protocol.refit_steps <= 0:
@@ -102,7 +103,7 @@ def run_repeat_protocol(base_net: PolicyValueNet, env: LifecycleEnv,
         # Population seeds are paired across arms: they do not carry the salt.
         return init_population(protocol.cohort_size, env.tables,
                                seed=int(np.random.SeedSequence((protocol.seed, i)).generate_state(1)[0]),
-                               wparams=env.wparams)
+                               year=env.rules.year, wparams=env.wparams)
 
     return repeat_protocol(make_refit, make_population, env,
                            n_repeats=protocol.n_repeats, mode=protocol.mode,

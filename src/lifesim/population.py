@@ -17,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState, child_bands, mother_of
+from .agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdBlock, HouseholdState, child_bands, mother_of
 from .errors import ContractViolation, ParameterError
 from .paramfiles import build, load_yaml, params_dir
 from .states import EmploymentState as S, Gender
 from .wage import WageParams, paid_wage
+
+_DEAD = int(S.DEAD)
 
 
 # [age lower bound, value] rows of a step function of age.
@@ -368,8 +370,83 @@ def spawn_pair_household(
 
 
 # ---------------------------------------------------------------------------
-# Per-household event primitives (used standalone and inside the env step).
+# Demographic phases of the quarter step, over a household block.  Each
+# household draws from its own ``rng_exo``, so looping over the households
+# that draw keeps every stream as it is when households step one at a time.
 # ---------------------------------------------------------------------------
+
+def mortality_phase(b: HouseholdBlock) -> None:
+    """Count down every living adult's life clock; at zero the adult dies."""
+    alive = b.state != _DEAD
+    b.life_left -= alive & (b.life_left > 0)
+    dies = alive & (b.life_left == 0)
+    if np.count_nonzero(dies):
+        b.stop_work(dies, _DEAD)
+        b.returning[dies] = False
+        b.spell_left[dies] = 0
+
+
+def partnership_phase(b: HouseholdBlock, tables: DemographicTables) -> None:
+    """Marriage and divorce of the pair households: count the clocks down;
+    a fired clock toggles the partnership (when both adults live) and draws
+    the other clock from the younger adult's age."""
+    pairs = b.pairs
+    if not pairs.size:
+        return
+    for clock in (b.until_marriage, b.until_divorce):
+        clock[pairs] -= clock[pairs] > 0
+    r0 = b.first[pairs]
+    alive = b.state != _DEAD
+    both = alive[r0] & alive[r0 + 1]
+    partnered = b.partnered[pairs]
+    marry = ~partnered & (b.until_marriage[pairs] == 0)
+    divorce = partnered & (b.until_divorce[pairs] == 0) & both
+    for i in (marry | divorce).nonzero()[0].tolist():
+        h, rng = int(pairs[i]), b.rng_exo[pairs[i]]
+        youngest = min(float(b.age[r0[i]]), float(b.age[r0[i] + 1]))
+        horizon = int((MAX_AGE - youngest) / DT)
+        if marry[i]:
+            if both[i]:
+                b.partnered[h] = True
+                b.until_divorce[h] = draw_event_time(tables.divorce_quarterly, youngest, rng, horizon)
+            b.until_marriage[h] = NO_EVENT
+        else:
+            b.partnered[h] = False
+            b.until_divorce[h] = NO_EVENT
+            b.until_marriage[h] = draw_event_time(tables.marriage_quarterly, youngest, rng, horizon)
+
+
+def fertility_phase(b: HouseholdBlock, tables: DemographicTables) -> np.ndarray:
+    """Age every child a quarter (a child leaves at 18) and fire the
+    scheduled births of households with a living mother; the per-household
+    birth flags.  The only writer of the child columns and bands."""
+    ages = b.child_age + DT
+    b.child_age = np.where(ages < 18.0, ages, np.nan)
+    birth = np.zeros(b.m, dtype=bool)
+    with_mother = b.with_mother
+    if with_mother.size:
+        clock = b.until_birth[with_mother]
+        clock -= clock > 0
+        fired = clock == 0
+        birth[with_mother] = fired & (b.state[b.mother[with_mother]] != _DEAD)
+        clock[fired] = NO_EVENT
+        b.until_birth[with_mother] = clock
+        for h in birth.nonzero()[0].tolist():
+            if b.child_used[h] == b.child_age.shape[1]:
+                b.child_age = np.pad(b.child_age, ((0, 0), (0, b.child_age.shape[1])), constant_values=np.nan)
+            b.child_age[h, b.child_used[h]] = 0.0
+            b.child_used[h] += 1
+            age = float(b.age[b.mother[h]])
+            b.until_birth[h] = draw_event_time(tables.fertility_quarterly, age, b.rng_exo[h],
+                                               int((MAX_AGE - age) / DT))
+    ages = b.child_age
+    b.under3, b.under7, b.under18 = (ages < 3.0).sum(1), (ages < 7.0).sum(1), (ages < 18.0).sum(1)
+    return birth
+
+
+# One household record: the same rules, one household at a time.  The block
+# phases above must leave every field and stream as these do
+# (tests/test_step_oracle.py).
 
 def partnership_events(hh: HouseholdState, tables: DemographicTables) -> None:
     if len(hh.adults) != 2:
@@ -421,6 +498,6 @@ def mortality_events(hh: HouseholdState) -> None:
         if agent.life_left > 0:
             agent.life_left -= 1
         if agent.life_left == 0:
-            agent.stop_work(S.DEAD)
+            agent.state, agent.hours, agent.paid_wage = S.DEAD, 0, 0.0
             agent.returning = False
             agent.spell_left = 0

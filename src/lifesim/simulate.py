@@ -2,11 +2,20 @@
 repeat (refit-then-simulate) protocol.
 
 A simulation runs the trained policy quarterly from age 18 to 75, then plays
-the static phase to age 100.  The log keeps raw per-agent state histories
-(for independent re-analysis) plus flow sums by age cell; aggregation turns
-those into the report: rates by age and gender, occupancy shares, benefit
-expenditure, wage sums, hours and incentive histograms, and the
-unemployment-duration table.
+the static phase to age 100, in fixed blocks of ``BLOCK_HOUSEHOLDS``
+households, each packed once into a :class:`~lifesim.agent.HouseholdBlock`
+(one row per adult in household then slot order, one column per field) and
+stepped phase by phase.  Each household draws its ``rng_exo`` in the order
+it would if stepped alone: ``standard_normal(2)``, ``random(12)``, then
+partnership, fertility, adult 0's and adult 1's conditional draws.
+Transcendentals stay scalar (``math.log``/``math.exp`` per value) and sums
+keep Python's left-to-right order: a quarter's flow rows add into their age
+cell one at a time, in household then unit order.
+
+The log keeps raw per-agent state histories (for independent re-analysis)
+plus flow sums by age cell; aggregation turns those into the report: rates
+by age and gender, occupancy shares, benefit expenditure, wage sums, hours
+and incentive histograms, and the unemployment-duration table.
 """
 
 from __future__ import annotations
@@ -19,15 +28,15 @@ from functools import reduce
 
 import numpy as np
 
-from .agent import HouseholdState
+from .agent import HouseholdBlock, HouseholdState
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
 # callers used to look them up.  The simulator calls neither: it encodes and
-# masks whole blocks through observe_households.
+# masks whole blocks through ``observe``.
 from .env.actions import N_ACTIONS, legal_mask  # noqa: F401
 from .env.features import OBS_DIM, encode  # noqa: F401
 from .env.mdp import DECISION_END_AGE, DT, LifecycleEnv, MAX_AGE
-from .env.vector import observe_households, step_households
+from .env.vector import observe
 from .errors import ContractViolation
 from .population import CohortPopulation
 from .rules import emtr as emtr_op, ptr as ptr_op
@@ -86,16 +95,26 @@ def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> Ho
     return dataclasses.replace(hh_snap, adults=tuple(adults))
 
 
-def _incentive_samples(env: LifecycleEnv, hh: HouseholdState, emtr_samples: list[float],
+def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock | HouseholdState, emtr_samples: list[float],
                        ptr_samples: list[float]) -> None:
-    """EMTR and PTR of every adult of ``hh`` who works for pay, each taken on
-    the budget unit that holds the adult."""
-    for snap, slots in env.budget_units(hh):
-        for pos, slot in enumerate(slots):
-            adult = hh.adults[slot]
-            if adult.state in (S.FULL_TIME, S.PART_TIME) and adult.paid_wage > 0:
-                emtr_samples.append(emtr_op(snap, env.rules, adult=pos)["total"])
-                ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
+    """EMTR and PTR of every adult of ``b`` (a block, or one household) who
+    works for pay, each taken on the budget unit that holds the adult, in
+    household then slot order."""
+    if isinstance(b, HouseholdState):
+        b = env.block([b])
+    rows = env.pricing_rows(b)
+    for h in range(b.m):
+        for snap, unit in env.unit_snapshots(b, h, rows):
+            for pos, r in enumerate(unit):
+                if b.state[r] in (S.FULL_TIME, S.PART_TIME) and b.paid_wage[r] > 0:
+                    emtr_samples.append(emtr_op(snap, env.rules, adult=pos)["total"])
+                    ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
+
+
+def _flow_rows(b: HouseholdBlock) -> np.ndarray:
+    """The ``FLOW_NAMES`` values of every budget unit of ``b``, one row each,
+    in household then unit order."""
+    return np.array([_flow_values(cf) for flows in b.flows for cf in flows]).reshape(-1, len(FLOW_NAMES))
 
 
 def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
@@ -120,10 +139,14 @@ def run_cohort(
 ) -> SimulationLog:
     """Simulate the whole cohort: quarterly decisions 18-75, static to 100.
 
-    Households run in fixed blocks of ``BLOCK_HOUSEHOLDS``, each block from
-    age 18 to 100 with one policy forward pass per decision quarter.  Flow
-    sums and incentive samples are kept per block and joined in block order,
-    so the log does not depend on how blocks are split across workers.
+    Households run in fixed blocks of ``BLOCK_HOUSEHOLDS``, each block
+    packed once into a :class:`~lifesim.agent.HouseholdBlock` and stepped
+    from age 18 to 100 with one policy forward pass per decision quarter;
+    at the end each block writes its state back into the population's
+    records.  Flow sums and incentive samples are kept per block and joined
+    in block order, so the log does not depend on how blocks are split
+    across workers.  A quarter's flow rows add into their age cell one
+    after another, in household then unit order.
     """
     return _run_blocks(net, _blocks(pop.households), env, mode, collect_incentives,
                        pop.size, pop.seed)
@@ -148,42 +171,38 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
     ptr_samples: list[float] = []
 
     row0 = 0
-    for block, flows in zip(blocks, flow_blocks):
-        block_agents = [a for hh in block for a in hh.adults]
-        rows = slice(row0, row0 + len(block_agents))
-        obs = np.zeros((len(block_agents), OBS_DIM))
-        masks = np.zeros((len(block_agents), N_ACTIONS), dtype=bool)
-        # Each household's last static outcome; None before the first static
-        # quarter, whose states freeze_for_static_phase has just changed.
-        static_outcomes = [None] * len(block)
+    for households, flows in zip(blocks, flow_blocks):
+        b = env.block(households)
+        rows = slice(row0, row0 + b.n)
+        obs = np.zeros((b.n, OBS_DIM))
+        masks = np.zeros((b.n, N_ACTIONS), dtype=bool)
+        act_row = 2 * b.hh + b.slot   # each household draws two action uniforms
         for q in range(total_q):
             age_cell = min(int(q * DT), N_AGES - 1)
-            decision_phase = q < decision_q
-            if decision_phase:
-                observe_households(block, env, obs, masks)
+            if q < decision_q:
+                observe(b, env, obs, masks)
                 logits = net.masked_logits(obs, masks)
                 if mode == "greedy":
                     acts = logits.argmax(axis=1)
                 else:
-                    u = np.concatenate([hh.rng_act.random(2)[:len(hh.adults)] for hh in block])
+                    u = np.concatenate([rng.random(2) for rng in b.rng_act])[act_row]
                     acts = sample_masked(logits, masks, u)
-                outcomes = step_households(block, env, acts, masks)
-            else:
-                outcomes = static_outcomes = [env.static_quarter(hh, last)
-                                              for hh, last in zip(block, static_outcomes)]
-            for hh, out in zip(block, outcomes):
-                for cf in out.flows:
-                    flows[age_cell] += _flow_values(cf)
-                if collect_incentives and decision_phase and q % 4 == 0:
-                    _incentive_samples(env, hh, emtr_samples, ptr_samples)
-            states[rows, q] = [a.state for a in block_agents]
-            hours[rows, q] = [a.hours for a in block_agents]
-            paid[rows, q] = [a.paid_wage for a in block_agents]
-            er_days[rows, q] = [a.ub_days_used for a in block_agents]
+                env.step_block(b, acts, masks)
+                unit_flows = _flow_rows(b)
+                if collect_incentives and q % 4 == 0:
+                    _incentive_samples(env, b, emtr_samples, ptr_samples)
+            elif env.static_block(b).size:
+                unit_flows = _flow_rows(b)
+            # np.add.reduce over rows adds them one at a time, in row order.
+            flows[age_cell] = np.add.reduce(np.vstack((flows[age_cell], unit_flows)), axis=0)
+            states[rows, q] = b.state
+            hours[rows, q] = b.hours
+            paid[rows, q] = b.paid_wage
+            er_days[rows, q] = b.ub_days_used
             if q == decision_q - 1:
-                for hh in block:
-                    env.freeze_for_static_phase(hh)
-        row0 += len(block_agents)
+                env.freeze_block(b)
+        b.write_back(households)
+        row0 += b.n
 
     flows_by_age, cons_by_age = _fold_flows(flow_blocks)
     return SimulationLog(

@@ -1,4 +1,4 @@
-"""Policy solvers: actor-critic learner and the tabular DP oracle."""
+"""Policy solver: the actor-critic learner, its network and checkpoints."""
 
 from .actor_critic import (
     TrainConfig,
@@ -10,32 +10,22 @@ from .actor_critic import (
     value_estimate,
 )
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
-from .dp import DiscreteMDP, DpSolution, bellman_residual, dp_solve, greedy_policy_probs, policy_return
 from .kfac import KfacPreconditioner
 from .network import Adam, ForwardCache, PolicyValueNet, masked_distribution
-from .reduced import ReducedConfig, ReducedVectorEnv, build_reduced_mdp
 
 __all__ = [
     "Adam",
-    "DiscreteMDP",
-    "DpSolution",
     "ForwardCache",
     "KfacPreconditioner",
     "PolicyValueNet",
-    "ReducedConfig",
-    "ReducedVectorEnv",
     "TrainConfig",
     "TrainResult",
     "VectorEnv",
     "a2c_loss_grads",
-    "bellman_residual",
     "config_hash",
-    "dp_solve",
-    "greedy_policy_probs",
     "load_checkpoint",
     "masked_distribution",
     "policy_act",
-    "policy_return",
     "save_checkpoint",
     "train_actor_critic",
     "value_estimate",

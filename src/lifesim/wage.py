@@ -15,9 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, get_args
 
+import numpy as np
+
 from .errors import ContractViolation, ParameterError
 from .paramfiles import build, load_yaml, params_dir
 from .states import ALLOWED_HOURS, EmploymentState, Gender
+
+_ALLOWED_HOURS = frozenset(ALLOWED_HOURS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,42 +66,41 @@ def load_wage_params(path: str | Path | None = None) -> WageParams:
     return params
 
 
-def potential_wage_step(
-    prev_wage: float,
-    prev_age: float,
-    age: float,
-    gender: str,
-    group: int,
-    params: WageParams,
-    shock: float,
-    dt: float = 1.0,
-) -> float:
-    """One step of the relative log-wage AR(1).
+def potential_wage_columns(prev_wage: np.ndarray, prev_mean: np.ndarray, mean: np.ndarray, params: WageParams,
+                           shock: np.ndarray, dt: float = 1.0) -> np.ndarray:
+    """One step of the relative log-wage AR(1) for columns of agents whose
+    age profile reads ``prev_mean`` at the previous age and ``mean`` at the
+    new one.  The log and the exp run as ``math.log``/``math.exp`` on each
+    value (numpy's differ in the last bits).
 
-    ``shock`` is a standard-normal draw supplied by the caller so parallel
+    ``shock`` holds standard-normal draws supplied by the caller so parallel
     agents can use independent, seedable streams.
     """
-    a_prev = params.mean_wage(gender, group, prev_age)
-    a_now = params.mean_wage(gender, group, age)
     c = params.autocorr ** dt
     sd = params.shock_sd * math.sqrt(dt)
-    x = c * math.log(prev_wage / a_prev) + sd * shock - 0.5 * sd * sd
-    return a_now * math.exp(x)
+    log_rel = np.fromiter(map(math.log, (prev_wage / prev_mean).tolist()), float, len(prev_wage))
+    x = c * log_rel + sd * shock - 0.5 * sd * sd
+    return mean * np.fromiter(map(math.exp, x.tolist()), float, len(x))
 
 
-def paid_wage(potential_annual: float, hours: int, reduction: float) -> float:
-    """Paid annual wage: (hours/40) * potential * (1 - reduction)."""
-    if hours not in ALLOWED_HOURS:
+def potential_wage_step(prev_wage: float, prev_age: float, age: float, gender: str, group: int, params: WageParams,
+                        shock: float, dt: float = 1.0) -> float:
+    """:func:`potential_wage_columns` of one agent."""
+    return float(potential_wage_columns(np.array([prev_wage]), np.array([params.mean_wage(gender, group, prev_age)]),
+                                        np.array([params.mean_wage(gender, group, age)]), params, np.array([shock]),
+                                        dt)[0])
+
+
+def paid_wage(potential_annual, hours, reduction):
+    """Paid annual wage: (hours/40) * potential * (1 - reduction), of one
+    agent or of columns of agents."""
+    if not set(np.ravel(hours).tolist()) <= _ALLOWED_HOURS:
         raise ContractViolation(f"weekly hours must be one of {ALLOWED_HOURS}, got {hours}")
     return (hours / 40.0) * potential_annual * (1.0 - reduction)
 
 
-def update_wage_reduction(
-    reduction: float,
-    state: EmploymentState,
-    params: WageParams,
-    dt: float = 0.25,
-) -> float:
-    """Move the wage reduction by the state's net annual rate over ``dt``."""
-    rate = params.reduction_annual[state] - params.recovery_annual[state]
-    return min(1.0, max(0.0, reduction + rate * dt))
+def update_wage_reduction(reduction, state, params: WageParams, dt: float = 0.25):
+    """Move the wage reduction by the state's net annual rate over ``dt``,
+    within [0, 1]: of one agent, or of columns of reductions and state codes."""
+    rate = np.array([params.reduction_annual[s] - params.recovery_annual[s] for s in EmploymentState])[state]
+    return np.minimum(1.0, np.maximum(0.0, reduction + rate * dt))

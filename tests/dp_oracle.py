@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractViolation
+from lifesim.errors import ContractViolation
 
 MAX_TABULAR_STATES = 1_000_000
 

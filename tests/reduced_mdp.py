@@ -16,8 +16,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ..errors import ContractViolation
-from .dp import DiscreteMDP
+from lifesim.errors import ContractViolation
+from dp_oracle import DiscreteMDP
 
 E_UNEMP, E_PT, E_FT, E_RET, E_DEAD = range(5)
 N_EMP = 5

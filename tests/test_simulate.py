@@ -10,9 +10,10 @@ import lifesim.pipelines as pipelines
 import lifesim.simulate as simulate
 from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
+from lifesim.paramfiles import ruleset_path
 from lifesim.population import init_population, load_demographics
 from lifesim.reform import compare_runs
-from lifesim.rules import emtr, ptr
+from lifesim.rules import emtr, load_ruleset, ptr
 from lifesim.simulate import (
     AGE_MIN,
     DURATION_BIN_EDGES,
@@ -307,6 +308,28 @@ def test_repeat_protocol_population_uses_env_wage_params(env, small_net, monkeyp
     base, scaled = ([a.potential_wage for a in pop.agents()] for pop in populations)
     # At 18 the age profile equals its base, so the same draws give twice the wage.
     np.testing.assert_allclose(scaled, 2.0 * np.asarray(base), rtol=1e-12)
+
+
+def test_repeat_protocol_population_uses_the_rule_year(small_net, monkeypatch):
+    """Under 2024 rules the protocol draws its cohort with the 2024 group
+    shares, as ``train_policy`` does."""
+    rules2024 = load_ruleset(ruleset_path(2024))
+    env = LifecycleEnv(rules2024, load_utility_params(), load_wage_params(), load_demographics())
+    populations = []
+
+    def first_population(make_refit, make_population, env, n_repeats, **kwargs):
+        populations.append(make_population(0))
+
+    monkeypatch.setattr(pipelines, "repeat_protocol", first_population)
+    protocol = pipelines.ProtocolConfig(refit_steps=0, n_repeats=1, cohort_size=400, seed=4)
+    pipelines.run_repeat_protocol(small_net, env, protocol)
+    seed = int(np.random.SeedSequence((protocol.seed, 0)).generate_state(1)[0])
+    want = init_population(protocol.cohort_size, env.tables, seed=seed, year=2024, wparams=env.wparams)
+    default_year = init_population(protocol.cohort_size, env.tables, seed=seed, wparams=env.wparams)
+    drawn = [[(a.gender, a.group, a.state, a.potential_wage) for a in pop.agents()]
+             for pop in (populations[0], want, default_year)]
+    assert drawn[0] == drawn[1]
+    assert drawn[1] != drawn[2]   # the 2023 shares draw another cohort
 
 
 def test_nan_cells_summarize_and_compare_without_warnings(small_log):

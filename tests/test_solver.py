@@ -6,27 +6,20 @@ import numpy as np
 import pytest
 
 from lifesim.errors import ConfigError, ContractViolation, TrainingDiverged
+from dp_oracle import DiscreteMDP, bellman_residual, dp_solve, greedy_policy_probs, policy_return
 from lifesim.solver import (
-    DiscreteMDP,
     PolicyValueNet,
-    ReducedConfig,
-    ReducedVectorEnv,
     TrainConfig,
     a2c_loss_grads,
-    bellman_residual,
-    build_reduced_mdp,
-    dp_solve,
-    greedy_policy_probs,
     masked_distribution,
     load_checkpoint,
     policy_act,
-    policy_return,
     save_checkpoint,
     train_actor_critic,
     value_estimate,
 )
 from lifesim.solver.network import ForwardCache, log_softmax
-from lifesim.solver.reduced import grid_observations
+from reduced_mdp import ReducedConfig, ReducedVectorEnv, build_reduced_mdp, grid_observations
 
 
 def network_policy_probs(net, mdp, config, mode="greedy"):
@@ -426,7 +419,7 @@ def test_value_estimates_finite_and_batch_invariant(trained_reduced, reduced):
 
 def test_dead_state_value_near_zero(trained_reduced, reduced):
     cfg, mdp, _ = reduced
-    from lifesim.solver.reduced import E_DEAD, grid_observations
+    from reduced_mdp import E_DEAD, grid_observations
 
     obs = grid_observations(mdp, cfg)
     k = cfg.wage_points
