@@ -16,7 +16,7 @@ from the records and can write its rows back into them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ DT = 0.25       # one model step: a quarter, in years
 MAX_AGE = 100.0  # every agent is dead by this age
 
 _DEAD = S.DEAD  # bound once: an enum class lookup costs about ten times more
-_worked = itemgetter(0)  # a work-window entry's worked flag
 STATES = tuple(S)  # state code -> member
 
 
@@ -72,9 +71,6 @@ class AgentState:
     @property
     def alive(self) -> bool:
         return self.state is not _DEAD
-
-    def condition_quarters(self) -> int:
-        return sum(map(_worked, self.work_window))
 
 
 @dataclass(slots=True)

@@ -1,10 +1,11 @@
 """Batch command-line entry point.
 
 Subcommands: train, simulate, compare, calibrate, emtr-scan.  Every run is
-driven by a YAML config file plus a handful of flag overrides; the config is
-copied verbatim into the output directory so any run can be reproduced from
-its outputs alone.  Exit codes: 0 success, 2 config error, 3 training
-divergence.
+driven by a YAML config file plus a handful of flag overrides (``--workers``
+on ``simulate`` only, the one subcommand that runs a process pool); the
+config is copied verbatim into the output directory so any run can be
+reproduced from its outputs alone.  Exit codes: 0 success, 2 config error,
+3 training divergence.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _prepare_out(cfg: dict, args: argparse.Namespace) -> Path:
         shutil.copyfile(args.config, out / "config.yaml")
     resolved = dict(cfg)
     resolved["seed"] = _seed(cfg, args)
-    resolved["workers"] = _workers(cfg, args)
+    if "workers" in args:
+        resolved["workers"] = _workers(cfg, args)
     with open(out / "resolved_config.json", "w") as f:
         json.dump(resolved, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
@@ -153,6 +155,9 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
     out = _prepare_out(cfg, args)
     seed = _seed(cfg, args)
     comp = cfg.get("compare", {})
+    if "total_steps" in cfg.get("train", {}):
+        raise ConfigError("compare refits for compare.refit_steps steps; remove train.total_steps, "
+                          "which compare does not read")
     ckpt = comp.get("checkpoint") or cfg.get("checkpoint")
     overlay = comp.get("reform") or cfg.get("reform")
     if not ckpt or not overlay:
@@ -282,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="YAML config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        if name == "simulate":
+            p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         p.set_defaults(func=fn)
     return parser

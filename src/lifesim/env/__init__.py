@@ -1,11 +1,10 @@
 """Quarterly household decision environment."""
 
-from .actions import ACTIONS, N_ACTIONS, Action, Decision, legal_actions, legal_mask
+from .actions import ACTIONS, N_ACTIONS, Action, Decision, legal_mask
 from ..agent import NO_EVENT, AgentState, HouseholdState
 from .features import OBS_DIM, encode
 from .mdp import DECISION_END_AGE, DT, LifecycleEnv, StepOutcome
-from .transitions import is_legal
-from .utility import UtilityParams, kappa, load_utility_params, mu_term, utility
+from .utility import UtilityParams, load_utility_params
 
 __all__ = [
     "ACTIONS",
@@ -22,11 +21,6 @@ __all__ = [
     "StepOutcome",
     "UtilityParams",
     "encode",
-    "is_legal",
-    "kappa",
-    "legal_actions",
     "legal_mask",
     "load_utility_params",
-    "mu_term",
-    "utility",
 ]

@@ -137,8 +137,3 @@ def legal_mask(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> np.ndar
     mask = np.empty((1, N_ACTIONS), dtype=bool)
     mask_columns(block_columns(HouseholdBlock.pack([((agent,), hh)])), rules, mask)
     return mask[0]
-
-
-def legal_actions(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> list[Action]:
-    mask = legal_mask(agent, hh, rules)
-    return [ACTIONS[i] for i in range(N_ACTIONS) if mask[i]]

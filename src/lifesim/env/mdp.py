@@ -23,9 +23,17 @@ formulas operation for operation:
   basis, the job searches from outside work, and the budget units, which
   the scalar ``rules.engine.price_unit`` prices one at a time.
 
+Marriage, divorce and birth clocks are drawn on failure curves built once
+per hazard and start age and kept with the env
+(:func:`lifesim.population.draw_event_clock`).
+
 ``LifecycleEnv.step``, ``static_quarter``, ``freeze_for_static_phase`` and
 ``terminal_value`` are the block of one household: pack, run the block
-phase, write back into the same records.
+phase, write back into the same records.  The per-household step the block
+step replaced, and its per-record demographic events, are
+``tests/step_oracle.py``; the other one-household views the tests use
+(``budget_units``, ``household_flows``, ``observe_households``,
+``step_households``) are ``tests/one_household.py``.
 """
 
 from __future__ import annotations
@@ -155,10 +163,14 @@ class LifecycleEnv:
         self.wparams = wparams
         self.tables = tables
         self._survival_cache: dict[tuple[str, float], tuple[float, ...]] = {}
+        # Failure curves of the marriage, divorce and fertility hazards by
+        # (hazard name, start age), for the clocks drawn after 18.
+        self._curve_cache: dict[tuple[str, float], np.ndarray] = {}
 
     def __getstate__(self) -> dict:
         """The bundle without its derived tables, which are rebuilt on first use."""
-        return {k: self.__dict__[k] for k in ("rules", "uparams", "wparams", "tables", "_survival_cache")}
+        return {k: self.__dict__[k] for k in ("rules", "uparams", "wparams", "tables", "_survival_cache",
+                                              "_curve_cache")}
 
     # -- derived tables, built on first use ---------------------------------
 
@@ -271,17 +283,6 @@ class LifecycleEnv:
                     consumption[r] = cf.consumption / len(alive)
             b.flows[h] = flows
         b.consumption[:] = consumption
-
-    def budget_units(self, hh: HouseholdState) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
-        """Each budget unit of ``hh`` as its snapshot and the adult slots it covers."""
-        b = self.block([hh])
-        return self.unit_snapshots(b, 0, self.pricing_rows(b))
-
-    def household_flows(self, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
-        """Cash flows per budget unit and consumption per adult slot of ``hh``."""
-        b = self.block([hh])
-        self.price(b, [0])
-        return b.flows[0], b.consumption.tolist()
 
     # -- shared transitions -------------------------------------------------
 
@@ -614,8 +615,8 @@ class LifecycleEnv:
         before = b.state.copy()
         b.event[:] = 0
         mortality_phase(b)
-        partnership_phase(b, self.tables)
-        b.birth = fertility_phase(b, self.tables)
+        partnership_phase(b, self.tables, self._curve_cache)
+        b.birth = fertility_phase(b, self.tables, self._curve_cache)
         if np.count_nonzero(b.birth):
             self._birth_consequences(b, draws[:, 12])
         entries = _Entries(b.n)
@@ -633,7 +634,7 @@ class LifecycleEnv:
         """A static quarter's state change: mortality, children ageing (no
         births past 75), and a quarter more of age and of time in state."""
         mortality_phase(b)
-        fertility_phase(b, self.tables)
+        fertility_phase(b, self.tables, self._curve_cache)
         live = (b.state != _DEAD).nonzero()[0]
         b.age[live] = list(map(self._next_age, b.age[live].tolist()))
         b.time_in_state[live] += DT
@@ -717,18 +718,14 @@ class LifecycleEnv:
         return outcome(b, 0, event_names(b, 0))
 
     def static_quarter(self, hh: HouseholdState, last: StepOutcome | None = None) -> StepOutcome:
-        """One post-decision quarter of ``hh``; ``last`` is its outcome from
-        the previous static quarter, or None, and is returned as it is when
-        no adult's state and no child band changed (see :meth:`static_block`)."""
-        states, bands = [a.state for a in hh.adults], hh.bands
+        """:meth:`static_block` on one household.  ``last`` is its outcome
+        from the previous static quarter, or None to price it again, and is
+        returned as it is when the block prices nothing."""
         b = self.block([hh])
-        self._age_static(b)
+        b.stale[:] = last is None
+        priced = self.static_block(b).size
         b.write_back([hh])
-        if last is not None and hh.bands == bands and states == [a.state for a in hh.adults]:
-            return last
-        flows, consumptions = self.household_flows(hh)
-        return StepOutcome(rewards=(0.0,) * len(hh.adults), consumptions=tuple(consumptions),
-                           flows=flows, events=())
+        return outcome(b, 0) if priced else last
 
     def freeze_for_static_phase(self, hh: HouseholdState) -> None:
         """:meth:`freeze_block` on one household."""

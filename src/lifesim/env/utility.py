@@ -100,8 +100,9 @@ class UtilityColumns:
     """Per-period utility of whole columns of agents under one parameter
     set, statutory retirement age and deflator year.  The per-gender
     ``kappa`` and ``mu`` rows are arrays indexed by gender (0 men, 1
-    women), built once; each formula repeats the scalar one operation for
-    operation, and the log stays ``math.log`` on each value."""
+    women), built once; each formula repeats the per-agent one (the
+    reference step's in ``tests/step_oracle.py``) operation for operation,
+    and the log stays ``math.log`` on each value."""
 
     def __init__(self, params: UtilityParams, retirement_age: float, year: int | None = None) -> None:
         self.deflator = params.deflator.at(year)
@@ -156,29 +157,3 @@ class UtilityColumns:
         c_annual = 4.0 * consumption
         logs = np.fromiter(map(math.log, (c_annual / self.deflator).tolist()), float, len(c_annual))
         return logs + self.kappa(state, women, hours, age, pink_slip, child_under3) - self.mu(women, hours, age)
-
-
-def _column(*values) -> tuple[np.ndarray, ...]:
-    return tuple(np.array([v]) for v in values)
-
-
-def kappa(state: S, gender: str, hours: int, age: float, pink_slip: bool, has_child_under3: bool,
-          params: UtilityParams) -> float:
-    """:meth:`UtilityColumns.kappa` of one agent."""
-    return float(UtilityColumns(params, 0.0).kappa(*_column(state, gender == "women", hours, age, pink_slip,
-                                                            has_child_under3))[0])
-
-
-def mu_term(age: float, gender: str, hours: int, retirement_age: float, params: UtilityParams) -> float:
-    """:meth:`UtilityColumns.mu` of one agent."""
-    return float(UtilityColumns(params, retirement_age).mu(*_column(gender == "women", hours, age))[0])
-
-
-def utility(consumption_quarterly: float, state: S, gender: str, hours: int, age: float, pink_slip: bool,
-            has_child_under3: bool, retirement_age: float, params: UtilityParams, year: int | None = None) -> float:
-    """One-quarter utility for one agent (not yet scaled by dt): 0 when dead,
-    else :meth:`UtilityColumns.utility`."""
-    if state is S.DEAD:
-        return 0.0
-    return float(UtilityColumns(params, retirement_age, year).utility(
-        *_column(consumption_quarterly, state, gender == "women", hours, age, pink_slip, has_child_under3))[0])

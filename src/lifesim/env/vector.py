@@ -9,8 +9,9 @@ phase by phase.  Each household draws its ``rng_exo`` in the order it would
 if stepped alone: ``standard_normal(2)``, ``random(12)``, then partnership,
 fertility, adult 0's and adult 1's conditional draws.  Transcendentals stay
 scalar and sums keep Python's left-to-right order (see
-:mod:`lifesim.env.mdp`).  ``observe_households`` and ``step_households`` do
-the same for a list of records, which they update.
+:mod:`lifesim.env.mdp`).  ``tests/one_household.py`` does the same for a
+list of records, which it updates (``observe_households``,
+``step_households``).
 
 In training, a fixed pool of pair households advances in lockstep, each adult
 one actor slot.  Episodes run the decision phase (ages 18 to 75); at the
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..agent import HouseholdBlock, HouseholdState
+from ..agent import HouseholdBlock
 from ..population import initial_draw_tables, spawn_pair_household
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
 # callers used to look them up.
 from .actions import N_ACTIONS, legal_mask, mask_columns  # noqa: F401
 from .features import OBS_DIM, block_columns, encode, encode_columns  # noqa: F401
-from .mdp import DECISION_END_AGE, DT, LifecycleEnv, StepOutcome, event_names, outcome
+from .mdp import DECISION_END_AGE, DT, LifecycleEnv
 
 
 def observe(b: HouseholdBlock, env: LifecycleEnv, obs: np.ndarray, masks: np.ndarray) -> None:
@@ -38,23 +39,6 @@ def observe(b: HouseholdBlock, env: LifecycleEnv, obs: np.ndarray, masks: np.nda
     columns = block_columns(b)
     encode_columns(columns, b.partner, env.uparams, env.rules, obs)
     mask_columns(columns, env.rules, masks)
-
-
-def observe_households(households: list[HouseholdState], env: LifecycleEnv,
-                       obs: np.ndarray, masks: np.ndarray) -> None:
-    """``observe`` on the block of ``households``."""
-    observe(HouseholdBlock.of(households), env, obs, masks)
-
-
-def step_households(households: list[HouseholdState], env: LifecycleEnv,
-                    actions, masks: np.ndarray) -> list[StepOutcome]:
-    """Advance every household one quarter on ``actions`` and ``masks``, in
-    the ``observe_households`` row layout, and write the new state into
-    the records."""
-    b = env.block(households)
-    env.step_block(b, actions, masks)
-    b.write_back(households)
-    return [outcome(b, h, event_names(b, h)) for h in range(b.m)]
 
 
 class LifecycleVectorEnv:

@@ -3,7 +3,15 @@
 Households are fixed opposite-sex pairs (or single-slot leftovers); marriage
 and divorce toggle partnership inside the pair.  Every random life event is
 drawn in advance and surfaced as a time-to-event clock, so agents can see the
-next transition coming; firing an event redraws the next clock.
+next transition coming; firing an event redraws the next clock.  Death,
+marriage, divorce and birth clocks are drawn one way: one uniform inverted
+against a failure curve, built once per hazard and start age (from 18 for a
+new household, see :func:`initial_draw_tables`; later ones by
+:func:`draw_event_clock`).
+
+The demographic events run over a household block, phase by phase.  The
+per-record events they replaced, with the survival-loop draw, are the
+reference the block phases are checked against, in ``tests/step_oracle.py``.
 
 :class:`DemographicTables` is the schema of ``demographics.yaml`` (see
 :mod:`lifesim.paramfiles`).
@@ -17,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdBlock, HouseholdState, child_bands, mother_of
+from .agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdBlock, HouseholdState, mother_of
 from .errors import ContractViolation, ParameterError
 from .paramfiles import build, load_yaml, params_dir
 from .states import EmploymentState as S, Gender
@@ -157,20 +165,25 @@ def failure_curve(hazard_at, age: float, horizon_q: int) -> np.ndarray:
 
 
 def draw_from_curve(curve: np.ndarray, rng: np.random.Generator) -> int:
+    """The first quarter whose cumulative failure reaches one uniform;
+    ``NO_EVENT`` when none does."""
     u = rng.random()
-    if curve.size == 0 or u >= curve[-1]:
+    if curve.size == 0 or u > curve[-1]:
         return NO_EVENT
     return int(np.searchsorted(curve, u, side="left")) + 1
 
 
-def draw_event_time(hazard_at, age: float, rng: np.random.Generator, horizon_q: int) -> int:
-    u = rng.random()
-    survival = 1.0
-    for k in range(1, horizon_q + 1):
-        survival *= 1.0 - hazard_at(age + k * DT)
-        if 1.0 - survival >= u:
-            return k
-    return NO_EVENT
+def draw_event_clock(hazard_at, age: float, rng: np.random.Generator,
+                     curves: dict[tuple[str, float], np.ndarray]) -> int:
+    """A clock drawn from ``age`` to 100 on the quarterly hazard
+    ``hazard_at`` (a :class:`DemographicTables` method).  Its failure curve
+    is built once per hazard and start age into ``curves``, which the caller
+    keeps with the tables."""
+    key = hazard_at.__name__, age
+    curve = curves.get(key)
+    if curve is None:
+        curve = curves[key] = failure_curve(hazard_at, age, int((MAX_AGE - age) / DT))
+    return draw_from_curve(curve, rng)
 
 
 def draw_geometric(p: float, rng: np.random.Generator, cap: int = 200) -> int:
@@ -386,10 +399,11 @@ def mortality_phase(b: HouseholdBlock) -> None:
         b.spell_left[dies] = 0
 
 
-def partnership_phase(b: HouseholdBlock, tables: DemographicTables) -> None:
+def partnership_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict) -> None:
     """Marriage and divorce of the pair households: count the clocks down;
     a fired clock toggles the partnership (when both adults live) and draws
-    the other clock from the younger adult's age."""
+    the other clock from the younger adult's age (``curves`` as in
+    :func:`draw_event_clock`)."""
     pairs = b.pairs
     if not pairs.size:
         return
@@ -404,22 +418,23 @@ def partnership_phase(b: HouseholdBlock, tables: DemographicTables) -> None:
     for i in (marry | divorce).nonzero()[0].tolist():
         h, rng = int(pairs[i]), b.rng_exo[pairs[i]]
         youngest = min(float(b.age[r0[i]]), float(b.age[r0[i] + 1]))
-        horizon = int((MAX_AGE - youngest) / DT)
         if marry[i]:
             if both[i]:
                 b.partnered[h] = True
-                b.until_divorce[h] = draw_event_time(tables.divorce_quarterly, youngest, rng, horizon)
+                b.until_divorce[h] = draw_event_clock(tables.divorce_quarterly, youngest, rng, curves)
             b.until_marriage[h] = NO_EVENT
         else:
             b.partnered[h] = False
             b.until_divorce[h] = NO_EVENT
-            b.until_marriage[h] = draw_event_time(tables.marriage_quarterly, youngest, rng, horizon)
+            b.until_marriage[h] = draw_event_clock(tables.marriage_quarterly, youngest, rng, curves)
 
 
-def fertility_phase(b: HouseholdBlock, tables: DemographicTables) -> np.ndarray:
+def fertility_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict) -> np.ndarray:
     """Age every child a quarter (a child leaves at 18) and fire the
-    scheduled births of households with a living mother; the per-household
-    birth flags.  The only writer of the child columns and bands."""
+    scheduled births of households with a living mother, each drawing the
+    next birth clock from the mother's age (``curves`` as in
+    :func:`draw_event_clock`); the per-household birth flags.  The only
+    writer of the child columns and bands."""
     ages = b.child_age + DT
     b.child_age = np.where(ages < 18.0, ages, np.nan)
     birth = np.zeros(b.m, dtype=bool)
@@ -436,68 +451,8 @@ def fertility_phase(b: HouseholdBlock, tables: DemographicTables) -> np.ndarray:
                 b.child_age = np.pad(b.child_age, ((0, 0), (0, b.child_age.shape[1])), constant_values=np.nan)
             b.child_age[h, b.child_used[h]] = 0.0
             b.child_used[h] += 1
-            age = float(b.age[b.mother[h]])
-            b.until_birth[h] = draw_event_time(tables.fertility_quarterly, age, b.rng_exo[h],
-                                               int((MAX_AGE - age) / DT))
+            mother_age = float(b.age[b.mother[h]])
+            b.until_birth[h] = draw_event_clock(tables.fertility_quarterly, mother_age, b.rng_exo[h], curves)
     ages = b.child_age
     b.under3, b.under7, b.under18 = (ages < 3.0).sum(1), (ages < 7.0).sum(1), (ages < 18.0).sum(1)
     return birth
-
-
-# One household record: the same rules, one household at a time.  The block
-# phases above must leave every field and stream as these do
-# (tests/test_step_oracle.py).
-
-def partnership_events(hh: HouseholdState, tables: DemographicTables) -> None:
-    if len(hh.adults) != 2:
-        return
-    a, b = hh.adults
-    if hh.until_marriage > 0:
-        hh.until_marriage -= 1
-    if hh.until_divorce > 0:
-        hh.until_divorce -= 1
-    youngest = min(a.age, b.age)
-    if not hh.partnered and hh.until_marriage == 0:
-        if a.alive and b.alive:
-            hh.partnered = True
-            hh.until_divorce = draw_event_time(tables.divorce_quarterly, youngest, hh.rng_exo,
-                                               int((MAX_AGE - youngest) / DT))
-        hh.until_marriage = NO_EVENT
-    elif hh.partnered and hh.until_divorce == 0 and a.alive and b.alive:
-        hh.partnered = False
-        hh.until_divorce = NO_EVENT
-        hh.until_marriage = draw_event_time(tables.marriage_quarterly, youngest, hh.rng_exo,
-                                            int((MAX_AGE - youngest) / DT))
-
-
-def fertility_events(hh: HouseholdState, tables: DemographicTables) -> bool:
-    """Age children, fire scheduled births; returns True when a birth happened.
-    The only writer of ``hh.child_ages``, so it also refreshes ``hh.bands``."""
-    ages = [age + DT for age in hh.child_ages if age + DT < 18.0]
-    mother = mother_of(hh)
-    birth = False
-    if mother is not None:
-        if hh.until_birth > 0:
-            hh.until_birth -= 1
-        birth = hh.until_birth == 0 and mother.alive
-        if hh.until_birth == 0:
-            hh.until_birth = NO_EVENT
-        if birth:
-            ages.append(0.0)
-            horizon = int((MAX_AGE - mother.age) / DT)
-            hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, hh.rng_exo, horizon)
-    hh.child_ages = ages
-    hh.bands = child_bands(ages)
-    return birth
-
-
-def mortality_events(hh: HouseholdState) -> None:
-    for agent in hh.adults:
-        if not agent.alive:
-            continue
-        if agent.life_left > 0:
-            agent.life_left -= 1
-        if agent.life_left == 0:
-            agent.state, agent.hours, agent.paid_wage = S.DEAD, 0, 0.0
-            agent.returning = False
-            agent.spell_left = 0

@@ -16,9 +16,9 @@ fixed benefit amounts).  It accumulates every flow in locals and builds the
 * :func:`net_income` (and :func:`emtr`, :func:`ptr`) from a
   :class:`HouseholdSnapshot`'s adults; ``emtr`` adds its wage bump inside
   the priced row;
-* ``LifecycleEnv.household_flows`` from the agents' state, through
-  ``lifesim.env.mdp.agent_row``, for each unit ``LifecycleEnv.unit_groups``
-  forms.
+* ``LifecycleEnv.price`` from a household block's columns: one row per
+  adult from ``LifecycleEnv.pricing_rows``, for each unit
+  ``LifecycleEnv.unit_groups`` forms.
 
 The public helpers (:func:`unemployment_benefit`, :func:`pension_benefit`,
 :func:`housing_benefit`, ...) are the functions the core calls or thin

@@ -95,13 +95,10 @@ def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> Ho
     return dataclasses.replace(hh_snap, adults=tuple(adults))
 
 
-def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock | HouseholdState, emtr_samples: list[float],
+def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[float],
                        ptr_samples: list[float]) -> None:
-    """EMTR and PTR of every adult of ``b`` (a block, or one household) who
-    works for pay, each taken on the budget unit that holds the adult, in
-    household then slot order."""
-    if isinstance(b, HouseholdState):
-        b = env.block([b])
+    """EMTR and PTR of every adult of ``b`` who works for pay, each taken on
+    the budget unit that holds the adult, in household then slot order."""
     rows = env.pricing_rows(b)
     for h in range(b.m):
         for snap, unit in env.unit_snapshots(b, h, rows):
@@ -522,8 +519,8 @@ def nan_sd(values: np.ndarray) -> float:
 
 
 def summarize_reports(reports: list[AggregateReport]) -> RepeatResult:
-    keys = reports[0].cells().keys()
-    table = {k: np.array([r.cells()[k] for r in reports]) for k in keys}
+    cells = [r.cells() for r in reports]
+    table = {k: np.array([c[k] for c in cells]) for k in cells[0]}
     mean = {k: nan_mean(v) for k, v in table.items()}
     sd = {k: nan_sd(v) if len(reports) > 1 else 0.0 for k, v in table.items()}
     return RepeatResult(mean_cells=mean, sd_cells=sd, reports=list(reports))

@@ -5,9 +5,7 @@ from .actor_critic import (
     TrainResult,
     VectorEnv,
     a2c_loss_grads,
-    policy_act,
     train_actor_critic,
-    value_estimate,
 )
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .kfac import KfacPreconditioner
@@ -25,8 +23,6 @@ __all__ = [
     "config_hash",
     "load_checkpoint",
     "masked_distribution",
-    "policy_act",
     "save_checkpoint",
     "train_actor_critic",
-    "value_estimate",
 ]

@@ -83,14 +83,6 @@ def potential_wage_columns(prev_wage: np.ndarray, prev_mean: np.ndarray, mean: n
     return mean * np.fromiter(map(math.exp, x.tolist()), float, len(x))
 
 
-def potential_wage_step(prev_wage: float, prev_age: float, age: float, gender: str, group: int, params: WageParams,
-                        shock: float, dt: float = 1.0) -> float:
-    """:func:`potential_wage_columns` of one agent."""
-    return float(potential_wage_columns(np.array([prev_wage]), np.array([params.mean_wage(gender, group, prev_age)]),
-                                        np.array([params.mean_wage(gender, group, age)]), params, np.array([shock]),
-                                        dt)[0])
-
-
 def paid_wage(potential_annual, hours, reduction):
     """Paid annual wage: (hours/40) * potential * (1 - reduction), of one
     agent or of columns of agents."""

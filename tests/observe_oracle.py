@@ -86,7 +86,7 @@ def encode(agent: AgentState, partner: AgentState | None, hh: HouseholdState,
     out[i + 10] = max(0.0, agent.ub_max_days - agent.ub_days_used) / fs.er_days_scale
     out[i + 11] = min(1.0, agent.time_in_state / fs.time_in_state_years)
     out[i + 12] = (agent.career_quarters * 0.25) / fs.career_years
-    out[i + 13] = agent.condition_quarters() / rules.unemployment.er.condition_window_quarters
+    out[i + 13] = sum(worked for worked, _ in agent.work_window) / rules.unemployment.er.condition_window_quarters
     out[i + 14] = 1.0 if agent.pink_slip else 0.0
     out[i + 15] = 1.0 if agent.fund_member else 0.0
     out[i + 16] = 1.0 if agent.returning else 0.0

@@ -1,0 +1,90 @@
+"""One-household and one-agent views of the block code, for the tests.
+
+Production steps, observes and prices whole household blocks
+(``LifecycleEnv.step_block``, ``vector.observe``, ``LifecycleEnv.price``)
+and evaluates utility on columns (``utility.UtilityColumns``); each function
+here runs that code on a list of records, one household or one agent.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from lifesim.agent import AgentState, HouseholdBlock, HouseholdState
+from lifesim.env import LifecycleEnv, StepOutcome
+from lifesim.env.actions import ACTIONS, N_ACTIONS, Action, legal_mask
+from lifesim.env.mdp import event_names, outcome
+from lifesim.env.utility import UtilityColumns, UtilityParams
+from lifesim.env.vector import observe
+from lifesim.rules import CashFlows, HouseholdSnapshot, RuleSet
+from lifesim.states import EmploymentState as S
+from lifesim.wage import WageParams, potential_wage_columns
+
+
+def observe_households(households: list[HouseholdState], env: LifecycleEnv,
+                       obs: np.ndarray, masks: np.ndarray) -> None:
+    """``observe`` on the block of ``households``."""
+    observe(HouseholdBlock.of(households), env, obs, masks)
+
+
+def step_households(households: list[HouseholdState], env: LifecycleEnv,
+                    actions, masks: np.ndarray) -> list[StepOutcome]:
+    """Advance every household one quarter on ``actions`` and ``masks``, in
+    the ``observe_households`` row layout, and write the new state into
+    the records."""
+    b = env.block(households)
+    env.step_block(b, actions, masks)
+    b.write_back(households)
+    return [outcome(b, h, event_names(b, h)) for h in range(b.m)]
+
+
+def budget_units(env: LifecycleEnv, hh: HouseholdState) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
+    """Each budget unit of ``hh`` as its snapshot and the adult slots it covers."""
+    b = env.block([hh])
+    return env.unit_snapshots(b, 0, env.pricing_rows(b))
+
+
+def household_flows(env: LifecycleEnv, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
+    """Cash flows per budget unit and consumption per adult slot of ``hh``."""
+    b = env.block([hh])
+    env.price(b, [0])
+    return b.flows[0], b.consumption.tolist()
+
+
+def legal_actions(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> list[Action]:
+    mask = legal_mask(agent, hh, rules)
+    return [ACTIONS[i] for i in range(N_ACTIONS) if mask[i]]
+
+
+def _column(*values) -> tuple[np.ndarray, ...]:
+    return tuple(np.array([v]) for v in values)
+
+
+def kappa(state: S, gender: str, hours: int, age: float, pink_slip: bool, has_child_under3: bool,
+          params: UtilityParams) -> float:
+    """:meth:`UtilityColumns.kappa` of one agent."""
+    return float(UtilityColumns(params, 0.0).kappa(*_column(state, gender == "women", hours, age, pink_slip,
+                                                            has_child_under3))[0])
+
+
+def mu_term(age: float, gender: str, hours: int, retirement_age: float, params: UtilityParams) -> float:
+    """:meth:`UtilityColumns.mu` of one agent."""
+    return float(UtilityColumns(params, retirement_age).mu(*_column(gender == "women", hours, age))[0])
+
+
+def utility(consumption_quarterly: float, state: S, gender: str, hours: int, age: float, pink_slip: bool,
+            has_child_under3: bool, retirement_age: float, params: UtilityParams, year: int | None = None) -> float:
+    """One-quarter utility for one agent (not yet scaled by dt): 0 when dead,
+    else :meth:`UtilityColumns.utility`."""
+    if state is S.DEAD:
+        return 0.0
+    return float(UtilityColumns(params, retirement_age, year).utility(
+        *_column(consumption_quarterly, state, gender == "women", hours, age, pink_slip, has_child_under3))[0])
+
+
+def potential_wage_step(prev_wage: float, prev_age: float, age: float, gender: str, group: int, params: WageParams,
+                        shock: float, dt: float = 1.0) -> float:
+    """:func:`potential_wage_columns` of one agent."""
+    return float(potential_wage_columns(np.array([prev_wage]), np.array([params.mean_wage(gender, group, prev_age)]),
+                                        np.array([params.mean_wage(gender, group, age)]), params, np.array([shock]),
+                                        dt)[0])

@@ -1,7 +1,9 @@
 """The per-household quarter step, as ``lifesim.env.mdp`` ran it before the
 block step: one household at a time, phase by phase, with the scalar wage
-and utility functions it called.  The demographic events are the per-record
-``lifesim.population`` functions, which production keeps.
+and utility functions it called, and the per-record demographic events that
+``lifesim.population``'s block phases replaced.  Their clocks are drawn by
+the survival loop below; production draws them on failure curves cached per
+hazard and start age, which must give the same clock on every draw.
 
 ``tests/test_step_oracle.py`` asserts that ``LifecycleEnv.step_block``,
 ``static_block``, ``freeze_block`` and ``terminal_block`` leave every field,
@@ -15,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from lifesim.agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState, mother_of
+import numpy as np
+
+from lifesim.agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState, child_bands, mother_of
 from lifesim.env.actions import ACTIONS, Action, Decision, legal_mask
 from lifesim.errors import ContractViolation
-# The per-record demographic events are the ones production keeps.
-from lifesim.population import draw_geometric, fertility_events, mortality_events, partnership_events
+from lifesim.population import DemographicTables, draw_geometric
 from lifesim.rules import AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days, price_unit
 from lifesim.rules.ruleset import BENEFIT_DAYS_PER_QUARTER
 from lifesim.states import (
@@ -67,11 +70,86 @@ def _stop_work(a: AgentState, state: S) -> None:
     a.paid_wage = 0.0
 
 
+def condition_quarters(a: AgentState) -> int:
+    return sum(worked for worked, _ in a.work_window)
+
+
 def _condition_wage_monthly(a: AgentState) -> float:
     wages = [w for worked, w in a.work_window if worked]
     if not wages:
         return 0.0
     return sum(wages) / len(wages) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# Demographic events, one household record at a time.  A clock is drawn by
+# walking the survival product quarter by quarter until the failure
+# probability reaches one uniform.
+# ---------------------------------------------------------------------------
+
+def draw_event_time(hazard_at, age: float, rng: np.random.Generator, horizon_q: int) -> int:
+    u = rng.random()
+    survival = 1.0
+    for k in range(1, horizon_q + 1):
+        survival *= 1.0 - hazard_at(age + k * DT)
+        if 1.0 - survival >= u:
+            return k
+    return NO_EVENT
+
+
+def partnership_events(hh: HouseholdState, tables: DemographicTables) -> None:
+    if len(hh.adults) != 2:
+        return
+    a, b = hh.adults
+    if hh.until_marriage > 0:
+        hh.until_marriage -= 1
+    if hh.until_divorce > 0:
+        hh.until_divorce -= 1
+    youngest = min(a.age, b.age)
+    if not hh.partnered and hh.until_marriage == 0:
+        if a.alive and b.alive:
+            hh.partnered = True
+            hh.until_divorce = draw_event_time(tables.divorce_quarterly, youngest, hh.rng_exo,
+                                               int((MAX_AGE - youngest) / DT))
+        hh.until_marriage = NO_EVENT
+    elif hh.partnered and hh.until_divorce == 0 and a.alive and b.alive:
+        hh.partnered = False
+        hh.until_divorce = NO_EVENT
+        hh.until_marriage = draw_event_time(tables.marriage_quarterly, youngest, hh.rng_exo,
+                                            int((MAX_AGE - youngest) / DT))
+
+
+def fertility_events(hh: HouseholdState, tables: DemographicTables) -> bool:
+    """Age children, fire scheduled births; returns True when a birth happened.
+    The only writer of ``hh.child_ages``, so it also refreshes ``hh.bands``."""
+    ages = [age + DT for age in hh.child_ages if age + DT < 18.0]
+    mother = mother_of(hh)
+    birth = False
+    if mother is not None:
+        if hh.until_birth > 0:
+            hh.until_birth -= 1
+        birth = hh.until_birth == 0 and mother.alive
+        if hh.until_birth == 0:
+            hh.until_birth = NO_EVENT
+        if birth:
+            ages.append(0.0)
+            horizon = int((MAX_AGE - mother.age) / DT)
+            hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, hh.rng_exo, horizon)
+    hh.child_ages = ages
+    hh.bands = child_bands(ages)
+    return birth
+
+
+def mortality_events(hh: HouseholdState) -> None:
+    for agent in hh.adults:
+        if not agent.alive:
+            continue
+        if agent.life_left > 0:
+            agent.life_left -= 1
+        if agent.life_left == 0:
+            agent.state, agent.hours, agent.paid_wage = S.DEAD, 0, 0.0
+            agent.returning = False
+            agent.spell_left = 0
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +380,7 @@ class OracleEnv:
         rules = self.rules
         a.pink_slip = pink_slip
         state = _BASIC_UNEMPLOYED
-        cond_q = a.condition_quarters()
+        cond_q = condition_quarters(a)
         threshold_q = max(1, rules.unemployment.er.condition_months // 3)
         if eligible and a.fund_member and cond_q >= threshold_q:
             if a.new_condition_quarters >= threshold_q or a.ub_basis == 0.0:

@@ -1,8 +1,11 @@
 """Command-line entry point: malformed inputs exit with the config error code."""
 
+import json
+
+import pytest
 import yaml
 
-from lifesim.cli import EXIT_CONFIG, EXIT_OK, main
+from lifesim.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.paramfiles import params_dir, ruleset_path
@@ -74,3 +77,31 @@ def test_train_from_base_checkpoint_keeps_its_shape(tmp_path, capsys):
     net, header = load_checkpoint(tmp_path / "out" / "checkpoint.bin")
     assert net.hidden == (8,)
     assert header["hidden"] == header["config"]["hidden"] == [8]
+
+
+def test_only_simulate_takes_workers(tmp_path, capsys):
+    """Only ``simulate`` runs a process pool, so only it parses ``--workers``
+    or records workers in its resolved config."""
+    for command in ("train", "compare", "calibrate", "emtr-scan"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+    assert build_parser().parse_args(["simulate", "--workers", "2"]).workers == 2
+
+    cfg = {"out": str(tmp_path / "out"), "emtr_scan": {"wage_max_monthly": 100.0}}
+    assert main(["emtr-scan", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
+    resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+    assert "workers" not in resolved and resolved["seed"] == 0
+
+
+def test_compare_rejects_train_total_steps(tmp_path, capsys):
+    """A compare refits for ``compare.refit_steps``; a ``train.total_steps``
+    it would not read is a config error, not silently dropped."""
+    ckpt = tmp_path / "policy.pkl"
+    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1))
+    cfg = {"out": str(tmp_path / "out"), "train": {"total_steps": 64, "households": 2},
+           "compare": {"checkpoint": str(ckpt), "reform": str(params_dir() / "reforms" / "orpo.yaml"),
+                       "refit_steps": 8, "repeats": 2, "cohort": 2}}
+    assert main(["compare", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "compare.refit_steps" in capsys.readouterr().err

@@ -13,13 +13,8 @@ from lifesim.env import (
     N_ACTIONS,
     encode,
     OBS_DIM,
-    is_legal,
-    kappa,
-    legal_actions,
     legal_mask,
     load_utility_params,
-    mu_term,
-    utility,
 )
 from lifesim.env.actions import (
     A_FT,
@@ -36,6 +31,8 @@ from lifesim.rules import net_income
 from lifesim.population import ExogenousHazards, Gompertz, init_population, load_demographics
 from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
+from one_household import budget_units, household_flows, kappa, legal_actions, mu_term, utility
+from transition_table import is_legal
 
 
 @pytest.fixture(scope="module")
@@ -414,13 +411,13 @@ def _unit_household(case):
 ])
 def test_budget_units_are_the_priced_units(env, case, expected):
     hh = _unit_household(case)
-    units = env.budget_units(hh)
+    units = budget_units(env, hh)
     assert [(slots, s.children_under18, s.partnered, s.rent_monthly) for s, slots in units] == [
         (slots, kids, partnered, env.rules.rent_for_size(size))
         for slots, kids, partnered, size in expected]
     for snap, slots in units:
         assert [a.state for a in snap.adults] == [hh.adults[i].state for i in slots]
-    flows, consumptions = env.household_flows(hh)
+    flows, consumptions = household_flows(env, hh)
     assert flows == [net_income(snap, env.rules) for snap, _ in units]
     for cf, (_, slots) in zip(flows, units):
         living = [i for i in slots if hh.adults[i].alive]
@@ -462,7 +459,7 @@ def test_static_phase_accounting_identity(env):
     a.pension_paid = 1100.0
     a.life_left = 1000
     hh = make_household(a)
-    per_quarter = env.household_flows(hh)[0][0].pension_er
+    per_quarter = household_flows(env, hh)[0][0].pension_er
     total = sum(cf.pension_er for _ in range(100) for cf in env.static_quarter(hh).flows)
     assert total == pytest.approx(per_quarter * 100)
 
@@ -477,9 +474,9 @@ def test_static_quarter_prices_each_segment_once(env):
     # The child turns 7 in the 2nd static quarter and 18 in the 46th.
     hh = make_household(man, woman, partnered=True, children=(6.6,))
     pricings = []
-    priced = env.household_flows
+    priced = env.price
     env_counting = copy.copy(env)
-    env_counting.household_flows = lambda h: pricings.append(1) or priced(h)
+    env_counting.price = lambda b, households: pricings.append(1) or priced(b, households)
 
     segments = 0
     key = None
@@ -489,7 +486,7 @@ def test_static_quarter_prices_each_segment_once(env):
         new_key = (tuple(a.state for a in hh.adults), child_bands(hh.child_ages))
         segments += new_key != key
         key = new_key
-        fresh_flows, fresh_consumptions = env.household_flows(copy.deepcopy(hh))
+        fresh_flows, fresh_consumptions = household_flows(env, copy.deepcopy(hh))
         assert out.flows == fresh_flows
         assert out.consumptions == tuple(fresh_consumptions)
         last = out
@@ -499,7 +496,7 @@ def test_static_quarter_prices_each_segment_once(env):
 
 def test_terminal_value_matches_explicit_survival_loop(env):
     """The cached survival weights sum to the bits of the explicit loop."""
-    from lifesim.env import utility as utility_fn
+    from one_household import utility as utility_fn
 
     for gender, state, age in (("men", S.RETIRED, 75.0), ("women", S.RETIRED_FT, 75.0),
                                ("women", S.DISABLED, 80.5)):
@@ -507,7 +504,7 @@ def test_terminal_value_matches_explicit_survival_loop(env):
                        pension_paid=1300.0, paid_wage=20000.0)
         hh = make_household(a)
         env.freeze_for_static_phase(hh)
-        consumption = env.household_flows(hh)[1][0]
+        consumption = household_flows(env, hh)[1][0]
         u_now = utility_fn(consumption, a.state, a.gender, a.hours, a.age, a.pink_slip, False,
                            env.rules.pension.min_retirement_age, env.uparams, year=env.rules.year) * DT
         total, survival, disc = 0.0, 1.0, 1.0

@@ -1,7 +1,7 @@
 """The environment's pricing path against the verbatim earlier engine.
 
-``LifecycleEnv.household_flows`` prices each budget unit from rows read
-straight from the agents' state.  Here every ``CashFlows`` field it returns
+``LifecycleEnv.price`` (here through ``one_household.household_flows``)
+prices each budget unit from rows read straight from the agents' state.  Here every ``CashFlows`` field it returns
 must equal, bit for bit, ``rules_oracle.net_income`` on the unit's snapshot
 built the way the environment built it before (``oracle_units`` below), and
 ``budget_units`` must return those snapshots.  The households are
@@ -28,13 +28,13 @@ from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.env.mdp import DECISION_END_AGE, DT
-from lifesim.env.vector import observe_households, step_households
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import AdultSnapshot, HouseholdSnapshot, load_ruleset, net_income
 from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
+from one_household import budget_units, household_flows, observe_households, step_households
 
 RULE_NAMES = [str(year) for year in range(2018, 2025)] + ["2023+orpo"]
 STATIC_QUARTERS = 12
@@ -103,8 +103,8 @@ def oracle_units(hh: HouseholdState, rules) -> list[tuple[HouseholdSnapshot, tup
 
 def check_flows(env: LifecycleEnv, hh: HouseholdState) -> None:
     units = oracle_units(hh, env.rules)
-    assert env.budget_units(hh) == units
-    flows, consumptions = env.household_flows(hh)
+    assert budget_units(env, hh) == units
+    flows, consumptions = household_flows(env, hh)
     assert [bits(cf) for cf in flows] == [bits(rules_oracle.net_income(snap, env.rules)) for snap, _ in units]
     want = [0.0] * len(hh.adults)
     for cf, (_, slots) in zip(flows, units):
@@ -205,7 +205,7 @@ def test_household_flows_match_oracle_on_hand_built_units(rules_name, case):
     env = _env(_rules(rules_name))
     hh = _unit_household(case)
     check_flows(env, hh)
-    flows, _ = env.household_flows(hh)
+    flows, _ = household_flows(env, hh)
     assert len(flows) == (2 if case == "unmarried_with_child" else 1)
     assert sum(cf.child_benefit > 0 for cf in flows) == (case != "widowed")
     if case == "widowed":

@@ -15,13 +15,13 @@ from lifesim.env import LifecycleEnv, encode, legal_mask, load_utility_params
 from lifesim.env.actions import A_HOME_CARE, A_PARTIAL25, A_RETIRE, N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.env.mdp import DECISION_END_AGE, DT
-from lifesim.env.vector import observe_households, step_households
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import load_ruleset
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
+from one_household import observe_households, step_households
 
 import observe_oracle as oracle
 

@@ -5,16 +5,9 @@ import pytest
 
 from lifesim.agent import NO_EVENT, child_bands
 from lifesim.errors import ContractViolation
-from lifesim.population import (
-    DemographicTables,
-    Gompertz,
-    fertility_events,
-    init_population,
-    load_demographics,
-    mortality_events,
-    partnership_events,
-)
+from lifesim.population import DemographicTables, Gompertz, init_population, load_demographics
 from lifesim.states import EmploymentState as S
+from step_oracle import fertility_events, mortality_events, partnership_events
 
 
 # One demographic event phase over a whole population.

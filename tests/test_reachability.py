@@ -1,0 +1,93 @@
+"""Every function in ``src/lifesim`` is reached from outside the tests.
+
+The check walks ``src/lifesim`` with ``ast`` and lists each module-level
+function and method whose name nothing outside ``tests/`` uses: no call, no
+attribute read, no name passed on, in ``src/`` or in ``lifebench/``.  An
+import alone is not a use, so a re-export in ``__init__.py`` or an
+``__all__`` entry does not count.  Names are matched by spelling, so a
+method counts as used when any object's attribute of that name is read.
+
+Allowed without a use: the names ``lifebench/layers.py`` traces (the traced
+run looks them up by string), the command-line entry point, the public
+rules API, ``lifesim.rules.__all__``, with the methods of its classes, and
+``LifecycleEnv.freeze_for_static_phase``: the traced one-household
+``step``, ``static_quarter`` and ``terminal_value`` need it to reach the
+static phase, and ``tests/test_step_oracle.py`` runs all four.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import lifesim.rules as rules_api
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lifesim"
+OUTSIDE_TESTS = (ROOT / "src", ROOT / "lifebench")
+ENTRY_POINT = {"main"}   # ``lifesim = "lifesim.cli:main"`` in pyproject.toml
+ONE_HOUSEHOLD_FREEZE = {"LifecycleEnv.freeze_for_static_phase"}
+
+
+def _trees(*roots: Path):
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _defined(tree: ast.Module):
+    """(qualified name, name) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name read as a variable or an attribute (imports are not reads)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _traced() -> set[str]:
+    """The attribute names of ``lifebench/layers.py``'s trace targets: the
+    third entry of each (span, owner, attribute, note) tuple."""
+    tree = ast.parse((ROOT / "lifebench" / "layers.py").read_text())
+    return {node.elts[2].value for node in ast.walk(tree)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 4
+            and isinstance(node.elts[2], ast.Constant) and isinstance(node.elts[2].value, str)}
+
+
+def _rules_api() -> set[str]:
+    names = set(rules_api.__all__)
+    for name in rules_api.__all__:
+        obj = getattr(rules_api, name)
+        if isinstance(obj, type):
+            names |= {f"{name}.{attr}" for attr, value in vars(obj).items() if callable(value)}
+    return names
+
+
+def test_every_function_in_src_is_reached_outside_tests():
+    used = set().union(*(_used(tree) for _, tree in _trees(*OUTSIDE_TESTS)))
+    allowed = _traced() | ENTRY_POINT | _rules_api() | ONE_HOUSEHOLD_FREEZE
+    unreached = []
+    for path, tree in _trees(SRC):
+        for qualified, name in _defined(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue   # called by the language, not by name
+            if name in used or name in allowed or qualified in allowed:
+                continue
+            unreached.append(f"{path.relative_to(ROOT)}: {qualified}")
+    assert not unreached, "defined in src/ but used only by tests:\n" + "\n".join(unreached)
+
+
+def test_traced_names_are_found():
+    assert {"net_income", "step", "static_quarter", "terminal_value", "encode", "legal_mask"} <= _traced()

@@ -11,11 +11,9 @@ from lifesim.reform import (
     apply_reform,
     compare_cell_lists,
     load_reform,
-    minimal_significant_difference,
-    paired_one_sided_pvalue,
-    revert_reform,
 )
 from lifesim.rules import unemployment_benefit
+from reform_helpers import minimal_significant_difference, paired_one_sided_pvalue, revert_reform
 
 
 @pytest.fixture(scope="module")

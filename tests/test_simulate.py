@@ -27,6 +27,7 @@ from lifesim.simulate import (
 from lifesim.solver import PolicyValueNet
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
+from one_household import budget_units
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +236,16 @@ def test_incentive_samples_collected(small_log):
     assert 0.3 < float(np.median(small_log.ptr_samples)) <= 1.0
 
 
+def test_summarize_reports_builds_each_reports_cells_once(small_log, monkeypatch):
+    reports = [aggregate(small_log) for _ in range(4)]
+    calls = []
+    cells = simulate.AggregateReport.cells
+    monkeypatch.setattr(simulate.AggregateReport, "cells", lambda self: calls.append(id(self)) or cells(self))
+    result = summarize_reports(reports)
+    assert sorted(calls) == sorted(map(id, reports))
+    assert result.mean_cells.keys() == cells(reports[0]).keys()
+
+
 def _working_adult(gender, age, wage):
     a = AgentState(gender=gender, group=1, age=age, state=S.FULL_TIME, hours=40, paid_wage=wage,
                    prev_paid_wage=wage)
@@ -252,10 +263,10 @@ def test_incentive_samples_taken_on_budget_units(env, case):
         woman = AgentState(gender="women", group=1, age=41.0, state=S.DEAD, pension_accrued=900.0)
         hh = HouseholdState(adults=(man, woman), partnered=True)
     emtrs, ptrs = [], []
-    simulate._incentive_samples(env, hh, emtrs, ptrs)
+    simulate._incentive_samples(env, env.block([hh]), emtrs, ptrs)
 
     expected_emtr, expected_ptr = [], []
-    for snap, slots in env.budget_units(hh):
+    for snap, slots in budget_units(env, hh):
         for pos, slot in enumerate(slots):
             if hh.adults[slot].alive:
                 jobless = list(snap.adults)

@@ -13,12 +13,11 @@ from lifesim.solver import (
     a2c_loss_grads,
     masked_distribution,
     load_checkpoint,
-    policy_act,
     save_checkpoint,
     train_actor_critic,
-    value_estimate,
 )
 from lifesim.solver.network import ForwardCache, log_softmax
+from policy_helpers import policy_act, value_estimate
 from reduced_mdp import ReducedConfig, ReducedVectorEnv, build_reduced_mdp, grid_observations
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from lifesim.errors import ContractViolation
 from lifesim.states import EmploymentState as S
-from lifesim.wage import load_wage_params, paid_wage, potential_wage_step, update_wage_reduction
+from lifesim.wage import load_wage_params, paid_wage, update_wage_reduction
+from one_household import potential_wage_step
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Employment-state transition legality.
+"""Employment-state transition legality, the table the tests audit random
+play against.
 
 Cell kinds: ``D`` decision, ``E`` exogenous probability, ``D*`` decision after
 exogenous events end a spell, ``D^`` the same but only if not disabled, ``-``
@@ -8,7 +9,7 @@ row; death is reachable from every state and absorbing.
 
 from __future__ import annotations
 
-from ..states import EmploymentState as S
+from lifesim.states import EmploymentState as S
 
 # Column order of the core table.
 _COLS = (
