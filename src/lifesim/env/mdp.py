@@ -167,6 +167,18 @@ class LifecycleEnv:
         # (hazard name, start age), for the clocks drawn after 18.
         self._curve_cache: dict[tuple[str, float], np.ndarray] = {}
 
+    def with_rules(self, rules: RuleSet) -> "LifecycleEnv":
+        """The same tables and preferences under ``rules``.  The new env
+        shares the tables derived from those inputs alone (failure curves,
+        survival weights, the wage profile, job-finding odds); the ones that
+        read the rules (utility columns, rents) it builds for itself."""
+        twin = LifecycleEnv(rules, self.uparams, self.wparams, self.tables)
+        twin._survival_cache = self._survival_cache
+        twin._curve_cache = self._curve_cache
+        twin._wage_profile = self._wage_profile
+        twin._job_find_prob = self._job_find_prob
+        return twin
+
     def __getstate__(self) -> dict:
         """The bundle without its derived tables, which are rebuilt on first use."""
         return {k: self.__dict__[k] for k in ("rules", "uparams", "wparams", "tables", "_survival_cache",

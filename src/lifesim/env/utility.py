@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..agent import DT
 from ..errors import ContractViolation, ParameterError
 from ..paramfiles import build, load_yaml, params_dir
 from ..states import ALLOWED_HOURS, N_STATES, EmploymentState as S, Gender, UNEMPLOYMENT_STATES, WORKING_STATES
@@ -73,7 +74,6 @@ class FeatureScales:
 @dataclass(frozen=True, slots=True)
 class UtilityParams:
     discount_annual: float
-    timestep_years: float
     deflator: Deflator
     kappa: dict[Gender, KappaRow]         # free-time penalties
     unemployed_age_cuts: tuple[float, float]
@@ -82,7 +82,8 @@ class UtilityParams:
 
     @property
     def step_discount(self) -> float:
-        return self.discount_annual ** self.timestep_years
+        """The discount over one model step of ``DT`` years."""
+        return self.discount_annual ** DT
 
 
 def load_utility_params(path: str | Path | None = None) -> UtilityParams:

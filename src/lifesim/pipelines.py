@@ -50,11 +50,6 @@ def build_env(paths: EnvPaths, rules: RuleSet | None = None) -> LifecycleEnv:
     )
 
 
-def with_rules(env: LifecycleEnv, rules: RuleSet) -> LifecycleEnv:
-    """Same tables and preferences, different institutional rules."""
-    return LifecycleEnv(rules=rules, uparams=env.uparams, wparams=env.wparams, tables=env.tables)
-
-
 def train_policy(env: LifecycleEnv, config: TrainConfig, n_households: int = 32,
                  base_net: PolicyValueNet | None = None, year: int | None = None) -> TrainResult:
     """A2C on ``n_households`` pair households drawn for ``year`` (default:
@@ -122,7 +117,7 @@ def reform_pipeline(base_net: PolicyValueNet, spec: ReformSpec, env: LifecycleEn
     """Retrain under the reformed rules with identical preferences, run the
     repeat protocol on both arms with paired population seeds, compare."""
     reformed_rules, _ = apply_reform(env.rules, spec)
-    env_reform = with_rules(env, reformed_rules)
+    env_reform = env.with_rules(reformed_rules)
     baseline = run_repeat_protocol(base_net, env, protocol, arm_salt=1)
     reform = run_repeat_protocol(base_net, env_reform, protocol, arm_salt=2)
     comparison = compare_runs(baseline.reports, reform.reports, confidence=confidence)

@@ -8,13 +8,11 @@ from .actor_critic import (
     train_actor_critic,
 )
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
-from .kfac import KfacPreconditioner
 from .network import Adam, ForwardCache, PolicyValueNet, masked_distribution
 
 __all__ = [
     "Adam",
     "ForwardCache",
-    "KfacPreconditioner",
     "PolicyValueNet",
     "TrainConfig",
     "TrainResult",

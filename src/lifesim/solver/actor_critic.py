@@ -1,9 +1,9 @@
 """Advantage actor-critic over vectorized environments with action masking.
 
 The learner maximizes the discounted return with n-step bootstrapped
-advantages; an optional Kronecker-factored preconditioner turns the plain
-gradient into an approximate natural gradient.  Everything is seeded and
-single-threaded numpy, so identical configs reproduce identical checkpoints.
+advantages and steps with Adam on the clipped gradient.  Everything is
+seeded and single-threaded numpy, so identical configs reproduce
+identical checkpoints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Protocol
 import numpy as np
 
 from ..errors import ContractViolation, TrainingDiverged
-from .kfac import KfacPreconditioner
 from .network import Adam, ForwardCache, PolicyValueNet, clip_grads, log_softmax, sample_masked
 
 
@@ -41,10 +40,6 @@ class TrainConfig:
     value_coef: float = 0.5
     reward_scale: float = 0.25
     max_grad_norm: float = 0.5
-    natural_gradient: bool = False  # Kronecker-factored preconditioning toggle
-    kfac_damping: float = 1e-2
-    kfac_ema: float = 0.95
-    kfac_update_every: int = 20
     seed: int = 0
     checkpoint_every: int = 50      # updates between metric rows
     divergence_factor: float = 10.0
@@ -71,7 +66,6 @@ def a2c_loss_grads(
     actions: np.ndarray,
     returns: np.ndarray,
     config: TrainConfig,
-    stats: dict | None = None,
     cache: ForwardCache | None = None,
 ) -> tuple[list[np.ndarray], dict[str, float]]:
     """Gradient of the A2C objective on one flat batch.
@@ -103,7 +97,7 @@ def a2c_loss_grads(
 
     d_values = config.value_coef * 2.0 * (values - returns) / n
 
-    grads = net.backward(cache, d_logits, d_values, stats=stats)
+    grads = net.backward(cache, d_logits, d_values)
     entropy = float(-plogp.sum(axis=1).mean())
     metrics = {
         "policy_loss": float(-(chosen * adv).mean()),
@@ -127,8 +121,6 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
         net = PolicyValueNet(env.obs_dim, env.n_actions, config.hidden,
                              seed=config.seed)
     optimizer = Adam(net.parameters(), lr=config.learning_rate)
-    kfac = KfacPreconditioner(net.parameters(), config.kfac_damping, config.kfac_ema,
-                              config.kfac_update_every) if config.natural_gradient else None
 
     gamma = env.step_discount
     n = env.n_actors
@@ -179,12 +171,8 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
         flat_actions = np.concatenate(ba, axis=0)
         flat_returns = returns.reshape(-1)
 
-        stats: dict | None = {} if kfac is not None else None
         grads, step_metrics = a2c_loss_grads(net, flat_obs, flat_masks, flat_actions,
-                                             flat_returns, config, stats=stats, cache=update_cache)
-        if kfac is not None:
-            kfac.update_factors(stats["inputs"], stats["grad_outputs"])
-            grads = kfac.precondition(grads)
+                                             flat_returns, config, cache=update_cache)
         clip_grads(grads, config.max_grad_norm)
         optimizer.step(net.parameters(), grads)
 

@@ -2,7 +2,7 @@
 
 Shared leaky-ReLU trunk with a masked-logits policy head and a scalar value
 head.  Biases are folded into the weight matrices via an augmented input
-column, which keeps the backward pass and the Kronecker factors simple.
+column, which keeps the backward pass simple.
 Everything is float64 numpy for determinism and finite-difference checks.
 
 A forward pass writes every trunk layer into preallocated augmented buffers
@@ -118,15 +118,9 @@ class PolicyValueNet:
         values = (x @ self.w_value)[:, 0]
         return logits, values
 
-    def backward(self, cache: ForwardCache, d_logits: np.ndarray, d_values: np.ndarray,
-                 stats: dict | None = None) -> list[np.ndarray]:
-        """Gradients for every parameter given head-output gradients.
-
-        When ``stats`` is given it is filled with the per-layer augmented
-        inputs and output gradients (trunk layers then heads), which is what
-        the Kronecker-factored preconditioner consumes.  Its trunk arrays are
-        ``cache``'s buffers, valid until the next pass over ``cache``.
-        """
+    def backward(self, cache: ForwardCache, d_logits: np.ndarray, d_values: np.ndarray
+                 ) -> list[np.ndarray]:
+        """Gradients for every parameter given head-output gradients."""
         x_out = cache.trunk_out
         rows = x_out.shape[0]
         widths = [w.shape[1] for w in self.trunk]
@@ -150,9 +144,6 @@ class PolicyValueNet:
             grads_trunk[i] = cache.inputs[i].T @ d_z
             if i > 0:
                 np.matmul(d_z, self.trunk[i][:-1].T, out=cache.grad_outputs[i - 1])
-        if stats is not None:
-            stats["inputs"] = [*cache.inputs, x_out, x_out]
-            stats["grad_outputs"] = [*cache.grad_outputs, d_logits, d_values[:, None]]
         return [*grads_trunk, g_policy, g_value]
 
     # -- inference helpers --------------------------------------------------

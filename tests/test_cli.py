@@ -1,7 +1,10 @@
 """Command-line entry point: malformed inputs exit with the config error code."""
 
+import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -77,6 +80,40 @@ def test_train_from_base_checkpoint_keeps_its_shape(tmp_path, capsys):
     net, header = load_checkpoint(tmp_path / "out" / "checkpoint.bin")
     assert net.hidden == (8,)
     assert header["hidden"] == header["config"]["hidden"] == [8]
+
+
+@pytest.mark.parametrize("key, value", [("natural_gradient", True), ("kfac_damping", 0.01),
+                                        ("kfac_ema", 0.95), ("kfac_update_every", 20)])
+def test_train_rejects_removed_learner_options(tmp_path, capsys, key, value):
+    cfg = {"out": str(tmp_path / "out"), "train": {"total_steps": 8, "households": 2, "hidden": [8], key: value}}
+    assert main(["train", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown train settings" in err and key in err
+
+
+def test_checkpoint_with_removed_learner_options_refits(tmp_path):
+    """A checkpoint whose header config still holds the K-FAC settings of
+    older versions loads, its hash checked over the stored dict, and serves
+    as a refit's base."""
+    net = PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0)
+    config = {**dataclasses.asdict(TrainConfig(total_steps=1, hidden=(8,))), "natural_gradient": False,
+              "kfac_damping": 0.01, "kfac_ema": 0.95, "kfac_update_every": 20}
+    config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    header = {"format": 2, "obs_dim": OBS_DIM, "n_actions": N_ACTIONS, "hidden": [8],
+              "config": config, "config_hash": config_hash, "extra": {}}
+    base = tmp_path / "base.bin"
+    base.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                     + net.flat_parameters().astype("<f8").tobytes())
+    loaded, stored = load_checkpoint(base)
+    np.testing.assert_array_equal(loaded.flat_parameters(), net.flat_parameters())
+    assert stored["config"]["kfac_update_every"] == 20
+
+    cfg = {"out": str(tmp_path / "out"), "base_checkpoint": str(base),
+           "train": {"total_steps": 8, "households": 2}}
+    assert main(["train", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
+    refit, refit_header = load_checkpoint(tmp_path / "out" / "checkpoint.bin")
+    assert refit.hidden == (8,)
+    assert not any(k.startswith("kfac") or k == "natural_gradient" for k in refit_header["config"])
 
 
 def test_only_simulate_takes_workers(tmp_path, capsys):

@@ -27,6 +27,8 @@ from lifesim.env.actions import (
     Decision,
 )
 from lifesim.errors import ContractViolation
+from lifesim.paramfiles import params_dir
+from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import net_income
 from lifesim.population import ExogenousHazards, Gompertz, init_population, load_demographics
 from lifesim.states import WORKING_STATES, EmploymentState as S
@@ -589,3 +591,16 @@ def test_feature_encoding_shape_and_range(env, uparams):
             v = encode(a, partner, hh, uparams, env.rules)
             assert v.shape == (OBS_DIM,)
             assert np.isfinite(v).all()
+
+
+def test_reform_env_shares_only_the_tables_of_shared_inputs(env):
+    """``with_rules`` hands the new env every table built from the tables,
+    preferences and wages alone, and none built from the rules."""
+    reformed, _ = apply_reform(env.rules, load_reform(params_dir() / "reforms" / "orpo.yaml"))
+    twin = env.with_rules(reformed)
+    assert twin.rules is reformed
+    assert (twin.uparams, twin.wparams, twin.tables) == (env.uparams, env.wparams, env.tables)
+    assert twin._curve_cache is env._curve_cache
+    assert twin._survival_cache is env._survival_cache
+    assert twin._wage_profile is env._wage_profile
+    assert twin._utility is not env._utility and twin._rent is not env._rent

@@ -370,16 +370,6 @@ def test_divergence_detector_raises():
         train_actor_critic(env, tc)
 
 
-def test_kfac_toggle_trains():
-    env = DominatedActionEnv(n_envs=16)
-    tc = TrainConfig(total_steps=30_000, hidden=(16,), learning_rate=2e-3, seed=3,
-                     natural_gradient=True, reward_scale=1.0)
-    res = train_actor_critic(env, tc)
-    obs, masks = env.reset()
-    probs = masked_distribution(res.net.masked_logits(obs[:1], masks[:1]), masks[:1])[0]
-    assert probs[1] > 0.9
-
-
 def test_reduced_env_policy_approaches_dp(reduced, trained_reduced):
     cfg, mdp, _ = reduced
     sol = dp_solve(mdp, cfg.step_discount)
