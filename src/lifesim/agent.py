@@ -125,8 +125,9 @@ class HouseholdBlock:
     marriage and divorce clocks, ``child_age`` (a column per child ever
     held, in birth order, NaN once gone), the child bands, the ``mother``
     and ``father`` rows (-1 for none) and the generators.  The last
-    quarter's ``reward``, ``consumption``, ``flows`` (per budget unit),
-    ``event`` codes and ``birth`` flags are kept beside the state.
+    quarter's ``reward``, ``consumption``, budget ``units`` and their
+    ``flows`` (a row each, see ``LifecycleEnv.price``), ``event`` codes and
+    ``birth`` flags are kept beside the state.
     """
 
     @classmethod
@@ -146,7 +147,6 @@ class HouseholdBlock:
         b.rows = np.arange(b.n)
         b.hh = np.repeat(np.arange(b.m), b.size)
         b.slot = b.rows - b.first[b.hh]
-        b.household_rows = [tuple(range(f, f + n)) for f, n in zip(b.first.tolist(), sizes)]
         b.partner = np.where(b.size[b.hh] == 2, b.first[b.hh] + 1 - b.slot, -1)
         # Every field through one float64 array (ints and flags are exact in it).
         values = np.array([_agent_values(a) for a in adults], dtype=float).reshape(b.n, -1).T.copy()
@@ -187,7 +187,7 @@ class HouseholdBlock:
 
         b.reward = np.zeros(b.n)
         b.consumption = np.zeros(b.n)
-        b.flows = [[] for _ in range(b.m)]
+        b.units = b.flows = None   # set by LifecycleEnv.price
         b.event = np.zeros(b.n, dtype=np.int8)
         b.birth = np.zeros(b.m, dtype=bool)
         b.stale = np.ones(b.m, dtype=bool)   # flows not priced for the static phase yet

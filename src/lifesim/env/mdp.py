@@ -20,8 +20,12 @@ formulas operation for operation:
   Sums over a work window, a unit's adults or a block's flow rows keep
   Python's left-to-right order.
 * Other loops run over the adults entering unemployment with a new benefit
-  basis, the job searches from outside work, and the budget units, which
-  the scalar ``rules.engine.price_unit`` prices one at a time.
+  basis and the job searches from outside work.
+* Pricing runs on columns too.  :meth:`LifecycleEnv.price` forms the budget
+  units from the block's columns and prices them all with
+  ``rules.price_units`` into ``b.flows``, a row per unit of ``b.units``;
+  the scalar ``rules.price_unit`` stays behind the snapshot API
+  (``net_income``, ``emtr``, ``ptr``).
 
 Marriage, divorce and birth clocks are drawn on failure curves built once
 per hazard and start age and kept with the env
@@ -41,13 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from ..agent import DT, MAX_AGE, NO_EVENT, STATES, HouseholdBlock, HouseholdState
 from ..errors import ContractViolation
 from ..population import DemographicTables, draw_geometric, fertility_phase, mortality_phase, partnership_phase
-from ..rules import AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days, price_unit
+from ..rules import (FLOW_COLUMNS, AdultColumns, AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days,
+                     price_units)
 # ``net_income`` (the snapshot API) stays a module name here for the traced
 # benchmark run (lifebench/layers.py), which wraps it where callers used to
 # look it up.
@@ -96,7 +102,6 @@ _RETIRED_OR_LEFT = frozenset(map(int, RETIRED_STATES | {S.DISABLED, S.DEAD}))
 
 _DECISION = np.array([int(a.decision) for a in ACTIONS])
 _ACTION_HOURS = np.array([a.hours for a in ACTIONS])
-_NO_CHILDREN = (0, 0, 0)
 
 
 # Event codes (``HouseholdBlock.event``): at most one exogenous or decision
@@ -109,6 +114,21 @@ EVENTS = ("", "auto_retire", "auto_retire_via_unemployment", "disability", "disa
 Event = SimpleNamespace(PARENTAL_LEAVE=16, **{name.upper(): code for code, name in enumerate(EVENTS) if name})
 
 
+class BudgetUnits(NamedTuple):
+    """A block's budget units, one entry each: the rows of the unit's first
+    and second adult (-1 for none), its child bands and its monthly rent."""
+
+    first: np.ndarray
+    second: np.ndarray
+    under3: np.ndarray
+    under7: np.ndarray
+    under18: np.ndarray
+    rent_monthly: np.ndarray
+
+
+_CONSUMPTION = FLOW_COLUMNS.index("consumption")
+
+
 @dataclass(slots=True)
 class StepOutcome:
     rewards: tuple[float, ...]
@@ -117,10 +137,22 @@ class StepOutcome:
     events: tuple[str, ...]
 
 
+def unit_cash_flows(b: HouseholdBlock, h: int) -> list[CashFlows]:
+    """The cash flows of household ``h``'s budget units, built from their
+    rows of ``b.flows``; ``adult_wages`` lists each unit adult's quarterly
+    wage (0.0 for the dead and the idle)."""
+    units = b.units
+    lo, hi = np.searchsorted(units.first, (b.first[h], b.first[h] + b.size[h]))
+    wages = np.where(_IS_WORKING[b.state], b.paid_wage / 4.0, 0.0)
+    return [CashFlows(*row, adult_wages=tuple(wages[[first] if second < 0 else [first, second]].tolist()))
+            for row, first, second in zip(b.flows[lo:hi].tolist(), units.first[lo:hi].tolist(),
+                                          units.second[lo:hi].tolist())]
+
+
 def outcome(b: HouseholdBlock, h: int, events: tuple[str, ...] = ()) -> StepOutcome:
     rows = slice(int(b.first[h]), int(b.first[h] + b.size[h]))
     return StepOutcome(rewards=tuple(b.reward[rows].tolist()), consumptions=tuple(b.consumption[rows].tolist()),
-                       flows=list(b.flows[h]), events=events)
+                       flows=unit_cash_flows(b, h), events=events)
 
 
 def event_names(b: HouseholdBlock, h: int) -> tuple[str, ...]:
@@ -200,8 +232,9 @@ class LifecycleEnv:
         return lru_cache(maxsize=None)(self.tables.job_find_prob)
 
     @cached_property
-    def _rent(self):
-        return lru_cache(maxsize=None)(self.rules.rent_for_size)
+    def _rent(self) -> np.ndarray:
+        """``RuleSet.rent_for_size`` of sizes 1, 2, ...: the rent table."""
+        return np.asarray(self.rules.rent_table, dtype=float)
 
     @cached_property
     def _next_age(self):
@@ -232,69 +265,74 @@ class LifecycleEnv:
 
     # -- budget units and cash flows --------------------------------------
 
-    def unit_groups(self, b: HouseholdBlock, households
-                    ) -> list[list[tuple[tuple[int, ...], list[int], tuple[int, int, int], float]]]:
-        """The budget units of each of ``households`` as (adult rows, living
-        rows, child bands, monthly rent), in slot order: a partnered pair
-        (a dead partner included, for the survivor's pension), else each
-        living adult, the custodian (the mother while alive, else the first
-        living adult) with the children.  Rent is sized by living adults plus children."""
-        rent = self._rent
-        state, partnered, mother = b.state.tolist(), b.partnered.tolist(), b.mother.tolist()
-        bands = list(zip(b.under3.tolist(), b.under7.tolist(), b.under18.tolist()))
-        out = []
-        for h in households:
-            rows = b.household_rows[h]
-            alive = [r for r in rows if state[r] != _DEAD]
-            band = bands[h]
-            if partnered[h] and len(rows) == 2:
-                out.append([(rows, alive, band, rent(len(alive) + band[2]))])
-                continue
-            m = mother[h]
-            custodian = m if m >= 0 and state[m] != _DEAD else next(iter(alive), None)
-            out.append([((r,), [r], band, rent(1 + band[2])) if r == custodian else
-                        ((r,), [r], _NO_CHILDREN, rent(1)) for r in alive])
-        return out
+    def budget_units(self, b: HouseholdBlock, chosen: np.ndarray) -> BudgetUnits:
+        """The budget units of the households flagged in ``chosen``, in
+        household then slot order: a partnered pair is one unit (a dead
+        partner included, for the survivor's pension); otherwise each living
+        adult is one, and the custodian (the mother while alive, else the
+        first living adult) has the children.  Rent is sized by the unit's
+        living adults plus its children."""
+        alive = b.state != _DEAD
+        pair = b.partnered & (b.size == 2)
+        first = (chosen[b.hh] & np.where(pair[b.hh], b.slot == 0, alive)).nonzero()[0]
+        h = b.hh[first]
+        second = np.where(pair[h], first + 1, -1)
+        # Each household's first living adult (-1 for none), then its custodian.
+        other = np.minimum(b.first + 1, b.n - 1)
+        lead = np.where(alive[b.first], b.first, np.where((b.size == 2) & alive[other], other, -1))
+        custodian = np.where((b.mother >= 0) & alive[b.mother], b.mother, lead)[h]
+        u3, u7, u18 = np.array((b.under3, b.under7, b.under18))[:, h] * (pair[h] | (first == custodian))
+        n_alive = np.add(alive[first], (second >= 0) & alive[second], dtype=np.int64)
+        rent = self._rent[np.clip(n_alive + u18, 1, len(self._rent)) - 1]
+        return BudgetUnits(first, second, u3, u7, u18, rent)
 
     @staticmethod
-    def pricing_rows(b: HouseholdBlock) -> list[tuple]:
-        """Every adult's :class:`AdultSnapshot` fields in declaration order.
-        A paid wage counts only in a working state."""
-        st = b.state
-        return list(zip([STATES[code] for code in st.tolist()],
-                        np.where(_IS_WORKING[st], b.paid_wage / 4.0, 0.0).tolist(), b.age.tolist(),
-                        b.ub_basis.tolist(), b.ub_days_used.tolist(), b.ub_max_days.tolist(),
-                        b.fund_member.tolist(), b.pension_paid.tolist(), b.pension_accrued.tolist(),
-                        b.partial_early_paid.tolist(), (b.prev_paid_wage / 12.0).tolist()))
+    def adult_columns(b: HouseholdBlock) -> AdultColumns:
+        """Every adult row's pricing inputs.  A paid wage counts only in a working state."""
+        return AdultColumns(b.state, np.where(_IS_WORKING[b.state], b.paid_wage / 4.0, 0.0), b.ub_basis,
+                            b.ub_days_used, b.ub_max_days, b.fund_member, b.pension_paid, b.pension_accrued,
+                            b.partial_early_paid, b.prev_paid_wage / 12.0)
 
-    def unit_snapshots(self, b: HouseholdBlock, h: int, rows: list[tuple]
-                       ) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
-        """Each budget unit of household ``h`` (:meth:`unit_groups`) as its
-        snapshot and its adult rows; ``rows`` are :meth:`pricing_rows`."""
-        return [(HouseholdSnapshot(
-            adults=tuple(AdultSnapshot(*rows[r]) for r in unit),
-            children_under3=u3, children_under7=u7, children_under18=u18,
-            partnered=bool(b.partnered[h]) and len(alive) == 2, rent_monthly=rent,
-        ), unit) for unit, alive, (u3, u7, u18), rent in self.unit_groups(b, [h])[0]]
+    def unit_snapshots(self, b: HouseholdBlock) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
+        """Every budget unit of ``b`` (:meth:`budget_units`) as its snapshot
+        and its adult rows, in household then slot order."""
+        cols = self.adult_columns(b)
+        adults = [AdultSnapshot(STATES[code], *fields) for code, *fields in zip(
+            cols.state.tolist(), cols.wage_quarterly.tolist(), b.age.tolist(), *(
+                c.tolist() for c in cols[2:]))]
+        units = self.budget_units(b, np.ones(b.m, dtype=bool))
+        out = []
+        for first, second, u3, u7, u18, rent in zip(*(c.tolist() for c in units)):
+            rows = (first,) if second < 0 else (first, second)
+            pair = second >= 0 and adults[first].state is not S.DEAD and adults[second].state is not S.DEAD
+            out.append((HouseholdSnapshot(tuple(adults[r] for r in rows), u3, u7, u18, pair, rent), rows))
+        return out
 
     def price(self, b: HouseholdBlock, households) -> None:
-        """Price every budget unit of ``households`` into ``b.flows`` and
-        each adult's consumption: a unit's consumption is shared equally by
-        its living adults, and an adult in no unit consumes nothing."""
-        rules = self.rules
-        rows = self.pricing_rows(b)
-        consumption = b.consumption.tolist()
-        for h, units in zip(households, self.unit_groups(b, households)):
-            for r in b.household_rows[h]:
-                consumption[r] = 0.0
-            flows = []
-            for unit, alive, (u3, u7, u18), rent in units:
-                cf = price_unit([rows[r] for r in unit], u3, u7, u18, rent, rules)
-                flows.append(cf)
-                for r in alive:
-                    consumption[r] = cf.consumption / len(alive)
-            b.flows[h] = flows
-        b.consumption[:] = consumption
+        """Price every budget unit of the households at the indices
+        ``households`` with :func:`~lifesim.rules.price_units` into
+        ``b.flows``, a row per unit of ``b.units`` (both in household then
+        slot order), and each adult's consumption: a unit's consumption is
+        shared equally by its living adults, and an adult in no unit
+        consumes nothing.  The other households keep their units, flows and
+        consumption, so ``b`` must have been priced whole before."""
+        chosen = np.zeros(b.m, dtype=bool)
+        chosen[households] = True
+        units = self.budget_units(b, chosen)
+        flows = price_units(self.adult_columns(b), *units, self.rules)
+        alive = b.state != _DEAD
+        b.consumption[chosen[b.hh]] = 0.0
+        n_alive = np.add(alive[units.first], (units.second >= 0) & alive[units.second], dtype=np.int64)
+        share = flows[:, _CONSUMPTION] / np.maximum(n_alive, 1)
+        for rows in units.first, units.second:
+            live = (rows >= 0) & alive[rows]
+            b.consumption[rows[live]] = share[live]
+        if not chosen.all():
+            keep = ~chosen[b.hh[b.units.first]]
+            order = np.argsort(np.concatenate((b.units.first[keep], units.first)))
+            units = BudgetUnits(*(np.concatenate((old[keep], new))[order] for old, new in zip(b.units, units)))
+            flows = np.concatenate((b.flows[keep], flows))[order]
+        b.units, b.flows = units, flows
 
     # -- shared transitions -------------------------------------------------
 
@@ -637,7 +675,7 @@ class LifecycleEnv:
         self._enter_unemployment(b, entries)
         self._update_wages_and_trackers(b, shocks, before)
 
-        self.price(b, range(b.m))
+        self.price(b, np.arange(b.m))
         live = (b.state != _DEAD).nonzero()[0]
         b.reward[:] = 0.0
         b.reward[live] = self._rewards(b, live)
@@ -663,7 +701,7 @@ class LifecycleEnv:
             changed |= old != new
         households = changed.nonzero()[0]
         if households.size:
-            self.price(b, households.tolist())
+            self.price(b, households)
         b.stale[:] = False
         b.reward[:] = 0.0
         return households
@@ -682,7 +720,7 @@ class LifecycleEnv:
         episodes' terminal bonus; the simulator plays the phase out instead.
         """
         self.freeze_block(b)
-        self.price(b, range(b.m))
+        self.price(b, np.arange(b.m))
         rows = (b.state != _DEAD).nonzero()[0]
         values = np.zeros(b.n)
         for r, u_now in zip(rows.tolist(), self._rewards(b, rows).tolist()):

@@ -4,26 +4,34 @@ Everything here is a total function of (unit, rule set); no hidden state,
 safe for concurrent use.  Euro flows are per quarter unless a name says
 otherwise.
 
-:func:`price_unit` is the one pricing core.  It takes one plain row per
+:func:`price_unit` is the scalar pricing core.  It takes one plain row per
 adult (the fields of :class:`AdultSnapshot` as a tuple, in declaration
 order), the unit's child bands and its rent, and the rule set, whose
 ``pricing`` holds the values each rule set derives once from its own fields
 (:class:`~lifesim.rules.ruleset.PricingConstants`: the state-tax bracket
 sums, so the tax is one bisect plus one bracket term; the employer rate; the
 fixed benefit amounts).  It accumulates every flow in locals and builds the
-:class:`CashFlows` once.  Two feeders give it rows:
+:class:`CashFlows` once.  :func:`price_units` is the same core on columns:
+many units at once, from per-adult :class:`AdultColumns` and each unit's
+adult rows, child bands and rent, into one matrix with a row per unit and a
+column per :data:`FLOW_COLUMNS` field, bit for bit what ``price_unit`` gives.
+Two paths price:
 
-* :func:`net_income` (and :func:`emtr`, :func:`ptr`) from a
-  :class:`HouseholdSnapshot`'s adults; ``emtr`` adds its wage bump inside
-  the priced row;
-* ``LifecycleEnv.price`` from a household block's columns: one row per
-  adult from ``LifecycleEnv.pricing_rows``, for each unit
-  ``LifecycleEnv.unit_groups`` forms.
+* the snapshot API, :func:`net_income` (and :func:`emtr`, :func:`ptr`),
+  prices one :class:`HouseholdSnapshot` through ``price_unit``, where a
+  numpy batch of one would cost several times more; ``emtr`` adds its wage
+  bump inside the priced row;
+* the environment, ``LifecycleEnv.price``, prices every budget unit of a
+  household block through ``price_units``, straight from the block's
+  columns.
 
 The public helpers (:func:`unemployment_benefit`, :func:`pension_benefit`,
-:func:`housing_benefit`, ...) are the functions the core calls or thin
-wrappers of them, so each formula has one definition.  Evaluation order in
-the core:
+:func:`housing_benefit`, ...) are the functions the scalar core calls or thin
+wrappers of them.  ``price_units`` calls the same helpers for the
+earnings-related and pension benefits and writes the other formulas again
+on columns; ``tests/test_engine_oracle.py`` holds the two cores to the same
+bits.
+Evaluation order in both:
 
     gross wage -> taxes and contributions (on wage income only)
     -> primary benefits (unemployment, pensions, sickness, parental,
@@ -44,6 +52,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add, attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from ..errors import ContractViolation
 from ..states import (
@@ -559,6 +570,262 @@ def price_unit(rows, children_under3: int, children_under7: int, children_under1
                      medical_contrib, daily_contrib, employer_contrib, ub_er, ub_basic, pension_er, pension_basic,
                      pension_guarantee, survivor, sickness, parental, home_care, student, child, housing,
                      assistance, net, vat, net - vat, rent, tuple(adult_wages))
+
+
+class AdultColumns(NamedTuple):
+    """The :class:`AdultSnapshot` fields the rules read, one array each with
+    an entry per adult: ``state`` as :class:`EmploymentState` codes, the
+    amounts in the snapshot's units."""
+
+    state: np.ndarray
+    wage_quarterly: np.ndarray
+    ub_basis_monthly: np.ndarray
+    ub_days_used: np.ndarray
+    ub_max_days: np.ndarray
+    fund_member: np.ndarray
+    pension_paid_monthly: np.ndarray
+    pension_accrued_monthly: np.ndarray
+    partial_early_monthly: np.ndarray
+    wage_basis_monthly: np.ndarray
+
+
+# The CashFlows float fields in declaration order: the columns of the matrix
+# price_units returns.
+FLOW_COLUMNS = tuple(f.name for f in fields(CashFlows) if f.name != "adult_wages")
+
+
+def _flags(states) -> np.ndarray:
+    """A flag per state code: whether the state is in ``states``."""
+    return np.array([s in states for s in S])
+
+
+_IS_PENSION = _flags(PENSION_STATES)
+# The states whose primary benefit a formula of the adult's own amounts gives.
+_BY_FORMULA = _flags(_ER_STATES | PENSION_STATES | LEAVE_STATES | {S.SICK_LEAVE})
+_ER_CODES, _PENSION_CODES = frozenset(map(int, _ER_STATES)), frozenset(map(int, PENSION_STATES))
+_DEAD_CODE, _ER_EXTENDED_CODE, _BASIC_CODE, _SICK_CODE, _HOME_CARE_CODE, _STUDENT_CODE = map(
+    int, (_DEAD, _ER_EXTENDED, _BASIC_UNEMPLOYED, _SICK_LEAVE, _HOME_CARE, _STUDENT))
+
+# price_units' work matrix has a row per CashFlows float field, in
+# FLOW_COLUMNS order (per adult, the unit-level ones stay 0.0), then: the
+# monthly gross wage; the wages the housing benefit counts under the general
+# and the retiree schedule, and the net wages social assistance counts; the
+# monthly benefits so far and the partial early pension, which the unit adds
+# in the scalar core's order; the pension accrual; and four flags (1.0 or
+# 0.0): living, living and retired, living and not working, dead.
+(_GROSS, _STATE, _MUNI, _YLE, _DAYCARE, _PENS, _UNEMP, _HMED, _HDAY, _EMPLOYER, _UB_ER, _UB_BASIC, _PENSION_ER,
+ _PENSION_BASIC, _GUARANTEE, _SURVIVOR, _SICKNESS, _PARENTAL, _HOME_CARE_Q, _STUDENT_Q, _CHILD, _HOUSING,
+ _ASSISTANCE, _NET, _VAT, _CONSUMPTION, _RENT, _GROSS_M, _HB_WAGES, _HB_WAGES_RETIREE, _SA_WAGES, _PRIMARY,
+ _PARTIAL, _ACCRUED, _ALIVE, _RETIRED, _IDLE, _DEAD_FLAG) = range(38)
+_NET_WAGE_CHARGES = [_STATE, _MUNI, _YLE, _PENS, _UNEMP, _HMED, _HDAY]
+# The flags of each state code, as the rows _ALIVE .. _DEAD_FLAG.
+_STATE_FLAGS = np.array([[s is not _DEAD, s in RETIRED_STATES, s is not _DEAD and s not in WORKING_STATES,
+                          s is _DEAD] for s in S], dtype=float).T
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of ``rows`` added one after another.  ``np.add.accumulate``
+    adds in turn whatever the layout; ``np.add.reduce`` adds pairwise where
+    the rows are contiguous (a single column)."""
+    return np.add.accumulate(rows, axis=0)[-1]
+
+
+def _housing_benefit_columns(rent_monthly: np.ndarray, children_under18: np.ndarray, income_monthly: np.ndarray,
+                             n_alive: np.ndarray, sched: HousingBenefitSchedule) -> np.ndarray:
+    """:func:`_housing_benefit` of every unit (the caller checks the rent)."""
+    table = np.asarray(sched.max_rent_by_size)
+    max_rent = table[np.clip((n_alive + children_under18).astype(np.intp), 1, len(table)) - 1]
+    accepted_rent = np.where(max_rent < rent_monthly, max_rent, rent_monthly)
+    threshold = sched.income_base + sched.per_adult * n_alive + sched.per_child * children_under18
+    deductible = sched.income_deductible_rate * (income_monthly - threshold)
+    benefit = sched.compensation_share * (accepted_rent - np.where(deductible > 0.0, deductible, 0.0))
+    benefit = np.where(benefit > 0.0, benefit, 0.0)
+    return np.where(rent_monthly < benefit, rent_monthly, benefit)
+
+
+def price_units(adults: AdultColumns, first: np.ndarray, second: np.ndarray, children_under3: np.ndarray,
+                children_under7: np.ndarray, children_under18: np.ndarray, rent_monthly: np.ndarray,
+                rules: RuleSet) -> np.ndarray:
+    """Quarterly cash flows of many budget units at once: :func:`price_unit`
+    on columns.
+
+    Unit ``i`` holds adult ``first[i]`` and, unless ``second[i]`` is -1,
+    adult ``second[i]`` of ``adults``, with the child bands and monthly rent
+    at ``i``.  Returns a row-major ``(units, len(FLOW_COLUMNS))`` float64
+    matrix, every entry the bits ``price_unit`` gives that field: the same
+    formulas, constants and operation order.  Each adult is priced once,
+    into a column of a work matrix: the wage charges on columns, the
+    earnings-related, pension, sickness and parental benefits through the
+    scalar core's own helpers for just the adults in those states.  A unit's
+    sums start from 0.0 and add its first adult's column, then its
+    second's, and the totals add left to right (never ``np.sum``, which adds
+    pairwise); the state tax finds its bracket with
+    ``searchsorted(side="left")``, as ``bisect_left`` does; and every
+    ``x if c else y`` is a ``np.where``.  There is no ``exp`` or ``log``, so
+    numpy's arithmetic gives Python's bits.  A zero or dead adult's wage is
+    priced as +0.0, whose charges the rule-set validation makes exactly
+    +0.0, so it adds nothing, as the scalar core skips it.  A negative wage
+    or benefit days of any adult, child bands that do not nest, and the
+    scalar core's other contract breaches raise the same
+    :class:`ContractViolation`.
+    """
+    u3, u7, u18, rent = children_under3, children_under7, children_under18, rent_monthly
+    st, wage_q, basis, days, max_days, fund, paid, accrued, partial, wage_basis = adults
+    if np.count_nonzero((u3 < 0) | (u7 < u3) | (u18 < u7)):
+        raise ContractViolation("children band counts must nest: <3 <= <7 <= <18")
+    if np.count_nonzero((wage_q < 0) | (days < 0)):
+        raise ContractViolation("wage and benefit days must be non-negative")
+    p = rules.pricing
+    fam = rules.family
+    tax = rules.tax
+    n = len(st)
+    # One column per adult, and a last column of zeros for the absent second
+    # adults (index -1).
+    work = np.zeros((_DEAD_FLAG + 1, n + 1))
+    per_adult = work[:, :n]
+    per_adult[_ALIVE:] = _STATE_FLAGS[:, st]
+    alive = st != _DEAD_CODE
+
+    # Wage income and its charges, quarterly.
+    wage = per_adult[_GROSS] = np.where(alive & (wage_q != 0.0), wage_q, 0.0)
+    gross_annual = wage * 4.0
+    taxable = gross_annual - tax.standard_deduction
+    taxable = np.where(taxable > 0.0, taxable, 0.0)
+    # Bracket k - 1 of the scalar core is column k here; column 0, no
+    # bracket, taxes 0.0 + 0.0 * taxable = 0.0.
+    brackets = np.array(((0.0, *p.bracket_lows), (0.0, *p.bracket_rates), (0.0, *p.bracket_below)))
+    low, rate, below = brackets[:, np.searchsorted(p.bracket_lows, taxable, side="left")]
+    per_adult[_STATE] = below + rate * (taxable - low)
+    per_adult[_MUNI] = tax.municipal_rate * taxable
+    yle_base = gross_annual - tax.yle.floor
+    yle_tax = tax.yle.rate * np.where(yle_base > 0.0, yle_base, 0.0)
+    per_adult[_YLE] = np.where(yle_tax < tax.yle.cap, yle_tax, tax.yle.cap)
+    ee = rules.contributions.employee
+    np.multiply.outer((ee.pension, ee.unemployment, ee.health_medical, ee.health_daily, p.employer_rate),
+                      gross_annual, out=per_adult[_PENS:_EMPLOYER + 1])
+    per_adult[_STATE:_EMPLOYER + 1] /= 4.0
+    net_wage_m = (wage - _sum_rows(per_adult[_NET_WAGE_CHARGES])) / MONTHS_PER_QUARTER
+    gross_m = per_adult[_GROSS_M] = wage / MONTHS_PER_QUARTER
+
+    # Primary benefits by state, quarterly, and each adult's monthly amount
+    # for the household-level benefits.  The fixed amounts are looked up by
+    # state code (0.0 for the other states); the adults on an earnings-
+    # related or pension benefit, or on sick or parental leave, are priced
+    # one at a time by the scalar core's own formulas: they are few, and a
+    # numpy pass per formula would cost more than the loop.
+    fixed = np.zeros((4, len(S)))
+    fixed[:, _BASIC_CODE] = p.basic_quarterly, 0.0, 0.0, p.basic_monthly
+    fixed[:, _HOME_CARE_CODE] = 0.0, p.home_care_quarterly, 0.0, p.home_care_monthly
+    fixed[:, _STUDENT_CODE] = 0.0, 0.0, p.student_quarterly, p.student_monthly
+    per_adult[[_UB_BASIC, _HOME_CARE_Q, _STUDENT_Q, _PRIMARY]] = fixed[:, st]
+    formula = _BY_FORMULA[st].nonzero()[0]
+    if formula.size:
+        rows, columns, amounts = [], [], []
+        for r, code, ub_basis, used, entitled, member, pension_paid, basis_m in zip(
+                formula.tolist(), *(c[formula].tolist() for c in (st, basis, days, max_days, fund, paid, wage_basis))):
+            if code in _ER_CODES:
+                if code == _ER_EXTENDED_CODE:
+                    # Extended benefit keeps the ER level past normal exhaustion.
+                    daily, is_er = _graded_er_daily(ub_basis, used, rules), True
+                else:
+                    daily = unemployment_benefit(ub_basis, used, member, rules, entitled)
+                    is_er = member and used < entitled
+                amount = daily * BENEFIT_DAYS_PER_QUARTER
+                rows += _UB_ER if is_er else _UB_BASIC, _PRIMARY
+                amounts += amount, amount / MONTHS_PER_QUARTER
+            elif code in _PENSION_CODES:
+                er, basic, guarantee = _pension_parts(pension_paid, rules)
+                rows += _PENSION_ER, _PENSION_BASIC, _GUARANTEE, _PRIMARY
+                amounts += (er * MONTHS_PER_QUARTER, basic * MONTHS_PER_QUARTER, guarantee * MONTHS_PER_QUARTER,
+                            er + basic + guarantee)
+            else:
+                sick = code == _SICK_CODE
+                amount = ((fam.sickness_replacement if sick else fam.parental_replacement) * basis_m
+                          * MONTHS_PER_QUARTER)
+                rows += _SICKNESS if sick else _PARENTAL, _PRIMARY
+                amounts += amount, amount / MONTHS_PER_QUARTER
+            columns += [r] * (len(rows) - len(columns))
+        per_adult[rows, columns] = amounts
+    pension = _IS_PENSION[st]
+    # Partial early old-age pension can run alongside non-pension states.
+    partial_on = alive & (partial > 0) & ~pension
+    if np.count_nonzero(partial_on):
+        np.copyto(per_adult[_PENSION_ER], partial * MONTHS_PER_QUARTER, where=partial_on)
+        np.copyto(per_adult[_PARTIAL], partial, where=partial_on)
+    per_adult[_ACCRUED] = accrued
+
+    # The wages counted against the housing benefit and social assistance:
+    # each positive one's part above the disregard.
+    hb = rules.housing_benefit
+    counted = np.array((gross_m, gross_m, net_wage_m))
+    disregard = np.array((hb.general.earnings_disregard, hb.retiree.earnings_disregard,
+                          rules.social_assistance.earnings_disregard))[:, None]
+    per_adult[_HB_WAGES:_SA_WAGES + 1] = np.where((counted > 0.0) & (counted > disregard), counted - disregard, 0.0)
+
+    # Each unit's sums: 0.0, then its first adult, then its second.
+    one, two = work[:, first], work[:, second]
+    unit = one + 0.0
+    unit += two
+    other = one[_PRIMARY] + 0.0   # benefits so far, EUR/mo, added as the scalar core adds them
+    other += one[_PARTIAL]
+    other += two[_PRIMARY]
+    other += two[_PARTIAL]
+    n_alive = unit[_ALIVE]
+    living = n_alive > 0.0
+
+    # Survivor's pension from a deceased partner's accrual.
+    survives = living & (unit[_DEAD_FLAG] > 0.0)
+    if np.count_nonzero(survives):
+        dead1, dead2 = one[_DEAD_FLAG] > 0.0, two[_DEAD_FLAG] > 0.0
+        acc1, acc2 = one[_ACCRUED], two[_ACCRUED]
+        top = np.where(dead1, np.where(dead2 & (acc2 > acc1), acc2, acc1), acc2)
+        monthly = rules.pension.survivor_share * top
+        unit[_SURVIVOR] = np.where(survives, monthly * MONTHS_PER_QUARTER, 0.0)
+        other += np.where(survives, monthly, 0.0)
+
+    with_children = living & (u18 > 0)
+    monthly = fam.child_benefit_monthly * u18
+    monthly = np.where(n_alive == 1.0, monthly + fam.child_benefit_single_parent_supplement, monthly)
+    unit[_CHILD] = np.where(with_children, monthly * MONTHS_PER_QUARTER, 0.0)
+    other += np.where(with_children, monthly, 0.0)
+
+    # Daycare: children are in daycare only when every living adult works.
+    dc = fam.daycare
+    in_daycare = living & (unit[_IDLE] == 0.0) & (u7 > 0)
+    if np.count_nonzero(in_daycare):
+        base = dc.rate * (unit[_GROSS_M] - dc.income_threshold_monthly)
+        base = np.where(base > 0.0, base, 0.0)
+        base = np.where(base < dc.fee_cap_monthly, base, dc.fee_cap_monthly)
+        fee = base
+        sibling = base * dc.sibling_share
+        for n_children in range(2, int(u7.max()) + 1):
+            fee = np.where(u7 >= n_children, fee + sibling, fee)
+        unit[_DAYCARE] = np.where(in_daycare & (base > 0.0), fee * MONTHS_PER_QUARTER, 0.0)
+
+    if np.count_nonzero(living & (rent <= 0)):
+        raise ContractViolation("housing benefit requires positive rent")
+    hb_monthly = _housing_benefit_columns(rent, u18, unit[_HB_WAGES] + other, n_alive, hb.general)
+    retired = unit[_RETIRED] > 0.0
+    if np.count_nonzero(retired):
+        hb_monthly = np.where(retired, _housing_benefit_columns(rent, u18, unit[_HB_WAGES_RETIREE] + other,
+                                                                n_alive, hb.retiree), hb_monthly)
+    unit[_HOUSING] = np.where(living, hb_monthly * MONTHS_PER_QUARTER, 0.0)
+    other_net = other + hb_monthly - unit[_DAYCARE] / MONTHS_PER_QUARTER
+    sa = rules.social_assistance
+    norm = np.where(n_alive > 1.0, sa.norm_couple_each * n_alive,
+                    np.where(u18 > 0, sa.norm_single + sa.single_parent_supplement, sa.norm_single))
+    norm = norm + (sa.norm_child_under7 * u7 + sa.norm_child_7_17 * (u18 - u7))
+    assistance = norm + rent - (unit[_SA_WAGES] + np.where(other_net > 0.0, other_net, 0.0))
+    unit[_ASSISTANCE] = np.where(living & (assistance > 0.0), assistance * MONTHS_PER_QUARTER, 0.0)
+
+    # Each total adds left to right in CashFlows field order.
+    net = unit[_NET] = (unit[_GROSS] + _sum_rows(unit[_UB_ER:_ASSISTANCE + 1]) - _sum_rows(unit[_STATE:_DAYCARE + 1])
+                        - _sum_rows(unit[_PENS:_HDAY + 1]))
+    rent_q = unit[_RENT] = rent * MONTHS_PER_QUARTER
+    above_rent = net - rent_q
+    vat = unit[_VAT] = tax.vat_rate * np.where(above_rent > 0.0, above_rent, 0.0)
+    unit[_CONSUMPTION] = net - vat
+    return np.ascontiguousarray(unit[:_RENT + 1].T)
 
 
 def net_income(hh: HouseholdSnapshot, rules: RuleSet) -> CashFlows:

@@ -10,7 +10,11 @@ it would if stepped alone: ``standard_normal(2)``, ``random(12)``, then
 partnership, fertility, adult 0's and adult 1's conditional draws.
 Transcendentals stay scalar (``math.log``/``math.exp`` per value) and sums
 keep Python's left-to-right order: a quarter's flow rows add into their age
-cell one at a time, in household then unit order.
+cell one at a time, in household then unit order.  Those rows are the
+block's flow matrix, one row per budget unit, which ``LifecycleEnv.price``
+fills through the column pricer ``rules.price_units``; the EMTR and PTR
+samples are taken with the scalar snapshot API (``rules.emtr``,
+``rules.ptr``) on each unit's snapshot (``LifecycleEnv.unit_snapshots``).
 
 The log keeps raw per-agent state histories (for independent re-analysis)
 plus flow sums by age cell; aggregation turns those into the report: rates
@@ -40,7 +44,7 @@ from .env.vector import observe
 from .errors import ContractViolation
 from .population import CohortPopulation
 from .rules import emtr as emtr_op, ptr as ptr_op
-from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS, HouseholdSnapshot
+from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, FLOW_COLUMNS, TAX_FIELDS, HouseholdSnapshot
 from .solver.network import PolicyValueNet, sample_masked
 from .states import (
     ALLOWED_HOURS,
@@ -63,7 +67,8 @@ FTE_CLASSES = ("total", "part_time", "full_time", "age_18_62", "age_63_plus", "r
 # worker count.
 BLOCK_HOUSEHOLDS = 64
 
-_flow_values = operator.attrgetter(*FLOW_NAMES)
+# The FLOW_NAMES columns of a block's flow matrix (``LifecycleEnv.price``).
+_FLOW_COLUMNS = np.array([FLOW_COLUMNS.index(name) for name in FLOW_NAMES])
 
 
 @dataclass
@@ -98,20 +103,13 @@ def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> Ho
 def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[float],
                        ptr_samples: list[float]) -> None:
     """EMTR and PTR of every adult of ``b`` who works for pay, each taken on
-    the budget unit that holds the adult, in household then slot order."""
-    rows = env.pricing_rows(b)
-    for h in range(b.m):
-        for snap, unit in env.unit_snapshots(b, h, rows):
-            for pos, r in enumerate(unit):
-                if b.state[r] in (S.FULL_TIME, S.PART_TIME) and b.paid_wage[r] > 0:
-                    emtr_samples.append(emtr_op(snap, env.rules, adult=pos)["total"])
-                    ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
-
-
-def _flow_rows(b: HouseholdBlock) -> np.ndarray:
-    """The ``FLOW_NAMES`` values of every budget unit of ``b``, one row each,
-    in household then unit order."""
-    return np.array([_flow_values(cf) for flows in b.flows for cf in flows]).reshape(-1, len(FLOW_NAMES))
+    the snapshot of the budget unit that holds the adult, in household then
+    slot order."""
+    for snap, unit in env.unit_snapshots(b):
+        for pos, r in enumerate(unit):
+            if b.state[r] in (S.FULL_TIME, S.PART_TIME) and b.paid_wage[r] > 0:
+                emtr_samples.append(emtr_op(snap, env.rules, adult=pos)["total"])
+                ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
 
 
 def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
@@ -185,12 +183,14 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                     u = np.concatenate([rng.random(2) for rng in b.rng_act])[act_row]
                     acts = sample_masked(logits, masks, u)
                 env.step_block(b, acts, masks)
-                unit_flows = _flow_rows(b)
+                unit_flows = b.flows.take(_FLOW_COLUMNS, axis=1)
                 if collect_incentives and q % 4 == 0:
                     _incentive_samples(env, b, emtr_samples, ptr_samples)
             elif env.static_block(b).size:
-                unit_flows = _flow_rows(b)
-            # np.add.reduce over rows adds them one at a time, in row order.
+                unit_flows = b.flows.take(_FLOW_COLUMNS, axis=1)
+            # np.add.reduce over the rows of a row-major matrix (``take`` keeps
+            # that layout, a fancy column index does not) adds them one at a
+            # time, in row order.
             flows[age_cell] = np.add.reduce(np.vstack((flows[age_cell], unit_flows)), axis=0)
             states[rows, q] = b.state
             hours[rows, q] = b.hours

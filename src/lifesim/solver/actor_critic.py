@@ -4,6 +4,12 @@ The learner maximizes the discounted return with n-step bootstrapped
 advantages and steps with Adam on the clipped gradient.  Everything is
 seeded and single-threaded numpy, so identical configs reproduce
 identical checkpoints.
+
+Each rollout step's forward pass writes into its own ``n_actors``-row slice
+of the update's :class:`~lifesim.solver.network.ForwardCache`, and its
+logits and values are kept, so the update runs no forward pass of its own:
+``a2c_loss_grads`` reads that cache.  An update runs ``rollout + 1`` forward
+passes, the last for the bootstrap value.
 """
 
 from __future__ import annotations
@@ -61,23 +67,22 @@ class TrainResult:
 
 def a2c_loss_grads(
     net: PolicyValueNet,
-    obs: np.ndarray,
+    cache: ForwardCache,
+    logits: np.ndarray,
+    values: np.ndarray,
     masks: np.ndarray,
     actions: np.ndarray,
     returns: np.ndarray,
     config: TrainConfig,
-    cache: ForwardCache | None = None,
 ) -> tuple[list[np.ndarray], dict[str, float]]:
     """Gradient of the A2C objective on one flat batch.
 
     Loss = -E[log pi(a|s) * adv] - entropy_coef * E[H(pi)]
            + value_coef * E[(V - R)^2], advantages treated as constants.
-    The forward pass writes into ``cache``, a fresh one when None.
+    ``cache`` holds the batch's forward pass, which gave ``logits`` and
+    ``values``; no forward pass runs here.
     """
-    n = obs.shape[0]
-    if cache is None:
-        cache = ForwardCache()
-    logits, values = net.forward(obs, cache)
+    n = logits.shape[0]
     masked = np.where(masks, logits, -1e9)
     logp = log_softmax(masked)
     probs = np.where(masks, np.exp(logp), 0.0)
@@ -134,18 +139,21 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
     bad_checkpoints = 0
     steps_done = 0
     n_updates = max(1, config.total_steps // (config.rollout * n))
-    # One forward cache for every update: each writes the same number of rows,
-    # so its buffers are allocated once per run.
+    # One forward cache for every update, sized once: rollout step t writes
+    # its rows t * n to (t + 1) * n.
     update_cache = ForwardCache()
+    net.reserve(update_cache, config.rollout * n)
 
     for update in range(n_updates):
-        bo, bm, ba, br, bd = [], [], [], [], []
-        for _ in range(config.rollout):
-            actions = sample_masked(net.masked_logits(obs, masks), masks, rng.random(n))
+        bl, bv, bm, ba, br, bd = [], [], [], [], [], []
+        for t in range(config.rollout):
+            logits, values = net.forward(obs, update_cache.view(t * n, (t + 1) * n))
+            actions = sample_masked(logits, masks, rng.random(n))
             nobs, nmasks, rewards, dones = env.step(actions)
             steps_done += n
 
-            bo.append(obs)
+            bl.append(logits)
+            bv.append(values)
             bm.append(masks)
             ba.append(actions)
             br.append(rewards * config.reward_scale)
@@ -166,13 +174,8 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
             running = br[t] + gamma * (1.0 - bd[t]) * running
             returns[t] = running
 
-        flat_obs = np.concatenate(bo, axis=0)
-        flat_masks = np.concatenate(bm, axis=0)
-        flat_actions = np.concatenate(ba, axis=0)
-        flat_returns = returns.reshape(-1)
-
-        grads, step_metrics = a2c_loss_grads(net, flat_obs, flat_masks, flat_actions,
-                                             flat_returns, config, cache=update_cache)
+        grads, step_metrics = a2c_loss_grads(net, update_cache, np.concatenate(bl), np.concatenate(bv),
+                                             np.concatenate(bm), np.concatenate(ba), returns.reshape(-1), config)
         clip_grads(grads, config.max_grad_norm)
         optimizer.step(net.parameters(), grads)
 

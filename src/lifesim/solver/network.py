@@ -10,11 +10,15 @@ whose ones column is set once.  A pass with a ``ForwardCache`` writes into
 that cache, which the caller owns and hands to ``backward``; a pass without
 one writes into the net's own workspace, reallocated when the row count
 changes, so two nets never share buffers, but one net must not run forward
-passes from two threads at once.  The returned logits and values are always
-fresh arrays.  ``backward`` keeps its temporaries in the cache it is handed,
+passes from two threads at once.  A caller that batches several passes for
+one ``backward`` sizes a cache for all their rows (:meth:`PolicyValueNet.reserve`)
+and runs each pass into its own row range (:meth:`ForwardCache.view`), as
+the A2C rollout does.  The returned logits and values are always fresh
+arrays.  ``backward`` keeps its temporaries in the cache it is handed,
 sized on its first pass over that cache, so a caller that reuses one cache
 for every update allocates them once; the gradients it returns are fresh
-arrays.
+arrays.  ``Adam.step`` updates its moments and the parameters in place,
+through two scratch buffers per parameter.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ class ForwardCache:
     # room for one layer's leaky-ReLU slope
     grad_outputs: list[np.ndarray] = field(default_factory=list)
     slope: np.ndarray | None = None
+
+    def view(self, start: int, stop: int) -> "ForwardCache":
+        """The rows ``start:stop`` of this (sized) cache: a forward pass into
+        the view writes those rows of every buffer."""
+        return ForwardCache([x[start:stop] for x in self.inputs], [z[start:stop] for z in self.preacts],
+                            self.trunk_out[start:stop])
 
 
 class PolicyValueNet:
@@ -89,9 +99,10 @@ class PolicyValueNet:
 
     # -- forward / backward -------------------------------------------------
 
-    def _buffers(self, cache: ForwardCache, rows: int) -> None:
-        """Size ``cache`` for ``rows`` rows: the augmented buffers get their
-        ones column here, and passes only overwrite the columns before it."""
+    def reserve(self, cache: ForwardCache, rows: int) -> None:
+        """Size ``cache`` for ``rows`` rows, unless it already holds that
+        many: the augmented buffers get their ones column here, and passes
+        only overwrite the columns before it."""
         if cache.trunk_out is not None and cache.trunk_out.shape[0] == rows:
             return
         cache.inputs = [np.ones((rows, w.shape[0])) for w in self.trunk]
@@ -105,7 +116,7 @@ class PolicyValueNet:
             obs = obs[None, :]
         if cache is None:
             cache = self._workspace
-        self._buffers(cache, obs.shape[0])
+        self.reserve(cache, obs.shape[0])
         x = cache.inputs[0]
         x[:, :-1] = obs
         for w, z, x_next in zip(self.trunk, cache.preacts, [*cache.inputs[1:], cache.trunk_out]):
@@ -183,18 +194,28 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``, each operation in that
+        order, written into two scratch buffers per parameter."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, b1t, out=a)
+            a *= self.lr
+            np.divide(v, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p -= np.divide(a, b, out=a)
 
 
 def clip_grads(grads: list[np.ndarray], max_norm: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from lifesim.agent import AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv, StepOutcome
 from lifesim.env.actions import ACTIONS, N_ACTIONS, Action, legal_mask
-from lifesim.env.mdp import event_names, outcome
+from lifesim.env.mdp import event_names, outcome, unit_cash_flows
 from lifesim.env.utility import UtilityColumns, UtilityParams
 from lifesim.env.vector import observe
 from lifesim.rules import CashFlows, HouseholdSnapshot, RuleSet
@@ -40,15 +40,14 @@ def step_households(households: list[HouseholdState], env: LifecycleEnv,
 
 def budget_units(env: LifecycleEnv, hh: HouseholdState) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
     """Each budget unit of ``hh`` as its snapshot and the adult slots it covers."""
-    b = env.block([hh])
-    return env.unit_snapshots(b, 0, env.pricing_rows(b))
+    return env.unit_snapshots(env.block([hh]))
 
 
 def household_flows(env: LifecycleEnv, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
     """Cash flows per budget unit and consumption per adult slot of ``hh``."""
     b = env.block([hh])
     env.price(b, [0])
-    return b.flows[0], b.consumption.tolist()
+    return unit_cash_flows(b, 0), b.consumption.tolist()
 
 
 def legal_actions(agent: AgentState, hh: HouseholdState, rules: RuleSet) -> list[Action]:

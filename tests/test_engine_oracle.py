@@ -1,12 +1,16 @@
-"""The single-pass rules engine against the verbatim earlier engine.
+"""The single-pass rules engine against the verbatim earlier engine, and the
+column pricer against the scalar core.
 
 ``rules_oracle`` holds ``net_income`` and its helpers as they were before the
 engine priced each budget unit in one pass over its adults.  Every field of
 every ``CashFlows`` must come out bit for bit the same, for every packaged
-year and for 2023 with the packaged ``orpo`` reform.
+year and for 2023 with the packaged ``orpo`` reform.  ``price_units``, which
+prices the environment's blocks, must give every field ``price_unit`` gives
+on the same snapshots, priced as one block, and raise on the same inputs.
 """
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -15,7 +19,9 @@ import pytest
 import rules_oracle
 from lifesim.paramfiles import params_dir
 from lifesim.reform import apply_reform, load_reform
-from lifesim.rules import AdultSnapshot, HouseholdSnapshot, emtr, net_income
+from lifesim.errors import ContractViolation
+from lifesim.rules import (FLOW_COLUMNS, AdultColumns, AdultSnapshot, HouseholdSnapshot, emtr, net_income, price_unit,
+                           price_units)
 from lifesim.rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS
 from lifesim.rules.ruleset import MONTHS_PER_QUARTER
 from lifesim.states import PENSION_STATES, RETIRED_STATES, WORKING_STATES, EmploymentState as S
@@ -163,3 +169,61 @@ def test_net_income_ignores_age(rule_sets):
                 aged = dataclasses.replace(
                     hh, adults=tuple(dataclasses.replace(a, age=age) for a in hh.adults))
                 assert bits(net_income(aged, rules)) == want
+
+
+def _rows(hh: HouseholdSnapshot) -> list[tuple]:
+    return [dataclasses.astuple(a) for a in hh.adults]
+
+
+def as_block(cases: list[HouseholdSnapshot]) -> tuple:
+    """The ``price_units`` arguments (rule set aside) of ``cases``: their
+    adults as columns, in case then adult order, and one unit per case."""
+    adults = [a for hh in cases for a in hh.adults]
+    columns = AdultColumns(np.array([int(a.state) for a in adults]),
+                           *(np.array([getattr(a, name) for a in adults]) for name in AdultColumns._fields[1:]))
+    sizes = np.array([len(hh.adults) for hh in cases])
+    first = np.cumsum(sizes) - sizes
+    second = np.where(sizes == 2, first + 1, -1)
+    bands = (np.array([getattr(hh, name) for hh in cases])
+             for name in ("children_under3", "children_under7", "children_under18"))
+    return (columns, first, second, *bands, np.array([float(hh.rent_monthly) for hh in cases]))
+
+
+def scalar_flows(hh: HouseholdSnapshot, rules) -> list[bytes]:
+    cf = price_unit(_rows(hh), hh.children_under3, hh.children_under7, hh.children_under18, hh.rent_monthly, rules)
+    return [struct.pack("<d", getattr(cf, name)) for name in FLOW_COLUMNS]
+
+
+def test_price_units_matches_price_unit_bit_for_bit(rule_sets):
+    """The seeded snapshots and the edge wages priced as one block, and each
+    edge case as a block of one."""
+    assert AdultColumns._fields[1:] == tuple(
+        name for name in AdultSnapshot.__dataclass_fields__ if name not in ("state", "age"))
+    cases = snapshot_cases(0) + EDGE_CASES
+    for rules in rule_sets:
+        flows = price_units(*as_block(cases), rules)
+        assert flows.shape == (len(cases), len(FLOW_COLUMNS)) and flows.flags.c_contiguous
+        for hh, row in zip(cases, flows.tolist()):
+            assert [struct.pack("<d", v) for v in row] == scalar_flows(hh, rules), (rules.year, hh)
+        for hh in EDGE_CASES:
+            row = price_units(*as_block([hh]), rules)[0].tolist()
+            assert [struct.pack("<d", v) for v in row] == scalar_flows(hh, rules), (rules.year, hh)
+
+
+def _broken(hh: HouseholdSnapshot, defect: str) -> HouseholdSnapshot:
+    if defect == "bands":
+        return dataclasses.replace(hh, children_under3=2, children_under7=1, children_under18=3)
+    adult = dataclasses.replace(hh.adults[-1], **({"wage_quarterly": -1.0} if defect == "wage"
+                                                  else {"ub_days_used": -65.0}))
+    return dataclasses.replace(hh, adults=(*hh.adults[:-1], adult))
+
+
+@pytest.mark.parametrize("defect", ["wage", "days", "bands"])
+def test_price_units_raises_like_price_unit(rules2023, defect):
+    cases = snapshot_cases(0)[:20]
+    bad = _broken(cases[7], defect)
+    with pytest.raises(ContractViolation) as scalar:
+        price_unit(_rows(bad), bad.children_under3, bad.children_under7, bad.children_under18, bad.rent_monthly,
+                   rules2023)
+    with pytest.raises(ContractViolation, match=re.escape(str(scalar.value))):
+        price_units(*as_block(cases[:7] + [bad] + cases[8:]), rules2023)

@@ -5,7 +5,11 @@ import pickle
 import numpy as np
 import pytest
 
+import lifesim.solver.actor_critic as actor_critic
+from lifesim.env import N_ACTIONS, OBS_DIM
+from lifesim.env.vector import LifecycleVectorEnv
 from lifesim.errors import ConfigError, ContractViolation, TrainingDiverged
+from lifesim.pipelines import EnvPaths, build_env
 from dp_oracle import DiscreteMDP, bellman_residual, dp_solve, greedy_policy_probs, policy_return
 from lifesim.solver import (
     PolicyValueNet,
@@ -16,7 +20,7 @@ from lifesim.solver import (
     save_checkpoint,
     train_actor_critic,
 )
-from lifesim.solver.network import ForwardCache, log_softmax
+from lifesim.solver.network import Adam, ForwardCache, log_softmax
 from policy_helpers import policy_act, value_estimate
 from reduced_mdp import ReducedConfig, ReducedVectorEnv, build_reduced_mdp, grid_observations
 
@@ -196,7 +200,8 @@ def test_gradient_matches_central_differences():
     acts = np.array([0, 1, 0, 1, 0, 0])
     rets = rng.standard_normal(6)
     tc = TrainConfig(total_steps=10, hidden=(2,))
-    grads, _ = a2c_loss_grads(net, obs, masks, acts, rets, tc)
+    cache = ForwardCache()
+    grads, _ = a2c_loss_grads(net, cache, *net.forward(obs, cache), masks, acts, rets, tc)
     flat_grad = np.concatenate([g.ravel() for g in grads])
 
     adv_const = rets - net.forward(obs)[1]
@@ -330,11 +335,97 @@ def test_a2c_update_on_a_reused_cache_equals_a_fresh_cache():
         masks[:, 0] = True
         acts = np.array([int(rng.choice(np.flatnonzero(m))) for m in masks])
         rets = rng.standard_normal(12)
-        got, got_metrics = a2c_loss_grads(net, obs, masks, acts, rets, tc, cache=cache)
-        want, want_metrics = a2c_loss_grads(net, obs, masks, acts, rets, tc)
+        got, got_metrics = a2c_loss_grads(net, cache, *net.forward(obs, cache), masks, acts, rets, tc)
+        fresh = ForwardCache()
+        want, want_metrics = a2c_loss_grads(net, fresh, *net.forward(obs, fresh), masks, acts, rets, tc)
         assert got_metrics == want_metrics
         for g, w in zip(got, want):
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_adam_step_matches_the_written_out_formula_bit_for_bit():
+    """Twenty in-place steps give the bits of the update written with fresh
+    arrays, operation for operation."""
+    rng = np.random.default_rng(8)
+    params = [rng.standard_normal((5, 4)), rng.standard_normal(7)]
+    want = [p.copy() for p in params]
+    lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, 21):
+        grads = [rng.standard_normal(p.shape) for p in params]
+        opt.step(params, [g.copy() for g in grads])
+        b1t = 1.0 - beta1 ** t
+        b2t = 1.0 - beta2 ** t
+        for p, g, m_i, v_i in zip(want, grads, m, v):
+            m_i *= beta1
+            m_i += (1.0 - beta1) * g
+            v_i *= beta2
+            v_i += (1.0 - beta2) * g * g
+            p -= lr * (m_i / b1t) / (np.sqrt(v_i / b2t) + eps)
+        for got, expected in zip(params, want):
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), t
+
+
+def test_update_runs_one_forward_pass_per_rollout_step_plus_the_bootstrap(monkeypatch):
+    """The update reads the rollout's activations: per update, one forward
+    pass per rollout step and one for the bootstrap value, each over the
+    actors' rows."""
+    env = DominatedActionEnv(n_envs=8)
+    tc = TrainConfig(total_steps=3 * 16 * 8, hidden=(8,), seed=2)
+    rows = []
+    forward = PolicyValueNet.forward
+    monkeypatch.setattr(PolicyValueNet, "forward",
+                        lambda net, obs, cache=None: rows.append(len(obs)) or forward(net, obs, cache))
+    train_actor_critic(env, tc)
+    assert len(rows) == 3 * (tc.rollout + 1)
+    assert set(rows) == {8}
+
+
+def test_update_gradients_equal_a_fresh_forward_in_rollout_chunks(monkeypatch):
+    """The gradients of an update equal ``a2c_loss_grads`` over a fresh
+    forward pass of the rollout's observations, run in the same 64-row
+    chunks, bit for bit: the rollout's activations are the update's."""
+    venv = LifecycleVectorEnv(build_env(EnvPaths.packaged(2023)), n_households=32, seed=3)
+    observations = []
+
+    def recording(method):
+        def call(*args):
+            out = method(*args)
+            observations.append(out[0])
+            return out
+        return call
+
+    for name in ("reset", "step"):
+        monkeypatch.setattr(venv, name, recording(getattr(venv, name)))
+    seen = {}
+    original = actor_critic.a2c_loss_grads
+
+    def spy(net, cache, logits, values, masks, actions, returns, config):
+        grads, metrics = original(net, cache, logits, values, masks, actions, returns, config)
+        seen.update(params=[p.copy() for p in net.parameters()], logits=logits.copy(), values=values.copy(),
+                    masks=masks.copy(), actions=actions.copy(), returns=returns.copy(),
+                    grads=[g.copy() for g in grads], metrics=metrics)
+        return grads, metrics
+
+    monkeypatch.setattr(actor_critic, "a2c_loss_grads", spy)
+    tc = TrainConfig(total_steps=16 * 64, hidden=(32, 16), seed=4)   # one update
+    train_actor_critic(venv, tc)
+
+    net = PolicyValueNet(OBS_DIM, N_ACTIONS, (32, 16))
+    net.set_parameters(seen["params"])
+    cache = ForwardCache()
+    net.reserve(cache, 16 * 64)
+    chunks = [net.forward(obs, cache.view(64 * t, 64 * (t + 1))) for t, obs in enumerate(observations[:16])]
+    logits = np.concatenate([c[0] for c in chunks])
+    values = np.concatenate([c[1] for c in chunks])
+    for got, want in ((seen["logits"], logits), (seen["values"], values)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    grads, metrics = a2c_loss_grads(net, cache, logits, values, seen["masks"], seen["actions"], seen["returns"], tc)
+    assert metrics == seen["metrics"]
+    for got, want in zip(seen["grads"], grads):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

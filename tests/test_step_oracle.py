@@ -20,7 +20,7 @@ from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.env.mdp import DECISION_END_AGE, DT, event_names
+from lifesim.env.mdp import DECISION_END_AGE, DT, event_names, unit_cash_flows
 from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
@@ -99,7 +99,7 @@ def test_block_step_matches_per_household_oracle(rules_name):
             rows = slice(starts[h], starts[h + 1])
             assert _bits(tuple(b.consumption[rows].tolist())) == _bits(out.consumptions), (rules_name, h)
             assert _bits(tuple(b.reward[rows].tolist())) == _bits(out.rewards), (rules_name, h)
-            assert _flows(b.flows[h]) == _flows(out.flows), (rules_name, h)
+            assert _flows(unit_cash_flows(b, h)) == _flows(out.flows), (rules_name, h)
         for got, hh, out, out_alone in zip(alone, want, outcomes, outcomes_alone):
             assert _household(got) == _household(hh)
             assert _bits(dataclasses.astuple(out_alone)) == _bits(dataclasses.astuple(out))
