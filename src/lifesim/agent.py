@@ -126,8 +126,9 @@ class HouseholdBlock:
     held, in birth order, NaN once gone), the child bands, the ``mother``
     and ``father`` rows (-1 for none) and the generators.  The last
     quarter's ``reward``, ``consumption``, budget ``units`` and their
-    ``flows`` (a row each, see ``LifecycleEnv.price``), ``event`` codes and
-    ``birth`` flags are kept beside the state.
+    ``flows`` (a row each, see ``LifecycleEnv.price``, with the
+    ``unit_key`` the units were formed from), ``event`` codes and ``birth``
+    flags are kept beside the state.
     """
 
     @classmethod
@@ -187,7 +188,7 @@ class HouseholdBlock:
 
         b.reward = np.zeros(b.n)
         b.consumption = np.zeros(b.n)
-        b.units = b.flows = None   # set by LifecycleEnv.price
+        b.units = b.flows = b.unit_key = None   # set by LifecycleEnv.price
         b.event = np.zeros(b.n, dtype=np.int8)
         b.birth = np.zeros(b.m, dtype=bool)
         b.stale = np.ones(b.m, dtype=bool)   # flows not priced for the static phase yet

@@ -24,8 +24,10 @@ formulas operation for operation:
 * Pricing runs on columns too.  :meth:`LifecycleEnv.price` forms the budget
   units from the block's columns and prices them all with
   ``rules.price_units`` into ``b.flows``, a row per unit of ``b.units``;
-  the scalar ``rules.price_unit`` stays behind the snapshot API
-  (``net_income``, ``emtr``, ``ptr``).
+  it forms the units again only when who lives, who is partnered or a
+  child band changed, and a static-phase re-price hands ``price_units``
+  only the changed households' adults.  The scalar ``rules.price_unit``
+  stays behind the snapshot API (``net_income``, ``emtr``, ``ptr``).
 
 Marriage, divorce and birth clocks are drawn on failure curves built once
 per hazard and start age and kept with the env
@@ -233,8 +235,11 @@ class LifecycleEnv:
 
     @cached_property
     def _rent(self) -> np.ndarray:
-        """``RuleSet.rent_for_size`` of sizes 1, 2, ...: the rent table."""
-        return np.asarray(self.rules.rent_table, dtype=float)
+        """``RuleSet.rent_for_size`` of sizes 0, 1, 2, ...: the rent table
+        led by a copy of its first entry, indexed by the size up to the
+        largest tabled one."""
+        table = self.rules.rent_table
+        return np.asarray(table[:1] + table, dtype=float)
 
     @cached_property
     def _next_age(self):
@@ -283,15 +288,17 @@ class LifecycleEnv:
         custodian = np.where((b.mother >= 0) & alive[b.mother], b.mother, lead)[h]
         u3, u7, u18 = np.array((b.under3, b.under7, b.under18))[:, h] * (pair[h] | (first == custodian))
         n_alive = np.add(alive[first], (second >= 0) & alive[second], dtype=np.int64)
-        rent = self._rent[np.clip(n_alive + u18, 1, len(self._rent)) - 1]
+        rent = self._rent[np.minimum(n_alive + u18, len(self._rent) - 1)]
         return BudgetUnits(first, second, u3, u7, u18, rent)
 
     @staticmethod
-    def adult_columns(b: HouseholdBlock) -> AdultColumns:
-        """Every adult row's pricing inputs.  A paid wage counts only in a working state."""
-        return AdultColumns(b.state, np.where(_IS_WORKING[b.state], b.paid_wage / 4.0, 0.0), b.ub_basis,
-                            b.ub_days_used, b.ub_max_days, b.fund_member, b.pension_paid, b.pension_accrued,
-                            b.partial_early_paid, b.prev_paid_wage / 12.0)
+    def adult_columns(b: HouseholdBlock, rows=slice(None)) -> AdultColumns:
+        """The pricing inputs of the adult ``rows`` (every row by default).
+        A paid wage counts only in a working state."""
+        st = b.state[rows]
+        return AdultColumns(st, np.where(_IS_WORKING[st], b.paid_wage[rows] / 4.0, 0.0), b.ub_basis[rows],
+                            b.ub_days_used[rows], b.ub_max_days[rows], b.fund_member[rows], b.pension_paid[rows],
+                            b.pension_accrued[rows], b.partial_early_paid[rows], b.prev_paid_wage[rows] / 12.0)
 
     def unit_snapshots(self, b: HouseholdBlock) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
         """Every budget unit of ``b`` (:meth:`budget_units`) as its snapshot
@@ -315,19 +322,36 @@ class LifecycleEnv:
         slot order), and each adult's consumption: a unit's consumption is
         shared equally by its living adults, and an adult in no unit
         consumes nothing.  The other households keep their units, flows and
-        consumption, so ``b`` must have been priced whole before."""
+        consumption, so ``b`` must have been priced whole before; only the
+        chosen households' adults go to ``price_units``.
+
+        Of the block's state the units read only who is alive, who is
+        partnered and the child bands (``unit_key``); a whole pricing whose
+        key equals the one its units were last formed from keeps them."""
         chosen = np.zeros(b.m, dtype=bool)
         chosen[households] = True
-        units = self.budget_units(b, chosen)
-        flows = price_units(self.adult_columns(b), *units, self.rules)
+        whole = chosen.all()
         alive = b.state != _DEAD
+        if whole:
+            key = np.concatenate((alive, b.partnered, b.under3, b.under7, b.under18))
+            if b.unit_key is None or (key != b.unit_key).any():
+                b.units, b.unit_key = self.budget_units(b, chosen), key
+            units = b.units
+            flows = price_units(self.adult_columns(b), *units, self.rules)
+        else:
+            units = self.budget_units(b, chosen)
+            rows = chosen[b.hh]
+            local = np.cumsum(rows) - 1   # each chosen row's index among the chosen
+            flows = price_units(self.adult_columns(b, rows.nonzero()[0]), local[units.first],
+                                np.where(units.second >= 0, local[units.second], -1), *units[2:], self.rules)
+            b.unit_key = None   # the spliced units come from no single key
         b.consumption[chosen[b.hh]] = 0.0
         n_alive = np.add(alive[units.first], (units.second >= 0) & alive[units.second], dtype=np.int64)
         share = flows[:, _CONSUMPTION] / np.maximum(n_alive, 1)
         for rows in units.first, units.second:
             live = (rows >= 0) & alive[rows]
             b.consumption[rows[live]] = share[live]
-        if not chosen.all():
+        if not whole:
             keep = ~chosen[b.hh[b.units.first]]
             order = np.argsort(np.concatenate((b.units.first[keep], units.first)))
             units = BudgetUnits(*(np.concatenate((old[keep], new))[order] for old, new in zip(b.units, units)))

@@ -10,11 +10,13 @@ order), the unit's child bands and its rent, and the rule set, whose
 ``pricing`` holds the values each rule set derives once from its own fields
 (:class:`~lifesim.rules.ruleset.PricingConstants`: the state-tax bracket
 sums, so the tax is one bisect plus one bracket term; the employer rate; the
-fixed benefit amounts).  It accumulates every flow in locals and builds the
-:class:`CashFlows` once.  :func:`price_units` is the same core on columns:
-many units at once, from per-adult :class:`AdultColumns` and each unit's
-adult rows, child bands and rent, into one matrix with a row per unit and a
-column per :data:`FLOW_COLUMNS` field, bit for bit what ``price_unit`` gives.
+fixed benefit amounts; and, for the column pricer, the same as arrays with
+the earnings disregards and the housing-benefit rent caps).  It accumulates
+every flow in locals and builds the :class:`CashFlows` once.
+:func:`price_units` is the same core on columns: many units at once, from
+per-adult :class:`AdultColumns` and each unit's adult rows, child bands and
+rent, into one matrix with a row per unit and a column per
+:data:`FLOW_COLUMNS` field, bit for bit what ``price_unit`` gives.
 Two paths price:
 
 * the snapshot API, :func:`net_income` (and :func:`emtr`, :func:`ptr`),
@@ -603,8 +605,7 @@ _IS_PENSION = _flags(PENSION_STATES)
 # The states whose primary benefit a formula of the adult's own amounts gives.
 _BY_FORMULA = _flags(_ER_STATES | PENSION_STATES | LEAVE_STATES | {S.SICK_LEAVE})
 _ER_CODES, _PENSION_CODES = frozenset(map(int, _ER_STATES)), frozenset(map(int, PENSION_STATES))
-_DEAD_CODE, _ER_EXTENDED_CODE, _BASIC_CODE, _SICK_CODE, _HOME_CARE_CODE, _STUDENT_CODE = map(
-    int, (_DEAD, _ER_EXTENDED, _BASIC_UNEMPLOYED, _SICK_LEAVE, _HOME_CARE, _STUDENT))
+_DEAD_CODE, _ER_EXTENDED_CODE, _SICK_CODE = map(int, (_DEAD, _ER_EXTENDED, _SICK_LEAVE))
 
 # price_units' work matrix has a row per CashFlows float field, in
 # FLOW_COLUMNS order (per adult, the unit-level ones stay 0.0), then: the
@@ -631,10 +632,12 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _housing_benefit_columns(rent_monthly: np.ndarray, children_under18: np.ndarray, income_monthly: np.ndarray,
-                             n_alive: np.ndarray, sched: HousingBenefitSchedule) -> np.ndarray:
-    """:func:`_housing_benefit` of every unit (the caller checks the rent)."""
-    table = np.asarray(sched.max_rent_by_size)
-    max_rent = table[np.clip((n_alive + children_under18).astype(np.intp), 1, len(table)) - 1]
+                             n_alive: np.ndarray, sched: HousingBenefitSchedule, table: np.ndarray) -> np.ndarray:
+    """:func:`_housing_benefit` of every unit under ``sched``; ``table`` is
+    its ``max_rent_by_size`` led by a copy of the first entry, so it is
+    indexed by the size, capped at the largest (the caller checks the
+    rent)."""
+    max_rent = table[np.minimum(n_alive + children_under18, len(table) - 1).astype(np.intp)]
     accepted_rent = np.where(max_rent < rent_monthly, max_rent, rent_monthly)
     threshold = sched.income_base + sched.per_adult * n_alive + sched.per_child * children_under18
     deductible = sched.income_deductible_rate * (income_monthly - threshold)
@@ -693,8 +696,7 @@ def price_units(adults: AdultColumns, first: np.ndarray, second: np.ndarray, chi
     taxable = np.where(taxable > 0.0, taxable, 0.0)
     # Bracket k - 1 of the scalar core is column k here; column 0, no
     # bracket, taxes 0.0 + 0.0 * taxable = 0.0.
-    brackets = np.array(((0.0, *p.bracket_lows), (0.0, *p.bracket_rates), (0.0, *p.bracket_below)))
-    low, rate, below = brackets[:, np.searchsorted(p.bracket_lows, taxable, side="left")]
+    low, rate, below = p.brackets[:, p.brackets[0, 1:].searchsorted(taxable, side="left")]
     per_adult[_STATE] = below + rate * (taxable - low)
     per_adult[_MUNI] = tax.municipal_rate * taxable
     yle_base = gross_annual - tax.yle.floor
@@ -713,16 +715,15 @@ def price_units(adults: AdultColumns, first: np.ndarray, second: np.ndarray, chi
     # related or pension benefit, or on sick or parental leave, are priced
     # one at a time by the scalar core's own formulas: they are few, and a
     # numpy pass per formula would cost more than the loop.
-    fixed = np.zeros((4, len(S)))
-    fixed[:, _BASIC_CODE] = p.basic_quarterly, 0.0, 0.0, p.basic_monthly
-    fixed[:, _HOME_CARE_CODE] = 0.0, p.home_care_quarterly, 0.0, p.home_care_monthly
-    fixed[:, _STUDENT_CODE] = 0.0, 0.0, p.student_quarterly, p.student_monthly
-    per_adult[[_UB_BASIC, _HOME_CARE_Q, _STUDENT_Q, _PRIMARY]] = fixed[:, st]
+    per_adult[[_UB_BASIC, _HOME_CARE_Q, _STUDENT_Q, _PRIMARY]] = p.fixed_by_state[:, st]
     formula = _BY_FORMULA[st].nonzero()[0]
     if formula.size:
         rows, columns, amounts = [], [], []
+        # The formula adults' fields, gathered at once as float64 (exact for
+        # the state codes and the membership flags).
+        gathered = np.array((st, basis, days, max_days, fund, paid, wage_basis), dtype=float)[:, formula]
         for r, code, ub_basis, used, entitled, member, pension_paid, basis_m in zip(
-                formula.tolist(), *(c[formula].tolist() for c in (st, basis, days, max_days, fund, paid, wage_basis))):
+                formula.tolist(), *gathered.tolist()):
             if code in _ER_CODES:
                 if code == _ER_EXTENDED_CODE:
                     # Extended benefit keeps the ER level past normal exhaustion.
@@ -756,11 +757,9 @@ def price_units(adults: AdultColumns, first: np.ndarray, second: np.ndarray, chi
 
     # The wages counted against the housing benefit and social assistance:
     # each positive one's part above the disregard.
-    hb = rules.housing_benefit
     counted = np.array((gross_m, gross_m, net_wage_m))
-    disregard = np.array((hb.general.earnings_disregard, hb.retiree.earnings_disregard,
-                          rules.social_assistance.earnings_disregard))[:, None]
-    per_adult[_HB_WAGES:_SA_WAGES + 1] = np.where((counted > 0.0) & (counted > disregard), counted - disregard, 0.0)
+    per_adult[_HB_WAGES:_SA_WAGES + 1] = np.where((counted > 0.0) & (counted > p.disregards), counted - p.disregards,
+                                                  0.0)
 
     # Each unit's sums: 0.0, then its first adult, then its second.
     one, two = work[:, first], work[:, second]
@@ -804,11 +803,13 @@ def price_units(adults: AdultColumns, first: np.ndarray, second: np.ndarray, chi
 
     if np.count_nonzero(living & (rent <= 0)):
         raise ContractViolation("housing benefit requires positive rent")
-    hb_monthly = _housing_benefit_columns(rent, u18, unit[_HB_WAGES] + other, n_alive, hb.general)
+    hb = rules.housing_benefit
+    hb_monthly = _housing_benefit_columns(rent, u18, unit[_HB_WAGES] + other, n_alive, hb.general,
+                                          p.max_rent_general)
     retired = unit[_RETIRED] > 0.0
     if np.count_nonzero(retired):
         hb_monthly = np.where(retired, _housing_benefit_columns(rent, u18, unit[_HB_WAGES_RETIREE] + other,
-                                                                n_alive, hb.retiree), hb_monthly)
+                                                                n_alive, hb.retiree, p.max_rent_retiree), hb_monthly)
     unit[_HOUSING] = np.where(living, hb_monthly * MONTHS_PER_QUARTER, 0.0)
     other_net = other + hb_monthly - unit[_DAYCARE] / MONTHS_PER_QUARTER
     sa = rules.social_assistance

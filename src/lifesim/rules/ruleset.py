@@ -22,8 +22,11 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from ..errors import ParameterError
 from ..paramfiles import build, load_yaml
+from ..states import N_STATES, EmploymentState as S
 
 MONTHS_PER_QUARTER = 3
 # 5 benefit days per week, 13 weeks per quarter.
@@ -196,19 +199,37 @@ class RuleSet:
 
 class PricingConstants:
     """The values the rules engine derives from a :class:`RuleSet`, once,
-    with the same float operations it applied on every call before: the
-    state-tax bracket sums, the employer contribution rate, and the fixed
-    benefit amounts per quarter and per month.
+    with the same float operations it applied on every call before.
 
-    ``bracket_below[j]`` is the state tax on an income that fills brackets
-    ``0 .. j-1``, added bracket by bracket from 0.0, so the tax on a taxable
-    income in bracket ``j`` is ``bracket_below[j]`` plus that bracket's
-    term: the sum the bracket loop builds, term for term.
+    For the scalar core: the state-tax bracket sums, the employer
+    contribution rate, the default ER entitlement, and the fixed benefit
+    amounts per quarter and per month.  ``bracket_below[j]`` is the state
+    tax on an income that fills brackets ``0 .. j-1``, added bracket by
+    bracket from 0.0, so the tax on a taxable income in bracket ``j`` is
+    ``bracket_below[j]`` plus that bracket's term: the sum the bracket loop
+    builds, term for term.
+
+    For the column pricer, as read-only float64 arrays:
+
+    * ``brackets``: rows ``bracket_lows``, ``bracket_rates`` and
+      ``bracket_below``, each led by a zero bracket, so column ``k`` is the
+      bracket ``k - 1`` that ``searchsorted(bracket_lows, side="left")``
+      finds and column 0 taxes nothing;
+    * ``fixed_by_state``: rows ``ub_basic``, ``home_care_benefit`` and
+      ``student_benefit`` per quarter and the benefit per month, one column
+      per state code (0.0 for a state without a fixed amount);
+    * ``disregards``: the earnings disregards of the general and the retiree
+      housing benefit and of social assistance, as a ``(3, 1)`` column;
+    * ``max_rent_general``, ``max_rent_retiree``: each housing-benefit
+      schedule's ``max_rent_by_size`` led by a copy of its first entry, so
+      entry ``k`` is the cap of a unit of ``k`` persons (0 counting as 1)
+      up to the largest tabled size.
     """
 
     __slots__ = ("bracket_lows", "bracket_rates", "bracket_below", "employer_rate", "er_max_days",
                  "basic_quarterly", "basic_monthly", "home_care_quarterly", "home_care_monthly",
-                 "student_quarterly", "student_monthly")
+                 "student_quarterly", "student_monthly", "brackets", "fixed_by_state", "disregards",
+                 "max_rent_general", "max_rent_retiree")
 
     def __init__(self, rs: RuleSet) -> None:
         brackets = rs.tax.state_brackets
@@ -226,6 +247,30 @@ class PricingConstants:
         self.home_care_monthly = self.home_care_quarterly / MONTHS_PER_QUARTER
         self.student_quarterly = rs.family.student_allowance_monthly * MONTHS_PER_QUARTER
         self.student_monthly = self.student_quarterly / MONTHS_PER_QUARTER
+
+        self.brackets = _frozen([(0.0, *self.bracket_lows), (0.0, *self.bracket_rates), (0.0, *self.bracket_below)])
+        fixed = np.zeros((4, N_STATES))
+        fixed[:, S.BASIC_UNEMPLOYED] = self.basic_quarterly, 0.0, 0.0, self.basic_monthly
+        fixed[:, S.HOME_CARE] = 0.0, self.home_care_quarterly, 0.0, self.home_care_monthly
+        fixed[:, S.STUDENT] = 0.0, 0.0, self.student_quarterly, self.student_monthly
+        self.fixed_by_state = _frozen(fixed)
+        hb = rs.housing_benefit
+        self.disregards = _frozen([[hb.general.earnings_disregard], [hb.retiree.earnings_disregard],
+                                   [rs.social_assistance.earnings_disregard]])
+        self.max_rent_general, self.max_rent_retiree = (_frozen(t[:1] + t) for t in (
+            hb.general.max_rent_by_size, hb.retiree.max_rent_by_size))
+
+    def __setstate__(self, state) -> None:
+        """Unpickle: the tables come back read-only too."""
+        for name, value in state[1].items():
+            setattr(self, name, _frozen(value) if isinstance(value, np.ndarray) else value)
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a float64 array that cannot be written to."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def _rates_in_unit_interval(obj: Any, path: str, problems: list[str]) -> None:

@@ -7,7 +7,12 @@ households, each packed once into a :class:`~lifesim.agent.HouseholdBlock`
 (one row per adult in household then slot order, one column per field) and
 stepped phase by phase.  Each household draws its ``rng_exo`` in the order
 it would if stepped alone: ``standard_normal(2)``, ``random(12)``, then
-partnership, fertility, adult 0's and adult 1's conditional draws.
+partnership, fertility, adult 0's and adult 1's conditional draws.  In
+sample mode each household's action uniforms, two per decision quarter
+(one per slot), come from one ``rng_act.random`` call when its block starts:
+the values, in order, and the final generator state of one ``random(2)``
+per quarter, since nothing else draws from ``rng_act``.  Greedy mode draws
+none.
 Transcendentals stay scalar (``math.log``/``math.exp`` per value) and sums
 keep Python's left-to-right order: a quarter's flow rows add into their age
 cell one at a time, in household then unit order.  Those rows are the
@@ -19,7 +24,11 @@ samples are taken with the scalar snapshot API (``rules.emtr``,
 The log keeps raw per-agent state histories (for independent re-analysis)
 plus flow sums by age cell; aggregation turns those into the report: rates
 by age and gender, occupancy shares, benefit expenditure, wage sums, hours
-and incentive histograms, and the unemployment-duration table.
+and incentive histograms, and the unemployment-duration table.  It counts
+agent-quarters by gender, yearly age, state and hours in one pass over the
+matrices; only the FTE sums run one ``np.sum`` per age, which keeps their
+summation order.  The spell scan finds every spell's first and last quarter
+on the whole state matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, FLOW_COLUMNS, TAX_FIEL
 from .solver.network import PolicyValueNet, sample_masked
 from .states import (
     ALLOWED_HOURS,
+    N_STATES,
     UNEMPLOYMENT_STATES,
     WORKING_STATES,
     EmploymentState as S,
@@ -171,7 +181,12 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
         rows = slice(row0, row0 + b.n)
         obs = np.zeros((b.n, OBS_DIM))
         masks = np.zeros((b.n, N_ACTIONS), dtype=bool)
-        act_row = 2 * b.hh + b.slot   # each household draws two action uniforms
+        if mode != "greedy":
+            # Each household's two action uniforms per decision quarter, one
+            # per slot, drawn at once; row q holds quarter q's by adult row.
+            uniforms = np.empty((decision_q, b.n))
+            for first, size, rng in zip(b.first.tolist(), b.size.tolist(), b.rng_act):
+                uniforms[:, first:first + size] = rng.random(2 * decision_q).reshape(decision_q, 2)[:, :size]
         for q in range(total_q):
             age_cell = min(int(q * DT), N_AGES - 1)
             if q < decision_q:
@@ -180,8 +195,7 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                 if mode == "greedy":
                     acts = logits.argmax(axis=1)
                 else:
-                    u = np.concatenate([rng.random(2) for rng in b.rng_act])[act_row]
-                    acts = sample_masked(logits, masks, u)
+                    acts = sample_masked(logits, masks, uniforms[q])
                 env.step_block(b, acts, masks)
                 unit_flows = b.flows.take(_FLOW_COLUMNS, axis=1)
                 if collect_incentives and q % 4 == 0:
@@ -265,6 +279,17 @@ UNEMP_CODES = np.array([int(s) for s in UNEMPLOYMENT_STATES])
 RETIRED_CODES = np.array([int(S.RETIRED), int(S.RETIRED_PT), int(S.RETIRED_FT)])
 
 
+# A flag per state code: whether the code is in the set.
+_IS_WORKING, _IS_UNEMPLOYED, _IS_RETIRED, _IS_PART_TIME = (np.isin(np.arange(N_STATES), codes) for codes in (
+    WORKING_CODES, UNEMP_CODES, RETIRED_CODES, [int(S.PART_TIME), int(S.RETIRED_PT)]))
+# The ALLOWED_HOURS slot of each int8 hours value, and one more slot for any
+# other value (a negative value indexes from the end, into that slot too).
+_HOURS_SLOT = np.full(256, len(ALLOWED_HOURS), dtype=np.intp)
+_HOURS_SLOT[list(ALLOWED_HOURS)] = np.arange(len(ALLOWED_HOURS))
+# Agents per pass of ``_state_counts``: bounds its index array.
+_COUNT_CHUNK = 4096
+
+
 @dataclass
 class AggregateReport:
     cohort_size: int
@@ -315,42 +340,40 @@ class AggregateReport:
 
 def scan_unemployment_spells(states: np.ndarray, er_days: np.ndarray,
                              decision_q: int | None = None) -> list[tuple[float, float]]:
-    """(age at spell start, ER days used in spell) for every completed spell.
+    """(age at spell start, ER days used in spell) for every completed spell,
+    in agent then start order.
 
     A spell is consecutive quarters in any unemployment state; any other
-    quarter ends it.
+    quarter, or the horizon ``decision_q`` (all quarters by default), ends
+    it.  The days used are the float32 difference of the ER day counts at
+    the spell's last quarter and at the quarter before it (0 at the first
+    quarter), floored at 0.
     """
-    unemp = np.isin(states, UNEMP_CODES)
-    n_agents, n_q = states.shape
-    out: list[tuple[float, float]] = []
-    horizon = n_q if decision_q is None else decision_q
-    for i in range(n_agents):
-        row = unemp[i]
-        q = 0
-        while q < horizon:
-            if row[q]:
-                start = q
-                days0 = er_days[i, q - 1] if q > 0 else 0.0
-                while q < horizon and row[q]:
-                    q += 1
-            else:
-                q += 1
-                continue
-            days1 = er_days[i, q - 1]
-            used = max(0.0, days1 - days0)
-            out.append((AGE_MIN + start * DT, used))
-    return out
+    horizon = states.shape[1] if decision_q is None else decision_q
+    unemp = np.isin(states[:, :horizon], UNEMP_CODES)
+    ongoing = np.zeros_like(unemp)   # unemployed the quarter before
+    ongoing[:, 1:] = unemp[:, :-1]
+    agent, start = (unemp & ~ongoing).nonzero()
+    ongoing[:, :-1] = unemp[:, 1:]   # now: unemployed the quarter after
+    ongoing[:, -1:] = False
+    end = (unemp & ~ongoing).nonzero()[1]
+    days0 = np.where(start > 0, er_days[agent, start - 1], np.float32(0.0))
+    used = er_days[agent, end] - days0
+    return list(zip((AGE_MIN + start * DT).tolist(), np.where(used > 0.0, used, np.float32(0.0)).tolist()))
 
 
 def _duration_tables(log: SimulationLog) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.zeros((len(DURATION_AGE_BANDS), 5))
+    """Spell counts by start-age band (the first band holding the start age;
+    none for an age between bands) and ER-days bin, and their row shares."""
     decision_q = int(round((DECISION_END_AGE - AGE_MIN) / DT))
-    for age, used in scan_unemployment_spells(log.states, log.er_days_used, decision_q):
-        for b, (lo, hi) in enumerate(DURATION_AGE_BANDS):
-            if lo <= age <= hi:
-                j = int(np.searchsorted(DURATION_BIN_EDGES, used, side="right"))
-                counts[b, j] += 1
-                break
+    spells = scan_unemployment_spells(log.states, log.er_days_used, decision_q)
+    age, used = np.array(spells, dtype=float).reshape(-1, 2).T
+    band = np.full(age.shape, -1)
+    for b, (lo, hi) in reversed(list(enumerate(DURATION_AGE_BANDS))):
+        band[(lo <= age) & (age <= hi)] = b
+    counted = band >= 0
+    j = np.searchsorted(DURATION_BIN_EDGES, used[counted], side="right")
+    counts = np.bincount(band[counted] * 5 + j, minlength=len(DURATION_AGE_BANDS) * 5).reshape(-1, 5).astype(float)
     shares = counts.copy()
     row_sums = shares.sum(axis=1, keepdims=True)
     np.divide(shares, row_sums, out=shares, where=row_sums > 0)
@@ -371,70 +394,87 @@ def _age_totals(by_age: dict) -> dict:
     return {k: reduce(operator.add, v, 0.0) for k, v in by_age.items()}
 
 
-def aggregate(log: SimulationLog) -> AggregateReport:
-    n_agents, total_q = log.states.shape
-    ages = np.arange(AGE_MIN, AGE_MAX)
-    occupancy = np.zeros((N_AGES, 16))
-    employment_rate = np.zeros((N_AGES, 2))
-    unemployment_rate = np.zeros((N_AGES, 2))
-    parttime_share = np.zeros((N_AGES, 2))
-    disability_rate = np.zeros((N_AGES, 2))
-    workforce_narrow = np.zeros(N_AGES)
-    workforce_broad = np.zeros(N_AGES)
-    alive_share = np.zeros(N_AGES)
+def _rate(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, NaN where ``den`` is 0."""
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=den > 0)
 
-    hours_by_age = {h: np.zeros(N_AGES) for h in ALLOWED_HOURS}
+
+def _state_counts(log: SimulationLog) -> np.ndarray:
+    """Agent-quarters by gender (0, 1, then any other code), yearly age
+    cell and state code, counted a chunk of agents at a time."""
+    n_agents = log.states.shape[0]
+    gender = np.where((log.gender == 0) | (log.gender == 1), log.gender, 2).astype(np.intp)
+    cell = np.repeat(np.arange(N_AGES) * N_STATES, 4)
+    counts = np.zeros(3 * N_AGES * N_STATES, dtype=np.int64)
+    for lo in range(0, n_agents, _COUNT_CHUNK):
+        rows = slice(lo, lo + _COUNT_CHUNK)
+        key = (gender[rows, None] * (N_AGES * N_STATES) + cell) + log.states[rows]
+        counts += np.bincount(key.ravel(), minlength=counts.size)
+    return counts.reshape(3, N_AGES, N_STATES)
+
+
+def _work_by_age(log: SimulationLog) -> tuple[dict[str, np.ndarray], dict[int, np.ndarray]]:
+    """Full-time equivalents by FTE class and worked agent-years by hours
+    choice, by age.  An FTE cell sums its working agent-quarters'
+    ``hours / 40`` in agent then quarter order, one ``np.sum`` per age and
+    class, and divides by 4."""
+    n_agents = log.states.shape[0]
+    # (age, agent, quarter of the year) views of the matrices.
+    states = log.states.reshape(n_agents, N_AGES, 4).transpose(1, 0, 2)
+    hours = log.hours.reshape(n_agents, N_AGES, 4).transpose(1, 0, 2)
+    working = _IS_WORKING[states]
+    slots = len(ALLOWED_HOURS) + 1
+    cell = np.repeat(np.arange(N_AGES) * slots, np.count_nonzero(working, axis=(1, 2)))
+    worked = np.bincount(cell + _HOURS_SLOT[hours[working]], minlength=N_AGES * slots).reshape(N_AGES, slots)
     fte_by_age = {k: np.zeros(N_AGES) for k in FTE_CLASSES}
+    for name, cells in (("total", working), ("part_time", working & (hours <= 24)),
+                        ("full_time", working & (hours >= 32)), ("retired", working & _IS_RETIRED[states])):
+        values = hours[cells] / 40.0
+        ends = np.cumsum(np.count_nonzero(cells, axis=(1, 2))).tolist()
+        fte_by_age[name][:] = [values[lo:hi].sum() / 4.0 for lo, hi in zip([0] + ends, ends)]
+    young = AGE_MIN + np.arange(N_AGES) <= 62
+    fte_by_age["age_18_62"][young] = fte_by_age["total"][young]
+    fte_by_age["age_63_plus"][~young] = fte_by_age["total"][~young]
+    return fte_by_age, {h: worked[:, k] / 4.0 for k, h in enumerate(ALLOWED_HOURS)}
 
-    for a_idx in range(N_AGES):
-        q0, q1 = a_idx * 4, min((a_idx + 1) * 4, total_q)
-        s = log.states[:, q0:q1]
-        h = log.hours[:, q0:q1]
-        alive = s != int(S.DEAD)
-        n_alive = alive.sum()
-        if n_alive == 0:
-            employment_rate[a_idx] = np.nan
-            unemployment_rate[a_idx] = np.nan
-            parttime_share[a_idx] = np.nan
-            disability_rate[a_idx] = np.nan
-            continue
-        alive_share[a_idx] = n_alive / s.size
-        # Shares among the living; the dead column carries the share of all.
-        for code in range(15):
-            occupancy[a_idx, code] = ((s == code) & alive).sum() / max(n_alive, 1)
-        occupancy[a_idx, int(S.DEAD)] = 1.0 - n_alive / s.size
-        working = np.isin(s, WORKING_CODES)
-        unemployed = np.isin(s, UNEMP_CODES)
-        retired = np.isin(s, RETIRED_CODES)
-        disabled = s == int(S.DISABLED)
-        for g in (0, 1):
-            rows = log.gender == g
-            alive_g = alive[rows].sum()
-            if alive_g == 0:
-                employment_rate[a_idx, g] = np.nan
-                unemployment_rate[a_idx, g] = np.nan
-                parttime_share[a_idx, g] = np.nan
-                disability_rate[a_idx, g] = np.nan
-                continue
-            emp_g = working[rows].sum()
-            un_g = unemployed[rows].sum()
-            employment_rate[a_idx, g] = emp_g / alive_g
-            wf = emp_g + un_g
-            unemployment_rate[a_idx, g] = un_g / wf if wf > 0 else np.nan
-            pt_g = ((s[rows] == int(S.PART_TIME)) | (s[rows] == int(S.RETIRED_PT))).sum()
-            parttime_share[a_idx, g] = pt_g / emp_g if emp_g > 0 else np.nan
-            disability_rate[a_idx, g] = disabled[rows].sum() / alive_g
-        workforce_narrow[a_idx] = (working.sum() + unemployed.sum()) / n_alive
-        workforce_broad[a_idx] = (working | unemployed | retired).sum() / n_alive
 
-        fte_cells = (h[working] / 40.0).sum() / 4.0
-        fte_by_age["total"][a_idx] = fte_cells
-        fte_by_age["part_time"][a_idx] = (h[working & (h <= 24)] / 40.0).sum() / 4.0
-        fte_by_age["full_time"][a_idx] = (h[working & (h >= 32)] / 40.0).sum() / 4.0
-        fte_by_age["age_18_62" if AGE_MIN + a_idx <= 62 else "age_63_plus"][a_idx] = fte_cells
-        fte_by_age["retired"][a_idx] = (h[retired & working] / 40.0).sum() / 4.0
-        for hh_choice in ALLOWED_HOURS:
-            hours_by_age[hh_choice][a_idx] = ((h == hh_choice) & working).sum() / 4.0
+def aggregate(log: SimulationLog) -> AggregateReport:
+    """The report of one cohort log.  Rates, shares and counts come from
+    the agent-quarter counts by gender, age and state; the FTE sums and the
+    hours from :func:`_work_by_age`.  A rate whose denominator is 0 is NaN;
+    an age at which nobody lives has zero shares."""
+    n_agents, total_q = log.states.shape
+    if total_q != 4 * N_AGES:
+        raise ContractViolation(f"a cohort log holds {4 * N_AGES} quarters, got {total_q}")
+    if log.states.size and not 0 <= log.states.min() <= log.states.max() < N_STATES:
+        raise ContractViolation("a cohort log holds employment state codes only")
+    ages = np.arange(AGE_MIN, AGE_MAX)
+    by_state = _state_counts(log)                 # (gender, age, state)
+    everyone = by_state.sum(axis=0)               # (age, state)
+    n_alive = 4 * n_agents - everyone[:, int(S.DEAD)]
+    lived = n_alive > 0
+    alive_share = n_alive / max(4 * n_agents, 1)
+    # Shares among the living; the dead column, the last, carries the share
+    # of all.
+    occupancy = np.zeros((N_AGES, N_STATES))
+    occupancy[lived, :int(S.DEAD)] = everyone[lived, :int(S.DEAD)] / n_alive[lived, None]
+    occupancy[lived, int(S.DEAD)] = 1.0 - n_alive[lived] / (4 * n_agents)
+    working, unemployed = everyone[:, _IS_WORKING].sum(axis=1), everyone[:, _IS_UNEMPLOYED].sum(axis=1)
+    in_force = everyone[:, _IS_WORKING | _IS_UNEMPLOYED | _IS_RETIRED].sum(axis=1)
+    workforce_narrow = (working + unemployed) / np.maximum(n_alive, 1)   # 0 where nobody lives
+    workforce_broad = in_force / np.maximum(n_alive, 1)
+
+    # By gender: (2, age) counts, transposed to (age, gender).
+    alive_g = by_state[:2, :, :int(S.DEAD)].sum(axis=2).T
+    emp_g = by_state[:2][:, :, _IS_WORKING].sum(axis=2).T
+    un_g = by_state[:2][:, :, _IS_UNEMPLOYED].sum(axis=2).T
+    pt_g = by_state[:2][:, :, _IS_PART_TIME].sum(axis=2).T
+    employment_rate = _rate(emp_g, alive_g)
+    unemployment_rate = _rate(un_g, emp_g + un_g)
+    parttime_share = _rate(pt_g, emp_g)
+    disability_rate = _rate(by_state[:2, :, int(S.DISABLED)].T, alive_g)
+
+    fte_by_age, hours_by_age = _work_by_age(log)
 
     flows = {name: float(v.sum()) for name, v in log.flows_by_age.items()}
 

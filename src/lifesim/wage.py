@@ -11,7 +11,7 @@ use ``c**dt`` and ``sigma*sqrt(dt)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, get_args
 
@@ -48,6 +48,17 @@ class WageParams:
     floor_ratio: float                    # A(age) floors at floor_ratio * base
     reduction_annual: dict[EmploymentState, float]
     recovery_annual: dict[EmploymentState, float]
+    # Derived from the two tables above; not a key of the file: the net
+    # annual rate of wage reduction by state code.
+    net_reduction_rate: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        missing = set(EmploymentState) - (self.reduction_annual.keys() & self.recovery_annual.keys())
+        if missing:
+            raise ParameterError(f"wage reduction table missing states: {sorted(s.name for s in missing)}")
+        rate = np.array([self.reduction_annual[s] - self.recovery_annual[s] for s in EmploymentState])
+        rate.flags.writeable = False
+        object.__setattr__(self, "net_reduction_rate", rate)
 
     def mean_wage(self, gender: str, group: int, age: float) -> float:
         """The age profile A(age) of the gender and socioeconomic group."""
@@ -60,9 +71,6 @@ def load_wage_params(path: str | Path | None = None) -> WageParams:
     params = build(WageParams, load_yaml(path or params_dir() / "wages.yaml"))
     if not 0.0 < params.autocorr < 1.0:
         raise ParameterError("wage autocorrelation must lie in (0, 1)")
-    missing = set(EmploymentState) - (params.reduction_annual.keys() & params.recovery_annual.keys())
-    if missing:
-        raise ParameterError(f"wage reduction table missing states: {sorted(s.name for s in missing)}")
     return params
 
 
@@ -86,7 +94,7 @@ def potential_wage_columns(prev_wage: np.ndarray, prev_mean: np.ndarray, mean: n
 def paid_wage(potential_annual, hours, reduction):
     """Paid annual wage: (hours/40) * potential * (1 - reduction), of one
     agent or of columns of agents."""
-    if not set(np.ravel(hours).tolist()) <= _ALLOWED_HOURS:
+    if not _ALLOWED_HOURS.issuperset(np.ravel(hours).tolist()):
         raise ContractViolation(f"weekly hours must be one of {ALLOWED_HOURS}, got {hours}")
     return (hours / 40.0) * potential_annual * (1.0 - reduction)
 
@@ -94,5 +102,5 @@ def paid_wage(potential_annual, hours, reduction):
 def update_wage_reduction(reduction, state, params: WageParams, dt: float = 0.25):
     """Move the wage reduction by the state's net annual rate over ``dt``,
     within [0, 1]: of one agent, or of columns of reductions and state codes."""
-    rate = np.array([params.reduction_annual[s] - params.recovery_annual[s] for s in EmploymentState])[state]
+    rate = params.net_reduction_rate[state]
     return np.minimum(1.0, np.maximum(0.0, reduction + rate * dt))

@@ -9,9 +9,11 @@ random-policy trajectories of singles and pairs (with partners dying,
 working retirees, and earnings-related and extended unemployment spells),
 run through the decision and static phases under every packaged year and
 2023 with the packaged ``orpo`` reform, plus four hand-built units.  The
-last tests check that each rule set prices with the constants derived from
-its own fields, also when a dropped rule set's ``id`` is reused and after
-pickling.
+last tests check that each rule set prices with the constants and tables
+derived from its own fields, also when a dropped rule set's ``id`` is
+reused and after pickling; that re-pricing some households of a block
+gives the rows pricing the whole block gave; and that a whole pricing
+forms its units again exactly when what they read changed.
 """
 
 import dataclasses
@@ -24,14 +26,16 @@ import pytest
 
 import rules_oracle
 from lifesim.agent import AgentState, HouseholdState, mother_of
-from lifesim.env import LifecycleEnv, load_utility_params
+from lifesim.env import LifecycleEnv, load_utility_params, mdp
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.env.mdp import DECISION_END_AGE, DT
+from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
 from lifesim.reform import apply_reform, load_reform
-from lifesim.rules import AdultSnapshot, HouseholdSnapshot, load_ruleset, net_income
+from lifesim.rules import (FLOW_COLUMNS, AdultColumns, AdultSnapshot, HouseholdSnapshot, load_ruleset, net_income,
+                           price_units)
 from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
 from one_household import budget_units, household_flows, observe_households, step_households
@@ -261,8 +265,168 @@ def test_pickled_rule_set_keeps_its_constants():
     rules = _variant(load_ruleset(ruleset_path(2023)), 3)
     restored = pickle.loads(pickle.dumps(rules))
     slots = type(rules.pricing).__slots__
-    assert [getattr(restored.pricing, s) for s in slots] == [getattr(rules.pricing, s) for s in slots]
+    for name in slots:
+        np.testing.assert_array_equal(getattr(restored.pricing, name), getattr(rules.pricing, name), err_msg=name)
     hh = _snapshot()
     assert bits(net_income(hh, restored)) == bits(rules_oracle.net_income(hh, rules))
     env = pickle.loads(pickle.dumps(_env(rules)))
     assert env.rules.pricing.bracket_below == rules.pricing.bracket_below
+
+
+def _expected_tables(rules) -> dict:
+    """The column pricer's tables, written out from the rule set's fields."""
+    lows, rates = zip(*rules.tax.state_brackets)
+    below = [0.0]
+    for lo, rate, hi in zip(lows, rates, lows[1:]):
+        below.append(below[-1] + rate * (hi - lo))
+    fixed = np.zeros((4, len(S)))
+    basic = rules.unemployment.basic_daily * 65
+    home_care = rules.family.home_care_allowance_monthly * 3
+    student = rules.family.student_allowance_monthly * 3
+    fixed[:, S.BASIC_UNEMPLOYED] = basic, 0.0, 0.0, basic / 3
+    fixed[:, S.HOME_CARE] = 0.0, home_care, 0.0, home_care / 3
+    fixed[:, S.STUDENT] = 0.0, 0.0, student, student / 3
+    hb = rules.housing_benefit
+    return {"brackets": np.array([(0.0, *lows), (0.0, *rates), (0.0, *below)]), "fixed_by_state": fixed,
+            "disregards": np.array([[hb.general.earnings_disregard], [hb.retiree.earnings_disregard],
+                                    [rules.social_assistance.earnings_disregard]]),
+            "max_rent_general": np.array(hb.general.max_rent_by_size[:1] + hb.general.max_rent_by_size),
+            "max_rent_retiree": np.array(hb.retiree.max_rent_by_size[:1] + hb.retiree.max_rent_by_size)}
+
+
+def _with_other_tables(base):
+    """``base`` with other brackets, benefit amounts, disregards and rent caps,
+    by ``dataclasses.replace``."""
+    hb = base.housing_benefit
+    brackets = tuple((lo * 1.1, rate) for lo, rate in base.tax.state_brackets)
+    return dataclasses.replace(
+        base,
+        tax=dataclasses.replace(base.tax, state_brackets=brackets),
+        unemployment=dataclasses.replace(base.unemployment, basic_daily=base.unemployment.basic_daily + 3.0),
+        family=dataclasses.replace(base.family, student_allowance_monthly=base.family.student_allowance_monthly + 20.0),
+        housing_benefit=dataclasses.replace(
+            hb, general=dataclasses.replace(hb.general, earnings_disregard=hb.general.earnings_disregard + 50.0,
+                                            max_rent_by_size=tuple(r + 25.0 for r in hb.general.max_rent_by_size))),
+        social_assistance=dataclasses.replace(base.social_assistance,
+                                              earnings_disregard=base.social_assistance.earnings_disregard + 10.0))
+
+
+def test_each_rule_set_builds_its_own_pricing_tables():
+    """A loaded, a reformed, a replaced and an unpickled rule set each hold
+    the tables of their own fields, in arrays of their own that cannot be
+    written to; rule sets made after the last was dropped (ids reused)
+    price blocks with their own tables."""
+    base = load_ruleset(ruleset_path(2023))
+    reformed = _rules("2023+orpo")
+    replaced = _with_other_tables(base)
+    rule_sets = [base, reformed, replaced, pickle.loads(pickle.dumps(replaced))]
+    for rules in rule_sets:
+        p = rules.pricing
+        for name, want in _expected_tables(rules).items():
+            table = getattr(p, name)
+            assert table.dtype == np.float64 and not table.flags.writeable, name
+            np.testing.assert_array_equal(table, want, err_msg=name)
+    for name in _expected_tables(base):
+        tables = [getattr(rules.pricing, name) for rules in rule_sets]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(tables) for b in tables[i + 1:]), name
+    assert not np.array_equal(replaced.pricing.brackets, base.pricing.brackets)
+    assert not np.array_equal(replaced.pricing.max_rent_general, base.pricing.max_rent_general)
+    assert not np.array_equal(reformed.pricing.brackets, base.pricing.brackets)
+
+    hh = _snapshot()
+    ids = []
+    for i in range(8):
+        rules = _variant(_with_other_tables(load_ruleset(ruleset_path(2018 + i % 7))), i)
+        gc.collect()
+        columns = AdultColumns(np.array([int(a.state) for a in hh.adults]), *(
+            np.array([getattr(a, name) for a in hh.adults]) for name in AdultColumns._fields[1:]))
+        flows = price_units(columns, np.array([0, 2]), np.array([1, -1]), np.array([0, 0]), np.array([1, 0]),
+                            np.array([2, 0]), np.array([hh.rent_monthly, 400.0]), rules)
+        want = rules_oracle.net_income(dataclasses.replace(hh, adults=hh.adults[:2]), rules)
+        assert [struct.pack("<d", v) for v in flows[0]] == [struct.pack("<d", getattr(want, n)) for n in FLOW_COLUMNS]
+        ids.append(id(rules))
+        del rules
+        gc.collect()
+    assert len(set(ids)) < len(ids)
+
+
+def _flow_bits(b):
+    return b.flows.view(np.uint64).copy()
+
+
+def test_pricing_some_households_gives_the_whole_blocks_rows(monkeypatch):
+    """Re-pricing any subset of a priced block prices only those households'
+    adults and leaves units, flow rows and consumption bit for bit as
+    pricing the whole block gave them, through the decision phase and
+    after the freeze."""
+    env = _env(_rules("2023"))
+    households = (init_population(24, env.tables, seed=5).households + _late_starters(5)
+                  + [_unit_household(case) for case in ("married", "unmarried_with_child",
+                                                         "unmarried_mother_dead", "widowed")])
+    for k, hh in enumerate(households[-4:]):
+        hh.rng_exo, hh.rng_act = np.random.default_rng((5, k, 2)), np.random.default_rng((5, k, 3))
+    b = env.block(households)
+    rng = np.random.default_rng(5)
+    priced = []
+    price_units_in_env = mdp.price_units
+    monkeypatch.setattr(mdp, "price_units", lambda adults, *rest: priced.append(len(adults.state)) or
+                        price_units_in_env(adults, *rest))
+    obs, masks = np.empty((b.n, OBS_DIM)), np.empty((b.n, N_ACTIONS), dtype=bool)
+
+    def check():
+        units, flows, consumption = b.units, _flow_bits(b), b.consumption.copy()
+        subsets = [[h] for h in range(b.m)] + [sorted(rng.choice(b.m, size=k, replace=False)) for k in (2, 5, 11)]
+        for subset in subsets:
+            priced.clear()
+            env.price(b, np.array(subset))
+            assert priced == [int(np.isin(b.hh, subset).sum())]
+            assert all(np.array_equal(new, old) for new, old in zip(b.units, units))
+            assert np.array_equal(_flow_bits(b), flows) and np.array_equal(b.consumption, consumption)
+
+    for q in range(40):
+        observe(b, env, obs, masks)
+        env.step_block(b, [int(rng.choice(np.flatnonzero(m))) for m in masks], masks)
+        if q % 8 == 7:
+            check()
+    env.freeze_block(b)
+    env.price(b, np.arange(b.m))
+    check()
+    assert (b.state == int(S.DEAD)).any() and len(b.units.first) > b.m
+
+
+def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
+    """Along a random-policy trajectory with deaths, partnership changes and
+    births, the units a step prices with are always those ``budget_units``
+    forms afresh, and are formed again only when who lives, who is
+    partnered or a child band changed."""
+    env = _env(_rules("2023"))
+    households = init_population(40, env.tables, seed=9).households + _late_starters(9)
+    rng = np.random.default_rng(9)
+    for hh in households:
+        for a in hh.adults:
+            if rng.random() < 0.3:
+                a.life_left = int(rng.integers(1, 150))
+    b = env.block(households)
+    formed = []
+    form = env.budget_units
+    monkeypatch.setattr(env, "budget_units", lambda block, chosen: formed.append(1) or form(block, chosen))
+    obs, masks = np.empty((b.n, OBS_DIM)), np.empty((b.n, N_ACTIONS), dtype=bool)
+    key = None
+    for _ in range(150):
+        observe(b, env, obs, masks)
+        before = len(formed)
+        env.step_block(b, [int(rng.choice(np.flatnonzero(m))) for m in masks], masks)
+        changed = key is None or not all(np.array_equal(x, y) for x, y in zip(key, (
+            b.state != int(S.DEAD), b.partnered, b.under3, b.under7, b.under18)))
+        key = (b.state != int(S.DEAD), b.partnered.copy(), b.under3, b.under7, b.under18)
+        assert len(formed) - before == changed
+        fresh = form(b, np.ones(b.m, dtype=bool))
+        assert all(np.array_equal(x, y) for x, y in zip(b.units, fresh))
+    assert 3 < len(formed) < 100
+    pair = int(np.flatnonzero((b.size == 2) & (b.state[b.first] != int(S.DEAD))
+                              & (b.state[np.minimum(b.first + 1, b.n - 1)] != int(S.DEAD)))[0])
+    units = len(b.units.first)
+    b.partnered[pair] = not b.partnered[pair]
+    env.price(b, np.arange(b.m))
+    assert len(b.units.first) == units + (1 if not b.partnered[pair] else -1)
+    assert all(np.array_equal(x, y) for x, y in zip(b.units, form(b, np.ones(b.m, dtype=bool))))

@@ -360,3 +360,39 @@ def test_nan_cells_summarize_and_compare_without_warnings(small_log):
     row = next(r for r in single.rows if r.cell == "emtr_median")
     assert row.baseline == rep.emtr_median and row.difference == 0.0
     assert math.isnan(row.pooled_se) and not row.significant
+
+
+def _act_streams(pop):
+    return [copy.deepcopy(hh.rng_act) for hh in pop.households]
+
+
+def test_sample_mode_draws_each_households_action_uniforms_as_per_quarter_draws(env, small_net, monkeypatch):
+    """Every quarter's uniforms equal one ``random(2)`` per household and
+    quarter (the slot's entry), and each stream ends where those draws
+    leave it."""
+    monkeypatch.setattr(simulate, "BLOCK_HOUSEHOLDS", 4)
+    pop = init_population(14, env.tables, seed=21, wparams=env.wparams)
+    streams = _act_streams(pop)
+    fed = []
+    sample = simulate.sample_masked
+    monkeypatch.setattr(simulate, "sample_masked", lambda logits, masks, u: fed.append(u.copy()) or sample(
+        logits, masks, u))
+    log = run_cohort(small_net, pop, env, mode="sample")
+
+    decision_q = (75 - 18) * 4
+    want = []
+    for block in simulate._blocks(list(range(len(pop.households)))):
+        slots = [(h, k) for h in block for k in range(len(pop.households[h].adults))]
+        draws = [[streams[h].random(2) for _ in range(decision_q)] for h in block]
+        want += [np.array([draws[block.index(h)][q][k] for h, k in slots]) for q in range(decision_q)]
+    assert len(fed) == len(want) == len(simulate._blocks(pop.households)) * decision_q
+    assert all(np.array_equal(a, b) for a, b in zip(fed, want))
+    assert [hh.rng_act.bit_generator.state for hh in pop.households] == [s.bit_generator.state for s in streams]
+    assert log.states.shape[0] == pop.size
+
+
+def test_greedy_mode_draws_no_action_uniforms(env, small_net):
+    pop = init_population(6, env.tables, seed=22, wparams=env.wparams)
+    streams = _act_streams(pop)
+    run_cohort(small_net, pop, env, mode="greedy")
+    assert [hh.rng_act.bit_generator.state for hh in pop.households] == [s.bit_generator.state for s in streams]
