@@ -127,8 +127,9 @@ class HouseholdBlock:
     and ``father`` rows (-1 for none) and the generators.  The last
     quarter's ``reward``, ``consumption``, budget ``units`` and their
     ``flows`` (a row each, see ``LifecycleEnv.price``, with the
-    ``unit_key`` the units were formed from), ``event`` codes and ``birth``
-    flags are kept beside the state.
+    ``unit_key`` the units were formed from and the ``sharers`` of each
+    unit's consumption), ``event`` codes and ``birth`` flags are kept beside
+    the state.
     """
 
     @classmethod
@@ -188,7 +189,7 @@ class HouseholdBlock:
 
         b.reward = np.zeros(b.n)
         b.consumption = np.zeros(b.n)
-        b.units = b.flows = b.unit_key = None   # set by LifecycleEnv.price
+        b.units = b.flows = b.unit_key = b.sharers = None   # set by LifecycleEnv.price
         b.event = np.zeros(b.n, dtype=np.int8)
         b.birth = np.zeros(b.m, dtype=bool)
         b.stale = np.ones(b.m, dtype=bool)   # flows not priced for the static phase yet

@@ -21,13 +21,20 @@ formulas operation for operation:
   Python's left-to-right order.
 * Other loops run over the adults entering unemployment with a new benefit
   basis and the job searches from outside work.
-* Pricing runs on columns too.  :meth:`LifecycleEnv.price` forms the budget
-  units from the block's columns and prices them all with
-  ``rules.price_units`` into ``b.flows``, a row per unit of ``b.units``;
-  it forms the units again only when who lives, who is partnered or a
-  child band changed, and a static-phase re-price hands ``price_units``
-  only the changed households' adults.  The scalar ``rules.price_unit``
-  stays behind the snapshot API (``net_income``, ``emtr``, ``ptr``).
+* Pricing runs on columns too.  :meth:`LifecycleEnv.price` prices every
+  budget unit of the block with ``rules.price_units`` into ``b.flows``, a
+  row per unit of ``b.units``, and shares each unit's consumption among its
+  living adults; it forms the units, and who shares them, again only when
+  who lives, who is partnered or a child band changed.  The scalar
+  ``rules.price_unit`` stays behind the snapshot API (``net_income``,
+  ``emtr``, ``ptr``).
+* When a quarter is priced.  No transition reads a quarter's flows,
+  consumption or rewards, so ``step_block`` is the transition
+  (``advance_block``) then the pricing and rewards (``settle_block``).
+  Training runs both each quarter; the cohort simulator runs the
+  transition alone and prices many quarters in one call
+  (:mod:`lifesim.simulate`).  ``static_block`` prices nothing: it reports
+  the households whose pricing inputs changed.
 
 Marriage, divorce and birth clocks are drawn on failure curves built once
 per hazard and start age and kept with the env
@@ -53,7 +60,8 @@ import numpy as np
 
 from ..agent import DT, MAX_AGE, NO_EVENT, STATES, HouseholdBlock, HouseholdState
 from ..errors import ContractViolation
-from ..population import DemographicTables, draw_geometric, fertility_phase, mortality_phase, partnership_phase
+from ..population import (DemographicTables, InitialDraws, draw_geometric, fertility_phase, initial_draw_tables,
+                          mortality_phase, partnership_phase)
 from ..rules import (FLOW_COLUMNS, AdultColumns, AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days,
                      price_units)
 # ``net_income`` (the snapshot API) stays a module name here for the traced
@@ -128,7 +136,32 @@ class BudgetUnits(NamedTuple):
     rent_monthly: np.ndarray
 
 
+class Sharers(NamedTuple):
+    """Who shares each budget unit's consumption, one entry per living unit
+    adult: its ``rows``, its ``unit`` and that unit's count of living adults
+    (``divisor``, as a float).  A unit's consumption is shared equally by
+    its living adults."""
+
+    rows: np.ndarray
+    unit: np.ndarray
+    divisor: np.ndarray
+
+
 _CONSUMPTION = FLOW_COLUMNS.index("consumption")
+# The block's adult columns the rules read, in the order ``pricing_columns``
+# takes them.
+PRICING_INPUTS = ("state", "paid_wage", "ub_basis", "ub_days_used", "ub_max_days", "fund_member", "pension_paid",
+                  "pension_accrued", "partial_early_paid", "prev_paid_wage")
+
+
+def pricing_columns(state, paid_wage, ub_basis, ub_days_used, ub_max_days, fund_member, pension_paid,
+                    pension_accrued, partial_early_paid, prev_paid_wage) -> AdultColumns:
+    """The rules' inputs of adults given as the block columns
+    ``PRICING_INPUTS``, ``state`` as integer codes.  A paid wage counts only
+    in a working state."""
+    return AdultColumns(state, np.where(_IS_WORKING[state], paid_wage / 4.0, 0.0), ub_basis, ub_days_used,
+                        ub_max_days, fund_member, pension_paid, pension_accrued, partial_early_paid,
+                        prev_paid_wage / 12.0)
 
 
 @dataclass(slots=True)
@@ -204,11 +237,13 @@ class LifecycleEnv:
     def with_rules(self, rules: RuleSet) -> "LifecycleEnv":
         """The same tables and preferences under ``rules``.  The new env
         shares the tables derived from those inputs alone (failure curves,
-        survival weights, the wage profile, job-finding odds); the ones that
-        read the rules (utility columns, rents) it builds for itself."""
+        the initial draw tables, survival weights, the wage profile,
+        job-finding odds); the ones that read the rules (utility columns,
+        rents) it builds for itself."""
         twin = LifecycleEnv(rules, self.uparams, self.wparams, self.tables)
         twin._survival_cache = self._survival_cache
         twin._curve_cache = self._curve_cache
+        twin.initial_draws = self.initial_draws
         twin._wage_profile = self._wage_profile
         twin._job_find_prob = self._job_find_prob
         return twin
@@ -219,6 +254,12 @@ class LifecycleEnv:
                                               "_curve_cache")}
 
     # -- derived tables, built on first use ---------------------------------
+
+    @cached_property
+    def initial_draws(self) -> InitialDraws:
+        """:func:`~lifesim.population.initial_draw_tables` of the demographic
+        tables, for every household drawn at 18 under this env."""
+        return initial_draw_tables(self.tables)
 
     @cached_property
     def _utility(self) -> UtilityColumns:
@@ -270,16 +311,16 @@ class LifecycleEnv:
 
     # -- budget units and cash flows --------------------------------------
 
-    def budget_units(self, b: HouseholdBlock, chosen: np.ndarray) -> BudgetUnits:
-        """The budget units of the households flagged in ``chosen``, in
-        household then slot order: a partnered pair is one unit (a dead
-        partner included, for the survivor's pension); otherwise each living
-        adult is one, and the custodian (the mother while alive, else the
-        first living adult) has the children.  Rent is sized by the unit's
-        living adults plus its children."""
+    def budget_units(self, b: HouseholdBlock) -> BudgetUnits:
+        """The budget units of ``b``, in household then slot order: a
+        partnered pair is one unit (a dead partner included, for the
+        survivor's pension); otherwise each living adult is one, and the
+        custodian (the mother while alive, else the first living adult) has
+        the children.  Rent is sized by the unit's living adults plus its
+        children."""
         alive = b.state != _DEAD
         pair = b.partnered & (b.size == 2)
-        first = (chosen[b.hh] & np.where(pair[b.hh], b.slot == 0, alive)).nonzero()[0]
+        first = np.where(pair[b.hh], b.slot == 0, alive).nonzero()[0]
         h = b.hh[first]
         second = np.where(pair[h], first + 1, -1)
         # Each household's first living adult (-1 for none), then its custodian.
@@ -291,14 +332,25 @@ class LifecycleEnv:
         rent = self._rent[np.minimum(n_alive + u18, len(self._rent) - 1)]
         return BudgetUnits(first, second, u3, u7, u18, rent)
 
+    def units(self, b: HouseholdBlock) -> BudgetUnits:
+        """``b.units``, the block's :meth:`budget_units`, and ``b.sharers``,
+        formed again only when what they read changed since they were: who
+        is alive, who is partnered or a child band (``b.unit_key``)."""
+        alive = b.state != _DEAD
+        key = b"".join(column.tobytes() for column in (alive, b.partnered, b.under3, b.under7, b.under18))
+        if key != b.unit_key:
+            units = b.units = self.budget_units(b)
+            b.unit_key = key
+            rows = np.concatenate((units.first, units.second))
+            live = (rows >= 0) & alive[rows]
+            unit = np.tile(np.arange(len(units.first)), 2)[live]
+            b.sharers = Sharers(rows[live], unit, np.bincount(unit, minlength=len(units.first))[unit].astype(float))
+        return b.units
+
     @staticmethod
-    def adult_columns(b: HouseholdBlock, rows=slice(None)) -> AdultColumns:
-        """The pricing inputs of the adult ``rows`` (every row by default).
-        A paid wage counts only in a working state."""
-        st = b.state[rows]
-        return AdultColumns(st, np.where(_IS_WORKING[st], b.paid_wage[rows] / 4.0, 0.0), b.ub_basis[rows],
-                            b.ub_days_used[rows], b.ub_max_days[rows], b.fund_member[rows], b.pension_paid[rows],
-                            b.pension_accrued[rows], b.partial_early_paid[rows], b.prev_paid_wage[rows] / 12.0)
+    def adult_columns(b: HouseholdBlock) -> AdultColumns:
+        """The pricing inputs of every adult row of ``b``."""
+        return pricing_columns(*(getattr(b, name) for name in PRICING_INPUTS))
 
     def unit_snapshots(self, b: HouseholdBlock) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
         """Every budget unit of ``b`` (:meth:`budget_units`) as its snapshot
@@ -307,56 +359,24 @@ class LifecycleEnv:
         adults = [AdultSnapshot(STATES[code], *fields) for code, *fields in zip(
             cols.state.tolist(), cols.wage_quarterly.tolist(), b.age.tolist(), *(
                 c.tolist() for c in cols[2:]))]
-        units = self.budget_units(b, np.ones(b.m, dtype=bool))
         out = []
-        for first, second, u3, u7, u18, rent in zip(*(c.tolist() for c in units)):
+        for first, second, u3, u7, u18, rent in zip(*(c.tolist() for c in self.budget_units(b))):
             rows = (first,) if second < 0 else (first, second)
             pair = second >= 0 and adults[first].state is not S.DEAD and adults[second].state is not S.DEAD
             out.append((HouseholdSnapshot(tuple(adults[r] for r in rows), u3, u7, u18, pair, rent), rows))
         return out
 
-    def price(self, b: HouseholdBlock, households) -> None:
-        """Price every budget unit of the households at the indices
-        ``households`` with :func:`~lifesim.rules.price_units` into
-        ``b.flows``, a row per unit of ``b.units`` (both in household then
-        slot order), and each adult's consumption: a unit's consumption is
-        shared equally by its living adults, and an adult in no unit
-        consumes nothing.  The other households keep their units, flows and
-        consumption, so ``b`` must have been priced whole before; only the
-        chosen households' adults go to ``price_units``.
-
-        Of the block's state the units read only who is alive, who is
-        partnered and the child bands (``unit_key``); a whole pricing whose
-        key equals the one its units were last formed from keeps them."""
-        chosen = np.zeros(b.m, dtype=bool)
-        chosen[households] = True
-        whole = chosen.all()
-        alive = b.state != _DEAD
-        if whole:
-            key = np.concatenate((alive, b.partnered, b.under3, b.under7, b.under18))
-            if b.unit_key is None or (key != b.unit_key).any():
-                b.units, b.unit_key = self.budget_units(b, chosen), key
-            units = b.units
-            flows = price_units(self.adult_columns(b), *units, self.rules)
-        else:
-            units = self.budget_units(b, chosen)
-            rows = chosen[b.hh]
-            local = np.cumsum(rows) - 1   # each chosen row's index among the chosen
-            flows = price_units(self.adult_columns(b, rows.nonzero()[0]), local[units.first],
-                                np.where(units.second >= 0, local[units.second], -1), *units[2:], self.rules)
-            b.unit_key = None   # the spliced units come from no single key
-        b.consumption[chosen[b.hh]] = 0.0
-        n_alive = np.add(alive[units.first], (units.second >= 0) & alive[units.second], dtype=np.int64)
-        share = flows[:, _CONSUMPTION] / np.maximum(n_alive, 1)
-        for rows in units.first, units.second:
-            live = (rows >= 0) & alive[rows]
-            b.consumption[rows[live]] = share[live]
-        if not whole:
-            keep = ~chosen[b.hh[b.units.first]]
-            order = np.argsort(np.concatenate((b.units.first[keep], units.first)))
-            units = BudgetUnits(*(np.concatenate((old[keep], new))[order] for old, new in zip(b.units, units)))
-            flows = np.concatenate((b.flows[keep], flows))[order]
-        b.units, b.flows = units, flows
+    def price(self, b: HouseholdBlock) -> None:
+        """Price every budget unit of ``b`` (:meth:`units`) with
+        :func:`~lifesim.rules.price_units` into ``b.flows``, a row per unit,
+        and set each adult's consumption: a unit's consumption is shared
+        equally by its living adults (``b.sharers``), and an adult in no
+        unit, or dead, consumes nothing."""
+        units = self.units(b)
+        b.flows = price_units(self.adult_columns(b), *units, self.rules)
+        share = b.sharers
+        b.consumption[:] = 0.0
+        b.consumption[share.rows] = b.flows[share.unit, _CONSUMPTION] / share.divisor
 
     # -- shared transitions -------------------------------------------------
 
@@ -669,10 +689,18 @@ class LifecycleEnv:
     # -- block stepping API -------------------------------------------------
 
     def step_block(self, b: HouseholdBlock, actions, masks: np.ndarray) -> None:
-        """Advance every household of ``b`` one quarter.  ``actions`` holds
-        one catalogue index per adult row, legal under ``masks`` for the
-        pre-step state.  The quarter's rewards, consumptions, flows, event
-        codes and birth flags are left on ``b``."""
+        """Advance every household of ``b`` one quarter and price it:
+        :meth:`advance_block`, then :meth:`settle_block`.  The quarter's
+        rewards, consumptions, flows, event codes and birth flags are left
+        on ``b``."""
+        self.advance_block(b, actions, masks)
+        self.settle_block(b)
+
+    def advance_block(self, b: HouseholdBlock, actions, masks: np.ndarray) -> None:
+        """The quarter's transition of every household of ``b``, without
+        pricing or rewards.  ``actions`` holds one catalogue index per adult
+        row, legal under ``masks`` for the pre-step state.  The event codes
+        and birth flags are left on ``b``."""
         actions = np.asarray(actions, dtype=np.intp)
         legal = masks[b.rows, actions]
         if not legal.all():
@@ -699,7 +727,10 @@ class LifecycleEnv:
         self._enter_unemployment(b, entries)
         self._update_wages_and_trackers(b, shocks, before)
 
-        self.price(b, np.arange(b.m))
+    def settle_block(self, b: HouseholdBlock) -> None:
+        """Price ``b`` (:meth:`price`) and set each adult's reward: the
+        quarter's utility times DT for the living, zero for the dead."""
+        self.price(b)
         live = (b.state != _DEAD).nonzero()[0]
         b.reward[:] = 0.0
         b.reward[live] = self._rewards(b, live)
@@ -715,20 +746,19 @@ class LifecycleEnv:
 
     def static_block(self, b: HouseholdBlock) -> np.ndarray:
         """One post-decision quarter, states frozen except mortality, zero
-        rewards; returns the households priced again: those where a state or
-        a child band changed or not priced since the freeze.  Nothing else
-        the rules read moves in the static phase (they do not read age)."""
+        rewards.  Prices nothing: returns the households whose pricing
+        inputs may have changed, those where a state or a child band changed
+        or that were not priced since the freeze, and the caller prices the
+        block again when there are any.  Nothing else the rules read moves in
+        the static phase (they do not read age)."""
         before, bands = b.state.copy(), (b.under3, b.under7, b.under18)
         self._age_static(b)
         changed = b.stale | np.logical_or.reduceat(b.state != before, b.first)
         for old, new in zip(bands, (b.under3, b.under7, b.under18)):
             changed |= old != new
-        households = changed.nonzero()[0]
-        if households.size:
-            self.price(b, households)
         b.stale[:] = False
         b.reward[:] = 0.0
-        return households
+        return changed.nonzero()[0]
 
     def freeze_block(self, b: HouseholdBlock) -> None:
         """At the decision horizon, living non-workers move to plain retirement."""
@@ -744,7 +774,7 @@ class LifecycleEnv:
         episodes' terminal bonus; the simulator plays the phase out instead.
         """
         self.freeze_block(b)
-        self.price(b, np.arange(b.m))
+        self.price(b)
         rows = (b.state != _DEAD).nonzero()[0]
         values = np.zeros(b.n)
         for r, u_now in zip(rows.tolist(), self._rewards(b, rows).tolist()):
@@ -798,6 +828,8 @@ class LifecycleEnv:
         b = self.block([hh])
         b.stale[:] = last is None
         priced = self.static_block(b).size
+        if priced:
+            self.price(b)
         b.write_back([hh])
         return outcome(b, 0) if priced else last
 

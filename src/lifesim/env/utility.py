@@ -97,6 +97,20 @@ def load_utility_params(path: str | Path | None = None) -> UtilityParams:
     return params
 
 
+def check_ages(age: np.ndarray) -> None:
+    """The model's age range, 18 to 100, holds for every living agent's ``age``."""
+    if ((age < 18.0) | (age > 100.0)).any():
+        raise ContractViolation(f"age {float(age[(age < 18.0) | (age > 100.0)][0])} outside model range")
+
+
+def check_consumption(consumption: np.ndarray) -> None:
+    """Every living agent's ``consumption`` is positive."""
+    if (consumption <= 0.0).any():
+        raise ContractViolation(
+            "living agents must have positive consumption; the social assistance floor should prevent this"
+        )
+
+
 class UtilityColumns:
     """Per-period utility of whole columns of agents under one parameter
     set, statutory retirement age and deflator year.  The per-gender
@@ -140,8 +154,7 @@ class UtilityColumns:
 
     def mu(self, women, hours, age) -> np.ndarray:
         """Retirement-proximity leisure preference; zero when not working."""
-        if ((age < 18.0) | (age > 100.0)).any():
-            raise ContractViolation(f"age {float(age[(age < 18.0) | (age > 100.0)][0])} outside model range")
+        check_ages(age)
         g = women.astype(np.intp)
         r = self.retirement_age
         h = hours / 40.0
@@ -151,10 +164,7 @@ class UtilityColumns:
 
     def utility(self, consumption, state, women, hours, age, pink_slip, child_under3) -> np.ndarray:
         """One-quarter utility of living agents (not yet scaled by dt)."""
-        if (consumption <= 0.0).any():
-            raise ContractViolation(
-                "living agents must have positive consumption; the social assistance floor should prevent this"
-            )
+        check_consumption(consumption)
         c_annual = 4.0 * consumption
         logs = np.fromiter(map(math.log, (c_annual / self.deflator).tolist()), float, len(c_annual))
         return logs + self.kappa(state, women, hours, age, pink_slip, child_under3) - self.mu(women, hours, age)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..agent import HouseholdBlock
-from ..population import initial_draw_tables, spawn_pair_household
+from ..population import spawn_pair_household
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
 # callers used to look them up.
@@ -58,7 +58,6 @@ class LifecycleVectorEnv:
         self.year = year
         self.episode_quarters = int(round((DECISION_END_AGE - 18.0) / DT))
         self._seed_stream = np.random.SeedSequence((seed, 0xF00D))
-        self._draws = initial_draw_tables(env.tables)
         self._block: HouseholdBlock | None = None
         self._quarter = 0
         self._masks = np.zeros((self.n_actors, N_ACTIONS), dtype=bool)
@@ -66,8 +65,8 @@ class LifecycleVectorEnv:
 
     def _fresh_block(self) -> HouseholdBlock:
         return self.env.block([
-            spawn_pair_household(self._seed_stream.spawn(1)[0], self.env.tables, self.env.wparams, self._draws,
-                                 self.year)
+            spawn_pair_household(self._seed_stream.spawn(1)[0], self.env.tables, self.env.wparams,
+                                 self.env.initial_draws, self.year)
             for _ in range(self.n_households)])
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:

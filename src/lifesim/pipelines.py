@@ -98,7 +98,7 @@ def run_repeat_protocol(base_net: PolicyValueNet, env: LifecycleEnv,
         # Population seeds are paired across arms: they do not carry the salt.
         return init_population(protocol.cohort_size, env.tables,
                                seed=int(np.random.SeedSequence((protocol.seed, i)).generate_state(1)[0]),
-                               year=env.rules.year, wparams=env.wparams)
+                               year=env.rules.year, wparams=env.wparams, draws=env.initial_draws)
 
     return repeat_protocol(make_refit, make_population, env,
                            n_repeats=protocol.n_repeats, mode=protocol.mode,

@@ -273,8 +273,10 @@ def init_population(
     seed: int,
     year: int = 2023,
     wparams: WageParams | None = None,
+    draws: InitialDraws | None = None,
 ) -> CohortPopulation:
-    """A cohort of ``n`` agents aged 18, paired into household records."""
+    """A cohort of ``n`` agents aged 18, paired into household records.
+    ``draws`` is ``initial_draw_tables(tables)``, built here when None."""
     if n < 1:
         raise ContractViolation("population size must be at least 1")
     if wparams is None:
@@ -283,7 +285,7 @@ def init_population(
         wparams = load_wage_params()
     ss = np.random.SeedSequence(seed)
     master = np.random.default_rng(ss.spawn(1)[0])
-    curves, state_cdf = initial_draw_tables(tables)
+    curves, state_cdf = draws if draws is not None else initial_draw_tables(tables)
 
     n_men = int(np.round(n * tables.gender_shares["men"]))
     n_men = min(max(n_men, 0), n)

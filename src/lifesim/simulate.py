@@ -15,11 +15,20 @@ per quarter, since nothing else draws from ``rng_act``.  Greedy mode draws
 none.
 Transcendentals stay scalar (``math.log``/``math.exp`` per value) and sums
 keep Python's left-to-right order: a quarter's flow rows add into their age
-cell one at a time, in household then unit order.  Those rows are the
-block's flow matrix, one row per budget unit, which ``LifecycleEnv.price``
-fills through the column pricer ``rules.price_units``; the EMTR and PTR
-samples are taken with the scalar snapshot API (``rules.emtr``,
-``rules.ptr``) on each unit's snapshot (``LifecycleEnv.unit_snapshots``).
+cell one at a time, in household then unit order.
+
+A block is priced after its quarters: no transition reads a quarter's
+flows, consumption or rewards, and the log holds no rewards.  Each quarter
+runs the transition alone (``LifecycleEnv.advance_block`` or
+``static_block``) and records its pricing inputs; a static quarter whose
+inputs did not change repeats the last recorded rows.  One
+``rules.price_units`` call prices the recorded quarters when the block ends
+or when they reach ``PRICING_ROWS`` unit rows.  A unit's row has the same
+bits in any call.  Every simulated quarter still checks what utility
+evaluation checked on living adults: ages within 18 to 100 and positive
+consumption.  The EMTR and PTR samples are taken with the scalar snapshot
+API (``rules.emtr``, ``rules.ptr``) on each unit's snapshot
+(``LifecycleEnv.unit_snapshots``).
 
 The log keeps raw per-agent state histories (for independent re-analysis)
 plus flow sums by age cell; aggregation turns those into the report: rates
@@ -38,6 +47,7 @@ import dataclasses
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -48,12 +58,13 @@ from .agent import HouseholdBlock, HouseholdState
 # masks whole blocks through ``observe``.
 from .env.actions import N_ACTIONS, legal_mask  # noqa: F401
 from .env.features import OBS_DIM, encode  # noqa: F401
-from .env.mdp import DECISION_END_AGE, DT, LifecycleEnv, MAX_AGE
+from .env.mdp import DECISION_END_AGE, DT, MAX_AGE, PRICING_INPUTS, LifecycleEnv, pricing_columns
+from .env.utility import check_ages, check_consumption
 from .env.vector import observe
 from .errors import ContractViolation
 from .population import CohortPopulation
 from .rules import emtr as emtr_op, ptr as ptr_op
-from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, FLOW_COLUMNS, TAX_FIELDS, HouseholdSnapshot
+from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, FLOW_COLUMNS, TAX_FIELDS, HouseholdSnapshot, price_units
 from .solver.network import PolicyValueNet, sample_masked
 from .states import (
     ALLOWED_HOURS,
@@ -76,9 +87,18 @@ FTE_CLASSES = ("total", "part_time", "full_time", "age_18_62", "age_63_plus", "r
 # decision quarter.  Fixed, so trajectories do not depend on cohort size or
 # worker count.
 BLOCK_HOUSEHOLDS = 64
+# Budget-unit rows a block records before it prices them in one
+# ``price_units`` call, which holds about 1.8 kB per row while it runs.
+# Larger calls save little, since a call's fixed cost is a few hundred
+# rows' worth.  Calls above about 1,000 rows also raised the peak RSS of
+# ``lifesim compare``: freeing their arrays returned heap to the system
+# that the next refit had to grow again.
+PRICING_ROWS = 512
 
-# The FLOW_NAMES columns of a block's flow matrix (``LifecycleEnv.price``).
+# The FLOW_NAMES columns of a priced flow matrix (``rules.price_units``).
 _FLOW_COLUMNS = np.array([FLOW_COLUMNS.index(name) for name in FLOW_NAMES])
+_CONSUMPTION = FLOW_COLUMNS.index("consumption")
+_DEAD = int(S.DEAD)
 
 
 @dataclass
@@ -122,6 +142,64 @@ def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[
                 ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
 
 
+class _BlockPricing:
+    """The pricing inputs of a block's simulated quarters, priced together
+    into the block's per-age flow sums ``partial``.
+
+    Each recorded set is a float64 copy of the block's ``PRICING_INPUTS``
+    columns (``adult_columns`` returns views that the next quarter
+    overwrites), its budget units as ``LifecycleEnv.units`` keeps them, and
+    the unit of each living adult (``b.sharers.unit``).  Each quarter names
+    its age cell and its set."""
+
+    def __init__(self, env: LifecycleEnv, b: HouseholdBlock, partial: np.ndarray) -> None:
+        self.env, self.b, self.partial = env, b, partial
+        self.inputs: list[np.ndarray] = []
+        self.units: list = []
+        self.living: list[np.ndarray] = []
+        self.quarters: list[tuple[int, int]] = []
+        self.rows = 0
+
+    def record(self, cell: int, changed: bool) -> None:
+        """Record the block's quarter in age ``cell``: its inputs when
+        ``changed`` (or nothing is recorded since the last pricing), else
+        the last recorded set again.  Prices once ``PRICING_ROWS`` unit
+        rows are recorded."""
+        b = self.b
+        if changed or not self.inputs:
+            units = self.env.units(b)
+            self.inputs.append(np.array([getattr(b, name) for name in PRICING_INPUTS], dtype=float))
+            self.units.append(units)
+            self.living.append(b.sharers.unit)
+            self.rows += len(units.first)
+        self.quarters.append((cell, len(self.inputs) - 1))
+        if self.rows >= PRICING_ROWS:
+            self.price()
+
+    def price(self) -> None:
+        """Price every recorded set in one ``price_units`` call (set ``k``'s
+        adult rows offset by ``k * b.n``), check that each living adult's
+        unit consumes a positive amount, and add each quarter's rows into
+        its age cell in quarter, household and unit order."""
+        if not self.quarters:
+            return
+        counts = [len(u.first) for u in self.units]
+        starts = np.cumsum([0] + counts[:-1]).tolist()
+        inputs = np.concatenate(self.inputs, axis=1)
+        offset = np.repeat(np.arange(len(counts)) * self.b.n, counts)
+        first, second, *rest = (np.concatenate(column) for column in zip(*self.units))
+        flows = price_units(pricing_columns(inputs[0].astype(np.intp), *inputs[1:]), first + offset,
+                            np.where(second >= 0, second + offset, -1), *rest, self.env.rules)
+        check_consumption(flows[np.concatenate([unit + k for unit, k in zip(self.living, starts)]), _CONSUMPTION])
+        flows = flows.take(_FLOW_COLUMNS, axis=1)
+        # np.add.reduce over the rows of a row-major matrix (``take`` keeps
+        # that layout) adds them one at a time, in row order.
+        for cell, quarters in groupby(self.quarters, key=operator.itemgetter(0)):
+            rows = np.concatenate([np.arange(starts[k], starts[k] + counts[k]) for _, k in quarters])
+            self.partial[cell] = np.add.reduce(np.vstack((self.partial[cell], flows.take(rows, axis=0))), axis=0)
+        self.inputs, self.units, self.living, self.quarters, self.rows = [], [], [], [], 0
+
+
 def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
     return [households[i:i + BLOCK_HOUSEHOLDS] for i in range(0, len(households), BLOCK_HOUSEHOLDS)]
 
@@ -148,10 +226,11 @@ def run_cohort(
     packed once into a :class:`~lifesim.agent.HouseholdBlock` and stepped
     from age 18 to 100 with one policy forward pass per decision quarter;
     at the end each block writes its state back into the population's
-    records.  Flow sums and incentive samples are kept per block and joined
-    in block order, so the log does not depend on how blocks are split
-    across workers.  A quarter's flow rows add into their age cell one
-    after another, in household then unit order.
+    records.  A block's quarters are priced together after they ran (see
+    the module docstring).  Flow sums and incentive samples are kept per
+    block and joined in block order, so the log does not depend on how
+    blocks are split across workers.  A quarter's flow rows add into their
+    age cell one after another, in household then unit order.
     """
     return _run_blocks(net, _blocks(pop.households), env, mode, collect_incentives,
                        pop.size, pop.seed)
@@ -178,6 +257,7 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
     row0 = 0
     for households, flows in zip(blocks, flow_blocks):
         b = env.block(households)
+        pricing = _BlockPricing(env, b, flows)
         rows = slice(row0, row0 + b.n)
         obs = np.zeros((b.n, OBS_DIM))
         masks = np.zeros((b.n, N_ACTIONS), dtype=bool)
@@ -196,22 +276,21 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                     acts = logits.argmax(axis=1)
                 else:
                     acts = sample_masked(logits, masks, uniforms[q])
-                env.step_block(b, acts, masks)
-                unit_flows = b.flows.take(_FLOW_COLUMNS, axis=1)
+                env.advance_block(b, acts, masks)
+                changed = True
                 if collect_incentives and q % 4 == 0:
                     _incentive_samples(env, b, emtr_samples, ptr_samples)
-            elif env.static_block(b).size:
-                unit_flows = b.flows.take(_FLOW_COLUMNS, axis=1)
-            # np.add.reduce over the rows of a row-major matrix (``take`` keeps
-            # that layout, a fancy column index does not) adds them one at a
-            # time, in row order.
-            flows[age_cell] = np.add.reduce(np.vstack((flows[age_cell], unit_flows)), axis=0)
+            else:
+                changed = env.static_block(b).size > 0
+            check_ages(b.age[b.state != _DEAD])
+            pricing.record(age_cell, changed)
             states[rows, q] = b.state
             hours[rows, q] = b.hours
             paid[rows, q] = b.paid_wage
             er_days[rows, q] = b.ub_days_used
             if q == decision_q - 1:
                 env.freeze_block(b)
+        pricing.price()
         b.write_back(households)
         row0 += b.n
 

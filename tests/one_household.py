@@ -46,7 +46,7 @@ def budget_units(env: LifecycleEnv, hh: HouseholdState) -> list[tuple[HouseholdS
 def household_flows(env: LifecycleEnv, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
     """Cash flows per budget unit and consumption per adult slot of ``hh``."""
     b = env.block([hh])
-    env.price(b, [0])
+    env.price(b)
     return unit_cash_flows(b, 0), b.consumption.tolist()
 
 

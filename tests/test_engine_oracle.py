@@ -6,7 +6,9 @@ engine priced each budget unit in one pass over its adults.  Every field of
 every ``CashFlows`` must come out bit for bit the same, for every packaged
 year and for 2023 with the packaged ``orpo`` reform.  ``price_units``, which
 prices the environment's blocks, must give every field ``price_unit`` gives
-on the same snapshots, priced as one block, and raise on the same inputs.
+on the same snapshots, priced as one block, and raise on the same inputs;
+and each set of units priced within a concatenation of sets must get the
+rows it gets priced alone.
 """
 
 import dataclasses
@@ -227,3 +229,38 @@ def test_price_units_raises_like_price_unit(rules2023, defect):
                    rules2023)
     with pytest.raises(ContractViolation, match=re.escape(str(scalar.value))):
         price_units(*as_block(cases[:7] + [bad] + cases[8:]), rules2023)
+
+
+def _shuffled_set(cases: list[HouseholdSnapshot], rng) -> tuple:
+    """``as_block(cases)`` with the adult rows in a random order and one more
+    adult that no unit holds, as a block's dead single is."""
+    columns, first, second, *rest = as_block(cases)
+    extra = as_block([HouseholdSnapshot(adults=(random_adult(rng, S.DEAD),))])[0]
+    columns = AdultColumns(*(np.concatenate((c, e)) for c, e in zip(columns, extra)))
+    order = rng.permutation(len(columns.state))
+    position = np.argsort(order)
+    return (AdultColumns(*(c[order] for c in columns)), position[first],
+            np.where(second >= 0, position[second], -1), *rest)
+
+
+def test_price_units_gives_each_set_its_own_rows_when_sets_are_concatenated(rule_sets):
+    """What the cohort simulator's pricing of many quarters in one call rests
+    on: ``price_units`` over a concatenation of unit sets, each set's adult
+    rows offset by the adults before it and its absent second adults kept at
+    -1, gives each set's rows the bits pricing the set alone gives."""
+    rng = np.random.default_rng(4)
+    cases = snapshot_cases(4) + EDGE_CASES
+    cuts = sorted(rng.choice(np.arange(1, len(cases)), size=11, replace=False).tolist())
+    sets = [_shuffled_set(cases[lo:hi], rng) for lo, hi in zip([0] + cuts, cuts + [len(cases)])]
+    sets += [_shuffled_set(EDGE_CASES[:1], rng), _shuffled_set(cases[:1], rng)]
+    offsets = np.cumsum([0] + [len(cols.state) for cols, *_ in sets])
+    columns = AdultColumns(*(np.concatenate(c) for c in zip(*(cols for cols, *_ in sets))))
+    first = np.concatenate([one + k for (_, one, *_), k in zip(sets, offsets)])
+    second = np.concatenate([np.where(two >= 0, two + k, -1) for (_, _, two, *_), k in zip(sets, offsets)])
+    assert (second == -1).any() and (second >= 0).any()
+    rest = [np.concatenate(c) for c in zip(*(unit_set[3:] for unit_set in sets))]
+    ends = np.cumsum([len(one) for _, one, *_ in sets])
+    for rules in rule_sets:
+        together = price_units(columns, first, second, *rest, rules)
+        for unit_set, lo, hi in zip(sets, [0, *ends[:-1]], ends):
+            assert together[lo:hi].tobytes() == price_units(*unit_set, rules).tobytes(), (rules.year, lo)

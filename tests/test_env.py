@@ -478,7 +478,7 @@ def test_static_quarter_prices_each_segment_once(env):
     pricings = []
     priced = env.price
     env_counting = copy.copy(env)
-    env_counting.price = lambda b, households: pricings.append(1) or priced(b, households)
+    env_counting.price = lambda b: pricings.append(1) or priced(b)
 
     segments = 0
     key = None

@@ -11,9 +11,8 @@ run through the decision and static phases under every packaged year and
 2023 with the packaged ``orpo`` reform, plus four hand-built units.  The
 last tests check that each rule set prices with the constants and tables
 derived from its own fields, also when a dropped rule set's ``id`` is
-reused and after pickling; that re-pricing some households of a block
-gives the rows pricing the whole block gave; and that a whole pricing
-forms its units again exactly when what they read changed.
+reused and after pickling, and that a pricing forms its units again
+exactly when what they read changed.
 """
 
 import dataclasses
@@ -26,7 +25,7 @@ import pytest
 
 import rules_oracle
 from lifesim.agent import AgentState, HouseholdState, mother_of
-from lifesim.env import LifecycleEnv, load_utility_params, mdp
+from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.env.mdp import DECISION_END_AGE, DT
@@ -350,50 +349,6 @@ def test_each_rule_set_builds_its_own_pricing_tables():
     assert len(set(ids)) < len(ids)
 
 
-def _flow_bits(b):
-    return b.flows.view(np.uint64).copy()
-
-
-def test_pricing_some_households_gives_the_whole_blocks_rows(monkeypatch):
-    """Re-pricing any subset of a priced block prices only those households'
-    adults and leaves units, flow rows and consumption bit for bit as
-    pricing the whole block gave them, through the decision phase and
-    after the freeze."""
-    env = _env(_rules("2023"))
-    households = (init_population(24, env.tables, seed=5).households + _late_starters(5)
-                  + [_unit_household(case) for case in ("married", "unmarried_with_child",
-                                                         "unmarried_mother_dead", "widowed")])
-    for k, hh in enumerate(households[-4:]):
-        hh.rng_exo, hh.rng_act = np.random.default_rng((5, k, 2)), np.random.default_rng((5, k, 3))
-    b = env.block(households)
-    rng = np.random.default_rng(5)
-    priced = []
-    price_units_in_env = mdp.price_units
-    monkeypatch.setattr(mdp, "price_units", lambda adults, *rest: priced.append(len(adults.state)) or
-                        price_units_in_env(adults, *rest))
-    obs, masks = np.empty((b.n, OBS_DIM)), np.empty((b.n, N_ACTIONS), dtype=bool)
-
-    def check():
-        units, flows, consumption = b.units, _flow_bits(b), b.consumption.copy()
-        subsets = [[h] for h in range(b.m)] + [sorted(rng.choice(b.m, size=k, replace=False)) for k in (2, 5, 11)]
-        for subset in subsets:
-            priced.clear()
-            env.price(b, np.array(subset))
-            assert priced == [int(np.isin(b.hh, subset).sum())]
-            assert all(np.array_equal(new, old) for new, old in zip(b.units, units))
-            assert np.array_equal(_flow_bits(b), flows) and np.array_equal(b.consumption, consumption)
-
-    for q in range(40):
-        observe(b, env, obs, masks)
-        env.step_block(b, [int(rng.choice(np.flatnonzero(m))) for m in masks], masks)
-        if q % 8 == 7:
-            check()
-    env.freeze_block(b)
-    env.price(b, np.arange(b.m))
-    check()
-    assert (b.state == int(S.DEAD)).any() and len(b.units.first) > b.m
-
-
 def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
     """Along a random-policy trajectory with deaths, partnership changes and
     births, the units a step prices with are always those ``budget_units``
@@ -409,7 +364,7 @@ def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
     b = env.block(households)
     formed = []
     form = env.budget_units
-    monkeypatch.setattr(env, "budget_units", lambda block, chosen: formed.append(1) or form(block, chosen))
+    monkeypatch.setattr(env, "budget_units", lambda block: formed.append(1) or form(block))
     obs, masks = np.empty((b.n, OBS_DIM)), np.empty((b.n, N_ACTIONS), dtype=bool)
     key = None
     for _ in range(150):
@@ -420,13 +375,13 @@ def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
             b.state != int(S.DEAD), b.partnered, b.under3, b.under7, b.under18)))
         key = (b.state != int(S.DEAD), b.partnered.copy(), b.under3, b.under7, b.under18)
         assert len(formed) - before == changed
-        fresh = form(b, np.ones(b.m, dtype=bool))
+        fresh = form(b)
         assert all(np.array_equal(x, y) for x, y in zip(b.units, fresh))
     assert 3 < len(formed) < 100
     pair = int(np.flatnonzero((b.size == 2) & (b.state[b.first] != int(S.DEAD))
                               & (b.state[np.minimum(b.first + 1, b.n - 1)] != int(S.DEAD)))[0])
     units = len(b.units.first)
     b.partnered[pair] = not b.partnered[pair]
-    env.price(b, np.arange(b.m))
+    env.price(b)
     assert len(b.units.first) == units + (1 if not b.partnered[pair] else -1)
-    assert all(np.array_equal(x, y) for x, y in zip(b.units, form(b, np.ones(b.m, dtype=bool))))
+    assert all(np.array_equal(x, y) for x, y in zip(b.units, form(b)))
