@@ -25,9 +25,10 @@ formulas operation for operation:
   budget unit of the block with ``rules.price_units`` into ``b.flows``, a
   row per unit of ``b.units``, and shares each unit's consumption among its
   living adults; it forms the units, and who shares them, again only when
-  who lives, who is partnered or a child band changed.  The scalar
+  who lives, who is partnered or a child band changed.  The simulator's
+  EMTR and PTR samples are priced on these columns too.  The scalar
   ``rules.price_unit`` stays behind the snapshot API (``net_income``,
-  ``emtr``, ``ptr``).
+  ``emtr``, ``ptr``) of ``lifesim emtr-scan``.
 * When a quarter is priced.  No transition reads a quarter's flows,
   consumption or rewards, so ``step_block`` is the transition
   (``advance_block``) then the pricing and rewards (``settle_block``).
@@ -62,8 +63,7 @@ from ..agent import DT, MAX_AGE, NO_EVENT, STATES, HouseholdBlock, HouseholdStat
 from ..errors import ContractViolation
 from ..population import (DemographicTables, InitialDraws, draw_geometric, fertility_phase, initial_draw_tables,
                           mortality_phase, partnership_phase)
-from ..rules import (FLOW_COLUMNS, AdultColumns, AdultSnapshot, CashFlows, HouseholdSnapshot, entitlement_days,
-                     price_units)
+from ..rules import FLOW_COLUMNS, AdultColumns, CashFlows, entitlement_days, price_units
 # ``net_income`` (the snapshot API) stays a module name here for the traced
 # benchmark run (lifebench/layers.py), which wraps it where callers used to
 # look it up.
@@ -351,20 +351,6 @@ class LifecycleEnv:
     def adult_columns(b: HouseholdBlock) -> AdultColumns:
         """The pricing inputs of every adult row of ``b``."""
         return pricing_columns(*(getattr(b, name) for name in PRICING_INPUTS))
-
-    def unit_snapshots(self, b: HouseholdBlock) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
-        """Every budget unit of ``b`` (:meth:`budget_units`) as its snapshot
-        and its adult rows, in household then slot order."""
-        cols = self.adult_columns(b)
-        adults = [AdultSnapshot(STATES[code], *fields) for code, *fields in zip(
-            cols.state.tolist(), cols.wage_quarterly.tolist(), b.age.tolist(), *(
-                c.tolist() for c in cols[2:]))]
-        out = []
-        for first, second, u3, u7, u18, rent in zip(*(c.tolist() for c in self.budget_units(b))):
-            rows = (first,) if second < 0 else (first, second)
-            pair = second >= 0 and adults[first].state is not S.DEAD and adults[second].state is not S.DEAD
-            out.append((HouseholdSnapshot(tuple(adults[r] for r in rows), u3, u7, u18, pair, rent), rows))
-        return out
 
     def price(self, b: HouseholdBlock) -> None:
         """Price every budget unit of ``b`` (:meth:`units`) with

@@ -83,18 +83,13 @@ def write_report_csvs(report: AggregateReport, outdir: str | Path) -> list[Path]
     _write_csv(path, header, rows)
     written.append(path)
 
-    if report.emtr_histogram.sum() > 0:
-        edges = np.linspace(0, 1.5, 31)
-        path = outdir / "emtr_histogram.csv"
-        _write_csv(path, ["bin_low", "bin_high", "count"],
-                   [[float(edges[i]), float(edges[i + 1]), float(report.emtr_histogram[i])]
-                    for i in range(len(report.emtr_histogram))])
-        written.append(path)
-        path = outdir / "ptr_histogram.csv"
-        _write_csv(path, ["bin_low", "bin_high", "count"],
-                   [[float(edges[i]), float(edges[i + 1]), float(report.ptr_histogram[i])]
-                    for i in range(len(report.ptr_histogram))])
-        written.append(path)
+    edges = np.linspace(0, 1.5, 31)
+    for name, histogram in (("emtr", report.emtr_histogram), ("ptr", report.ptr_histogram)):
+        if histogram.sum() > 0:
+            path = outdir / f"{name}_histogram.csv"
+            _write_csv(path, ["bin_low", "bin_high", "count"],
+                       [[float(edges[i]), float(edges[i + 1]), float(histogram[i])] for i in range(len(histogram))])
+            written.append(path)
 
     summary = {
         "cohort_size": report.cohort_size,

@@ -80,6 +80,8 @@ from .ruleset import (
 _DEAD, _ER_EXTENDED, _BASIC_UNEMPLOYED, _SICK_LEAVE, _HOME_CARE, _STUDENT = (
     S.DEAD, S.ER_EXTENDED, S.BASIC_UNEMPLOYED, S.SICK_LEAVE, S.HOME_CARE, S.STUDENT)
 _ER_STATES = frozenset({S.ER_UNEMPLOYED, S.ER_EXTENDED})
+# The monthly wage raise over which an effective marginal tax rate is taken.
+EMTR_DELTA_MONTHLY = 100.0
 
 
 @dataclass(slots=True)
@@ -837,7 +839,8 @@ def net_income(hh: HouseholdSnapshot, rules: RuleSet) -> CashFlows:
                       hh.children_under18, hh.rent_monthly, rules)
 
 
-def emtr(hh: HouseholdSnapshot, rules: RuleSet, delta_monthly: float = 100.0, adult: int = 0) -> dict[str, float]:
+def emtr(hh: HouseholdSnapshot, rules: RuleSet, delta_monthly: float = EMTR_DELTA_MONTHLY,
+         adult: int = 0) -> dict[str, float]:
     """Effective marginal tax rate by perturbing one adult's wage.
 
     Returns the total plus a per-instrument decomposition whose values sum to

@@ -26,9 +26,9 @@ inputs did not change repeats the last recorded rows.  One
 or when they reach ``PRICING_ROWS`` unit rows.  A unit's row has the same
 bits in any call.  Every simulated quarter still checks what utility
 evaluation checked on living adults: ages within 18 to 100 and positive
-consumption.  The EMTR and PTR samples are taken with the scalar snapshot
-API (``rules.emtr``, ``rules.ptr``) on each unit's snapshot
-(``LifecycleEnv.unit_snapshots``).
+consumption.  The EMTR and PTR samples are priced on the block's columns
+too, with each sampled adult's raised-wage and unemployed copies appended
+(``_incentive_samples``).
 
 The log keeps raw per-agent state histories (for independent re-analysis)
 plus flow sums by age cell; aggregation turns those into the report: rates
@@ -43,7 +43,6 @@ on the whole state matrix.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
@@ -63,8 +62,8 @@ from .env.utility import check_ages, check_consumption
 from .env.vector import observe
 from .errors import ContractViolation
 from .population import CohortPopulation
-from .rules import emtr as emtr_op, ptr as ptr_op
-from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, FLOW_COLUMNS, TAX_FIELDS, HouseholdSnapshot, price_units
+from .rules import MONTHS_PER_QUARTER, AdultColumns
+from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, EMTR_DELTA_MONTHLY, FLOW_COLUMNS, TAX_FIELDS, price_units
 from .solver.network import PolicyValueNet, sample_masked
 from .states import (
     ALLOWED_HOURS,
@@ -97,8 +96,8 @@ PRICING_ROWS = 512
 
 # The FLOW_NAMES columns of a priced flow matrix (``rules.price_units``).
 _FLOW_COLUMNS = np.array([FLOW_COLUMNS.index(name) for name in FLOW_NAMES])
-_CONSUMPTION = FLOW_COLUMNS.index("consumption")
-_DEAD = int(S.DEAD)
+_CONSUMPTION, _NET_INCOME, _GROSS_WAGE = map(FLOW_COLUMNS.index, ("consumption", "net_income", "gross_wage"))
+_FULL_TIME, _PART_TIME, _BASIC_UNEMPLOYED, _DEAD = map(int, (S.FULL_TIME, S.PART_TIME, S.BASIC_UNEMPLOYED, S.DEAD))
 
 
 @dataclass
@@ -123,23 +122,37 @@ class SimulationLog:
     flow_blocks: np.ndarray | None = None
 
 
-def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> HouseholdSnapshot:
-    adults = list(hh_snap.adults)
-    adults[adult_idx] = dataclasses.replace(
-        adults[adult_idx], state=S.BASIC_UNEMPLOYED, wage_quarterly=0.0, ub_days_used=0.0)
-    return dataclasses.replace(hh_snap, adults=tuple(adults))
-
-
 def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[float],
                        ptr_samples: list[float]) -> None:
-    """EMTR and PTR of every adult of ``b`` who works for pay, each taken on
-    the snapshot of the budget unit that holds the adult, in household then
-    slot order."""
-    for snap, unit in env.unit_snapshots(b):
-        for pos, r in enumerate(unit):
-            if b.state[r] in (S.FULL_TIME, S.PART_TIME) and b.paid_wage[r] > 0:
-                emtr_samples.append(emtr_op(snap, env.rules, adult=pos)["total"])
-                ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
+    """EMTR and PTR of every adult of ``b`` who works for pay, in row order,
+    as ``rules.emtr``'s total and ``rules.ptr`` give them on the adult's
+    budget unit.  One ``price_units`` call prices each such unit as it
+    stands, with the adult's wage raised by ``EMTR_DELTA_MONTHLY`` a month,
+    and with the adult basic-unemployed, without wage or used benefit days."""
+    rows = (((b.state == _FULL_TIME) | (b.state == _PART_TIME)) & (b.paid_wage > 0)).nonzero()[0]
+    m = len(rows)
+    if not m:
+        return
+    units = env.units(b)
+    # A living adult is in the last unit that starts at or before its row.
+    own = units.first.searchsorted(rows, side="right") - 1
+    first, second = units.first[own], units.second[own]
+    # The block's adults, then each sampled adult's bumped and jobless copies.
+    adults = AdultColumns(*(np.concatenate((c, c[rows], c[rows])) for c in env.adult_columns(b)))
+    bumped, jobless = b.n + np.arange(m), b.n + m + np.arange(m)
+    dq = EMTR_DELTA_MONTHLY * MONTHS_PER_QUARTER
+    adults.wage_quarterly[bumped] += dq
+    adults.state[jobless] = _BASIC_UNEMPLOYED
+    adults.wage_quarterly[jobless] = adults.ub_days_used[jobless] = 0.0
+    # Each changed unit points at the copy in place of the adult's own row.
+    at_first = first == rows
+    flows = price_units(
+        adults, np.concatenate((first, np.where(at_first, bumped, first), np.where(at_first, jobless, first))),
+        np.concatenate((second, np.where(at_first, second, bumped), np.where(at_first, second, jobless))),
+        *(np.tile(column[own], 3) for column in units[2:]), env.rules)
+    net_base, net_bumped, net_jobless = flows[:, _NET_INCOME].reshape(3, m)
+    emtr_samples.extend((1.0 - (net_bumped - net_base) / dq).tolist())
+    ptr_samples.extend((1.0 - (net_base - net_jobless) / flows[:m, _GROSS_WAGE]).tolist())
 
 
 class _BlockPricing:

@@ -33,9 +33,9 @@ from lifesim.simulate import (
     _FLOW_COLUMNS,
     _blocks,
     _fold_flows,
-    _incentive_samples,
 )
 from lifesim.solver.network import PolicyValueNet, sample_masked
+from one_household import _incentive_samples
 
 
 def run_cohort(net, pop, env, mode="sample", collect_incentives=False) -> SimulationLog:

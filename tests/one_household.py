@@ -4,19 +4,27 @@ Production steps, observes and prices whole household blocks
 (``LifecycleEnv.step_block``, ``vector.observe``, ``LifecycleEnv.price``)
 and evaluates utility on columns (``utility.UtilityColumns``); each function
 here runs that code on a list of records, one household or one agent.
+
+Also here, as the oracle of the simulator's incentive samples: the budget
+units of a block as snapshots (``unit_snapshots``) and the scalar sampler
+that took the EMTR and PTR samples with ``rules.emtr`` and ``rules.ptr`` on
+them (``_incentive_samples``), kept as they stood in ``lifesim``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from lifesim.agent import AgentState, HouseholdBlock, HouseholdState
+from lifesim.agent import STATES, AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv, StepOutcome
 from lifesim.env.actions import ACTIONS, N_ACTIONS, Action, legal_mask
 from lifesim.env.mdp import event_names, outcome, unit_cash_flows
 from lifesim.env.utility import UtilityColumns, UtilityParams
 from lifesim.env.vector import observe
-from lifesim.rules import CashFlows, HouseholdSnapshot, RuleSet
+from lifesim.rules import AdultSnapshot, CashFlows, HouseholdSnapshot, RuleSet
+from lifesim.rules import emtr as emtr_op, ptr as ptr_op
 from lifesim.states import EmploymentState as S
 from lifesim.wage import WageParams, potential_wage_columns
 
@@ -38,9 +46,43 @@ def step_households(households: list[HouseholdState], env: LifecycleEnv,
     return [outcome(b, h, event_names(b, h)) for h in range(b.m)]
 
 
+def unit_snapshots(env: LifecycleEnv, b: HouseholdBlock) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
+    """Every budget unit of ``b`` (``LifecycleEnv.budget_units``) as its snapshot
+    and its adult rows, in household then slot order."""
+    cols = env.adult_columns(b)
+    adults = [AdultSnapshot(STATES[code], *fields) for code, *fields in zip(
+        cols.state.tolist(), cols.wage_quarterly.tolist(), b.age.tolist(), *(
+            c.tolist() for c in cols[2:]))]
+    out = []
+    for first, second, u3, u7, u18, rent in zip(*(c.tolist() for c in env.budget_units(b))):
+        rows = (first,) if second < 0 else (first, second)
+        pair = second >= 0 and adults[first].state is not S.DEAD and adults[second].state is not S.DEAD
+        out.append((HouseholdSnapshot(tuple(adults[r] for r in rows), u3, u7, u18, pair, rent), rows))
+    return out
+
+
 def budget_units(env: LifecycleEnv, hh: HouseholdState) -> list[tuple[HouseholdSnapshot, tuple[int, ...]]]:
     """Each budget unit of ``hh`` as its snapshot and the adult slots it covers."""
-    return env.unit_snapshots(env.block([hh]))
+    return unit_snapshots(env, env.block([hh]))
+
+
+def _counterfactual_unemployed(hh_snap: HouseholdSnapshot, adult_idx: int) -> HouseholdSnapshot:
+    adults = list(hh_snap.adults)
+    adults[adult_idx] = dataclasses.replace(
+        adults[adult_idx], state=S.BASIC_UNEMPLOYED, wage_quarterly=0.0, ub_days_used=0.0)
+    return dataclasses.replace(hh_snap, adults=tuple(adults))
+
+
+def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[float],
+                       ptr_samples: list[float]) -> None:
+    """EMTR and PTR of every adult of ``b`` who works for pay, each taken on
+    the snapshot of the budget unit that holds the adult, in household then
+    slot order."""
+    for snap, unit in unit_snapshots(env, b):
+        for pos, r in enumerate(unit):
+            if b.state[r] in (S.FULL_TIME, S.PART_TIME) and b.paid_wage[r] > 0:
+                emtr_samples.append(emtr_op(snap, env.rules, adult=pos)["total"])
+                ptr_samples.append(ptr_op(snap, _counterfactual_unemployed(snap, pos), env.rules))
 
 
 def household_flows(env: LifecycleEnv, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:

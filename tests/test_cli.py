@@ -142,3 +142,16 @@ def test_compare_rejects_train_total_steps(tmp_path, capsys):
                        "refit_steps": 8, "repeats": 2, "cohort": 2}}
     assert main(["compare", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
     assert "compare.refit_steps" in capsys.readouterr().err
+
+
+def test_simulate_collects_incentives(tmp_path):
+    """``simulate.collect_incentives`` takes EMTR and PTR samples, which the
+    cohort report writes as histograms and medians."""
+    ckpt = tmp_path / "policy.pkl"
+    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1))
+    cfg = {"out": str(tmp_path / "out"),
+           "simulate": {"checkpoint": str(ckpt), "cohort": 4, "collect_incentives": True}}
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
+    cohort = tmp_path / "out" / "cohort"
+    assert (cohort / "emtr_histogram.csv").exists() and (cohort / "ptr_histogram.csv").exists()
+    assert np.isfinite(json.loads((cohort / "summary.json").read_text())["emtr_median"])

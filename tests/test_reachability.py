@@ -13,6 +13,11 @@ rules API, ``lifesim.rules.__all__``, with the methods of its classes, and
 ``LifecycleEnv.freeze_for_static_phase``: the traced one-household
 ``step``, ``static_quarter`` and ``terminal_value`` need it to reach the
 static phase, and ``tests/test_step_oracle.py`` runs all four.
+
+Also here: every name a ``src/lifesim`` module imports is read in that
+module.  Exempt are the re-exports of the ``__init__.py`` files and the
+imports marked ``# noqa: F401``, which keep module names that
+``lifebench/layers.py`` wraps for the traced run.
 """
 
 from __future__ import annotations
@@ -91,3 +96,29 @@ def test_every_function_in_src_is_reached_outside_tests():
 
 def test_traced_names_are_found():
     assert {"net_income", "step", "static_quarter", "terminal_value", "encode", "legal_mask"} <= _traced()
+
+
+def _unread_imports(tree: ast.Module, lines: list[str]) -> list[str]:
+    """Each name an import statement of ``tree`` binds that no ``Name`` node
+    reads, except ``__future__`` imports and statements marked ``# noqa: F401``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {lineno})" for name, lineno in imported.items() if name not in read]
+
+
+def test_every_import_in_src_is_read():
+    unread = []
+    for path, tree in _trees(SRC):
+        if path.name != "__init__.py":
+            unread += [f"{path.relative_to(ROOT)}: {name}"
+                       for name in _unread_imports(tree, path.read_text().splitlines())]
+    assert not unread, "imported in src/ but never read:\n" + "\n".join(unread)

@@ -10,10 +10,11 @@ import lifesim.pipelines as pipelines
 import lifesim.simulate as simulate
 from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
-from lifesim.paramfiles import ruleset_path
+from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
-from lifesim.reform import compare_runs
-from lifesim.rules import emtr, load_ruleset, ptr
+from lifesim.reform import apply_reform, compare_runs, load_reform
+from lifesim.reports import write_report_csvs
+from lifesim.rules import load_ruleset
 from lifesim.simulate import (
     AGE_MIN,
     DURATION_BIN_EDGES,
@@ -27,7 +28,7 @@ from lifesim.simulate import (
 from lifesim.solver import PolicyValueNet
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
-from one_household import budget_units
+from one_household import _incentive_samples as scalar_incentive_samples
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,17 @@ def test_incentive_samples_collected(small_log):
     assert 0.3 < float(np.median(small_log.ptr_samples)) <= 1.0
 
 
+def test_each_incentive_histogram_written_on_its_own_counts(small_log, tmp_path):
+    """EMTR samples can all fall outside the histogram's bins while PTR
+    samples do not; each file is written when its own histogram has counts."""
+    report = aggregate(small_log)
+    assert report.ptr_histogram.sum() > 0
+    no_emtr = dataclasses.replace(report, emtr_histogram=np.zeros_like(report.emtr_histogram))
+    names = {path.name for path in write_report_csvs(no_emtr, tmp_path)}
+    assert "ptr_histogram.csv" in names and "emtr_histogram.csv" not in names
+    assert (tmp_path / "ptr_histogram.csv").exists() and not (tmp_path / "emtr_histogram.csv").exists()
+
+
 def test_summarize_reports_builds_each_reports_cells_once(small_log, monkeypatch):
     reports = [aggregate(small_log) for _ in range(4)]
     calls = []
@@ -246,38 +258,83 @@ def test_summarize_reports_builds_each_reports_cells_once(small_log, monkeypatch
     assert result.mean_cells.keys() == cells(reports[0]).keys()
 
 
-def _working_adult(gender, age, wage):
-    a = AgentState(gender=gender, group=1, age=age, state=S.FULL_TIME, hours=40, paid_wage=wage,
-                   prev_paid_wage=wage)
+def _adult(gender, age, state, wage=0.0, hours=0, **fields):
+    a = AgentState(gender=gender, group=1, age=age, state=state, hours=hours, paid_wage=wage, prev_paid_wage=wage,
+                   **fields)
     a.life_left = 400
     return a
 
 
-@pytest.mark.parametrize("case", ["unmarried_pair_with_child", "widowed_pair"])
-def test_incentive_samples_taken_on_budget_units(env, case):
-    man = _working_adult("men", 40.0, 42000.0)
-    if case == "unmarried_pair_with_child":
-        woman = _working_adult("women", 36.0, 30000.0)
-        hh = HouseholdState(adults=(man, woman), child_ages=[2.0])
-    else:
-        woman = AgentState(gender="women", group=1, age=41.0, state=S.DEAD, pension_accrued=900.0)
-        hh = HouseholdState(adults=(man, woman), partnered=True)
-    emtrs, ptrs = [], []
-    simulate._incentive_samples(env, env.block([hh]), emtrs, ptrs)
+def _working_adult(gender, age, wage):
+    return _adult(gender, age, S.FULL_TIME, wage, hours=40)
 
-    expected_emtr, expected_ptr = [], []
-    for snap, slots in budget_units(env, hh):
-        for pos, slot in enumerate(slots):
-            if hh.adults[slot].alive:
-                jobless = list(snap.adults)
-                jobless[pos] = dataclasses.replace(jobless[pos], state=S.BASIC_UNEMPLOYED,
-                                                   wage_quarterly=0.0, ub_days_used=0.0)
-                expected_emtr.append(emtr(snap, env.rules, adult=pos)["total"])
-                expected_ptr.append(ptr(snap, dataclasses.replace(snap, adults=tuple(jobless)),
-                                        env.rules))
-    assert len(expected_emtr) == (2 if case == "unmarried_pair_with_child" else 1)
-    assert emtrs == expected_emtr
-    assert ptrs == expected_ptr
+
+def _incentive_case(case):
+    """The households of one block and how many of their adults are sampled."""
+    if case == "unmarried_pair_with_child":
+        return [HouseholdState(adults=(_working_adult("men", 40.0, 42000.0), _working_adult("women", 36.0, 30000.0)),
+                               child_ages=[2.0])], 2
+    if case == "widowed_pair":
+        widow = AgentState(gender="women", group=1, age=41.0, state=S.DEAD, pension_accrued=900.0)
+        return [HouseholdState(adults=(_working_adult("men", 40.0, 42000.0), widow), partnered=True)], 1
+    if case == "full_and_part_time_pair":
+        part_time = _adult("women", 38.0, S.PART_TIME, 16000.0, hours=20)
+        return [HouseholdState(adults=(_working_adult("men", 41.0, 39000.0), part_time), partnered=True,
+                               child_ages=[1.5, 6.0, 12.0])], 2
+    if case == "er_unemployed_partner":
+        jobless = _adult("men", 45.0, S.ER_UNEMPLOYED, ub_basis=2800.0, ub_days_used=130.0, ub_max_days=400.0)
+        return [HouseholdState(adults=(jobless, _working_adult("women", 43.0, 33000.0)), partnered=True,
+                               child_ages=[5.0])], 1
+    if case == "retired_partner":
+        retiree = _adult("men", 67.0, S.RETIRED, pension_paid=1500.0, pension_accrued=1500.0)
+        return [HouseholdState(adults=(retiree, _working_adult("women", 61.0, 35000.0)), partnered=True)], 1
+    # A partially retired worker and a full-time adult with no paid wage are
+    # not sampled.
+    unsampled = HouseholdState(adults=(
+        _adult("men", 66.0, S.RETIRED_PT, 14000.0, hours=20, pension_paid=1100.0),
+        _adult("women", 50.0, S.FULL_TIME, hours=40)), partnered=True)
+    if case == "retired_part_time_and_unpaid":
+        return [unsampled, HouseholdState(adults=(_working_adult("men", 30.0, 28000.0),))], 1
+    if case == "no_sampled_adult":
+        return [unsampled, HouseholdState(adults=(_adult("women", 30.0, S.BASIC_UNEMPLOYED),))], 0
+    assert case == "all_in_one_block"
+    blocks = [_incentive_case(name) for name in INCENTIVE_CASES[:-1]]
+    return [hh for households, _ in blocks for hh in households], sum(count for _, count in blocks)
+
+
+INCENTIVE_CASES = ["unmarried_pair_with_child", "widowed_pair", "full_and_part_time_pair", "er_unemployed_partner",
+                   "retired_partner", "retired_part_time_and_unpaid", "no_sampled_adult", "all_in_one_block"]
+RULE_NAMES = [str(year) for year in range(2018, 2025)] + ["2023+orpo"]
+
+
+@pytest.fixture(scope="module")
+def rule_envs(env):
+    orpo, _ = apply_reform(env.rules, load_reform(params_dir() / "reforms" / "orpo.yaml"))
+    return {"2023+orpo": env.with_rules(orpo),
+            **{str(year): env.with_rules(load_ruleset(ruleset_path(year))) for year in range(2018, 2025)}}
+
+
+@pytest.mark.parametrize("case", INCENTIVE_CASES)
+def test_incentive_samples_taken_on_budget_units(rule_envs, monkeypatch, case):
+    """Under every packaged rule set and 2023 + ``orpo``, the column sampler
+    gives the scalar sampler's samples (``rules.emtr`` and ``rules.ptr`` on
+    each unit's snapshot) as raw bits, in the same order, with one
+    ``price_units`` call when it samples and none when not."""
+    calls = []
+    price_units = simulate.price_units
+    monkeypatch.setattr(simulate, "price_units", lambda *args: calls.append(1) or price_units(*args))
+    for rules_name in RULE_NAMES:
+        env = rule_envs[rules_name]
+        households, sampled = _incentive_case(case)
+        want_emtr, want_ptr = [], []
+        scalar_incentive_samples(env, env.block(copy.deepcopy(households)), want_emtr, want_ptr)
+        emtrs, ptrs = [], []
+        calls.clear()
+        simulate._incentive_samples(env, env.block(households), emtrs, ptrs)
+        assert len(want_emtr) == len(want_ptr) == sampled, rules_name
+        assert np.array(emtrs).tobytes() == np.array(want_emtr).tobytes(), rules_name
+        assert np.array(ptrs).tobytes() == np.array(want_ptr).tobytes(), rules_name
+        assert len(calls) == (1 if sampled else 0), rules_name
 
 
 def test_parallel_log_identical_for_any_worker_count(env, small_net, monkeypatch):
