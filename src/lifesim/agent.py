@@ -125,7 +125,7 @@ class HouseholdBlock:
     marriage and divorce clocks, ``child_age`` (a column per child ever
     held, in birth order, NaN once gone), the child bands, the ``mother``
     and ``father`` rows (-1 for none) and the generators.  The last
-    quarter's ``reward``, ``consumption``, budget ``units`` and their
+    priced quarter's ``reward``, ``consumption``, budget ``units`` and their
     ``flows`` (a row each, see ``LifecycleEnv.price``, with the
     ``unit_key`` the units were formed from and the ``sharers`` of each
     unit's consumption), ``event`` codes and ``birth`` flags are kept beside

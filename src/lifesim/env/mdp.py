@@ -2,11 +2,11 @@
 
 One quarter runs, in order: the fixed draws, demographic events (deaths,
 marriage and divorce, births and the parental leaves they start), exogenous
-employment transitions, decisions with job-search friction, wage and tracker
-updates, then the rules-engine cash flows and per-agent rewards.  Every
-phase runs over the columns of a :class:`~lifesim.agent.HouseholdBlock`
-(one row per adult, in household then slot order), repeating the per-agent
-formulas operation for operation:
+employment transitions, decisions with job-search friction, then wage and
+tracker updates; its rules-engine cash flows and per-agent rewards are
+priced after it (see below).  Every phase runs over the columns of a
+:class:`~lifesim.agent.HouseholdBlock` (one row per adult, in household then
+slot order), repeating the per-agent formulas operation for operation:
 
 * Draw order.  Each household owns its ``rng_exo`` and draws, every
   quarter, ``standard_normal(2)`` (the slots' wage shocks), ``random(12)``
@@ -30,12 +30,10 @@ formulas operation for operation:
   ``rules.price_unit`` stays behind the snapshot API (``net_income``,
   ``emtr``, ``ptr``) of ``lifesim emtr-scan``.
 * When a quarter is priced.  No transition reads a quarter's flows,
-  consumption or rewards, so ``step_block`` is the transition
-  (``advance_block``) then the pricing and rewards (``settle_block``).
-  Training runs both each quarter; the cohort simulator runs the
-  transition alone and prices many quarters in one call
-  (:mod:`lifesim.simulate`).  ``static_block`` prices nothing: it reports
-  the households whose pricing inputs changed.
+  consumption or rewards, so training and the simulator run the transition
+  alone (``advance_block``, or ``static_block``, which reports the
+  households whose pricing inputs changed) and price many quarters at once
+  through a :class:`PricingLedger`.
 
 Marriage, divorce and birth clocks are drawn on failure curves built once
 per hazard and start age and kept with the env
@@ -74,7 +72,7 @@ from ..states import EmploymentState as S
 from ..wage import WageParams, paid_wage, potential_wage_columns, update_wage_reduction
 # ``legal_mask`` (one adult) stays a module name here for the traced run.
 from .actions import ACTIONS, Decision, legal_mask  # noqa: F401
-from .utility import UtilityColumns, UtilityParams
+from .utility import UtilityColumns, UtilityParams, check_consumption
 
 DECISION_END_AGE = 75.0
 
@@ -148,10 +146,18 @@ class Sharers(NamedTuple):
 
 
 _CONSUMPTION = FLOW_COLUMNS.index("consumption")
+# Unit rows a PricingLedger records before they are priced in one
+# ``price_units`` call (about 1.1 kB a row while it runs): a 32-household
+# training rollout, at most 16 x 64 rows, in one call.  2,048 saved 8% of
+# the pricing time but added 0.5 MiB to ``lifesim compare``'s peak RSS.
+PRICING_ROWS = 1024
 # The block's adult columns the rules read, in the order ``pricing_columns``
 # takes them.
 PRICING_INPUTS = ("state", "paid_wage", "ub_basis", "ub_days_used", "ub_max_days", "fund_member", "pension_paid",
                   "pension_accrued", "partial_early_paid", "prev_paid_wage")
+# The rows of a PricingLedger set that utility reads: the state, then the
+# columns recorded after the pricing inputs.
+_UTILITY_INPUTS = [0] + list(range(len(PRICING_INPUTS), len(PRICING_INPUTS) + 5))
 
 
 def pricing_columns(state, paid_wage, ub_basis, ub_days_used, ub_max_days, fund_member, pension_paid,
@@ -674,14 +680,6 @@ class LifecycleEnv:
 
     # -- block stepping API -------------------------------------------------
 
-    def step_block(self, b: HouseholdBlock, actions, masks: np.ndarray) -> None:
-        """Advance every household of ``b`` one quarter and price it:
-        :meth:`advance_block`, then :meth:`settle_block`.  The quarter's
-        rewards, consumptions, flows, event codes and birth flags are left
-        on ``b``."""
-        self.advance_block(b, actions, masks)
-        self.settle_block(b)
-
     def advance_block(self, b: HouseholdBlock, actions, masks: np.ndarray) -> None:
         """The quarter's transition of every household of ``b``, without
         pricing or rewards.  ``actions`` holds one catalogue index per adult
@@ -712,14 +710,6 @@ class LifecycleEnv:
         self._decide(b, actions, decide, u, entries)
         self._enter_unemployment(b, entries)
         self._update_wages_and_trackers(b, shocks, before)
-
-    def settle_block(self, b: HouseholdBlock) -> None:
-        """Price ``b`` (:meth:`price`) and set each adult's reward: the
-        quarter's utility times DT for the living, zero for the dead."""
-        self.price(b)
-        live = (b.state != _DEAD).nonzero()[0]
-        b.reward[:] = 0.0
-        b.reward[live] = self._rewards(b, live)
 
     def _age_static(self, b: HouseholdBlock) -> None:
         """A static quarter's state change: mortality, children ageing (no
@@ -794,16 +784,20 @@ class LifecycleEnv:
     # -- one household: the block of one ------------------------------------
 
     def step(self, hh: HouseholdState, action_indices: tuple[int, ...], masks=None) -> StepOutcome:
-        """Advance one household a quarter.  ``action_indices`` holds one
-        catalogue index per adult slot; actions must be legal for the
-        pre-step state.  Callers that already computed the legal masks can
-        pass them in."""
+        """Advance one household a quarter and price it: the quarter's
+        rewards are its utility times DT for the living, zero for the dead.
+        ``action_indices`` holds one catalogue index per adult slot; actions
+        must be legal for the pre-step state.  Callers that already computed
+        the legal masks can pass them in."""
         if len(action_indices) != len(hh.adults):
             raise ContractViolation("one action per adult slot required")
         if masks is None:
             masks = [legal_mask(a, hh, self.rules) for a in hh.adults]
         b = self.block([hh])
-        self.step_block(b, action_indices, np.asarray(masks, dtype=bool).reshape(b.n, -1))
+        self.advance_block(b, action_indices, np.asarray(masks, dtype=bool).reshape(b.n, -1))
+        self.price(b)
+        live = (b.state != _DEAD).nonzero()[0]
+        b.reward[live] = self._rewards(b, live)
         b.write_back([hh])
         return outcome(b, 0, event_names(b, 0))
 
@@ -831,3 +825,73 @@ class LifecycleEnv:
         values = self.terminal_block(b)
         b.write_back([hh])
         return tuple(values.tolist())
+
+
+class PricingLedger:
+    """Quarters of household blocks, recorded as they run and priced
+    together after: the owner prices them in one ``rules.price_units`` call
+    on :meth:`price_args`, once they hold ``PRICING_ROWS`` unit rows or when
+    it needs them, and hands the flows to :meth:`settle`.  A unit's row has
+    the same bits in any call, and utility is elementwise with a scalar
+    ``math.log``, so each quarter gets the flows and rewards that pricing it
+    alone gives.
+
+    A recorded set is a float64 copy of a block's ``PRICING_INPUTS`` columns
+    (``adult_columns`` returns views that the next quarter overwrites) and,
+    with ``rewards``, of the other utility inputs (``women``, hours, age,
+    pink slip and a child under 3 in the household), with its ``units`` and
+    ``sharers``.  Each quarter names its set; sets may come from different
+    blocks."""
+
+    def __init__(self, env: LifecycleEnv, rewards: bool = False) -> None:
+        self.env, self.rewards = env, rewards
+        self.sets: list[tuple] = []
+        self.quarters: list[int] = []
+        self.rows = 0
+
+    def record(self, b: HouseholdBlock, changed: bool = True) -> None:
+        """Record ``b``'s quarter: its inputs when ``changed`` (or nothing is
+        recorded), else the last recorded set again."""
+        if changed or not self.sets:
+            units = self.env.units(b)
+            columns = [getattr(b, name) for name in PRICING_INPUTS]
+            if self.rewards:
+                columns += b.women, b.hours, b.age, b.pink_slip, b.under3[b.hh] > 0
+            self.sets.append((np.array(columns, dtype=float), units, b.sharers))
+            self.rows += len(units.first)
+        self.quarters.append(len(self.sets) - 1)
+
+    def price_args(self) -> tuple:
+        """The arguments but the rule set of one ``price_units`` call over
+        every recorded set, each set's adult rows offset by the adult rows
+        of the sets before it."""
+        inputs, units, _ = zip(*self.sets)
+        offset = np.repeat(np.cumsum([0] + [x.shape[1] for x in inputs[:-1]]), [len(u.first) for u in units])
+        inputs = np.concatenate(inputs, axis=1)
+        first, second, *rest = (np.concatenate(column) for column in zip(*units))
+        return (pricing_columns(inputs[0].astype(np.intp), *inputs[1:len(PRICING_INPUTS)]), first + offset,
+                np.where(second >= 0, second + offset, -1), *rest)
+
+    def settle(self, flows: np.ndarray) -> tuple[list[slice], list[np.ndarray] | None]:
+        """Each recorded quarter's rows of ``flows`` (what ``price_units``
+        gave on :meth:`price_args`) and, with ``rewards``, its reward per
+        adult row: utility times DT, zero for the dead.  Empties the ledger.
+        Raises :class:`ContractViolation` when a living adult's unit consumes
+        nothing or less, or, with ``rewards``, an age is outside 18 to 100."""
+        inputs, units, sharers = zip(*self.sets)
+        unit_starts = np.cumsum([0] + [len(u.first) for u in units]).tolist()
+        consumption = flows[np.concatenate([s.unit + k for s, k in zip(sharers, unit_starts)]), _CONSUMPTION]
+        check_consumption(consumption)
+        rewards = None
+        if self.rewards:
+            starts = np.cumsum([0] + [x.shape[1] for x in inputs]).tolist()
+            live = np.concatenate([s.rows + k for s, k in zip(sharers, starts)])
+            state, women, hours, age, pink_slip, child_under3 = np.concatenate(inputs, axis=1)[_UTILITY_INPUTS][:, live]
+            values = np.zeros(starts[-1])
+            values[live] = self.env._utility.utility(consumption / np.concatenate([s.divisor for s in sharers]),
+                                                     state.astype(np.intp), women, hours.astype(np.intp), age,
+                                                     pink_slip > 0, child_under3 > 0) * DT
+            rewards = [values[starts[k]:starts[k + 1]] for k in self.quarters]
+        rows = [slice(unit_starts[k], unit_starts[k + 1]) for k in self.quarters]
+        self.sets, self.quarters, self.rows = [], [], 0
+        return rows, rewards

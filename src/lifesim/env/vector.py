@@ -4,7 +4,7 @@ Training and cohort simulation hold their households as one
 :class:`~lifesim.agent.HouseholdBlock`, packed once from the drawn records:
 one row per adult in household then slot order, one column per field.
 ``observe`` encodes and masks the whole block from its columns with no
-per-adult gather, and ``LifecycleEnv.step_block`` advances it a quarter
+per-adult gather, and ``LifecycleEnv.advance_block`` advances it a quarter
 phase by phase.  Each household draws its ``rng_exo`` in the order it would
 if stepped alone: ``standard_normal(2)``, ``random(12)``, then partnership,
 fertility, adult 0's and adult 1's conditional draws.  Transcendentals stay
@@ -18,6 +18,11 @@ one actor slot.  Episodes run the decision phase (ages 18 to 75); at the
 horizon the expected static-phase value is folded into the final reward and
 the pool restarts with freshly drawn households.  Dead agents keep their
 slot with a stay-only mask and zero rewards until the episode ends.
+
+A step is the transition alone, recorded in a
+:class:`~lifesim.env.mdp.PricingLedger` as the cohort simulator records
+its quarters; ``rewards`` prices the steps since its last call, up to
+``PRICING_ROWS`` unit rows per ``price_units`` call.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ import numpy as np
 
 from ..agent import HouseholdBlock
 from ..population import spawn_pair_household
+from ..rules import price_units
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
 # callers used to look them up.
 from .actions import N_ACTIONS, legal_mask, mask_columns  # noqa: F401
 from .features import OBS_DIM, block_columns, encode, encode_columns  # noqa: F401
-from .mdp import DECISION_END_AGE, DT, LifecycleEnv
+from .mdp import DECISION_END_AGE, DT, PRICING_ROWS, LifecycleEnv, PricingLedger
 
 
 def observe(b: HouseholdBlock, env: LifecycleEnv, obs: np.ndarray, masks: np.ndarray) -> None:
@@ -62,6 +68,11 @@ class LifecycleVectorEnv:
         self._quarter = 0
         self._masks = np.zeros((self.n_actors, N_ACTIONS), dtype=bool)
         self._obs = np.zeros((self.n_actors, OBS_DIM))
+        self._ledger = PricingLedger(env, rewards=True)
+        # The settled steps' rewards, and each episode end's step and
+        # terminal value, since the last ``rewards`` call.
+        self._rewards: list[np.ndarray] = []
+        self._bonus: list[tuple[int, np.ndarray]] = []
 
     def _fresh_block(self) -> HouseholdBlock:
         return self.env.block([
@@ -75,15 +86,35 @@ class LifecycleVectorEnv:
         observe(self._block, self.env, self._obs, self._masks)
         return self._obs.copy(), self._masks.copy()
 
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        self.env.step_block(self._block, actions, self._masks)
-        rewards = self._block.reward.copy()
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next observations, masks and done flags; see :meth:`rewards`."""
+        b = self._block
+        self.env.advance_block(b, actions, self._masks)
+        self._ledger.record(b)
         self._quarter += 1
         # Every slot started together, so every episode ends together.
         done = self._quarter >= self.episode_quarters
         if done:
-            rewards += self.env.terminal_block(self._block)
+            quarter = len(self._rewards) + len(self._ledger.quarters) - 1
+            self._bonus.append((quarter, self.env.terminal_block(b)))
             self._block = self._fresh_block()
             self._quarter = 0
+        if self._ledger.rows >= PRICING_ROWS:
+            self._settle()
         observe(self._block, self.env, self._obs, self._masks)
-        return self._obs.copy(), self._masks.copy(), rewards, np.full(self.n_actors, float(done))
+        return self._obs.copy(), self._masks.copy(), np.full(self.n_actors, float(done))
+
+    def _settle(self) -> None:
+        _, rewards = self._ledger.settle(price_units(*self._ledger.price_args(), self.env.rules))
+        self._rewards += rewards
+
+    def rewards(self) -> np.ndarray:
+        """The ``(steps, n_actors)`` rewards of the steps since the last
+        call, the terminal value added to each episode's last."""
+        if self._ledger.quarters:
+            self._settle()
+        rewards = np.array(self._rewards).reshape(-1, self.n_actors)
+        for quarter, bonus in self._bonus:
+            rewards[quarter] += bonus
+        self._rewards, self._bonus = [], []
+        return rewards

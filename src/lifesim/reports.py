@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .reform import ComparisonReport
-from .simulate import DURATION_AGE_BANDS, AggregateReport
+from .simulate import DURATION_AGE_BANDS, INCENTIVE_BINS, AggregateReport
 from .states import EmploymentState
 
 
@@ -83,12 +83,15 @@ def write_report_csvs(report: AggregateReport, outdir: str | Path) -> list[Path]
     _write_csv(path, header, rows)
     written.append(path)
 
-    edges = np.linspace(0, 1.5, 31)
-    for name, histogram in (("emtr", report.emtr_histogram), ("ptr", report.ptr_histogram)):
-        if histogram.sum() > 0:
+    # The first row counts the samples below the bins, the last those above.
+    edges = [-np.inf] + INCENTIVE_BINS.tolist() + [np.inf]
+    for name in ("emtr", "ptr"):
+        counts = ([getattr(report, f"{name}_underflow")] + getattr(report, f"{name}_histogram").tolist()
+                  + [getattr(report, f"{name}_overflow")])
+        if sum(counts) > 0:
             path = outdir / f"{name}_histogram.csv"
             _write_csv(path, ["bin_low", "bin_high", "count"],
-                       [[float(edges[i]), float(edges[i + 1]), float(histogram[i])] for i in range(len(histogram))])
+                       [[edges[i], edges[i + 1], float(count)] for i, count in enumerate(counts)])
             written.append(path)
 
     summary = {
@@ -98,6 +101,10 @@ def write_report_csvs(report: AggregateReport, outdir: str | Path) -> list[Path]
         "fte": report.fte,
         "emtr_median": report.emtr_median,
         "ptr_median": report.ptr_median,
+        "emtr_underflow": report.emtr_underflow,
+        "emtr_overflow": report.emtr_overflow,
+        "ptr_underflow": report.ptr_underflow,
+        "ptr_overflow": report.ptr_overflow,
         "cells": report.cells(),
     }
     path = outdir / "summary.json"

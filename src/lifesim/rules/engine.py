@@ -23,9 +23,10 @@ Two paths price:
   prices one :class:`HouseholdSnapshot` through ``price_unit``, where a
   numpy batch of one would cost several times more; ``emtr`` adds its wage
   bump inside the priced row;
-* the environment, ``LifecycleEnv.price``, prices every budget unit of a
-  household block through ``price_units``, straight from the block's
-  columns.
+* the environment prices budget units through ``price_units``, straight
+  from a block's columns: ``LifecycleEnv.price`` every unit of a block as
+  it stands, and ``PricingLedger`` the units of many recorded quarters at
+  once.
 
 The public helpers (:func:`unemployment_benefit`, :func:`pension_benefit`,
 :func:`housing_benefit`, ...) are the functions the scalar core calls or thin
@@ -621,6 +622,8 @@ _DEAD_CODE, _ER_EXTENDED_CODE, _SICK_CODE = map(int, (_DEAD, _ER_EXTENDED, _SICK
  _ASSISTANCE, _NET, _VAT, _CONSUMPTION, _RENT, _GROSS_M, _HB_WAGES, _HB_WAGES_RETIREE, _SA_WAGES, _PRIMARY,
  _PARTIAL, _ACCRUED, _ALIVE, _RETIRED, _IDLE, _DEAD_FLAG) = range(38)
 _NET_WAGE_CHARGES = [_STATE, _MUNI, _YLE, _PENS, _UNEMP, _HMED, _HDAY]
+# The rows of a unit adult's own column that its unit's formulas read.
+_UNIT_READS = np.array([_PRIMARY, _PARTIAL, _DEAD_FLAG, _ACCRUED])[:, None]
 # The flags of each state code, as the rows _ALIVE .. _DEAD_FLAG.
 _STATE_FLAGS = np.array([[s is not _DEAD, s in RETIRED_STATES, s is not _DEAD and s not in WORKING_STATES,
                           s is _DEAD] for s in S], dtype=float).T
@@ -763,23 +766,24 @@ def price_units(adults: AdultColumns, first: np.ndarray, second: np.ndarray, chi
     per_adult[_HB_WAGES:_SA_WAGES + 1] = np.where((counted > 0.0) & (counted > p.disregards), counted - p.disregards,
                                                   0.0)
 
-    # Each unit's sums: 0.0, then its first adult, then its second.
-    one, two = work[:, first], work[:, second]
-    unit = one + 0.0
-    unit += two
-    other = one[_PRIMARY] + 0.0   # benefits so far, EUR/mo, added as the scalar core adds them
-    other += one[_PARTIAL]
-    other += two[_PRIMARY]
-    other += two[_PARTIAL]
+    # Each unit's sums: 0.0, then its first adult, then its second; of each
+    # adult's own column only the _UNIT_READS rows.
+    unit = work[:, first]
+    unit += 0.0
+    unit += work[:, second]
+    primary1, partial1, dead1, acc1 = work[_UNIT_READS, first]
+    primary2, partial2, dead2, acc2 = work[_UNIT_READS, second]
+    other = primary1 + 0.0   # benefits so far, EUR/mo, added as the scalar core adds them
+    other += partial1
+    other += primary2
+    other += partial2
     n_alive = unit[_ALIVE]
     living = n_alive > 0.0
 
     # Survivor's pension from a deceased partner's accrual.
     survives = living & (unit[_DEAD_FLAG] > 0.0)
     if np.count_nonzero(survives):
-        dead1, dead2 = one[_DEAD_FLAG] > 0.0, two[_DEAD_FLAG] > 0.0
-        acc1, acc2 = one[_ACCRUED], two[_ACCRUED]
-        top = np.where(dead1, np.where(dead2 & (acc2 > acc1), acc2, acc1), acc2)
+        top = np.where(dead1 > 0.0, np.where((dead2 > 0.0) & (acc2 > acc1), acc2, acc1), acc2)
         monthly = rules.pension.survivor_share * top
         unit[_SURVIVOR] = np.where(survives, monthly * MONTHS_PER_QUARTER, 0.0)
         other += np.where(survives, monthly, 0.0)

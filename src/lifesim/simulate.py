@@ -17,18 +17,14 @@ Transcendentals stay scalar (``math.log``/``math.exp`` per value) and sums
 keep Python's left-to-right order: a quarter's flow rows add into their age
 cell one at a time, in household then unit order.
 
-A block is priced after its quarters: no transition reads a quarter's
-flows, consumption or rewards, and the log holds no rewards.  Each quarter
-runs the transition alone (``LifecycleEnv.advance_block`` or
-``static_block``) and records its pricing inputs; a static quarter whose
-inputs did not change repeats the last recorded rows.  One
-``rules.price_units`` call prices the recorded quarters when the block ends
-or when they reach ``PRICING_ROWS`` unit rows.  A unit's row has the same
-bits in any call.  Every simulated quarter still checks what utility
-evaluation checked on living adults: ages within 18 to 100 and positive
-consumption.  The EMTR and PTR samples are priced on the block's columns
-too, with each sampled adult's raised-wage and unemployed copies appended
-(``_incentive_samples``).
+A block is priced after its quarters, through the
+:class:`~lifesim.env.mdp.PricingLedger` training uses too: each quarter runs
+the transition alone (``LifecycleEnv.advance_block`` or ``static_block``)
+and is recorded, a static quarter whose inputs did not change as the last
+recorded rows again, and the log holds no rewards.  Every quarter's ages
+are checked as it runs.  The EMTR and PTR samples are priced on the block's
+columns, with each sampled adult's raised-wage and unemployed copies
+appended (``_incentive_samples``).
 
 The log keeps raw per-agent state histories (for independent re-analysis)
 plus flow sums by age cell; aggregation turns those into the report: rates
@@ -57,8 +53,8 @@ from .agent import HouseholdBlock, HouseholdState
 # masks whole blocks through ``observe``.
 from .env.actions import N_ACTIONS, legal_mask  # noqa: F401
 from .env.features import OBS_DIM, encode  # noqa: F401
-from .env.mdp import DECISION_END_AGE, DT, MAX_AGE, PRICING_INPUTS, LifecycleEnv, pricing_columns
-from .env.utility import check_ages, check_consumption
+from .env.mdp import DECISION_END_AGE, DT, MAX_AGE, PRICING_ROWS, LifecycleEnv, PricingLedger
+from .env.utility import check_ages
 from .env.vector import observe
 from .errors import ContractViolation
 from .population import CohortPopulation
@@ -81,22 +77,16 @@ FLOW_NAMES = ("gross_wage",) + TAX_FIELDS + CONTRIB_FIELDS + BENEFIT_FIELDS + (
 )
 DURATION_AGE_BANDS = ((20, 29), (30, 39), (40, 49), (50, 59), (60, 65))
 DURATION_BIN_EDGES = (130.0, 260.0, 390.0, 520.0)   # ER days at ~21.67/mo
+# The EMTR and PTR histograms' bin edges (samples outside count as under- and overflow).
+INCENTIVE_BINS = np.linspace(0.0, 1.5, 31)
 FTE_CLASSES = ("total", "part_time", "full_time", "age_18_62", "age_63_plus", "retired")
 # Households per simulation block: one policy forward pass per block and
 # decision quarter.  Fixed, so trajectories do not depend on cohort size or
 # worker count.
 BLOCK_HOUSEHOLDS = 64
-# Budget-unit rows a block records before it prices them in one
-# ``price_units`` call, which holds about 1.8 kB per row while it runs.
-# Larger calls save little, since a call's fixed cost is a few hundred
-# rows' worth.  Calls above about 1,000 rows also raised the peak RSS of
-# ``lifesim compare``: freeing their arrays returned heap to the system
-# that the next refit had to grow again.
-PRICING_ROWS = 512
-
 # The FLOW_NAMES columns of a priced flow matrix (``rules.price_units``).
 _FLOW_COLUMNS = np.array([FLOW_COLUMNS.index(name) for name in FLOW_NAMES])
-_CONSUMPTION, _NET_INCOME, _GROSS_WAGE = map(FLOW_COLUMNS.index, ("consumption", "net_income", "gross_wage"))
+_NET_INCOME, _GROSS_WAGE = map(FLOW_COLUMNS.index, ("net_income", "gross_wage"))
 _FULL_TIME, _PART_TIME, _BASIC_UNEMPLOYED, _DEAD = map(int, (S.FULL_TIME, S.PART_TIME, S.BASIC_UNEMPLOYED, S.DEAD))
 
 
@@ -155,62 +145,18 @@ def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[
     ptr_samples.extend((1.0 - (net_base - net_jobless) / flows[:m, _GROSS_WAGE]).tolist())
 
 
-class _BlockPricing:
-    """The pricing inputs of a block's simulated quarters, priced together
-    into the block's per-age flow sums ``partial``.
-
-    Each recorded set is a float64 copy of the block's ``PRICING_INPUTS``
-    columns (``adult_columns`` returns views that the next quarter
-    overwrites), its budget units as ``LifecycleEnv.units`` keeps them, and
-    the unit of each living adult (``b.sharers.unit``).  Each quarter names
-    its age cell and its set."""
-
-    def __init__(self, env: LifecycleEnv, b: HouseholdBlock, partial: np.ndarray) -> None:
-        self.env, self.b, self.partial = env, b, partial
-        self.inputs: list[np.ndarray] = []
-        self.units: list = []
-        self.living: list[np.ndarray] = []
-        self.quarters: list[tuple[int, int]] = []
-        self.rows = 0
-
-    def record(self, cell: int, changed: bool) -> None:
-        """Record the block's quarter in age ``cell``: its inputs when
-        ``changed`` (or nothing is recorded since the last pricing), else
-        the last recorded set again.  Prices once ``PRICING_ROWS`` unit
-        rows are recorded."""
-        b = self.b
-        if changed or not self.inputs:
-            units = self.env.units(b)
-            self.inputs.append(np.array([getattr(b, name) for name in PRICING_INPUTS], dtype=float))
-            self.units.append(units)
-            self.living.append(b.sharers.unit)
-            self.rows += len(units.first)
-        self.quarters.append((cell, len(self.inputs) - 1))
-        if self.rows >= PRICING_ROWS:
-            self.price()
-
-    def price(self) -> None:
-        """Price every recorded set in one ``price_units`` call (set ``k``'s
-        adult rows offset by ``k * b.n``), check that each living adult's
-        unit consumes a positive amount, and add each quarter's rows into
-        its age cell in quarter, household and unit order."""
-        if not self.quarters:
-            return
-        counts = [len(u.first) for u in self.units]
-        starts = np.cumsum([0] + counts[:-1]).tolist()
-        inputs = np.concatenate(self.inputs, axis=1)
-        offset = np.repeat(np.arange(len(counts)) * self.b.n, counts)
-        first, second, *rest = (np.concatenate(column) for column in zip(*self.units))
-        flows = price_units(pricing_columns(inputs[0].astype(np.intp), *inputs[1:]), first + offset,
-                            np.where(second >= 0, second + offset, -1), *rest, self.env.rules)
-        check_consumption(flows[np.concatenate([unit + k for unit, k in zip(self.living, starts)]), _CONSUMPTION])
-        flows = flows.take(_FLOW_COLUMNS, axis=1)
-        # np.add.reduce over the rows of a row-major matrix (``take`` keeps
-        # that layout) adds them one at a time, in row order.
-        for cell, quarters in groupby(self.quarters, key=operator.itemgetter(0)):
-            rows = np.concatenate([np.arange(starts[k], starts[k] + counts[k]) for _, k in quarters])
-            self.partial[cell] = np.add.reduce(np.vstack((self.partial[cell], flows.take(rows, axis=0))), axis=0)
-        self.inputs, self.units, self.living, self.quarters, self.rows = [], [], [], [], 0
+def _price_into(partial: np.ndarray, cells: list[int], pricing: PricingLedger, rules) -> None:
+    """Price the quarters ``pricing`` recorded in one ``price_units`` call
+    and add each quarter's rows into its age cell, ``cells`` in quarter
+    order, in quarter, household and unit order."""
+    flows = price_units(*pricing.price_args(), rules)
+    rows, _ = pricing.settle(flows)
+    flows = flows.take(_FLOW_COLUMNS, axis=1)
+    # np.add.reduce over the rows of a row-major matrix (``take`` and
+    # ``vstack`` keep that layout) adds them one at a time, in row order.
+    for cell, quarters in groupby(zip(cells, rows), key=operator.itemgetter(0)):
+        partial[cell] = np.add.reduce(np.vstack((partial[cell], *(flows[q] for _, q in quarters))), axis=0)
+    cells.clear()
 
 
 def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
@@ -270,7 +216,8 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
     row0 = 0
     for households, flows in zip(blocks, flow_blocks):
         b = env.block(households)
-        pricing = _BlockPricing(env, b, flows)
+        pricing = PricingLedger(env)
+        cells: list[int] = []   # each recorded quarter's age cell
         rows = slice(row0, row0 + b.n)
         obs = np.zeros((b.n, OBS_DIM))
         masks = np.zeros((b.n, N_ACTIONS), dtype=bool)
@@ -296,14 +243,18 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
             else:
                 changed = env.static_block(b).size > 0
             check_ages(b.age[b.state != _DEAD])
-            pricing.record(age_cell, changed)
+            pricing.record(b, changed)
+            cells.append(age_cell)
+            if pricing.rows >= PRICING_ROWS:
+                _price_into(flows, cells, pricing, env.rules)
             states[rows, q] = b.state
             hours[rows, q] = b.hours
             paid[rows, q] = b.paid_wage
             er_days[rows, q] = b.ub_days_used
             if q == decision_q - 1:
                 env.freeze_block(b)
-        pricing.price()
+        if cells:
+            _price_into(flows, cells, pricing, env.rules)
         b.write_back(households)
         row0 += b.n
 
@@ -403,8 +354,12 @@ class AggregateReport:
     public_net: float
     duration_bins: np.ndarray             # (bands, 5) row-normalized
     duration_counts: np.ndarray           # (bands, 5) raw spell counts
-    emtr_histogram: np.ndarray
+    emtr_histogram: np.ndarray            # counts in INCENTIVE_BINS
     ptr_histogram: np.ndarray
+    emtr_underflow: int                   # samples below the first bin
+    emtr_overflow: int                    # samples above the last bin
+    ptr_underflow: int
+    ptr_overflow: int
     emtr_median: float
     ptr_median: float
     scaled: bool = False
@@ -530,6 +485,17 @@ def _work_by_age(log: SimulationLog) -> tuple[dict[str, np.ndarray], dict[int, n
     return fte_by_age, {h: worked[:, k] / 4.0 for k, h in enumerate(ALLOWED_HOURS)}
 
 
+def _incentive_histograms(log: SimulationLog) -> dict:
+    """The EMTR and PTR samples' counts in each of the ``INCENTIVE_BINS``
+    (the last closed), and the counts below and above them."""
+    out = {}
+    for name, samples in (("emtr", log.emtr_samples), ("ptr", log.ptr_samples)):
+        out[f"{name}_histogram"] = np.histogram(samples, bins=INCENTIVE_BINS)[0].astype(float)
+        out[f"{name}_underflow"] = int(np.count_nonzero(samples < INCENTIVE_BINS[0]))
+        out[f"{name}_overflow"] = int(np.count_nonzero(samples > INCENTIVE_BINS[-1]))
+    return out
+
+
 def aggregate(log: SimulationLog) -> AggregateReport:
     """The report of one cohort log.  Rates, shares and counts come from
     the agent-quarter counts by gender, age and state; the FTE sums and the
@@ -572,9 +538,6 @@ def aggregate(log: SimulationLog) -> AggregateReport:
 
     duration_shares, duration_counts = _duration_tables(log)
 
-    emtr_hist, _ = np.histogram(log.emtr_samples, bins=np.linspace(0, 1.5, 31))
-    ptr_hist, _ = np.histogram(log.ptr_samples, bins=np.linspace(0, 1.5, 31))
-
     return AggregateReport(
         cohort_size=log.cohort_size,
         ages=ages,
@@ -595,8 +558,7 @@ def aggregate(log: SimulationLog) -> AggregateReport:
         public_net=_public_net(flows),
         duration_bins=duration_shares,
         duration_counts=duration_counts,
-        emtr_histogram=emtr_hist.astype(float),
-        ptr_histogram=ptr_hist.astype(float),
+        **_incentive_histograms(log),
         emtr_median=float(np.median(log.emtr_samples)) if log.emtr_samples.size else float("nan"),
         ptr_median=float(np.median(log.ptr_samples)) if log.ptr_samples.size else float("nan"),
     )

@@ -10,6 +10,10 @@ of the update's :class:`~lifesim.solver.network.ForwardCache`, and its
 logits and values are kept, so the update runs no forward pass of its own:
 ``a2c_loss_grads`` reads that cache.  An update runs ``rollout + 1`` forward
 passes, the last for the bootstrap value.
+
+Rewards are read only for the returns, so the update asks its
+:class:`VectorEnv` for the rollout's rewards once, after the last step, and
+takes them, and the episode sums, in step order.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .network import Adam, ForwardCache, PolicyValueNet, clip_grads, log_softmax
 
 
 class VectorEnv(Protocol):
-    """Batch of actor slots advancing in lockstep with auto-reset."""
+    """Batch of actor slots advancing in lockstep with auto-reset.  ``step``
+    gives observations, legal masks and done flags; ``rewards`` the
+    ``(steps, n_actors)`` rewards of the steps since its last call."""
 
     n_actors: int
     obs_dim: int
@@ -33,7 +39,9 @@ class VectorEnv(Protocol):
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]: ...
 
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]: ...
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+    def rewards(self) -> np.ndarray: ...
 
 
 @dataclass
@@ -145,27 +153,27 @@ def train_actor_critic(env: VectorEnv, config: TrainConfig,
     net.reserve(update_cache, config.rollout * n)
 
     for update in range(n_updates):
-        bl, bv, bm, ba, br, bd = [], [], [], [], [], []
+        bl, bv, bm, ba, bd = [], [], [], [], []
         for t in range(config.rollout):
             logits, values = net.forward(obs, update_cache.view(t * n, (t + 1) * n))
             actions = sample_masked(logits, masks, rng.random(n))
-            nobs, nmasks, rewards, dones = env.step(actions)
-            steps_done += n
-
             bl.append(logits)
             bv.append(values)
             bm.append(masks)
             ba.append(actions)
-            br.append(rewards * config.reward_scale)
+            obs, masks, dones = env.step(actions)
             bd.append(dones)
+            steps_done += n
 
-            episode_return += episode_discount * rewards
+        rewards = env.rewards()
+        for step_rewards, dones in zip(rewards, bd):
+            episode_return += episode_discount * step_rewards
             episode_discount *= gamma
             for i in np.flatnonzero(dones):
                 finished_returns.append(float(episode_return[i]))
                 episode_return[i] = 0.0
                 episode_discount[i] = 1.0
-            obs, masks = nobs, nmasks
+        br = rewards * config.reward_scale
 
         bootstrap = net.value(obs)
         returns = np.zeros((config.rollout, n))

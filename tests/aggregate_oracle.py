@@ -170,6 +170,10 @@ def aggregate(log: SimulationLog) -> AggregateReport:
         duration_counts=duration_counts,
         emtr_histogram=emtr_hist.astype(float),
         ptr_histogram=ptr_hist.astype(float),
+        emtr_underflow=sum(1 for x in log.emtr_samples.tolist() if x < 0.0),
+        emtr_overflow=sum(1 for x in log.emtr_samples.tolist() if x > 1.5),
+        ptr_underflow=sum(1 for x in log.ptr_samples.tolist() if x < 0.0),
+        ptr_overflow=sum(1 for x in log.ptr_samples.tolist() if x > 1.5),
         emtr_median=float(np.median(log.emtr_samples)) if log.emtr_samples.size else float("nan"),
         ptr_median=float(np.median(log.ptr_samples)) if log.ptr_samples.size else float("nan"),
     )

@@ -1,8 +1,8 @@
 """The cohort simulator as it stood when every simulated quarter was priced
 as it ran, kept verbatim as a test oracle: ``_run_blocks`` with
-``LifecycleEnv.step_block`` (transition, pricing and rewards) each decision
-quarter and the block's flow rows added into their age cell quarter by
-quarter.
+``step_block`` (transition, pricing and rewards, as ``LifecycleEnv`` ran
+it; now in ``train_oracle``) each decision quarter and the block's flow
+rows added into their age cell quarter by quarter.
 
 One line differs from the original: the static phase prices the whole
 block with ``LifecycleEnv.price`` after ``static_block`` reports a change,
@@ -36,6 +36,7 @@ from lifesim.simulate import (
 )
 from lifesim.solver.network import PolicyValueNet, sample_masked
 from one_household import _incentive_samples
+from train_oracle import step_block
 
 
 def run_cohort(net, pop, env, mode="sample", collect_incentives=False) -> SimulationLog:
@@ -81,7 +82,7 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                     acts = logits.argmax(axis=1)
                 else:
                     acts = sample_masked(logits, masks, uniforms[q])
-                env.step_block(b, acts, masks)
+                step_block(env, b, acts, masks)
                 unit_flows = b.flows.take(_FLOW_COLUMNS, axis=1)
                 if collect_incentives and q % 4 == 0:
                     _incentive_samples(env, b, emtr_samples, ptr_samples)

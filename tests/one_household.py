@@ -1,7 +1,8 @@
 """One-household and one-agent views of the block code, for the tests.
 
 Production steps, observes and prices whole household blocks
-(``LifecycleEnv.step_block``, ``vector.observe``, ``LifecycleEnv.price``)
+(``LifecycleEnv.advance_block``, ``vector.observe``, ``LifecycleEnv.price``;
+``train_oracle.step_block`` runs the first and the last, then the rewards)
 and evaluates utility on columns (``utility.UtilityColumns``); each function
 here runs that code on a list of records, one household or one agent.
 
@@ -27,6 +28,7 @@ from lifesim.rules import AdultSnapshot, CashFlows, HouseholdSnapshot, RuleSet
 from lifesim.rules import emtr as emtr_op, ptr as ptr_op
 from lifesim.states import EmploymentState as S
 from lifesim.wage import WageParams, potential_wage_columns
+from train_oracle import step_block
 
 
 def observe_households(households: list[HouseholdState], env: LifecycleEnv,
@@ -41,7 +43,7 @@ def step_households(households: list[HouseholdState], env: LifecycleEnv,
     the ``observe_households`` row layout, and write the new state into
     the records."""
     b = env.block(households)
-    env.step_block(b, actions, masks)
+    step_block(env, b, actions, masks)
     b.write_back(households)
     return [outcome(b, h, event_names(b, h)) for h in range(b.m)]
 

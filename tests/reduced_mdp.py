@@ -239,6 +239,7 @@ class ReducedVectorEnv:
         self._grid_obs = grid_observations(mdp, config)
         self._t = np.zeros(n_envs, dtype=np.int64)
         self._s = np.zeros(n_envs, dtype=np.int64)
+        self._rewards: list[np.ndarray] = []
 
     def _observe(self) -> tuple[np.ndarray, np.ndarray]:
         return self._grid_obs[self._t, self._s], self.mdp.legal[self._t, self._s]
@@ -252,14 +253,14 @@ class ReducedVectorEnv:
         self._s = self._draw_initial(self.n_actors)
         return self._observe()
 
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = self.n_actors
         u = self._rng.random(n)
         next_s = np.empty(n, dtype=np.int64)
         for i in range(n):
             row = self._cum_trans[self._s[i], actions[i]]
             next_s[i] = np.searchsorted(row, u[i], side="right")
-        rewards = self.mdp.arrival_rewards[next_s]
+        self._rewards.append(self.mdp.arrival_rewards[next_s])
         self._s = next_s
         self._t += 1
         dones = self._t >= self.mdp.n_periods
@@ -268,4 +269,9 @@ class ReducedVectorEnv:
             self._s[idx] = self._draw_initial(idx.size)
             self._t[idx] = 0
         obs, masks = self._observe()
-        return obs, masks, rewards, dones.astype(np.float64)
+        return obs, masks, dones.astype(np.float64)
+
+    def rewards(self) -> np.ndarray:
+        """The rewards of the steps since the last call, one row per step."""
+        rewards, self._rewards = np.array(self._rewards), []
+        return rewards

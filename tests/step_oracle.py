@@ -5,7 +5,8 @@ and utility functions it called, and the per-record demographic events that
 the survival loop below; production draws them on failure curves cached per
 hazard and start age, which must give the same clock on every draw.
 
-``tests/test_step_oracle.py`` asserts that ``LifecycleEnv.step_block``,
+``tests/test_step_oracle.py`` asserts that ``LifecycleEnv.advance_block``
+with the pricing and rewards after it (``train_oracle.step_block``),
 ``static_block``, ``freeze_block`` and ``terminal_block`` leave every field,
 flow, reward and random stream bit for bit where this step leaves them.
 Pricing goes through the production ``price_unit``, which

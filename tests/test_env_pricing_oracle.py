@@ -37,6 +37,7 @@ from lifesim.rules import (FLOW_COLUMNS, AdultColumns, AdultSnapshot, HouseholdS
                            price_units)
 from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
+from train_oracle import step_block
 from one_household import budget_units, household_flows, observe_households, step_households
 
 RULE_NAMES = [str(year) for year in range(2018, 2025)] + ["2023+orpo"]
@@ -370,7 +371,7 @@ def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
     for _ in range(150):
         observe(b, env, obs, masks)
         before = len(formed)
-        env.step_block(b, [int(rng.choice(np.flatnonzero(m))) for m in masks], masks)
+        step_block(env, b, [int(rng.choice(np.flatnonzero(m))) for m in masks], masks)
         changed = key is None or not all(np.array_equal(x, y) for x, y in zip(key, (
             b.state != int(S.DEAD), b.partnered, b.under3, b.under7, b.under18)))
         key = (b.state != int(S.DEAD), b.partnered.copy(), b.under3, b.under7, b.under18)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import warnings
 
@@ -239,13 +240,40 @@ def test_incentive_samples_collected(small_log):
 
 def test_each_incentive_histogram_written_on_its_own_counts(small_log, tmp_path):
     """EMTR samples can all fall outside the histogram's bins while PTR
-    samples do not; each file is written when its own histogram has counts."""
+    samples do not; each file is written when its own histogram, underflow
+    or overflow has counts."""
     report = aggregate(small_log)
     assert report.ptr_histogram.sum() > 0
     no_emtr = dataclasses.replace(report, emtr_histogram=np.zeros_like(report.emtr_histogram))
     names = {path.name for path in write_report_csvs(no_emtr, tmp_path)}
     assert "ptr_histogram.csv" in names and "emtr_histogram.csv" not in names
     assert (tmp_path / "ptr_histogram.csv").exists() and not (tmp_path / "emtr_histogram.csv").exists()
+
+
+def test_incentive_samples_outside_the_bins_are_counted_and_written(tmp_path):
+    """Every EMTR and PTR sample is accounted for: the ones below 0 and
+    above 1.5 (1.5 itself is in the last bin) as the histogram's underflow
+    and overflow, in the CSVs' first and last rows and in the summary."""
+    n, q = 1, 328
+    log = SimulationLog(
+        cohort_size=n, seed=0, n_quarters=q,
+        states=np.full((n, q), int(S.DEAD), dtype=np.int8), hours=np.zeros((n, q), np.int8),
+        paid_wage=np.zeros((n, q), np.float32), er_days_used=np.zeros((n, q), np.float32),
+        gender=np.zeros(n, np.int8), group=np.zeros(n, np.int8),
+        flows_by_age={k: np.zeros(82) for k in aggregate.__globals__["FLOW_NAMES"]},
+        consumption_by_age=np.zeros(82),
+        emtr_samples=np.array([-0.2, 0.3, 1.5]), ptr_samples=np.array([0.7, 1.99, 1.6, -0.1, 0.0]),
+    )
+    rep = aggregate(log)
+    assert (rep.emtr_underflow, rep.emtr_overflow, rep.emtr_histogram.sum()) == (1, 0, 2)
+    assert (rep.ptr_underflow, rep.ptr_overflow, rep.ptr_histogram.sum()) == (1, 2, 2)
+    write_report_csvs(rep, tmp_path)
+    for name, under, over in (("emtr", "1", "0"), ("ptr", "1", "2")):
+        rows = (tmp_path / f"{name}_histogram.csv").read_text().splitlines()
+        assert rows[1] == f"-inf,0,{under}" and rows[-1] == f"1.5,inf,{over}"
+        assert len(rows) == 1 + 30 + 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [summary[k] for k in ("emtr_underflow", "emtr_overflow", "ptr_underflow", "ptr_overflow")] == [1, 0, 1, 2]
 
 
 def test_summarize_reports_builds_each_reports_cells_once(small_log, monkeypatch):

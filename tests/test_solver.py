@@ -50,6 +50,7 @@ class DominatedActionEnv:
         self.step_discount = 0.95
         self.horizon = 10
         self._t = np.zeros(n_envs, dtype=np.int64)
+        self._rewards = []
 
     def _obs(self):
         obs = np.zeros((self.n_actors, 2))
@@ -62,12 +63,16 @@ class DominatedActionEnv:
         return self._obs()
 
     def step(self, actions):
-        rewards = actions.astype(np.float64)
+        self._rewards.append(actions.astype(np.float64))
         self._t += 1
         dones = self._t >= self.horizon
         self._t[dones] = 0
         obs, masks = self._obs()
-        return obs, masks, rewards, dones.astype(np.float64)
+        return obs, masks, dones.astype(np.float64)
+
+    def rewards(self):
+        rewards, self._rewards = np.array(self._rewards), []
+        return rewards
 
 
 @pytest.fixture(scope="module")

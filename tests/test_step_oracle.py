@@ -28,6 +28,7 @@ from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import load_ruleset
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
+from train_oracle import step_block
 
 RULE_NAMES = ["2018", "2019", "2020", "2021", "2022", "2023", "2024", "2023+orpo"]
 DECISION_QUARTERS = int(round((DECISION_END_AGE - 18.0) / DT))
@@ -107,7 +108,7 @@ def test_block_step_matches_per_household_oracle(rules_name):
     for _ in range(DECISION_QUARTERS):
         observe(b, env, obs, masks)
         acts = [int(policy.choice(np.flatnonzero(m))) for m in masks]
-        env.step_block(b, acts, masks)
+        step_block(env, b, acts, masks)
         outcomes = [oracle.step(hh, tuple(acts[starts[h]:starts[h + 1]]), masks=masks[starts[h]:starts[h + 1]])
                     for h, hh in enumerate(want)]
         outcomes_alone = [env.step(hh, tuple(acts[starts[h]:starts[h + 1]]), masks=masks[starts[h]:starts[h + 1]])
