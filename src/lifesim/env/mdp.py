@@ -50,8 +50,9 @@ step replaced, and its per-record demographic events, are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -399,7 +400,8 @@ class LifecycleEnv:
             start = width - int(b.window_len[r])
             wages = [w for worked, w in zip(b.worked[r, start:].tolist(), b.window_wage[r, start:].tolist())
                      if worked]
-            basis = sum(wages) / len(wages) / 3.0 if wages else 0.0
+            # left to right: builtin ``sum`` compensates from Python 3.12
+            basis = reduce(operator.add, wages, 0.0) / len(wages) / 3.0 if wages else 0.0
             age = float(b.age[r])
             if age >= er.senior_age:
                 basis = max(basis, float(b.ub_basis[r]))   # level protection at 58

@@ -20,7 +20,9 @@ reference the block phases are checked against, in ``tests/step_oracle.py``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +110,7 @@ class DemographicTables:
             if year >= y:
                 chosen = y
         raw = self.group_shares[chosen][gender]
-        total = sum(raw)
+        total = reduce(operator.add, raw, 0.0)   # left to right: builtin ``sum`` compensates from 3.12
         return tuple(v / total for v in raw)
 
     def mortality_quarterly(self, gender: str, age: float) -> float:

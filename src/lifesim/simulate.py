@@ -428,10 +428,11 @@ def _duration_tables(log: SimulationLog) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _public_net(flows: dict[str, float]) -> float:
-    """Taxes, contributions and VAT collected, less benefits paid."""
-    taxes = sum(flows[name] for name in TAX_FIELDS)
-    contribs = sum(flows[name] for name in CONTRIB_FIELDS)
-    benefits = sum(flows[name] for name in BENEFIT_FIELDS)
+    """Taxes, contributions and VAT collected, less benefits paid, each sum
+    added left to right (builtin ``sum`` compensates from Python 3.12)."""
+    taxes = reduce(operator.add, (flows[name] for name in TAX_FIELDS), 0.0)
+    contribs = reduce(operator.add, (flows[name] for name in CONTRIB_FIELDS), 0.0)
+    benefits = reduce(operator.add, (flows[name] for name in BENEFIT_FIELDS), 0.0)
     return taxes + contribs + flows["employer_contrib"] + flows["vat"] - benefits
 
 

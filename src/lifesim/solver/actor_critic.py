@@ -9,7 +9,12 @@ Each rollout step's forward pass writes into its own ``n_actors``-row slice
 of the update's :class:`~lifesim.solver.network.ForwardCache`, and its
 logits and values are kept, so the update runs no forward pass of its own:
 ``a2c_loss_grads`` reads that cache.  An update runs ``rollout + 1`` forward
-passes, the last for the bootstrap value.
+passes, the last for the bootstrap value.  The cache stores each activation
+once (the augmented layer inputs and the trunk output, no pre-activations),
+plus the backward's two scratch buffers of the widest layer; one cache
+serves every update of a run, so a run allocates them once.  At the CLI
+defaults (64 actors, 16-step rollouts, a (256, 256, 128) trunk) that is
+5.8 MB of activations and 4.2 MB of scratch per update.
 
 Rewards are read only for the returns, so the update asks its
 :class:`VectorEnv` for the rollout's rewards once, after the last step, and

@@ -5,20 +5,27 @@ head.  Biases are folded into the weight matrices via an augmented input
 column, which keeps the backward pass simple.
 Everything is float64 numpy for determinism and finite-difference checks.
 
-A forward pass writes every trunk layer into preallocated augmented buffers
-whose ones column is set once.  A pass with a ``ForwardCache`` writes into
-that cache, which the caller owns and hands to ``backward``; a pass without
-one writes into the net's own workspace, reallocated when the row count
-changes, so two nets never share buffers, but one net must not run forward
-passes from two threads at once.  A caller that batches several passes for
-one ``backward`` sizes a cache for all their rows (:meth:`PolicyValueNet.reserve`)
-and runs each pass into its own row range (:meth:`ForwardCache.view`), as
-the A2C rollout does.  The returned logits and values are always fresh
-arrays.  ``backward`` keeps its temporaries in the cache it is handed,
-sized on its first pass over that cache, so a caller that reuses one cache
-for every update allocates them once; the gradients it returns are fresh
-arrays.  ``Adam.step`` updates its moments and the parameters in place,
-through two scratch buffers per parameter.
+A forward pass stores each activation once: every trunk layer's matmul
+writes straight into the augmented buffer the next layer reads (its ones
+column set once, when the buffer is sized), and the leaky ReLU runs there
+in place through one small temporary the net keeps for its widest layer.
+No pre-activation is kept: the backward needs only the leaky ReLU's slope,
+and the activation has the pre-activation's sign.  A pass with a
+``ForwardCache`` writes into that cache, which the caller owns and hands to
+``backward``; a pass without one writes into the net's own workspace,
+reallocated when the row count changes, so two nets never share buffers,
+but one net must not run forward passes from two threads at once.  A caller
+that batches several passes for one ``backward`` sizes a cache for all
+their rows (:meth:`PolicyValueNet.reserve`) and runs each pass into its own
+row range (:meth:`ForwardCache.view`), as the A2C rollout does.  The
+returned logits and values are always fresh arrays.  ``backward`` keeps its
+temporaries in two buffers of the widest trunk layer, held by the cache it
+is handed and sized on its first pass over that cache; they swap between
+the gradient at a layer's output and that layer's slope, so a caller that
+reuses one cache for every update allocates them once.  The gradients it
+returns are fresh arrays.  ``Adam.step`` updates its moments and the
+parameters in place, through one scratch pair the size of the largest
+parameter.
 """
 
 from __future__ import annotations
@@ -33,19 +40,18 @@ MASK_FILL = -1e9
 
 @dataclass
 class ForwardCache:
-    inputs: list[np.ndarray] = field(default_factory=list)   # augmented layer inputs
-    preacts: list[np.ndarray] = field(default_factory=list)  # trunk pre-activations
-    trunk_out: np.ndarray | None = None                      # augmented trunk output
-    # backward's temporaries: the gradient at each trunk layer's output, and
-    # room for one layer's leaky-ReLU slope
-    grad_outputs: list[np.ndarray] = field(default_factory=list)
-    slope: np.ndarray | None = None
+    # augmented layer inputs: the observations, then each hidden layer's
+    # activation but the last's, each followed by its ones column
+    inputs: list[np.ndarray] = field(default_factory=list)
+    trunk_out: np.ndarray | None = None   # augmented trunk output (last activation)
+    # backward's two flat buffers of rows x widest layer, the rows of one
+    # array: each holds a layer's output gradient or its slope in turn
+    scratch: np.ndarray | None = None
 
     def view(self, start: int, stop: int) -> "ForwardCache":
         """The rows ``start:stop`` of this (sized) cache: a forward pass into
         the view writes those rows of every buffer."""
-        return ForwardCache([x[start:stop] for x in self.inputs], [z[start:stop] for z in self.preacts],
-                            self.trunk_out[start:stop])
+        return ForwardCache([x[start:stop] for x in self.inputs], self.trunk_out[start:stop])
 
 
 class PolicyValueNet:
@@ -68,7 +74,7 @@ class PolicyValueNet:
         self.w_policy[-1, :] = 0.0
         self.w_value = rng.standard_normal((last + 1, 1)) * 0.01
         self.w_value[-1, :] = 0.0
-        self._workspace = ForwardCache()
+        self._workspace, self._scaled = ForwardCache(), np.empty(0)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -93,8 +99,13 @@ class PolicyValueNet:
         self.set_parameters(out)
 
     def clone(self) -> "PolicyValueNet":
-        twin = PolicyValueNet(self.obs_dim, self.n_actions, self.hidden, seed=0)
-        twin.set_parameters(self.parameters())
+        """A twin with copies of the parameters and buffers of its own; it
+        draws no initial weights, which the constructor would."""
+        twin = object.__new__(PolicyValueNet)
+        twin.obs_dim, twin.n_actions, twin.hidden = self.obs_dim, self.n_actions, self.hidden
+        twin.trunk = [w.copy() for w in self.trunk]
+        twin.w_policy, twin.w_value = self.w_policy.copy(), self.w_value.copy()
+        twin._workspace, twin._scaled = ForwardCache(), np.empty(0)
         return twin
 
     # -- forward / backward -------------------------------------------------
@@ -106,7 +117,6 @@ class PolicyValueNet:
         if cache.trunk_out is not None and cache.trunk_out.shape[0] == rows:
             return
         cache.inputs = [np.ones((rows, w.shape[0])) for w in self.trunk]
-        cache.preacts = [np.empty((rows, w.shape[1])) for w in self.trunk]
         cache.trunk_out = np.ones((rows, self.w_policy.shape[0]))
 
     def forward(self, obs: np.ndarray, cache: ForwardCache | None = None
@@ -116,14 +126,18 @@ class PolicyValueNet:
             obs = obs[None, :]
         if cache is None:
             cache = self._workspace
-        self.reserve(cache, obs.shape[0])
+        rows = obs.shape[0]
+        self.reserve(cache, rows)
+        widest = max(self.hidden)
+        if self._scaled.size < rows * widest:
+            self._scaled = np.empty(rows * widest)
         x = cache.inputs[0]
         x[:, :-1] = obs
-        for w, z, x_next in zip(self.trunk, cache.preacts, [*cache.inputs[1:], cache.trunk_out]):
-            np.matmul(x, w, out=z)
+        for w, x_next in zip(self.trunk, [*cache.inputs[1:], cache.trunk_out]):
             h = x_next[:, :-1]
-            np.multiply(z, LEAKY_SLOPE, out=h)
-            np.maximum(z, h, out=h)   # leaky ReLU, the bits of where(z > 0, z, slope * z)
+            np.matmul(x, w, out=h)   # the pre-activation z, in the next layer's input
+            scaled = np.multiply(h, LEAKY_SLOPE, out=self._scaled[:h.size].reshape(h.shape))
+            np.maximum(h, scaled, out=h)   # leaky ReLU, the bits of where(z > 0, z, slope * z)
             x = x_next
         logits = x @ self.w_policy
         values = (x @ self.w_value)[:, 0]
@@ -131,30 +145,40 @@ class PolicyValueNet:
 
     def backward(self, cache: ForwardCache, d_logits: np.ndarray, d_values: np.ndarray
                  ) -> list[np.ndarray]:
-        """Gradients for every parameter given head-output gradients."""
+        """Gradients for every parameter given head-output gradients.
+
+        The temporaries live in the cache's two scratch buffers: one holds
+        the gradient at a layer's output, made d/dz in place, while the
+        other takes that layer's slope and then the gradient at the layer
+        below's output, and the two swap roles."""
         x_out = cache.trunk_out
         rows = x_out.shape[0]
-        widths = [w.shape[1] for w in self.trunk]
-        if cache.slope is None or cache.grad_outputs[0].shape[0] != rows:
-            cache.grad_outputs = [np.empty((rows, width)) for width in widths]
-            cache.slope = np.empty(rows * max(widths))
+        size = rows * max(self.hidden)
+        if cache.scratch is None or cache.scratch.shape[1] != size:
+            cache.scratch = np.empty((2, size))
+        grad, spare = cache.scratch
+
+        def rows_of(buf: np.ndarray, width: int) -> np.ndarray:
+            return buf[:rows * width].reshape(rows, width)
+
         g_policy = x_out.T @ d_logits
         g_value = x_out.T @ d_values[:, None]
-        d_h = cache.grad_outputs[-1]
-        np.matmul(d_logits, self.w_policy[:-1].T, out=d_h)
-        d_h += np.matmul(d_values[:, None], self.w_value[:-1].T,
-                         out=cache.slope[:d_h.size].reshape(d_h.shape))
+        d_h = np.matmul(d_logits, self.w_policy[:-1].T, out=rows_of(grad, self.hidden[-1]))
+        d_h += np.matmul(d_values[:, None], self.w_value[:-1].T, out=rows_of(spare, self.hidden[-1]))
 
+        activations = [x[:, :-1] for x in (*cache.inputs[1:], x_out)]
         grads_trunk: list[np.ndarray] = [None] * len(self.trunk)  # type: ignore[list-item]
         for i in range(len(self.trunk) - 1, -1, -1):
-            d_z = cache.grad_outputs[i]   # the gradient at this layer's output, made d/dz in place
-            # The leaky ReLU's slope: 1.0 where z > 0, else LEAKY_SLOPE (z NaN included).
-            slope = np.sign(cache.preacts[i], out=cache.slope[:d_z.size].reshape(d_z.shape))
+            # The leaky ReLU's slope: 1.0 where z > 0, else LEAKY_SLOPE (z NaN
+            # included), read from the activation, which has z's sign.
+            slope = np.sign(activations[i], out=rows_of(spare, d_h.shape[1]))
             np.fmax(slope, LEAKY_SLOPE, out=slope)
-            d_z *= slope
-            grads_trunk[i] = cache.inputs[i].T @ d_z
+            d_h *= slope   # now d/dz
+            grads_trunk[i] = cache.inputs[i].T @ d_h
             if i > 0:
-                np.matmul(d_z, self.trunk[i][:-1].T, out=cache.grad_outputs[i - 1])
+                w = self.trunk[i]
+                d_h = np.matmul(d_h, w[:-1].T, out=rows_of(spare, w.shape[0] - 1))
+                grad, spare = spare, grad
         return [*grads_trunk, g_policy, g_value]
 
     # -- inference helpers --------------------------------------------------
@@ -182,9 +206,13 @@ def masked_distribution(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 def sample_masked(logits: np.ndarray, masks: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One action per row, drawn by inverting the cumulative masked
-    distribution of ``logits`` at that row's uniform in ``u``."""
+    distribution of ``logits`` at that row's uniform in ``u``.  Rounding can
+    leave a row's cumulative probability short of 1, and a uniform can be
+    0.0, so each draw is clamped to the row's first and last legal actions:
+    no draw falls outside the catalogue or on a masked action."""
     cdf = np.cumsum(masked_distribution(logits, masks), axis=1)
-    return (cdf < u[:, None]).sum(axis=1)
+    last = masks.shape[1] - 1 - masks[:, ::-1].argmax(axis=1)
+    return np.maximum(np.minimum((cdf < u[:, None]).sum(axis=1), last), masks.argmax(axis=1))
 
 
 class Adam:
@@ -194,17 +222,18 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self._scratch = np.empty((2, max(p.size for p in params)))
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
         ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``, each operation in that
-        order, written into two scratch buffers per parameter."""
+        order, written into the scratch pair's leading ``p.size`` entries."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            a, b = (s[:p.size].reshape(p.shape) for s in self._scratch)
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2

@@ -1,0 +1,97 @@
+"""Golden behaviour: a seeded cohort and two training updates, pinned to
+``tests/golden.json``.
+
+The cohort is three 64-household blocks under the 2023 rules, in sample
+mode with incentive sampling on, driven by an untrained (256, 256, 128)
+net.  Its integer histories (states, hours, gender, group) are hashed
+exactly; its ``aggregate(...).cells()`` must match to 12 significant digits
+(relative 1e-12, NaN matching NaN).  The parameters after two
+``train_policy`` updates must match to a relative 1e-9.  A change that is
+meant to move these numbers regenerates the file, and says why, with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import math
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from lifesim.env import N_ACTIONS, OBS_DIM
+from lifesim.pipelines import EnvPaths, build_env, train_policy
+from lifesim.population import init_population
+from lifesim.simulate import BLOCK_HOUSEHOLDS, aggregate, run_cohort
+from lifesim.solver import PolicyValueNet, TrainConfig
+
+GOLDEN = pathlib.Path(__file__).with_name("golden.json")
+YEAR = 2023
+COHORT_AGENTS = 384          # 192 pair households: three blocks
+POPULATION_SEED = 2024
+NET_SEED = 1
+TRAIN_HOUSEHOLDS = 32        # 64 actors, as at the CLI defaults
+TRAIN_HIDDEN = (16, 8)
+TRAIN_SEED = 3
+TRAIN_UPDATES = 2
+CELLS_RTOL = 1e-12
+PARAMETERS_RTOL = 1e-9
+
+
+def _histories_digest(log) -> str:
+    h = hashlib.sha256()
+    for a in (log.states, log.hours, log.gender, log.group):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def run_golden() -> dict:
+    env = build_env(EnvPaths.packaged(YEAR))
+    pop = init_population(COHORT_AGENTS, env.tables, seed=POPULATION_SEED, year=YEAR,
+                          wparams=env.wparams, draws=env.initial_draws)
+    assert len(pop.households) == 3 * BLOCK_HOUSEHOLDS
+    net = PolicyValueNet(OBS_DIM, N_ACTIONS, seed=NET_SEED)
+    log = run_cohort(net, pop, env, mode="sample", collect_incentives=True)
+    config = TrainConfig(total_steps=TRAIN_UPDATES * TrainConfig.rollout * 2 * TRAIN_HOUSEHOLDS,
+                         hidden=TRAIN_HIDDEN, seed=TRAIN_SEED)
+    trained = train_policy(env, config, n_households=TRAIN_HOUSEHOLDS).net
+    return {
+        "histories_sha256": _histories_digest(log),
+        "cells": aggregate(log).cells(),
+        "parameters": trained.flat_parameters().tolist(),
+    }
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return run_golden(), json.loads(GOLDEN.read_text())
+
+
+def test_cohort_histories_match_exactly(runs):
+    got, want = runs
+    assert got["histories_sha256"] == want["histories_sha256"]
+
+
+def test_cohort_cells_match_to_12_digits(runs):
+    got, want = runs
+    assert got["cells"].keys() == want["cells"].keys()
+    off = {k: (g, want["cells"][k]) for k, g in got["cells"].items()
+           if not (math.isnan(g) and math.isnan(want["cells"][k])
+                   or math.isclose(g, want["cells"][k], rel_tol=CELLS_RTOL))}
+    assert not off
+
+
+def test_parameters_after_two_updates_match(runs):
+    got, want = runs
+    np.testing.assert_allclose(got["parameters"], want["parameters"], rtol=PARAMETERS_RTOL, atol=0.0)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
+    GOLDEN.write_text(json.dumps(run_golden(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -20,7 +20,7 @@ from lifesim.solver import (
     save_checkpoint,
     train_actor_critic,
 )
-from lifesim.solver.network import Adam, ForwardCache, log_softmax
+from lifesim.solver.network import Adam, ForwardCache, log_softmax, sample_masked
 from policy_helpers import policy_act, value_estimate
 from reduced_mdp import ReducedConfig, ReducedVectorEnv, build_reduced_mdp, grid_observations
 
@@ -282,13 +282,15 @@ def test_uncached_pass_between_forward_and_backward_keeps_gradients():
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
-def _reference_backward(net, obs, d_logits, d_values):
-    """The backward pass written out with fresh arrays at every step."""
+def _reference_backward(net, obs, d_logits, d_values, pass_rows=None):
+    """The backward pass written out with fresh arrays at every step, after a
+    forward run in passes of ``pass_rows`` rows (default: one pass)."""
+    pass_rows = pass_rows or len(obs)
     inputs, preacts = [], []
     h = obs
     for w in net.trunk:
         x = np.concatenate([h, np.ones((len(h), 1))], axis=1)
-        z = x @ w
+        z = np.concatenate([x[i:i + pass_rows] @ w for i in range(0, len(x), pass_rows)])
         inputs.append(x)
         preacts.append(z)
         h = np.where(z > 0.0, z, 0.01 * z)
@@ -327,6 +329,68 @@ def test_backward_gradients_are_fresh_and_equal_a_fresh_array_pass():
     arrays = [g for grads, _ in kept for g in grads]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def _assert_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [24, 64, 1024])
+def test_production_net_passes_equal_the_fresh_array_passes(rows):
+    """The (256, 256, 128) net on the env's observations and actions, at
+    the row counts the benchmark runs, takes BLAS paths the small nets
+    above never reach; its forward and backward equal the fresh-array
+    passes bit for bit, on a fresh cache and on a reused one."""
+    rng = np.random.default_rng(rows)
+    net = PolicyValueNet(OBS_DIM, N_ACTIONS, (256, 256, 128), seed=9)
+    cache = ForwardCache()
+    for _ in range(2):
+        obs = rng.standard_normal((rows, OBS_DIM))
+        d_logits, d_values = rng.standard_normal((rows, N_ACTIONS)), rng.standard_normal(rows)
+        _assert_bits(net.forward(obs, cache), _reference_forward(net, obs))
+        _assert_bits(net.backward(cache, d_logits, d_values),
+                     _reference_backward(net, obs, d_logits, d_values))
+        _assert_bits(net.forward(obs), _reference_forward(net, obs))
+
+
+def test_production_net_through_cache_views_equals_the_fresh_array_passes():
+    """Sixteen 64-row passes into the views of one 1,024-row cache, as an
+    A2C rollout runs them: each pass equals the fresh-array forward of its
+    rows, and the backward over the whole cache equals the fresh-array
+    backward after a forward in the same 64-row passes."""
+    rng = np.random.default_rng(11)
+    net = PolicyValueNet(OBS_DIM, N_ACTIONS, (256, 256, 128), seed=10)
+    obs = rng.standard_normal((16 * 64, OBS_DIM))
+    d_logits, d_values = rng.standard_normal((16 * 64, N_ACTIONS)), rng.standard_normal(16 * 64)
+    cache = ForwardCache()
+    net.reserve(cache, 16 * 64)
+    for t in range(16):
+        rows = slice(64 * t, 64 * (t + 1))
+        _assert_bits(net.forward(obs[rows], cache.view(rows.start, rows.stop)),
+                     _reference_forward(net, obs[rows]))
+    _assert_bits(net.backward(cache, d_logits, d_values),
+                 _reference_backward(net, obs, d_logits, d_values, pass_rows=64))
+
+
+def test_slope_read_from_the_activation_at_zero_nan_inf_and_underflow():
+    """The backward reads each leaky ReLU's slope from the stored activation,
+    not the pre-activation: at z = 0, NaN, +-inf and a negative z whose
+    activation underflows to -0 the two signs agree, so the trunk gradient
+    equals the fresh-array backward's, which tests ``z > 0``."""
+    z = np.array([0.0, np.nan, np.inf, -np.inf, -5e-324, 3.0, -2.0])
+    net = PolicyValueNet(obs_dim=1, n_actions=3, hidden=(len(z),), seed=1)
+    net.trunk[0] = np.vstack([z, np.full(len(z), -0.0)])   # z = 1 * z + 1 * (-0.0)
+    obs = np.ones((1, 1))
+    rng = np.random.default_rng(12)
+    d_logits, d_values = rng.standard_normal((1, 3)), rng.standard_normal(1)
+    cache = ForwardCache()
+    with np.errstate(invalid="ignore"):   # inf * 0 in the heads
+        net.forward(obs, cache)
+        got = net.backward(cache, d_logits, d_values)[0]
+        want = _reference_backward(net, obs, d_logits, d_values)[0]
+    assert np.isfinite(want).all()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_a2c_update_on_a_reused_cache_equals_a_fresh_cache():
@@ -431,6 +495,23 @@ def test_update_gradients_equal_a_fresh_forward_in_rollout_chunks(monkeypatch):
     assert metrics == seen["metrics"]
     for got, want in zip(seen["grads"], grads):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_sample_masked_draws_only_legal_actions_of_the_catalogue():
+    """Rounding leaves these rows' cumulative probability short of 1 at their
+    last legal action, so a uniform just below 1 passes it; and a uniform of
+    0.0 passes no cumulative value.  Each draw must still be a legal action."""
+    logits = np.array([[0.9, 0.1, -0.7, -0.9, -0.5, 0.2, -1.0, -0.2, -0.2, 0.5, 0.2, 0.4],
+                       [0.8, 0.8, 0.1, -1.4, -0.1, -0.8, -1.4, 0.3, -0.6, -1.0, -1.0, 0.3]])
+    every = np.ones((2, 12), dtype=bool)
+    inner = every.copy()
+    inner[:, 0] = inner[:, 9:] = False   # legal: actions 1 to 8
+    assert np.cumsum(masked_distribution(logits, every), axis=1)[0, -1] < 1.0
+    assert np.cumsum(masked_distribution(logits, inner), axis=1)[1, 8] < 1.0
+    top = np.full(2, np.nextafter(1.0, 0.0))
+    assert sample_masked(logits, every, top)[0] == 11
+    assert sample_masked(logits, inner, top)[1] == 8
+    assert sample_masked(logits, inner, np.zeros(2)).tolist() == [1, 1]
 
 
 # ---------------------------------------------------------------------------
