@@ -124,12 +124,11 @@ class HouseholdBlock:
     rows (``m``): ``first`` row, ``size``, ``partnered``, the birth,
     marriage and divorce clocks, ``child_age`` (a column per child ever
     held, in birth order, NaN once gone), the child bands, the ``mother``
-    and ``father`` rows (-1 for none) and the generators.  The last
-    priced quarter's ``reward``, ``consumption``, budget ``units`` and their
-    ``flows`` (a row each, see ``LifecycleEnv.price``, with the
-    ``unit_key`` the units were formed from and the ``sharers`` of each
-    unit's consumption), ``event`` codes and ``birth`` flags are kept beside
-    the state.
+    and ``father`` rows (-1 for none) and the generators.  The budget
+    ``units`` (see ``LifecycleEnv.units``, with the ``unit_key`` they were
+    formed from and the ``sharers`` of each unit's consumption), the last
+    quarter's ``event`` codes and ``birth`` flags are kept beside the state;
+    nothing priced is (see ``PricingLedger``).
     """
 
     @classmethod
@@ -187,9 +186,7 @@ class HouseholdBlock:
         b.rng_exo = [hh.rng_exo for hh in records]
         b.rng_act = [hh.rng_act for hh in records]
 
-        b.reward = np.zeros(b.n)
-        b.consumption = np.zeros(b.n)
-        b.units = b.flows = b.unit_key = b.sharers = None   # set by LifecycleEnv.price
+        b.units = b.unit_key = b.sharers = None   # set by LifecycleEnv.units
         b.event = np.zeros(b.n, dtype=np.int8)
         b.birth = np.zeros(b.m, dtype=bool)
         b.stale = np.ones(b.m, dtype=bool)   # flows not priced for the static phase yet

@@ -139,7 +139,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     net, _ = load_checkpoint(ckpt)
     env = build_env(_env_paths(cfg))
     cohort = int(sim.get("cohort", 2000))
-    pop = init_population(cohort, env.tables, seed=seed, year=env.rules.year, wparams=env.wparams)
+    pop = init_population(cohort, env, seed=seed)
     log = run_cohort_parallel(net, pop, env, workers=workers,
                               mode=sim.get("mode", "sample"),
                               collect_incentives=bool(sim.get("collect_incentives", False)))
@@ -202,7 +202,7 @@ def cmd_calibrate(cfg: dict, args: argparse.Namespace) -> int:
         tuned = _apply_calibration_params(env, params)
         tc = TrainConfig(total_steps=steps, hidden=(64, 64), seed=seed)
         net = train_policy(tuned, tc, n_households=16).net
-        pop = init_population(cohort, tuned.tables, seed=seed, year=tuned.rules.year, wparams=tuned.wparams)
+        pop = init_population(cohort, tuned, seed=seed)
         log = run_cohort_parallel(net, pop, tuned, workers=1)
         return aggregate(log)
 

@@ -21,19 +21,22 @@ slot order), repeating the per-agent formulas operation for operation:
   Python's left-to-right order.
 * Other loops run over the adults entering unemployment with a new benefit
   basis and the job searches from outside work.
-* Pricing runs on columns too.  :meth:`LifecycleEnv.price` prices every
-  budget unit of the block with ``rules.price_units`` into ``b.flows``, a
-  row per unit of ``b.units``, and shares each unit's consumption among its
-  living adults; it forms the units, and who shares them, again only when
-  who lives, who is partnered or a child band changed.  The simulator's
-  EMTR and PTR samples are priced on these columns too.  The scalar
+* One pricer.  A :class:`PricingLedger` prices every quarter of a block
+  that anything reads the flows, consumption or rewards of: training's and
+  the simulator's many at once, and ``terminal_block`` and the
+  one-household ``step`` and ``static_quarter`` the one they ran.  It
+  prices every budget unit (``units``) with ``rules.price_units``, a row
+  per unit, shares each unit's consumption among its living adults and,
+  when asked, rewards each adult; the block holds no priced state.  The
+  units, and who shares them, are formed again only when who lives, who is
+  partnered or a child band changed.  The simulator's EMTR and PTR
+  samples are priced on the block's columns too.  The scalar
   ``rules.price_unit`` stays behind the snapshot API (``net_income``,
   ``emtr``, ``ptr``) of ``lifesim emtr-scan``.
 * When a quarter is priced.  No transition reads a quarter's flows,
-  consumption or rewards, so training and the simulator run the transition
-  alone (``advance_block``, or ``static_block``, which reports the
-  households whose pricing inputs changed) and price many quarters at once
-  through a :class:`PricingLedger`.
+  consumption or rewards, so every caller runs the transition alone
+  (``advance_block``, or ``static_block``, which reports the households
+  whose pricing inputs changed) and prices after it.
 
 Marriage, divorce and birth clocks are drawn on failure curves built once
 per hazard and start age and kept with the env
@@ -179,22 +182,25 @@ class StepOutcome:
     events: tuple[str, ...]
 
 
-def unit_cash_flows(b: HouseholdBlock, h: int) -> list[CashFlows]:
+def unit_cash_flows(b: HouseholdBlock, h: int, flows: np.ndarray) -> list[CashFlows]:
     """The cash flows of household ``h``'s budget units, built from their
-    rows of ``b.flows``; ``adult_wages`` lists each unit adult's quarterly
-    wage (0.0 for the dead and the idle)."""
+    rows of ``flows``, the settled rows of ``b.units``; ``adult_wages``
+    lists each unit adult's quarterly wage (0.0 for the dead and the idle)."""
     units = b.units
     lo, hi = np.searchsorted(units.first, (b.first[h], b.first[h] + b.size[h]))
     wages = np.where(_IS_WORKING[b.state], b.paid_wage / 4.0, 0.0)
     return [CashFlows(*row, adult_wages=tuple(wages[[first] if second < 0 else [first, second]].tolist()))
-            for row, first, second in zip(b.flows[lo:hi].tolist(), units.first[lo:hi].tolist(),
+            for row, first, second in zip(flows[lo:hi].tolist(), units.first[lo:hi].tolist(),
                                           units.second[lo:hi].tolist())]
 
 
-def outcome(b: HouseholdBlock, h: int, events: tuple[str, ...] = ()) -> StepOutcome:
+def outcome(b: HouseholdBlock, h: int, flows: np.ndarray, consumption: np.ndarray, rewards: np.ndarray,
+            events: tuple[str, ...] = ()) -> StepOutcome:
+    """Household ``h``'s outcome from its block's settled quarter: the unit
+    ``flows`` and each adult row's ``consumption`` and ``rewards``."""
     rows = slice(int(b.first[h]), int(b.first[h] + b.size[h]))
-    return StepOutcome(rewards=tuple(b.reward[rows].tolist()), consumptions=tuple(b.consumption[rows].tolist()),
-                       flows=unit_cash_flows(b, h), events=events)
+    return StepOutcome(rewards=tuple(rewards[rows].tolist()), consumptions=tuple(consumption[rows].tolist()),
+                       flows=unit_cash_flows(b, h, flows), events=events)
 
 
 def event_names(b: HouseholdBlock, h: int) -> tuple[str, ...]:
@@ -358,18 +364,6 @@ class LifecycleEnv:
     def adult_columns(b: HouseholdBlock) -> AdultColumns:
         """The pricing inputs of every adult row of ``b``."""
         return pricing_columns(*(getattr(b, name) for name in PRICING_INPUTS))
-
-    def price(self, b: HouseholdBlock) -> None:
-        """Price every budget unit of ``b`` (:meth:`units`) with
-        :func:`~lifesim.rules.price_units` into ``b.flows``, a row per unit,
-        and set each adult's consumption: a unit's consumption is shared
-        equally by its living adults (``b.sharers``), and an adult in no
-        unit, or dead, consumes nothing."""
-        units = self.units(b)
-        b.flows = price_units(self.adult_columns(b), *units, self.rules)
-        share = b.sharers
-        b.consumption[:] = 0.0
-        b.consumption[share.rows] = b.flows[share.unit, _CONSUMPTION] / share.divisor
 
     # -- shared transitions -------------------------------------------------
 
@@ -673,13 +667,6 @@ class LifecycleEnv:
                 b.age[spent] >= extended_age, _ER_EXTENDED, _BASIC_UNEMPLOYED)
         b.time_in_state[live] = np.where(b.state[live] == before[live], b.time_in_state[live] + DT, 0.0)
 
-    # -- rewards ------------------------------------------------------------
-
-    def _rewards(self, b: HouseholdBlock, rows: np.ndarray) -> np.ndarray:
-        """One quarter's utility of the living adult ``rows``, times DT."""
-        return self._utility.utility(b.consumption[rows], b.state[rows], b.women[rows], b.hours[rows], b.age[rows],
-                                     b.pink_slip[rows], b.under3[b.hh[rows]] > 0) * DT
-
     # -- block stepping API -------------------------------------------------
 
     def advance_block(self, b: HouseholdBlock, actions, masks: np.ndarray) -> None:
@@ -735,7 +722,6 @@ class LifecycleEnv:
         for old, new in zip(bands, (b.under3, b.under7, b.under18)):
             changed |= old != new
         b.stale[:] = False
-        b.reward[:] = 0.0
         return changed.nonzero()[0]
 
     def freeze_block(self, b: HouseholdBlock) -> None:
@@ -752,10 +738,10 @@ class LifecycleEnv:
         episodes' terminal bonus; the simulator plays the phase out instead.
         """
         self.freeze_block(b)
-        self.price(b)
+        rewards = PricingLedger(self, rewards=True).price_alone(b)[2]
         rows = (b.state != _DEAD).nonzero()[0]
         values = np.zeros(b.n)
-        for r, u_now in zip(rows.tolist(), self._rewards(b, rows).tolist()):
+        for r, u_now in zip(rows.tolist(), rewards[rows].tolist()):
             total = 0.0
             for w in self._survival_weights("women" if b.women[r] else "men", float(b.age[r])):
                 total += w * u_now
@@ -797,11 +783,8 @@ class LifecycleEnv:
             masks = [legal_mask(a, hh, self.rules) for a in hh.adults]
         b = self.block([hh])
         self.advance_block(b, action_indices, np.asarray(masks, dtype=bool).reshape(b.n, -1))
-        self.price(b)
-        live = (b.state != _DEAD).nonzero()[0]
-        b.reward[live] = self._rewards(b, live)
         b.write_back([hh])
-        return outcome(b, 0, event_names(b, 0))
+        return outcome(b, 0, *PricingLedger(self, rewards=True).price_alone(b), event_names(b, 0))
 
     def static_quarter(self, hh: HouseholdState, last: StepOutcome | None = None) -> StepOutcome:
         """:meth:`static_block` on one household.  ``last`` is its outcome
@@ -810,10 +793,11 @@ class LifecycleEnv:
         b = self.block([hh])
         b.stale[:] = last is None
         priced = self.static_block(b).size
-        if priced:
-            self.price(b)
         b.write_back([hh])
-        return outcome(b, 0) if priced else last
+        if not priced:
+            return last
+        flows, consumption, _ = PricingLedger(self).price_alone(b)
+        return outcome(b, 0, flows, consumption, np.zeros(b.n))
 
     def freeze_for_static_phase(self, hh: HouseholdState) -> None:
         """:meth:`freeze_block` on one household."""
@@ -830,13 +814,15 @@ class LifecycleEnv:
 
 
 class PricingLedger:
-    """Quarters of household blocks, recorded as they run and priced
-    together after: the owner prices them in one ``rules.price_units`` call
-    on :meth:`price_args`, once they hold ``PRICING_ROWS`` unit rows or when
-    it needs them, and hands the flows to :meth:`settle`.  A unit's row has
-    the same bits in any call, and utility is elementwise with a scalar
-    ``math.log``, so each quarter gets the flows and rewards that pricing it
-    alone gives.
+    """The one pricer of household blocks: quarters recorded as they run and
+    priced together after.  The owner prices them in one
+    ``rules.price_units`` call on :meth:`price_args`, once they hold
+    ``PRICING_ROWS`` unit rows or when it needs them, and hands the flows to
+    :meth:`settle`, which shares out each unit's consumption and, with
+    ``rewards``, rewards each adult; :meth:`price_alone` does all three for
+    one quarter.  A unit's row has the same bits in any call, and utility is
+    elementwise with a scalar ``math.log``, so each quarter gets the flows,
+    consumption and rewards that pricing it alone gives.
 
     A recorded set is a float64 copy of a block's ``PRICING_INPUTS`` columns
     (``adult_columns`` returns views that the next quarter overwrites) and,
@@ -874,26 +860,39 @@ class PricingLedger:
         return (pricing_columns(inputs[0].astype(np.intp), *inputs[1:len(PRICING_INPUTS)]), first + offset,
                 np.where(second >= 0, second + offset, -1), *rest)
 
-    def settle(self, flows: np.ndarray) -> tuple[list[slice], list[np.ndarray] | None]:
+    def settle(self, flows: np.ndarray) -> tuple[list[slice], list[np.ndarray], list[np.ndarray] | None]:
         """Each recorded quarter's rows of ``flows`` (what ``price_units``
-        gave on :meth:`price_args`) and, with ``rewards``, its reward per
-        adult row: utility times DT, zero for the dead.  Empties the ledger.
-        Raises :class:`ContractViolation` when a living adult's unit consumes
+        gave on :meth:`price_args`), its consumption per adult row (a unit's
+        consumption shared equally by its living adults, ``sharers``; zero
+        for the dead) and, with ``rewards``, its reward per adult row:
+        utility times DT, zero for the dead.  Empties the ledger.  Raises
+        :class:`ContractViolation` when a living adult's unit consumes
         nothing or less, or, with ``rewards``, an age is outside 18 to 100."""
         inputs, units, sharers = zip(*self.sets)
         unit_starts = np.cumsum([0] + [len(u.first) for u in units]).tolist()
-        consumption = flows[np.concatenate([s.unit + k for s, k in zip(sharers, unit_starts)]), _CONSUMPTION]
-        check_consumption(consumption)
+        starts = np.cumsum([0] + [x.shape[1] for x in inputs]).tolist()
+        live = np.concatenate([s.rows + k for s, k in zip(sharers, starts)])
+        shared = flows[np.concatenate([s.unit + k for s, k in zip(sharers, unit_starts)]), _CONSUMPTION]
+        check_consumption(shared)
+        consumption = np.zeros(starts[-1])
+        consumption[live] = shared / np.concatenate([s.divisor for s in sharers])
         rewards = None
         if self.rewards:
-            starts = np.cumsum([0] + [x.shape[1] for x in inputs]).tolist()
-            live = np.concatenate([s.rows + k for s, k in zip(sharers, starts)])
             state, women, hours, age, pink_slip, child_under3 = np.concatenate(inputs, axis=1)[_UTILITY_INPUTS][:, live]
             values = np.zeros(starts[-1])
-            values[live] = self.env._utility.utility(consumption / np.concatenate([s.divisor for s in sharers]),
-                                                     state.astype(np.intp), women, hours.astype(np.intp), age,
-                                                     pink_slip > 0, child_under3 > 0) * DT
+            values[live] = self.env._utility.utility(consumption[live], state.astype(np.intp), women,
+                                                     hours.astype(np.intp), age, pink_slip > 0, child_under3 > 0) * DT
             rewards = [values[starts[k]:starts[k + 1]] for k in self.quarters]
         rows = [slice(unit_starts[k], unit_starts[k + 1]) for k in self.quarters]
+        consumption = [consumption[starts[k]:starts[k + 1]] for k in self.quarters]
         self.sets, self.quarters, self.rows = [], [], 0
-        return rows, rewards
+        return rows, consumption, rewards
+
+    def price_alone(self, b: HouseholdBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``b``'s quarter recorded into this empty ledger, priced and
+        settled: its unit flows (a row per unit of ``env.units``), and its
+        consumption and, with ``rewards``, its reward per adult row."""
+        self.record(b)
+        flows = price_units(*self.price_args(), self.env.rules)
+        _, (consumption,), rewards = self.settle(flows)
+        return flows, consumption, None if rewards is None else rewards[0]

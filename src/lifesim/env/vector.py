@@ -53,7 +53,6 @@ class LifecycleVectorEnv:
         env: LifecycleEnv,
         n_households: int = 32,
         seed: int = 0,
-        year: int = 2023,
     ) -> None:
         self.env = env
         self.n_households = n_households
@@ -61,7 +60,6 @@ class LifecycleVectorEnv:
         self.obs_dim = OBS_DIM
         self.n_actions = N_ACTIONS
         self.step_discount = env.uparams.step_discount
-        self.year = year
         self.episode_quarters = int(round((DECISION_END_AGE - 18.0) / DT))
         self._seed_stream = np.random.SeedSequence((seed, 0xF00D))
         self._block: HouseholdBlock | None = None
@@ -75,10 +73,8 @@ class LifecycleVectorEnv:
         self._bonus: list[tuple[int, np.ndarray]] = []
 
     def _fresh_block(self) -> HouseholdBlock:
-        return self.env.block([
-            spawn_pair_household(self._seed_stream.spawn(1)[0], self.env.tables, self.env.wparams,
-                                 self.env.initial_draws, self.year)
-            for _ in range(self.n_households)])
+        return self.env.block([spawn_pair_household(self._seed_stream.spawn(1)[0], self.env)
+                               for _ in range(self.n_households)])
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         self._block = self._fresh_block()
@@ -105,7 +101,7 @@ class LifecycleVectorEnv:
         return self._obs.copy(), self._masks.copy(), np.full(self.n_actors, float(done))
 
     def _settle(self) -> None:
-        _, rewards = self._ledger.settle(price_units(*self._ledger.price_args(), self.env.rules))
+        _, _, rewards = self._ledger.settle(price_units(*self._ledger.price_args(), self.env.rules))
         self._rewards += rewards
 
     def rewards(self) -> np.ndarray:

@@ -51,12 +51,11 @@ def build_env(paths: EnvPaths, rules: RuleSet | None = None) -> LifecycleEnv:
 
 
 def train_policy(env: LifecycleEnv, config: TrainConfig, n_households: int = 32,
-                 base_net: PolicyValueNet | None = None, year: int | None = None) -> TrainResult:
-    """A2C on ``n_households`` pair households drawn for ``year`` (default:
-    the rule set's year).  With ``base_net`` training continues from a clone
+                 base_net: PolicyValueNet | None = None) -> TrainResult:
+    """A2C on ``n_households`` pair households drawn from ``env`` (for the
+    rule set's year).  With ``base_net`` training continues from a clone
     of it, and the base net fixes the shape: ``config.hidden`` is not read."""
-    venv = LifecycleVectorEnv(env, n_households=n_households, seed=config.seed,
-                              year=year if year is not None else env.rules.year)
+    venv = LifecycleVectorEnv(env, n_households=n_households, seed=config.seed)
     net = base_net.clone() if base_net is not None else None
     return train_actor_critic(venv, config, net=net)
 
@@ -96,9 +95,8 @@ def run_repeat_protocol(base_net: PolicyValueNet, env: LifecycleEnv,
 
     def make_population(i: int):
         # Population seeds are paired across arms: they do not carry the salt.
-        return init_population(protocol.cohort_size, env.tables,
-                               seed=int(np.random.SeedSequence((protocol.seed, i)).generate_state(1)[0]),
-                               year=env.rules.year, wparams=env.wparams, draws=env.initial_draws)
+        return init_population(protocol.cohort_size, env,
+                               seed=int(np.random.SeedSequence((protocol.seed, i)).generate_state(1)[0]))
 
     return repeat_protocol(make_refit, make_population, env,
                            n_repeats=protocol.n_repeats, mode=protocol.mode,

@@ -24,6 +24,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .errors import ContractViolation, ParameterError
 from .paramfiles import build, load_yaml, params_dir
 from .states import EmploymentState as S, Gender
 from .wage import WageParams, paid_wage
+
+if TYPE_CHECKING:
+    from .env.mdp import LifecycleEnv
 
 _DEAD = int(S.DEAD)
 
@@ -269,25 +273,16 @@ def _initial_agent(
     return agent
 
 
-def init_population(
-    n: int,
-    tables: DemographicTables,
-    seed: int,
-    year: int = 2023,
-    wparams: WageParams | None = None,
-    draws: InitialDraws | None = None,
-) -> CohortPopulation:
-    """A cohort of ``n`` agents aged 18, paired into household records.
-    ``draws`` is ``initial_draw_tables(tables)``, built here when None."""
+def init_population(n: int, env: LifecycleEnv, seed: int) -> CohortPopulation:
+    """A cohort of ``n`` agents aged 18, paired into household records,
+    drawn from ``env``'s demographic tables, wage parameters and initial
+    draw tables, with the group shares of its rule set's year."""
     if n < 1:
         raise ContractViolation("population size must be at least 1")
-    if wparams is None:
-        from .wage import load_wage_params
-
-        wparams = load_wage_params()
+    tables, wparams, year = env.tables, env.wparams, env.rules.year
     ss = np.random.SeedSequence(seed)
     master = np.random.default_rng(ss.spawn(1)[0])
-    curves, state_cdf = draws if draws is not None else initial_draw_tables(tables)
+    curves, state_cdf = env.initial_draws
 
     n_men = int(np.round(n * tables.gender_shares["men"]))
     n_men = min(max(n_men, 0), n)
@@ -360,19 +355,14 @@ def _draw_household_clocks(hh: HouseholdState, curves: dict[str, np.ndarray]) ->
         hh.until_marriage = draw_from_curve(curves["marriage"], hh.rng_exo)
 
 
-def spawn_pair_household(
-    seed_seq: np.random.SeedSequence,
-    tables: DemographicTables,
-    wparams: WageParams,
-    draws: InitialDraws,
-    year: int = 2023,
-) -> HouseholdState:
-    """One fresh pair household at age 18 (training reservoir use);
-    ``draws`` is ``initial_draw_tables(tables)``."""
+def spawn_pair_household(seed_seq: np.random.SeedSequence, env: LifecycleEnv) -> HouseholdState:
+    """One fresh pair household at age 18 (training reservoir use), drawn
+    from ``env`` as :func:`init_population` draws."""
     child = seed_seq.spawn(2)
     rng_exo = np.random.default_rng(child[0])
     rng_act = np.random.default_rng(child[1])
-    curves, state_cdf = draws
+    tables, wparams, year = env.tables, env.wparams, env.rules.year
+    curves, state_cdf = env.initial_draws
 
     g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), rng_exo.random(),
                               side="right"))

@@ -24,9 +24,8 @@ Two paths price:
   numpy batch of one would cost several times more; ``emtr`` adds its wage
   bump inside the priced row;
 * the environment prices budget units through ``price_units``, straight
-  from a block's columns: ``LifecycleEnv.price`` every unit of a block as
-  it stands, and ``PricingLedger`` the units of many recorded quarters at
-  once.
+  from a block's columns: ``PricingLedger`` the units of one or many
+  recorded quarters at once.
 
 The public helpers (:func:`unemployment_benefit`, :func:`pension_benefit`,
 :func:`housing_benefit`, ...) are the functions the scalar core calls or thin

@@ -150,7 +150,7 @@ def _price_into(partial: np.ndarray, cells: list[int], pricing: PricingLedger, r
     and add each quarter's rows into its age cell, ``cells`` in quarter
     order, in quarter, household and unit order."""
     flows = price_units(*pricing.price_args(), rules)
-    rows, _ = pricing.settle(flows)
+    rows = pricing.settle(flows)[0]
     flows = flows.take(_FLOW_COLUMNS, axis=1)
     # np.add.reduce over the rows of a row-major matrix (``take`` and
     # ``vstack`` keep that layout) adds them one at a time, in row order.

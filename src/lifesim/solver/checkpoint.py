@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .actor_critic import TrainConfig
-from .network import PolicyValueNet
+from .network import PolicyValueNet, parameter_shapes
 
 FORMAT_VERSION = 2
 _WEIGHTS = np.dtype("<f8")
@@ -68,13 +68,18 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyValueNet, dict]:
     try:
         if header["config_hash"] != _hash(header["config"]):
             raise ConfigError(f"checkpoint config hash does not match its config in {path}")
-        net = PolicyValueNet(int(header["obs_dim"]), int(header["n_actions"]),
-                             tuple(int(h) for h in header["hidden"]), seed=0)
+        obs_dim, n_actions = int(header["obs_dim"]), int(header["n_actions"])
+        hidden = tuple(int(h) for h in header["hidden"])
+        if min(obs_dim, n_actions, *hidden) < 1:
+            raise ValueError("a layer size below 1")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint header in {path}: {exc!r}") from exc
-    n_weights = sum(p.size for p in net.parameters())
-    if len(weights) != n_weights * _WEIGHTS.itemsize:
+    shapes = parameter_shapes(obs_dim, n_actions, hidden)
+    sizes = [rows * cols for rows, cols in shapes]
+    if len(weights) != sum(sizes) * _WEIGHTS.itemsize:
         raise ConfigError(f"checkpoint {path} holds {len(weights)} weight bytes, "
-                          f"expected {n_weights * _WEIGHTS.itemsize}")
-    net.set_flat_parameters(np.frombuffer(weights, dtype=_WEIGHTS).astype(np.float64))
-    return net, header
+                          f"expected {sum(sizes) * _WEIGHTS.itemsize}")
+    flat = np.frombuffer(weights, dtype=_WEIGHTS).astype(np.float64)
+    params = [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    # Built from the stored weights alone: the constructor would draw weights to overwrite.
+    return PolicyValueNet.from_parameters(obs_dim, n_actions, hidden, params), header

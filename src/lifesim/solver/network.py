@@ -7,8 +7,10 @@ Everything is float64 numpy for determinism and finite-difference checks.
 
 A forward pass stores each activation once: every trunk layer's matmul
 writes straight into the augmented buffer the next layer reads (its ones
-column set once, when the buffer is sized), and the leaky ReLU runs there
-in place through one small temporary the net keeps for its widest layer.
+column set once, when the buffer is sized), and the leaky ReLU runs over
+that whole contiguous buffer in place, through one temporary the net keeps
+for its widest buffer (the ones column stays 1.0, the larger of 1.0 and
+``LEAKY_SLOPE``).
 No pre-activation is kept: the backward needs only the leaky ReLU's slope,
 and the activation has the pre-activation's sign.  A pass with a
 ``ForwardCache`` writes into that cache, which the caller owns and hands to
@@ -54,6 +56,14 @@ class ForwardCache:
         return ForwardCache([x[start:stop] for x in self.inputs], self.trunk_out[start:stop])
 
 
+def parameter_shapes(obs_dim: int, n_actions: int, hidden: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Each parameter's shape, in the order of ``parameters``: the trunk
+    layers', then the policy and value heads', each with its bias row last."""
+    sizes = [obs_dim, *hidden]
+    heads = [(sizes[-1] + 1, n_actions), (sizes[-1] + 1, 1)]
+    return [(n_in + 1, n_out) for n_in, n_out in zip(sizes, sizes[1:])] + heads
+
+
 class PolicyValueNet:
     """MLP trunk + policy/value heads over a fixed discrete action catalogue."""
 
@@ -63,17 +73,12 @@ class PolicyValueNet:
         self.n_actions = n_actions
         self.hidden = tuple(hidden)
         rng = np.random.default_rng(seed)
-        sizes = [obs_dim, *hidden]
-        self.trunk: list[np.ndarray] = []
-        for n_in, n_out in zip(sizes, sizes[1:]):
-            w = rng.standard_normal((n_in + 1, n_out)) * np.sqrt(2.0 / n_in)
-            w[-1, :] = 0.0
-            self.trunk.append(w)
-        last = sizes[-1]
-        self.w_policy = rng.standard_normal((last + 1, n_actions)) * 0.01
-        self.w_policy[-1, :] = 0.0
-        self.w_value = rng.standard_normal((last + 1, 1)) * 0.01
-        self.w_value[-1, :] = 0.0
+        params = []
+        for k, shape in enumerate(parameter_shapes(obs_dim, n_actions, hidden)):
+            w = rng.standard_normal(shape) * (np.sqrt(2.0 / (shape[0] - 1)) if k < len(hidden) else 0.01)
+            w[-1, :] = 0.0   # the bias row
+            params.append(w)
+        self.trunk, self.w_policy, self.w_value = params[:-2], params[-2], params[-1]
         self._workspace, self._scaled = ForwardCache(), np.empty(0)
 
     # -- parameter plumbing -------------------------------------------------
@@ -81,8 +86,20 @@ class PolicyValueNet:
     def parameters(self) -> list[np.ndarray]:
         return [*self.trunk, self.w_policy, self.w_value]
 
+    @classmethod
+    def from_parameters(cls, obs_dim: int, n_actions: int, hidden: tuple[int, ...],
+                        params: list[np.ndarray]) -> "PolicyValueNet":
+        """A net of that shape holding copies of ``params`` (in the order of
+        :meth:`parameters`) and buffers of its own; it draws no initial
+        weights, which the constructor would."""
+        net = object.__new__(cls)
+        net.obs_dim, net.n_actions, net.hidden = obs_dim, n_actions, tuple(hidden)
+        net.set_parameters(params)
+        net._workspace, net._scaled = ForwardCache(), np.empty(0)
+        return net
+
     def set_parameters(self, params: list[np.ndarray]) -> None:
-        n = len(self.trunk)
+        n = len(self.hidden)
         self.trunk = [p.copy() for p in params[:n]]
         self.w_policy = params[n].copy()
         self.w_value = params[n + 1].copy()
@@ -90,23 +107,9 @@ class PolicyValueNet:
     def flat_parameters(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self.parameters()])
 
-    def set_flat_parameters(self, flat: np.ndarray) -> None:
-        out = []
-        i = 0
-        for p in self.parameters():
-            out.append(flat[i: i + p.size].reshape(p.shape).copy())
-            i += p.size
-        self.set_parameters(out)
-
     def clone(self) -> "PolicyValueNet":
-        """A twin with copies of the parameters and buffers of its own; it
-        draws no initial weights, which the constructor would."""
-        twin = object.__new__(PolicyValueNet)
-        twin.obs_dim, twin.n_actions, twin.hidden = self.obs_dim, self.n_actions, self.hidden
-        twin.trunk = [w.copy() for w in self.trunk]
-        twin.w_policy, twin.w_value = self.w_policy.copy(), self.w_value.copy()
-        twin._workspace, twin._scaled = ForwardCache(), np.empty(0)
-        return twin
+        """A twin with copies of the parameters (:meth:`from_parameters`)."""
+        return PolicyValueNet.from_parameters(self.obs_dim, self.n_actions, self.hidden, self.parameters())
 
     # -- forward / backward -------------------------------------------------
 
@@ -128,16 +131,15 @@ class PolicyValueNet:
             cache = self._workspace
         rows = obs.shape[0]
         self.reserve(cache, rows)
-        widest = max(self.hidden)
+        widest = max(self.hidden) + 1
         if self._scaled.size < rows * widest:
             self._scaled = np.empty(rows * widest)
         x = cache.inputs[0]
         x[:, :-1] = obs
         for w, x_next in zip(self.trunk, [*cache.inputs[1:], cache.trunk_out]):
-            h = x_next[:, :-1]
-            np.matmul(x, w, out=h)   # the pre-activation z, in the next layer's input
-            scaled = np.multiply(h, LEAKY_SLOPE, out=self._scaled[:h.size].reshape(h.shape))
-            np.maximum(h, scaled, out=h)   # leaky ReLU, the bits of where(z > 0, z, slope * z)
+            np.matmul(x, w, out=x_next[:, :-1])   # the pre-activation z, in the next layer's input
+            scaled = np.multiply(x_next, LEAKY_SLOPE, out=self._scaled[:x_next.size].reshape(x_next.shape))
+            np.maximum(x_next, scaled, out=x_next)   # leaky ReLU, the bits of where(z > 0, z, slope * z)
             x = x_next
         logits = x @ self.w_policy
         values = (x @ self.w_value)[:, 0]

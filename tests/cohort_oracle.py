@@ -5,7 +5,8 @@ it; now in ``train_oracle``) each decision quarter and the block's flow
 rows added into their age cell quarter by quarter.
 
 One line differs from the original: the static phase prices the whole
-block with ``LifecycleEnv.price`` after ``static_block`` reports a change,
+block with ``LifecycleEnv.price`` (now ``price_oracle.price``) after
+``static_block`` reports a change,
 where ``static_block`` used to re-price the changed households and splice
 their rows into the block's.  A unit's row has the same bits in any
 ``price_units`` call, so both give the same rows.
@@ -36,6 +37,7 @@ from lifesim.simulate import (
 )
 from lifesim.solver.network import PolicyValueNet, sample_masked
 from one_household import _incentive_samples
+from price_oracle import price
 from train_oracle import step_block
 
 
@@ -87,7 +89,7 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                 if collect_incentives and q % 4 == 0:
                     _incentive_samples(env, b, emtr_samples, ptr_samples)
             elif env.static_block(b).size:
-                env.price(b)   # the one changed line
+                price(env, b)   # the one changed line
                 unit_flows = b.flows.take(_FLOW_COLUMNS, axis=1)
             # np.add.reduce over the rows of a row-major matrix (``take`` keeps
             # that layout, a fancy column index does not) adds them one at a

@@ -1,8 +1,9 @@
 """One-household and one-agent views of the block code, for the tests.
 
 Production steps, observes and prices whole household blocks
-(``LifecycleEnv.advance_block``, ``vector.observe``, ``LifecycleEnv.price``;
-``train_oracle.step_block`` runs the first and the last, then the rewards)
+(``LifecycleEnv.advance_block``, ``vector.observe``, ``PricingLedger``;
+``train_oracle.step_block`` runs the first, then the pricer the ledger
+replaced, ``price_oracle.price``, and its rewards)
 and evaluates utility on columns (``utility.UtilityColumns``); each function
 here runs that code on a list of records, one household or one agent.
 
@@ -21,13 +22,14 @@ import numpy as np
 from lifesim.agent import STATES, AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv, StepOutcome
 from lifesim.env.actions import ACTIONS, N_ACTIONS, Action, legal_mask
-from lifesim.env.mdp import event_names, outcome, unit_cash_flows
+from lifesim.env.mdp import event_names
 from lifesim.env.utility import UtilityColumns, UtilityParams
 from lifesim.env.vector import observe
 from lifesim.rules import AdultSnapshot, CashFlows, HouseholdSnapshot, RuleSet
 from lifesim.rules import emtr as emtr_op, ptr as ptr_op
 from lifesim.states import EmploymentState as S
 from lifesim.wage import WageParams, potential_wage_columns
+from price_oracle import outcome, price, unit_cash_flows
 from train_oracle import step_block
 
 
@@ -90,7 +92,7 @@ def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[
 def household_flows(env: LifecycleEnv, hh: HouseholdState) -> tuple[list[CashFlows], list[float]]:
     """Cash flows per budget unit and consumption per adult slot of ``hh``."""
     b = env.block([hh])
-    env.price(b)
+    price(env, b)
     return unit_cash_flows(b, 0), b.consumption.tolist()
 
 

@@ -79,7 +79,7 @@ def synthetic_log(n: int, seed: int, gender=None, dead_from: int | None = None) 
 def simulated_log(rules2023):
     env = LifecycleEnv(rules2023, load_utility_params(), load_wage_params(), load_demographics())
     net = PolicyValueNet(OBS_DIM, N_ACTIONS, hidden=(16,), seed=11)
-    return run_cohort(net, init_population(24, env.tables, seed=11, wparams=env.wparams), env,
+    return run_cohort(net, init_population(24, env, seed=11), env,
                       mode="sample", collect_incentives=True)
 
 

@@ -58,7 +58,7 @@ def population(env: LifecycleEnv, seed: int):
     """A seeded 14-agent cohort in which some adults die in the decision
     phase, some in the static phase, and two mothers give birth at 78 (so
     their child bands change in the static phase too)."""
-    pop = init_population(14, env.tables, seed=seed, wparams=env.wparams)
+    pop = init_population(14, env, seed=seed)
     rng = np.random.default_rng(seed)
     for hh in pop.households:
         for a in hh.adults:
@@ -182,7 +182,7 @@ def test_an_age_past_100_raises(envs, net):
     env = envs["2023"]
     old = AgentState(gender="men", group=1, age=99.0, state=S.RETIRED, pension_paid=1500.0, life_left=400)
     hh = HouseholdState(adults=(old,), rng_exo=np.random.default_rng(1), rng_act=np.random.default_rng(2))
-    pop = init_population(2, env.tables, seed=3, wparams=env.wparams)
+    pop = init_population(2, env, seed=3)
     pop.households.append(hh)
     with pytest.raises(ContractViolation, match="outside model range"):
         run_cohort(net, pop, env)

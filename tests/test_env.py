@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import lifesim.env.mdp as mdp
 from lifesim.agent import NO_EVENT, AgentState, HouseholdState, child_bands
 from lifesim.env.mdp import DT, MAX_AGE
 from lifesim.env import (
@@ -466,7 +467,7 @@ def test_static_phase_accounting_identity(env):
     assert total == pytest.approx(per_quarter * 100)
 
 
-def test_static_quarter_prices_each_segment_once(env):
+def test_static_quarter_prices_each_segment_once(env, monkeypatch):
     """Chained static quarters reuse the last outcome until an adult dies or a
     child changes band, and every outcome equals a fresh pricing."""
     man = make_agent(S.RETIRED, age=75.0, hours=0, pension_paid=1500.0, pension_accrued=1800.0)
@@ -476,15 +477,14 @@ def test_static_quarter_prices_each_segment_once(env):
     # The child turns 7 in the 2nd static quarter and 18 in the 46th.
     hh = make_household(man, woman, partnered=True, children=(6.6,))
     pricings = []
-    priced = env.price
-    env_counting = copy.copy(env)
-    env_counting.price = lambda b: pricings.append(1) or priced(b)
+    priced = mdp.price_units
+    monkeypatch.setattr(mdp, "price_units", lambda *args: pricings.append(1) or priced(*args))
 
     segments = 0
     key = None
     last = None
     for _ in range(100):
-        out = env_counting.static_quarter(hh, last)
+        out = env.static_quarter(hh, last)
         new_key = (tuple(a.state for a in hh.adults), child_bands(hh.child_ages))
         segments += new_key != key
         key = new_key
@@ -565,7 +565,7 @@ def test_random_policy_legality_audit(env):
     outside work has no hours and no paid wage after every step, the freeze
     at the decision horizon and every static quarter."""
     rng = np.random.default_rng(0)
-    pop = init_population(60, env.tables, seed=21)
+    pop = init_population(60, env, seed=21)
     for _ in range(229):
         for hh in pop.households:
             prev = [x.state for x in hh.adults]
@@ -584,7 +584,7 @@ def test_random_policy_legality_audit(env):
 
 
 def test_feature_encoding_shape_and_range(env, uparams):
-    pop = init_population(40, env.tables, seed=22)
+    pop = init_population(40, env, seed=22)
     for hh in pop.households:
         for i, a in enumerate(hh.adults):
             partner = hh.adults[1 - i] if len(hh.adults) == 2 else None

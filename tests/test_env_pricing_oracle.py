@@ -1,7 +1,7 @@
 """The environment's pricing path against the verbatim earlier engine.
 
-``LifecycleEnv.price`` (here through ``one_household.household_flows``)
-prices each budget unit from rows read straight from the agents' state.  Here every ``CashFlows`` field it returns
+``LifecycleEnv.price`` (now ``price_oracle.price``, here through
+``one_household.household_flows``) prices each budget unit from rows read straight from the agents' state.  Here every ``CashFlows`` field it returns
 must equal, bit for bit, ``rules_oracle.net_income`` on the unit's snapshot
 built the way the environment built it before (``oracle_units`` below), and
 ``budget_units`` must return those snapshots.  The households are
@@ -28,7 +28,7 @@ from lifesim.agent import AgentState, HouseholdState, mother_of
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.env.mdp import DECISION_END_AGE, DT
+from lifesim.env.mdp import DECISION_END_AGE, DT, PricingLedger
 from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
@@ -140,7 +140,8 @@ def _late_starters(seed: int) -> list[HouseholdState]:
 def test_household_flows_match_oracle_along_trajectories(rules_name):
     env = _env(_rules(rules_name))
     seed = 40 + RULE_NAMES.index(rules_name)
-    households = init_population(21, env.tables, seed=seed).households + _late_starters(seed)
+    # Drawn for 2023, the year the cohorts were drawn for under every rule set.
+    households = init_population(21, env.with_rules(_rules("2023")), seed=seed).households + _late_starters(seed)
     rng = np.random.default_rng(seed)
     decision_quarters = int(round((DECISION_END_AGE - 18.0) / DT))
     for hh in households[:-6]:
@@ -356,7 +357,7 @@ def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
     forms afresh, and are formed again only when who lives, who is
     partnered or a child band changed."""
     env = _env(_rules("2023"))
-    households = init_population(40, env.tables, seed=9).households + _late_starters(9)
+    households = init_population(40, env, seed=9).households + _late_starters(9)
     rng = np.random.default_rng(9)
     for hh in households:
         for a in hh.adults:
@@ -383,6 +384,6 @@ def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
                               & (b.state[np.minimum(b.first + 1, b.n - 1)] != int(S.DEAD)))[0])
     units = len(b.units.first)
     b.partnered[pair] = not b.partnered[pair]
-    env.price(b)
+    PricingLedger(env).price_alone(b)
     assert len(b.units.first) == units + (1 if not b.partnered[pair] else -1)
     assert all(np.array_equal(x, y) for x, y in zip(b.units, form(b)))

@@ -6,8 +6,13 @@ mode with incentive sampling on, driven by an untrained (256, 256, 128)
 net.  Its integer histories (states, hours, gender, group) are hashed
 exactly; its ``aggregate(...).cells()`` must match to 12 significant digits
 (relative 1e-12, NaN matching NaN).  The parameters after two
-``train_policy`` updates must match to a relative 1e-9.  A change that is
-meant to move these numbers regenerates the file, and says why, with
+``train_policy`` updates must match to a relative 1e-9.  On a machine whose
+fingerprint (Python, numpy, the BLAS numpy was built with, and the CPU
+features numpy found) equals the file's, the float bits of both must match
+exactly too (one sha256 of the cells and the parameters); elsewhere that
+check is skipped, since summation order inside BLAS and numpy may differ.
+A change that is meant to move these numbers regenerates the file, and
+says why, with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -16,6 +21,7 @@ import hashlib
 import json
 import math
 import pathlib
+import platform
 import sys
 
 import numpy as np
@@ -49,20 +55,45 @@ def _histories_digest(log) -> str:
     return h.hexdigest()
 
 
+def _floats_digest(cells: dict, parameters: list) -> str:
+    """sha256 of the cell names, then the cells' and the parameters' float64 bytes."""
+    h = hashlib.sha256(json.dumps(list(cells)).encode())
+    h.update(np.array(list(cells.values()), dtype=np.float64).tobytes())
+    h.update(np.array(parameters, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def fingerprint() -> dict:
+    """What the float bits may depend on besides the code."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # numpy before 1.26 prints its config only
+        blas = "unknown"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "cpu": " ".join([platform.machine()] + sorted(k for k, on in __cpu_features__.items() if on))}
+
+
 def run_golden() -> dict:
     env = build_env(EnvPaths.packaged(YEAR))
-    pop = init_population(COHORT_AGENTS, env.tables, seed=POPULATION_SEED, year=YEAR,
-                          wparams=env.wparams, draws=env.initial_draws)
+    pop = init_population(COHORT_AGENTS, env, seed=POPULATION_SEED)
     assert len(pop.households) == 3 * BLOCK_HOUSEHOLDS
     net = PolicyValueNet(OBS_DIM, N_ACTIONS, seed=NET_SEED)
     log = run_cohort(net, pop, env, mode="sample", collect_incentives=True)
     config = TrainConfig(total_steps=TRAIN_UPDATES * TrainConfig.rollout * 2 * TRAIN_HOUSEHOLDS,
                          hidden=TRAIN_HIDDEN, seed=TRAIN_SEED)
     trained = train_policy(env, config, n_households=TRAIN_HOUSEHOLDS).net
+    cells, parameters = aggregate(log).cells(), trained.flat_parameters().tolist()
     return {
         "histories_sha256": _histories_digest(log),
-        "cells": aggregate(log).cells(),
-        "parameters": trained.flat_parameters().tolist(),
+        "float_outputs_sha256": _floats_digest(cells, parameters),
+        "fingerprint": fingerprint(),
+        "cells": cells,
+        "parameters": parameters,
     }
 
 
@@ -88,6 +119,13 @@ def test_cohort_cells_match_to_12_digits(runs):
 def test_parameters_after_two_updates_match(runs):
     got, want = runs
     np.testing.assert_allclose(got["parameters"], want["parameters"], rtol=PARAMETERS_RTOL, atol=0.0)
+
+
+def test_float_outputs_match_exactly_where_the_fingerprint_matches(runs):
+    got, want = runs
+    if got["fingerprint"] != want["fingerprint"]:
+        pytest.skip(f"float bits pinned on {want['fingerprint']}, not on this machine's {got['fingerprint']}")
+    assert got["float_outputs_sha256"] == want["float_outputs_sha256"]
 
 
 if __name__ == "__main__":

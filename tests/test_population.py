@@ -1,13 +1,30 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from lifesim.agent import NO_EVENT, child_bands
+from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.errors import ContractViolation
+from lifesim.paramfiles import ruleset_path
 from lifesim.population import DemographicTables, Gompertz, init_population, load_demographics
+from lifesim.rules import load_ruleset
+from lifesim.wage import load_wage_params
 from lifesim.states import EmploymentState as S
 from step_oracle import fertility_events, mortality_events, partnership_events
+
+
+@functools.cache
+def _packaged_parts():
+    return load_ruleset(ruleset_path(2023)), load_utility_params(), load_wage_params()
+
+
+def draw(n, tables, seed):
+    """``init_population`` from an env of the packaged 2023 rules,
+    preferences and wages, and ``tables``."""
+    rules, uparams, wparams = _packaged_parts()
+    return init_population(n, LifecycleEnv(rules, uparams, wparams, tables), seed=seed)
 
 
 # One demographic event phase over a whole population.
@@ -45,8 +62,8 @@ def zero_hazard_tables(tables) -> DemographicTables:
 
 
 def test_single_agent_reproducible(tables):
-    a = init_population(1, tables, seed=42).households[0].adults[0]
-    b = init_population(1, tables, seed=42).households[0].adults[0]
+    a = draw(1, tables, seed=42).households[0].adults[0]
+    b = draw(1, tables, seed=42).households[0].adults[0]
     assert (a.gender, a.group, a.state, a.potential_wage, a.life_left) == (
         b.gender, b.group, b.state, b.potential_wage, b.life_left,
     )
@@ -55,11 +72,11 @@ def test_single_agent_reproducible(tables):
 
 def test_zero_population_rejected(tables):
     with pytest.raises(ContractViolation):
-        init_population(0, tables, seed=1)
+        draw(0, tables, seed=1)
 
 
 def test_group_shares_concentrate(tables):
-    pop = init_population(100_000, tables, seed=7)
+    pop = draw(100_000, tables, seed=7)
     for gender in ("men", "women"):
         agents = [a for a in pop.agents() if a.gender == gender]
         expected = tables.shares_for_year(2023, gender)
@@ -69,7 +86,7 @@ def test_group_shares_concentrate(tables):
 
 
 def test_initial_state_distribution(tables):
-    pop = init_population(100_000, tables, seed=8)
+    pop = draw(100_000, tables, seed=8)
     for gender in ("men", "women"):
         agents = [a for a in pop.agents() if a.gender == gender]
         dist = tables.initial_states[gender]
@@ -80,7 +97,7 @@ def test_initial_state_distribution(tables):
 
 def test_partnership_zero_hazard_no_change(tables):
     zt = zero_hazard_tables(tables)
-    pop = init_population(500, zt, seed=3)
+    pop = draw(500, zt, seed=3)
     before = [hh.partnered for hh in pop.households]
     for _ in range(8):
         partnership_step(pop, zt)
@@ -92,7 +109,7 @@ def test_marriage_certain_event(tables):
     certain = dataclasses.replace(
         zero_hazard_tables(tables), marriage_annual=[(18.0, 4.0)]
     )  # quarterly hazard 1.0
-    pop = init_population(2, certain, seed=4)
+    pop = draw(2, certain, seed=4)
     pair = next(hh for hh in pop.households if len(hh.adults) == 2)
     assert pair.until_marriage == 1
     partnership_step(pop, certain)
@@ -104,7 +121,7 @@ def test_partnership_formation_count_within_3_sigma(tables):
     # pairs follows the geometric first-event law.
     p = 0.05
     t = dataclasses.replace(zero_hazard_tables(tables), marriage_annual=[(18.0, 4 * p)])
-    pop = init_population(100_000, t, seed=9)
+    pop = draw(100_000, t, seed=9)
     pairs = [hh for hh in pop.households if len(hh.adults) == 2]
     for _ in range(4):
         partnership_step(pop, t)
@@ -116,12 +133,12 @@ def test_partnership_formation_count_within_3_sigma(tables):
 
 def test_fertility_zero_and_certain(tables):
     zt = zero_hazard_tables(tables)
-    pop = init_population(200, zt, seed=5)
+    pop = draw(200, zt, seed=5)
     fertility_step(pop, zt)
     assert all(not hh.child_ages for hh in pop.households)
 
     certain = dataclasses.replace(zt, fertility_annual=[(18.0, 4.0)])
-    pop2 = init_population(200, certain, seed=5)
+    pop2 = draw(200, certain, seed=5)
     fertility_step(pop2, certain)
     with_mother = [hh for hh in pop2.households if any(a.gender == "women" for a in hh.adults)]
     assert all(len(hh.child_ages) == 1 for hh in with_mother)
@@ -130,7 +147,7 @@ def test_fertility_zero_and_certain(tables):
 def test_fertility_count_within_3_sigma(tables):
     p = 0.02
     t = dataclasses.replace(zero_hazard_tables(tables), fertility_annual=[(18.0, 4 * p)])
-    pop = init_population(60_000, t, seed=10)
+    pop = draw(60_000, t, seed=10)
     mothers = sum(1 for hh in pop.households if any(a.gender == "women" for a in hh.adults))
     births = 0
     for _ in range(4):
@@ -143,7 +160,7 @@ def test_fertility_count_within_3_sigma(tables):
 
 def test_children_age_out_at_18(tables):
     zt = zero_hazard_tables(tables)
-    pop = init_population(2, zt, seed=6)
+    pop = draw(2, zt, seed=6)
     hh = pop.households[0]
     hh.child_ages = [17.8]
     fertility_step(pop, zt)
@@ -152,19 +169,19 @@ def test_children_age_out_at_18(tables):
 
 def test_mortality_zero_and_certain(tables):
     zt = zero_hazard_tables(tables)
-    pop = init_population(300, zt, seed=11)
+    pop = draw(300, zt, seed=11)
     for _ in range(8):
         mortality_step(pop, zt)
     assert all(a.alive for a in pop.agents())
 
     lethal = dataclasses.replace(tables, mortality={g: Gompertz(1.0, 0.0) for g in tables.mortality})
-    pop2 = init_population(300, lethal, seed=11)
+    pop2 = draw(300, lethal, seed=11)
     mortality_step(pop2, lethal)
     assert all(not a.alive for a in pop2.agents())
 
 
 def test_survival_curve_matches_table_product(tables):
-    pop = init_population(80_000, tables, seed=12)
+    pop = draw(80_000, tables, seed=12)
     agents = [a for a in pop.agents() if a.gender == "men"]
     horizon = 120  # quarters = 30 years
     # Independent product of the quarterly survival probabilities.
@@ -180,7 +197,7 @@ def test_survival_curve_matches_table_product(tables):
 
 
 def test_partner_symmetry_and_conservation(tables):
-    pop = init_population(2_000, tables, seed=13)
+    pop = draw(2_000, tables, seed=13)
     n_agents = sum(len(hh.adults) for hh in pop.households)
     assert n_agents == 2_000
     for _ in range(40):
@@ -202,7 +219,7 @@ def test_stored_child_bands_follow_fertility_events(tables):
     rng = np.random.default_rng(7)
     births = dataclasses.replace(zero_hazard_tables(tables), fertility_annual=[(18.0, 0.4)])
     no_births = zero_hazard_tables(tables)
-    pop = init_population(40, births, seed=8)
+    pop = draw(40, births, seed=8)
     with_mother = [hh for hh in pop.households if any(a.gender == "women" for a in hh.adults)]
     assert with_mother
     born = 0

@@ -47,13 +47,13 @@ def small_net(env):
 
 @pytest.fixture(scope="module")
 def small_log(env, small_net):
-    pop = init_population(60, env.tables, seed=3)
+    pop = init_population(60, env, seed=3)
     return run_cohort(small_net, pop, env, mode="sample", collect_incentives=True)
 
 
 def test_single_agent_trace_reproducible(env, small_net):
     def run():
-        pop = init_population(1, env.tables, seed=9)
+        pop = init_population(1, env, seed=9)
         log = run_cohort(small_net, pop, env, mode="sample")
         return log.states.copy(), log.paid_wage.copy()
 
@@ -370,7 +370,7 @@ def test_parallel_log_identical_for_any_worker_count(env, small_net, monkeypatch
     monkeypatch.setattr(simulate, "BLOCK_HOUSEHOLDS", 4)
     logs = []
     for workers in (1, 2, 3):
-        pop = init_population(30, env.tables, seed=12, wparams=env.wparams)
+        pop = init_population(30, env, seed=12)
         assert len(pop.households) >= 3 * simulate.BLOCK_HOUSEHOLDS
         logs.append(simulate.run_cohort_parallel(small_net, pop, env, workers=workers,
                                                  collect_incentives=True))
@@ -420,8 +420,8 @@ def test_repeat_protocol_population_uses_the_rule_year(small_net, monkeypatch):
     protocol = pipelines.ProtocolConfig(refit_steps=0, n_repeats=1, cohort_size=400, seed=4)
     pipelines.run_repeat_protocol(small_net, env, protocol)
     seed = int(np.random.SeedSequence((protocol.seed, 0)).generate_state(1)[0])
-    want = init_population(protocol.cohort_size, env.tables, seed=seed, year=2024, wparams=env.wparams)
-    default_year = init_population(protocol.cohort_size, env.tables, seed=seed, wparams=env.wparams)
+    want = init_population(protocol.cohort_size, env, seed=seed)
+    default_year = init_population(protocol.cohort_size, env.with_rules(load_ruleset(ruleset_path(2023))), seed=seed)
     drawn = [[(a.gender, a.group, a.state, a.potential_wage) for a in pop.agents()]
              for pop in (populations[0], want, default_year)]
     assert drawn[0] == drawn[1]
@@ -456,7 +456,7 @@ def test_sample_mode_draws_each_households_action_uniforms_as_per_quarter_draws(
     quarter (the slot's entry), and each stream ends where those draws
     leave it."""
     monkeypatch.setattr(simulate, "BLOCK_HOUSEHOLDS", 4)
-    pop = init_population(14, env.tables, seed=21, wparams=env.wparams)
+    pop = init_population(14, env, seed=21)
     streams = _act_streams(pop)
     fed = []
     sample = simulate.sample_masked
@@ -477,7 +477,7 @@ def test_sample_mode_draws_each_households_action_uniforms_as_per_quarter_draws(
 
 
 def test_greedy_mode_draws_no_action_uniforms(env, small_net):
-    pop = init_population(6, env.tables, seed=22, wparams=env.wparams)
+    pop = init_population(6, env, seed=22)
     streams = _act_streams(pop)
     run_cohort(small_net, pop, env, mode="greedy")
     assert [hh.rng_act.bit_generator.state for hh in pop.households] == [s.bit_generator.state for s in streams]

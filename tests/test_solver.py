@@ -211,9 +211,11 @@ def test_gradient_matches_central_differences():
 
     adv_const = rets - net.forward(obs)[1]
 
+    shapes = [p.shape for p in net.parameters()]
+
     def loss(flat):
-        twin = net.clone()
-        twin.set_flat_parameters(flat)
+        parts = np.split(flat, np.cumsum([np.prod(shape) for shape in shapes])[:-1])
+        twin = PolicyValueNet.from_parameters(2, 2, (2,), [part.reshape(shape) for part, shape in zip(parts, shapes)])
         logits, values = twin.forward(obs)
         masked = np.where(masks, logits, -1e9)
         lp = log_softmax(masked)
@@ -648,4 +650,37 @@ def test_checkpoint_truncated_weights_rejected(tmp_path):
     path, _, _ = _saved_checkpoint(tmp_path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ConfigError, match="weight bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_load_draws_no_weights_and_round_trips_the_bits(tmp_path, monkeypatch):
+    """A (256, 256, 128) net loads without the constructor, so nothing draws
+    initial weights, and every parameter comes back bit for bit, each in an
+    array of its own; the loaded net's forward pass equals the saved net's."""
+    saved = PolicyValueNet(OBS_DIM, N_ACTIONS, seed=7)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, saved, TrainConfig(total_steps=100))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew initial weights")
+
+    monkeypatch.setattr(PolicyValueNet, "__init__", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    net, _ = load_checkpoint(path)
+    monkeypatch.undo()
+    assert (net.obs_dim, net.n_actions, net.hidden) == (saved.obs_dim, saved.n_actions, saved.hidden)
+    for got, want in zip(net.parameters(), saved.parameters(), strict=True):
+        assert got.shape == want.shape and got.flags.owndata
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    obs = np.random.default_rng(3).standard_normal((64, OBS_DIM))
+    for got, want in zip(net.forward(obs), saved.forward(obs)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("hidden", [[0], [-4, 8]])
+def test_checkpoint_layer_size_below_one_rejected(tmp_path, hidden):
+    path, header, weights = _saved_checkpoint(tmp_path)
+    header["hidden"] = hidden
+    path.write_bytes(json.dumps(header).encode() + b"\n" + weights)
+    with pytest.raises(ConfigError, match="malformed"):
         load_checkpoint(path)

@@ -20,7 +20,7 @@ from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.env.mdp import DECISION_END_AGE, DT, event_names, unit_cash_flows
+from lifesim.env.mdp import DECISION_END_AGE, DT, event_names
 from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
@@ -28,6 +28,7 @@ from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import load_ruleset
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
+from price_oracle import price, static_block, unit_cash_flows
 from train_oracle import step_block
 
 RULE_NAMES = ["2018", "2019", "2020", "2021", "2022", "2023", "2024", "2023+orpo"]
@@ -66,9 +67,14 @@ def _flows(flows):
     return [_bits(dataclasses.astuple(cf)) for cf in flows]
 
 
+def _env_2023(env: LifecycleEnv) -> LifecycleEnv:
+    """``env`` under the 2023 rules, whose year the cohorts are drawn for."""
+    return env.with_rules(_rules("2023"))
+
+
 def _population(env: LifecycleEnv, seed: int) -> list[HouseholdState]:
     """A seeded cohort (singles and pairs), some adults with an early death."""
-    households = init_population(19, env.tables, seed=seed, wparams=env.wparams).households
+    households = init_population(19, _env_2023(env), seed=seed).households
     rng = np.random.default_rng(seed)
     for hh in households:
         for a in hh.adults:
@@ -135,8 +141,8 @@ def test_block_step_matches_per_household_oracle(rules_name):
     last = [None] * len(want)
     last_alone = [None] * len(alone)
     for _ in range(STATIC_QUARTERS):
-        if env.static_block(b).size:
-            env.price(b)
+        if static_block(env, b).size:
+            price(env, b)
         last = [oracle.static_quarter(hh, prev) for hh, prev in zip(want, last)]
         last_alone = [env.static_quarter(hh, prev) for hh, prev in zip(alone, last_alone)]
         check(last, last_alone)

@@ -1,8 +1,8 @@
 """Training as it stood when every quarter was priced as it ran, kept
-verbatim as a test oracle: ``LifecycleEnv.step_block`` and
-``settle_block`` (here functions of the env), ``LifecycleVectorEnv.step``
-returning each quarter's rewards, and ``train_actor_critic`` taking them
-step by step.
+verbatim as a test oracle: ``LifecycleEnv.step_block`` (here a function of
+the env) and ``settle_block`` (now in ``price_oracle``, with the pricer it
+ran), ``LifecycleVectorEnv.step`` returning each quarter's rewards, and
+``train_actor_critic`` taking them step by step.
 
 ``tests/test_train_oracle.py`` asserts that the trainer, which prices a
 rollout's quarters together through the pricing ledger, gives the same
@@ -21,9 +21,7 @@ from lifesim.env.vector import LifecycleVectorEnv, observe
 from lifesim.errors import TrainingDiverged
 from lifesim.solver.actor_critic import TrainConfig, TrainResult, a2c_loss_grads
 from lifesim.solver.network import Adam, ForwardCache, PolicyValueNet, clip_grads, sample_masked
-from lifesim.states import EmploymentState as S
-
-_DEAD = int(S.DEAD)
+from price_oracle import settle_block
 
 
 def step_block(env: LifecycleEnv, b: HouseholdBlock, actions, masks: np.ndarray) -> None:
@@ -32,15 +30,6 @@ def step_block(env: LifecycleEnv, b: HouseholdBlock, actions, masks: np.ndarray)
     consumptions, flows, event codes and birth flags are left on ``b``."""
     env.advance_block(b, actions, masks)
     settle_block(env, b)
-
-
-def settle_block(env: LifecycleEnv, b: HouseholdBlock) -> None:
-    """Price ``b`` (``LifecycleEnv.price``) and set each adult's reward: the
-    quarter's utility times DT for the living, zero for the dead."""
-    env.price(b)
-    live = (b.state != _DEAD).nonzero()[0]
-    b.reward[:] = 0.0
-    b.reward[live] = env._rewards(b, live)
 
 
 class PerQuarterVectorEnv(LifecycleVectorEnv):
