@@ -1,21 +1,22 @@
-"""Agent and household state: the records a population is drawn as, and the
-column block that the quarter step runs on.
+"""Agent and household state: the column block a population is drawn into
+and stepped as, and the records of the one-household API.
 
-A household record always holds one or two adults (a fixed opposite-sex pair
-when two) plus their common children; partnership toggles whether they pool
-income and consumption.  All time counters are quarters unless a name says
-years; wages are annual rates; pensions EUR/month.
+A household holds one or two adults (a fixed opposite-sex pair when two)
+plus their common children; partnership toggles whether they pool income
+and consumption.  All time counters are quarters unless a name says years;
+wages are annual rates; pensions EUR/month.
 
 :class:`HouseholdBlock` holds a list of households as columns: one array per
 :class:`AgentState` field with one row per adult, in household then slot
 order (the row layout of the observation batch), and one array per
-:class:`HouseholdState` field with one row per household.  It is packed once
-from the records and can write its rows back into them.
+:class:`HouseholdState` field with one row per household.  Populations are
+drawn into a :meth:`~HouseholdBlock.new` block; only the one-household API
+and the tests pack records (``pack``, ``of``) or write back (``write_back``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -98,11 +99,6 @@ def child_bands(child_ages: list[float]) -> tuple[int, int, int]:
     return u3, u7, len(child_ages)
 
 
-def mother_of(hh: HouseholdState) -> AgentState | None:
-    women = [a for a in hh.adults if a.gender == "women"]
-    return women[0] if women else None
-
-
 # AgentState fields held as one column each, by dtype.
 _FLOATS = ("age", "potential_wage", "paid_wage", "prev_paid_wage", "wage_reduction", "time_in_state",
            "pension_accrued", "pension_paid", "partial_early_share", "partial_early_paid",
@@ -110,8 +106,15 @@ _FLOATS = ("age", "potential_wage", "paid_wage", "prev_paid_wage", "wage_reducti
 _INTS = ("group", "hours", "career_quarters", "new_condition_quarters", "until_disability",
          "until_student", "until_outsider", "life_left", "spell_left", "sick_quarters")
 _BOOLS = ("pink_slip", "fund_member", "returning")
+_DTYPES = {**dict.fromkeys(_FLOATS, float), **dict.fromkeys(_INTS, np.int64), **dict.fromkeys(_BOOLS, bool)}
+_COLUMNS = {"state": np.int64, **_DTYPES}
+# A new adult's column values: the record defaults, aged 18 (0 for a field without one).
+_DEFAULTS = {**{f.name: f.default for f in fields(AgentState) if f.default is not MISSING}, "age": 18.0}
 _HOUSEHOLD_INTS = ("until_birth", "until_marriage", "until_divorce")
-_agent_values = attrgetter("state", *_FLOATS, *_INTS, *_BOOLS)
+# The columns that hold the state of an adult and of a household.
+_ADULT_STATE = (*_COLUMNS, "worked", "window_wage", "window_len")
+_HOUSEHOLD_STATE = ("partnered", *_HOUSEHOLD_INTS, "child_used", "under3", "under7", "under18")
+_agent_values = attrgetter(*_COLUMNS)
 
 
 class HouseholdBlock:
@@ -132,60 +135,36 @@ class HouseholdBlock:
     """
 
     @classmethod
-    def pack(cls, groups: Iterable[tuple[Sequence[AgentState], HouseholdState]],
-             window: int = 0) -> "HouseholdBlock":
-        """Each group (a sequence of one or two adults, and their household)
-        as one household; the two adults of a group are each other's
-        partners.  The work window is ``window`` quarters wide (the rule
-        length), or as wide as the longest window when ``window`` is 0."""
+    def new(cls, sizes: Sequence[int], women: Sequence[bool], window: int) -> "HouseholdBlock":
+        """Households of ``sizes`` (one or two) adults, ``women`` flagging
+        each adult row, with a ``window``-quarter work window: every adult
+        18, every field at its record default, no generators."""
         b = cls()
-        groups = [(tuple(adults), hh) for adults, hh in groups]
-        adults = [a for group, _ in groups for a in group]
-        sizes = [len(group) for group, _ in groups]
-        b.n, b.m = len(adults), len(groups)
         b.size = np.array(sizes, dtype=np.int64)
-        b.first = np.cumsum([0] + sizes)[:-1]
+        b.n, b.m = int(b.size.sum()), len(b.size)
+        b.first = np.cumsum(b.size) - b.size
         b.rows = np.arange(b.n)
         b.hh = np.repeat(np.arange(b.m), b.size)
         b.slot = b.rows - b.first[b.hh]
         b.partner = np.where(b.size[b.hh] == 2, b.first[b.hh] + 1 - b.slot, -1)
-        # Every field through one float64 array (ints and flags are exact in it).
-        values = np.array([_agent_values(a) for a in adults], dtype=float).reshape(b.n, -1).T.copy()
-        b.state = values[0].astype(np.int64)
-        for i, name in enumerate(_FLOATS + _INTS + _BOOLS, start=1):
-            dtype = float if name in _FLOATS else bool if name in _BOOLS else np.int64
-            setattr(b, name, values[i].astype(dtype))
-        b.women = np.array([a.gender == "women" for a in adults], dtype=np.int64)   # 1 women, 0 men
-        width = max([window] + [len(a.work_window) for a in adults])
-        if window and width > window:
-            raise ContractViolation(f"a work window holds more than the rule's {window} quarters")
-        b.worked = np.zeros((b.n, width), dtype=bool)
-        b.window_wage = np.zeros((b.n, width))
-        b.window_len = np.array([len(a.work_window) for a in adults], dtype=np.int64)
-        for r, a in enumerate(adults):
-            if a.work_window:
-                tail = slice(width - len(a.work_window), width)
-                b.worked[r, tail], b.window_wage[r, tail] = zip(*a.work_window)
-
-        records = [hh for _, hh in groups]
-        b.partnered = np.array([hh.partnered for hh in records], dtype=bool)
+        b.women = np.array(women, dtype=np.int64)   # 1 women, 0 men
+        for name, dtype in _COLUMNS.items():
+            setattr(b, name, np.full(b.n, _DEFAULTS.get(name, 0), dtype=dtype))
+        b.worked = np.zeros((b.n, window), dtype=bool)
+        b.window_wage = np.zeros((b.n, window))
+        b.window_len = np.zeros(b.n, dtype=np.int64)
+        b.partnered = np.zeros(b.m, dtype=bool)
         for name in _HOUSEHOLD_INTS:
-            setattr(b, name, np.array([getattr(hh, name) for hh in records], dtype=np.int64))
-        b.child_age = np.full((b.m, max([1] + [len(hh.child_ages) for hh in records])), np.nan)
-        for h, hh in enumerate(records):
-            b.child_age[h, :len(hh.child_ages)] = hh.child_ages
-        b.child_used = np.array([len(hh.child_ages) for hh in records], dtype=np.int64)
-        bands = np.array([hh.bands for hh in records], dtype=np.int64).reshape(b.m, 3)
-        b.under3, b.under7, b.under18 = bands[:, 0].copy(), bands[:, 1].copy(), bands[:, 2].copy()
+            setattr(b, name, np.full(b.m, NO_EVENT, dtype=np.int64))
+        b.child_age = np.full((b.m, 1), np.nan)
+        b.child_used, b.under3, b.under7, b.under18 = (np.zeros(b.m, dtype=np.int64) for _ in range(4))
         # The first adult of each gender, -1 for none.
-        b.mother, b.father = (np.array([next((f + i for i, a in enumerate(group) if a.gender == gender), -1)
-                                        for f, (group, _) in zip(b.first.tolist(), groups)], dtype=np.int64)
-                              for gender in ("women", "men"))
+        last = b.first + b.size - 1
+        b.mother, b.father = (np.where(b.women[b.first] == flag, b.first, np.where(b.women[last] == flag, last, -1))
+                              for flag in (1, 0))
         b.pairs = np.flatnonzero(b.size == 2)
         b.with_mother = np.flatnonzero(b.mother >= 0)
-        b.rng_exo = [hh.rng_exo for hh in records]
-        b.rng_act = [hh.rng_act for hh in records]
-
+        b.rng_exo, b.rng_act = [None] * b.m, [None] * b.m
         b.units = b.unit_key = b.sharers = None   # set by LifecycleEnv.units
         b.event = np.zeros(b.n, dtype=np.int8)
         b.birth = np.zeros(b.m, dtype=bool)
@@ -193,9 +172,56 @@ class HouseholdBlock:
         return b
 
     @classmethod
+    def pack(cls, groups: Iterable[tuple[Sequence[AgentState], HouseholdState]],
+             window: int = 0) -> "HouseholdBlock":
+        """Each group (one or two adults, and their household) as one
+        household of a :meth:`new` block, its work window ``window`` quarters
+        wide (the rule length), or the longest window's width when 0."""
+        groups = [(tuple(adults), hh) for adults, hh in groups]
+        adults = [a for group, _ in groups for a in group]
+        width = max([window] + [len(a.work_window) for a in adults])
+        if window and width > window:
+            raise ContractViolation(f"a work window holds more than the rule's {window} quarters")
+        b = cls.new([len(group) for group, _ in groups], [a.gender == "women" for a in adults], width)
+        # Every field through one float64 array (ints and flags are exact in it).
+        values = np.array([_agent_values(a) for a in adults], dtype=float).reshape(b.n, -1).T.copy()
+        for i, (name, dtype) in enumerate(_COLUMNS.items()):
+            setattr(b, name, values[i].astype(dtype))
+        b.window_len[:] = [len(a.work_window) for a in adults]
+        for r, a in enumerate(adults):
+            if a.work_window:
+                tail = slice(width - len(a.work_window), width)
+                b.worked[r, tail], b.window_wage[r, tail] = zip(*a.work_window)
+        records = [hh for _, hh in groups]
+        b.partnered[:] = [hh.partnered for hh in records]
+        for name in _HOUSEHOLD_INTS:
+            getattr(b, name)[:] = [getattr(hh, name) for hh in records]
+        b.child_used[:] = [len(hh.child_ages) for hh in records]
+        b.child_age = np.full((b.m, max(1, int(b.child_used.max()))), np.nan)
+        for h, hh in enumerate(records):
+            b.child_age[h, :len(hh.child_ages)] = hh.child_ages
+        bands = np.array([hh.bands for hh in records], dtype=np.int64).reshape(b.m, 3)
+        b.under3, b.under7, b.under18 = bands.T.copy()
+        b.rng_exo, b.rng_act = [hh.rng_exo for hh in records], [hh.rng_act for hh in records]
+        return b
+
+    @classmethod
     def of(cls, households: Iterable[HouseholdState], window: int = 0) -> "HouseholdBlock":
         """The block of ``households``, each with its adults in slot order."""
         return cls.pack(((hh.adults, hh) for hh in households), window)
+
+    def take(self, lo: int, hi: int) -> "HouseholdBlock":
+        """Households ``lo`` to ``hi`` (exclusive) as a :meth:`new` block of
+        their own: a copy of their state columns, sharing their generators."""
+        r0, r1 = int(self.first[lo]), self.n if hi >= self.m else int(self.first[hi])
+        b = HouseholdBlock.new(self.size[lo:hi], self.women[r0:r1], self.worked.shape[1])
+        for name in _ADULT_STATE:
+            setattr(b, name, getattr(self, name)[r0:r1].copy())
+        for name in _HOUSEHOLD_STATE:
+            setattr(b, name, getattr(self, name)[lo:hi].copy())
+        b.child_age = self.child_age[lo:hi, :max(1, int(b.child_used.max()))].copy()
+        b.rng_exo, b.rng_act = self.rng_exo[lo:hi], self.rng_act[lo:hi]
+        return b
 
     def stop_work(self, rows, state: int) -> None:
         """Move ``rows`` to the non-working ``state``: no hours, no paid wage."""
@@ -208,7 +234,7 @@ class HouseholdBlock:
         packed from by :meth:`of`."""
         adults = [a for hh in households for a in hh.adults]
         states = [STATES[code] for code in self.state.tolist()]
-        columns = {name: getattr(self, name).tolist() for name in (*_FLOATS, *_INTS, *_BOOLS)}
+        columns = {name: getattr(self, name).tolist() for name in _DTYPES}
         width = self.worked.shape[1]
         for r, a in enumerate(adults):
             a.state = states[r]

@@ -10,6 +10,7 @@ numbers, which keeps the stochastic loss comparable across moves.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -30,17 +31,31 @@ class CalibrationTargets:
 
     def __post_init__(self) -> None:
         for name, cell in self.cells.items():
-            if cell.weight < 0:
-                raise ContractViolation(f"negative weight for target {name!r}")
+            if not (math.isfinite(cell.value) and 0 <= cell.weight < math.inf):
+                raise ContractViolation(f"target {name!r} needs a finite value and a finite non-negative weight")
 
 
 def load_targets(path: str | Path) -> CalibrationTargets:
-    """CSV with columns cell,value,weight."""
+    """CSV with columns cell,value and an optional weight (1 without the
+    column).  A missing file or column, a value or weight that is not a
+    number and a repeated cell are config errors naming ``path``."""
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+    except OSError as exc:
+        raise ConfigError(f"cannot read calibration targets {path}: {exc.strerror}") from None
     cells = {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            cells[row["cell"]] = TargetCell(value=float(row["value"]),
-                                            weight=float(row.get("weight", 1.0)))
+    for line, row in enumerate(rows, start=2):
+        name = row.get("cell")
+        if name is None or "value" not in row:
+            raise ConfigError(f"calibration targets {path} need the columns cell and value")
+        if name in cells:
+            raise ConfigError(f"calibration targets {path} line {line}: cell {name!r} is repeated")
+        try:
+            cells[name] = TargetCell(value=float(row["value"]), weight=float(row.get("weight", 1.0)))
+        except (TypeError, ValueError):
+            raise ConfigError(f"calibration targets {path} line {line}: the value and weight of {name!r} "
+                              f"must be numbers") from None
     if not cells:
         raise ConfigError(f"no calibration targets found in {path}")
     return CalibrationTargets(cells)

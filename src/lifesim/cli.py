@@ -11,6 +11,7 @@ reproduced from its outputs alone.  Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -38,10 +39,34 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+# Every key some subcommand reads, by section (None: the top level); one
+# config may serve several subcommands, so each accepts them all.
+_SETTINGS = {
+    None: {"out", "seed", "workers", "year", "ruleset", "utility", "wages", "demographics", "checkpoint", "reform",
+           "base_checkpoint", "train", "simulate", "compare", "calibrate", "emtr_scan"},
+    "train": {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"} | {"households"},
+    "simulate": {"checkpoint", "cohort", "mode", "collect_incentives"},
+    "compare": {"checkpoint", "reform", "refit_steps", "repeats", "cohort", "mode"},
+    "calibrate": {"targets", "budget", "cohort", "train_steps", "parameters"},
+    "emtr_scan": {"wage_min_monthly", "wage_max_monthly", "wage_step_monthly", "children", "rent_monthly"},
+}
+
+
 def _load_config(path: str | None) -> dict:
     """The config mapping; a missing, malformed or non-mapping file is a
-    ``ParameterError`` naming the path."""
-    return {} if path is None else load_yaml(path)
+    ``ParameterError`` naming the path, a key no subcommand reads or a mode
+    but ``sample`` or ``greedy`` a ``ConfigError`` naming its dotted path."""
+    cfg = {} if path is None else load_yaml(path)
+    for section, keys in _SETTINGS.items():
+        body = cfg if section is None else cfg.get(section, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"{section} must be a mapping of settings")
+        unknown = sorted(str(key) if section is None else f"{section}.{key}" for key in set(body) - keys)
+        if unknown:
+            raise ConfigError(f"unknown {section or 'top-level'} settings: {unknown}")
+        if body.get("mode", "sample") not in ("sample", "greedy"):
+            raise ConfigError(f"{section}.mode must be sample or greedy, not {body['mode']!r}")
+    return cfg
 
 
 def _env_paths(cfg: dict) -> EnvPaths:
@@ -80,32 +105,21 @@ def _workers(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _train_config(cfg: dict, seed: int, defaults: dict | None = None) -> tuple[TrainConfig, int]:
-    merged = dict(defaults or {})
-    merged.update(cfg.get("train", {}))
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(merged) - fields - {"households"}
-    if unknown:
-        raise ConfigError(f"unknown train settings: {sorted(unknown)}")
+    merged = {**(defaults or {}), **cfg.get("train", {})}
     households = int(merged.pop("households", 32))
     if "hidden" in merged:
         merged["hidden"] = tuple(int(h) for h in merged["hidden"])
     if "total_steps" not in merged:
         raise ConfigError("train.total_steps is required")
-    merged.pop("seed", None)
     return TrainConfig(seed=seed, **merged), households
 
 
 def _write_metrics(path: Path, metrics: list[dict]) -> None:
-    import csv
-
-    if not metrics:
-        return
-    keys = list(metrics[0].keys())
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=keys)
-        w.writeheader()
-        for row in metrics:
-            w.writerow(row)
+    if metrics:
+        with open(path, "w", newline="") as f:
+            w = csv.DictWriter(f, fieldnames=list(metrics[0]))
+            w.writeheader()
+            w.writerows(metrics)
 
 
 def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
@@ -251,8 +265,6 @@ def cmd_emtr_scan(cfg: dict, args: argparse.Namespace) -> int:
     children = int(scan.get("children", 0))
     rent = float(scan.get("rent_monthly", rules.rent_for_size(1 + children)))
 
-    import csv as _csv
-
     rows = []
     parts_keys: list[str] = []
     wage = lo
@@ -269,7 +281,7 @@ def cmd_emtr_scan(cfg: dict, args: argparse.Namespace) -> int:
         wage += step
     path = out / "emtr_scan.csv"
     with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(["wage_monthly", "emtr_total"] + parts_keys)
         for row in rows:
             w.writerow([f"{v:.10g}" for v in row])

@@ -71,7 +71,8 @@ from ..rules import FLOW_COLUMNS, AdultColumns, CashFlows, entitlement_days, pri
 # look it up.
 from ..rules import net_income  # noqa: F401
 from ..rules.ruleset import BENEFIT_DAYS_PER_QUARTER, RuleSet
-from ..states import LEAVE_STATES, PENSION_STATES, RETIRED_STATES, UNEMPLOYMENT_STATES, WORKING_STATES
+from ..states import (IS_PENSION, IS_RETIRED, IS_WORKING, LEAVE_STATES, RETIRED_STATES, UNEMPLOYMENT_STATES,
+                      WORKING_STATES, state_flags)
 from ..states import EmploymentState as S
 from ..wage import WageParams, paid_wage, potential_wage_columns, update_wage_reduction
 # ``legal_mask`` (one adult) stays a module name here for the traced run.
@@ -84,29 +85,21 @@ DECISION_END_AGE = 75.0
 _U_LAYOFF, _U_SICK, _U_MISC, _U_FRICTION, _U_SPARE = range(5)
 
 
-def _table(states) -> np.ndarray:
-    """A flag per state code: whether the state is in ``states``."""
-    return np.array([s in states for s in S])
-
-
 # State and decision codes as plain ints: numpy compares an array with an
 # IntEnum member several times slower than with an int.
 (_FULL_TIME, _PART_TIME, _ER_UNEMPLOYED, _BASIC_UNEMPLOYED, _ER_EXTENDED, _RETIRED, _RETIRED_PT, _RETIRED_FT,
  _DISABLED, _MOTHERS_LEAVE, _FATHERS_LEAVE, _HOME_CARE, _STUDENT, _OUTSIDE_WF, _SICK_LEAVE, _DEAD) = map(int, S)
 _STAY, _WORK_PT, _WORK_FT, _QUIT, _RETIRE, _PARTIAL_25, _PARTIAL_50, _HOME_CARE_DECISION = map(int, Decision)
 
-_IS_WORKING = _table(WORKING_STATES)
-_IS_RETIRED = _table(RETIRED_STATES)
-_IS_PENSION = _table(PENSION_STATES)
-_IS_LEAVE = _table(LEAVE_STATES)
+_IS_LEAVE = state_flags(LEAVE_STATES)
 # Past the retirement age: retired at once, or through unemployment first.
-_AUTO_RETIRE = _table({S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED, S.SICK_LEAVE})
-_RETIRE_VIA_UNEMPLOYMENT = _table({S.OUTSIDE_WF, S.STUDENT, S.HOME_CARE})
-_SICK_ONSET = _table((WORKING_STATES | UNEMPLOYMENT_STATES) - RETIRED_STATES)
-_WORKING_RETIRED = _table({S.RETIRED_PT, S.RETIRED_FT})
-_FULL_TIME_STATES = _table({S.FULL_TIME, S.RETIRED_FT})
+_AUTO_RETIRE = state_flags({S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED, S.SICK_LEAVE})
+_RETIRE_VIA_UNEMPLOYMENT = state_flags({S.OUTSIDE_WF, S.STUDENT, S.HOME_CARE})
+_SICK_ONSET = state_flags((WORKING_STATES | UNEMPLOYMENT_STATES) - RETIRED_STATES)
+_WORKING_RETIRED = state_flags({S.RETIRED_PT, S.RETIRED_FT})
+_FULL_TIME_STATES = state_flags({S.FULL_TIME, S.RETIRED_FT})
 # Living non-workers move to plain retirement at the decision horizon.
-_FREEZE = ~_table(WORKING_STATES | {S.RETIRED, S.DISABLED, S.DEAD})
+_FREEZE = ~state_flags(WORKING_STATES | {S.RETIRED, S.DISABLED, S.DEAD})
 # The states a drawn student or outside-the-work-force spell starts from.
 _SPELL_ENTRY = frozenset(map(int, (S.FULL_TIME, S.PART_TIME, S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTENDED)))
 _RETIRED_OR_LEFT = frozenset(map(int, RETIRED_STATES | {S.DISABLED, S.DEAD}))
@@ -169,7 +162,7 @@ def pricing_columns(state, paid_wage, ub_basis, ub_days_used, ub_max_days, fund_
     """The rules' inputs of adults given as the block columns
     ``PRICING_INPUTS``, ``state`` as integer codes.  A paid wage counts only
     in a working state."""
-    return AdultColumns(state, np.where(_IS_WORKING[state], paid_wage / 4.0, 0.0), ub_basis, ub_days_used,
+    return AdultColumns(state, np.where(IS_WORKING[state], paid_wage / 4.0, 0.0), ub_basis, ub_days_used,
                         ub_max_days, fund_member, pension_paid, pension_accrued, partial_early_paid,
                         prev_paid_wage / 12.0)
 
@@ -188,7 +181,7 @@ def unit_cash_flows(b: HouseholdBlock, h: int, flows: np.ndarray) -> list[CashFl
     lists each unit adult's quarterly wage (0.0 for the dead and the idle)."""
     units = b.units
     lo, hi = np.searchsorted(units.first, (b.first[h], b.first[h] + b.size[h]))
-    wages = np.where(_IS_WORKING[b.state], b.paid_wage / 4.0, 0.0)
+    wages = np.where(IS_WORKING[b.state], b.paid_wage / 4.0, 0.0)
     return [CashFlows(*row, adult_wages=tuple(wages[[first] if second < 0 else [first, second]].tolist()))
             for row, first, second in zip(flows[lo:hi].tolist(), units.first[lo:hi].tolist(),
                                           units.second[lo:hi].tolist())]
@@ -318,9 +311,14 @@ class LifecycleEnv:
 
     # -- blocks --------------------------------------------------------------
 
+    @property
+    def window(self) -> int:
+        """A block's work window in quarters: the rules' employment-condition window."""
+        return self.rules.unemployment.er.condition_window_quarters
+
     def block(self, households: list[HouseholdState]) -> HouseholdBlock:
         """The block of ``households``, its work window as long as the rules'."""
-        return HouseholdBlock.of(households, self.rules.unemployment.er.condition_window_quarters)
+        return HouseholdBlock.of(households, self.window)
 
     # -- budget units and cash flows --------------------------------------
 
@@ -436,7 +434,7 @@ class LifecycleEnv:
         fired = pending & (b.until_disability == 0)
         if np.count_nonzero(fired):
             b.until_disability[fired] = NO_EVENT
-            disabled = fired & ~_IS_PENSION[st]
+            disabled = fired & ~IS_PENSION[st]
             self._start_pension(b, disabled, _DISABLED)
             b.event[disabled] |= Event.DISABILITY   # the one event a new parental leave can meet
             pending &= ~disabled
@@ -482,7 +480,7 @@ class LifecycleEnv:
             decide |= home
             pending &= ~home
 
-        laid_off = pending & _IS_WORKING[st] & (u[:, _U_LAYOFF] < exo.layoff_quarterly)
+        laid_off = pending & IS_WORKING[st] & (u[:, _U_LAYOFF] < exo.layoff_quarterly)
         if np.count_nonzero(laid_off):
             retired = laid_off & _WORKING_RETIRED[st]
             b.stop_work(retired, _RETIRED)
@@ -592,7 +590,7 @@ class LifecycleEnv:
             return
         want_ft = dec == _WORK_FT
         hours = _ACTION_HOURS[actions]
-        working = _IS_WORKING[st]
+        working = IS_WORKING[st]
         # Without friction: a returning adult, or a worker keeping the hours class.
         success = returning | (working & (want_ft == _FULL_TIME_STATES[st]))
         search = self.tables.job_search
@@ -609,7 +607,7 @@ class LifecycleEnv:
         entries.add(failed & returning, eligible=True)
         b.event[failed] = Event.SEARCH_FAILED
         started = work & success
-        b.state[started] = np.where(_IS_RETIRED[st], np.where(want_ft, _RETIRED_FT, _RETIRED_PT),
+        b.state[started] = np.where(IS_RETIRED[st], np.where(want_ft, _RETIRED_FT, _RETIRED_PT),
                                     np.where(want_ft, _FULL_TIME, _PART_TIME))[started]
         b.hours[started] = hours[started]
         b.pink_slip[started] = False
@@ -637,7 +635,7 @@ class LifecycleEnv:
         st = b.state[live]
         reduction = b.wage_reduction[live] = update_wage_reduction(b.wage_reduction[live], st, wp, dt=DT)
         hours = b.hours[live]
-        worked = _IS_WORKING[st]
+        worked = IS_WORKING[st]
         pays = worked & (hours > 0)
         paid = np.zeros(live.size)
         paid[pays] = paid_wage(b.potential_wage[live[pays]], hours[pays], reduction[pays])

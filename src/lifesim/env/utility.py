@@ -19,10 +19,8 @@ import numpy as np
 from ..agent import DT
 from ..errors import ContractViolation, ParameterError
 from ..paramfiles import build, load_yaml, params_dir
-from ..states import ALLOWED_HOURS, N_STATES, EmploymentState as S, Gender, UNEMPLOYMENT_STATES, WORKING_STATES
+from ..states import ALLOWED_HOURS, IS_UNEMPLOYED, IS_WORKING, N_STATES, EmploymentState as S, Gender
 
-_WORKING = np.array([s in WORKING_STATES for s in S])
-_UNEMPLOYED = np.array([s in UNEMPLOYMENT_STATES for s in S])
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,8 +146,8 @@ class UtilityColumns:
         young_cut, elderly_cut = self.age_cuts
         band = np.where(age < young_cut, 0, np.where(age < elderly_cut, 1, 2))
         unemployed = np.where(pink_slip, 0.0, self.unemployed[g, band])
-        k = np.where(_WORKING[state], self.work[g, hours],
-                     np.where(_UNEMPLOYED[state], unemployed, self.other[g, state]))
+        k = np.where(IS_WORKING[state], self.work[g, hours],
+                     np.where(IS_UNEMPLOYED[state], unemployed, self.other[g, state]))
         return np.where(child_under3, k + self.child_bonus[g], k)
 
     def mu(self, women, hours, age) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Batched household stepping, and the vectorized training view.
 
 Training and cohort simulation hold their households as one
-:class:`~lifesim.agent.HouseholdBlock`, packed once from the drawn records:
+:class:`~lifesim.agent.HouseholdBlock`, drawn straight into its columns:
 one row per adult in household then slot order, one column per field.
 ``observe`` encodes and masks the whole block from its columns with no
 per-adult gather, and ``LifecycleEnv.advance_block`` advances it a quarter
@@ -16,7 +16,8 @@ list of records, which it updates (``observe_households``,
 In training, a fixed pool of pair households advances in lockstep, each adult
 one actor slot.  Episodes run the decision phase (ages 18 to 75); at the
 horizon the expected static-phase value is folded into the final reward and
-the pool restarts with freshly drawn households.  Dead agents keep their
+the pool restarts as a new block, each household drawn into it by
+``spawn_pair_household``.  Dead agents keep their
 slot with a stay-only mask and zero rewards until the episode ends.
 
 A step is the transition alone, recorded in a
@@ -73,8 +74,11 @@ class LifecycleVectorEnv:
         self._bonus: list[tuple[int, np.ndarray]] = []
 
     def _fresh_block(self) -> HouseholdBlock:
-        return self.env.block([spawn_pair_household(self._seed_stream.spawn(1)[0], self.env)
-                               for _ in range(self.n_households)])
+        n = self.n_households
+        b = HouseholdBlock.new([2] * n, [False, True] * n, self.env.window)
+        for h in range(n):
+            spawn_pair_household(self._seed_stream.spawn(1)[0], self.env, b, h)
+        return b
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         self._block = self._fresh_block()

@@ -9,6 +9,13 @@ against a failure curve, built once per hazard and start age (from 18 for a
 new household, see :func:`initial_draw_tables`; later ones by
 :func:`draw_event_clock`).
 
+A cohort (:func:`init_population`) and each household of a training pool
+(:func:`spawn_pair_household`) are drawn straight into the columns of a
+new :class:`~lifesim.agent.HouseholdBlock`, a household at a time from its
+own ``rng_exo``: each adult in slot order (state, wage shock, fund
+membership, student spell, then the life, disability, student and outsider
+clocks), then the first birth and marriage clocks.
+
 The demographic events run over a household block, phase by phase.  The
 per-record events they replaced, with the survival-loop draw, are the
 reference the block phases are checked against, in ``tests/step_oracle.py``.
@@ -28,11 +35,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdBlock, HouseholdState, mother_of
+from .agent import DT, MAX_AGE, NO_EVENT, HouseholdBlock
 from .errors import ContractViolation, ParameterError
 from .paramfiles import build, load_yaml, params_dir
 from .states import EmploymentState as S, Gender
-from .wage import WageParams, paid_wage
+from .wage import paid_wage
 
 if TYPE_CHECKING:
     from .env.mdp import LifecycleEnv
@@ -150,13 +157,9 @@ def load_demographics(path: str | Path | None = None) -> DemographicTables:
 
 @dataclass
 class CohortPopulation:
-    households: list[HouseholdState]
+    block: HouseholdBlock   # every household at 18, drawn into its columns
     seed: int
     size: int
-
-    def agents(self):
-        for hh in self.households:
-            yield from hh.adults
 
 
 # ---------------------------------------------------------------------------
@@ -221,71 +224,61 @@ def initial_draw_tables(tables: DemographicTables) -> InitialDraws:
     return curves, state_cdf
 
 
-def _draw_initial_clocks(
-    agent: AgentState, tables: DemographicTables, rng: np.random.Generator, curves: dict[str, np.ndarray]
-) -> None:
-    horizon = int((MAX_AGE - agent.age) / DT)
-    agent.life_left = draw_from_curve(curves["mort_" + agent.gender], rng)
-    if agent.life_left == NO_EVENT:
-        agent.life_left = horizon  # censored at the model's maximum age
-    dis = tables.exogenous.disability_clock_quarterly
-    agent.until_disability = draw_geometric(dis, rng, cap=10_000)
-    agent.until_student = NO_EVENT
-    if agent.state is not S.STUDENT:
-        agent.until_student = draw_geometric(tables.exogenous.student_entry_quarterly, rng, cap=10_000)
-    agent.until_outsider = draw_geometric(tables.exogenous.outsider_entry_quarterly, rng, cap=10_000)
-
-
-def _pick(options, cdf: np.ndarray, rng: np.random.Generator):
-    return options[int(np.searchsorted(cdf, rng.random(), side="right"))]
-
-
-def _initial_agent(
-    gender: str,
-    group: int,
-    tables: DemographicTables,
-    wparams: WageParams,
-    rng: np.random.Generator,
-    curves: dict[str, np.ndarray],
-    state_cdf: dict[str, tuple[list[S], np.ndarray]],
-) -> AgentState:
+def _draw_adult(b: HouseholdBlock, r: int, env: LifecycleEnv, rng: np.random.Generator) -> None:
+    """Row ``r`` of a new block (its gender and group set) drawn from
+    ``rng``: the state, the wage shock, fund membership and a student
+    spell, then the life, disability, student and outsider clocks."""
+    tables, wparams = env.tables, env.wparams
+    curves, state_cdf = env.initial_draws
+    gender = "women" if b.women[r] else "men"
     states, cdf = state_cdf[gender]
-    state = _pick(states, cdf, rng)
-
+    state = states[int(np.searchsorted(cdf, rng.random(), side="right"))]
     disp = wparams.initial_dispersion
     shock = rng.standard_normal() * disp - 0.5 * disp * disp
-    potential = wparams.mean_wage(gender, group, 18.0) * math.exp(shock)
-
-    agent = AgentState(gender=gender, group=group, age=18.0, state=state, potential_wage=potential)
-    agent.fund_member = bool(rng.random() < tables.fund_membership_share)
-    if state is S.FULL_TIME:
-        agent.hours = 40
-    elif state is S.PART_TIME:
-        agent.hours = 16
-    if agent.hours:
-        agent.paid_wage = paid_wage(potential, agent.hours, 0.0)
+    potential = wparams.mean_wage(gender, int(b.group[r]), 18.0) * math.exp(shock)
+    b.state[r], b.potential_wage[r] = state, potential
+    b.fund_member[r] = rng.random() < tables.fund_membership_share
+    hours = {S.FULL_TIME: 40, S.PART_TIME: 16}.get(state, 0)
+    if hours:
+        b.hours[r], b.paid_wage[r] = hours, paid_wage(potential, hours, 0.0)
+    exo = tables.exogenous
     if state is S.STUDENT:
-        agent.spell_left = draw_geometric(tables.exogenous.student_spell_end_quarterly, rng)
-    if state is S.SICK_LEAVE:
-        agent.spell_left = 1
-        agent.wage_reduction = 0.0
-    _draw_initial_clocks(agent, tables, rng, curves)
-    return agent
+        b.spell_left[r] = draw_geometric(exo.student_spell_end_quarterly, rng)
+    elif state is S.SICK_LEAVE:
+        b.spell_left[r] = 1
+    life_left = draw_from_curve(curves["mort_" + gender], rng)   # censored at the maximum age
+    b.life_left[r] = int((MAX_AGE - 18.0) / DT) if life_left == NO_EVENT else life_left
+    b.until_disability[r] = draw_geometric(exo.disability_clock_quarterly, rng, cap=10_000)
+    if state is not S.STUDENT:
+        b.until_student[r] = draw_geometric(exo.student_entry_quarterly, rng, cap=10_000)
+    b.until_outsider[r] = draw_geometric(exo.outsider_entry_quarterly, rng, cap=10_000)
+
+
+def _draw_household(b: HouseholdBlock, h: int, env: LifecycleEnv) -> None:
+    """Household ``h`` of a new block (its groups and generators set):
+    each adult in slot order, then its first birth and marriage clocks
+    (from 18, on ``env.initial_draws``), all from its ``rng_exo``."""
+    rng = b.rng_exo[h]
+    first = int(b.first[h])
+    for r in range(first, first + int(b.size[h])):
+        _draw_adult(b, r, env, rng)
+    if b.mother[h] >= 0:
+        b.until_birth[h] = draw_from_curve(env.initial_draws[0]["fertility"], rng)
+    if b.size[h] == 2:
+        b.until_marriage[h] = draw_from_curve(env.initial_draws[0]["marriage"], rng)
 
 
 def init_population(n: int, env: LifecycleEnv, seed: int) -> CohortPopulation:
-    """A cohort of ``n`` agents aged 18, paired into household records,
-    drawn from ``env``'s demographic tables, wage parameters and initial
-    draw tables, with the group shares of its rule set's year."""
+    """A cohort of ``n`` agents aged 18 drawn from ``env`` (the group shares
+    of its rule set's year) into one block: the pairs first, each man
+    before his partner, then the single women."""
     if n < 1:
         raise ContractViolation("population size must be at least 1")
-    tables, wparams, year = env.tables, env.wparams, env.rules.year
+    tables, year = env.tables, env.rules.year
     ss = np.random.SeedSequence(seed)
     master = np.random.default_rng(ss.spawn(1)[0])
-    curves, state_cdf = env.initial_draws
 
-    n_men = int(np.round(n * tables.gender_shares["men"]))
-    n_men = min(max(n_men, 0), n)
+    n_men = min(max(int(np.round(n * tables.gender_shares["men"])), 0), n)
     n_women = n - n_men
 
     def draw_groups(count: int, gender: str) -> np.ndarray:
@@ -313,67 +306,34 @@ def init_population(n: int, env: LifecycleEnv, seed: int) -> CohortPopulation:
         g_w = int(np.searchsorted(np.cumsum(weights / total), master.random(), side="right"))
         pair_of_man.append(buckets[min(g_w, 2)].pop())
 
-    households: list[HouseholdState] = []
+    # Each household's adults in slot order, as (woman, index in her gender).
+    households = [((False, m),) if w is None else ((False, m), (True, w)) for m, w in enumerate(pair_of_man)]
+    paired = set(pair_of_man)
+    households += [((True, w),) for w in range(n_women) if w not in paired]
+    adults = [adult for household in households for adult in household]
+    b = HouseholdBlock.new([len(household) for household in households], [woman for woman, _ in adults],
+                           env.window)
+    b.group[:] = [women_groups[i] if woman else men_groups[i] for woman, i in adults]
     hh_seeds = ss.spawn(n)  # generous: one per agent is enough for pairs
-    used_women: set[int] = set()
-
-    def make_rngs(i: int) -> tuple[np.random.Generator, np.random.Generator]:
-        child = hh_seeds[i].spawn(2)
-        return np.random.default_rng(child[0]), np.random.default_rng(child[1])
-
-    for m, g_m in enumerate(men_groups):
-        rng_exo, rng_act = make_rngs(len(households))
-        man = _initial_agent("men", int(g_m), tables, wparams, rng_exo, curves, state_cdf)
-        w = pair_of_man[m]
-        if w is None:
-            hh = HouseholdState(adults=(man,), rng_exo=rng_exo, rng_act=rng_act)
-        else:
-            used_women.add(w)
-            woman = _initial_agent("women", int(women_groups[w]), tables, wparams, rng_exo, curves, state_cdf)
-            hh = HouseholdState(adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
-        _draw_household_clocks(hh, curves)
-        households.append(hh)
-
-    for w, g_w in enumerate(women_groups):
-        if w in used_women:
-            continue
-        rng_exo, rng_act = make_rngs(len(households))
-        woman = _initial_agent("women", int(g_w), tables, wparams, rng_exo, curves, state_cdf)
-        hh = HouseholdState(adults=(woman,), rng_exo=rng_exo, rng_act=rng_act)
-        _draw_household_clocks(hh, curves)
-        households.append(hh)
-
-    return CohortPopulation(households=households, seed=seed, size=n)
+    for h in range(b.m):
+        b.rng_exo[h], b.rng_act[h] = map(np.random.default_rng, hh_seeds[h].spawn(2))
+        _draw_household(b, h, env)
+    return CohortPopulation(block=b, seed=seed, size=n)
 
 
-def _draw_household_clocks(hh: HouseholdState, curves: dict[str, np.ndarray]) -> None:
-    """First birth and marriage clocks of a household formed at age 18;
-    ``curves`` holds the failure curves from 18 (``initial_draw_tables``)."""
-    if mother_of(hh) is not None:
-        hh.until_birth = draw_from_curve(curves["fertility"], hh.rng_exo)
-    if len(hh.adults) == 2:
-        hh.until_marriage = draw_from_curve(curves["marriage"], hh.rng_exo)
-
-
-def spawn_pair_household(seed_seq: np.random.SeedSequence, env: LifecycleEnv) -> HouseholdState:
-    """One fresh pair household at age 18 (training reservoir use), drawn
-    from ``env`` as :func:`init_population` draws."""
-    child = seed_seq.spawn(2)
-    rng_exo = np.random.default_rng(child[0])
-    rng_act = np.random.default_rng(child[1])
-    tables, wparams, year = env.tables, env.wparams, env.rules.year
-    curves, state_cdf = env.initial_draws
-
-    g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), rng_exo.random(),
-                              side="right"))
+def spawn_pair_household(seed_seq: np.random.SeedSequence, env: LifecycleEnv, b: HouseholdBlock, h: int) -> None:
+    """Draw household ``h`` of ``b`` (a new block's man and woman) as a
+    fresh training pair at 18: the groups from its ``rng_exo`` with the
+    shares of ``env``'s rule-set year, the rest as :func:`init_population`."""
+    b.rng_exo[h], b.rng_act[h] = map(np.random.default_rng, seed_seq.spawn(2))
+    rng, tables, year = b.rng_exo[h], env.tables, env.rules.year
+    g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), rng.random(), side="right"))
     w_shares = np.array(tables.shares_for_year(year, "women"))
     weights = np.asarray(tables.assortative_weights[min(g_m, 2)]) * w_shares
-    g_w = int(np.searchsorted(np.cumsum(weights / weights.sum()), rng_exo.random(), side="right"))
-    man = _initial_agent("men", min(g_m, 2), tables, wparams, rng_exo, curves, state_cdf)
-    woman = _initial_agent("women", min(g_w, 2), tables, wparams, rng_exo, curves, state_cdf)
-    hh = HouseholdState(adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
-    _draw_household_clocks(hh, curves)
-    return hh
+    g_w = int(np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(), side="right"))
+    first = int(b.first[h])
+    b.group[first:first + 2] = min(g_m, 2), min(g_w, 2)
+    _draw_household(b, h, env)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,13 @@ import numpy as np
 
 from ..errors import ContractViolation
 from ..states import (
+    IS_PENSION,
     EmploymentState as S,
     LEAVE_STATES,
     PENSION_STATES,
     RETIRED_STATES,
     WORKING_STATES,
+    state_flags,
 )
 from .ruleset import (
     BENEFIT_DAYS_PER_QUARTER,
@@ -598,14 +600,8 @@ class AdultColumns(NamedTuple):
 FLOW_COLUMNS = tuple(f.name for f in fields(CashFlows) if f.name != "adult_wages")
 
 
-def _flags(states) -> np.ndarray:
-    """A flag per state code: whether the state is in ``states``."""
-    return np.array([s in states for s in S])
-
-
-_IS_PENSION = _flags(PENSION_STATES)
 # The states whose primary benefit a formula of the adult's own amounts gives.
-_BY_FORMULA = _flags(_ER_STATES | PENSION_STATES | LEAVE_STATES | {S.SICK_LEAVE})
+_BY_FORMULA = state_flags(_ER_STATES | PENSION_STATES | LEAVE_STATES | {S.SICK_LEAVE})
 _ER_CODES, _PENSION_CODES = frozenset(map(int, _ER_STATES)), frozenset(map(int, PENSION_STATES))
 _DEAD_CODE, _ER_EXTENDED_CODE, _SICK_CODE = map(int, (_DEAD, _ER_EXTENDED, _SICK_LEAVE))
 
@@ -751,7 +747,7 @@ def price_units(adults: AdultColumns, first: np.ndarray, second: np.ndarray, chi
                 amounts += amount, amount / MONTHS_PER_QUARTER
             columns += [r] * (len(rows) - len(columns))
         per_adult[rows, columns] = amounts
-    pension = _IS_PENSION[st]
+    pension = IS_PENSION[st]
     # Partial early old-age pension can run alongside non-pension states.
     partial_on = alive & (partial > 0) & ~pension
     if np.count_nonzero(partial_on):

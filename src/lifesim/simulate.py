@@ -3,11 +3,12 @@ repeat (refit-then-simulate) protocol.
 
 A simulation runs the trained policy quarterly from age 18 to 75, then plays
 the static phase to age 100, in fixed blocks of ``BLOCK_HOUSEHOLDS``
-households, each packed once into a :class:`~lifesim.agent.HouseholdBlock`
-(one row per adult in household then slot order, one column per field) and
-stepped phase by phase.  Each household draws its ``rng_exo`` in the order
-it would if stepped alone: ``standard_normal(2)``, ``random(12)``, then
-partnership, fertility, adult 0's and adult 1's conditional draws.  In
+households, each a copy of their rows of the population's
+:class:`~lifesim.agent.HouseholdBlock` (one row per adult in household then
+slot order, one column per field), stepped phase by phase.  Each household
+draws its ``rng_exo`` in the order it would if stepped alone:
+``standard_normal(2)``, ``random(12)``, then partnership, fertility, adult
+0's and adult 1's conditional draws.  In
 sample mode each household's action uniforms, two per decision quarter
 (one per slot), come from one ``rng_act.random`` call when its block starts:
 the values, in order, and the final generator state of one ``random(2)``
@@ -42,11 +43,11 @@ import copy
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
+from itertools import groupby, repeat
 
 import numpy as np
 
-from .agent import HouseholdBlock, HouseholdState
+from .agent import HouseholdBlock
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
 # callers used to look them up.  The simulator calls neither: it encodes and
@@ -61,13 +62,7 @@ from .population import CohortPopulation
 from .rules import MONTHS_PER_QUARTER, AdultColumns
 from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, EMTR_DELTA_MONTHLY, FLOW_COLUMNS, TAX_FIELDS, price_units
 from .solver.network import PolicyValueNet, sample_masked
-from .states import (
-    ALLOWED_HOURS,
-    N_STATES,
-    UNEMPLOYMENT_STATES,
-    WORKING_STATES,
-    EmploymentState as S,
-)
+from .states import ALLOWED_HOURS, IS_RETIRED, IS_UNEMPLOYED, IS_WORKING, N_STATES, EmploymentState as S, state_flags
 
 AGE_MIN = 18
 AGE_MAX = 100
@@ -159,8 +154,8 @@ def _price_into(partial: np.ndarray, cells: list[int], pricing: PricingLedger, r
     cells.clear()
 
 
-def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
-    return [households[i:i + BLOCK_HOUSEHOLDS] for i in range(0, len(households), BLOCK_HOUSEHOLDS)]
+def _blocks(b: HouseholdBlock) -> list[HouseholdBlock]:
+    return [b.take(lo, min(lo + BLOCK_HOUSEHOLDS, b.m)) for lo in range(0, b.m, BLOCK_HOUSEHOLDS)]
 
 
 def _fold_flows(flow_blocks: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -181,41 +176,39 @@ def run_cohort(
 ) -> SimulationLog:
     """Simulate the whole cohort: quarterly decisions 18-75, static to 100.
 
-    Households run in fixed blocks of ``BLOCK_HOUSEHOLDS``, each block
-    packed once into a :class:`~lifesim.agent.HouseholdBlock` and stepped
-    from age 18 to 100 with one policy forward pass per decision quarter;
-    at the end each block writes its state back into the population's
-    records.  A block's quarters are priced together after they ran (see
-    the module docstring).  Flow sums and incentive samples are kept per
-    block and joined in block order, so the log does not depend on how
-    blocks are split across workers.  A quarter's flow rows add into their
+    Households run in fixed blocks of ``BLOCK_HOUSEHOLDS``, each block a
+    copy of their rows of ``pop.block`` (whose columns stay as drawn; its
+    generators advance), stepped from age 18 to 100 with one policy
+    forward pass per decision quarter.  A block's quarters are priced
+    together after they ran (see the module docstring).  Flow sums and
+    incentive samples are kept per block and joined in block order, so the
+    log does not depend on how blocks are split across workers.  A quarter's flow rows add into their
     age cell one after another, in household then unit order.
     """
-    return _run_blocks(net, _blocks(pop.households), env, mode, collect_incentives,
-                       pop.size, pop.seed)
+    return _run_blocks(net, _blocks(pop.block), env, mode, collect_incentives, pop.size, pop.seed)
 
 
-def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: LifecycleEnv,
+def _run_blocks(net: PolicyValueNet, blocks: list[HouseholdBlock], env: LifecycleEnv,
                 mode: str, collect_incentives: bool, cohort_size: int, seed: int) -> SimulationLog:
     decision_q = int(round((DECISION_END_AGE - AGE_MIN) / DT))
     total_q = int(round((MAX_AGE - AGE_MIN) / DT))
-    agents = [a for block in blocks for hh in block for a in hh.adults]
-    n_agents = len(agents)
+    n_agents = sum(b.n for b in blocks)
+    if any(b.worked.shape[1] != env.window for b in blocks):
+        raise ContractViolation("a cohort runs under rules with the work window it was drawn with")
 
     states = np.zeros((n_agents, total_q), dtype=np.int8)
     hours = np.zeros((n_agents, total_q), dtype=np.int8)
     paid = np.zeros((n_agents, total_q), dtype=np.float32)
     er_days = np.zeros((n_agents, total_q), dtype=np.float32)
-    gender = np.array([0 if a.gender == "men" else 1 for a in agents], dtype=np.int8)
-    group = np.array([a.group for a in agents], dtype=np.int8)
+    gender = np.concatenate([b.women for b in blocks]).astype(np.int8)
+    group = np.concatenate([b.group for b in blocks]).astype(np.int8)
 
     flow_blocks = np.zeros((len(blocks), N_AGES, len(FLOW_NAMES)))
     emtr_samples: list[float] = []
     ptr_samples: list[float] = []
 
     row0 = 0
-    for households, flows in zip(blocks, flow_blocks):
-        b = env.block(households)
+    for b, flows in zip(blocks, flow_blocks):
         pricing = PricingLedger(env)
         cells: list[int] = []   # each recorded quarter's age cell
         rows = slice(row0, row0 + b.n)
@@ -255,7 +248,6 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
                 env.freeze_block(b)
         if cells:
             _price_into(flows, cells, pricing, env.rules)
-        b.write_back(households)
         row0 += b.n
 
     flows_by_age, cons_by_age = _fold_flows(flow_blocks)
@@ -281,12 +273,6 @@ def merge_logs(parts: list[SimulationLog]) -> SimulationLog:
     )
 
 
-def _run_chunk(args) -> SimulationLog:
-    net, blocks, env, mode, collect, seed = args
-    size = sum(len(hh.adults) for block in blocks for hh in block)
-    return _run_blocks(net, blocks, env, mode, collect, size, seed)
-
-
 def run_cohort_parallel(
     net: PolicyValueNet,
     pop: CohortPopulation,
@@ -298,16 +284,16 @@ def run_cohort_parallel(
     """Split the cohort's household blocks across processes; chunks end on
     block boundaries and merge in block order, so the merged log is
     identical for any worker count."""
-    blocks = _blocks(pop.households)
+    blocks = _blocks(pop.block)
     workers = min(workers, len(blocks))
     if workers <= 1:
         return run_cohort(net, pop, env, mode=mode, collect_incentives=collect_incentives)
     from concurrent.futures import ProcessPoolExecutor
 
-    jobs = [(net, [blocks[i] for i in chunk], env, mode, collect_incentives, pop.seed)
-            for chunk in np.array_split(np.arange(len(blocks)), workers)]
+    chunks = [[blocks[i] for i in chunk] for chunk in np.array_split(np.arange(len(blocks)), workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_chunk, jobs))
+        parts = list(pool.map(_run_blocks, repeat(net), chunks, repeat(env), repeat(mode), repeat(collect_incentives),
+                              [sum(b.n for b in chunk) for chunk in chunks], repeat(pop.seed)))
     merged = merge_logs(parts)
     merged.cohort_size = pop.size
     return merged
@@ -317,14 +303,7 @@ def run_cohort_parallel(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-WORKING_CODES = np.array([int(s) for s in WORKING_STATES])
-UNEMP_CODES = np.array([int(s) for s in UNEMPLOYMENT_STATES])
-RETIRED_CODES = np.array([int(S.RETIRED), int(S.RETIRED_PT), int(S.RETIRED_FT)])
-
-
-# A flag per state code: whether the code is in the set.
-_IS_WORKING, _IS_UNEMPLOYED, _IS_RETIRED, _IS_PART_TIME = (np.isin(np.arange(N_STATES), codes) for codes in (
-    WORKING_CODES, UNEMP_CODES, RETIRED_CODES, [int(S.PART_TIME), int(S.RETIRED_PT)]))
+_IS_PART_TIME = state_flags({S.PART_TIME, S.RETIRED_PT})
 # The ALLOWED_HOURS slot of each int8 hours value, and one more slot for any
 # other value (a negative value indexes from the end, into that slot too).
 _HOURS_SLOT = np.full(256, len(ALLOWED_HOURS), dtype=np.intp)
@@ -397,7 +376,7 @@ def scan_unemployment_spells(states: np.ndarray, er_days: np.ndarray,
     quarter), floored at 0.
     """
     horizon = states.shape[1] if decision_q is None else decision_q
-    unemp = np.isin(states[:, :horizon], UNEMP_CODES)
+    unemp = np.isin(states[:, :horizon], np.flatnonzero(IS_UNEMPLOYED))
     ongoing = np.zeros_like(unemp)   # unemployed the quarter before
     ongoing[:, 1:] = unemp[:, :-1]
     agent, start = (unemp & ~ongoing).nonzero()
@@ -470,13 +449,13 @@ def _work_by_age(log: SimulationLog) -> tuple[dict[str, np.ndarray], dict[int, n
     # (age, agent, quarter of the year) views of the matrices.
     states = log.states.reshape(n_agents, N_AGES, 4).transpose(1, 0, 2)
     hours = log.hours.reshape(n_agents, N_AGES, 4).transpose(1, 0, 2)
-    working = _IS_WORKING[states]
+    working = IS_WORKING[states]
     slots = len(ALLOWED_HOURS) + 1
     cell = np.repeat(np.arange(N_AGES) * slots, np.count_nonzero(working, axis=(1, 2)))
     worked = np.bincount(cell + _HOURS_SLOT[hours[working]], minlength=N_AGES * slots).reshape(N_AGES, slots)
     fte_by_age = {k: np.zeros(N_AGES) for k in FTE_CLASSES}
     for name, cells in (("total", working), ("part_time", working & (hours <= 24)),
-                        ("full_time", working & (hours >= 32)), ("retired", working & _IS_RETIRED[states])):
+                        ("full_time", working & (hours >= 32)), ("retired", working & IS_RETIRED[states])):
         values = hours[cells] / 40.0
         ends = np.cumsum(np.count_nonzero(cells, axis=(1, 2))).tolist()
         fte_by_age[name][:] = [values[lo:hi].sum() / 4.0 for lo, hi in zip([0] + ends, ends)]
@@ -518,15 +497,15 @@ def aggregate(log: SimulationLog) -> AggregateReport:
     occupancy = np.zeros((N_AGES, N_STATES))
     occupancy[lived, :int(S.DEAD)] = everyone[lived, :int(S.DEAD)] / n_alive[lived, None]
     occupancy[lived, int(S.DEAD)] = 1.0 - n_alive[lived] / (4 * n_agents)
-    working, unemployed = everyone[:, _IS_WORKING].sum(axis=1), everyone[:, _IS_UNEMPLOYED].sum(axis=1)
-    in_force = everyone[:, _IS_WORKING | _IS_UNEMPLOYED | _IS_RETIRED].sum(axis=1)
+    working, unemployed = everyone[:, IS_WORKING].sum(axis=1), everyone[:, IS_UNEMPLOYED].sum(axis=1)
+    in_force = everyone[:, IS_WORKING | IS_UNEMPLOYED | IS_RETIRED].sum(axis=1)
     workforce_narrow = (working + unemployed) / np.maximum(n_alive, 1)   # 0 where nobody lives
     workforce_broad = in_force / np.maximum(n_alive, 1)
 
     # By gender: (2, age) counts, transposed to (age, gender).
     alive_g = by_state[:2, :, :int(S.DEAD)].sum(axis=2).T
-    emp_g = by_state[:2][:, :, _IS_WORKING].sum(axis=2).T
-    un_g = by_state[:2][:, :, _IS_UNEMPLOYED].sum(axis=2).T
+    emp_g = by_state[:2][:, :, IS_WORKING].sum(axis=2).T
+    un_g = by_state[:2][:, :, IS_UNEMPLOYED].sum(axis=2).T
     pt_g = by_state[:2][:, :, _IS_PART_TIME].sum(axis=2).T
     employment_rate = _rate(emp_g, alive_g)
     unemployment_rate = _rate(un_g, emp_g + un_g)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Literal
 
+import numpy as np
+
 # The two agent genders; a parameter table keyed by gender must name both.
 Gender = Literal["men", "women"]
 
@@ -37,6 +39,15 @@ UNEMPLOYMENT_STATES = frozenset({S.ER_UNEMPLOYED, S.BASIC_UNEMPLOYED, S.ER_EXTEN
 RETIRED_STATES = frozenset({S.RETIRED, S.RETIRED_PT, S.RETIRED_FT})
 PENSION_STATES = frozenset({S.RETIRED, S.RETIRED_PT, S.RETIRED_FT, S.DISABLED})
 LEAVE_STATES = frozenset({S.MOTHERS_LEAVE, S.FATHERS_LEAVE})
+
+
+def state_flags(states) -> np.ndarray:
+    """A flag per state code: whether the state is in ``states``."""
+    return np.array([s in states for s in S])
+
+
+IS_WORKING, IS_UNEMPLOYED = state_flags(WORKING_STATES), state_flags(UNEMPLOYMENT_STATES)
+IS_RETIRED, IS_PENSION = state_flags(RETIRED_STATES), state_flags(PENSION_STATES)
 
 # Weekly hours: part time 8/16/24, full time 32/40/48.
 ALLOWED_HOURS = (8, 16, 24, 32, 40, 48)

@@ -6,7 +6,8 @@ loop over agents and quarters, and ``_duration_tables``.
 The tests assert that ``lifesim.simulate.aggregate`` and
 ``scan_unemployment_spells`` give the same bits as these functions on
 seeded cohorts and on hand-built logs.  Do not edit the functions below;
-they pin today's behaviour.
+they pin today's behaviour.  The state code arrays they read are copied
+from the simulator, which now reads the flag tables of ``lifesim.states``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,16 @@ from lifesim.simulate import (
     DURATION_BIN_EDGES,
     FTE_CLASSES,
     N_AGES,
-    RETIRED_CODES,
-    UNEMP_CODES,
-    WORKING_CODES,
     AggregateReport,
     SimulationLog,
     _age_totals,
     _public_net,
 )
-from lifesim.states import ALLOWED_HOURS, EmploymentState as S
+from lifesim.states import ALLOWED_HOURS, UNEMPLOYMENT_STATES, WORKING_STATES, EmploymentState as S
+
+WORKING_CODES = np.array([int(s) for s in WORKING_STATES])
+UNEMP_CODES = np.array([int(s) for s in UNEMPLOYMENT_STATES])
+RETIRED_CODES = np.array([int(S.RETIRED), int(S.RETIRED_PT), int(S.RETIRED_FT)])
 
 
 def scan_unemployment_spells(states: np.ndarray, er_days: np.ndarray,

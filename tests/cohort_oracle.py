@@ -14,13 +14,17 @@ their rows into the block's.  A unit's row has the same bits in any
 The tests assert that ``lifesim.simulate.run_cohort`` and
 ``run_cohort_parallel`` give the same bits as this function in every
 ``SimulationLog`` array.  Do not edit the function below; it pins today's
-behaviour.
+behaviour.  ``run_cohort`` takes a record population
+(``population_oracle.records``), cut into record blocks of the
+simulator's ``BLOCK_HOUSEHOLDS`` by the record ``_blocks`` the simulator
+used before it sliced block columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import lifesim.simulate as simulate
 from lifesim.agent import HouseholdState
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
@@ -32,13 +36,17 @@ from lifesim.simulate import (
     N_AGES,
     SimulationLog,
     _FLOW_COLUMNS,
-    _blocks,
     _fold_flows,
 )
 from lifesim.solver.network import PolicyValueNet, sample_masked
 from one_household import _incentive_samples
 from price_oracle import price
 from train_oracle import step_block
+
+
+def _blocks(households: list[HouseholdState]) -> list[list[HouseholdState]]:
+    size = simulate.BLOCK_HOUSEHOLDS
+    return [households[i:i + size] for i in range(0, len(households), size)]
 
 
 def run_cohort(net, pop, env, mode="sample", collect_incentives=False) -> SimulationLog:

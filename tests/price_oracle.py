@@ -20,10 +20,10 @@ import numpy as np
 
 from lifesim.agent import HouseholdBlock, HouseholdState
 from lifesim.env.actions import legal_mask
-from lifesim.env.mdp import _CONSUMPTION, _IS_WORKING, DT, LifecycleEnv, StepOutcome, event_names
+from lifesim.env.mdp import _CONSUMPTION, DT, LifecycleEnv, StepOutcome, event_names
 from lifesim.errors import ContractViolation
 from lifesim.rules import CashFlows, price_units
-from lifesim.states import EmploymentState as S
+from lifesim.states import IS_WORKING as _IS_WORKING, EmploymentState as S
 
 _DEAD = int(S.DEAD)
 

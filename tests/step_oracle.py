@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lifesim.agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState, child_bands, mother_of
+from lifesim.agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState, child_bands
 from lifesim.env.actions import ACTIONS, Action, Decision, legal_mask
 from lifesim.errors import ContractViolation
 from lifesim.population import DemographicTables, draw_geometric
@@ -37,6 +37,7 @@ from lifesim.states import (
 )
 from lifesim.env.utility import UtilityParams
 from lifesim.wage import WageParams
+from population_oracle import mother_of
 
 DECISION_END_AGE = 75.0
 

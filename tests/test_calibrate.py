@@ -48,6 +48,15 @@ def test_negative_weight_rejected():
         CalibrationTargets({"x": TargetCell(1.0, -1.0)})
 
 
+@pytest.mark.parametrize("value, weight", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")),
+                                           (1.0, float("inf"))])
+def test_non_finite_target_rejected(value, weight):
+    """A NaN or infinite target would make every loss NaN, and the search
+    would then accept no move."""
+    with pytest.raises(ContractViolation):
+        CalibrationTargets({"x": TargetCell(value, weight)})
+
+
 def test_budget_one_no_improvement_returns_initial():
     targets = CalibrationTargets({"x": TargetCell(0.5, 1.0)})
 
@@ -116,3 +125,21 @@ def test_load_targets_csv(tmp_path):
     t = load_targets(p)
     assert t.cells["employment_rate_18_62"].value == 0.74
     assert t.cells["fte_total"].weight == 0.5
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read"),
+    ("name,value\nx,0.5\n", "columns cell and value"),
+    ("cell,weight\nx,1.0\n", "columns cell and value"),
+    ("cell,value,weight\nx,high,1.0\n", "line 2"),
+    ("cell,value,weight\nx,0.5,1.0\ny,0.5,heavy\n", "line 3"),
+    ("cell,value,weight\nx,0.5,1.0\ny,0.5\n", "line 3"),
+    ("cell,value\nx,0.5\nx,0.6\n", "'x' is repeated"),
+])
+def test_malformed_targets_are_config_errors_naming_the_file(tmp_path, text, message):
+    p = tmp_path / "targets.csv"
+    if text is not None:
+        p.write_text(text)
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_targets(p)
+    assert str(p) in str(exc.value)

@@ -155,3 +155,31 @@ def test_simulate_collects_incentives(tmp_path):
     cohort = tmp_path / "out" / "cohort"
     assert (cohort / "emtr_histogram.csv").exists() and (cohort / "ptr_histogram.csv").exists()
     assert np.isfinite(json.loads((cohort / "summary.json").read_text())["emtr_median"])
+
+
+@pytest.mark.parametrize("cfg, path", [
+    ({"emtr_scan": {"wage_max_montly": 200.0}}, "emtr_scan.wage_max_montly"),
+    ({"sed": 3}, "sed"),
+    ({"simulate": {"cohorts": 4}}, "simulate.cohorts"),
+    ({"train": {"total_steps": 8, "seed": 3}}, "train.seed"),
+    ({"compare": {"mode": "greedly"}}, "compare.mode"),
+    ({"simulate": {"mode": "Sample"}}, "simulate.mode"),
+    ({"calibrate": ["targets.csv"]}, "calibrate"),
+])
+def test_a_setting_no_subcommand_reads_is_a_config_error(tmp_path, capsys, cfg, path):
+    """Each subcommand rejects a key that none reads, and a mode that is
+    neither sample nor greedy, naming its dotted path; a key another
+    subcommand reads is accepted."""
+    cfg = {"out": str(tmp_path / "out"), "train": {"households": 2}, "compare": {"repeats": 2}, **cfg}
+    cfg["emtr_scan"] = {"wage_max_monthly": 200.0, **cfg.get("emtr_scan", {})}
+    assert main(["emtr-scan", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out" / "emtr_scan.csv").exists()
+
+
+def test_settings_of_other_subcommands_are_accepted(tmp_path):
+    cfg = {"out": str(tmp_path / "out"), "seed": 3, "train": {"total_steps": 8, "households": 2},
+           "simulate": {"mode": "greedy", "cohort": 4}, "compare": {"mode": "sample", "repeats": 2},
+           "calibrate": {"budget": 1}, "emtr_scan": {"wage_max_monthly": 200.0}}
+    assert main(["emtr-scan", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
+    assert len((tmp_path / "out" / "emtr_scan.csv").read_text().splitlines()) == 4

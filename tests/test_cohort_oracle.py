@@ -21,6 +21,7 @@ import pytest
 
 import cohort_oracle
 import lifesim.env.mdp as mdp
+import population_oracle
 import lifesim.simulate as simulate
 from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
@@ -28,7 +29,7 @@ from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.errors import ContractViolation
 from lifesim.paramfiles import params_dir
-from lifesim.population import init_population, load_demographics
+from lifesim.population import load_demographics
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import FLOW_COLUMNS
 from lifesim.simulate import SimulationLog, run_cohort, run_cohort_parallel
@@ -57,8 +58,8 @@ def net():
 def population(env: LifecycleEnv, seed: int):
     """A seeded 14-agent cohort in which some adults die in the decision
     phase, some in the static phase, and two mothers give birth at 78 (so
-    their child bands change in the static phase too)."""
-    pop = init_population(14, env, seed=seed)
+    their child bands change in the static phase too), as records."""
+    pop = population_oracle.records(14, env, seed=seed)
     rng = np.random.default_rng(seed)
     for hh in pop.households:
         for a in hh.adults:
@@ -102,7 +103,8 @@ def test_run_cohort_matches_per_quarter_pricing(envs, net, small_blocks, monkeyp
                                                 pricing_rows):
     env = envs[rules_name]
     pop = population(env, seed=31)
-    assert len(simulate._blocks(pop.households)) >= 2
+    cohort = population_oracle.cohort(pop, env)
+    assert len(simulate._blocks(cohort.block)) >= 2
     static_births = []
     fertility = mdp.fertility_phase
 
@@ -123,9 +125,9 @@ def test_run_cohort_matches_per_quarter_pricing(envs, net, small_blocks, monkeyp
     calls = []
     price_units = simulate.price_units
     monkeypatch.setattr(simulate, "price_units", lambda *args: calls.append(1) or price_units(*args))
-    got = run_cohort(net, pop, env, mode=mode, collect_incentives=incentives)
+    got = run_cohort(net, cohort, env, mode=mode, collect_incentives=incentives)
     assert_same_log(got, want)
-    blocks = len(simulate._blocks(pop.households))
+    blocks = len(simulate._blocks(cohort.block))
     if pricing_rows == UNBOUNDED:
         assert len(calls) == blocks
     else:
@@ -137,7 +139,8 @@ def test_parallel_run_matches_per_quarter_pricing(envs, net, small_blocks, monke
     pop = population(env, seed=32)
     want = cohort_oracle.run_cohort(net, copy.deepcopy(pop), env, mode="sample", collect_incentives=True)
     monkeypatch.setattr(simulate, "PRICING_ROWS", 37)
-    assert_same_log(run_cohort_parallel(net, pop, env, workers=2, collect_incentives=True), want)
+    got = run_cohort_parallel(net, population_oracle.cohort(pop, env), env, workers=2, collect_incentives=True)
+    assert_same_log(got, want)
 
 
 def _patched_consumption(monkeypatch, living: bool, value: float) -> list[int]:
@@ -165,7 +168,7 @@ def test_non_positive_consumption_of_a_living_adult_raises(envs, net, monkeypatc
     env = envs["2023"]
     changed = _patched_consumption(monkeypatch, living=True, value=value)
     with pytest.raises(ContractViolation, match="positive consumption"):
-        run_cohort(net, population(env, seed=33), env)
+        run_cohort(net, population_oracle.cohort(population(env, seed=33), env), env)
     assert changed and changed[0] > 0
 
 
@@ -174,7 +177,7 @@ def test_units_without_a_living_adult_need_no_positive_consumption(envs, net, mo
     is nobody's, so it is not checked."""
     env = envs["2023"]
     changed = _patched_consumption(monkeypatch, living=False, value=0.0)
-    run_cohort(net, population(env, seed=33), env)
+    run_cohort(net, population_oracle.cohort(population(env, seed=33), env), env)
     assert sum(changed) > 0
 
 
@@ -182,7 +185,7 @@ def test_an_age_past_100_raises(envs, net):
     env = envs["2023"]
     old = AgentState(gender="men", group=1, age=99.0, state=S.RETIRED, pension_paid=1500.0, life_left=400)
     hh = HouseholdState(adults=(old,), rng_exo=np.random.default_rng(1), rng_act=np.random.default_rng(2))
-    pop = init_population(2, env, seed=3)
+    pop = population_oracle.records(2, env, seed=3)
     pop.households.append(hh)
     with pytest.raises(ContractViolation, match="outside model range"):
-        run_cohort(net, pop, env)
+        run_cohort(net, population_oracle.cohort(pop, env), env)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lifesim.env.mdp as mdp
+import population_oracle
 from lifesim.agent import NO_EVENT, AgentState, HouseholdState, child_bands
 from lifesim.env.mdp import DT, MAX_AGE
 from lifesim.env import (
@@ -31,7 +32,7 @@ from lifesim.errors import ContractViolation
 from lifesim.paramfiles import params_dir
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import net_income
-from lifesim.population import ExogenousHazards, Gompertz, init_population, load_demographics
+from lifesim.population import ExogenousHazards, Gompertz, load_demographics
 from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
 from one_household import budget_units, household_flows, kappa, legal_actions, mu_term, utility
@@ -565,7 +566,7 @@ def test_random_policy_legality_audit(env):
     outside work has no hours and no paid wage after every step, the freeze
     at the decision horizon and every static quarter."""
     rng = np.random.default_rng(0)
-    pop = init_population(60, env, seed=21)
+    pop = population_oracle.records(60, env, seed=21)
     for _ in range(229):
         for hh in pop.households:
             prev = [x.state for x in hh.adults]
@@ -584,7 +585,7 @@ def test_random_policy_legality_audit(env):
 
 
 def test_feature_encoding_shape_and_range(env, uparams):
-    pop = init_population(40, env, seed=22)
+    pop = population_oracle.records(40, env, seed=22)
     for hh in pop.households:
         for i, a in enumerate(hh.adults):
             partner = hh.adults[1 - i] if len(hh.adults) == 2 else None

@@ -24,14 +24,14 @@ import numpy as np
 import pytest
 
 import rules_oracle
-from lifesim.agent import AgentState, HouseholdState, mother_of
+from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.env.mdp import DECISION_END_AGE, DT, PricingLedger
 from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
-from lifesim.population import init_population, load_demographics
+from lifesim.population import load_demographics
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import (FLOW_COLUMNS, AdultColumns, AdultSnapshot, HouseholdSnapshot, load_ruleset, net_income,
                            price_units)
@@ -39,6 +39,7 @@ from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
 from train_oracle import step_block
 from one_household import budget_units, household_flows, observe_households, step_households
+from population_oracle import mother_of, records
 
 RULE_NAMES = [str(year) for year in range(2018, 2025)] + ["2023+orpo"]
 STATIC_QUARTERS = 12
@@ -141,7 +142,7 @@ def test_household_flows_match_oracle_along_trajectories(rules_name):
     env = _env(_rules(rules_name))
     seed = 40 + RULE_NAMES.index(rules_name)
     # Drawn for 2023, the year the cohorts were drawn for under every rule set.
-    households = init_population(21, env.with_rules(_rules("2023")), seed=seed).households + _late_starters(seed)
+    households = records(21, env.with_rules(_rules("2023")), seed=seed).households + _late_starters(seed)
     rng = np.random.default_rng(seed)
     decision_quarters = int(round((DECISION_END_AGE - 18.0) / DT))
     for hh in households[:-6]:
@@ -357,7 +358,7 @@ def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
     forms afresh, and are formed again only when who lives, who is
     partnered or a child band changed."""
     env = _env(_rules("2023"))
-    households = init_population(40, env, seed=9).households + _late_starters(9)
+    households = records(40, env, seed=9).households + _late_starters(9)
     rng = np.random.default_rng(9)
     for hh in households:
         for a in hh.adults:

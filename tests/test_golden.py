@@ -81,7 +81,7 @@ def fingerprint() -> dict:
 def run_golden() -> dict:
     env = build_env(EnvPaths.packaged(YEAR))
     pop = init_population(COHORT_AGENTS, env, seed=POPULATION_SEED)
-    assert len(pop.households) == 3 * BLOCK_HOUSEHOLDS
+    assert pop.block.m == 3 * BLOCK_HOUSEHOLDS
     net = PolicyValueNet(OBS_DIM, N_ACTIONS, seed=NET_SEED)
     log = run_cohort(net, pop, env, mode="sample", collect_incentives=True)
     config = TrainConfig(total_steps=TRAIN_UPDATES * TrainConfig.rollout * 2 * TRAIN_HOUSEHOLDS,

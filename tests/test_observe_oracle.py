@@ -10,13 +10,14 @@ rows ``observe_households`` writes for the whole block, and the one-adult
 import numpy as np
 import pytest
 
+import population_oracle
 from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, encode, legal_mask, load_utility_params
 from lifesim.env.actions import A_HOME_CARE, A_PARTIAL25, A_RETIRE, N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.env.mdp import DECISION_END_AGE, DT
 from lifesim.paramfiles import params_dir, ruleset_path
-from lifesim.population import init_population, load_demographics
+from lifesim.population import load_demographics
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import load_ruleset
 from lifesim.states import EmploymentState as S
@@ -42,7 +43,7 @@ def _bits(a):
 @pytest.mark.parametrize("rules_name, seed", [("2023", 31), ("2023+orpo", 32), ("2019", 33)])
 def test_block_rows_match_per_row_oracle(rules_name, seed):
     env = LifecycleEnv(_rules(rules_name), load_utility_params(), load_wage_params(), load_demographics())
-    households = init_population(41, env.with_rules(_rules("2023")), seed=seed).households   # drawn for 2023
+    households = population_oracle.records(41, env.with_rules(_rules("2023")), seed=seed).households   # drawn for 2023
     rng = np.random.default_rng(seed)
     for hh in households:
         for a in hh.adults:

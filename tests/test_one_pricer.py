@@ -9,9 +9,9 @@ single adult, adults who die in the decision and the static phase, a child
 under 3 and a pink slip, each asserted to occur in a priced quarter.
 
 ``init_population`` and ``spawn_pair_household`` read their inputs from
-the env; given the same env and seed they must draw the records, and leave
-the generators, that the draws with the inputs passed one by one gave
-(``population_oracle``).
+the env and draw into block columns; given the same env and seed they must
+draw the block, and leave the generators, that packing the records drawn
+with the inputs passed one by one gives (``population_oracle``).
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ import pytest
 
 import population_oracle
 import price_oracle
-from lifesim.agent import AgentState, HouseholdState
+from lifesim.agent import AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import legal_mask
+from lifesim.env.vector import LifecycleVectorEnv
 from lifesim.paramfiles import ruleset_path
-from lifesim.population import init_population, load_demographics, spawn_pair_household
+from lifesim.population import init_population, load_demographics
 from lifesim.rules import load_ruleset
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
@@ -71,7 +72,7 @@ def _households(env: LifecycleEnv) -> list[HouseholdState]:
         hh = HouseholdState(adults=adults, partnered=len(adults) == 2, child_ages=[1.0] if k == 1 else [])
         hh.rng_exo, hh.rng_act = np.random.default_rng((5, k, 0)), np.random.default_rng((5, k, 1))
         households.append(hh)
-    return households + init_population(9, env, seed=17).households
+    return households + population_oracle.records(9, env, seed=17).households
 
 
 def test_one_household_api_keeps_the_per_block_pricers_bits(env):
@@ -126,14 +127,16 @@ def test_population_draws_from_the_env_as_from_its_parts(env, year, n, seed):
     want = population_oracle.init_population(n, arm.tables, seed, year=year, wparams=arm.wparams,
                                              draws=arm.initial_draws)
     assert (got.seed, got.size) == (want.seed, want.size)
-    assert [_household(hh) for hh in got.households] == [_household(hh) for hh in want.households]
-    assert {len(hh.adults) for hh in got.households} == {1, 2}
+    population_oracle.assert_same_block(got.block, HouseholdBlock.of(want.households, arm.window))
+    assert set(got.block.size.tolist()) == {1, 2}
 
-    stream, oracle_stream = np.random.SeedSequence((seed, 0xF00D)), np.random.SeedSequence((seed, 0xF00D))
-    for _ in range(6):
-        pair = spawn_pair_household(stream.spawn(1)[0], arm)
-        assert _household(pair) == _household(population_oracle.spawn_pair_household(
-            oracle_stream.spawn(1)[0], arm.tables, arm.wparams, arm.initial_draws, year))
+    # The training pool's fresh blocks, each household drawn by ``spawn_pair_household``.
+    venv = LifecycleVectorEnv(arm, n_households=6, seed=seed)
+    oracle_stream = np.random.SeedSequence((seed, 0xF00D))
+    for _ in range(2):
+        pairs = [population_oracle.spawn_pair_household(oracle_stream.spawn(1)[0], arm.tables, arm.wparams,
+                                                        arm.initial_draws, year) for _ in range(6)]
+        population_oracle.assert_same_block(venv._fresh_block(), HouseholdBlock.of(pairs, arm.window))
 
 
 def test_population_default_year_and_wages_were_the_packaged_2023_env(env):
@@ -141,4 +144,4 @@ def test_population_default_year_and_wages_were_the_packaged_2023_env(env):
     initial draw tables built per call) drew what the packaged 2023 env draws."""
     got = init_population(30, env, seed=5)
     want = population_oracle.init_population(30, env.tables, 5)
-    assert [_household(hh) for hh in got.households] == [_household(hh) for hh in want.households]
+    population_oracle.assert_same_block(got.block, env.block(want.households))

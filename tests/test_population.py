@@ -12,6 +12,7 @@ from lifesim.population import DemographicTables, Gompertz, init_population, loa
 from lifesim.rules import load_ruleset
 from lifesim.wage import load_wage_params
 from lifesim.states import EmploymentState as S
+import population_oracle
 from step_oracle import fertility_events, mortality_events, partnership_events
 
 
@@ -20,11 +21,20 @@ def _packaged_parts():
     return load_ruleset(ruleset_path(2023)), load_utility_params(), load_wage_params()
 
 
-def draw(n, tables, seed):
-    """``init_population`` from an env of the packaged 2023 rules,
-    preferences and wages, and ``tables``."""
+def _env(tables):
+    """An env of the packaged 2023 rules, preferences and wages, and ``tables``."""
     rules, uparams, wparams = _packaged_parts()
-    return init_population(n, LifecycleEnv(rules, uparams, wparams, tables), seed=seed)
+    return LifecycleEnv(rules, uparams, wparams, tables)
+
+
+def draw(n, tables, seed):
+    """``init_population`` from ``_env(tables)``."""
+    return init_population(n, _env(tables), seed=seed)
+
+
+def draw_records(n, tables, seed):
+    """The same cohort as records, for the per-record event oracle."""
+    return population_oracle.records(n, _env(tables), seed=seed)
 
 
 # One demographic event phase over a whole population.
@@ -62,12 +72,11 @@ def zero_hazard_tables(tables) -> DemographicTables:
 
 
 def test_single_agent_reproducible(tables):
-    a = draw(1, tables, seed=42).households[0].adults[0]
-    b = draw(1, tables, seed=42).households[0].adults[0]
-    assert (a.gender, a.group, a.state, a.potential_wage, a.life_left) == (
-        b.gender, b.group, b.state, b.potential_wage, b.life_left,
-    )
-    assert a.age == 18.0
+    a = draw(1, tables, seed=42).block
+    b = draw(1, tables, seed=42).block
+    for name in ("women", "group", "state", "potential_wage", "life_left"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.age.tolist() == [18.0]
 
 
 def test_zero_population_rejected(tables):
@@ -76,28 +85,28 @@ def test_zero_population_rejected(tables):
 
 
 def test_group_shares_concentrate(tables):
-    pop = draw(100_000, tables, seed=7)
-    for gender in ("men", "women"):
-        agents = [a for a in pop.agents() if a.gender == gender]
+    b = draw(100_000, tables, seed=7).block
+    for women, gender in enumerate(("men", "women")):
+        groups = b.group[b.women == women]
         expected = tables.shares_for_year(2023, gender)
         for g in range(3):
-            observed = sum(1 for a in agents if a.group == g) / len(agents)
+            observed = np.count_nonzero(groups == g) / len(groups)
             assert observed == pytest.approx(expected[g], abs=0.01)
 
 
 def test_initial_state_distribution(tables):
-    pop = draw(100_000, tables, seed=8)
-    for gender in ("men", "women"):
-        agents = [a for a in pop.agents() if a.gender == gender]
+    b = draw(100_000, tables, seed=8).block
+    for women, gender in enumerate(("men", "women")):
+        states = b.state[b.women == women]
         dist = tables.initial_states[gender]
         total = sum(dist.values())
-        student_share = sum(1 for a in agents if a.state is S.STUDENT) / len(agents)
+        student_share = np.count_nonzero(states == S.STUDENT) / len(states)
         assert student_share == pytest.approx(dist[S.STUDENT] / total, abs=0.01)
 
 
 def test_partnership_zero_hazard_no_change(tables):
     zt = zero_hazard_tables(tables)
-    pop = draw(500, zt, seed=3)
+    pop = draw_records(500, zt, seed=3)
     before = [hh.partnered for hh in pop.households]
     for _ in range(8):
         partnership_step(pop, zt)
@@ -109,7 +118,7 @@ def test_marriage_certain_event(tables):
     certain = dataclasses.replace(
         zero_hazard_tables(tables), marriage_annual=[(18.0, 4.0)]
     )  # quarterly hazard 1.0
-    pop = draw(2, certain, seed=4)
+    pop = draw_records(2, certain, seed=4)
     pair = next(hh for hh in pop.households if len(hh.adults) == 2)
     assert pair.until_marriage == 1
     partnership_step(pop, certain)
@@ -121,7 +130,7 @@ def test_partnership_formation_count_within_3_sigma(tables):
     # pairs follows the geometric first-event law.
     p = 0.05
     t = dataclasses.replace(zero_hazard_tables(tables), marriage_annual=[(18.0, 4 * p)])
-    pop = draw(100_000, t, seed=9)
+    pop = draw_records(100_000, t, seed=9)
     pairs = [hh for hh in pop.households if len(hh.adults) == 2]
     for _ in range(4):
         partnership_step(pop, t)
@@ -133,12 +142,12 @@ def test_partnership_formation_count_within_3_sigma(tables):
 
 def test_fertility_zero_and_certain(tables):
     zt = zero_hazard_tables(tables)
-    pop = draw(200, zt, seed=5)
+    pop = draw_records(200, zt, seed=5)
     fertility_step(pop, zt)
     assert all(not hh.child_ages for hh in pop.households)
 
     certain = dataclasses.replace(zt, fertility_annual=[(18.0, 4.0)])
-    pop2 = draw(200, certain, seed=5)
+    pop2 = draw_records(200, certain, seed=5)
     fertility_step(pop2, certain)
     with_mother = [hh for hh in pop2.households if any(a.gender == "women" for a in hh.adults)]
     assert all(len(hh.child_ages) == 1 for hh in with_mother)
@@ -147,7 +156,7 @@ def test_fertility_zero_and_certain(tables):
 def test_fertility_count_within_3_sigma(tables):
     p = 0.02
     t = dataclasses.replace(zero_hazard_tables(tables), fertility_annual=[(18.0, 4 * p)])
-    pop = draw(60_000, t, seed=10)
+    pop = draw_records(60_000, t, seed=10)
     mothers = sum(1 for hh in pop.households if any(a.gender == "women" for a in hh.adults))
     births = 0
     for _ in range(4):
@@ -160,7 +169,7 @@ def test_fertility_count_within_3_sigma(tables):
 
 def test_children_age_out_at_18(tables):
     zt = zero_hazard_tables(tables)
-    pop = draw(2, zt, seed=6)
+    pop = draw_records(2, zt, seed=6)
     hh = pop.households[0]
     hh.child_ages = [17.8]
     fertility_step(pop, zt)
@@ -169,20 +178,20 @@ def test_children_age_out_at_18(tables):
 
 def test_mortality_zero_and_certain(tables):
     zt = zero_hazard_tables(tables)
-    pop = draw(300, zt, seed=11)
+    pop = draw_records(300, zt, seed=11)
     for _ in range(8):
         mortality_step(pop, zt)
     assert all(a.alive for a in pop.agents())
 
     lethal = dataclasses.replace(tables, mortality={g: Gompertz(1.0, 0.0) for g in tables.mortality})
-    pop2 = draw(300, lethal, seed=11)
+    pop2 = draw_records(300, lethal, seed=11)
     mortality_step(pop2, lethal)
     assert all(not a.alive for a in pop2.agents())
 
 
 def test_survival_curve_matches_table_product(tables):
-    pop = draw(80_000, tables, seed=12)
-    agents = [a for a in pop.agents() if a.gender == "men"]
+    b = draw(80_000, tables, seed=12).block
+    life_left = b.life_left[b.women == 0]
     horizon = 120  # quarters = 30 years
     # Independent product of the quarterly survival probabilities.
     s = 1.0
@@ -191,13 +200,13 @@ def test_survival_curve_matches_table_product(tables):
         s *= 1.0 - tables.mortality_quarterly("men", 18.0 + 0.25 * k)
         expected.append(s)
     for k in (40, 80, 120):
-        observed = sum(1 for a in agents if a.life_left == NO_EVENT or a.life_left > k) / len(agents)
-        se = np.sqrt(expected[k - 1] * (1 - expected[k - 1]) / len(agents))
+        observed = np.count_nonzero((life_left == NO_EVENT) | (life_left > k)) / len(life_left)
+        se = np.sqrt(expected[k - 1] * (1 - expected[k - 1]) / len(life_left))
         assert abs(observed - expected[k - 1]) < 4 * se + 1e-12
 
 
 def test_partner_symmetry_and_conservation(tables):
-    pop = draw(2_000, tables, seed=13)
+    pop = draw_records(2_000, tables, seed=13)
     n_agents = sum(len(hh.adults) for hh in pop.households)
     assert n_agents == 2_000
     for _ in range(40):
@@ -219,7 +228,7 @@ def test_stored_child_bands_follow_fertility_events(tables):
     rng = np.random.default_rng(7)
     births = dataclasses.replace(zero_hazard_tables(tables), fertility_annual=[(18.0, 0.4)])
     no_births = zero_hazard_tables(tables)
-    pop = draw(40, births, seed=8)
+    pop = draw_records(40, births, seed=8)
     with_mother = [hh for hh in pop.households if any(a.gender == "women" for a in hh.adults)]
     assert with_mother
     born = 0

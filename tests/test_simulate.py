@@ -371,7 +371,7 @@ def test_parallel_log_identical_for_any_worker_count(env, small_net, monkeypatch
     logs = []
     for workers in (1, 2, 3):
         pop = init_population(30, env, seed=12)
-        assert len(pop.households) >= 3 * simulate.BLOCK_HOUSEHOLDS
+        assert pop.block.m >= 3 * simulate.BLOCK_HOUSEHOLDS
         logs.append(simulate.run_cohort_parallel(small_net, pop, env, workers=workers,
                                                  collect_incentives=True))
     ref = logs[0]
@@ -401,9 +401,9 @@ def test_repeat_protocol_population_uses_env_wage_params(env, small_net, monkeyp
     for wparams in (wp, doubled):
         arm = LifecycleEnv(env.rules, env.uparams, wparams, env.tables)
         pipelines.run_repeat_protocol(small_net, arm, protocol)
-    base, scaled = ([a.potential_wage for a in pop.agents()] for pop in populations)
+    base, scaled = (pop.block.potential_wage for pop in populations)
     # At 18 the age profile equals its base, so the same draws give twice the wage.
-    np.testing.assert_allclose(scaled, 2.0 * np.asarray(base), rtol=1e-12)
+    np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-12)
 
 
 def test_repeat_protocol_population_uses_the_rule_year(small_net, monkeypatch):
@@ -422,7 +422,7 @@ def test_repeat_protocol_population_uses_the_rule_year(small_net, monkeypatch):
     seed = int(np.random.SeedSequence((protocol.seed, 0)).generate_state(1)[0])
     want = init_population(protocol.cohort_size, env, seed=seed)
     default_year = init_population(protocol.cohort_size, env.with_rules(load_ruleset(ruleset_path(2023))), seed=seed)
-    drawn = [[(a.gender, a.group, a.state, a.potential_wage) for a in pop.agents()]
+    drawn = [[getattr(pop.block, name).tobytes() for name in ("women", "group", "state", "potential_wage")]
              for pop in (populations[0], want, default_year)]
     assert drawn[0] == drawn[1]
     assert drawn[1] != drawn[2]   # the 2023 shares draw another cohort
@@ -448,7 +448,7 @@ def test_nan_cells_summarize_and_compare_without_warnings(small_log):
 
 
 def _act_streams(pop):
-    return [copy.deepcopy(hh.rng_act) for hh in pop.households]
+    return [copy.deepcopy(rng) for rng in pop.block.rng_act]
 
 
 def test_sample_mode_draws_each_households_action_uniforms_as_per_quarter_draws(env, small_net, monkeypatch):
@@ -466,13 +466,15 @@ def test_sample_mode_draws_each_households_action_uniforms_as_per_quarter_draws(
 
     decision_q = (75 - 18) * 4
     want = []
-    for block in simulate._blocks(list(range(len(pop.households)))):
-        slots = [(h, k) for h in block for k in range(len(pop.households[h].adults))]
+    households = list(range(pop.block.m))
+    for lo in range(0, pop.block.m, simulate.BLOCK_HOUSEHOLDS):
+        block = households[lo:lo + simulate.BLOCK_HOUSEHOLDS]
+        slots = [(h, k) for h in block for k in range(pop.block.size[h])]
         draws = [[streams[h].random(2) for _ in range(decision_q)] for h in block]
         want += [np.array([draws[block.index(h)][q][k] for h, k in slots]) for q in range(decision_q)]
-    assert len(fed) == len(want) == len(simulate._blocks(pop.households)) * decision_q
+    assert len(fed) == len(want) == len(simulate._blocks(pop.block)) * decision_q
     assert all(np.array_equal(a, b) for a, b in zip(fed, want))
-    assert [hh.rng_act.bit_generator.state for hh in pop.households] == [s.bit_generator.state for s in streams]
+    assert [rng.bit_generator.state for rng in pop.block.rng_act] == [s.bit_generator.state for s in streams]
     assert log.states.shape[0] == pop.size
 
 
@@ -480,4 +482,4 @@ def test_greedy_mode_draws_no_action_uniforms(env, small_net):
     pop = init_population(6, env, seed=22)
     streams = _act_streams(pop)
     run_cohort(small_net, pop, env, mode="greedy")
-    assert [hh.rng_act.bit_generator.state for hh in pop.households] == [s.bit_generator.state for s in streams]
+    assert [rng.bit_generator.state for rng in pop.block.rng_act] == [s.bit_generator.state for s in streams]

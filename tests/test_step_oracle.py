@@ -15,6 +15,7 @@ import struct
 import numpy as np
 import pytest
 
+import population_oracle
 import step_oracle
 from lifesim.agent import AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
@@ -23,7 +24,7 @@ from lifesim.env.features import OBS_DIM
 from lifesim.env.mdp import DECISION_END_AGE, DT, event_names
 from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
-from lifesim.population import init_population, load_demographics
+from lifesim.population import load_demographics
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import load_ruleset
 from lifesim.states import EmploymentState as S
@@ -74,7 +75,7 @@ def _env_2023(env: LifecycleEnv) -> LifecycleEnv:
 
 def _population(env: LifecycleEnv, seed: int) -> list[HouseholdState]:
     """A seeded cohort (singles and pairs), some adults with an early death."""
-    households = init_population(19, _env_2023(env), seed=seed).households
+    households = population_oracle.records(19, _env_2023(env), seed=seed).households
     rng = np.random.default_rng(seed)
     for hh in households:
         for a in hh.adults:
