@@ -82,8 +82,8 @@ class HouseholdState:
     until_birth: int = NO_EVENT
     until_marriage: int = NO_EVENT
     until_divorce: int = NO_EVENT
-    rng_exo: np.random.Generator | None = None
-    rng_act: np.random.Generator | None = None
+    key: tuple[int, int] = (0, 0)   # (population seed, household id) of its draws
+    quarter: int = 0                # quarters stepped since 18: the draws' row
     # Children under 3, under 7 and under 18, derived from ``child_ages``:
     # set here and by the fertility events, the only writers of both.
     bands: tuple[int, int, int] = field(init=False, repr=False, compare=False)
@@ -113,7 +113,8 @@ _DEFAULTS = {**{f.name: f.default for f in fields(AgentState) if f.default is no
 _HOUSEHOLD_INTS = ("until_birth", "until_marriage", "until_divorce")
 # The columns that hold the state of an adult and of a household.
 _ADULT_STATE = (*_COLUMNS, "worked", "window_wage", "window_len")
-_HOUSEHOLD_STATE = ("partnered", *_HOUSEHOLD_INTS, "child_used", "under3", "under7", "under18")
+_HOUSEHOLD_STATE = ("partnered", *_HOUSEHOLD_INTS, "child_used", "under3", "under7", "under18", "seed", "ids",
+                    "quarter")
 _agent_values = attrgetter(*_COLUMNS)
 
 
@@ -127,7 +128,10 @@ class HouseholdBlock:
     rows (``m``): ``first`` row, ``size``, ``partnered``, the birth,
     marriage and divorce clocks, ``child_age`` (a column per child ever
     held, in birth order, NaN once gone), the child bands, the ``mother``
-    and ``father`` rows (-1 for none) and the generators.  The budget
+    and ``father`` rows (-1 for none), and the key of each household's
+    draws (``seed``, ``ids``) with its ``quarter``.  The draws themselves,
+    ``uniforms`` and ``normals``, are arrays drawn when the block starts
+    (``lifesim.population.draw_life``).  The budget
     ``units`` (see ``LifecycleEnv.units``, with the ``unit_key`` they were
     formed from and the ``sharers`` of each unit's consumption), the last
     quarter's ``event`` codes and ``birth`` flags are kept beside the state;
@@ -138,7 +142,8 @@ class HouseholdBlock:
     def new(cls, sizes: Sequence[int], women: Sequence[bool], window: int) -> "HouseholdBlock":
         """Households of ``sizes`` (one or two) adults, ``women`` flagging
         each adult row, with a ``window``-quarter work window: every adult
-        18, every field at its record default, no generators."""
+        18, every field at its record default, household ``h`` keyed
+        (0, ``h``) at quarter 0, no draws."""
         b = cls()
         b.size = np.array(sizes, dtype=np.int64)
         b.n, b.m = int(b.size.sum()), len(b.size)
@@ -164,7 +169,8 @@ class HouseholdBlock:
                               for flag in (1, 0))
         b.pairs = np.flatnonzero(b.size == 2)
         b.with_mother = np.flatnonzero(b.mother >= 0)
-        b.rng_exo, b.rng_act = [None] * b.m, [None] * b.m
+        b.seed, b.ids, b.quarter = np.zeros(b.m, dtype=np.uint64), np.arange(b.m), np.zeros(b.m, dtype=np.int64)
+        b.uniforms = b.normals = None   # set by lifesim.population.draw_life
         b.units = b.unit_key = b.sharers = None   # set by LifecycleEnv.units
         b.event = np.zeros(b.n, dtype=np.int8)
         b.birth = np.zeros(b.m, dtype=bool)
@@ -202,7 +208,8 @@ class HouseholdBlock:
             b.child_age[h, :len(hh.child_ages)] = hh.child_ages
         bands = np.array([hh.bands for hh in records], dtype=np.int64).reshape(b.m, 3)
         b.under3, b.under7, b.under18 = bands.T.copy()
-        b.rng_exo, b.rng_act = [hh.rng_exo for hh in records], [hh.rng_act for hh in records]
+        b.seed[:], b.ids[:] = np.array([hh.key for hh in records], dtype=np.uint64).reshape(b.m, 2).T
+        b.quarter[:] = [hh.quarter for hh in records]
         return b
 
     @classmethod
@@ -212,7 +219,7 @@ class HouseholdBlock:
 
     def take(self, lo: int, hi: int) -> "HouseholdBlock":
         """Households ``lo`` to ``hi`` (exclusive) as a :meth:`new` block of
-        their own: a copy of their state columns, sharing their generators."""
+        their own: a copy of their state columns and keys, without draws."""
         r0, r1 = int(self.first[lo]), self.n if hi >= self.m else int(self.first[hi])
         b = HouseholdBlock.new(self.size[lo:hi], self.women[r0:r1], self.worked.shape[1])
         for name in _ADULT_STATE:
@@ -220,7 +227,6 @@ class HouseholdBlock:
         for name in _HOUSEHOLD_STATE:
             setattr(b, name, getattr(self, name)[lo:hi].copy())
         b.child_age = self.child_age[lo:hi, :max(1, int(b.child_used.max()))].copy()
-        b.rng_exo, b.rng_act = self.rng_exo[lo:hi], self.rng_act[lo:hi]
         return b
 
     def stop_work(self, rows, state: int) -> None:
@@ -249,4 +255,5 @@ class HouseholdBlock:
                 setattr(hh, name, int(getattr(self, name)[h]))
             hh.child_ages = [age for age in self.child_age[h].tolist() if age == age]
             hh.bands = band
+            hh.quarter = int(self.quarter[h])
 

@@ -28,7 +28,7 @@ from .paramfiles import load_yaml
 from .pipelines import EnvPaths, ProtocolConfig, build_env, reform_pipeline, train_policy
 from .population import init_population
 from .reform import load_reform
-from .reports import write_comparison_csvs, write_report_csvs
+from .reports import write_comparison_csvs, write_csv, write_report_csvs
 from .rules import AdultSnapshot, HouseholdSnapshot, emtr, load_ruleset
 from .simulate import aggregate, run_cohort_parallel, scale_to_population
 from .solver import TrainConfig, load_checkpoint, save_checkpoint
@@ -279,12 +279,7 @@ def cmd_emtr_scan(cfg: dict, args: argparse.Namespace) -> int:
             parts_keys = [k for k in parts if k != "total"]
         rows.append([wage, parts["total"]] + [parts[k] for k in parts_keys])
         wage += step
-    path = out / "emtr_scan.csv"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["wage_monthly", "emtr_total"] + parts_keys)
-        for row in rows:
-            w.writerow([f"{v:.10g}" for v in row])
+    path = write_csv(out / "emtr_scan.csv", ["wage_monthly", "emtr_total"] + parts_keys, rows)
     print(f"scan written to {path} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -1,26 +1,24 @@
 """The quarterly household decision process, stepped a block at a time.
 
-One quarter runs, in order: the fixed draws, demographic events (deaths,
-marriage and divorce, births and the parental leaves they start), exogenous
-employment transitions, decisions with job-search friction, then wage and
-tracker updates; its rules-engine cash flows and per-agent rewards are
-priced after it (see below).  Every phase runs over the columns of a
+One quarter runs, in order: demographic events (deaths, marriage and
+divorce, births and the parental leaves they start), exogenous employment
+transitions, decisions with job-search friction, then wage and tracker
+updates; its rules-engine cash flows and per-agent rewards are priced
+after it (see below).  Every phase runs over the columns of a
 :class:`~lifesim.agent.HouseholdBlock` (one row per adult, in household then
 slot order), repeating the per-agent formulas operation for operation:
 
-* Draw order.  Each household owns its ``rng_exo`` and draws, every
-  quarter, ``standard_normal(2)`` (the slots' wage shocks), ``random(12)``
-  (five uniforms per slot, then the household's), then only what events
-  trigger: partnership, fertility, adult 0's spell draws, adult 1's.  Phases
-  loop in Python over just the households or adults that draw, so every
-  stream is the one the household would draw if stepped alone.
+* Keyed draws.  Every phase reads its own slot of the quarter's row of the
+  block's life draws (:func:`lifesim.population.quarter_draws`; the key and
+  the layout are in :mod:`lifesim.population`), whether or not its event
+  fires, and the step moves each household's ``quarter`` on.
 * Scalar where bits differ.  ``math.log``/``math.exp`` run on each value of
   a column, ages advance by Python's ``round(x, 6)``, and the wage profile
   is ``WageParams.mean_wage``, memoised by gender, group and quarter of age.
   Sums over a work window, a unit's adults or a block's flow rows keep
   Python's left-to-right order.
 * Other loops run over the adults entering unemployment with a new benefit
-  basis and the job searches from outside work.
+  basis, the job searches from outside work, and the fired clocks.
 * One pricer.  A :class:`PricingLedger` prices every quarter of a block
   that anything reads the flows, consumption or rewards of: training's and
   the simulator's many at once, and ``terminal_block`` and the
@@ -43,12 +41,12 @@ per hazard and start age and kept with the env
 (:func:`lifesim.population.draw_event_clock`).
 
 ``LifecycleEnv.step``, ``static_quarter``, ``freeze_for_static_phase`` and
-``terminal_value`` are the block of one household: pack, run the block
-phase, write back into the same records.  The per-household step the block
-step replaced, and its per-record demographic events, are
-``tests/step_oracle.py``; the other one-household views the tests use
-(``budget_units``, ``household_flows``, ``observe_households``,
-``step_households``) are ``tests/one_household.py``.
+``terminal_value`` are the block of one household: pack (drawing its life
+through its quarter), run the block phase, write back into the same
+records.  The per-household step the block step replaced, and its
+per-record demographic events, are ``tests/step_oracle.py``; the other
+one-household views the tests use (``budget_units``, ``household_flows``,
+``observe_households``, ``step_households``) are ``tests/one_household.py``.
 """
 
 from __future__ import annotations
@@ -63,8 +61,10 @@ import numpy as np
 
 from ..agent import DT, MAX_AGE, NO_EVENT, STATES, HouseholdBlock, HouseholdState
 from ..errors import ContractViolation
-from ..population import (DemographicTables, InitialDraws, draw_geometric, fertility_phase, initial_draw_tables,
-                          mortality_phase, partnership_phase)
+from ..population import (H_BIRTH, H_FATHER_LEAVE, H_PARTNERSHIP, U_FRICTION, U_LAYOFF, U_MISC, U_OUTSIDER_CLOCK,
+                          U_OUTSIDER_SPELL, U_SICK, U_SPARE, U_STUDENT_CLOCK, U_STUDENT_SPELL, DemographicTables,
+                          InitialDraws, draw_geometric, draw_life, fertility_phase, initial_draw_tables,
+                          mortality_phase, partnership_phase, quarter_draws)
 from ..rules import FLOW_COLUMNS, AdultColumns, CashFlows, entitlement_days, price_units
 # ``net_income`` (the snapshot API) stays a module name here for the traced
 # benchmark run (lifebench/layers.py), which wraps it where callers used to
@@ -80,9 +80,6 @@ from .actions import ACTIONS, Decision, legal_mask  # noqa: F401
 from .utility import UtilityColumns, UtilityParams, check_consumption
 
 DECISION_END_AGE = 75.0
-
-# Per-adult uniform slots inside the fixed quarterly draw vector.
-_U_LAYOFF, _U_SICK, _U_MISC, _U_FRICTION, _U_SPARE = range(5)
 
 
 # State and decision codes as plain ints: numpy compares an array with an
@@ -293,7 +290,7 @@ class LifecycleEnv:
         """Python's ``round(age + DT, 6)``, memoised."""
         return lru_cache(maxsize=None)(lambda age: round(age + DT, 6))
 
-    def _mean_wage(self, women: np.ndarray, group: np.ndarray, age: np.ndarray) -> np.ndarray:
+    def mean_wage(self, women: np.ndarray, group: np.ndarray, age: np.ndarray) -> np.ndarray:
         """``WageParams.mean_wage`` of every row, memoised on the quarter grid."""
         table = self._wage_profile
         k = (age - 18.0) * 4.0
@@ -317,8 +314,11 @@ class LifecycleEnv:
         return self.rules.unemployment.er.condition_window_quarters
 
     def block(self, households: list[HouseholdState]) -> HouseholdBlock:
-        """The block of ``households``, its work window as long as the rules'."""
-        return HouseholdBlock.of(households, self.window)
+        """The block of ``households``, its work window as long as the
+        rules', with their life drawn through the latest of their quarters."""
+        b = HouseholdBlock.of(households, self.window)
+        draw_life(b, int(b.quarter.max()) + 1)
+        return b
 
     # -- budget units and cash flows --------------------------------------
 
@@ -447,10 +447,10 @@ class LifecycleEnv:
             spell = sick & ~b.returning
             b.sick_quarters += spell
             maxed = spell & (b.sick_quarters >= exo.sick_max_quarters)
-            disabled = maxed & (u[:, _U_MISC] < exo.disability_after_sick)
+            disabled = maxed & (u[:, U_MISC] < exo.disability_after_sick)
             self._start_pension(b, disabled, _DISABLED)
             b.event[disabled] = Event.DISABILITY_AFTER_SICK
-            b.returning[(maxed & ~disabled) | (spell & ~maxed & (u[:, _U_MISC] >= exo.sick_continue_quarterly))] = True
+            b.returning[(maxed & ~disabled) | (spell & ~maxed & (u[:, U_MISC] >= exo.sick_continue_quarterly))] = True
             pending &= ~sick
         leave = pending & _IS_LEAVE[st]
         if np.count_nonzero(leave):
@@ -480,7 +480,7 @@ class LifecycleEnv:
             decide |= home
             pending &= ~home
 
-        laid_off = pending & IS_WORKING[st] & (u[:, _U_LAYOFF] < exo.layoff_quarterly)
+        laid_off = pending & IS_WORKING[st] & (u[:, U_LAYOFF] < exo.layoff_quarterly)
         if np.count_nonzero(laid_off):
             retired = laid_off & _WORKING_RETIRED[st]
             b.stop_work(retired, _RETIRED)
@@ -488,47 +488,47 @@ class LifecycleEnv:
             b.event[laid_off] = Event.LAYOFF
             pending &= ~laid_off
 
-        onset = pending & _SICK_ONSET[st] & (u[:, _U_SICK] < exo.sick_onset_quarterly)
+        onset = pending & _SICK_ONSET[st] & (u[:, U_SICK] < exo.sick_onset_quarterly)
         if np.count_nonzero(onset):
             b.stop_work(onset, _SICK_LEAVE)
             b.sick_quarters[onset] = 0
             b.event[onset] = Event.SICK_ONSET
             pending &= ~onset
 
-        # A fired clock starts its spell (the length drawn first), then
-        # redraws itself whether or not the spell could start.
+        # A fired clock starts its spell, then redraws itself whether or not
+        # the spell could start.
         for r in (pending & ((b.until_student == 0) | (b.until_outsider == 0))).nonzero()[0].tolist():
-            rng = b.rng_exo[b.hh[r]]
             if b.until_student[r] == 0:
                 started = self._start_spell(b, r, _STUDENT, exo.student_spell_end_quarterly,
-                                            Event.STUDENT_ENTRY, rng)
-                b.until_student[r] = draw_geometric(exo.student_entry_quarterly, rng, cap=10_000)
+                                            Event.STUDENT_ENTRY, u[r, U_STUDENT_SPELL])
+                b.until_student[r] = draw_geometric(exo.student_entry_quarterly, u[r, U_STUDENT_CLOCK], cap=10_000)
                 if started:
                     pending[r] = False
                     continue
             if b.until_outsider[r] == 0:
                 started = self._start_spell(b, r, _OUTSIDE_WF, exo.outsider_spell_end_quarterly,
-                                            Event.OUTSIDE_ENTRY, rng)
-                b.until_outsider[r] = draw_geometric(exo.outsider_entry_quarterly, rng, cap=10_000)
+                                            Event.OUTSIDE_ENTRY, u[r, U_OUTSIDER_SPELL])
+                b.until_outsider[r] = draw_geometric(exo.outsider_entry_quarterly, u[r, U_OUTSIDER_CLOCK],
+                                                     cap=10_000)
                 pending[r] = not started
         return decide | pending
 
     @staticmethod
-    def _start_spell(b: HouseholdBlock, r: int, state: int, end_rate: float, event: int, rng) -> bool:
+    def _start_spell(b: HouseholdBlock, r: int, state: int, end_rate: float, event: int, u: float) -> bool:
         """Start a ``state`` spell of geometric length with quarterly end
-        rate ``end_rate`` at row ``r``; False when the adult is in no state
-        it starts from."""
+        rate ``end_rate`` (drawn with the uniform ``u``) at row ``r``; False
+        when the adult is in no state it starts from."""
         if int(b.state[r]) not in _SPELL_ENTRY:
             return False
         b.stop_work(r, state)
-        b.spell_left[r] = draw_geometric(end_rate, rng)
+        b.spell_left[r] = draw_geometric(end_rate, u)
         b.event[r] = event
         return True
 
-    def _birth_consequences(self, b: HouseholdBlock, u_house: np.ndarray) -> None:
-        """A birth starts the mother's leave, and the father's with some
-        chance when the pair is partnered, unless the parent is dead,
-        retired, disabled or already on a leave."""
+    def _birth_consequences(self, b: HouseholdBlock, u_father: np.ndarray) -> None:
+        """A birth starts the mother's leave, and the father's when the pair
+        is partnered and ``u_father`` is below the take-up rate, unless the
+        parent is dead, retired, disabled or already on a leave."""
         exo = self.tables.exogenous
         for h in b.birth.nonzero()[0].tolist():
             mother, father = int(b.mother[h]), int(b.father[h])
@@ -539,7 +539,7 @@ class LifecycleEnv:
                 continue
             st = int(b.state[father])
             if (b.partnered[h] and st not in _RETIRED_OR_LEFT and st != _FATHERS_LEAVE and st != _MOTHERS_LEAVE
-                    and u_house[h] < exo.father_leave_at_birth):
+                    and u_father[h] < exo.father_leave_at_birth):
                 self._start_leave(b, father, _FATHERS_LEAVE, exo.father_leave_quarters)
 
     @staticmethod
@@ -594,14 +594,14 @@ class LifecycleEnv:
         # Without friction: a returning adult, or a worker keeping the hours class.
         success = returning | (working & (want_ft == _FULL_TIME_STATES[st]))
         search = self.tables.job_search
-        success |= working & (u[:, _U_FRICTION] < search.switch_ft_pt)
+        success |= working & (u[:, U_FRICTION] < search.switch_ft_pt)
         for r in (work & ~success & ~working).nonzero()[0].tolist():
             gender, group, age = "women" if b.women[r] else "men", int(b.group[r]), float(b.age[r])
             kind = "full_time" if want_ft[r] else "part_time"
-            success[r] = u[r, _U_FRICTION] < self._job_find_prob(kind, gender, group, age)
+            success[r] = u[r, U_FRICTION] < self._job_find_prob(kind, gender, group, age)
             if not success[r] and want_ft[r]:
                 # A failed full-time search may still land part time.
-                if u[r, _U_SPARE] < search.pt_on_failed_ft * self._job_find_prob("part_time", gender, group, age):
+                if u[r, U_SPARE] < search.pt_on_failed_ft * self._job_find_prob("part_time", gender, group, age):
                     success[r], want_ft[r], hours[r] = True, False, 24
         failed = work & ~success
         entries.add(failed & returning, eligible=True)
@@ -630,7 +630,7 @@ class LifecycleEnv:
         age = b.age[live]
         women, group = b.women[live], b.group[live]
         b.potential_wage[live] = potential_wage_columns(
-            b.potential_wage[live], self._mean_wage(women, group, prev_age), self._mean_wage(women, group, age),
+            b.potential_wage[live], self.mean_wage(women, group, prev_age), self.mean_wage(women, group, age),
             wp, shocks[live], dt=DT)
         st = b.state[live]
         reduction = b.wage_reduction[live] = update_wage_reduction(b.wage_reduction[live], st, wp, dt=DT)
@@ -678,34 +678,30 @@ class LifecycleEnv:
             r = int((~legal).nonzero()[0][0])
             raise ContractViolation(f"illegal action {ACTIONS[actions[r]]} for state {STATES[b.state[r]].name} "
                                     f"(age {float(b.age[r])})")
-        draws = np.empty((b.m, 14))
-        for h, rng in enumerate(b.rng_exo):
-            rng.standard_normal(out=draws[h, :2])
-            rng.random(out=draws[h, 2:])
-        shocks = draws[b.hh, b.slot]
-        u = draws[:, 2:12].reshape(b.m, 2, 5)[b.hh, b.slot]
-
+        u, u_house, shocks = quarter_draws(b)
         before = b.state.copy()
         b.event[:] = 0
         mortality_phase(b)
-        partnership_phase(b, self.tables, self._curve_cache)
-        b.birth = fertility_phase(b, self.tables, self._curve_cache)
+        partnership_phase(b, self.tables, self._curve_cache, u_house[:, H_PARTNERSHIP])
+        b.birth = fertility_phase(b, self.tables, self._curve_cache, u_house[:, H_BIRTH])
         if np.count_nonzero(b.birth):
-            self._birth_consequences(b, draws[:, 12])
+            self._birth_consequences(b, u_house[:, H_FATHER_LEAVE])
         entries = _Entries(b.n)
         decide = self._exogenous(b, u, entries)
         self._decide(b, actions, decide, u, entries)
         self._enter_unemployment(b, entries)
         self._update_wages_and_trackers(b, shocks, before)
+        b.quarter += 1
 
     def _age_static(self, b: HouseholdBlock) -> None:
-        """A static quarter's state change: mortality, children ageing (no
-        births past 75), and a quarter more of age and of time in state."""
+        """A static quarter's state change: mortality, children ageing (and a
+        birth still due), and a quarter more of age and of time in state."""
         mortality_phase(b)
-        fertility_phase(b, self.tables, self._curve_cache)
+        fertility_phase(b, self.tables, self._curve_cache, quarter_draws(b)[1][:, H_BIRTH])
         live = (b.state != _DEAD).nonzero()[0]
         b.age[live] = list(map(self._next_age, b.age[live].tolist()))
         b.time_in_state[live] += DT
+        b.quarter += 1
 
     def static_block(self, b: HouseholdBlock) -> np.ndarray:
         """One post-decision quarter, states frozen except mortality, zero

@@ -5,20 +5,17 @@ Training and cohort simulation hold their households as one
 one row per adult in household then slot order, one column per field.
 ``observe`` encodes and masks the whole block from its columns with no
 per-adult gather, and ``LifecycleEnv.advance_block`` advances it a quarter
-phase by phase.  Each household draws its ``rng_exo`` in the order it would
-if stepped alone: ``standard_normal(2)``, ``random(12)``, then partnership,
-fertility, adult 0's and adult 1's conditional draws.  Transcendentals stay
-scalar and sums keep Python's left-to-right order (see
-:mod:`lifesim.env.mdp`).  ``tests/one_household.py`` does the same for a
-list of records, which it updates (``observe_households``,
-``step_households``).
+phase by phase (see :mod:`lifesim.env.mdp`).  ``tests/one_household.py``
+does the same for a list of records, which it updates
+(``observe_households``, ``step_households``).
 
 In training, a fixed pool of pair households advances in lockstep, each adult
 one actor slot.  Episodes run the decision phase (ages 18 to 75); at the
 horizon the expected static-phase value is folded into the final reward and
-the pool restarts as a new block, each household drawn into it by
-``spawn_pair_household``.  Dead agents keep their
-slot with a stay-only mask and zero rewards until the episode ends.
+the pool restarts as a new block, drawn by ``spawn_pair_household`` with
+the pool's seed, each household taking the next household id, and its life
+drawn for one episode (see :mod:`lifesim.population`).  Dead agents keep
+their slot with a stay-only mask and zero rewards until the episode ends.
 
 A step is the transition alone, recorded in a
 :class:`~lifesim.env.mdp.PricingLedger` as the cohort simulator records
@@ -31,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..agent import HouseholdBlock
-from ..population import spawn_pair_household
+from ..population import draw_life, spawn_pair_household
 from ..rules import price_units
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
@@ -62,7 +59,8 @@ class LifecycleVectorEnv:
         self.n_actions = N_ACTIONS
         self.step_discount = env.uparams.step_discount
         self.episode_quarters = int(round((DECISION_END_AGE - 18.0) / DT))
-        self._seed_stream = np.random.SeedSequence((seed, 0xF00D))
+        self.seed = seed
+        self._households = 0   # households drawn so far: the next one's id
         self._block: HouseholdBlock | None = None
         self._quarter = 0
         self._masks = np.zeros((self.n_actors, N_ACTIONS), dtype=bool)
@@ -76,8 +74,11 @@ class LifecycleVectorEnv:
     def _fresh_block(self) -> HouseholdBlock:
         n = self.n_households
         b = HouseholdBlock.new([2] * n, [False, True] * n, self.env.window)
-        for h in range(n):
-            spawn_pair_household(self._seed_stream.spawn(1)[0], self.env, b, h)
+        b.seed[:] = self.seed
+        b.ids += self._households
+        self._households += n
+        spawn_pair_household(self.env, b)
+        draw_life(b, self.episode_quarters)
         return b
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
@@ -97,6 +98,7 @@ class LifecycleVectorEnv:
         if done:
             quarter = len(self._rewards) + len(self._ledger.quarters) - 1
             self._bonus.append((quarter, self.env.terminal_block(b)))
+            b.uniforms = b.normals = None   # before the next pool's are drawn
             self._block = self._fresh_block()
             self._quarter = 0
         if self._ledger.rows >= PRICING_ROWS:

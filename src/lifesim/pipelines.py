@@ -50,12 +50,18 @@ def build_env(paths: EnvPaths, rules: RuleSet | None = None) -> LifecycleEnv:
     )
 
 
+def derived_seed(*words: int) -> int:
+    """A 32-bit seed drawn from ``words``: each seed a run derives from its own."""
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
+
+
 def train_policy(env: LifecycleEnv, config: TrainConfig, n_households: int = 32,
                  base_net: PolicyValueNet | None = None) -> TrainResult:
     """A2C on ``n_households`` pair households drawn from ``env`` (for the
-    rule set's year).  With ``base_net`` training continues from a clone
-    of it, and the base net fixes the shape: ``config.hidden`` is not read."""
-    venv = LifecycleVectorEnv(env, n_households=n_households, seed=config.seed)
+    rule set's year), their pool seeded apart from any cohort's.  With
+    ``base_net`` training continues from a clone of it, and the base net
+    fixes the shape: ``config.hidden`` is not read."""
+    venv = LifecycleVectorEnv(env, n_households=n_households, seed=derived_seed(config.seed, 0xF00D))
     net = base_net.clone() if base_net is not None else None
     return train_actor_critic(venv, config, net=net)
 
@@ -76,7 +82,7 @@ class ProtocolConfig:
         return dataclasses.replace(
             base,
             total_steps=self.refit_steps,
-            seed=int(np.random.SeedSequence((self.seed, base_seed_salt, repeat_index)).generate_state(1)[0]),
+            seed=derived_seed(self.seed, base_seed_salt, repeat_index),
         )
 
 
@@ -95,8 +101,7 @@ def run_repeat_protocol(base_net: PolicyValueNet, env: LifecycleEnv,
 
     def make_population(i: int):
         # Population seeds are paired across arms: they do not carry the salt.
-        return init_population(protocol.cohort_size, env,
-                               seed=int(np.random.SeedSequence((protocol.seed, i)).generate_state(1)[0]))
+        return init_population(protocol.cohort_size, env, seed=derived_seed(protocol.seed, i))
 
     return repeat_protocol(make_refit, make_population, env,
                            n_repeats=protocol.n_repeats, mode=protocol.mode,
@@ -111,12 +116,12 @@ class ReformRun:
 
 
 def reform_pipeline(base_net: PolicyValueNet, spec: ReformSpec, env: LifecycleEnv,
-                    protocol: ProtocolConfig, confidence: float = 0.99) -> ReformRun:
+                    protocol: ProtocolConfig) -> ReformRun:
     """Retrain under the reformed rules with identical preferences, run the
     repeat protocol on both arms with paired population seeds, compare."""
     reformed_rules, _ = apply_reform(env.rules, spec)
     env_reform = env.with_rules(reformed_rules)
     baseline = run_repeat_protocol(base_net, env, protocol, arm_salt=1)
     reform = run_repeat_protocol(base_net, env_reform, protocol, arm_salt=2)
-    comparison = compare_runs(baseline.reports, reform.reports, confidence=confidence)
+    comparison = compare_runs(baseline.reports, reform.reports)
     return ReformRun(comparison=comparison, baseline=baseline, reform=reform)

@@ -1,4 +1,5 @@
-"""Demographics: cohort initialization and exogenous life events.
+"""Demographics: cohort initialization, exogenous life events, and the
+keyed draws every random number of a household comes from.
 
 Households are fixed opposite-sex pairs (or single-slot leftovers); marriage
 and divorce toggle partnership inside the pair.  Every random life event is
@@ -9,16 +10,37 @@ against a failure curve, built once per hazard and start age (from 18 for a
 new household, see :func:`initial_draw_tables`; later ones by
 :func:`draw_event_clock`).
 
-A cohort (:func:`init_population`) and each household of a training pool
-(:func:`spawn_pair_household`) are drawn straight into the columns of a
-new :class:`~lifesim.agent.HouseholdBlock`, a household at a time from its
-own ``rng_exo``: each adult in slot order (state, wage shock, fund
-membership, student spell, then the life, disability, student and outsider
-clocks), then the first birth and marriage clocks.
+Keyed draws.  Each purpose of a household draws from its own stream,
+``np.random.default_rng((seed, household, purpose))`` (:func:`keyed`): the
+population seed, the household's index in the cohort (or in the order a
+training pool drew it), the purpose.  Each draw has a fixed place, used or
+not, so a household's draws never depend on what happened to it, and are
+the same in both arms of a comparison, in any block split and at any
+worker count.  The purposes and their layout:
 
-The demographic events run over a household block, phase by phase.  The
-per-record events they replaced, with the survival-loop draw, are the
-reference the block phases are checked against, in ``tests/step_oracle.py``.
+* ``INITIAL``: ``random(INITIAL_UNIFORMS)`` (per adult slot the ``I_*``
+  uniforms: state, fund membership, student spell, and the life,
+  disability, student and outsider clocks; then a training pair's man's
+  and woman's group and the first birth and marriage clocks), then
+  ``standard_normal(2)`` (each slot's wage shock at 18).
+* ``UNIFORMS``: ``random((quarters, QUARTER_UNIFORMS))``, a row per quarter
+  since 18 (per adult slot the ``U_*`` uniforms: layoff, sick, misc,
+  friction, spare, student spell and clock, outsider spell and clock; then
+  the household's ``H_*``: father's leave, partnership and birth clocks).
+* ``NORMALS``: ``standard_normal((quarters, 2))``, each slot's wage shock.
+* ``ACTIONS``: ``random((quarters, 2))``, each slot's action uniform of the
+  simulator's sample mode.
+
+:func:`draw_life` draws the quarterly arrays when a block starts (a
+simulation block, a training pool, a block of one household); the block's
+``quarter`` column picks the row (the dead stop ageing, so age cannot).  A
+cohort (:func:`init_population`; its genders, groups and pairs come from
+its master stream) and a training pool (:func:`spawn_pair_household`) are
+drawn straight into the columns of a new
+:class:`~lifesim.agent.HouseholdBlock`, and the demographic events run over
+a household block, phase by phase.  The per-record events the block phases
+replaced, with the survival-loop draw, are the reference they are checked
+against, in ``tests/step_oracle.py``.
 
 :class:`DemographicTables` is the schema of ``demographics.yaml`` (see
 :mod:`lifesim.paramfiles`).
@@ -44,7 +66,8 @@ from .wage import paid_wage
 if TYPE_CHECKING:
     from .env.mdp import LifecycleEnv
 
-_DEAD = int(S.DEAD)
+_DEAD, _FULL_TIME, _PART_TIME, _STUDENT, _SICK_LEAVE = map(int, (S.DEAD, S.FULL_TIME, S.PART_TIME, S.STUDENT,
+                                                                  S.SICK_LEAVE))
 
 
 # [age lower bound, value] rows of a step function of age.
@@ -163,6 +186,47 @@ class CohortPopulation:
 
 
 # ---------------------------------------------------------------------------
+# Keyed draws (see the module docstring for the layout).
+# ---------------------------------------------------------------------------
+
+INITIAL, UNIFORMS, NORMALS, ACTIONS = range(4)   # the purposes of a household's streams
+I_STATE, I_FUND, I_SPELL, I_LIFE, I_DISABILITY, I_STUDENT, I_OUTSIDER, I_SLOT = range(8)   # I_SLOT per slot
+I_GROUP_MAN, I_GROUP_WOMAN, I_BIRTH, I_MARRIAGE, INITIAL_UNIFORMS = range(2 * I_SLOT, 2 * I_SLOT + 5)
+(U_LAYOFF, U_SICK, U_MISC, U_FRICTION, U_SPARE, U_STUDENT_SPELL, U_STUDENT_CLOCK, U_OUTSIDER_SPELL,
+ U_OUTSIDER_CLOCK, U_SLOT) = range(10)   # U_SLOT per slot
+H_FATHER_LEAVE, H_PARTNERSHIP, H_BIRTH, QUARTER_UNIFORMS = *range(3), 2 * U_SLOT + 3
+
+
+def keyed(b: HouseholdBlock, purpose: int) -> list[np.random.Generator]:
+    """Each household's stream of ``purpose``, in household order."""
+    return [np.random.default_rng((seed, h, purpose)) for seed, h in zip(b.seed.tolist(), b.ids.tolist())]
+
+
+def draw_life(b: HouseholdBlock, quarters: int) -> None:
+    """``b.uniforms`` (households, quarters, ``QUARTER_UNIFORMS``) and
+    ``b.normals`` (households, quarters, 2): each household's first
+    ``quarters`` rows of its ``UNIFORMS`` and ``NORMALS``."""
+    b.uniforms, b.normals = np.empty((b.m, quarters, QUARTER_UNIFORMS)), np.empty((b.m, quarters, 2))
+    for h, (uniforms, normals) in enumerate(zip(keyed(b, UNIFORMS), keyed(b, NORMALS))):
+        uniforms.random(out=b.uniforms[h])
+        normals.standard_normal(out=b.normals[h])
+
+
+def quarter_draws(b: HouseholdBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each adult row's ``U_*`` uniforms, each household's ``H_*`` uniforms
+    and each adult row's wage shock, read from its ``quarter``'s row."""
+    u, z = (draws[np.arange(b.m), b.quarter] for draws in (b.uniforms, b.normals))
+    return u[:, :2 * U_SLOT].reshape(b.m, 2, U_SLOT)[b.hh, b.slot], u[:, 2 * U_SLOT:], z[b.hh, b.slot]
+
+
+def action_uniforms(b: HouseholdBlock, quarters: int) -> np.ndarray:
+    """Each adult row's ``ACTIONS`` uniforms of ``quarters`` decision
+    quarters; row q holds quarter q's."""
+    u = np.array([rng.random((quarters, 2)) for rng in keyed(b, ACTIONS)])
+    return np.ascontiguousarray(u[b.hh, :, b.slot].T)
+
+
+# ---------------------------------------------------------------------------
 # Event-time draws: one uniform inverted against the cumulative survival of a
 # time-varying quarterly hazard.
 # ---------------------------------------------------------------------------
@@ -173,34 +237,35 @@ def failure_curve(hazard_at, age: float, horizon_q: int) -> np.ndarray:
     return 1.0 - np.cumprod(1.0 - h)
 
 
-def draw_from_curve(curve: np.ndarray, rng: np.random.Generator) -> int:
-    """The first quarter whose cumulative failure reaches one uniform;
-    ``NO_EVENT`` when none does."""
-    u = rng.random()
-    if curve.size == 0 or u > curve[-1]:
-        return NO_EVENT
-    return int(np.searchsorted(curve, u, side="left")) + 1
+def draw_from_curve(curve: np.ndarray, u):
+    """The first quarter whose cumulative failure reaches the uniform ``u``
+    (one, or an array of them); ``NO_EVENT`` when none does."""
+    last = curve[-1] if curve.size else -1.0   # an empty curve never fires
+    return np.where(u > last, NO_EVENT, np.searchsorted(curve, u, side="left") + 1)
 
 
-def draw_event_clock(hazard_at, age: float, rng: np.random.Generator,
-                     curves: dict[tuple[str, float], np.ndarray]) -> int:
+def draw_event_clock(hazard_at, age: float, u: float, curves: dict[tuple[str, float], np.ndarray]) -> int:
     """A clock drawn from ``age`` to 100 on the quarterly hazard
-    ``hazard_at`` (a :class:`DemographicTables` method).  Its failure curve
-    is built once per hazard and start age into ``curves``, which the caller
-    keeps with the tables."""
+    ``hazard_at`` (a :class:`DemographicTables` method) with the uniform
+    ``u``.  Its failure curve is built once per hazard and start age into
+    ``curves``, which the caller keeps with the tables."""
     key = hazard_at.__name__, age
     curve = curves.get(key)
     if curve is None:
         curve = curves[key] = failure_curve(hazard_at, age, int((MAX_AGE - age) / DT))
-    return draw_from_curve(curve, rng)
+    return int(draw_from_curve(curve, u))
 
 
-def draw_geometric(p: float, rng: np.random.Generator, cap: int = 200) -> int:
+def draw_geometric(p: float, u: float, cap: int = 200) -> int:
+    """A geometric number of quarters at quarterly rate ``p``, from the uniform ``u``."""
     if p <= 0.0:
         return NO_EVENT
-    u = rng.random()
     k = int(math.ceil(math.log1p(-u) / math.log1p(-p))) if p < 1.0 else 1
     return min(max(k, 1), cap)
+
+
+def _geometric(p: float, u: np.ndarray, cap: int) -> list[int]:
+    return [draw_geometric(p, x, cap) for x in u.tolist()]
 
 
 InitialDraws = tuple[dict[str, np.ndarray], dict[str, tuple[list[S], np.ndarray]]]
@@ -224,59 +289,54 @@ def initial_draw_tables(tables: DemographicTables) -> InitialDraws:
     return curves, state_cdf
 
 
-def _draw_adult(b: HouseholdBlock, r: int, env: LifecycleEnv, rng: np.random.Generator) -> None:
-    """Row ``r`` of a new block (its gender and group set) drawn from
-    ``rng``: the state, the wage shock, fund membership and a student
-    spell, then the life, disability, student and outsider clocks."""
-    tables, wparams = env.tables, env.wparams
+def _initial_draws(b: HouseholdBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Each household's ``INITIAL`` uniforms and wage shocks."""
+    streams = keyed(b, INITIAL)
+    return (np.array([rng.random(INITIAL_UNIFORMS) for rng in streams]),
+            np.array([rng.standard_normal(2) for rng in streams]))
+
+
+def _draw_at_18(b: HouseholdBlock, env: LifecycleEnv, u: np.ndarray, z: np.ndarray) -> None:
+    """Every household of a new block (its genders and groups set) at 18
+    from its ``INITIAL`` uniforms ``u`` and shocks ``z``: each adult's
+    state, wage, fund membership, student spell and clocks, then the first
+    birth and marriage clocks (on ``env.initial_draws``)."""
+    tables, exo = env.tables, env.tables.exogenous
     curves, state_cdf = env.initial_draws
-    gender = "women" if b.women[r] else "men"
-    states, cdf = state_cdf[gender]
-    state = states[int(np.searchsorted(cdf, rng.random(), side="right"))]
-    disp = wparams.initial_dispersion
-    shock = rng.standard_normal() * disp - 0.5 * disp * disp
-    potential = wparams.mean_wage(gender, int(b.group[r]), 18.0) * math.exp(shock)
-    b.state[r], b.potential_wage[r] = state, potential
-    b.fund_member[r] = rng.random() < tables.fund_membership_share
-    hours = {S.FULL_TIME: 40, S.PART_TIME: 16}.get(state, 0)
-    if hours:
-        b.hours[r], b.paid_wage[r] = hours, paid_wage(potential, hours, 0.0)
-    exo = tables.exogenous
-    if state is S.STUDENT:
-        b.spell_left[r] = draw_geometric(exo.student_spell_end_quarterly, rng)
-    elif state is S.SICK_LEAVE:
-        b.spell_left[r] = 1
-    life_left = draw_from_curve(curves["mort_" + gender], rng)   # censored at the maximum age
-    b.life_left[r] = int((MAX_AGE - 18.0) / DT) if life_left == NO_EVENT else life_left
-    b.until_disability[r] = draw_geometric(exo.disability_clock_quarterly, rng, cap=10_000)
-    if state is not S.STUDENT:
-        b.until_student[r] = draw_geometric(exo.student_entry_quarterly, rng, cap=10_000)
-    b.until_outsider[r] = draw_geometric(exo.outsider_entry_quarterly, rng, cap=10_000)
-
-
-def _draw_household(b: HouseholdBlock, h: int, env: LifecycleEnv) -> None:
-    """Household ``h`` of a new block (its groups and generators set):
-    each adult in slot order, then its first birth and marriage clocks
-    (from 18, on ``env.initial_draws``), all from its ``rng_exo``."""
-    rng = b.rng_exo[h]
-    first = int(b.first[h])
-    for r in range(first, first + int(b.size[h])):
-        _draw_adult(b, r, env, rng)
-    if b.mother[h] >= 0:
-        b.until_birth[h] = draw_from_curve(env.initial_draws[0]["fertility"], rng)
-    if b.size[h] == 2:
-        b.until_marriage[h] = draw_from_curve(env.initial_draws[0]["marriage"], rng)
+    ua = u[:, :2 * I_SLOT].reshape(b.m, 2, I_SLOT)[b.hh, b.slot]
+    for flag, gender in enumerate(("men", "women")):
+        rows = (b.women == flag).nonzero()[0]
+        states, cdf = state_cdf[gender]
+        b.state[rows] = np.array(states, dtype=np.int64)[np.searchsorted(cdf, ua[rows, I_STATE], side="right")]
+        life_left = draw_from_curve(curves["mort_" + gender], ua[rows, I_LIFE])   # censored at the maximum age
+        b.life_left[rows] = np.where(life_left == NO_EVENT, int((MAX_AGE - 18.0) / DT), life_left)
+    disp = env.wparams.initial_dispersion
+    shock = (z[b.hh, b.slot] * disp - 0.5 * disp * disp).tolist()
+    b.potential_wage[:] = env.mean_wage(b.women, b.group, b.age) * np.array([math.exp(x) for x in shock])
+    b.fund_member[:] = ua[:, I_FUND] < tables.fund_membership_share
+    b.hours[:] = np.where(b.state == _FULL_TIME, 40, np.where(b.state == _PART_TIME, 16, 0))
+    working = b.hours > 0
+    b.paid_wage[working] = paid_wage(b.potential_wage[working], b.hours[working], 0.0)
+    student = b.state == _STUDENT
+    b.spell_left[student] = _geometric(exo.student_spell_end_quarterly, ua[student, I_SPELL], 200)
+    b.spell_left[b.state == _SICK_LEAVE] = 1
+    b.until_disability[:] = _geometric(exo.disability_clock_quarterly, ua[:, I_DISABILITY], 10_000)
+    b.until_student[~student] = _geometric(exo.student_entry_quarterly, ua[~student, I_STUDENT], 10_000)
+    b.until_outsider[:] = _geometric(exo.outsider_entry_quarterly, ua[:, I_OUTSIDER], 10_000)
+    b.until_birth[b.with_mother] = draw_from_curve(curves["fertility"], u[b.with_mother, I_BIRTH])
+    b.until_marriage[b.pairs] = draw_from_curve(curves["marriage"], u[b.pairs, I_MARRIAGE])
 
 
 def init_population(n: int, env: LifecycleEnv, seed: int) -> CohortPopulation:
     """A cohort of ``n`` agents aged 18 drawn from ``env`` (the group shares
     of its rule set's year) into one block: the pairs first, each man
-    before his partner, then the single women."""
+    before his partner, then the single women.  Genders, groups and pairs
+    come from the cohort's master stream, the rest from each household's
+    keyed draws."""
     if n < 1:
         raise ContractViolation("population size must be at least 1")
     tables, year = env.tables, env.rules.year
-    ss = np.random.SeedSequence(seed)
-    master = np.random.default_rng(ss.spawn(1)[0])
+    master = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     n_men = min(max(int(np.round(n * tables.gender_shares["men"])), 0), n)
     n_women = n - n_men
@@ -314,32 +374,30 @@ def init_population(n: int, env: LifecycleEnv, seed: int) -> CohortPopulation:
     b = HouseholdBlock.new([len(household) for household in households], [woman for woman, _ in adults],
                            env.window)
     b.group[:] = [women_groups[i] if woman else men_groups[i] for woman, i in adults]
-    hh_seeds = ss.spawn(n)  # generous: one per agent is enough for pairs
-    for h in range(b.m):
-        b.rng_exo[h], b.rng_act[h] = map(np.random.default_rng, hh_seeds[h].spawn(2))
-        _draw_household(b, h, env)
+    b.seed[:] = seed
+    _draw_at_18(b, env, *_initial_draws(b))
     return CohortPopulation(block=b, seed=seed, size=n)
 
 
-def spawn_pair_household(seed_seq: np.random.SeedSequence, env: LifecycleEnv, b: HouseholdBlock, h: int) -> None:
-    """Draw household ``h`` of ``b`` (a new block's man and woman) as a
-    fresh training pair at 18: the groups from its ``rng_exo`` with the
-    shares of ``env``'s rule-set year, the rest as :func:`init_population`."""
-    b.rng_exo[h], b.rng_act[h] = map(np.random.default_rng, seed_seq.spawn(2))
-    rng, tables, year = b.rng_exo[h], env.tables, env.rules.year
-    g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), rng.random(), side="right"))
-    w_shares = np.array(tables.shares_for_year(year, "women"))
-    weights = np.asarray(tables.assortative_weights[min(g_m, 2)]) * w_shares
-    g_w = int(np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(), side="right"))
-    first = int(b.first[h])
-    b.group[first:first + 2] = min(g_m, 2), min(g_w, 2)
-    _draw_household(b, h, env)
+def spawn_pair_household(env: LifecycleEnv, b: HouseholdBlock) -> None:
+    """Draw every household of ``b`` (a new block of man-woman pairs, its
+    keys set) as a fresh training pair at 18: the groups from its
+    ``INITIAL`` uniforms with the shares of ``env``'s rule-set year, the
+    rest as :func:`init_population`."""
+    tables, year = env.tables, env.rules.year
+    u, z = _initial_draws(b)
+    g_m = np.minimum(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), u[:, I_GROUP_MAN],
+                                     side="right"), 2)
+    weights = np.asarray(tables.assortative_weights)[g_m] * tables.shares_for_year(year, "women")
+    cdf = np.cumsum(weights / weights.sum(1, keepdims=True), axis=1)
+    g_w = np.minimum((cdf <= u[:, I_GROUP_WOMAN, None]).sum(1), 2)   # searchsorted(side="right") by row
+    b.group[:] = np.column_stack((g_m, g_w)).ravel()
+    _draw_at_18(b, env, u, z)
 
 
 # ---------------------------------------------------------------------------
-# Demographic phases of the quarter step, over a household block.  Each
-# household draws from its own ``rng_exo``, so looping over the households
-# that draw keeps every stream as it is when households step one at a time.
+# Demographic phases of the quarter step, over a household block.  A phase
+# reads the current quarter's slot of each household that fires an event.
 # ---------------------------------------------------------------------------
 
 def mortality_phase(b: HouseholdBlock) -> None:
@@ -353,11 +411,11 @@ def mortality_phase(b: HouseholdBlock) -> None:
         b.spell_left[dies] = 0
 
 
-def partnership_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict) -> None:
+def partnership_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict, u: np.ndarray) -> None:
     """Marriage and divorce of the pair households: count the clocks down;
     a fired clock toggles the partnership (when both adults live) and draws
-    the other clock from the younger adult's age (``curves`` as in
-    :func:`draw_event_clock`)."""
+    the other clock from the younger adult's age with the household's
+    partnership uniform ``u`` (``curves`` as in :func:`draw_event_clock`)."""
     pairs = b.pairs
     if not pairs.size:
         return
@@ -370,25 +428,26 @@ def partnership_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict
     marry = ~partnered & (b.until_marriage[pairs] == 0)
     divorce = partnered & (b.until_divorce[pairs] == 0) & both
     for i in (marry | divorce).nonzero()[0].tolist():
-        h, rng = int(pairs[i]), b.rng_exo[pairs[i]]
+        h = int(pairs[i])
         youngest = min(float(b.age[r0[i]]), float(b.age[r0[i] + 1]))
         if marry[i]:
             if both[i]:
                 b.partnered[h] = True
-                b.until_divorce[h] = draw_event_clock(tables.divorce_quarterly, youngest, rng, curves)
+                b.until_divorce[h] = draw_event_clock(tables.divorce_quarterly, youngest, u[h], curves)
             b.until_marriage[h] = NO_EVENT
         else:
             b.partnered[h] = False
             b.until_divorce[h] = NO_EVENT
-            b.until_marriage[h] = draw_event_clock(tables.marriage_quarterly, youngest, rng, curves)
+            b.until_marriage[h] = draw_event_clock(tables.marriage_quarterly, youngest, u[h], curves)
 
 
-def fertility_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict) -> np.ndarray:
+def fertility_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict, u: np.ndarray) -> np.ndarray:
     """Age every child a quarter (a child leaves at 18) and fire the
     scheduled births of households with a living mother, each drawing the
-    next birth clock from the mother's age (``curves`` as in
-    :func:`draw_event_clock`); the per-household birth flags.  The only
-    writer of the child columns and bands."""
+    next birth clock from the mother's age with the household's birth
+    uniform ``u`` (``curves`` as in :func:`draw_event_clock`); the
+    per-household birth flags.  The only writer of the child columns and
+    bands."""
     ages = b.child_age + DT
     b.child_age = np.where(ages < 18.0, ages, np.nan)
     birth = np.zeros(b.m, dtype=bool)
@@ -406,7 +465,7 @@ def fertility_phase(b: HouseholdBlock, tables: DemographicTables, curves: dict) 
             b.child_age[h, b.child_used[h]] = 0.0
             b.child_used[h] += 1
             mother_age = float(b.age[b.mother[h]])
-            b.until_birth[h] = draw_event_clock(tables.fertility_quarterly, mother_age, b.rng_exo[h], curves)
+            b.until_birth[h] = draw_event_clock(tables.fertility_quarterly, mother_age, u[h], curves)
     ages = b.child_age
     b.under3, b.under7, b.under18 = (ages < 3.0).sum(1), (ages < 7.0).sum(1), (ages < 18.0).sum(1)
     return birth

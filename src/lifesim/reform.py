@@ -4,7 +4,7 @@ significance arithmetic for comparing simulation arms.
 A reform is an ordered list of named deltas applied to a rule set through
 explicit field paths; the audit log of (path, old, new) makes every
 application exactly revertible.  Comparisons report per-cell differences
-against the minimal significant difference at the configured confidence.
+against the minimal significant difference at ``CONFIDENCE``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .errors import ParameterError, ReformError
 from .paramfiles import build, load_yaml
 from .rules.ruleset import RuleSet, validate_ruleset
 from .simulate import AggregateReport, nan_mean, nan_sd
+
+# One-sided confidence of every comparison's significance threshold.
+CONFIDENCE = 0.99
 
 # Named in the reform program but outside this model's scope; the schema
 # reserves them and refuses to apply them.
@@ -209,27 +212,19 @@ class ComparisonReport:
         return [r.cell for r in self.rows if r.significant]
 
 
-def compare_runs(
-    baseline_reports: list[AggregateReport],
-    reform_reports: list[AggregateReport],
-    confidence: float = 0.99,
-) -> ComparisonReport:
+def compare_runs(baseline_reports: list[AggregateReport], reform_reports: list[AggregateReport]) -> ComparisonReport:
     if len(baseline_reports) < 2 or len(reform_reports) < 2:
         raise ReformError("comparison needs at least two repeats per arm")
     return compare_cell_lists([r.cells() for r in baseline_reports],
-                              [r.cells() for r in reform_reports], confidence)
+                              [r.cells() for r in reform_reports])
 
 
-def compare_cell_lists(
-    base_cells: list[dict[str, float]],
-    ref_cells: list[dict[str, float]],
-    confidence: float = 0.99,
-) -> ComparisonReport:
+def compare_cell_lists(base_cells: list[dict[str, float]], ref_cells: list[dict[str, float]]) -> ComparisonReport:
     keys = list(base_cells[0].keys())
     if set(keys) != set(ref_cells[0].keys()):
         raise ReformError("mismatched report shapes between arms")
 
-    z = NormalDist().inv_cdf(confidence)
+    z = NormalDist().inv_cdf(CONFIDENCE)
     n_b, n_r = len(base_cells), len(ref_cells)
     rows = []
     for k in keys:
@@ -247,4 +242,4 @@ def compare_cell_lists(
             pooled_se=se, threshold=threshold,
             significant=bool(abs(diff) >= threshold and se > 0),
         ))
-    return ComparisonReport(confidence=confidence, n_baseline=n_b, n_reform=n_r, rows=rows)
+    return ComparisonReport(confidence=CONFIDENCE, n_baseline=n_b, n_reform=n_r, rows=rows)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .reform import ComparisonReport
+from .reform import CONFIDENCE, ComparisonReport
 from .simulate import DURATION_AGE_BANDS, INCENTIVE_BINS, AggregateReport
 from .states import EmploymentState
 
@@ -23,65 +23,41 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    """``rows`` under ``header`` at ``path``, floats as ``%.10g``."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    return path
 
 
 def write_report_csvs(report: AggregateReport, outdir: str | Path) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = outdir / "occupancy_by_age.csv"
-    header = ["age"] + [s.name.lower() for s in EmploymentState]
-    rows = [[int(a)] + [float(report.occupancy[i, j]) for j in range(16)]
-            for i, a in enumerate(report.ages)]
-    _write_csv(path, header, rows)
-    written.append(path)
-
-    path = outdir / "rates_by_age.csv"
-    header = ["age", "employment_rate_men", "employment_rate_women",
-              "unemployment_rate_men", "unemployment_rate_women",
-              "parttime_share_men", "parttime_share_women",
-              "disability_rate_men", "disability_rate_women",
-              "workforce_share_narrow", "workforce_share_broad", "alive_share"]
-    rows = []
-    for i, a in enumerate(report.ages):
-        rows.append([int(a),
-                     float(report.employment_rate[i, 0]), float(report.employment_rate[i, 1]),
-                     float(report.unemployment_rate[i, 0]), float(report.unemployment_rate[i, 1]),
-                     float(report.parttime_share[i, 0]), float(report.parttime_share[i, 1]),
-                     float(report.disability_rate[i, 0]), float(report.disability_rate[i, 1]),
-                     float(report.workforce_share_narrow[i]), float(report.workforce_share_broad[i]),
-                     float(report.alive_share[i])])
-    _write_csv(path, header, rows)
-    written.append(path)
-
-    path = outdir / "expenditures.csv"
-    _write_csv(path, ["flow", "eur"], [[k, float(v)] for k, v in sorted(report.flows.items())])
-    written.append(path)
-
-    path = outdir / "fte.csv"
-    _write_csv(path, ["class", "fte"], [[k, float(v)] for k, v in report.fte.items()])
-    written.append(path)
-
-    path = outdir / "hours_histogram.csv"
-    _write_csv(path, ["weekly_hours", "agent_years"],
-               [[h, float(v)] for h, v in sorted(report.hours_histogram.items())])
-    written.append(path)
-
-    path = outdir / "unemployment_durations.csv"
-    header = ["age_band", "0_6m", "6_12m", "12_18m", "18_24m", "over_24m", "spells"]
-    rows = []
-    for b, (lo, hi) in enumerate(DURATION_AGE_BANDS):
-        rows.append([f"{lo}-{hi}"] + [float(x) for x in report.duration_bins[b]]
-                    + [float(report.duration_counts[b].sum())])
-    _write_csv(path, header, rows)
-    written.append(path)
+    ages = [int(a) for a in report.ages]
+    by_gender = {"employment_rate": report.employment_rate, "unemployment_rate": report.unemployment_rate,
+                 "parttime_share": report.parttime_share, "disability_rate": report.disability_rate}
+    shares = {"workforce_share_narrow": report.workforce_share_narrow,
+              "workforce_share_broad": report.workforce_share_broad, "alive_share": report.alive_share}
+    written = [
+        write_csv(outdir / "occupancy_by_age.csv", ["age"] + [s.name.lower() for s in EmploymentState],
+                   [[a] + report.occupancy[i].tolist() for i, a in enumerate(ages)]),
+        write_csv(outdir / "rates_by_age.csv",
+                   ["age"] + [f"{name}_{g}" for name in by_gender for g in ("men", "women")] + list(shares),
+                   [[a] + [x for rate in by_gender.values() for x in rate[i].tolist()]
+                    + [float(share[i]) for share in shares.values()] for i, a in enumerate(ages)]),
+        write_csv(outdir / "expenditures.csv", ["flow", "eur"],
+                   [[k, float(v)] for k, v in sorted(report.flows.items())]),
+        write_csv(outdir / "fte.csv", ["class", "fte"], [[k, float(v)] for k, v in report.fte.items()]),
+        write_csv(outdir / "hours_histogram.csv", ["weekly_hours", "agent_years"],
+                   [[h, float(v)] for h, v in sorted(report.hours_histogram.items())]),
+        write_csv(outdir / "unemployment_durations.csv",
+                   ["age_band", "0_6m", "6_12m", "12_18m", "18_24m", "over_24m", "spells"],
+                   [[f"{lo}-{hi}"] + report.duration_bins[b].tolist() + [float(report.duration_counts[b].sum())]
+                    for b, (lo, hi) in enumerate(DURATION_AGE_BANDS)]),
+    ]
 
     # The first row counts the samples below the bins, the last those above.
     edges = [-np.inf] + INCENTIVE_BINS.tolist() + [np.inf]
@@ -89,59 +65,30 @@ def write_report_csvs(report: AggregateReport, outdir: str | Path) -> list[Path]
         counts = ([getattr(report, f"{name}_underflow")] + getattr(report, f"{name}_histogram").tolist()
                   + [getattr(report, f"{name}_overflow")])
         if sum(counts) > 0:
-            path = outdir / f"{name}_histogram.csv"
-            _write_csv(path, ["bin_low", "bin_high", "count"],
-                       [[edges[i], edges[i + 1], float(count)] for i, count in enumerate(counts)])
-            written.append(path)
+            written.append(write_csv(outdir / f"{name}_histogram.csv", ["bin_low", "bin_high", "count"],
+                                      [[edges[i], edges[i + 1], float(count)] for i, count in enumerate(counts)]))
 
-    summary = {
-        "cohort_size": report.cohort_size,
-        "scaled": report.scaled,
-        "public_net": report.public_net,
-        "fte": report.fte,
-        "emtr_median": report.emtr_median,
-        "ptr_median": report.ptr_median,
-        "emtr_underflow": report.emtr_underflow,
-        "emtr_overflow": report.emtr_overflow,
-        "ptr_underflow": report.ptr_underflow,
-        "ptr_overflow": report.ptr_overflow,
-        "cells": report.cells(),
-    }
+    summary = {name: getattr(report, name) for name in (
+        "cohort_size", "scaled", "public_net", "fte", "emtr_median", "ptr_median", "emtr_underflow",
+        "emtr_overflow", "ptr_underflow", "ptr_overflow")}
     path = outdir / "summary.json"
     with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True, allow_nan=True)
+        json.dump({**summary, "cells": report.cells()}, f, indent=2, sort_keys=True, allow_nan=True)
         f.write("\n")
-    written.append(path)
-    return written
+    return written + [path]
 
 
 def write_comparison_csvs(cmp: ComparisonReport, outdir: str | Path) -> list[Path]:
+    """The comparison rows in four files: the FTE, the flow and the
+    duration cells, then the other cells."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def rows_for(prefix: str) -> list[list]:
-        rows = []
-        for r in cmp.rows:
-            if r.cell.startswith(prefix):
-                rows.append([r.cell, float(r.reform), float(r.baseline), float(r.difference),
-                             float(r.pooled_se), float(r.threshold), int(r.significant)])
-        return rows
-
-    header = ["cell", "reform", "baseline", "difference", "pooled_se",
-              "threshold_99", "significant"]
-    for name, prefix in (("comparison_fte.csv", "fte_"),
-                         ("comparison_financial.csv", "flow_"),
-                         ("comparison_durations.csv", "duration_")):
-        path = outdir / name
-        _write_csv(path, header, rows_for(prefix))
-        written.append(path)
-
-    other = [r for r in cmp.rows
-             if not any(r.cell.startswith(p) for p in ("fte_", "flow_", "duration_"))]
-    path = outdir / "comparison_other.csv"
-    _write_csv(path, header, [[r.cell, float(r.reform), float(r.baseline), float(r.difference),
-                               float(r.pooled_se), float(r.threshold), int(r.significant)]
-                              for r in other])
-    written.append(path)
-    return written
+    header = ["cell", "reform", "baseline", "difference", "pooled_se", f"threshold_{round(100 * CONFIDENCE)}",
+              "significant"]
+    files = {"fte_": "comparison_fte.csv", "flow_": "comparison_financial.csv", "duration_": "comparison_durations.csv"}
+    tables: dict[str, list[list]] = {name: [] for name in (*files.values(), "comparison_other.csv")}
+    for r in cmp.rows:
+        name = next((files[prefix] for prefix in files if r.cell.startswith(prefix)), "comparison_other.csv")
+        tables[name].append([r.cell, float(r.reform), float(r.baseline), float(r.difference), float(r.pooled_se),
+                             float(r.threshold), int(r.significant)])
+    return [write_csv(outdir / name, header, rows) for name, rows in tables.items()]

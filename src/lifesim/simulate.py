@@ -5,18 +5,14 @@ A simulation runs the trained policy quarterly from age 18 to 75, then plays
 the static phase to age 100, in fixed blocks of ``BLOCK_HOUSEHOLDS``
 households, each a copy of their rows of the population's
 :class:`~lifesim.agent.HouseholdBlock` (one row per adult in household then
-slot order, one column per field), stepped phase by phase.  Each household
-draws its ``rng_exo`` in the order it would if stepped alone:
-``standard_normal(2)``, ``random(12)``, then partnership, fertility, adult
-0's and adult 1's conditional draws.  In
-sample mode each household's action uniforms, two per decision quarter
-(one per slot), come from one ``rng_act.random`` call when its block starts:
-the values, in order, and the final generator state of one ``random(2)``
-per quarter, since nothing else draws from ``rng_act``.  Greedy mode draws
-none.
-Transcendentals stay scalar (``math.log``/``math.exp`` per value) and sums
-keep Python's left-to-right order: a quarter's flow rows add into their age
-cell one at a time, in household then unit order.
+slot order, one column per field), stepped phase by phase.  When a block
+starts it draws its households' life draws, and in sample mode their action
+uniforms (none in greedy mode), from their keys (see
+:mod:`lifesim.population`); the population holds no draws and never
+changes, so every run of it simulates the same cohort.  Transcendentals
+stay scalar (``math.log``/``math.exp`` per value) and sums keep Python's
+left-to-right order: a quarter's flow rows add into their age cell one at a
+time, in household then unit order.
 
 A block is priced after its quarters, through the
 :class:`~lifesim.env.mdp.PricingLedger` training uses too: each quarter runs
@@ -58,7 +54,7 @@ from .env.mdp import DECISION_END_AGE, DT, MAX_AGE, PRICING_ROWS, LifecycleEnv, 
 from .env.utility import check_ages
 from .env.vector import observe
 from .errors import ContractViolation
-from .population import CohortPopulation
+from .population import CohortPopulation, action_uniforms, draw_life
 from .rules import MONTHS_PER_QUARTER, AdultColumns
 from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, EMTR_DELTA_MONTHLY, FLOW_COLUMNS, TAX_FIELDS, price_units
 from .solver.network import PolicyValueNet, sample_masked
@@ -177,13 +173,13 @@ def run_cohort(
     """Simulate the whole cohort: quarterly decisions 18-75, static to 100.
 
     Households run in fixed blocks of ``BLOCK_HOUSEHOLDS``, each block a
-    copy of their rows of ``pop.block`` (whose columns stay as drawn; its
-    generators advance), stepped from age 18 to 100 with one policy
-    forward pass per decision quarter.  A block's quarters are priced
-    together after they ran (see the module docstring).  Flow sums and
-    incentive samples are kept per block and joined in block order, so the
-    log does not depend on how blocks are split across workers.  A quarter's flow rows add into their
-    age cell one after another, in household then unit order.
+    copy of their rows of ``pop.block`` (which stays as drawn), stepped
+    from age 18 to 100 with one policy forward pass per decision quarter.
+    A block's quarters are priced together after they ran (see the module
+    docstring).  Flow sums and incentive samples are kept per block and
+    joined in block order, so the log does not depend on how blocks are
+    split across workers.  A quarter's flow rows add into their age cell
+    one after another, in household then unit order.
     """
     return _run_blocks(net, _blocks(pop.block), env, mode, collect_incentives, pop.size, pop.seed)
 
@@ -214,12 +210,9 @@ def _run_blocks(net: PolicyValueNet, blocks: list[HouseholdBlock], env: Lifecycl
         rows = slice(row0, row0 + b.n)
         obs = np.zeros((b.n, OBS_DIM))
         masks = np.zeros((b.n, N_ACTIONS), dtype=bool)
+        draw_life(b, total_q)
         if mode != "greedy":
-            # Each household's two action uniforms per decision quarter, one
-            # per slot, drawn at once; row q holds quarter q's by adult row.
-            uniforms = np.empty((decision_q, b.n))
-            for first, size, rng in zip(b.first.tolist(), b.size.tolist(), b.rng_act):
-                uniforms[:, first:first + size] = rng.random(2 * decision_q).reshape(decision_q, 2)[:, :size]
+            uniforms = action_uniforms(b, decision_q)
         for q in range(total_q):
             age_cell = min(int(q * DT), N_AGES - 1)
             if q < decision_q:
@@ -248,6 +241,7 @@ def _run_blocks(net: PolicyValueNet, blocks: list[HouseholdBlock], env: Lifecycl
                 env.freeze_block(b)
         if cells:
             _price_into(flows, cells, pricing, env.rules)
+        b.uniforms = b.normals = None   # about 60 kB a household
         row0 += b.n
 
     flows_by_age, cons_by_age = _fold_flows(flow_blocks)

@@ -4,12 +4,15 @@ as it ran, kept verbatim as a test oracle: ``_run_blocks`` with
 it; now in ``train_oracle``) each decision quarter and the block's flow
 rows added into their age cell quarter by quarter.
 
-One line differs from the original: the static phase prices the whole
+Two things differ from the original.  The static phase prices the whole
 block with ``LifecycleEnv.price`` (now ``price_oracle.price``) after
-``static_block`` reports a change,
-where ``static_block`` used to re-price the changed households and splice
-their rows into the block's.  A unit's row has the same bits in any
-``price_units`` call, so both give the same rows.
+``static_block`` reports a change, where ``static_block`` used to re-price
+the changed households and splice their rows into the block's.  A unit's
+row has the same bits in any ``price_units`` call, so both give the same
+rows.  And a block's draws are its households' keyed draws, the life
+(``population_oracle.with_life``) and the action uniforms
+(``default_rng((seed, household, 3)).random((decision quarters, 2))``,
+one per slot), where they were each household's two generators.
 
 The tests assert that ``lifesim.simulate.run_cohort`` and
 ``run_cohort_parallel`` give the same bits as this function in every
@@ -40,6 +43,7 @@ from lifesim.simulate import (
 )
 from lifesim.solver.network import PolicyValueNet, sample_masked
 from one_household import _incentive_samples
+from population_oracle import with_life
 from price_oracle import price
 from train_oracle import step_block
 
@@ -73,7 +77,7 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
 
     row0 = 0
     for households, flows in zip(blocks, flow_blocks):
-        b = env.block(households)
+        b = with_life(env.block(households), total_q)
         rows = slice(row0, row0 + b.n)
         obs = np.zeros((b.n, OBS_DIM))
         masks = np.zeros((b.n, N_ACTIONS), dtype=bool)
@@ -81,8 +85,8 @@ def _run_blocks(net: PolicyValueNet, blocks: list[list[HouseholdState]], env: Li
             # Each household's two action uniforms per decision quarter, one
             # per slot, drawn at once; row q holds quarter q's by adult row.
             uniforms = np.empty((decision_q, b.n))
-            for first, size, rng in zip(b.first.tolist(), b.size.tolist(), b.rng_act):
-                uniforms[:, first:first + size] = rng.random(2 * decision_q).reshape(decision_q, 2)[:, :size]
+            for first, size, key in zip(b.first.tolist(), b.size.tolist(), zip(b.seed.tolist(), b.ids.tolist())):
+                uniforms[:, first:first + size] = np.random.default_rng((*key, 3)).random((decision_q, 2))[:, :size]
         for q in range(total_q):
             age_cell = min(int(q * DT), N_AGES - 1)
             if q < decision_q:

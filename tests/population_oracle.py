@@ -1,23 +1,25 @@
-"""Population draws as they stood when a cohort was drawn as records:
+"""Population draws as records, one household and one adult at a time:
 ``init_population`` and ``spawn_pair_household`` with the demographic
 tables, wage parameters, initial draw tables and year passed one by one
 (with the fallbacks that built the missing ones), and the record helpers
-they called, ``CohortPopulation`` of records included.  Kept verbatim as a
-test oracle; the tests assert that ``lifesim.population`` draws the same
-households into block columns.  Do not edit the functions below; only the
-import of ``load_wage_params`` is absolute here.  ``records``, ``cohort``
-and ``assert_same_block`` below them are the tests' helpers.
+they call, ``CohortPopulation`` of records included.  The master stream
+(groups and pairs) is as it stood when a cohort was drawn as records; each
+household's draws at 18 are read from its key by the documented layout
+(``initial_draws``).  The tests assert that ``lifesim.population`` draws
+the same households into block columns.  ``records``, ``cohort`` and
+``assert_same_block`` below are the tests' helpers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 import lifesim.population as population
-from lifesim.agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdState
+from lifesim.agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv
 from lifesim.errors import ContractViolation
 from lifesim.population import (DemographicTables, InitialDraws, draw_from_curve, draw_geometric,
@@ -42,23 +44,28 @@ def mother_of(hh: HouseholdState) -> AgentState | None:
     return women[0] if women else None
 
 
-def _draw_initial_clocks(
-    agent: AgentState, tables: DemographicTables, rng: np.random.Generator, curves: dict[str, np.ndarray]
-) -> None:
+def initial_draws(seed: int, household: int) -> tuple[list[float], list[float]]:
+    """A household's draws at 18: ``default_rng((seed, household, 0))``'s
+    ``random(18)`` (per adult slot: state, fund membership, student spell,
+    life, disability, student and outsider clocks; then the man's and the
+    woman's group, the first birth and marriage clocks), then its
+    ``standard_normal(2)`` (each slot's wage shock)."""
+    rng = np.random.default_rng((seed, household, 0))
+    return rng.random(18).tolist(), rng.standard_normal(2).tolist()
+
+
+def _draw_initial_clocks(agent: AgentState, tables: DemographicTables, u: list[float],
+                         curves: dict[str, np.ndarray]) -> None:
     horizon = int((MAX_AGE - agent.age) / DT)
-    agent.life_left = draw_from_curve(curves["mort_" + agent.gender], rng)
+    agent.life_left = int(draw_from_curve(curves["mort_" + agent.gender], u[3]))
     if agent.life_left == NO_EVENT:
         agent.life_left = horizon  # censored at the model's maximum age
     dis = tables.exogenous.disability_clock_quarterly
-    agent.until_disability = draw_geometric(dis, rng, cap=10_000)
+    agent.until_disability = draw_geometric(dis, u[4], cap=10_000)
     agent.until_student = NO_EVENT
     if agent.state is not S.STUDENT:
-        agent.until_student = draw_geometric(tables.exogenous.student_entry_quarterly, rng, cap=10_000)
-    agent.until_outsider = draw_geometric(tables.exogenous.outsider_entry_quarterly, rng, cap=10_000)
-
-
-def _pick(options, cdf: np.ndarray, rng: np.random.Generator):
-    return options[int(np.searchsorted(cdf, rng.random(), side="right"))]
+        agent.until_student = draw_geometric(tables.exogenous.student_entry_quarterly, u[5], cap=10_000)
+    agent.until_outsider = draw_geometric(tables.exogenous.outsider_entry_quarterly, u[6], cap=10_000)
 
 
 def _initial_agent(
@@ -66,19 +73,21 @@ def _initial_agent(
     group: int,
     tables: DemographicTables,
     wparams: WageParams,
-    rng: np.random.Generator,
+    u: list[float],
+    z: float,
     curves: dict[str, np.ndarray],
     state_cdf: dict[str, tuple[list[S], np.ndarray]],
 ) -> AgentState:
+    """An adult at 18 from its slot's seven uniforms ``u`` and wage shock ``z``."""
     states, cdf = state_cdf[gender]
-    state = _pick(states, cdf, rng)
+    state = states[int(np.searchsorted(cdf, u[0], side="right"))]
 
     disp = wparams.initial_dispersion
-    shock = rng.standard_normal() * disp - 0.5 * disp * disp
+    shock = z * disp - 0.5 * disp * disp
     potential = wparams.mean_wage(gender, group, 18.0) * math.exp(shock)
 
     agent = AgentState(gender=gender, group=group, age=18.0, state=state, potential_wage=potential)
-    agent.fund_member = bool(rng.random() < tables.fund_membership_share)
+    agent.fund_member = bool(u[1] < tables.fund_membership_share)
     if state is S.FULL_TIME:
         agent.hours = 40
     elif state is S.PART_TIME:
@@ -86,21 +95,27 @@ def _initial_agent(
     if agent.hours:
         agent.paid_wage = paid_wage(potential, agent.hours, 0.0)
     if state is S.STUDENT:
-        agent.spell_left = draw_geometric(tables.exogenous.student_spell_end_quarterly, rng)
+        agent.spell_left = draw_geometric(tables.exogenous.student_spell_end_quarterly, u[2])
     if state is S.SICK_LEAVE:
         agent.spell_left = 1
         agent.wage_reduction = 0.0
-    _draw_initial_clocks(agent, tables, rng, curves)
+    _draw_initial_clocks(agent, tables, u, curves)
     return agent
 
 
-def _draw_household_clocks(hh: HouseholdState, curves: dict[str, np.ndarray]) -> None:
-    """First birth and marriage clocks of a household formed at age 18;
-    ``curves`` holds the failure curves from 18 (``initial_draw_tables``)."""
+def _household(adults: list[tuple[str, int]], key: tuple[int, int], tables: DemographicTables,
+               wparams: WageParams, draws: InitialDraws, u: list[float], z: list[float]) -> HouseholdState:
+    """A household at 18 of ``adults`` (gender, group) in slot order, from
+    its initial draws ``u`` and ``z``."""
+    curves, state_cdf = draws
+    people = tuple(_initial_agent(gender, group, tables, wparams, u[7 * k:7 * k + 7], z[k], curves, state_cdf)
+                   for k, (gender, group) in enumerate(adults))
+    hh = HouseholdState(adults=people, key=key)
     if mother_of(hh) is not None:
-        hh.until_birth = draw_from_curve(curves["fertility"], hh.rng_exo)
-    if len(hh.adults) == 2:
-        hh.until_marriage = draw_from_curve(curves["marriage"], hh.rng_exo)
+        hh.until_birth = int(draw_from_curve(curves["fertility"], u[16]))
+    if len(people) == 2:
+        hh.until_marriage = int(draw_from_curve(curves["marriage"], u[17]))
+    return hh
 
 
 def init_population(
@@ -121,7 +136,7 @@ def init_population(
         wparams = load_wage_params()
     ss = np.random.SeedSequence(seed)
     master = np.random.default_rng(ss.spawn(1)[0])
-    curves, state_cdf = draws if draws is not None else initial_draw_tables(tables)
+    draws = draws if draws is not None else initial_draw_tables(tables)
 
     n_men = int(np.round(n * tables.gender_shares["men"]))
     n_men = min(max(n_men, 0), n)
@@ -152,63 +167,32 @@ def init_population(
         g_w = int(np.searchsorted(np.cumsum(weights / total), master.random(), side="right"))
         pair_of_man.append(buckets[min(g_w, 2)].pop())
 
-    households: list[HouseholdState] = []
-    hh_seeds = ss.spawn(n)  # generous: one per agent is enough for pairs
-    used_women: set[int] = set()
-
-    def make_rngs(i: int) -> tuple[np.random.Generator, np.random.Generator]:
-        child = hh_seeds[i].spawn(2)
-        return np.random.default_rng(child[0]), np.random.default_rng(child[1])
-
-    for m, g_m in enumerate(men_groups):
-        rng_exo, rng_act = make_rngs(len(households))
-        man = _initial_agent("men", int(g_m), tables, wparams, rng_exo, curves, state_cdf)
-        w = pair_of_man[m]
-        if w is None:
-            hh = HouseholdState(adults=(man,), rng_exo=rng_exo, rng_act=rng_act)
-        else:
-            used_women.add(w)
-            woman = _initial_agent("women", int(women_groups[w]), tables, wparams, rng_exo, curves, state_cdf)
-            hh = HouseholdState(adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
-        _draw_household_clocks(hh, curves)
-        households.append(hh)
-
-    for w, g_w in enumerate(women_groups):
-        if w in used_women:
-            continue
-        rng_exo, rng_act = make_rngs(len(households))
-        woman = _initial_agent("women", int(g_w), tables, wparams, rng_exo, curves, state_cdf)
-        hh = HouseholdState(adults=(woman,), rng_exo=rng_exo, rng_act=rng_act)
-        _draw_household_clocks(hh, curves)
-        households.append(hh)
-
+    groups = [[("men", int(g_m))] + ([] if w is None else [("women", int(women_groups[w]))])
+              for g_m, w in zip(men_groups, pair_of_man)]
+    used_women = set(pair_of_man)
+    groups += [[("women", int(g_w))] for w, g_w in enumerate(women_groups) if w not in used_women]
+    households = [_household(adults, (seed, h), tables, wparams, draws, *initial_draws(seed, h))
+                  for h, adults in enumerate(groups)]
     return CohortPopulation(households=households, seed=seed, size=n)
 
 
 def spawn_pair_household(
-    seed_seq: np.random.SeedSequence,
+    seed: int,
+    household: int,
     tables: DemographicTables,
     wparams: WageParams,
     draws: InitialDraws,
     year: int = 2023,
 ) -> HouseholdState:
-    """One fresh pair household at age 18 (training reservoir use);
-    ``draws`` is ``initial_draw_tables(tables)``."""
-    child = seed_seq.spawn(2)
-    rng_exo = np.random.default_rng(child[0])
-    rng_act = np.random.default_rng(child[1])
-    curves, state_cdf = draws
-
-    g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), rng_exo.random(),
-                              side="right"))
+    """Pair household ``household`` of a training pool drawn with ``seed``,
+    at age 18; ``draws`` is ``initial_draw_tables(tables)``."""
+    u, z = initial_draws(seed, household)
+    g_m = int(np.searchsorted(np.cumsum(tables.shares_for_year(year, "men")), u[14], side="right"))
     w_shares = np.array(tables.shares_for_year(year, "women"))
     weights = np.asarray(tables.assortative_weights[min(g_m, 2)]) * w_shares
-    g_w = int(np.searchsorted(np.cumsum(weights / weights.sum()), rng_exo.random(), side="right"))
-    man = _initial_agent("men", min(g_m, 2), tables, wparams, rng_exo, curves, state_cdf)
-    woman = _initial_agent("women", min(g_w, 2), tables, wparams, rng_exo, curves, state_cdf)
-    hh = HouseholdState(adults=(man, woman), rng_exo=rng_exo, rng_act=rng_act)
-    _draw_household_clocks(hh, curves)
-    return hh
+    g_w = int(np.searchsorted(np.cumsum(weights / weights.sum()), u[15], side="right"))
+    return _household([("men", min(g_m, 2)), ("women", min(g_w, 2))], (seed, household), tables, wparams, draws,
+                      u, z)
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +207,42 @@ def records(n: int, env: LifecycleEnv, seed: int) -> CohortPopulation:
 
 
 def cohort(pop: CohortPopulation, env: LifecycleEnv) -> population.CohortPopulation:
-    """The records of ``pop`` packed as the block of a population ``env`` runs
-    (sharing their generators)."""
-    return population.CohortPopulation(block=env.block(pop.households), seed=pop.seed, size=pop.size)
+    """The records of ``pop`` packed as the block of a population ``env`` runs."""
+    return population.CohortPopulation(block=HouseholdBlock.of(pop.households, env.window), seed=pop.seed,
+                                       size=pop.size)
+
+
+@functools.lru_cache(maxsize=4096)
+def life_draws(seed: int, household: int, quarters: int) -> tuple[np.ndarray, np.ndarray]:
+    """A household's life draws of its first ``quarters`` quarters:
+    ``default_rng((seed, household, 1)).random((quarters, 21))`` (per adult
+    slot: layoff, sick, misc, friction and spare uniforms, student spell
+    and clock, outsider spell and clock; then the father-leave uniform, the
+    partnership clock and the birth clock) and ``default_rng((seed,
+    household, 2)).standard_normal((quarters, 2))`` (each slot's wage
+    shock).  Read only."""
+    u = np.random.default_rng((seed, household, 1)).random((quarters, 21))
+    z = np.random.default_rng((seed, household, 2)).standard_normal((quarters, 2))
+    u.flags.writeable = z.flags.writeable = False
+    return u, z
+
+
+def with_life(b, quarters: int):
+    """Block ``b`` with the life draws of ``quarters`` quarters that
+    :func:`life_draws` gives its households' keys."""
+    draws = [life_draws(seed, h, quarters) for seed, h in zip(b.seed.tolist(), b.ids.tolist())]
+    b.uniforms, b.normals = (np.array(column).reshape(b.m, quarters, -1) for column in zip(*draws))
+    return b
 
 
 def assert_same_block(got, want) -> None:
     """Every column of block ``got`` has the dtype, shape and bits of
-    ``want``'s, and its generators are at ``want``'s states."""
+    ``want``'s."""
     assert vars(got).keys() == vars(want).keys()
     for name, column in vars(want).items():
         value = getattr(got, name)
         if isinstance(column, np.ndarray):
             assert (value.dtype, value.shape) == (column.dtype, column.shape), name
             assert value.tobytes() == column.tobytes(), name
-        elif name in ("rng_exo", "rng_act"):
-            assert [rng.bit_generator.state for rng in value] == [rng.bit_generator.state for rng in column], name
         else:
             assert value == column, name

@@ -3,12 +3,15 @@ block step: one household at a time, phase by phase, with the scalar wage
 and utility functions it called, and the per-record demographic events that
 ``lifesim.population``'s block phases replaced.  Their clocks are drawn by
 the survival loop below; production draws them on failure curves cached per
-hazard and start age, which must give the same clock on every draw.
+hazard and start age, which must give the same clock on every draw.  A
+household reads its quarter's row of its keyed life draws
+(``population_oracle.life_draws``) at the documented slots, and each
+quarter moves its ``quarter`` on.
 
 ``tests/test_step_oracle.py`` asserts that ``LifecycleEnv.advance_block``
 with the pricing and rewards after it (``train_oracle.step_block``),
 ``static_block``, ``freeze_block`` and ``terminal_block`` leave every field,
-flow, reward and random stream bit for bit where this step leaves them.
+flow, reward and quarter bit for bit where this step leaves them.
 Pricing goes through the production ``price_unit``, which
 ``tests/test_engine_oracle.py`` checks against ``tests/rules_oracle.py``.
 """
@@ -37,12 +40,22 @@ from lifesim.states import (
 )
 from lifesim.env.utility import UtilityParams
 from lifesim.wage import WageParams
-from population_oracle import mother_of
+from population_oracle import life_draws, mother_of
 
 DECISION_END_AGE = 75.0
+LIFE_QUARTERS = int((MAX_AGE - 18.0) / DT)
 
-# Per-adult uniform slots inside the fixed quarterly draw vector.
-_U_LAYOFF, _U_SICK, _U_MISC, _U_FRICTION, _U_SPARE = range(5)
+# Per-adult uniform slots inside a quarter's row of the life draws (nine
+# per slot), then the household's three.
+(_U_LAYOFF, _U_SICK, _U_MISC, _U_FRICTION, _U_SPARE, _U_STUDENT_SPELL, _U_STUDENT_CLOCK, _U_OUTSIDER_SPELL,
+ _U_OUTSIDER_CLOCK) = range(9)
+_U_FATHER_LEAVE, _U_PARTNERSHIP, _U_BIRTH = 18, 19, 20
+
+
+def quarter_draws(hh: HouseholdState) -> tuple[list[float], list[float]]:
+    """The 21 uniforms and 2 normals of ``hh``'s current quarter."""
+    u, z = life_draws(*hh.key, max(LIFE_QUARTERS, hh.quarter + 1))
+    return u[hh.quarter].tolist(), z[hh.quarter].tolist()
 
 # The states a drawn student or outside-the-work-force spell starts from.
 _SPELL_ENTRY_STATES = frozenset({
@@ -89,8 +102,7 @@ def _condition_wage_monthly(a: AgentState) -> float:
 # probability reaches one uniform.
 # ---------------------------------------------------------------------------
 
-def draw_event_time(hazard_at, age: float, rng: np.random.Generator, horizon_q: int) -> int:
-    u = rng.random()
+def draw_event_time(hazard_at, age: float, u: float, horizon_q: int) -> int:
     survival = 1.0
     for k in range(1, horizon_q + 1):
         survival *= 1.0 - hazard_at(age + k * DT)
@@ -99,7 +111,7 @@ def draw_event_time(hazard_at, age: float, rng: np.random.Generator, horizon_q: 
     return NO_EVENT
 
 
-def partnership_events(hh: HouseholdState, tables: DemographicTables) -> None:
+def partnership_events(hh: HouseholdState, tables: DemographicTables, u: float) -> None:
     if len(hh.adults) != 2:
         return
     a, b = hh.adults
@@ -111,17 +123,17 @@ def partnership_events(hh: HouseholdState, tables: DemographicTables) -> None:
     if not hh.partnered and hh.until_marriage == 0:
         if a.alive and b.alive:
             hh.partnered = True
-            hh.until_divorce = draw_event_time(tables.divorce_quarterly, youngest, hh.rng_exo,
+            hh.until_divorce = draw_event_time(tables.divorce_quarterly, youngest, u,
                                                int((MAX_AGE - youngest) / DT))
         hh.until_marriage = NO_EVENT
     elif hh.partnered and hh.until_divorce == 0 and a.alive and b.alive:
         hh.partnered = False
         hh.until_divorce = NO_EVENT
-        hh.until_marriage = draw_event_time(tables.marriage_quarterly, youngest, hh.rng_exo,
+        hh.until_marriage = draw_event_time(tables.marriage_quarterly, youngest, u,
                                             int((MAX_AGE - youngest) / DT))
 
 
-def fertility_events(hh: HouseholdState, tables: DemographicTables) -> bool:
+def fertility_events(hh: HouseholdState, tables: DemographicTables, u: float) -> bool:
     """Age children, fire scheduled births; returns True when a birth happened.
     The only writer of ``hh.child_ages``, so it also refreshes ``hh.bands``."""
     ages = [age + DT for age in hh.child_ages if age + DT < 18.0]
@@ -136,7 +148,7 @@ def fertility_events(hh: HouseholdState, tables: DemographicTables) -> bool:
         if birth:
             ages.append(0.0)
             horizon = int((MAX_AGE - mother.age) / DT)
-            hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, hh.rng_exo, horizon)
+            hh.until_birth = draw_event_time(tables.fertility_quarterly, mother.age, u, horizon)
     hh.child_ages = ages
     hh.bands = child_bands(ages)
     return birth
@@ -510,30 +522,29 @@ class OracleEnv:
         # A fired clock starts its spell (the length drawn first), then
         # redraws itself whether or not the spell could start.
         if a.until_student == 0:
-            started = self._start_spell(a, hh, _STUDENT, exo.student_spell_end_quarterly,
+            started = self._start_spell(a, _STUDENT, exo.student_spell_end_quarterly, u[_U_STUDENT_SPELL],
                                         "student_entry", events)
-            a.until_student = draw_geometric(exo.student_entry_quarterly, hh.rng_exo, cap=10_000)
+            a.until_student = draw_geometric(exo.student_entry_quarterly, u[_U_STUDENT_CLOCK], cap=10_000)
             if started:
                 return True
 
         if a.until_outsider == 0:
-            started = self._start_spell(a, hh, _OUTSIDE_WF, exo.outsider_spell_end_quarterly,
+            started = self._start_spell(a, _OUTSIDE_WF, exo.outsider_spell_end_quarterly, u[_U_OUTSIDER_SPELL],
                                         "outside_entry", events)
-            a.until_outsider = draw_geometric(exo.outsider_entry_quarterly, hh.rng_exo, cap=10_000)
+            a.until_outsider = draw_geometric(exo.outsider_entry_quarterly, u[_U_OUTSIDER_CLOCK], cap=10_000)
             if started:
                 return True
 
         return False
 
     @staticmethod
-    def _start_spell(a: AgentState, hh: HouseholdState, state: S, end_rate: float, event: str,
-                     events: list[str]) -> bool:
+    def _start_spell(a: AgentState, state: S, end_rate: float, u: float, event: str, events: list[str]) -> bool:
         """Start a ``state`` spell of geometric length with quarterly end
         rate ``end_rate``; False when ``a`` is in no state it starts from."""
         if a.state not in _SPELL_ENTRY_STATES:
             return False
         _stop_work(a, state)
-        a.spell_left = draw_geometric(end_rate, hh.rng_exo)
+        a.spell_left = draw_geometric(end_rate, u)
         events.append(event)
         return True
 
@@ -708,24 +719,24 @@ class OracleEnv:
                     f"illegal action {ACTIONS[idx]} for state {a.state.name} (age {a.age})"
                 )
 
-        shocks = hh.rng_exo.standard_normal(2).tolist()
-        u = hh.rng_exo.random(12).tolist()
+        u, shocks = quarter_draws(hh)
 
         states_before = [a.state for a in hh.adults]
 
         mortality_events(hh)
-        partnership_events(hh, self.tables)
-        if fertility_events(hh, self.tables):
-            self._birth_consequences(hh, u[10], events)
+        partnership_events(hh, self.tables, u[_U_PARTNERSHIP])
+        if fertility_events(hh, self.tables, u[_U_BIRTH]):
+            self._birth_consequences(hh, u[_U_FATHER_LEAVE], events)
             events.append("birth")
 
         for i, a in enumerate(hh.adults):
-            ui = u[5 * i: 5 * i + 5]
+            ui = u[9 * i: 9 * i + 9]
             if not self._exogenous(a, hh, ui, events):   # True for the dead
                 self._apply_decision(a, hh, ACTIONS[action_indices[i]], ui, events)
 
         for i, a in enumerate(hh.adults):
             self._update_wages_and_trackers(a, hh, shocks[i], states_before[i])
+        hh.quarter += 1
 
         flows, consumptions = self.household_flows(hh)
 
@@ -750,11 +761,12 @@ class OracleEnv:
         states = [a.state for a in hh.adults]
         bands = hh.bands
         mortality_events(hh)
-        fertility_events(hh, self.tables)   # ages children out; no new births past 75
+        fertility_events(hh, self.tables, quarter_draws(hh)[0][_U_BIRTH])   # ages children out
         for a in hh.adults:
             if a.alive:
                 a.age = round(a.age + DT, 6)
                 a.time_in_state += DT
+        hh.quarter += 1
         if last is not None and hh.bands == bands and states == [a.state for a in hh.adults]:
             return last
         flows, consumptions = self.household_flows(hh)

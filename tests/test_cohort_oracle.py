@@ -184,7 +184,7 @@ def test_units_without_a_living_adult_need_no_positive_consumption(envs, net, mo
 def test_an_age_past_100_raises(envs, net):
     env = envs["2023"]
     old = AgentState(gender="men", group=1, age=99.0, state=S.RETIRED, pension_paid=1500.0, life_left=400)
-    hh = HouseholdState(adults=(old,), rng_exo=np.random.default_rng(1), rng_act=np.random.default_rng(2))
+    hh = HouseholdState(adults=(old,), key=(1, 0))
     pop = population_oracle.records(2, env, seed=3)
     pop.households.append(hh)
     with pytest.raises(ContractViolation, match="outside model range"):

@@ -61,10 +61,7 @@ def make_agent(state=S.FULL_TIME, gender="men", age=40.0, hours=40, **kw):
 
 
 def make_household(*agents, partnered=False, children=()):
-    hh = HouseholdState(adults=tuple(agents), partnered=partnered, child_ages=list(children))
-    hh.rng_exo = np.random.default_rng(1)
-    hh.rng_act = np.random.default_rng(2)
-    return hh
+    return HouseholdState(adults=tuple(agents), partnered=partnered, child_ages=list(children), key=(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +329,7 @@ def test_job_search_friction_statistics(env):
     for i in range(trials):
         a = make_agent(S.BASIC_UNEMPLOYED, age=40.0, hours=0)
         hh = make_household(a)
-        hh.rng_exo = np.random.default_rng(1000 + i)
+        hh.key = (1000 + i, 0)
         out = quiet.step(hh, (A_FT[1],))
         successes += a.state is S.FULL_TIME
     p = successes / trials
@@ -346,7 +343,7 @@ def test_failed_ft_search_may_land_pt(env):
     for i in range(900):
         a = make_agent(S.BASIC_UNEMPLOYED, age=40.0, hours=0)
         hh = make_household(a)
-        hh.rng_exo = np.random.default_rng(5000 + i)
+        hh.key = (5000 + i, 0)
         quiet.step(hh, (A_FT[1],))
         landed[a.state] += 1
     assert landed[S.PART_TIME] > 0

@@ -39,7 +39,7 @@ from lifesim.states import WORKING_STATES, EmploymentState as S
 from lifesim.wage import load_wage_params
 from train_oracle import step_block
 from one_household import budget_units, household_flows, observe_households, step_households
-from population_oracle import mother_of, records
+from population_oracle import mother_of, records, with_life
 
 RULE_NAMES = [str(year) for year in range(2018, 2025)] + ["2023+orpo"]
 STATIC_QUARTERS = 12
@@ -131,9 +131,7 @@ def _late_starters(seed: int) -> list[HouseholdState]:
                        paid_wage=30000.0, prev_paid_wage=30000.0, pension_accrued=1100.0)
         for x in (a, b):
             x.life_left = 400
-        households.append(HouseholdState(adults=(a, b), partnered=k % 2 == 0,
-                                         rng_exo=np.random.default_rng((seed, k, 0)),
-                                         rng_act=np.random.default_rng((seed, k, 1))))
+        households.append(HouseholdState(adults=(a, b), partnered=k % 2 == 0, key=(seed, k)))
     return households
 
 
@@ -364,7 +362,7 @@ def test_whole_pricing_keeps_units_until_their_key_changes(monkeypatch):
         for a in hh.adults:
             if rng.random() < 0.3:
                 a.life_left = int(rng.integers(1, 150))
-    b = env.block(households)
+    b = with_life(env.block(households), 150)
     formed = []
     form = env.budget_units
     monkeypatch.setattr(env, "budget_units", lambda block: formed.append(1) or form(block))

@@ -1,11 +1,12 @@
-"""Golden behaviour: a seeded cohort and two training updates, pinned to
-``tests/golden.json``.
+"""Golden behaviour: a seeded cohort run three ways and two training
+updates, pinned to ``tests/golden.json``.
 
-The cohort is three 64-household blocks under the 2023 rules, in sample
-mode with incentive sampling on, driven by an untrained (256, 256, 128)
-net.  Its integer histories (states, hours, gender, group) are hashed
-exactly; its ``aggregate(...).cells()`` must match to 12 significant digits
-(relative 1e-12, NaN matching NaN).  The parameters after two
+The cohort is three 64-household blocks drawn under the 2023 rules and
+driven by an untrained (256, 256, 128) net, with incentive sampling on:
+in sample mode under the 2023 rules, in greedy mode under them, and in
+sample mode under 2023 + ``orpo``.  Each run's integer histories (states,
+hours, gender, group) are hashed exactly; its ``aggregate(...).cells()``
+must match to 12 significant digits (relative 1e-12, NaN matching NaN).  The parameters after two
 ``train_policy`` updates must match to a relative 1e-9.  On a machine whose
 fingerprint (Python, numpy, the BLAS numpy was built with, and the CPU
 features numpy found) equals the file's, the float bits of both must match
@@ -28,8 +29,10 @@ import numpy as np
 import pytest
 
 from lifesim.env import N_ACTIONS, OBS_DIM
+from lifesim.paramfiles import params_dir
 from lifesim.pipelines import EnvPaths, build_env, train_policy
 from lifesim.population import init_population
+from lifesim.reform import apply_reform, load_reform
 from lifesim.simulate import BLOCK_HOUSEHOLDS, aggregate, run_cohort
 from lifesim.solver import PolicyValueNet, TrainConfig
 
@@ -55,10 +58,12 @@ def _histories_digest(log) -> str:
     return h.hexdigest()
 
 
-def _floats_digest(cells: dict, parameters: list) -> str:
-    """sha256 of the cell names, then the cells' and the parameters' float64 bytes."""
-    h = hashlib.sha256(json.dumps(list(cells)).encode())
-    h.update(np.array(list(cells.values()), dtype=np.float64).tobytes())
+def _floats_digest(runs: dict, parameters: list) -> str:
+    """sha256 of the run and cell names, then each run's cells' and the
+    parameters' float64 bytes."""
+    h = hashlib.sha256(json.dumps({name: list(run["cells"]) for name, run in runs.items()}).encode())
+    for run in runs.values():
+        h.update(np.array(list(run["cells"].values()), dtype=np.float64).tobytes())
     h.update(np.array(parameters, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -80,19 +85,21 @@ def fingerprint() -> dict:
 
 def run_golden() -> dict:
     env = build_env(EnvPaths.packaged(YEAR))
+    orpo = env.with_rules(apply_reform(env.rules, load_reform(params_dir() / "reforms" / "orpo.yaml"))[0])
     pop = init_population(COHORT_AGENTS, env, seed=POPULATION_SEED)
     assert pop.block.m == 3 * BLOCK_HOUSEHOLDS
     net = PolicyValueNet(OBS_DIM, N_ACTIONS, seed=NET_SEED)
-    log = run_cohort(net, pop, env, mode="sample", collect_incentives=True)
+    runs = {}
+    for name, arm, mode in (("sample", env, "sample"), ("greedy", env, "greedy"), ("2023+orpo", orpo, "sample")):
+        log = run_cohort(net, pop, arm, mode=mode, collect_incentives=True)
+        runs[name] = {"histories_sha256": _histories_digest(log), "cells": aggregate(log).cells()}
     config = TrainConfig(total_steps=TRAIN_UPDATES * TrainConfig.rollout * 2 * TRAIN_HOUSEHOLDS,
                          hidden=TRAIN_HIDDEN, seed=TRAIN_SEED)
-    trained = train_policy(env, config, n_households=TRAIN_HOUSEHOLDS).net
-    cells, parameters = aggregate(log).cells(), trained.flat_parameters().tolist()
+    parameters = train_policy(env, config, n_households=TRAIN_HOUSEHOLDS).net.flat_parameters().tolist()
     return {
-        "histories_sha256": _histories_digest(log),
-        "float_outputs_sha256": _floats_digest(cells, parameters),
+        "float_outputs_sha256": _floats_digest(runs, parameters),
         "fingerprint": fingerprint(),
-        "cells": cells,
+        "cohorts": runs,
         "parameters": parameters,
     }
 
@@ -104,16 +111,19 @@ def runs():
 
 def test_cohort_histories_match_exactly(runs):
     got, want = runs
-    assert got["histories_sha256"] == want["histories_sha256"]
+    assert got["cohorts"].keys() == want["cohorts"].keys()
+    for name, run in got["cohorts"].items():
+        assert run["histories_sha256"] == want["cohorts"][name]["histories_sha256"], name
 
 
 def test_cohort_cells_match_to_12_digits(runs):
     got, want = runs
-    assert got["cells"].keys() == want["cells"].keys()
-    off = {k: (g, want["cells"][k]) for k, g in got["cells"].items()
-           if not (math.isnan(g) and math.isnan(want["cells"][k])
-                   or math.isclose(g, want["cells"][k], rel_tol=CELLS_RTOL))}
-    assert not off
+    for name, run in got["cohorts"].items():
+        cells, pinned = run["cells"], want["cohorts"][name]["cells"]
+        assert cells.keys() == pinned.keys(), name
+        off = {k: (g, pinned[k]) for k, g in cells.items()
+               if not (math.isnan(g) and math.isnan(pinned[k]) or math.isclose(g, pinned[k], rel_tol=CELLS_RTOL))}
+        assert not off, name
 
 
 def test_parameters_after_two_updates_match(runs):

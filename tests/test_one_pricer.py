@@ -10,8 +10,9 @@ under 3 and a pink slip, each asserted to occur in a priced quarter.
 
 ``init_population`` and ``spawn_pair_household`` read their inputs from
 the env and draw into block columns; given the same env and seed they must
-draw the block, and leave the generators, that packing the records drawn
-with the inputs passed one by one gives (``population_oracle``).
+draw the block that packing the records drawn with the inputs passed one
+by one gives (``population_oracle``), and a training pool's life draws
+must be its households' keyed draws.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ def _households(env: LifecycleEnv) -> list[HouseholdState]:
     ]
     households = []
     for k, adults in enumerate(built):
-        hh = HouseholdState(adults=adults, partnered=len(adults) == 2, child_ages=[1.0] if k == 1 else [])
-        hh.rng_exo, hh.rng_act = np.random.default_rng((5, k, 0)), np.random.default_rng((5, k, 1))
-        households.append(hh)
+        households.append(HouseholdState(adults=adults, partnered=len(adults) == 2,
+                                         child_ages=[1.0] if k == 1 else [], key=(5, k)))
     return households + population_oracle.records(9, env, seed=17).households
 
 
@@ -130,13 +130,14 @@ def test_population_draws_from_the_env_as_from_its_parts(env, year, n, seed):
     population_oracle.assert_same_block(got.block, HouseholdBlock.of(want.households, arm.window))
     assert set(got.block.size.tolist()) == {1, 2}
 
-    # The training pool's fresh blocks, each household drawn by ``spawn_pair_household``.
+    # The training pool's fresh blocks, drawn by ``spawn_pair_household``, the
+    # second taking the next six household ids.
     venv = LifecycleVectorEnv(arm, n_households=6, seed=seed)
-    oracle_stream = np.random.SeedSequence((seed, 0xF00D))
-    for _ in range(2):
-        pairs = [population_oracle.spawn_pair_household(oracle_stream.spawn(1)[0], arm.tables, arm.wparams,
-                                                        arm.initial_draws, year) for _ in range(6)]
-        population_oracle.assert_same_block(venv._fresh_block(), HouseholdBlock.of(pairs, arm.window))
+    for first in (0, 6):
+        pairs = [population_oracle.spawn_pair_household(seed, first + k, arm.tables, arm.wparams,
+                                                        arm.initial_draws, year) for k in range(6)]
+        want = population_oracle.with_life(HouseholdBlock.of(pairs, arm.window), venv.episode_quarters)
+        population_oracle.assert_same_block(venv._fresh_block(), want)
 
 
 def test_population_default_year_and_wages_were_the_packaged_2023_env(env):
@@ -144,4 +145,4 @@ def test_population_default_year_and_wages_were_the_packaged_2023_env(env):
     initial draw tables built per call) drew what the packaged 2023 env draws."""
     got = init_population(30, env, seed=5)
     want = population_oracle.init_population(30, env.tables, 5)
-    population_oracle.assert_same_block(got.block, env.block(want.households))
+    population_oracle.assert_same_block(got.block, HouseholdBlock.of(want.households, env.window))

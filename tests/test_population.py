@@ -37,16 +37,17 @@ def draw_records(n, tables, seed):
     return population_oracle.records(n, _env(tables), seed=seed)
 
 
-# One demographic event phase over a whole population.
-def partnership_step(pop, tables):
-    for hh in pop.households:
-        partnership_events(hh, tables)
+# One demographic event phase over a whole population, each household's
+# next clock drawn with a uniform of its own from ``rng``.
+def partnership_step(pop, tables, rng):
+    for hh, u in zip(pop.households, rng.random(len(pop.households)).tolist()):
+        partnership_events(hh, tables, u)
     return pop
 
 
-def fertility_step(pop, tables):
-    for hh in pop.households:
-        fertility_events(hh, tables)
+def fertility_step(pop, tables, rng):
+    for hh, u in zip(pop.households, rng.random(len(pop.households)).tolist()):
+        fertility_events(hh, tables, u)
     return pop
 
 
@@ -105,27 +106,30 @@ def test_initial_state_distribution(tables):
 
 
 def test_partnership_zero_hazard_no_change(tables):
+    rng = np.random.default_rng(3)
     zt = zero_hazard_tables(tables)
     pop = draw_records(500, zt, seed=3)
     before = [hh.partnered for hh in pop.households]
     for _ in range(8):
-        partnership_step(pop, zt)
+        partnership_step(pop, zt, rng)
     assert [hh.partnered for hh in pop.households] == before
     assert all(not p for p in before)
 
 
 def test_marriage_certain_event(tables):
+    rng = np.random.default_rng(4)
     certain = dataclasses.replace(
         zero_hazard_tables(tables), marriage_annual=[(18.0, 4.0)]
     )  # quarterly hazard 1.0
     pop = draw_records(2, certain, seed=4)
     pair = next(hh for hh in pop.households if len(hh.adults) == 2)
     assert pair.until_marriage == 1
-    partnership_step(pop, certain)
+    partnership_step(pop, certain, rng)
     assert pair.partnered
 
 
 def test_partnership_formation_count_within_3_sigma(tables):
+    rng = np.random.default_rng(9)
     # Constant quarterly hazard p: expected formations over one year among
     # pairs follows the geometric first-event law.
     p = 0.05
@@ -133,7 +137,7 @@ def test_partnership_formation_count_within_3_sigma(tables):
     pop = draw_records(100_000, t, seed=9)
     pairs = [hh for hh in pop.households if len(hh.adults) == 2]
     for _ in range(4):
-        partnership_step(pop, t)
+        partnership_step(pop, t, rng)
     formed = sum(1 for hh in pairs if hh.partnered)
     expect = len(pairs) * (1 - (1 - p) ** 4)
     sigma = np.sqrt(len(pairs) * (1 - (1 - p) ** 4) * (1 - p) ** 4)
@@ -141,26 +145,28 @@ def test_partnership_formation_count_within_3_sigma(tables):
 
 
 def test_fertility_zero_and_certain(tables):
+    rng = np.random.default_rng(5)
     zt = zero_hazard_tables(tables)
     pop = draw_records(200, zt, seed=5)
-    fertility_step(pop, zt)
+    fertility_step(pop, zt, rng)
     assert all(not hh.child_ages for hh in pop.households)
 
     certain = dataclasses.replace(zt, fertility_annual=[(18.0, 4.0)])
     pop2 = draw_records(200, certain, seed=5)
-    fertility_step(pop2, certain)
+    fertility_step(pop2, certain, rng)
     with_mother = [hh for hh in pop2.households if any(a.gender == "women" for a in hh.adults)]
     assert all(len(hh.child_ages) == 1 for hh in with_mother)
 
 
 def test_fertility_count_within_3_sigma(tables):
+    rng = np.random.default_rng(10)
     p = 0.02
     t = dataclasses.replace(zero_hazard_tables(tables), fertility_annual=[(18.0, 4 * p)])
     pop = draw_records(60_000, t, seed=10)
     mothers = sum(1 for hh in pop.households if any(a.gender == "women" for a in hh.adults))
     births = 0
     for _ in range(4):
-        fertility_step(pop, t)
+        fertility_step(pop, t, rng)
     births = sum(len(hh.child_ages) for hh in pop.households)
     expect = mothers * (1 - (1 - p) ** 4)
     sigma = np.sqrt(expect)
@@ -168,11 +174,12 @@ def test_fertility_count_within_3_sigma(tables):
 
 
 def test_children_age_out_at_18(tables):
+    rng = np.random.default_rng(6)
     zt = zero_hazard_tables(tables)
     pop = draw_records(2, zt, seed=6)
     hh = pop.households[0]
     hh.child_ages = [17.8]
-    fertility_step(pop, zt)
+    fertility_step(pop, zt, rng)
     assert hh.child_ages == []
 
 
@@ -206,12 +213,13 @@ def test_survival_curve_matches_table_product(tables):
 
 
 def test_partner_symmetry_and_conservation(tables):
+    rng = np.random.default_rng(13)
     pop = draw_records(2_000, tables, seed=13)
     n_agents = sum(len(hh.adults) for hh in pop.households)
     assert n_agents == 2_000
     for _ in range(40):
-        partnership_step(pop, tables)
-        fertility_step(pop, tables)
+        partnership_step(pop, tables, rng)
+        fertility_step(pop, tables, rng)
         mortality_step(pop, tables)
     # Pair records keep symmetry by construction; agents are conserved.
     assert sum(len(hh.adults) for hh in pop.households) == n_agents
@@ -236,7 +244,7 @@ def test_stored_child_bands_follow_fertility_events(tables):
         for hh in pop.households:
             if rng.random() < 0.15:
                 hh.until_birth = int(rng.integers(1, 4))
-            born += fertility_events(hh, births if rng.random() < 0.5 else no_births)
+            born += fertility_events(hh, births if rng.random() < 0.5 else no_births, rng.random())
             assert hh.bands == child_bands(hh.child_ages)
     assert born > 0
     assert {hh.bands for hh in pop.households} != {(0, 0, 0)}

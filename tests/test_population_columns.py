@@ -1,7 +1,8 @@
 """Populations are block columns from the draw on.
 
-``HouseholdBlock.take`` copies a run of households as a block of its own,
-equal to packing the same households' records.  No production path builds,
+``HouseholdBlock.take`` copies a run of households, keys and quarters
+included, as a block of its own, equal to packing the same households'
+records.  No production path builds,
 packs or writes back a record: with the record constructors, ``pack`` and
 ``write_back`` made to raise, a toy reform comparison, a training run and
 a cohort simulation still run.  A cohort runs only under rules with the
@@ -10,7 +11,6 @@ work window it was drawn with.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 import population_oracle
@@ -43,8 +43,8 @@ def _households(env):
                        work_window=[(True, 7500.0)] * (k + 2))
         b = AgentState(gender="men", group=1, age=44.0, state=S.ER_UNEMPLOYED, ub_basis=2100.0)
         households.append(HouseholdState(adults=(a, b)[:k % 2 + 1], partnered=k == 1,
-                                         child_ages=[17.0, 9.5, 2.0][:k + 1], until_birth=5 + k,
-                                         rng_exo=np.random.default_rng(k), rng_act=np.random.default_rng(k + 9)))
+                                         child_ages=[17.0, 9.5, 2.0][:k + 1], until_birth=5 + k, key=(k, k + 9),
+                                         quarter=40 + k))
     households[-1].child_ages[0] = float("nan")
     return households
 
@@ -52,15 +52,15 @@ def _households(env):
 @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 5), (7, 15), (12, 15), (14, 15), (3, 13)])
 def test_take_equals_packing_the_same_records(env, lo, hi):
     households = _households(env)
-    b = env.block(households)
+    b = HouseholdBlock.of(households, env.window)
     assert b.m == 15
     part = b.take(lo, hi)
-    population_oracle.assert_same_block(part, env.block(households[lo:hi]))
-    assert all(got is want for got, want in zip(part.rng_exo + part.rng_act, b.rng_exo[lo:hi] + b.rng_act[lo:hi]))
+    population_oracle.assert_same_block(part, HouseholdBlock.of(households[lo:hi], env.window))
     # A copy: stepping the part leaves the whole as it was.
     part.age += 1.0
     part.child_age[:] = 0.0
-    population_oracle.assert_same_block(b, env.block(households))
+    part.quarter += 1
+    population_oracle.assert_same_block(b, HouseholdBlock.of(households, env.window))
 
 
 def _forbidden(*args, **kwargs):

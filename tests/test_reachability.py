@@ -18,6 +18,11 @@ Also here: every name a ``src/lifesim`` module imports is read in that
 module.  Exempt are the re-exports of the ``__init__.py`` files and the
 imports marked ``# noqa: F401``, which keep module names that
 ``lifebench/layers.py`` wraps for the traced run.
+
+And every place in ``src/lifesim`` that builds a random generator or a seed
+sequence (a call of anything under ``np.random``, a ``spawn``, or an
+import from ``random`` or ``numpy.random``) is one of ``GENERATOR_SITES``:
+a household's random numbers come from its keys alone.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ SRC = ROOT / "src" / "lifesim"
 OUTSIDE_TESTS = (ROOT / "src", ROOT / "lifebench")
 ENTRY_POINT = {"main"}   # ``lifesim = "lifesim.cli:main"`` in pyproject.toml
 ONE_HOUSEHOLD_FREEZE = {"LifecycleEnv.freeze_for_static_phase"}
+GENERATOR_SITES = {
+    "population.py: keyed": "the keyed-draw helper",
+    "population.py: init_population": "the cohort's master stream (genders, groups and pairs)",
+    "solver/network.py: PolicyValueNet.__init__": "the net's weight init",
+    "solver/actor_critic.py: train_actor_critic": "the learner's action stream",
+    "pipelines.py: derived_seed": "the pipelines' seed derivation",
+}
 
 
 def _trees(*roots: Path):
@@ -122,3 +134,31 @@ def test_every_import_in_src_is_read():
             unread += [f"{path.relative_to(ROOT)}: {name}"
                        for name in _unread_imports(tree, path.read_text().splitlines())]
     assert not unread, "imported in src/ but never read:\n" + "\n".join(unread)
+
+
+def _random_sites(tree: ast.AST, scope: str = "<module>"):
+    """The scope (``function`` or ``Class.method``, outermost function for
+    nested ones) of each node of ``tree`` that builds a generator or a seed
+    sequence."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = node.name if scope == "<module>" else scope
+            if isinstance(tree, ast.ClassDef) and scope == tree.name:
+                inner = f"{tree.name}.{node.name}"
+            yield from _random_sites(node, inner)
+            continue
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if callee.startswith(("np.random.", "numpy.random.")) or callee.endswith(".spawn"):
+                yield scope
+        elif isinstance(node, ast.Import) and any(a.name in ("random", "numpy.random") for a in node.names):
+            yield scope
+        elif isinstance(node, ast.ImportFrom) and node.module in ("random", "numpy.random"):
+            yield scope
+        yield from _random_sites(node, scope)
+
+
+def test_generators_are_built_only_at_the_listed_sites():
+    sites = {f"{path.relative_to(SRC)}: {scope}" for path, tree in _trees(SRC) for scope in _random_sites(tree)}
+    assert sites == GENERATOR_SITES.keys(), (f"unlisted: {sorted(sites - GENERATOR_SITES.keys())}, "
+                                             f"listed but gone: {sorted(GENERATOR_SITES.keys() - sites)}")

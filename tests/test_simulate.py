@@ -447,17 +447,13 @@ def test_nan_cells_summarize_and_compare_without_warnings(small_log):
     assert math.isnan(row.pooled_se) and not row.significant
 
 
-def _act_streams(pop):
-    return [copy.deepcopy(rng) for rng in pop.block.rng_act]
-
-
 def test_sample_mode_draws_each_households_action_uniforms_as_per_quarter_draws(env, small_net, monkeypatch):
-    """Every quarter's uniforms equal one ``random(2)`` per household and
-    quarter (the slot's entry), and each stream ends where those draws
-    leave it."""
+    """Every quarter's uniforms are, for each household, one ``random(2)``
+    per quarter of its ``default_rng((seed, household, 3))`` stream (the
+    slot's entry), whatever the block split; and a second run of the same
+    population is fed the same uniforms."""
     monkeypatch.setattr(simulate, "BLOCK_HOUSEHOLDS", 4)
     pop = init_population(14, env, seed=21)
-    streams = _act_streams(pop)
     fed = []
     sample = simulate.sample_masked
     monkeypatch.setattr(simulate, "sample_masked", lambda logits, masks, u: fed.append(u.copy()) or sample(
@@ -470,16 +466,22 @@ def test_sample_mode_draws_each_households_action_uniforms_as_per_quarter_draws(
     for lo in range(0, pop.block.m, simulate.BLOCK_HOUSEHOLDS):
         block = households[lo:lo + simulate.BLOCK_HOUSEHOLDS]
         slots = [(h, k) for h in block for k in range(pop.block.size[h])]
-        draws = [[streams[h].random(2) for _ in range(decision_q)] for h in block]
-        want += [np.array([draws[block.index(h)][q][k] for h, k in slots]) for q in range(decision_q)]
+        streams = {h: np.random.default_rng((21, h, 3)) for h in block}
+        draws = {h: [streams[h].random(2) for _ in range(decision_q)] for h in block}
+        want += [np.array([draws[h][q][k] for h, k in slots]) for q in range(decision_q)]
     assert len(fed) == len(want) == len(simulate._blocks(pop.block)) * decision_q
     assert all(np.array_equal(a, b) for a, b in zip(fed, want))
-    assert [rng.bit_generator.state for rng in pop.block.rng_act] == [s.bit_generator.state for s in streams]
     assert log.states.shape[0] == pop.size
+    first = fed[:]
+    fed.clear()
+    run_cohort(small_net, pop, env, mode="sample")
+    assert all(np.array_equal(a, b) for a, b in zip(fed, first)) and len(fed) == len(first)
 
 
-def test_greedy_mode_draws_no_action_uniforms(env, small_net):
-    pop = init_population(6, env, seed=22)
-    streams = _act_streams(pop)
-    run_cohort(small_net, pop, env, mode="greedy")
-    assert [rng.bit_generator.state for rng in pop.block.rng_act] == [s.bit_generator.state for s in streams]
+def test_greedy_mode_draws_no_action_uniforms(env, small_net, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("greedy mode drew action uniforms")
+
+    monkeypatch.setattr(simulate, "action_uniforms", forbidden)
+    log = run_cohort(small_net, init_population(6, env, seed=22), env, mode="greedy")
+    assert log.states.shape[0] == 6

@@ -2,8 +2,8 @@
 (``tests/step_oracle.py``): a seeded random-legal-policy trajectory through
 the 228 decision quarters, the terminal value, the freeze and the static
 phase, under every packaged rule set and 2023 + ``orpo``.  Every agent and
-household field, flow, consumption, reward, event and ``rng_exo``/``rng_act``
-state must match bit for bit, for households stepped as one block and for
+household field, flow, consumption, reward, event, key and quarter must
+match bit for bit, for households stepped as one block and for
 households stepped alone through ``LifecycleEnv.step``."""
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ def _agent(a: AgentState):
 
 def _household(hh: HouseholdState):
     return ([_agent(a) for a in hh.adults], hh.partnered, _bits(hh.child_ages), hh.until_birth,
-            hh.until_marriage, hh.until_divorce, hh.bands, hh.rng_exo.bit_generator.state,
-            hh.rng_act.bit_generator.state)
+            hh.until_marriage, hh.until_divorce, hh.bands, hh.key, hh.quarter)
 
 
 def _flows(flows):
@@ -74,13 +73,17 @@ def _env_2023(env: LifecycleEnv) -> LifecycleEnv:
 
 
 def _population(env: LifecycleEnv, seed: int) -> list[HouseholdState]:
-    """A seeded cohort (singles and pairs), some adults with an early death."""
+    """A seeded cohort (singles and pairs), some adults with an early death,
+    and the first adult of each of the first four households with a
+    student clock due at 19, so that student entries occur."""
     households = population_oracle.records(19, _env_2023(env), seed=seed).households
     rng = np.random.default_rng(seed)
     for hh in households:
         for a in hh.adults:
             if rng.random() < 0.3:
                 a.life_left = int(rng.integers(1, DECISION_QUARTERS))
+    for hh in households[:4]:
+        hh.adults[0].until_student = 4
     return households
 
 
@@ -92,7 +95,7 @@ def test_block_step_matches_per_household_oracle(rules_name):
     households = _population(env, seed)
     want = copy.deepcopy(households)      # stepped by the oracle
     alone = copy.deepcopy(households[:3])  # stepped one at a time by LifecycleEnv.step
-    b = env.block(households)
+    b = population_oracle.with_life(env.block(households), DECISION_QUARTERS + STATIC_QUARTERS)
     obs = np.empty((b.n, OBS_DIM))
     masks = np.empty((b.n, N_ACTIONS), dtype=bool)
     policy = np.random.default_rng(seed)
@@ -150,6 +153,6 @@ def test_block_step_matches_per_household_oracle(rules_name):
 
     seen = {"birth", "mothers_leave", "layoff", "job_started", "search_failed", "quit", "partial_early",
             "sick_onset", "student_entry", "outside_entry", "auto_retire"}
-    assert seen <= events.keys(), (rules_name, sorted(events))
+    assert seen <= events.keys(), (rules_name, sorted(seen - events.keys()))
     assert {len(hh.adults) for hh in households} == {1, 2}
     assert any(a.state is S.DEAD for hh in households for a in hh.adults)
