@@ -26,8 +26,14 @@ from .errors import ContractViolation
 from .states import EmploymentState as S
 
 NO_EVENT = -1   # clock value when no event is scheduled
+# The life grid: every agent enters at ENTRY_AGE and steps a quarter at a
+# time, deciding until DECISION_END_AGE and dead by MAX_AGE.
 DT = 0.25       # one model step: a quarter, in years
-MAX_AGE = 100.0  # every agent is dead by this age
+ENTRY_AGE = 18.0
+DECISION_END_AGE = 75.0
+MAX_AGE = 100.0
+DECISION_QUARTERS = int(round((DECISION_END_AGE - ENTRY_AGE) / DT))
+LIFE_QUARTERS = int(round((MAX_AGE - ENTRY_AGE) / DT))
 
 _DEAD = S.DEAD  # bound once: an enum class lookup costs about ten times more
 STATES = tuple(S)  # state code -> member
@@ -109,7 +115,7 @@ _BOOLS = ("pink_slip", "fund_member", "returning")
 _DTYPES = {**dict.fromkeys(_FLOATS, float), **dict.fromkeys(_INTS, np.int64), **dict.fromkeys(_BOOLS, bool)}
 _COLUMNS = {"state": np.int64, **_DTYPES}
 # A new adult's column values: the record defaults, aged 18 (0 for a field without one).
-_DEFAULTS = {**{f.name: f.default for f in fields(AgentState) if f.default is not MISSING}, "age": 18.0}
+_DEFAULTS = {**{f.name: f.default for f in fields(AgentState) if f.default is not MISSING}, "age": ENTRY_AGE}
 _HOUSEHOLD_INTS = ("until_birth", "until_marriage", "until_divorce")
 # The columns that hold the state of an adult and of a household.
 _ADULT_STATE = (*_COLUMNS, "worked", "window_wage", "window_len")

@@ -98,13 +98,12 @@ def calibrate(
     targets: CalibrationTargets,
     budget: int,
     step_sizes: dict[str, float] | None = None,
-    shrink: float = 0.5,
 ) -> CalibrationResult:
     """Coordinate descent over parameter blocks with accept-if-improved moves.
 
     One outer iteration proposes +/- step moves on every parameter in turn;
-    a move is kept only if the evaluated loss decreases.  Step sizes shrink
-    when neither direction improves.  ``evaluate`` must be deterministic for
+    a move is kept only if the evaluated loss decreases.  A parameter's step
+    halves when neither direction improves.  ``evaluate`` must be deterministic for
     a given parameter dict (common random numbers), which the callers arrange
     by fixing seeds inside the closure.
     """
@@ -129,7 +128,7 @@ def calibrate(
                     improved_any = True
                     break
             else:
-                steps[name] *= shrink
+                steps[name] *= 0.5
         if not improved_any and all(s < 1e-9 for s in steps.values()):
             break
     return CalibrationResult(params=best, loss=best_loss, trace=trace)

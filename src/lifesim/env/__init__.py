@@ -1,9 +1,9 @@
 """Quarterly household decision environment."""
 
 from .actions import ACTIONS, N_ACTIONS, Action, Decision, legal_mask
-from ..agent import NO_EVENT, AgentState, HouseholdState
+from ..agent import DECISION_END_AGE, DT, NO_EVENT, AgentState, HouseholdState
 from .features import OBS_DIM, encode
-from .mdp import DECISION_END_AGE, DT, LifecycleEnv, StepOutcome
+from .mdp import LifecycleEnv, StepOutcome
 from .utility import UtilityParams, load_utility_params
 
 __all__ = [

@@ -24,7 +24,7 @@ from ..states import (
     WORKING_STATES,
     EmploymentState as S,
 )
-from ..agent import NO_EVENT, AgentState, HouseholdBlock, HouseholdState
+from ..agent import DT, NO_EVENT, AgentState, HouseholdBlock, HouseholdState
 from ..rules.ruleset import RuleSet
 from .utility import UtilityParams
 
@@ -87,7 +87,7 @@ def _clocks(values: list[np.ndarray], scales_years: tuple[float, ...]) -> np.nda
     """The clock feature of each of ``values`` (quarters, ``NO_EVENT`` for
     none) as columns: years over the scale, capped at 1; 1 with no event."""
     v = np.array(values)
-    return np.where(v == NO_EVENT, 1.0, np.minimum(1.0, (v * 0.25) / np.array(scales_years)[:, None])).T
+    return np.where(v == NO_EVENT, 1.0, np.minimum(1.0, (v * DT) / np.array(scales_years)[:, None])).T
 
 
 def encode_columns(c: dict[str, np.ndarray], partner: np.ndarray, params: UtilityParams,
@@ -115,7 +115,7 @@ def encode_columns(c: dict[str, np.ndarray], partner: np.ndarray, params: Utilit
     out[:, i + 9:i + 11] = (np.array([c["ub_days_used"], np.maximum(0.0, c["ub_max_days"] - c["ub_days_used"])])
                             / fs.er_days_scale).T
     out[:, i + 11] = np.minimum(1.0, c["time_in_state"] / fs.time_in_state_years)
-    out[:, i + 12] = (c["career_quarters"] * 0.25) / fs.career_years
+    out[:, i + 12] = (c["career_quarters"] * DT) / fs.career_years
     out[:, i + 13] = c["condition_quarters"] / rules.unemployment.er.condition_window_quarters
     out[:, i + 14:i + 17] = np.array([c["pink_slip"], c["fund_member"], c["returning"]]).T
     out[:, i + 17] = 2.0 * c["partial_early_share"]

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..agent import DT, MAX_AGE, NO_EVENT, STATES, HouseholdBlock, HouseholdState
+from ..agent import DT, ENTRY_AGE, LIFE_QUARTERS, MAX_AGE, NO_EVENT, STATES, HouseholdBlock, HouseholdState
 from ..errors import ContractViolation
 from ..population import (H_BIRTH, H_FATHER_LEAVE, H_PARTNERSHIP, U_FRICTION, U_LAYOFF, U_MISC, U_OUTSIDER_CLOCK,
                           U_OUTSIDER_SPELL, U_SICK, U_SPARE, U_STUDENT_CLOCK, U_STUDENT_SPELL, DemographicTables,
@@ -78,9 +78,6 @@ from ..wage import WageParams, paid_wage, potential_wage_columns, update_wage_re
 # ``legal_mask`` (one adult) stays a module name here for the traced run.
 from .actions import ACTIONS, Decision, legal_mask  # noqa: F401
 from .utility import UtilityColumns, UtilityParams, check_consumption
-
-DECISION_END_AGE = 75.0
-
 
 # State and decision codes as plain ints: numpy compares an array with an
 # IntEnum member several times slower than with an int.
@@ -270,8 +267,8 @@ class LifecycleEnv:
 
     @cached_property
     def _wage_profile(self) -> np.ndarray:
-        """``mean_wage`` by [women, group, quarter of age from 18], NaN until used."""
-        return np.full((2, 3, int((MAX_AGE - 18.0) / DT) + 1), np.nan)
+        """``mean_wage`` by [women, group, quarter of age from entry], NaN until used."""
+        return np.full((2, 3, LIFE_QUARTERS + 1), np.nan)
 
     @cached_property
     def _job_find_prob(self):
@@ -293,7 +290,7 @@ class LifecycleEnv:
     def mean_wage(self, women: np.ndarray, group: np.ndarray, age: np.ndarray) -> np.ndarray:
         """``WageParams.mean_wage`` of every row, memoised on the quarter grid."""
         table = self._wage_profile
-        k = (age - 18.0) * 4.0
+        k = (age - ENTRY_AGE) * 4.0
         q = np.minimum(k.astype(np.intp), table.shape[2] - 1)
         out = table[women, group, q]
         for r in (np.isnan(out) | (k != q)).nonzero()[0].tolist():
@@ -631,9 +628,9 @@ class LifecycleEnv:
         women, group = b.women[live], b.group[live]
         b.potential_wage[live] = potential_wage_columns(
             b.potential_wage[live], self.mean_wage(women, group, prev_age), self.mean_wage(women, group, age),
-            wp, shocks[live], dt=DT)
+            wp, shocks[live])
         st = b.state[live]
-        reduction = b.wage_reduction[live] = update_wage_reduction(b.wage_reduction[live], st, wp, dt=DT)
+        reduction = b.wage_reduction[live] = update_wage_reduction(b.wage_reduction[live], st, wp)
         hours = b.hours[live]
         worked = IS_WORKING[st]
         pays = worked & (hours > 0)
@@ -809,14 +806,14 @@ class LifecycleEnv:
 
 class PricingLedger:
     """The one pricer of household blocks: quarters recorded as they run and
-    priced together after.  The owner prices them in one
-    ``rules.price_units`` call on :meth:`price_args`, once they hold
-    ``PRICING_ROWS`` unit rows or when it needs them, and hands the flows to
-    :meth:`settle`, which shares out each unit's consumption and, with
-    ``rewards``, rewards each adult; :meth:`price_alone` does all three for
-    one quarter.  A unit's row has the same bits in any call, and utility is
-    elementwise with a scalar ``math.log``, so each quarter gets the flows,
-    consumption and rewards that pricing it alone gives.
+    priced together after.  The owner calls :meth:`price` once the ledger is
+    :attr:`full` (it holds ``PRICING_ROWS`` unit rows) or when it needs the
+    quarters: one ``rules.price_units`` call prices every recorded unit,
+    then each unit's consumption is shared out and, with ``rewards``, each
+    adult rewarded; :meth:`price_alone` does this for one quarter.  A unit's
+    row has the same bits in any call, and utility is elementwise with a
+    scalar ``math.log``, so each quarter gets the flows, consumption and
+    rewards that pricing it alone gives.
 
     A recorded set is a float64 copy of a block's ``PRICING_INPUTS`` columns
     (``adult_columns`` returns views that the next quarter overwrites) and,
@@ -831,6 +828,11 @@ class PricingLedger:
         self.quarters: list[int] = []
         self.rows = 0
 
+    @property
+    def full(self) -> bool:
+        """Whether the recorded quarters hold ``PRICING_ROWS`` unit rows or more."""
+        return self.rows >= PRICING_ROWS
+
     def record(self, b: HouseholdBlock, changed: bool = True) -> None:
         """Record ``b``'s quarter: its inputs when ``changed`` (or nothing is
         recorded), else the last recorded set again."""
@@ -843,28 +845,24 @@ class PricingLedger:
             self.rows += len(units.first)
         self.quarters.append(len(self.sets) - 1)
 
-    def price_args(self) -> tuple:
-        """The arguments but the rule set of one ``price_units`` call over
-        every recorded set, each set's adult rows offset by the adult rows
-        of the sets before it."""
-        inputs, units, _ = zip(*self.sets)
-        offset = np.repeat(np.cumsum([0] + [x.shape[1] for x in inputs[:-1]]), [len(u.first) for u in units])
-        inputs = np.concatenate(inputs, axis=1)
-        first, second, *rest = (np.concatenate(column) for column in zip(*units))
-        return (pricing_columns(inputs[0].astype(np.intp), *inputs[1:len(PRICING_INPUTS)]), first + offset,
-                np.where(second >= 0, second + offset, -1), *rest)
-
-    def settle(self, flows: np.ndarray) -> tuple[list[slice], list[np.ndarray], list[np.ndarray] | None]:
-        """Each recorded quarter's rows of ``flows`` (what ``price_units``
-        gave on :meth:`price_args`), its consumption per adult row (a unit's
-        consumption shared equally by its living adults, ``sharers``; zero
-        for the dead) and, with ``rewards``, its reward per adult row:
-        utility times DT, zero for the dead.  Empties the ledger.  Raises
-        :class:`ContractViolation` when a living adult's unit consumes
-        nothing or less, or, with ``rewards``, an age is outside 18 to 100."""
+    def price(self) -> tuple[np.ndarray, list[slice], list[np.ndarray], list[np.ndarray] | None]:
+        """Every recorded quarter priced in one ``price_units`` call, each
+        set's adult rows offset by the adult rows of the sets before it: the
+        unit flows, each quarter's rows of them, its consumption per adult
+        row (a unit's consumption shared equally by its living adults,
+        ``sharers``; zero for the dead) and, with ``rewards``, its reward per
+        adult row: utility times DT, zero for the dead.  Empties the ledger.
+        Raises :class:`ContractViolation` when a living adult's unit consumes
+        nothing or less, or, with ``rewards``, an age is outside the model's
+        range."""
         inputs, units, sharers = zip(*self.sets)
         unit_starts = np.cumsum([0] + [len(u.first) for u in units]).tolist()
         starts = np.cumsum([0] + [x.shape[1] for x in inputs]).tolist()
+        offset = np.repeat(starts[:-1], [len(u.first) for u in units])
+        inputs = np.concatenate(inputs, axis=1)
+        first, second, *rest = (np.concatenate(column) for column in zip(*units))
+        flows = price_units(pricing_columns(inputs[0].astype(np.intp), *inputs[1:len(PRICING_INPUTS)]),
+                            first + offset, np.where(second >= 0, second + offset, -1), *rest, self.env.rules)
         live = np.concatenate([s.rows + k for s, k in zip(sharers, starts)])
         shared = flows[np.concatenate([s.unit + k for s, k in zip(sharers, unit_starts)]), _CONSUMPTION]
         check_consumption(shared)
@@ -872,7 +870,7 @@ class PricingLedger:
         consumption[live] = shared / np.concatenate([s.divisor for s in sharers])
         rewards = None
         if self.rewards:
-            state, women, hours, age, pink_slip, child_under3 = np.concatenate(inputs, axis=1)[_UTILITY_INPUTS][:, live]
+            state, women, hours, age, pink_slip, child_under3 = inputs[_UTILITY_INPUTS][:, live]
             values = np.zeros(starts[-1])
             values[live] = self.env._utility.utility(consumption[live], state.astype(np.intp), women,
                                                      hours.astype(np.intp), age, pink_slip > 0, child_under3 > 0) * DT
@@ -880,13 +878,12 @@ class PricingLedger:
         rows = [slice(unit_starts[k], unit_starts[k + 1]) for k in self.quarters]
         consumption = [consumption[starts[k]:starts[k + 1]] for k in self.quarters]
         self.sets, self.quarters, self.rows = [], [], 0
-        return rows, consumption, rewards
+        return flows, rows, consumption, rewards
 
     def price_alone(self, b: HouseholdBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``b``'s quarter recorded into this empty ledger, priced and
-        settled: its unit flows (a row per unit of ``env.units``), and its
-        consumption and, with ``rewards``, its reward per adult row."""
+        """``b``'s quarter recorded into this empty ledger and priced: its
+        unit flows (a row per unit of ``env.units``), and its consumption
+        and, with ``rewards``, its reward per adult row."""
         self.record(b)
-        flows = price_units(*self.price_args(), self.env.rules)
-        _, (consumption,), rewards = self.settle(flows)
+        flows, _, (consumption,), rewards = self.price()
         return flows, consumption, None if rewards is None else rewards[0]

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..agent import DT
+from ..agent import DT, ENTRY_AGE, MAX_AGE
 from ..errors import ContractViolation, ParameterError
-from ..paramfiles import build, load_yaml, params_dir
+from ..paramfiles import build, load_yaml
 from ..states import ALLOWED_HOURS, IS_UNEMPLOYED, IS_WORKING, N_STATES, EmploymentState as S, Gender
 
 
@@ -84,8 +84,8 @@ class UtilityParams:
         return self.discount_annual ** DT
 
 
-def load_utility_params(path: str | Path | None = None) -> UtilityParams:
-    params = build(UtilityParams, load_yaml(path or params_dir() / "utility.yaml"))
+def load_utility_params(path: str | Path) -> UtilityParams:
+    params = build(UtilityParams, load_yaml(path))
     if not 0.0 < params.discount_annual < 1.0:
         raise ParameterError("annual discount factor must lie in (0, 1)")
     for gender, row in params.kappa.items():
@@ -96,9 +96,11 @@ def load_utility_params(path: str | Path | None = None) -> UtilityParams:
 
 
 def check_ages(age: np.ndarray) -> None:
-    """The model's age range, 18 to 100, holds for every living agent's ``age``."""
-    if ((age < 18.0) | (age > 100.0)).any():
-        raise ContractViolation(f"age {float(age[(age < 18.0) | (age > 100.0)][0])} outside model range")
+    """The model's age range, ``ENTRY_AGE`` to ``MAX_AGE``, holds for every
+    living agent's ``age``."""
+    outside = (age < ENTRY_AGE) | (age > MAX_AGE)
+    if outside.any():
+        raise ContractViolation(f"age {float(age[outside][0])} outside model range")
 
 
 def check_consumption(consumption: np.ndarray) -> None:

@@ -19,23 +19,22 @@ their slot with a stay-only mask and zero rewards until the episode ends.
 
 A step is the transition alone, recorded in a
 :class:`~lifesim.env.mdp.PricingLedger` as the cohort simulator records
-its quarters; ``rewards`` prices the steps since its last call, up to
-``PRICING_ROWS`` unit rows per ``price_units`` call.
+its quarters; the ledger prices them once it is full, and ``rewards``
+prices the steps since its last call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..agent import HouseholdBlock
+from ..agent import DECISION_QUARTERS, HouseholdBlock
 from ..population import draw_life, spawn_pair_household
-from ..rules import price_units
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
 # callers used to look them up.
 from .actions import N_ACTIONS, legal_mask, mask_columns  # noqa: F401
 from .features import OBS_DIM, block_columns, encode, encode_columns  # noqa: F401
-from .mdp import DECISION_END_AGE, DT, PRICING_ROWS, LifecycleEnv, PricingLedger
+from .mdp import LifecycleEnv, PricingLedger
 
 
 def observe(b: HouseholdBlock, env: LifecycleEnv, obs: np.ndarray, masks: np.ndarray) -> None:
@@ -58,7 +57,7 @@ class LifecycleVectorEnv:
         self.obs_dim = OBS_DIM
         self.n_actions = N_ACTIONS
         self.step_discount = env.uparams.step_discount
-        self.episode_quarters = int(round((DECISION_END_AGE - 18.0) / DT))
+        self.episode_quarters = DECISION_QUARTERS
         self.seed = seed
         self._households = 0   # households drawn so far: the next one's id
         self._block: HouseholdBlock | None = None
@@ -101,14 +100,13 @@ class LifecycleVectorEnv:
             b.uniforms = b.normals = None   # before the next pool's are drawn
             self._block = self._fresh_block()
             self._quarter = 0
-        if self._ledger.rows >= PRICING_ROWS:
+        if self._ledger.full:
             self._settle()
         observe(self._block, self.env, self._obs, self._masks)
         return self._obs.copy(), self._masks.copy(), np.full(self.n_actors, float(done))
 
     def _settle(self) -> None:
-        _, _, rewards = self._ledger.settle(price_units(*self._ledger.price_args(), self.env.rules))
-        self._rewards += rewards
+        self._rewards += self._ledger.price()[3]
 
     def rewards(self) -> np.ndarray:
         """The ``(steps, n_actors)`` rewards of the steps since the last

@@ -15,7 +15,7 @@ from .env.vector import LifecycleVectorEnv
 from .paramfiles import params_dir, ruleset_path
 from .population import init_population, load_demographics
 from .reform import ComparisonReport, ReformSpec, apply_reform, compare_runs
-from .rules import RuleSet, load_ruleset
+from .rules import load_ruleset
 from .simulate import RepeatResult, repeat_protocol
 from .solver import TrainConfig, TrainResult, train_actor_critic
 from .solver.network import PolicyValueNet
@@ -40,10 +40,9 @@ class EnvPaths:
         )
 
 
-def build_env(paths: EnvPaths, rules: RuleSet | None = None) -> LifecycleEnv:
-    rules = rules if rules is not None else load_ruleset(paths.ruleset)
+def build_env(paths: EnvPaths) -> LifecycleEnv:
     return LifecycleEnv(
-        rules=rules,
+        rules=load_ruleset(paths.ruleset),
         uparams=load_utility_params(paths.utility),
         wparams=load_wage_params(paths.wages),
         tables=load_demographics(paths.demographics),
@@ -74,7 +73,6 @@ class ProtocolConfig:
     n_households: int = 32
     mode: str = "sample"
     seed: int = 0
-    collect_incentives: bool = False
     refit: TrainConfig | None = None
 
     def refit_config(self, repeat_index: int, base_seed_salt: int) -> TrainConfig:
@@ -103,9 +101,7 @@ def run_repeat_protocol(base_net: PolicyValueNet, env: LifecycleEnv,
         # Population seeds are paired across arms: they do not carry the salt.
         return init_population(protocol.cohort_size, env, seed=derived_seed(protocol.seed, i))
 
-    return repeat_protocol(make_refit, make_population, env,
-                           n_repeats=protocol.n_repeats, mode=protocol.mode,
-                           collect_incentives=protocol.collect_incentives)
+    return repeat_protocol(make_refit, make_population, env, n_repeats=protocol.n_repeats, mode=protocol.mode)
 
 
 @dataclass

@@ -57,9 +57,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .agent import DT, MAX_AGE, NO_EVENT, HouseholdBlock
+from .agent import DT, ENTRY_AGE, LIFE_QUARTERS, MAX_AGE, NO_EVENT, HouseholdBlock
 from .errors import ContractViolation, ParameterError
-from .paramfiles import build, load_yaml, params_dir
+from .paramfiles import build, load_yaml
 from .states import EmploymentState as S, Gender
 from .wage import paid_wage
 
@@ -170,8 +170,8 @@ class DemographicTables:
         return _banded(self.population_weights, age)
 
 
-def load_demographics(path: str | Path | None = None) -> DemographicTables:
-    tables = build(DemographicTables, load_yaml(path or params_dir() / "demographics.yaml"))
+def load_demographics(path: str | Path) -> DemographicTables:
+    tables = build(DemographicTables, load_yaml(path))
     for gender, dist in tables.initial_states.items():
         if abs(sum(dist.values()) - 1.0) > 1e-6:
             raise ParameterError(f"initial state distribution for {gender} must sum to 1")
@@ -274,12 +274,11 @@ InitialDraws = tuple[dict[str, np.ndarray], dict[str, tuple[list[S], np.ndarray]
 def initial_draw_tables(tables: DemographicTables) -> InitialDraws:
     """Failure curves from age 18 and initial-state CDFs by gender, shared
     by every agent drawn at age 18 from ``tables``."""
-    horizon = int((MAX_AGE - 18.0) / DT)
     curves = {
-        "mort_men": failure_curve(lambda a: tables.mortality_quarterly("men", a), 18.0, horizon),
-        "mort_women": failure_curve(lambda a: tables.mortality_quarterly("women", a), 18.0, horizon),
-        "fertility": failure_curve(tables.fertility_quarterly, 18.0, horizon),
-        "marriage": failure_curve(tables.marriage_quarterly, 18.0, horizon),
+        "mort_men": failure_curve(lambda a: tables.mortality_quarterly("men", a), ENTRY_AGE, LIFE_QUARTERS),
+        "mort_women": failure_curve(lambda a: tables.mortality_quarterly("women", a), ENTRY_AGE, LIFE_QUARTERS),
+        "fertility": failure_curve(tables.fertility_quarterly, ENTRY_AGE, LIFE_QUARTERS),
+        "marriage": failure_curve(tables.marriage_quarterly, ENTRY_AGE, LIFE_QUARTERS),
     }
     state_cdf = {}
     for gender, dist in tables.initial_states.items():
@@ -309,7 +308,7 @@ def _draw_at_18(b: HouseholdBlock, env: LifecycleEnv, u: np.ndarray, z: np.ndarr
         states, cdf = state_cdf[gender]
         b.state[rows] = np.array(states, dtype=np.int64)[np.searchsorted(cdf, ua[rows, I_STATE], side="right")]
         life_left = draw_from_curve(curves["mort_" + gender], ua[rows, I_LIFE])   # censored at the maximum age
-        b.life_left[rows] = np.where(life_left == NO_EVENT, int((MAX_AGE - 18.0) / DT), life_left)
+        b.life_left[rows] = np.where(life_left == NO_EVENT, LIFE_QUARTERS, life_left)
     disp = env.wparams.initial_dispersion
     shock = (z[b.hh, b.slot] * disp - 0.5 * disp * disp).tolist()
     b.potential_wage[:] = env.mean_wage(b.women, b.group, b.age) * np.array([math.exp(x) for x in shock])

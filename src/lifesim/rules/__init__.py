@@ -10,14 +10,10 @@ from .engine import (
     entitlement_days,
     er_daily_level,
     grading_multiplier,
-    housing_benefit,
     net_income,
-    pension_benefit,
     price_unit,
     price_units,
     ptr,
-    social_assistance,
-    taxes_and_contributions,
     unemployment_benefit,
 )
 from .ruleset import (
@@ -42,16 +38,12 @@ __all__ = [
     "entitlement_days",
     "er_daily_level",
     "grading_multiplier",
-    "housing_benefit",
     "load_ruleset",
     "net_income",
-    "pension_benefit",
     "price_unit",
     "price_units",
     "ptr",
     "ruleset_from_mapping",
-    "social_assistance",
-    "taxes_and_contributions",
     "unemployment_benefit",
     "validate_ruleset",
 ]

@@ -27,12 +27,13 @@ Two paths price:
   from a block's columns: ``PricingLedger`` the units of one or many
   recorded quarters at once.
 
-The public helpers (:func:`unemployment_benefit`, :func:`pension_benefit`,
-:func:`housing_benefit`, ...) are the functions the scalar core calls or thin
-wrappers of them.  ``price_units`` calls the same helpers for the
-earnings-related and pension benefits and writes the other formulas again
-on columns; ``tests/test_engine_oracle.py`` holds the two cores to the same
-bits.
+The public helpers (:func:`unemployment_benefit`, :func:`er_daily_level`,
+:func:`grading_multiplier`, :func:`entitlement_days`) are functions the
+scalar core and the environment call.  ``price_units`` calls the same
+functions for the earnings-related and pension benefits
+(``unemployment_benefit``, ``_pension_parts``) and writes the other
+formulas again on columns; ``tests/test_engine_oracle.py`` holds the two
+cores to the same bits.
 Evaluation order in both:
 
     gross wage -> taxes and contributions (on wage income only)
@@ -196,14 +197,10 @@ class CashFlows:
         return reduce(add, _benefits(self))
 
 
-# Taxes and contributions on one wage, in the order :func:`_wage_charges`
-# returns them.
-_WAGE_TAX_NAMES = TAX_FIELDS[:3] + CONTRIB_FIELDS + ("employer_contrib",)
-
-
 def _wage_charges(gross_annual: float, rules: RuleSet) -> tuple[float, ...]:
-    """Taxes and contributions on annual wage income, EUR/yr, in
-    ``_WAGE_TAX_NAMES`` order.  The state tax is the sum of the brackets
+    """Taxes and contributions on annual wage income, EUR/yr: the first
+    three ``TAX_FIELDS``, the ``CONTRIB_FIELDS``, then the employer's
+    contribution.  The state tax is the sum of the brackets
     below the taxable income's bracket plus that bracket's term."""
     tax = rules.tax
     p = rules.pricing
@@ -218,13 +215,6 @@ def _wage_charges(gross_annual: float, rules: RuleSet) -> tuple[float, ...]:
     return (state, tax.municipal_rate * taxable, yle_tax if yle_tax < yle.cap else yle.cap,
             ee.pension * gross_annual, ee.unemployment * gross_annual, ee.health_medical * gross_annual,
             ee.health_daily * gross_annual, p.employer_rate * gross_annual)
-
-
-def taxes_and_contributions(gross_annual: float, rules: RuleSet) -> dict[str, float]:
-    """Taxes and contributions on annual wage income, EUR/yr."""
-    if gross_annual < 0:
-        raise ContractViolation("gross income must be non-negative")
-    return dict(zip(_WAGE_TAX_NAMES, _wage_charges(gross_annual, rules)))
 
 
 def er_daily_level(basis_monthly: float, rules: RuleSet) -> float:
@@ -255,23 +245,17 @@ def _graded_er_daily(basis_monthly: float, days_used: float, rules: RuleSet) -> 
     return basic if basic > daily else daily
 
 
-def unemployment_benefit(
-    basis_monthly: float,
-    days_used: float,
-    fund_member: bool,
-    rules: RuleSet,
-    max_days: float | None = None,
-) -> float:
+def unemployment_benefit(basis_monthly: float, days_used: float, fund_member: bool, rules: RuleSet,
+                         max_days: float) -> float:
     """Daily unemployment benefit, EUR/day.
 
     Earnings-related when the claimant is a fund member with entitlement days
-    left; the basic allowance otherwise.  Grading multiplies the ER level by
-    the step for ``days_used`` and never grades below the basic level.
+    left (fewer than ``max_days`` used); the basic allowance otherwise.
+    Grading multiplies the ER level by the step for ``days_used`` and never
+    grades below the basic level.
     """
     if basis_monthly < 0 or days_used < 0:
         raise ContractViolation("benefit basis and days used must be non-negative")
-    if max_days is None:
-        max_days = rules.pricing.er_max_days
     if not fund_member or days_used >= max_days:
         return rules.unemployment.basic_daily
     return _graded_er_daily(basis_monthly, days_used, rules)
@@ -300,11 +284,6 @@ def _pension_parts(accrued_er_monthly: float, rules: RuleSet) -> tuple[float, fl
     return accrued_er_monthly, basic, guarantee if guarantee > 0.0 else 0.0
 
 
-def pension_benefit(accrued_er_monthly: float, rules: RuleSet) -> dict[str, float]:
-    """Monthly pension split: earnings-related, basic, guarantee top-up."""
-    return dict(zip(("er", "basic", "guarantee"), _pension_parts(accrued_er_monthly, rules)))
-
-
 def _housing_benefit(rent_monthly: float, children_under18: int, income_monthly: float, n_alive: int,
                      sched: HousingBenefitSchedule) -> float:
     if rent_monthly <= 0:
@@ -324,19 +303,6 @@ def _housing_benefit(rent_monthly: float, children_under18: int, income_monthly:
 def _housing_schedule(rules: RuleSet, retired: bool) -> HousingBenefitSchedule:
     """The retiree schedule when some living adult is retired, else the general one."""
     return rules.housing_benefit.retiree if retired else rules.housing_benefit.general
-
-
-def housing_benefit(hh: HouseholdSnapshot, income_monthly: float, rules: RuleSet,
-                    n_alive: int, retired: bool) -> float:
-    """General or retiree housing benefit, EUR/mo.
-
-    ``income_monthly`` is the household's benefit-relevant gross income with
-    per-earner disregards already applied, as :func:`price_unit` does.  ``n_alive`` counts the unit's living adults;
-    ``retired`` says whether any of them is retired, which selects the
-    retiree schedule.
-    """
-    return _housing_benefit(hh.rent_monthly, hh.children_under18, income_monthly, n_alive,
-                            _housing_schedule(rules, retired))
 
 
 def _housing_income(gross_wages_monthly: list[float], other_monthly: float,
@@ -366,23 +332,6 @@ def _social_assistance(rent_monthly: float, children_under7: int, children_under
     countable += other_net_monthly
     benefit = norm + rent_monthly - countable
     return benefit if benefit > 0.0 else 0.0
-
-
-def social_assistance(
-    hh: HouseholdSnapshot,
-    net_wages_monthly: list[float],
-    other_net_monthly: float,
-    rules: RuleSet,
-    n_alive: int,
-) -> float:
-    """Residual guarantee benefit, EUR/mo.
-
-    Countable income = net wages beyond the per-earner disregard plus all
-    other net income (benefits included).  The benefit tops the household up
-    to norm + rent; ``n_alive`` living adults set the adult norm.
-    """
-    return _social_assistance(hh.rent_monthly, hh.children_under7, hh.children_under18, net_wages_monthly,
-                              other_net_monthly, n_alive, rules.social_assistance)
 
 
 def _daycare_fee_monthly(children_under7: int, gross_wages_monthly: list[float], all_working: bool,

@@ -202,8 +202,7 @@ class PricingConstants:
     with the same float operations it applied on every call before.
 
     For the scalar core: the state-tax bracket sums, the employer
-    contribution rate, the default ER entitlement, and the fixed benefit
-    amounts per quarter and per month.  ``bracket_below[j]`` is the state
+    contribution rate, and the fixed benefit amounts per quarter and per month.  ``bracket_below[j]`` is the state
     tax on an income that fills brackets ``0 .. j-1``, added bracket by
     bracket from 0.0, so the tax on a taxable income in bracket ``j`` is
     ``bracket_below[j]`` plus that bracket's term: the sum the bracket loop
@@ -226,7 +225,7 @@ class PricingConstants:
       up to the largest tabled size.
     """
 
-    __slots__ = ("bracket_lows", "bracket_rates", "bracket_below", "employer_rate", "er_max_days",
+    __slots__ = ("bracket_lows", "bracket_rates", "bracket_below", "employer_rate",
                  "basic_quarterly", "basic_monthly", "home_care_quarterly", "home_care_monthly",
                  "student_quarterly", "student_monthly", "brackets", "fixed_by_state", "disregards",
                  "max_rent_general", "max_rent_retiree")
@@ -240,7 +239,6 @@ class PricingConstants:
             below.append(below[-1] + rate * (hi - lo))
         self.bracket_below = tuple(below)
         self.employer_rate = rs.contributions.employer.total_rate
-        self.er_max_days = float(rs.unemployment.er.max_days_default)
         self.basic_quarterly = rs.unemployment.basic_daily * BENEFIT_DAYS_PER_QUARTER
         self.basic_monthly = self.basic_quarterly / MONTHS_PER_QUARTER
         self.home_care_quarterly = rs.family.home_care_allowance_monthly * MONTHS_PER_QUARTER

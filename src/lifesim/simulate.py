@@ -43,14 +43,14 @@ from itertools import groupby, repeat
 
 import numpy as np
 
-from .agent import HouseholdBlock
+from .agent import DECISION_QUARTERS, DT, ENTRY_AGE, LIFE_QUARTERS, MAX_AGE, HouseholdBlock
 # ``encode`` and ``legal_mask`` (one adult each) stay module names here for
 # the traced benchmark run (lifebench/layers.py), which wraps them where
 # callers used to look them up.  The simulator calls neither: it encodes and
 # masks whole blocks through ``observe``.
 from .env.actions import N_ACTIONS, legal_mask  # noqa: F401
 from .env.features import OBS_DIM, encode  # noqa: F401
-from .env.mdp import DECISION_END_AGE, DT, MAX_AGE, PRICING_ROWS, LifecycleEnv, PricingLedger
+from .env.mdp import LifecycleEnv, PricingLedger
 from .env.utility import check_ages
 from .env.vector import observe
 from .errors import ContractViolation
@@ -60,8 +60,7 @@ from .rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, EMTR_DELTA_MONTHLY, FL
 from .solver.network import PolicyValueNet, sample_masked
 from .states import ALLOWED_HOURS, IS_RETIRED, IS_UNEMPLOYED, IS_WORKING, N_STATES, EmploymentState as S, state_flags
 
-AGE_MIN = 18
-AGE_MAX = 100
+AGE_MIN, AGE_MAX = int(ENTRY_AGE), int(MAX_AGE)
 N_AGES = AGE_MAX - AGE_MIN  # yearly cells 18..99
 FLOW_NAMES = ("gross_wage",) + TAX_FIELDS + CONTRIB_FIELDS + BENEFIT_FIELDS + (
     "employer_contrib", "net_income", "vat", "consumption",
@@ -136,12 +135,11 @@ def _incentive_samples(env: LifecycleEnv, b: HouseholdBlock, emtr_samples: list[
     ptr_samples.extend((1.0 - (net_base - net_jobless) / flows[:m, _GROSS_WAGE]).tolist())
 
 
-def _price_into(partial: np.ndarray, cells: list[int], pricing: PricingLedger, rules) -> None:
-    """Price the quarters ``pricing`` recorded in one ``price_units`` call
-    and add each quarter's rows into its age cell, ``cells`` in quarter
-    order, in quarter, household and unit order."""
-    flows = price_units(*pricing.price_args(), rules)
-    rows = pricing.settle(flows)[0]
+def _price_into(partial: np.ndarray, cells: list[int], pricing: PricingLedger) -> None:
+    """Price the quarters ``pricing`` recorded and add each quarter's rows
+    into its age cell, ``cells`` in quarter order, in quarter, household
+    and unit order."""
+    flows, rows, _, _ = pricing.price()
     flows = flows.take(_FLOW_COLUMNS, axis=1)
     # np.add.reduce over the rows of a row-major matrix (``take`` and
     # ``vstack`` keep that layout) adds them one at a time, in row order.
@@ -186,16 +184,14 @@ def run_cohort(
 
 def _run_blocks(net: PolicyValueNet, blocks: list[HouseholdBlock], env: LifecycleEnv,
                 mode: str, collect_incentives: bool, cohort_size: int, seed: int) -> SimulationLog:
-    decision_q = int(round((DECISION_END_AGE - AGE_MIN) / DT))
-    total_q = int(round((MAX_AGE - AGE_MIN) / DT))
     n_agents = sum(b.n for b in blocks)
     if any(b.worked.shape[1] != env.window for b in blocks):
         raise ContractViolation("a cohort runs under rules with the work window it was drawn with")
 
-    states = np.zeros((n_agents, total_q), dtype=np.int8)
-    hours = np.zeros((n_agents, total_q), dtype=np.int8)
-    paid = np.zeros((n_agents, total_q), dtype=np.float32)
-    er_days = np.zeros((n_agents, total_q), dtype=np.float32)
+    states = np.zeros((n_agents, LIFE_QUARTERS), dtype=np.int8)
+    hours = np.zeros((n_agents, LIFE_QUARTERS), dtype=np.int8)
+    paid = np.zeros((n_agents, LIFE_QUARTERS), dtype=np.float32)
+    er_days = np.zeros((n_agents, LIFE_QUARTERS), dtype=np.float32)
     gender = np.concatenate([b.women for b in blocks]).astype(np.int8)
     group = np.concatenate([b.group for b in blocks]).astype(np.int8)
 
@@ -210,12 +206,12 @@ def _run_blocks(net: PolicyValueNet, blocks: list[HouseholdBlock], env: Lifecycl
         rows = slice(row0, row0 + b.n)
         obs = np.zeros((b.n, OBS_DIM))
         masks = np.zeros((b.n, N_ACTIONS), dtype=bool)
-        draw_life(b, total_q)
+        draw_life(b, LIFE_QUARTERS)
         if mode != "greedy":
-            uniforms = action_uniforms(b, decision_q)
-        for q in range(total_q):
+            uniforms = action_uniforms(b, DECISION_QUARTERS)
+        for q in range(LIFE_QUARTERS):
             age_cell = min(int(q * DT), N_AGES - 1)
-            if q < decision_q:
+            if q < DECISION_QUARTERS:
                 observe(b, env, obs, masks)
                 logits = net.masked_logits(obs, masks)
                 if mode == "greedy":
@@ -231,22 +227,22 @@ def _run_blocks(net: PolicyValueNet, blocks: list[HouseholdBlock], env: Lifecycl
             check_ages(b.age[b.state != _DEAD])
             pricing.record(b, changed)
             cells.append(age_cell)
-            if pricing.rows >= PRICING_ROWS:
-                _price_into(flows, cells, pricing, env.rules)
+            if pricing.full:
+                _price_into(flows, cells, pricing)
             states[rows, q] = b.state
             hours[rows, q] = b.hours
             paid[rows, q] = b.paid_wage
             er_days[rows, q] = b.ub_days_used
-            if q == decision_q - 1:
+            if q == DECISION_QUARTERS - 1:
                 env.freeze_block(b)
         if cells:
-            _price_into(flows, cells, pricing, env.rules)
+            _price_into(flows, cells, pricing)
         b.uniforms = b.normals = None   # about 60 kB a household
         row0 += b.n
 
     flows_by_age, cons_by_age = _fold_flows(flow_blocks)
     return SimulationLog(
-        cohort_size=cohort_size, seed=seed, n_quarters=total_q, states=states, hours=hours,
+        cohort_size=cohort_size, seed=seed, n_quarters=LIFE_QUARTERS, states=states, hours=hours,
         paid_wage=paid, er_days_used=er_days, gender=gender, group=group,
         flows_by_age=flows_by_age, consumption_by_age=cons_by_age,
         emtr_samples=np.asarray(emtr_samples), ptr_samples=np.asarray(ptr_samples),
@@ -359,17 +355,15 @@ class AggregateReport:
 
 
 def scan_unemployment_spells(states: np.ndarray, er_days: np.ndarray,
-                             decision_q: int | None = None) -> list[tuple[float, float]]:
-    """(age at spell start, ER days used in spell) for every completed spell,
-    in agent then start order.
+                             horizon: int) -> list[tuple[float, float]]:
+    """(age at spell start, ER days used in spell) for every completed spell
+    that starts before quarter ``horizon``, in agent then start order.
 
     A spell is consecutive quarters in any unemployment state; any other
-    quarter, or the horizon ``decision_q`` (all quarters by default), ends
-    it.  The days used are the float32 difference of the ER day counts at
+    quarter, or the horizon, ends it.  The days used are the float32 difference of the ER day counts at
     the spell's last quarter and at the quarter before it (0 at the first
     quarter), floored at 0.
     """
-    horizon = states.shape[1] if decision_q is None else decision_q
     unemp = np.isin(states[:, :horizon], np.flatnonzero(IS_UNEMPLOYED))
     ongoing = np.zeros_like(unemp)   # unemployed the quarter before
     ongoing[:, 1:] = unemp[:, :-1]
@@ -385,8 +379,7 @@ def scan_unemployment_spells(states: np.ndarray, er_days: np.ndarray,
 def _duration_tables(log: SimulationLog) -> tuple[np.ndarray, np.ndarray]:
     """Spell counts by start-age band (the first band holding the start age;
     none for an age between bands) and ER-days bin, and their row shares."""
-    decision_q = int(round((DECISION_END_AGE - AGE_MIN) / DT))
-    spells = scan_unemployment_spells(log.states, log.er_days_used, decision_q)
+    spells = scan_unemployment_spells(log.states, log.er_days_used, DECISION_QUARTERS)
     age, used = np.array(spells, dtype=float).reshape(-1, 2).T
     band = np.full(age.shape, -1)
     for b, (lo, hi) in reversed(list(enumerate(DURATION_AGE_BANDS))):
@@ -600,7 +593,6 @@ def repeat_protocol(
     env: LifecycleEnv,
     n_repeats: int,
     mode: str = "sample",
-    collect_incentives: bool = False,
 ) -> RepeatResult:
     """Refit-then-simulate ``n_repeats`` times and summarize per cell."""
     if n_repeats < 1:
@@ -609,6 +601,5 @@ def repeat_protocol(
     for r in range(n_repeats):
         net = make_refit(r)
         pop = make_population(r)
-        log = run_cohort(net, pop, env, mode=mode, collect_incentives=collect_incentives)
-        reports.append(aggregate(log))
+        reports.append(aggregate(run_cohort(net, pop, env, mode=mode)))
     return summarize_reports(reports)

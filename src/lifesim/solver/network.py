@@ -38,6 +38,8 @@ import numpy as np
 
 LEAKY_SLOPE = 0.01
 MASK_FILL = -1e9
+# Adam's moment decays and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -218,10 +220,8 @@ def sample_masked(logits: np.ndarray, masks: np.ndarray, u: np.ndarray) -> np.nd
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float = 7e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def __init__(self, params: list[np.ndarray], lr: float = 7e-4) -> None:
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self._scratch = np.empty((2, max(p.size for p in params)))
@@ -229,23 +229,24 @@ class Adam:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-        ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``, each operation in that
-        order, written into the scratch pair's leading ``p.size`` entries."""
+        ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)`` (``ADAM_BETA1``,
+        ``ADAM_BETA2``, ``ADAM_EPS``), each operation in that order, written
+        into the scratch pair's leading ``p.size`` entries."""
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
             a, b = (s[:p.size].reshape(p.shape) for s in self._scratch)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
             v += np.multiply(a, g, out=a)
             np.divide(m, b1t, out=a)
             a *= self.lr
             np.divide(v, b2t, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             p -= np.divide(a, b, out=a)
 
 

@@ -2,8 +2,8 @@
 
 The log of the wage relative to the group age profile follows an annual AR(1)
 with autocorrelation ``c`` and shock s.d. ``sigma``; a ``-sigma^2/2`` drift
-keeps the conditional mean of the lognormal on the profile.  Quarterly steps
-use ``c**dt`` and ``sigma*sqrt(dt)``.
+keeps the conditional mean of the lognormal on the profile.  A step of
+``DT`` years uses ``c**DT`` and ``sigma*sqrt(DT)``.
 
 :class:`WageParams` is the schema of ``wages.yaml`` (see :mod:`lifesim.paramfiles`).
 """
@@ -17,8 +17,9 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from .agent import DT
 from .errors import ContractViolation, ParameterError
-from .paramfiles import build, load_yaml, params_dir
+from .paramfiles import build, load_yaml
 from .states import ALLOWED_HOURS, EmploymentState, Gender
 
 _ALLOWED_HOURS = frozenset(ALLOWED_HOURS)
@@ -67,25 +68,25 @@ class WageParams:
         return max(p.base * (1.0 + (p.peak_ratio - 1.0) * rel), p.base * self.floor_ratio)
 
 
-def load_wage_params(path: str | Path | None = None) -> WageParams:
-    params = build(WageParams, load_yaml(path or params_dir() / "wages.yaml"))
+def load_wage_params(path: str | Path) -> WageParams:
+    params = build(WageParams, load_yaml(path))
     if not 0.0 < params.autocorr < 1.0:
         raise ParameterError("wage autocorrelation must lie in (0, 1)")
     return params
 
 
 def potential_wage_columns(prev_wage: np.ndarray, prev_mean: np.ndarray, mean: np.ndarray, params: WageParams,
-                           shock: np.ndarray, dt: float = 1.0) -> np.ndarray:
-    """One step of the relative log-wage AR(1) for columns of agents whose
-    age profile reads ``prev_mean`` at the previous age and ``mean`` at the
-    new one.  The log and the exp run as ``math.log``/``math.exp`` on each
+                           shock: np.ndarray) -> np.ndarray:
+    """One ``DT`` step of the relative log-wage AR(1) for columns of agents
+    whose age profile reads ``prev_mean`` at the previous age and ``mean`` at
+    the new one.  The log and the exp run as ``math.log``/``math.exp`` on each
     value (numpy's differ in the last bits).
 
     ``shock`` holds standard-normal draws supplied by the caller so parallel
     agents can use independent, seedable streams.
     """
-    c = params.autocorr ** dt
-    sd = params.shock_sd * math.sqrt(dt)
+    c = params.autocorr ** DT
+    sd = params.shock_sd * math.sqrt(DT)
     log_rel = np.fromiter(map(math.log, (prev_wage / prev_mean).tolist()), float, len(prev_wage))
     x = c * log_rel + sd * shock - 0.5 * sd * sd
     return mean * np.fromiter(map(math.exp, x.tolist()), float, len(x))
@@ -99,8 +100,8 @@ def paid_wage(potential_annual, hours, reduction):
     return (hours / 40.0) * potential_annual * (1.0 - reduction)
 
 
-def update_wage_reduction(reduction, state, params: WageParams, dt: float = 0.25):
-    """Move the wage reduction by the state's net annual rate over ``dt``,
+def update_wage_reduction(reduction, state, params: WageParams):
+    """Move the wage reduction by the state's net annual rate over ``DT``,
     within [0, 1]: of one agent, or of columns of reductions and state codes."""
     rate = params.net_reduction_rate[state]
-    return np.minimum(1.0, np.maximum(0.0, reduction + rate * dt))
+    return np.minimum(1.0, np.maximum(0.0, reduction + rate * DT))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lifesim.env.mdp import DECISION_END_AGE, DT
+from lifesim.agent import DECISION_END_AGE, DT
 from lifesim.simulate import (
     AGE_MAX,
     AGE_MIN,

@@ -28,10 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 import lifesim.simulate as simulate
-from lifesim.agent import HouseholdState
+from lifesim.agent import DECISION_END_AGE, DT, MAX_AGE, HouseholdState
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.env.mdp import DECISION_END_AGE, DT, MAX_AGE, LifecycleEnv
+from lifesim.env.mdp import LifecycleEnv
 from lifesim.env.vector import observe
 from lifesim.simulate import (
     AGE_MIN,

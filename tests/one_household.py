@@ -16,10 +16,11 @@ them (``_incentive_samples``), kept as they stood in ``lifesim``.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from lifesim.agent import STATES, AgentState, HouseholdBlock, HouseholdState
+from lifesim.agent import DT, STATES, AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv, StepOutcome
 from lifesim.env.actions import ACTIONS, N_ACTIONS, Action, legal_mask
 from lifesim.env.mdp import event_names
@@ -129,7 +130,11 @@ def utility(consumption_quarterly: float, state: S, gender: str, hours: int, age
 
 def potential_wage_step(prev_wage: float, prev_age: float, age: float, gender: str, group: int, params: WageParams,
                         shock: float, dt: float = 1.0) -> float:
-    """:func:`potential_wage_columns` of one agent."""
+    """:func:`potential_wage_columns` of one agent, over ``dt`` years: its
+    ``DT`` step of the process whose autocorrelation and shock s.d. over
+    ``DT`` are those of ``params`` over ``dt`` (the same bits at ``dt = DT``)."""
+    if dt != DT:
+        params = dataclasses.replace(params, autocorr=params.autocorr ** (dt / DT),
+                                     shock_sd=params.shock_sd * math.sqrt(dt / DT))
     return float(potential_wage_columns(np.array([prev_wage]), np.array([params.mean_wage(gender, group, prev_age)]),
-                                        np.array([params.mean_wage(gender, group, age)]), params, np.array([shock]),
-                                        dt)[0])
+                                        np.array([params.mean_wage(gender, group, age)]), params, np.array([shock]))[0])

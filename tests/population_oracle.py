@@ -22,6 +22,7 @@ import lifesim.population as population
 from lifesim.agent import DT, MAX_AGE, NO_EVENT, AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv
 from lifesim.errors import ContractViolation
+from lifesim.paramfiles import params_dir
 from lifesim.population import (DemographicTables, InitialDraws, draw_from_curve, draw_geometric,
                                 initial_draw_tables)
 from lifesim.states import EmploymentState as S
@@ -133,7 +134,7 @@ def init_population(
     if wparams is None:
         from lifesim.wage import load_wage_params   # was a relative import
 
-        wparams = load_wage_params()
+        wparams = load_wage_params(params_dir() / "wages.yaml")
     ss = np.random.SeedSequence(seed)
     master = np.random.default_rng(ss.spawn(1)[0])
     draws = draws if draws is not None else initial_draw_tables(tables)

@@ -19,6 +19,7 @@ from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
 from lifesim.errors import ContractViolation
+from lifesim.paramfiles import params_dir
 from lifesim.population import init_population, load_demographics
 from lifesim.simulate import FLOW_NAMES, N_AGES, SimulationLog, aggregate, run_cohort, scan_unemployment_spells
 from lifesim.solver import PolicyValueNet
@@ -77,7 +78,9 @@ def synthetic_log(n: int, seed: int, gender=None, dead_from: int | None = None) 
 
 @pytest.fixture(scope="module")
 def simulated_log(rules2023):
-    env = LifecycleEnv(rules2023, load_utility_params(), load_wage_params(), load_demographics())
+    env = LifecycleEnv(rules2023, load_utility_params(params_dir() / "utility.yaml"),
+                       load_wage_params(params_dir() / "wages.yaml"),
+                       load_demographics(params_dir() / "demographics.yaml"))
     net = PolicyValueNet(OBS_DIM, N_ACTIONS, hidden=(16,), seed=11)
     return run_cohort(net, init_population(24, env, seed=11), env,
                       mode="sample", collect_incentives=True)
@@ -137,7 +140,8 @@ def _spell_bits(spells):
 @pytest.mark.parametrize("horizon", [None, HORIZON, 1])
 def test_spell_scan_matches_the_oracle(simulated_log, horizon):
     for log in (simulated_log, synthetic_log(1024, 8)):
-        got = scan_unemployment_spells(log.states, log.er_days_used, horizon)
+        got = scan_unemployment_spells(log.states, log.er_days_used,
+                                       log.states.shape[1] if horizon is None else horizon)
         want = oracle.scan_unemployment_spells(log.states, log.er_days_used, horizon)
         assert _spell_bits(got) == _spell_bits(want)
     assert got or horizon == 1
@@ -150,7 +154,7 @@ def test_spell_scan_floors_a_falling_day_count_and_keeps_float32_bits():
     er_days[0, :3] = (65.1, 130.2, 195.3)
     er_days[0, 4:7] = (400.0, 300.0, 350.0)   # the second spell ends below where it started
     er_days[1, 9:] = (1.0, 66.7, 131.9)
-    got = scan_unemployment_spells(states, er_days)
+    got = scan_unemployment_spells(states, er_days, states.shape[1])
     assert _spell_bits(got) == _spell_bits(oracle.scan_unemployment_spells(states, er_days))
     assert got == [(18.0, float(np.float32(195.3))), (19.25, 0.0),
                    (20.5, float(np.float32(131.9) - np.float32(1.0)))]

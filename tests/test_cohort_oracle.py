@@ -45,7 +45,9 @@ UNBOUNDED = 10 ** 9
 
 @pytest.fixture(scope="module")
 def envs(rules2023):
-    env = LifecycleEnv(rules2023, load_utility_params(), load_wage_params(), load_demographics())
+    env = LifecycleEnv(rules2023, load_utility_params(params_dir() / "utility.yaml"),
+                       load_wage_params(params_dir() / "wages.yaml"),
+                       load_demographics(params_dir() / "demographics.yaml"))
     orpo, _ = apply_reform(rules2023, load_reform(params_dir() / "reforms" / "orpo.yaml"))
     return {"2023": env, "2023+orpo": env.with_rules(orpo)}
 
@@ -121,10 +123,11 @@ def test_run_cohort_matches_per_quarter_pricing(envs, net, small_blocks, monkeyp
     assert want.emtr_samples.size > 0 if incentives else want.emtr_samples.size == 0
 
     if pricing_rows is not None:
-        monkeypatch.setattr(simulate, "PRICING_ROWS", pricing_rows)
+        monkeypatch.setattr(mdp, "PRICING_ROWS", pricing_rows)
     calls = []
-    price_units = simulate.price_units
-    monkeypatch.setattr(simulate, "price_units", lambda *args: calls.append(1) or price_units(*args))
+    for module in (mdp, simulate):   # the ledger's calls and the incentive samples'
+        monkeypatch.setattr(module, "price_units",
+                            lambda *args, _price=module.price_units: calls.append(1) or _price(*args))
     got = run_cohort(net, cohort, env, mode=mode, collect_incentives=incentives)
     assert_same_log(got, want)
     blocks = len(simulate._blocks(cohort.block))
@@ -138,17 +141,17 @@ def test_parallel_run_matches_per_quarter_pricing(envs, net, small_blocks, monke
     env = envs["2023+orpo"]
     pop = population(env, seed=32)
     want = cohort_oracle.run_cohort(net, copy.deepcopy(pop), env, mode="sample", collect_incentives=True)
-    monkeypatch.setattr(simulate, "PRICING_ROWS", 37)
+    monkeypatch.setattr(mdp, "PRICING_ROWS", 37)
     got = run_cohort_parallel(net, population_oracle.cohort(pop, env), env, workers=2, collect_incentives=True)
     assert_same_log(got, want)
 
 
 def _patched_consumption(monkeypatch, living: bool, value: float) -> list[int]:
-    """Make ``price_units`` in the simulator return ``value`` as the
+    """Make ``price_units`` in the pricing ledger return ``value`` as the
     consumption of every unit that has (``living``) or lacks a living
     adult; the count of rows changed, per call."""
     changed = []
-    price_units = simulate.price_units
+    price_units = mdp.price_units
 
     def patched(adults, first, second, *rest):
         flows = price_units(adults, first, second, *rest)
@@ -159,7 +162,7 @@ def _patched_consumption(monkeypatch, living: bool, value: float) -> list[int]:
         changed.append(int(rows.sum()))
         return flows
 
-    monkeypatch.setattr(simulate, "price_units", patched)
+    monkeypatch.setattr(mdp, "price_units", patched)
     return changed
 
 

@@ -41,17 +41,17 @@ from transition_table import is_legal
 
 @pytest.fixture(scope="module")
 def uparams():
-    return load_utility_params()
+    return load_utility_params(params_dir() / "utility.yaml")
 
 
 @pytest.fixture(scope="module")
 def tables():
-    return load_demographics()
+    return load_demographics(params_dir() / "demographics.yaml")
 
 
 @pytest.fixture(scope="module")
 def env(rules2023, uparams, tables):
-    return LifecycleEnv(rules2023, uparams, load_wage_params(), tables)
+    return LifecycleEnv(rules2023, uparams, load_wage_params(params_dir() / "wages.yaml"), tables)
 
 
 def make_agent(state=S.FULL_TIME, gender="men", age=40.0, hours=40, **kw):

@@ -24,11 +24,11 @@ import numpy as np
 import pytest
 
 import rules_oracle
-from lifesim.agent import AgentState, HouseholdState
+from lifesim.agent import DECISION_END_AGE, DT, AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.env.mdp import DECISION_END_AGE, DT, PricingLedger
+from lifesim.env.mdp import PricingLedger
 from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import load_demographics
@@ -53,7 +53,9 @@ def _rules(name):
 
 
 def _env(rules):
-    return LifecycleEnv(rules, load_utility_params(), load_wage_params(), load_demographics())
+    return LifecycleEnv(rules, load_utility_params(params_dir() / "utility.yaml"),
+                        load_wage_params(params_dir() / "wages.yaml"),
+                        load_demographics(params_dir() / "demographics.yaml"))
 
 
 def bits(cf) -> dict:

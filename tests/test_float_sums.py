@@ -11,6 +11,7 @@ from functools import reduce
 from operator import add
 
 from lifesim.env.actions import A_STAY
+from lifesim.paramfiles import params_dir
 from lifesim.pipelines import EnvPaths, build_env
 from lifesim.population import load_demographics
 from lifesim.rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, FLOW_COLUMNS, TAX_FIELDS
@@ -73,7 +74,7 @@ def test_public_net_adds_left_to_right():
 
 
 def test_group_shares_normalised_left_to_right():
-    tables = load_demographics()
+    tables = load_demographics(params_dir() / "demographics.yaml")
     tables = dataclasses.replace(tables, group_shares={2000: {"men": SHARES, "women": SHARES}})
     total = left_to_right(SHARES)
     with compensated_builtin_sum():

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 import population_oracle
-from lifesim.agent import AgentState, HouseholdState
+from lifesim.agent import DECISION_END_AGE, DT, AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, encode, legal_mask, load_utility_params
 from lifesim.env.actions import A_HOME_CARE, A_PARTIAL25, A_RETIRE, N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.env.mdp import DECISION_END_AGE, DT
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import load_demographics
 from lifesim.reform import apply_reform, load_reform
@@ -42,7 +41,9 @@ def _bits(a):
 
 @pytest.mark.parametrize("rules_name, seed", [("2023", 31), ("2023+orpo", 32), ("2019", 33)])
 def test_block_rows_match_per_row_oracle(rules_name, seed):
-    env = LifecycleEnv(_rules(rules_name), load_utility_params(), load_wage_params(), load_demographics())
+    env = LifecycleEnv(_rules(rules_name), load_utility_params(params_dir() / "utility.yaml"),
+                       load_wage_params(params_dir() / "wages.yaml"),
+                       load_demographics(params_dir() / "demographics.yaml"))
     households = population_oracle.records(41, env.with_rules(_rules("2023")), seed=seed).households   # drawn for 2023
     rng = np.random.default_rng(seed)
     for hh in households:
@@ -85,7 +86,9 @@ def test_block_rows_match_oracle_on_every_state_and_gate(rules_name):
     """Every state, alone and beside a partner in every state or dead, on
     either side of each age gate, returning or not, with and without a child
     under 3, a partial pension drawn or not, and some pension accrued or not."""
-    env = LifecycleEnv(_rules(rules_name), load_utility_params(), load_wage_params(), load_demographics())
+    env = LifecycleEnv(_rules(rules_name), load_utility_params(params_dir() / "utility.yaml"),
+                       load_wage_params(params_dir() / "wages.yaml"),
+                       load_demographics(params_dir() / "demographics.yaml"))
     pension = env.rules.pension
     ages = sorted({40.0, pension.partial_early.min_age - DT, pension.partial_early.min_age,
                    pension.min_retirement_age - DT, pension.min_retirement_age, 70.0})

@@ -29,7 +29,7 @@ from lifesim.agent import AgentState, HouseholdBlock, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import legal_mask
 from lifesim.env.vector import LifecycleVectorEnv
-from lifesim.paramfiles import ruleset_path
+from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import init_population, load_demographics
 from lifesim.rules import load_ruleset
 from lifesim.states import EmploymentState as S
@@ -42,7 +42,9 @@ STATIC_QUARTERS = 40
 
 @pytest.fixture(scope="module")
 def env(rules2023):
-    return LifecycleEnv(rules2023, load_utility_params(), load_wage_params(), load_demographics())
+    return LifecycleEnv(rules2023, load_utility_params(params_dir() / "utility.yaml"),
+                        load_wage_params(params_dir() / "wages.yaml"),
+                        load_demographics(params_dir() / "demographics.yaml"))
 
 
 def _adult(state, gender="men", age=30.0, hours=0, life_left=400, **kw) -> AgentState:

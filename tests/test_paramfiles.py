@@ -34,7 +34,7 @@ def test_every_parameter_file_loads_strictly(path):
 
 
 def test_quarter_counts_load_as_integers():
-    exo = load_demographics().exogenous
+    exo = load_demographics(params_dir() / "demographics.yaml").exogenous
     counts = (exo.sick_max_quarters, exo.mother_leave_quarters, exo.father_leave_quarters)
     assert counts == (4, 3, 1) and all(type(n) is int for n in counts)
 

@@ -7,7 +7,7 @@ import pytest
 from lifesim.agent import NO_EVENT, child_bands
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.errors import ContractViolation
-from lifesim.paramfiles import ruleset_path
+from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import DemographicTables, Gompertz, init_population, load_demographics
 from lifesim.rules import load_ruleset
 from lifesim.wage import load_wage_params
@@ -18,7 +18,8 @@ from step_oracle import fertility_events, mortality_events, partnership_events
 
 @functools.cache
 def _packaged_parts():
-    return load_ruleset(ruleset_path(2023)), load_utility_params(), load_wage_params()
+    return (load_ruleset(ruleset_path(2023)), load_utility_params(params_dir() / "utility.yaml"),
+            load_wage_params(params_dir() / "wages.yaml"))
 
 
 def _env(tables):
@@ -59,7 +60,7 @@ def mortality_step(pop, tables):
 
 @pytest.fixture(scope="module")
 def tables():
-    return load_demographics()
+    return load_demographics(params_dir() / "demographics.yaml")
 
 
 def zero_hazard_tables(tables) -> DemographicTables:

@@ -31,7 +31,9 @@ from lifesim.wage import load_wage_params
 
 @pytest.fixture(scope="module")
 def env(rules2023):
-    return LifecycleEnv(rules2023, load_utility_params(), load_wage_params(), load_demographics())
+    return LifecycleEnv(rules2023, load_utility_params(params_dir() / "utility.yaml"),
+                        load_wage_params(params_dir() / "wages.yaml"),
+                        load_demographics(params_dir() / "demographics.yaml"))
 
 
 def _households(env):

@@ -8,8 +8,8 @@ import alone is not a use, so a re-export in ``__init__.py`` or an
 method counts as used when any object's attribute of that name is read.
 
 Allowed without a use: the names ``lifebench/layers.py`` traces (the traced
-run looks them up by string), the command-line entry point, the public
-rules API, ``lifesim.rules.__all__``, with the methods of its classes, and
+run looks them up by string), the command-line entry point, the four
+snapshot methods the rules oracle reads (``ORACLE_READS``), and
 ``LifecycleEnv.freeze_for_static_phase``: the traced one-household
 ``step``, ``static_quarter`` and ``terminal_value`` need it to reach the
 static phase, and ``tests/test_step_oracle.py`` runs all four.
@@ -23,6 +23,9 @@ And every place in ``src/lifesim`` that builds a random generator or a seed
 sequence (a call of anything under ``np.random``, a ``spawn``, or an
 import from ``random`` or ``numpy.random``) is one of ``GENERATOR_SITES``:
 a household's random numbers come from its keys alone.
+
+And ``src/lifesim`` has at most ``MAX_SETTABLE`` settable values: parameters
+with a default, of any function or lambda.
 """
 
 from __future__ import annotations
@@ -30,13 +33,18 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-import lifesim.rules as rules_api
-
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lifesim"
 OUTSIDE_TESTS = (ROOT / "src", ROOT / "lifebench")
 ENTRY_POINT = {"main"}   # ``lifesim = "lifesim.cli:main"`` in pyproject.toml
 ONE_HOUSEHOLD_FREEZE = {"LifecycleEnv.freeze_for_static_phase"}
+ORACLE_READS = {
+    "CashFlows.taxes_total": "tests/rules_oracle.py builds its net income from the three totals",
+    "CashFlows.contribs_total": "tests/rules_oracle.py builds its net income from the three totals",
+    "CashFlows.benefits_total": "tests/rules_oracle.py builds its net income from the three totals",
+    "HouseholdSnapshot.validate": "tests/rules_oracle.py checks each snapshot it prices",
+}
+MAX_SETTABLE = 36
 GENERATOR_SITES = {
     "population.py: keyed": "the keyed-draw helper",
     "population.py: init_population": "the cohort's master stream (genders, groups and pairs)",
@@ -83,18 +91,9 @@ def _traced() -> set[str]:
             and isinstance(node.elts[2], ast.Constant) and isinstance(node.elts[2].value, str)}
 
 
-def _rules_api() -> set[str]:
-    names = set(rules_api.__all__)
-    for name in rules_api.__all__:
-        obj = getattr(rules_api, name)
-        if isinstance(obj, type):
-            names |= {f"{name}.{attr}" for attr, value in vars(obj).items() if callable(value)}
-    return names
-
-
 def test_every_function_in_src_is_reached_outside_tests():
     used = set().union(*(_used(tree) for _, tree in _trees(*OUTSIDE_TESTS)))
-    allowed = _traced() | ENTRY_POINT | _rules_api() | ONE_HOUSEHOLD_FREEZE
+    allowed = _traced() | ENTRY_POINT | ORACLE_READS.keys() | ONE_HOUSEHOLD_FREEZE
     unreached = []
     for path, tree in _trees(SRC):
         for qualified, name in _defined(tree):
@@ -162,3 +161,22 @@ def test_generators_are_built_only_at_the_listed_sites():
     sites = {f"{path.relative_to(SRC)}: {scope}" for path, tree in _trees(SRC) for scope in _random_sites(tree)}
     assert sites == GENERATOR_SITES.keys(), (f"unlisted: {sorted(sites - GENERATOR_SITES.keys())}, "
                                              f"listed but gone: {sorted(GENERATOR_SITES.keys() - sites)}")
+
+
+def _settable(tree: ast.Module):
+    """``function(parameter)`` of each parameter with a default of each
+    function and lambda of ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            with_default = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            with_default += [arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            name = getattr(node, "name", "<lambda>")
+            yield from (f"{name}({arg.arg})" for arg in with_default)
+
+
+def test_settable_values_do_not_grow():
+    values = [f"{path.relative_to(SRC)}: {value}" for path, tree in _trees(SRC) for value in _settable(tree)]
+    assert len(values) <= MAX_SETTABLE, (f"{len(values)} parameters with defaults in src/, at most {MAX_SETTABLE}:\n"
+                                         + "\n".join(values))

@@ -30,12 +30,14 @@ def test_empty_spec_is_identity(rules2023):
 def test_grading_delta_changes_benefit_multipliers(rules2023, orpo):
     reformed, _ = apply_reform(rules2023, orpo)
     basis = 3500.0
-    initial = unemployment_benefit(basis, 0, True, reformed)
-    assert unemployment_benefit(basis, 100, True, reformed) / initial == pytest.approx(0.80)
-    assert unemployment_benefit(basis, 200, True, reformed) / initial == pytest.approx(0.75)
+    md = reformed.unemployment.er.max_days_default
+    initial = unemployment_benefit(basis, 0, True, reformed, md)
+    assert unemployment_benefit(basis, 100, True, reformed, md) / initial == pytest.approx(0.80)
+    assert unemployment_benefit(basis, 200, True, reformed, md) / initial == pytest.approx(0.75)
     # Baseline has no grading.
-    base_initial = unemployment_benefit(basis, 0, True, rules2023)
-    assert unemployment_benefit(basis, 100, True, rules2023) == base_initial
+    md = rules2023.unemployment.er.max_days_default
+    base_initial = unemployment_benefit(basis, 0, True, rules2023, md)
+    assert unemployment_benefit(basis, 100, True, rules2023, md) == base_initial
 
 
 def test_employment_condition_delta(rules2023, orpo):

@@ -20,13 +20,12 @@ from lifesim.rules import (
     entitlement_days,
     load_ruleset,
     net_income,
-    pension_benefit,
     ptr,
     ruleset_from_mapping,
-    taxes_and_contributions,
     unemployment_benefit,
 )
-from lifesim.rules.engine import BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS
+from lifesim.rules.engine import (BENEFIT_FIELDS, CONTRIB_FIELDS, TAX_FIELDS, _housing_benefit, _housing_schedule,
+                                  _pension_parts, _social_assistance, _wage_charges)
 from lifesim.errors import ContractViolation, ParameterError
 from lifesim.states import EmploymentState as S
 
@@ -36,8 +35,13 @@ def single(state, wage_q=0.0, **kw):
 
 
 # ---------------------------------------------------------------------------
-# taxes_and_contributions
+# taxes and contributions on a wage
 # ---------------------------------------------------------------------------
+
+def wage_charges(gross_annual, rules):
+    """``_wage_charges`` by name."""
+    return dict(zip(TAX_FIELDS[:3] + CONTRIB_FIELDS + ("employer_contrib",), _wage_charges(gross_annual, rules)))
+
 
 def bracket_tax_oracle(gross, year):
     """Independent bracket evaluation straight from the YAML file."""
@@ -52,7 +56,7 @@ def bracket_tax_oracle(gross, year):
 
 
 def test_zero_income_all_zero(rules2023):
-    tc = taxes_and_contributions(0.0, rules2023)
+    tc = wage_charges(0.0, rules2023)
     assert all(v == 0.0 for v in tc.values())
 
 
@@ -60,7 +64,7 @@ def test_bracket_bound_state_tax_zero(rules2023):
     # Gross equal to the first positive-rate bound (after the deduction)
     first_bound = rules2023.tax.state_brackets[1][0]
     gross = first_bound + rules2023.tax.standard_deduction
-    tc = taxes_and_contributions(gross, rules2023)
+    tc = wage_charges(gross, rules2023)
     oracle_state, oracle_muni = bracket_tax_oracle(gross, 2023)
     assert tc["state_tax"] == pytest.approx(oracle_state, abs=1e-9)
     assert tc["municipal_tax"] == pytest.approx(oracle_muni, abs=1e-9)
@@ -68,7 +72,7 @@ def test_bracket_bound_state_tax_zero(rules2023):
 
 @pytest.mark.parametrize("gross", [12000.0, 28000.0, 40000.0, 66000.0, 120000.0])
 def test_state_tax_matches_bracket_oracle(rules2023, gross):
-    tc = taxes_and_contributions(gross, rules2023)
+    tc = wage_charges(gross, rules2023)
     oracle_state, oracle_muni = bracket_tax_oracle(gross, 2023)
     assert tc["state_tax"] == pytest.approx(oracle_state, rel=1e-12)
     assert tc["municipal_tax"] == pytest.approx(oracle_muni, rel=1e-12)
@@ -82,8 +86,8 @@ def test_marginal_rate_constant_inside_bracket(rules2023):
     eps = 10.0
 
     def slope(g):
-        a = taxes_and_contributions(g + eps, rules2023)["state_tax"]
-        b = taxes_and_contributions(g - eps, rules2023)["state_tax"]
+        a = wage_charges(g + eps, rules2023)["state_tax"]
+        b = wage_charges(g - eps, rules2023)["state_tax"]
         return (a - b) / (2 * eps)
 
     assert slope(g1) == pytest.approx(slope(g2), abs=1e-10)
@@ -92,7 +96,7 @@ def test_marginal_rate_constant_inside_bracket(rules2023):
 
 def test_state_tax_convex_in_gross(rules2023):
     grid = [i * 2500.0 for i in range(60)]
-    taxes = [taxes_and_contributions(g, rules2023)["state_tax"] for g in grid]
+    taxes = [wage_charges(g, rules2023)["state_tax"] for g in grid]
     slopes = [b - a for a, b in zip(taxes, taxes[1:])]
     assert all(s2 >= s1 - 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
     assert all(t >= 0 for t in taxes)
@@ -100,12 +104,17 @@ def test_state_tax_convex_in_gross(rules2023):
 
 def test_negative_gross_rejected(rules2023):
     with pytest.raises(ContractViolation):
-        taxes_and_contributions(-1.0, rules2023)
+        net_income(single(S.FULL_TIME, wage_q=-1.0), rules2023)
 
 
 # ---------------------------------------------------------------------------
 # unemployment_benefit
 # ---------------------------------------------------------------------------
+
+def default_entitlement_benefit(basis_monthly, days_used, fund_member, rules):
+    """``unemployment_benefit`` with the rule set's default entitlement."""
+    return unemployment_benefit(basis_monthly, days_used, fund_member, rules, rules.unemployment.er.max_days_default)
+
 
 @pytest.fixture(scope="module")
 def graded_rules():
@@ -116,25 +125,25 @@ def graded_rules():
 
 def test_grading_multipliers_exact(graded_rules):
     basis = 3500.0
-    initial = unemployment_benefit(basis, 0, True, graded_rules)
-    assert unemployment_benefit(basis, 10, True, graded_rules) / initial == pytest.approx(1.00)
-    assert unemployment_benefit(basis, 100, True, graded_rules) / initial == pytest.approx(0.80)
-    assert unemployment_benefit(basis, 200, True, graded_rules) / initial == pytest.approx(0.75)
+    initial = default_entitlement_benefit(basis, 0, True, graded_rules)
+    assert default_entitlement_benefit(basis, 10, True, graded_rules) / initial == pytest.approx(1.00)
+    assert default_entitlement_benefit(basis, 100, True, graded_rules) / initial == pytest.approx(0.80)
+    assert default_entitlement_benefit(basis, 200, True, graded_rules) / initial == pytest.approx(0.75)
 
 
 def test_non_member_gets_basic(rules2023):
     for basis in (0.0, 2000.0, 9000.0):
-        assert unemployment_benefit(basis, 0, False, rules2023) == rules2023.unemployment.basic_daily
+        assert default_entitlement_benefit(basis, 0, False, rules2023) == rules2023.unemployment.basic_daily
 
 
 def test_exhaustion_returns_basic(rules2023):
     md = rules2023.unemployment.er.max_days_default
-    assert unemployment_benefit(4000.0, md, True, rules2023) == rules2023.unemployment.basic_daily
+    assert default_entitlement_benefit(4000.0, md, True, rules2023) == rules2023.unemployment.basic_daily
 
 
 def test_er_at_least_basic(rules2023):
     for basis in (0.0, 500.0, 1500.0, 4000.0, 9000.0):
-        level = unemployment_benefit(basis, 0, True, rules2023)
+        level = default_entitlement_benefit(basis, 0, True, rules2023)
         assert level >= rules2023.unemployment.basic_daily
 
 
@@ -142,8 +151,8 @@ def test_er_at_least_basic(rules2023):
 @settings(max_examples=60, deadline=None)
 def test_grading_monotone_in_days(graded_rules, d1, d2):
     lo, hi = sorted((d1, d2))
-    b_lo = unemployment_benefit(3000.0, lo, True, graded_rules)
-    b_hi = unemployment_benefit(3000.0, hi, True, graded_rules)
+    b_lo = default_entitlement_benefit(3000.0, lo, True, graded_rules)
+    b_hi = default_entitlement_benefit(3000.0, hi, True, graded_rules)
     assert b_hi <= b_lo + 1e-12
 
 
@@ -155,8 +164,13 @@ def test_entitlement_days_menu(rules2023):
 
 
 # ---------------------------------------------------------------------------
-# pension_benefit
+# pension parts
 # ---------------------------------------------------------------------------
+
+def pension_benefit(accrued_er_monthly, rules):
+    """``_pension_parts`` by name."""
+    return dict(zip(("er", "basic", "guarantee"), _pension_parts(accrued_er_monthly, rules)))
+
 
 def test_pension_no_accrual(rules2023):
     parts = pension_benefit(0.0, rules2023)
@@ -201,9 +215,17 @@ def test_pension_total_monotone(rules2023, a1, a2):
 # housing benefit and social assistance
 # ---------------------------------------------------------------------------
 
-def test_housing_benefit_floor_and_ceiling(rules2023):
-    from lifesim.rules import housing_benefit
+def housing_benefit(hh, income_monthly, rules, n_alive, retired):
+    return _housing_benefit(hh.rent_monthly, hh.children_under18, income_monthly, n_alive,
+                            _housing_schedule(rules, retired))
 
+
+def social_assistance(hh, net_wages_monthly, other_net_monthly, rules, n_alive):
+    return _social_assistance(hh.rent_monthly, hh.children_under7, hh.children_under18, net_wages_monthly,
+                              other_net_monthly, n_alive, rules.social_assistance)
+
+
+def test_housing_benefit_floor_and_ceiling(rules2023):
     hh = single(S.BASIC_UNEMPLOYED)
     sched = rules2023.housing_benefit.general
     maximal = housing_benefit(hh, 0.0, rules2023, 1, False)
@@ -213,8 +235,6 @@ def test_housing_benefit_floor_and_ceiling(rules2023):
 
 
 def test_housing_benefit_taper_matches_schedule(rules2023):
-    from lifesim.rules import housing_benefit
-
     hh = single(S.BASIC_UNEMPLOYED)
     sched = rules2023.housing_benefit.general
     # Two incomes inside the taper: difference = share * rate * d(income)
@@ -227,16 +247,12 @@ def test_housing_benefit_taper_matches_schedule(rules2023):
 
 
 def test_housing_retiree_schedule_used_for_retirees(rules2023):
-    from lifesim.rules import housing_benefit
-
     retiree = single(S.RETIRED)
     expected = rules2023.housing_benefit.retiree.compensation_share * rules2023.housing_benefit.retiree.max_rent_by_size[0]
     assert housing_benefit(retiree, 0.0, rules2023, 1, True) == pytest.approx(expected)
 
 
 def test_social_assistance_disregard(rules2023):
-    from lifesim.rules import social_assistance
-
     hh = single(S.OUTSIDE_WF)
     base = social_assistance(hh, [0.0], 0.0, rules2023, 1)
     at_disregard = social_assistance(hh, [150.0], 0.0, rules2023, 1)
@@ -246,8 +262,6 @@ def test_social_assistance_disregard(rules2023):
 
 
 def test_social_assistance_ceiling(rules2023):
-    from lifesim.rules import social_assistance
-
     hh = single(S.OUTSIDE_WF)
     sa = rules2023.social_assistance
     assert social_assistance(hh, [0.0], sa.norm_single + hh.rent_monthly, rules2023, 1) == 0.0
@@ -450,7 +464,7 @@ def test_negative_tax_thresholds_rejected(rules2023, path, value):
     node[path[-1]] = value
     with pytest.raises(ParameterError, match="non-negative"):
         ruleset_from_mapping(doc)
-    tc = taxes_and_contributions(0.0, rules2023)
+    tc = wage_charges(0.0, rules2023)
     assert all(str(v) == "0.0" for v in tc.values())
 
 

@@ -34,7 +34,9 @@ from one_household import _incentive_samples as scalar_incentive_samples
 
 @pytest.fixture(scope="module")
 def env(rules2023):
-    return LifecycleEnv(rules2023, load_utility_params(), load_wage_params(), load_demographics())
+    return LifecycleEnv(rules2023, load_utility_params(params_dir() / "utility.yaml"),
+                        load_wage_params(params_dir() / "wages.yaml"),
+                        load_demographics(params_dir() / "demographics.yaml"))
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +412,9 @@ def test_repeat_protocol_population_uses_the_rule_year(small_net, monkeypatch):
     """Under 2024 rules the protocol draws its cohort with the 2024 group
     shares, as ``train_policy`` does."""
     rules2024 = load_ruleset(ruleset_path(2024))
-    env = LifecycleEnv(rules2024, load_utility_params(), load_wage_params(), load_demographics())
+    env = LifecycleEnv(rules2024, load_utility_params(params_dir() / "utility.yaml"),
+                       load_wage_params(params_dir() / "wages.yaml"),
+                       load_demographics(params_dir() / "demographics.yaml"))
     populations = []
 
     def first_population(make_refit, make_population, env, n_repeats, **kwargs):

@@ -421,7 +421,7 @@ def test_adam_step_matches_the_written_out_formula_bit_for_bit():
     params = [rng.standard_normal((5, 4)), rng.standard_normal(7)]
     want = [p.copy() for p in params]
     lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
-    opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    opt = Adam(params, lr=lr)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t in range(1, 21):

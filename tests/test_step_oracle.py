@@ -17,11 +17,11 @@ import pytest
 
 import population_oracle
 import step_oracle
-from lifesim.agent import AgentState, HouseholdState
+from lifesim.agent import DECISION_END_AGE, DT, AgentState, HouseholdState
 from lifesim.env import LifecycleEnv, load_utility_params
 from lifesim.env.actions import N_ACTIONS
 from lifesim.env.features import OBS_DIM
-from lifesim.env.mdp import DECISION_END_AGE, DT, event_names
+from lifesim.env.mdp import event_names
 from lifesim.env.vector import observe
 from lifesim.paramfiles import params_dir, ruleset_path
 from lifesim.population import load_demographics
@@ -89,7 +89,9 @@ def _population(env: LifecycleEnv, seed: int) -> list[HouseholdState]:
 
 @pytest.mark.parametrize("rules_name", RULE_NAMES)
 def test_block_step_matches_per_household_oracle(rules_name):
-    env = LifecycleEnv(_rules(rules_name), load_utility_params(), load_wage_params(), load_demographics())
+    env = LifecycleEnv(_rules(rules_name), load_utility_params(params_dir() / "utility.yaml"),
+                       load_wage_params(params_dir() / "wages.yaml"),
+                       load_demographics(params_dir() / "demographics.yaml"))
     oracle = step_oracle.OracleEnv(env)
     seed = 70 + RULE_NAMES.index(rules_name)
     households = _population(env, seed)

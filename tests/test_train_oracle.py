@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import lifesim.env.mdp as mdp
-import lifesim.env.vector as vector
 import train_oracle
 from lifesim.env.vector import LifecycleVectorEnv
 from lifesim.errors import ContractViolation
@@ -50,7 +49,7 @@ def test_trainer_matches_per_quarter_pricing(env, monkeypatch, seed, pricing_row
     assert len(dead_at_end) == 1 and dead_at_end[0] > 0
 
     if pricing_rows is not None:
-        monkeypatch.setattr(vector, "PRICING_ROWS", pricing_rows)
+        monkeypatch.setattr(mdp, "PRICING_ROWS", pricing_rows)
     got = train_actor_critic(LifecycleVectorEnv(env, n_households=HOUSEHOLDS, seed=seed), config)
     assert got.steps_done == want.steps_done
     assert [_bits(row) for row in got.metrics] == [_bits(row) for row in want.metrics]
@@ -65,12 +64,21 @@ def test_an_update_prices_its_rollout_in_few_calls(env, monkeypatch, pricing_row
     """Per update: at most ceil(recorded unit rows / ``PRICING_ROWS``)
     ledger calls, plus the terminal value's one per episode end."""
     if pricing_rows is not None:
-        monkeypatch.setattr(vector, "PRICING_ROWS", pricing_rows)
+        monkeypatch.setattr(mdp, "PRICING_ROWS", pricing_rows)
     calls = {"ledger": [], "terminal": []}
-    for module, kind in ((vector, "ledger"), (mdp, "terminal")):
-        price = module.price_units
-        monkeypatch.setattr(module, "price_units",
-                            lambda *args, _price=price, _kind=kind: calls[_kind].append(len(args[1])) or _price(*args))
+    kind = ["ledger"]   # "terminal" while ``terminal_block`` runs
+    price = mdp.price_units
+    monkeypatch.setattr(mdp, "price_units", lambda *args: calls[kind[0]].append(len(args[1])) or price(*args))
+    terminal = env.terminal_block
+
+    def counted_terminal(b):
+        kind[0] = "terminal"
+        try:
+            return terminal(b)
+        finally:
+            kind[0] = "ledger"
+
+    monkeypatch.setattr(env, "terminal_block", counted_terminal)
     venv = LifecycleVectorEnv(env, n_households=HOUSEHOLDS, seed=4)
     venv.episode_quarters = 20   # episode ends at steps 20 and 40: in updates 1 and 2
     updates, ends = [], []
@@ -93,7 +101,7 @@ def test_an_update_prices_its_rollout_in_few_calls(env, monkeypatch, pricing_row
     monkeypatch.setattr(venv, "rewards", counted_rewards)
     train_actor_critic(venv, TrainConfig(total_steps=3 * 16 * 2 * HOUSEHOLDS, hidden=(8,), seed=1))
     assert [u["ends"] for u in updates] == [0, 1, 1]
-    bound = vector.PRICING_ROWS
+    bound = mdp.PRICING_ROWS
     for u in updates:
         recorded = sum(u["ledger"])
         assert recorded >= 16 * HOUSEHOLDS
@@ -105,7 +113,7 @@ def test_an_update_prices_its_rollout_in_few_calls(env, monkeypatch, pricing_row
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_non_positive_consumption_of_a_living_adult_raises_from_training(env, monkeypatch, value):
-    price = vector.price_units
+    price = mdp.price_units
 
     def patched(adults, first, second, *rest):
         flows = price(adults, first, second, *rest)
@@ -113,7 +121,7 @@ def test_non_positive_consumption_of_a_living_adult_raises_from_training(env, mo
         flows[alive[first] | ((second >= 0) & alive[second]), CONSUMPTION] = value
         return flows
 
-    monkeypatch.setattr(vector, "price_units", patched)
+    monkeypatch.setattr(mdp, "price_units", patched)
     with pytest.raises(ContractViolation, match="positive consumption"):
         train_actor_critic(LifecycleVectorEnv(env, n_households=HOUSEHOLDS, seed=2),
                            TrainConfig(total_steps=16 * 2 * HOUSEHOLDS, hidden=(8,), seed=2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lifesim.errors import ContractViolation
+from lifesim.paramfiles import params_dir
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params, paid_wage, update_wage_reduction
 from one_household import potential_wage_step
@@ -11,7 +12,7 @@ from one_household import potential_wage_step
 
 @pytest.fixture(scope="module")
 def wp():
-    return load_wage_params()
+    return load_wage_params(params_dir() / "wages.yaml")
 
 
 def test_on_profile_zero_shock(wp):
