@@ -2,10 +2,11 @@
 
 Subcommands: train, simulate, compare, calibrate, emtr-scan.  Every run is
 driven by a YAML config file plus a handful of flag overrides (``--workers``
-on ``simulate`` only, the one subcommand that runs a process pool); the
-config is copied verbatim into the output directory so any run can be
-reproduced from its outputs alone.  Exit codes: 0 success, 2 config error,
-3 training divergence.
+on ``simulate`` only, which passes it to ``run_cohort``'s process pool);
+the config is copied verbatim into the output directory so any run can be
+reproduced from its outputs alone.  A count that is not an integer, or
+fewer than one worker, is a config error.  Exit codes: 0 success, 2 config
+error, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .population import init_population
 from .reform import load_reform
 from .reports import write_comparison_csvs, write_csv, write_report_csvs
 from .rules import AdultSnapshot, HouseholdSnapshot, emtr, load_ruleset
-from .simulate import aggregate, run_cohort_parallel, scale_to_population
+from .simulate import aggregate, run_cohort, scale_to_population
 from .solver import TrainConfig, load_checkpoint, save_checkpoint
 from .states import EmploymentState as S
 
@@ -50,12 +51,17 @@ _SETTINGS = {
     "calibrate": {"targets", "budget", "cohort", "train_steps", "parameters"},
     "emtr_scan": {"wage_min_monthly", "wage_max_monthly", "wage_step_monthly", "children", "rent_monthly"},
 }
+# The settings that count something, by section: each must be an integer.
+_COUNTS = {None: {"workers"}, "train": {"households"}, "simulate": {"cohort"},
+           "compare": {"cohort", "repeats", "refit_steps"}, "calibrate": {"cohort", "budget", "train_steps"},
+           "emtr_scan": {"children"}}
 
 
 def _load_config(path: str | None) -> dict:
     """The config mapping; a missing, malformed or non-mapping file is a
-    ``ParameterError`` naming the path, a key no subcommand reads or a mode
-    but ``sample`` or ``greedy`` a ``ConfigError`` naming its dotted path."""
+    ``ParameterError`` naming the path, a key no subcommand reads, a mode
+    but ``sample`` or ``greedy`` or a count (``_COUNTS``) that is not an
+    integer a ``ConfigError`` naming its dotted path."""
     cfg = {} if path is None else load_yaml(path)
     for section, keys in _SETTINGS.items():
         body = cfg if section is None else cfg.get(section, {})
@@ -66,6 +72,10 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(f"unknown {section or 'top-level'} settings: {unknown}")
         if body.get("mode", "sample") not in ("sample", "greedy"):
             raise ConfigError(f"{section}.mode must be sample or greedy, not {body['mode']!r}")
+        for key in sorted(_COUNTS.get(section, set()) & body.keys()):
+            if type(body[key]) is not int:
+                raise ConfigError(f"{key if section is None else f'{section}.{key}'} must be an integer, "
+                                  f"not {body[key]!r}")
     return cfg
 
 
@@ -101,12 +111,14 @@ def _seed(cfg: dict, args: argparse.Namespace) -> int:
 
 def _workers(cfg: dict, args: argparse.Namespace) -> int:
     w = args.workers if args.workers is not None else cfg.get("workers")
-    return int(w) if w is not None else (os.cpu_count() or 1)
+    if w is not None and w < 1:
+        raise ConfigError(f"workers must be at least 1, not {w}")
+    return w if w is not None else (os.cpu_count() or 1)
 
 
 def _train_config(cfg: dict, seed: int, defaults: dict | None = None) -> tuple[TrainConfig, int]:
     merged = {**(defaults or {}), **cfg.get("train", {})}
-    households = int(merged.pop("households", 32))
+    households = merged.pop("households", 32)
     if "hidden" in merged:
         merged["hidden"] = tuple(int(h) for h in merged["hidden"])
     if "total_steps" not in merged:
@@ -152,11 +164,9 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError("simulate.checkpoint is required")
     net, _ = load_checkpoint(ckpt)
     env = build_env(_env_paths(cfg))
-    cohort = int(sim.get("cohort", 2000))
-    pop = init_population(cohort, env, seed=seed)
-    log = run_cohort_parallel(net, pop, env, workers=workers,
-                              mode=sim.get("mode", "sample"),
-                              collect_incentives=bool(sim.get("collect_incentives", False)))
+    pop = init_population(sim.get("cohort", 2000), env, seed=seed)
+    log = run_cohort(net, pop, env, mode=sim.get("mode", "sample"),
+                     collect_incentives=bool(sim.get("collect_incentives", False)), workers=workers)
     report = aggregate(log)
     write_report_csvs(report, out / "cohort")
     scaled = scale_to_population(report, env.tables.weight_at_age)
@@ -180,12 +190,12 @@ def cmd_compare(cfg: dict, args: argparse.Namespace) -> int:
     env = build_env(_env_paths(cfg))
     spec = load_reform(overlay)
     # The refit starts from a clone of ``net``, so its shape is the checkpoint's.
-    refit_steps = int(comp.get("refit_steps", 100_000))
+    refit_steps = comp.get("refit_steps", 100_000)
     tc, households = _train_config({"train": cfg.get("train", {})}, seed, {"total_steps": refit_steps})
     protocol = ProtocolConfig(
         refit_steps=refit_steps,
-        n_repeats=int(comp.get("repeats", 5)),
-        cohort_size=int(comp.get("cohort", 2000)),
+        n_repeats=comp.get("repeats", 5),
+        cohort_size=comp.get("cohort", 2000),
         n_households=households,
         mode=comp.get("mode", "sample"),
         seed=seed,
@@ -205,9 +215,9 @@ def cmd_calibrate(cfg: dict, args: argparse.Namespace) -> int:
     if "targets" not in cal:
         raise ConfigError("calibrate.targets (CSV path) is required")
     targets = load_targets(cal["targets"])
-    budget = int(cal.get("budget", 3))
-    cohort = int(cal.get("cohort", 500))
-    steps = int(cal.get("train_steps", 20_000))
+    budget = cal.get("budget", 3)
+    cohort = cal.get("cohort", 500)
+    steps = cal.get("train_steps", 20_000)
     env = build_env(_env_paths(cfg))
     initial = {str(k): float(v) for k, v in (cal.get("parameters") or
                                              {"kappa_scale": 1.0, "friction_scale": 1.0}).items()}
@@ -217,8 +227,7 @@ def cmd_calibrate(cfg: dict, args: argparse.Namespace) -> int:
         tc = TrainConfig(total_steps=steps, hidden=(64, 64), seed=seed)
         net = train_policy(tuned, tc, n_households=16).net
         pop = init_population(cohort, tuned, seed=seed)
-        log = run_cohort_parallel(net, pop, tuned, workers=1)
-        return aggregate(log)
+        return aggregate(run_cohort(net, pop, tuned))
 
     result = calibrate(evaluate, initial, targets, budget=budget)
     with open(out / "fitted_parameters.yaml", "w") as f:
@@ -262,7 +271,7 @@ def cmd_emtr_scan(cfg: dict, args: argparse.Namespace) -> int:
     lo = float(scan.get("wage_min_monthly", 0.0))
     hi = float(scan.get("wage_max_monthly", 10_000.0))
     step = float(scan.get("wage_step_monthly", 100.0))
-    children = int(scan.get("children", 0))
+    children = scan.get("children", 0)
     rent = float(scan.get("rent_monthly", rules.rent_for_size(1 + children)))
 
     rows = []

@@ -28,7 +28,7 @@ class Deflator:
     base: float
     series: dict[int, float]              # per-year overrides of the base
 
-    def at(self, year: int | None = None) -> float:
+    def at(self, year: int | None) -> float:
         return self.series.get(year, self.base)
 
 
@@ -119,7 +119,7 @@ class UtilityColumns:
     reference step's in ``tests/step_oracle.py``) operation for operation,
     and the log stays ``math.log`` on each value."""
 
-    def __init__(self, params: UtilityParams, retirement_age: float, year: int | None = None) -> None:
+    def __init__(self, params: UtilityParams, retirement_age: float, year: int | None) -> None:
         self.deflator = params.deflator.at(year)
         self.retirement_age = retirement_age
         self.age_cuts = params.unemployed_age_cuts

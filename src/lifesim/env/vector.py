@@ -45,12 +45,7 @@ def observe(b: HouseholdBlock, env: LifecycleEnv, obs: np.ndarray, masks: np.nda
 
 
 class LifecycleVectorEnv:
-    def __init__(
-        self,
-        env: LifecycleEnv,
-        n_households: int = 32,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, env: LifecycleEnv, n_households: int, seed: int) -> None:
         self.env = env
         self.n_households = n_households
         self.n_actors = 2 * n_households

@@ -14,7 +14,7 @@ from .env import LifecycleEnv, load_utility_params
 from .env.vector import LifecycleVectorEnv
 from .paramfiles import params_dir, ruleset_path
 from .population import init_population, load_demographics
-from .reform import ComparisonReport, ReformSpec, apply_reform, compare_runs
+from .reform import ComparisonReport, ReformSpec, apply_reform, check_repeats, compare_runs
 from .rules import load_ruleset
 from .simulate import RepeatResult, repeat_protocol
 from .solver import TrainConfig, TrainResult, train_actor_critic
@@ -30,7 +30,7 @@ class EnvPaths:
     demographics: Path
 
     @classmethod
-    def packaged(cls, year: int = 2023) -> "EnvPaths":
+    def packaged(cls, year: int) -> "EnvPaths":
         p = params_dir()
         return cls(
             ruleset=ruleset_path(year),
@@ -54,7 +54,7 @@ def derived_seed(*words: int) -> int:
     return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
-def train_policy(env: LifecycleEnv, config: TrainConfig, n_households: int = 32,
+def train_policy(env: LifecycleEnv, config: TrainConfig, n_households: int,
                  base_net: PolicyValueNet | None = None) -> TrainResult:
     """A2C on ``n_households`` pair households drawn from ``env`` (for the
     rule set's year), their pool seeded apart from any cohort's.  With
@@ -85,7 +85,7 @@ class ProtocolConfig:
 
 
 def run_repeat_protocol(base_net: PolicyValueNet, env: LifecycleEnv,
-                        protocol: ProtocolConfig, arm_salt: int = 0) -> RepeatResult:
+                        protocol: ProtocolConfig, arm_salt: int) -> RepeatResult:
     """The refit-then-simulate loop; repeat ``i`` of every arm shares the
     population seed so rule changes are isolated from sampling noise.  The
     cohort is drawn with the group shares of the rule set's year."""
@@ -114,7 +114,9 @@ class ReformRun:
 def reform_pipeline(base_net: PolicyValueNet, spec: ReformSpec, env: LifecycleEnv,
                     protocol: ProtocolConfig) -> ReformRun:
     """Retrain under the reformed rules with identical preferences, run the
-    repeat protocol on both arms with paired population seeds, compare."""
+    repeat protocol on both arms with paired population seeds, compare.
+    Fewer than two repeats raise ``ReformError`` before the first refit."""
+    check_repeats(protocol.n_repeats)
     reformed_rules, _ = apply_reform(env.rules, spec)
     env_reform = env.with_rules(reformed_rules)
     baseline = run_repeat_protocol(base_net, env, protocol, arm_salt=1)

@@ -212,9 +212,14 @@ class ComparisonReport:
         return [r.cell for r in self.rows if r.significant]
 
 
-def compare_runs(baseline_reports: list[AggregateReport], reform_reports: list[AggregateReport]) -> ComparisonReport:
-    if len(baseline_reports) < 2 or len(reform_reports) < 2:
+def check_repeats(*per_arm: int) -> None:
+    """Raise ``ReformError`` unless every arm has at least two repeats."""
+    if min(per_arm) < 2:
         raise ReformError("comparison needs at least two repeats per arm")
+
+
+def compare_runs(baseline_reports: list[AggregateReport], reform_reports: list[AggregateReport]) -> ComparisonReport:
+    check_repeats(len(baseline_reports), len(reform_reports))
     return compare_cell_lists([r.cells() for r in baseline_reports],
                               [r.cells() for r in reform_reports])
 

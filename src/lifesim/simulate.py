@@ -12,7 +12,9 @@ uniforms (none in greedy mode), from their keys (see
 changes, so every run of it simulates the same cohort.  Transcendentals
 stay scalar (``math.log``/``math.exp`` per value) and sums keep Python's
 left-to-right order: a quarter's flow rows add into their age cell one at a
-time, in household then unit order.
+time, in household then unit order.  :func:`run_cohort` is the one entry
+point, in one process or split across several (``workers``); the repeat
+protocol calls it once per cohort, in-process.
 
 A block is priced after its quarters, through the
 :class:`~lifesim.env.mdp.PricingLedger` training uses too: each quarter runs
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import copy
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import groupby, repeat
 
@@ -167,6 +169,7 @@ def run_cohort(
     env: LifecycleEnv,
     mode: str = "sample",
     collect_incentives: bool = False,
+    workers: int = 1,
 ) -> SimulationLog:
     """Simulate the whole cohort: quarterly decisions 18-75, static to 100.
 
@@ -174,12 +177,23 @@ def run_cohort(
     copy of their rows of ``pop.block`` (which stays as drawn), stepped
     from age 18 to 100 with one policy forward pass per decision quarter.
     A block's quarters are priced together after they ran (see the module
-    docstring).  Flow sums and incentive samples are kept per block and
-    joined in block order, so the log does not depend on how blocks are
-    split across workers.  A quarter's flow rows add into their age cell
-    one after another, in household then unit order.
+    docstring).  With ``workers`` above 1, up to that many processes each
+    run a chunk of consecutive blocks.  Flow sums and incentive samples are
+    kept per block and joined in block order (:func:`merge_logs`), so the
+    log is the same for any ``workers``.  A quarter's flow rows add into
+    their age cell one after another, in household then unit order.
     """
-    return _run_blocks(net, _blocks(pop.block), env, mode, collect_incentives, pop.size, pop.seed)
+    blocks = _blocks(pop.block)
+    workers = min(workers, len(blocks))
+    if workers <= 1:
+        return _run_blocks(net, blocks, env, mode, collect_incentives, pop.size, pop.seed)
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = [[blocks[i] for i in chunk] for chunk in np.array_split(np.arange(len(blocks)), workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(_run_blocks, repeat(net), chunks, repeat(env), repeat(mode), repeat(collect_incentives),
+                              [sum(b.n for b in chunk) for chunk in chunks], repeat(pop.seed)))
+    return replace(merge_logs(parts), cohort_size=pop.size)
 
 
 def _run_blocks(net: PolicyValueNet, blocks: list[HouseholdBlock], env: LifecycleEnv,
@@ -261,32 +275,6 @@ def merge_logs(parts: list[SimulationLog]) -> SimulationLog:
         n_quarters=parts[0].n_quarters, flows_by_age=flows_by_age,
         consumption_by_age=cons_by_age, **joined,
     )
-
-
-def run_cohort_parallel(
-    net: PolicyValueNet,
-    pop: CohortPopulation,
-    env: LifecycleEnv,
-    workers: int = 1,
-    mode: str = "sample",
-    collect_incentives: bool = False,
-) -> SimulationLog:
-    """Split the cohort's household blocks across processes; chunks end on
-    block boundaries and merge in block order, so the merged log is
-    identical for any worker count."""
-    blocks = _blocks(pop.block)
-    workers = min(workers, len(blocks))
-    if workers <= 1:
-        return run_cohort(net, pop, env, mode=mode, collect_incentives=collect_incentives)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [[blocks[i] for i in chunk] for chunk in np.array_split(np.arange(len(blocks)), workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_blocks, repeat(net), chunks, repeat(env), repeat(mode), repeat(collect_incentives),
-                              [sum(b.n for b in chunk) for chunk in chunks], repeat(pop.seed)))
-    merged = merge_logs(parts)
-    merged.cohort_size = pop.size
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +580,7 @@ def repeat_protocol(
     make_population,     # (repeat_index) -> CohortPopulation
     env: LifecycleEnv,
     n_repeats: int,
-    mode: str = "sample",
+    mode: str,
 ) -> RepeatResult:
     """Refit-then-simulate ``n_repeats`` times and summarize per cell."""
     if n_repeats < 1:

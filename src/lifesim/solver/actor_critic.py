@@ -126,9 +126,9 @@ def a2c_loss_grads(
     return grads, metrics
 
 
-def train_actor_critic(env: VectorEnv, config: TrainConfig,
-                       net: PolicyValueNet | None = None) -> TrainResult:
-    """Run A2C until the step budget is exhausted.
+def train_actor_critic(env: VectorEnv, config: TrainConfig, net: PolicyValueNet | None) -> TrainResult:
+    """Run A2C on ``net``, or on a new net of ``config.hidden`` seeded by
+    ``config.seed`` when it is None, until the step budget is exhausted.
 
     Raises :class:`TrainingDiverged` when the value loss exceeds the
     divergence factor times its initial level for ``divergence_patience``

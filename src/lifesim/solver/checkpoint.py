@@ -34,8 +34,7 @@ def config_hash(config: TrainConfig) -> str:
     return _hash(asdict(config))
 
 
-def save_checkpoint(path: str | Path, net: PolicyValueNet, config: TrainConfig,
-                    extra: dict | None = None) -> None:
+def save_checkpoint(path: str | Path, net: PolicyValueNet, config: TrainConfig, extra: dict) -> None:
     header = {
         "format": FORMAT_VERSION,
         "obs_dim": net.obs_dim,
@@ -43,7 +42,7 @@ def save_checkpoint(path: str | Path, net: PolicyValueNet, config: TrainConfig,
         "hidden": list(net.hidden),
         "config": asdict(config),
         "config_hash": config_hash(config),
-        "extra": extra or {},
+        "extra": extra,
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:

@@ -69,8 +69,7 @@ def parameter_shapes(obs_dim: int, n_actions: int, hidden: tuple[int, ...]) -> l
 class PolicyValueNet:
     """MLP trunk + policy/value heads over a fixed discrete action catalogue."""
 
-    def __init__(self, obs_dim: int, n_actions: int, hidden: tuple[int, ...] = (256, 256, 128),
-                 seed: int = 0) -> None:
+    def __init__(self, obs_dim: int, n_actions: int, hidden: tuple[int, ...], seed: int) -> None:
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hidden = tuple(hidden)
@@ -220,7 +219,7 @@ def sample_masked(logits: np.ndarray, masks: np.ndarray, u: np.ndarray) -> np.nd
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float = 7e-4) -> None:
+    def __init__(self, params: list[np.ndarray], lr: float) -> None:
         self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]

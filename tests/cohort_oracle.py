@@ -14,8 +14,8 @@ rows.  And a block's draws are its households' keyed draws, the life
 (``default_rng((seed, household, 3)).random((decision quarters, 2))``,
 one per slot), where they were each household's two generators.
 
-The tests assert that ``lifesim.simulate.run_cohort`` and
-``run_cohort_parallel`` give the same bits as this function in every
+The tests assert that ``lifesim.simulate.run_cohort``, in one process and
+in two, gives the same bits as this function in every
 ``SimulationLog`` array.  Do not edit the function below; it pins today's
 behaviour.  ``run_cohort`` takes a record population
 (``population_oracle.records``), cut into record blocks of the

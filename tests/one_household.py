@@ -109,13 +109,13 @@ def _column(*values) -> tuple[np.ndarray, ...]:
 def kappa(state: S, gender: str, hours: int, age: float, pink_slip: bool, has_child_under3: bool,
           params: UtilityParams) -> float:
     """:meth:`UtilityColumns.kappa` of one agent."""
-    return float(UtilityColumns(params, 0.0).kappa(*_column(state, gender == "women", hours, age, pink_slip,
+    return float(UtilityColumns(params, 0.0, None).kappa(*_column(state, gender == "women", hours, age, pink_slip,
                                                             has_child_under3))[0])
 
 
 def mu_term(age: float, gender: str, hours: int, retirement_age: float, params: UtilityParams) -> float:
     """:meth:`UtilityColumns.mu` of one agent."""
-    return float(UtilityColumns(params, retirement_age).mu(*_column(gender == "women", hours, age))[0])
+    return float(UtilityColumns(params, retirement_age, None).mu(*_column(gender == "women", hours, age))[0])
 
 
 def utility(consumption_quarterly: float, state: S, gender: str, hours: int, age: float, pink_slip: bool,

@@ -52,7 +52,7 @@ def test_train_rejects_misspelled_demographics_file(tmp_path, capsys):
 
 def test_compare_with_missing_overlay_exits_with_config_error(tmp_path, capsys):
     ckpt = tmp_path / "policy.pkl"
-    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1))
+    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1), {})
     cfg = {"out": str(tmp_path / "out"),
            "compare": {"checkpoint": str(ckpt), "reform": str(tmp_path / "no_such_overlay.yaml")}}
     assert main(["compare", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -68,7 +68,7 @@ def test_malformed_config_exits_with_config_error(tmp_path, capsys):
 
 def test_train_from_base_checkpoint_keeps_its_shape(tmp_path, capsys):
     base = tmp_path / "base.bin"
-    save_checkpoint(base, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1))
+    save_checkpoint(base, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1), {})
     train = {"total_steps": 8, "households": 2}
     cfg = {"out": str(tmp_path / "out"), "base_checkpoint": str(base), "train": {**train, "hidden": [16]}}
     assert main(["train", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -136,7 +136,7 @@ def test_compare_rejects_train_total_steps(tmp_path, capsys):
     """A compare refits for ``compare.refit_steps``; a ``train.total_steps``
     it would not read is a config error, not silently dropped."""
     ckpt = tmp_path / "policy.pkl"
-    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1))
+    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1), {})
     cfg = {"out": str(tmp_path / "out"), "train": {"total_steps": 64, "households": 2},
            "compare": {"checkpoint": str(ckpt), "reform": str(params_dir() / "reforms" / "orpo.yaml"),
                        "refit_steps": 8, "repeats": 2, "cohort": 2}}
@@ -148,7 +148,7 @@ def test_simulate_collects_incentives(tmp_path):
     """``simulate.collect_incentives`` takes EMTR and PTR samples, which the
     cohort report writes as histograms and medians."""
     ckpt = tmp_path / "policy.pkl"
-    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1))
+    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1), {})
     cfg = {"out": str(tmp_path / "out"),
            "simulate": {"checkpoint": str(ckpt), "cohort": 4, "collect_incentives": True}}
     assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
@@ -183,3 +183,30 @@ def test_settings_of_other_subcommands_are_accepted(tmp_path):
            "calibrate": {"budget": 1}, "emtr_scan": {"wage_max_monthly": 200.0}}
     assert main(["emtr-scan", "--config", _write_config(tmp_path, cfg)]) == EXIT_OK
     assert len((tmp_path / "out" / "emtr_scan.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("argv, workers", [([], "two"), (["--workers", "0"], None), (["--workers", "-3"], None)],
+                         ids=["config-two", "flag-0", "flag-minus-3"])
+def test_a_worker_count_below_one_or_not_an_integer_is_a_config_error(tmp_path, capsys, argv, workers):
+    """``workers`` from the config or the flag must be an integer of at
+    least 1; the cohort does not run."""
+    ckpt = tmp_path / "policy.bin"
+    save_checkpoint(ckpt, PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), TrainConfig(total_steps=1), {})
+    cfg = {"out": str(tmp_path / "out"), "simulate": {"checkpoint": str(ckpt), "cohort": 2}}
+    if workers is not None:
+        cfg["workers"] = workers
+    assert main(["simulate", "--config", _write_config(tmp_path, cfg), *argv]) == EXIT_CONFIG
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "cohort").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [("simulate", "cohort", "many"), ("compare", "repeats", 2.5),
+                                                 ("calibrate", "budget", True), ("train", "households", "two"),
+                                                 ("emtr_scan", "children", "two")])
+def test_a_count_that_is_not_an_integer_is_a_config_error(tmp_path, capsys, section, key, value):
+    """Every subcommand rejects a count that is not an integer, in any
+    section, naming its dotted path."""
+    cfg = {"out": str(tmp_path / "out"), "emtr_scan": {"wage_max_monthly": 200.0}, section: {key: value}}
+    assert main(["emtr-scan", "--config", _write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "emtr_scan.csv").exists()

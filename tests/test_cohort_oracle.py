@@ -2,7 +2,7 @@
 ran, against the simulator that priced each quarter as it ran
 (``cohort_oracle``): every ``SimulationLog`` array bit for bit, under 2023
 and 2023 + ``orpo``, in sample and greedy mode, with and without incentive
-samples, through ``run_cohort`` and ``run_cohort_parallel``.
+samples, through ``run_cohort`` in one process and in two.
 
 The cohorts span several blocks, and some households die or give birth in
 the static phase, so the static phase records new pricing inputs mid-way.
@@ -32,7 +32,7 @@ from lifesim.paramfiles import params_dir
 from lifesim.population import load_demographics
 from lifesim.reform import apply_reform, load_reform
 from lifesim.rules import FLOW_COLUMNS
-from lifesim.simulate import SimulationLog, run_cohort, run_cohort_parallel
+from lifesim.simulate import SimulationLog, run_cohort
 from lifesim.solver import PolicyValueNet
 from lifesim.states import EmploymentState as S
 from lifesim.wage import load_wage_params
@@ -142,7 +142,7 @@ def test_parallel_run_matches_per_quarter_pricing(envs, net, small_blocks, monke
     pop = population(env, seed=32)
     want = cohort_oracle.run_cohort(net, copy.deepcopy(pop), env, mode="sample", collect_incentives=True)
     monkeypatch.setattr(mdp, "PRICING_ROWS", 37)
-    got = run_cohort_parallel(net, population_oracle.cohort(pop, env), env, workers=2, collect_incentives=True)
+    got = run_cohort(net, population_oracle.cohort(pop, env), env, collect_incentives=True, workers=2)
     assert_same_log(got, want)
 
 

@@ -73,13 +73,13 @@ def test_dead_agent_zero_utility(uparams):
 
 
 def test_unit_consumption_retired_zero(uparams):
-    c_q = uparams.deflator.at() / 4.0
+    c_q = uparams.deflator.at(2023) / 4.0
     u = utility(c_q, S.RETIRED, "men", 0, 50.0, False, False, 64.0, uparams)
     assert u == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_time_kappa_value(uparams):
-    c_q = uparams.deflator.at() / 4.0
+    c_q = uparams.deflator.at(2023) / 4.0
     u = utility(c_q, S.FULL_TIME, "men", 40, 40.0, False, False, 64.0, uparams)
     assert u == pytest.approx(-0.705)
 

@@ -1,6 +1,6 @@
 """Golden behaviour: a seeded cohort run three ways, two training updates,
-one reform comparison and a grid of scalar incentives, pinned to
-``tests/golden.json``.
+two reform comparisons (one on a fixed net, one through the refit) and a
+grid of scalar incentives, pinned to ``tests/golden.json``.
 
 The cohort is three 64-household blocks drawn under the 2023 rules and
 driven by an untrained (256, 256, 128) net, with incentive sampling on:
@@ -13,7 +13,10 @@ must match to 12 significant digits (relative 1e-12, NaN matching NaN).  The par
 The comparison is ``compare_runs`` of 2023 against 2023 + ``orpo`` over two
 128-agent repeats per arm (population seeds 2025 and 2026, shared by both
 arms), simulated by the same net in sample mode; each row's values must
-match to 12 significant digits and its significance exactly.  The grid
+match to 12 significant digits and its significance exactly.  The refit
+comparison is one toy ``reform_pipeline`` of the same two rule sets from the
+same net: two 32-agent repeats per arm, each refit for two A2C updates on
+four pair households, compared the same way.  The grid
 prices ``emtr``'s total and ``ptr`` under both rule sets for six partner
 types, four child sets, full- and part-time work and three monthly wages,
 each to 12 significant digits.
@@ -21,7 +24,7 @@ each to 12 significant digits.
 On a machine whose fingerprint (Python, numpy, the BLAS numpy was built
 with, and the CPU features numpy found) equals the file's, the float bits
 of all of these must match exactly too (one sha256 of the cells, the
-parameters, the comparison rows and the grid); elsewhere that check is
+parameters, both comparisons' rows and the grid); elsewhere that check is
 skipped, since summation order inside BLAS and numpy may differ.
 A change that is meant to move these numbers regenerates the file, and
 says why, with
@@ -42,7 +45,7 @@ import pytest
 
 from lifesim.env import N_ACTIONS, OBS_DIM
 from lifesim.paramfiles import params_dir
-from lifesim.pipelines import EnvPaths, build_env, train_policy
+from lifesim.pipelines import EnvPaths, ProtocolConfig, build_env, reform_pipeline, train_policy
 from lifesim.population import init_population
 from lifesim.reform import apply_reform, compare_runs, load_reform
 from lifesim.rules import AdultSnapshot, HouseholdSnapshot, emtr, ptr
@@ -55,6 +58,7 @@ YEAR = 2023
 COHORT_AGENTS = 384          # 192 pair households: three blocks
 POPULATION_SEED = 2024
 NET_SEED = 1
+NET_HIDDEN = (256, 256, 128)
 TRAIN_HOUSEHOLDS = 32        # 64 actors, as at the CLI defaults
 TRAIN_HIDDEN = (16, 8)
 TRAIN_SEED = 3
@@ -63,6 +67,10 @@ CELLS_RTOL = 1e-12
 PARAMETERS_RTOL = 1e-9
 COMPARISON_AGENTS = 128      # 64 pair households: one block per repeat
 COMPARISON_SEEDS = (2025, 2026)
+REFIT_AGENTS = 32            # 16 pair households per repeat
+REFIT_HOUSEHOLDS = 4         # 8 actors in each refit
+REFIT_UPDATES = 2
+REFIT_PROTOCOL_SEED = 2027
 PARTNERS = {
     "single": (),
     "full_time": (AdultSnapshot(state=S.FULL_TIME, wage_quarterly=9000.0),),
@@ -91,15 +99,16 @@ def _histories_digest(log) -> str:
     return h.hexdigest()
 
 
-def _floats_digest(runs: dict, parameters: list, comparison: dict, incentives: dict) -> str:
+def _floats_digest(runs: dict, parameters: list, comparison: dict, refit_comparison: dict,
+                   incentives: dict) -> str:
     """sha256 of the run and cell names, then each run's cells' and the
-    parameters' float64 bytes, then the comparison rows and the grid
+    parameters' float64 bytes, then both comparisons' rows and the grid
     points as JSON (which writes each float's shortest exact repr)."""
     h = hashlib.sha256(json.dumps({name: list(run["cells"]) for name, run in runs.items()}).encode())
     for run in runs.values():
         h.update(np.array(list(run["cells"].values()), dtype=np.float64).tobytes())
     h.update(np.array(parameters, dtype=np.float64).tobytes())
-    h.update(json.dumps([comparison, incentives]).encode())
+    h.update(json.dumps([comparison, refit_comparison, incentives]).encode())
     return h.hexdigest()
 
 
@@ -122,7 +131,19 @@ def _comparison(net, env, orpo) -> dict:
     """``compare_runs`` of ``env`` against ``orpo``: each row's values by cell."""
     pops = [init_population(COMPARISON_AGENTS, env, seed=seed) for seed in COMPARISON_SEEDS]
     base, reform = ([aggregate(run_cohort(net, pop, arm, mode="sample")) for pop in pops] for arm in (env, orpo))
-    report = compare_runs(base, reform)
+    return _rows(compare_runs(base, reform))
+
+
+def _refit_comparison(net, env, spec) -> dict:
+    """The rows of a toy ``reform_pipeline`` of ``env`` against ``spec``:
+    each repeat refits ``net`` under its arm's rules, then simulates."""
+    protocol = ProtocolConfig(
+        refit_steps=REFIT_UPDATES * TrainConfig.rollout * 2 * REFIT_HOUSEHOLDS, n_repeats=2,
+        cohort_size=REFIT_AGENTS, n_households=REFIT_HOUSEHOLDS, mode="sample", seed=REFIT_PROTOCOL_SEED)
+    return _rows(reform_pipeline(net, spec, env, protocol).comparison)
+
+
+def _rows(report) -> dict:
     return {r.cell: {"reform": r.reform, "baseline": r.baseline, "difference": r.difference,
                      "pooled_se": r.pooled_se, "threshold": r.threshold, "significant": r.significant}
             for r in report.rows}
@@ -153,25 +174,28 @@ def _incentives(arms: dict) -> dict:
 
 def run_golden() -> dict:
     env = build_env(EnvPaths.packaged(YEAR))
-    orpo = env.with_rules(apply_reform(env.rules, load_reform(params_dir() / "reforms" / "orpo.yaml"))[0])
+    spec = load_reform(params_dir() / "reforms" / "orpo.yaml")
+    orpo = env.with_rules(apply_reform(env.rules, spec)[0])
     pop = init_population(COHORT_AGENTS, env, seed=POPULATION_SEED)
     assert pop.block.m == 3 * BLOCK_HOUSEHOLDS
-    net = PolicyValueNet(OBS_DIM, N_ACTIONS, seed=NET_SEED)
+    net = PolicyValueNet(OBS_DIM, N_ACTIONS, NET_HIDDEN, seed=NET_SEED)
     runs = {}
     for name, arm, mode in (("sample", env, "sample"), ("greedy", env, "greedy"), ("2023+orpo", orpo, "sample")):
         log = run_cohort(net, pop, arm, mode=mode, collect_incentives=True)
         runs[name] = {"histories_sha256": _histories_digest(log), "cells": aggregate(log).cells()}
     comparison = _comparison(net, env, orpo)
+    refit_comparison = _refit_comparison(net, env, spec)
     incentives = _incentives({str(YEAR): env.rules, f"{YEAR}+orpo": orpo.rules})
     config = TrainConfig(total_steps=TRAIN_UPDATES * TrainConfig.rollout * 2 * TRAIN_HOUSEHOLDS,
                          hidden=TRAIN_HIDDEN, seed=TRAIN_SEED)
     parameters = train_policy(env, config, n_households=TRAIN_HOUSEHOLDS).net.flat_parameters().tolist()
     return {
-        "float_outputs_sha256": _floats_digest(runs, parameters, comparison, incentives),
+        "float_outputs_sha256": _floats_digest(runs, parameters, comparison, refit_comparison, incentives),
         "fingerprint": fingerprint(),
         "cohorts": runs,
         "parameters": parameters,
         "comparison": comparison,
+        "refit_comparison": refit_comparison,
         "incentives": incentives,
     }
 
@@ -207,13 +231,22 @@ def test_parameters_after_two_updates_match(runs):
     np.testing.assert_allclose(got["parameters"], want["parameters"], rtol=PARAMETERS_RTOL, atol=0.0)
 
 
-def test_comparison_rows_match_to_12_digits(runs):
-    got, want = runs
-    assert got["comparison"].keys() == want["comparison"].keys()
-    for cell, row in got["comparison"].items():
-        pinned = dict(want["comparison"][cell])
+def _assert_rows_match(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for cell, row in got.items():
+        pinned = dict(want[cell])
         assert row["significant"] == pinned.pop("significant"), cell
         assert not _off({k: v for k, v in row.items() if k != "significant"}, pinned), cell
+
+
+def test_comparison_rows_match_to_12_digits(runs):
+    got, want = runs
+    _assert_rows_match(got["comparison"], want["comparison"])
+
+
+def test_refit_comparison_rows_match_to_12_digits(runs):
+    got, want = runs
+    _assert_rows_match(got["refit_comparison"], want["refit_comparison"])
 
 
 def test_incentive_grid_matches_to_12_digits(runs):

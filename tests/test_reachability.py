@@ -44,7 +44,7 @@ ORACLE_READS = {
     "CashFlows.benefits_total": "tests/rules_oracle.py builds its net income from the three totals",
     "HouseholdSnapshot.validate": "tests/rules_oracle.py checks each snapshot it prices",
 }
-MAX_SETTABLE = 36
+MAX_SETTABLE = 21
 GENERATOR_SITES = {
     "population.py: keyed": "the keyed-draw helper",
     "population.py: init_population": "the cohort's master stream (genders, groups and pairs)",

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import lifesim.pipelines as pipelines
+from lifesim.env import N_ACTIONS, OBS_DIM
 from lifesim.errors import ReformError
 from lifesim.paramfiles import params_dir
 from lifesim.reform import (
@@ -13,6 +15,7 @@ from lifesim.reform import (
     load_reform,
 )
 from lifesim.rules import unemployment_benefit
+from lifesim.solver import PolicyValueNet
 from reform_helpers import minimal_significant_difference, paired_one_sided_pvalue, revert_reform
 
 
@@ -135,6 +138,19 @@ def test_reserved_kind_rejected_by_name(rules2023):
 # ---------------------------------------------------------------------------
 # significance machinery
 # ---------------------------------------------------------------------------
+
+def test_one_repeat_is_refused_before_the_first_refit(orpo, monkeypatch):
+    """A comparison needs two repeats per arm, so a pipeline with one raises
+    before it refits or simulates anything."""
+    def no_refit(*args, **kwargs):
+        raise AssertionError("refit before the repeat count was checked")
+
+    monkeypatch.setattr(pipelines, "train_policy", no_refit)
+    env = pipelines.build_env(pipelines.EnvPaths.packaged(2023))
+    protocol = pipelines.ProtocolConfig(refit_steps=32, n_repeats=1, cohort_size=2, n_households=1, seed=1)
+    with pytest.raises(ReformError, match="two repeats"):
+        pipelines.reform_pipeline(PolicyValueNet(OBS_DIM, N_ACTIONS, (8,), seed=0), orpo, env, protocol)
+
 
 def test_minimal_significant_difference_reproduces_reference():
     msd = minimal_significant_difference(4998.0, 4082.0, 50)

@@ -374,8 +374,7 @@ def test_parallel_log_identical_for_any_worker_count(env, small_net, monkeypatch
     for workers in (1, 2, 3):
         pop = init_population(30, env, seed=12)
         assert pop.block.m >= 3 * simulate.BLOCK_HOUSEHOLDS
-        logs.append(simulate.run_cohort_parallel(small_net, pop, env, workers=workers,
-                                                 collect_incentives=True))
+        logs.append(simulate.run_cohort(small_net, pop, env, collect_incentives=True, workers=workers))
     ref = logs[0]
     assert ref.emtr_samples.size > 0
     for log in logs[1:]:
@@ -402,7 +401,7 @@ def test_repeat_protocol_population_uses_env_wage_params(env, small_net, monkeyp
     protocol = pipelines.ProtocolConfig(refit_steps=0, n_repeats=1, cohort_size=10, seed=4)
     for wparams in (wp, doubled):
         arm = LifecycleEnv(env.rules, env.uparams, wparams, env.tables)
-        pipelines.run_repeat_protocol(small_net, arm, protocol)
+        pipelines.run_repeat_protocol(small_net, arm, protocol, arm_salt=0)
     base, scaled = (pop.block.potential_wage for pop in populations)
     # At 18 the age profile equals its base, so the same draws give twice the wage.
     np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-12)
@@ -422,7 +421,7 @@ def test_repeat_protocol_population_uses_the_rule_year(small_net, monkeypatch):
 
     monkeypatch.setattr(pipelines, "repeat_protocol", first_population)
     protocol = pipelines.ProtocolConfig(refit_steps=0, n_repeats=1, cohort_size=400, seed=4)
-    pipelines.run_repeat_protocol(small_net, env, protocol)
+    pipelines.run_repeat_protocol(small_net, env, protocol, arm_salt=0)
     seed = int(np.random.SeedSequence((protocol.seed, 0)).generate_state(1)[0])
     want = init_population(protocol.cohort_size, env, seed=seed)
     default_year = init_population(protocol.cohort_size, env.with_rules(load_ruleset(ruleset_path(2023))), seed=seed)

@@ -89,7 +89,7 @@ def trained_reduced(reduced):
     env = ReducedVectorEnv(mdp, cfg, n_envs=64, seed=0)
     tc = TrainConfig(total_steps=250_000, hidden=(64, 64), learning_rate=3e-3,
                      reward_scale=0.25, seed=0, checkpoint_every=100)
-    return train_actor_critic(env, tc)
+    return train_actor_critic(env, tc, None)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def test_update_runs_one_forward_pass_per_rollout_step_plus_the_bootstrap(monkey
     forward = PolicyValueNet.forward
     monkeypatch.setattr(PolicyValueNet, "forward",
                         lambda net, obs, cache=None: rows.append(len(obs)) or forward(net, obs, cache))
-    train_actor_critic(env, tc)
+    train_actor_critic(env, tc, None)
     assert len(rows) == 3 * (tc.rollout + 1)
     assert set(rows) == {8}
 
@@ -482,9 +482,9 @@ def test_update_gradients_equal_a_fresh_forward_in_rollout_chunks(monkeypatch):
 
     monkeypatch.setattr(actor_critic, "a2c_loss_grads", spy)
     tc = TrainConfig(total_steps=16 * 64, hidden=(32, 16), seed=4)   # one update
-    train_actor_critic(venv, tc)
+    train_actor_critic(venv, tc, None)
 
-    net = PolicyValueNet(OBS_DIM, N_ACTIONS, (32, 16))
+    net = PolicyValueNet(OBS_DIM, N_ACTIONS, (32, 16), seed=0)
     net.set_parameters(seen["params"])
     cache = ForwardCache()
     net.reserve(cache, 16 * 64)
@@ -524,7 +524,7 @@ def test_dominated_action_learned():
     env = DominatedActionEnv(n_envs=16)
     tc = TrainConfig(total_steps=30_000, hidden=(16,), learning_rate=5e-3, seed=1,
                      reward_scale=1.0, entropy_coef=0.005)
-    res = train_actor_critic(env, tc)
+    res = train_actor_critic(env, tc, None)
     obs, masks = env.reset()
     logits = res.net.masked_logits(obs[:1], masks[:1])
     probs = masked_distribution(logits, masks[:1])[0]
@@ -535,7 +535,7 @@ def test_training_determinism():
     def run():
         env = DominatedActionEnv(n_envs=8)
         tc = TrainConfig(total_steps=5_000, hidden=(8,), seed=7)
-        return train_actor_critic(env, tc).net.flat_parameters()
+        return train_actor_critic(env, tc, None).net.flat_parameters()
 
     a, b = run(), run()
     np.testing.assert_array_equal(a, b)
@@ -546,7 +546,7 @@ def test_divergence_detector_raises():
     tc = TrainConfig(total_steps=200_000, hidden=(8,), learning_rate=3000.0, seed=2,
                      checkpoint_every=1, divergence_patience=3, max_grad_norm=0.0)
     with pytest.raises(TrainingDiverged):
-        train_actor_critic(env, tc)
+        train_actor_critic(env, tc, None)
 
 
 def test_reduced_env_policy_approaches_dp(reduced, trained_reduced):
@@ -610,8 +610,8 @@ def test_checkpoint_roundtrip(tmp_path, trained_reduced):
 def test_checkpoint_bytes_deterministic(tmp_path, trained_reduced):
     tc = TrainConfig(total_steps=100, hidden=(64, 64))
     p1, p2 = tmp_path / "a.pkl", tmp_path / "b.pkl"
-    save_checkpoint(p1, trained_reduced.net, tc)
-    save_checkpoint(p2, trained_reduced.net, tc)
+    save_checkpoint(p1, trained_reduced.net, tc, {})
+    save_checkpoint(p2, trained_reduced.net, tc, {})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -631,7 +631,7 @@ def test_checkpoint_pickle_rejected_without_running(tmp_path):
 
 def _saved_checkpoint(tmp_path):
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, PolicyValueNet(4, 3, (8,), seed=1), TrainConfig(total_steps=100))
+    save_checkpoint(path, PolicyValueNet(4, 3, (8,), seed=1), TrainConfig(total_steps=100), {})
     head, _, weights = path.read_bytes().partition(b"\n")
     return path, json.loads(head), weights
 
@@ -657,9 +657,9 @@ def test_checkpoint_load_draws_no_weights_and_round_trips_the_bits(tmp_path, mon
     """A (256, 256, 128) net loads without the constructor, so nothing draws
     initial weights, and every parameter comes back bit for bit, each in an
     array of its own; the loaded net's forward pass equals the saved net's."""
-    saved = PolicyValueNet(OBS_DIM, N_ACTIONS, seed=7)
+    saved = PolicyValueNet(OBS_DIM, N_ACTIONS, (256, 256, 128), seed=7)
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, saved, TrainConfig(total_steps=100))
+    save_checkpoint(path, saved, TrainConfig(total_steps=100), {})
 
     def no_draws(*args, **kwargs):
         raise AssertionError("a checkpoint load drew initial weights")

@@ -50,7 +50,7 @@ def test_trainer_matches_per_quarter_pricing(env, monkeypatch, seed, pricing_row
 
     if pricing_rows is not None:
         monkeypatch.setattr(mdp, "PRICING_ROWS", pricing_rows)
-    got = train_actor_critic(LifecycleVectorEnv(env, n_households=HOUSEHOLDS, seed=seed), config)
+    got = train_actor_critic(LifecycleVectorEnv(env, n_households=HOUSEHOLDS, seed=seed), config, None)
     assert got.steps_done == want.steps_done
     assert [_bits(row) for row in got.metrics] == [_bits(row) for row in want.metrics]
     assert math.isnan(got.metrics[13]["mean_episode_return"])
@@ -99,7 +99,7 @@ def test_an_update_prices_its_rollout_in_few_calls(env, monkeypatch, pricing_row
 
     monkeypatch.setattr(venv, "step", counted_step)
     monkeypatch.setattr(venv, "rewards", counted_rewards)
-    train_actor_critic(venv, TrainConfig(total_steps=3 * 16 * 2 * HOUSEHOLDS, hidden=(8,), seed=1))
+    train_actor_critic(venv, TrainConfig(total_steps=3 * 16 * 2 * HOUSEHOLDS, hidden=(8,), seed=1), None)
     assert [u["ends"] for u in updates] == [0, 1, 1]
     bound = mdp.PRICING_ROWS
     for u in updates:
@@ -124,4 +124,4 @@ def test_non_positive_consumption_of_a_living_adult_raises_from_training(env, mo
     monkeypatch.setattr(mdp, "price_units", patched)
     with pytest.raises(ContractViolation, match="positive consumption"):
         train_actor_critic(LifecycleVectorEnv(env, n_households=HOUSEHOLDS, seed=2),
-                           TrainConfig(total_steps=16 * 2 * HOUSEHOLDS, hidden=(8,), seed=2))
+                           TrainConfig(total_steps=16 * 2 * HOUSEHOLDS, hidden=(8,), seed=2), None)
